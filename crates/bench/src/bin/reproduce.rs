@@ -32,8 +32,8 @@ use std::time::Instant;
 use stellar_bench as b;
 use stellar_sim::json::{rows_to_json, Arr, Obj};
 use stellar_sim::par::{
-    configured_threads, events_scheduled_here, note_queue_depth, par_map, take_queue_depth_peak,
-    with_thread_override,
+    configured_threads, events_cancelled_here, events_scheduled_here, note_queue_depth, par_map,
+    take_queue_depth_peak, with_thread_override,
 };
 use stellar_telemetry::TelemetryConfig;
 
@@ -42,8 +42,9 @@ use stellar_telemetry::TelemetryConfig;
 ///
 /// `event_driven` says whether the experiment runs the discrete-event
 /// simulator. Analytic experiments (closed-form models, no event queue)
-/// report `null` for `events`/`events_per_sec`/`peak_queue_depth` in the
-/// `--perf` report instead of a misleading `0`; an event-driven
+/// report `null` for `events`/`events_per_sec`/`events_cancelled`/
+/// `peak_queue_depth` in the `--perf` report instead of a misleading
+/// `0`; an event-driven
 /// experiment reporting zero events is treated as a harness bug and
 /// fails the run.
 struct Experiment {
@@ -156,8 +157,11 @@ struct PerfRec {
     event_driven: bool,
     wall_ms: f64,
     events: u64,
+    events_cancelled: u64,
     peak_queue_depth: u64,
-    ring_high_water: u64,
+    /// The flight recorder's high-water mark; `None` when the pass ran
+    /// untraced and there was no recorder to measure.
+    ring_high_water: Option<u64>,
 }
 
 /// Run the selected experiments on the work pool; outputs come back in
@@ -178,22 +182,25 @@ fn run_selected(
         let saved = take_queue_depth_peak();
         let t0 = Instant::now();
         let ev0 = events_scheduled_here();
+        let cancelled0 = events_cancelled_here();
         let (out, trace_doc, ring_high_water) = if trace {
             let (out, tel) =
                 stellar_telemetry::capture(TelemetryConfig::default(), || (exp.run)(quick, json));
             let high_water = tel.recorder.high_water() as u64;
-            (out, Some(tel.to_json(exp.name)), high_water)
+            (out, Some(tel.to_json(exp.name)), Some(high_water))
         } else {
-            ((exp.run)(quick, json), None, 0)
+            ((exp.run)(quick, json), None, None)
         };
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         let events = events_scheduled_here() - ev0;
+        let events_cancelled = events_cancelled_here() - cancelled0;
         let peak = take_queue_depth_peak();
         note_queue_depth(saved.max(peak));
         PerfSample {
             out,
             wall_ms,
             events,
+            events_cancelled,
             peak_queue_depth: peak,
             ring_high_water,
             trace_doc,
@@ -212,6 +219,7 @@ fn run_selected(
             event_driven: s.event_driven,
             wall_ms: s.wall_ms,
             events: s.events,
+            events_cancelled: s.events_cancelled,
             peak_queue_depth: s.peak_queue_depth,
             ring_high_water: s.ring_high_water,
         });
@@ -223,8 +231,9 @@ struct PerfSample {
     out: String,
     wall_ms: f64,
     events: u64,
+    events_cancelled: u64,
     peak_queue_depth: u64,
-    ring_high_water: u64,
+    ring_high_water: Option<u64>,
     trace_doc: Option<String>,
     name: &'static str,
     event_driven: bool,
@@ -259,15 +268,21 @@ fn perf_report(
                     "events_per_sec",
                     if secs > 0.0 { p.events as f64 / secs } else { 0.0 },
                 )
+                .field_u64("events_cancelled", p.events_cancelled)
                 .field_u64("peak_queue_depth", p.peak_queue_depth)
         } else {
             obj.field_raw("events", "null")
                 .field_raw("events_per_sec", "null")
+                .field_raw("events_cancelled", "null")
                 .field_raw("peak_queue_depth", "null")
         };
+        // The ring is only measured under --trace; untraced rows say so.
+        let obj = match p.ring_high_water {
+            Some(high_water) => obj.field_u64("ring_high_water", high_water),
+            None => obj.field_raw("ring_high_water", "null"),
+        };
         scenarios = scenarios.push_raw(
-            &obj.field_u64("ring_high_water", p.ring_high_water)
-                .field_f64("baseline_wall_ms", bp.wall_ms)
+            &obj.field_f64("baseline_wall_ms", bp.wall_ms)
                 .field_f64("speedup", bp.wall_ms / p.wall_ms.max(1e-9))
                 .finish(),
         );
@@ -479,8 +494,9 @@ mod tests {
             event_driven,
             wall_ms: 10.0,
             events,
+            events_cancelled: events / 3,
             peak_queue_depth: if events > 0 { 7 } else { 0 },
-            ring_high_water: 0,
+            ring_high_water: None,
         }
     }
 
@@ -494,7 +510,8 @@ mod tests {
         assert!(
             report.contains(
                 "\"event_driven\":false,\"wall_ms\":10.0,\"events\":null,\
-                 \"events_per_sec\":null,\"peak_queue_depth\":null"
+                 \"events_per_sec\":null,\"events_cancelled\":null,\
+                 \"peak_queue_depth\":null,\"ring_high_water\":null"
             ),
             "analytic row must carry nulls: {report}"
         );
@@ -506,6 +523,22 @@ mod tests {
             !report.contains("\"events\":0"),
             "no silently-zero events field anywhere: {report}"
         );
+    }
+
+    #[test]
+    fn ring_high_water_is_null_unless_traced() {
+        let untraced = [rec("fig9", true, 900)];
+        let mut traced = [rec("fig9", true, 900)];
+        traced[0].ring_high_water = Some(4096);
+        let report = perf_report(true, 1, 10.0, 10.0, &untraced, &untraced);
+        assert!(
+            report.contains(
+                "\"events_cancelled\":300,\"peak_queue_depth\":7,\"ring_high_water\":null"
+            ),
+            "{report}"
+        );
+        let report = perf_report(true, 1, 10.0, 10.0, &traced, &untraced);
+        assert!(report.contains("\"ring_high_water\":4096"), "{report}");
     }
 
     #[test]

@@ -13,11 +13,42 @@
 //! this queue's exact observable behaviour. Build with
 //! `--features reference-queue` to alias `EventQueue` back to this type
 //! for A/B perf runs.
+//!
+//! Cancellation is modelled with tombstones: [`ReferenceQueue::cancel`]
+//! records the event's `seq`, and the heap drops tombstoned entries as
+//! they reach the top, so a cancelled event never pops and never moves
+//! the clock.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use crate::time::SimTime;
+
+/// A ticket for cancelling one event scheduled with
+/// `schedule_cancellable` on either queue implementation.
+///
+/// Opaque and `Copy`. The timing wheel packs a slab index and that node's
+/// generation into it; the reference queue a serial number that no clear
+/// resets. A handle goes stale once its event is cancelled, pops, becomes
+/// due (a peek or pop has reached its timestamp), or the queue is
+/// cleared; cancelling a stale handle is a no-op that returns `None`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimerHandle(u64);
+
+impl TimerHandle {
+    /// A handle that matches no event.
+    pub(crate) const STALE: TimerHandle = TimerHandle(u64::MAX);
+
+    /// Pack a slab index and generation (timing wheel).
+    pub(crate) fn new(index: u32, generation: u32) -> Self {
+        TimerHandle(u64::from(generation) << 32 | u64::from(index))
+    }
+
+    /// The `(index, generation)` pair packed by [`TimerHandle::new`].
+    pub(crate) fn parts(self) -> (u32, u32) {
+        (self.0 as u32, (self.0 >> 32) as u32)
+    }
+}
 
 /// A deterministic timestamped event queue (binary-heap reference model).
 ///
@@ -27,8 +58,20 @@ use crate::time::SimTime;
 pub struct ReferenceQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
+    /// Sequence numbers issued before the last clear: a handle's serial is
+    /// `seq_base + seq`, so handles never repeat across clears.
+    seq_base: u64,
+    /// Deadlines of pending cancellable events, by `seq`.
+    cancellable: BTreeMap<u64, SimTime>,
+    /// `seq`s of cancelled events still in the heap.
+    tombstones: BTreeSet<u64>,
+    /// The latest timestamp a peek or pop has reached; events at or before
+    /// it are due and can no longer be cancelled (the wheel has moved them
+    /// into its ready run).
+    due: SimTime,
     now: SimTime,
     scheduled_total: u64,
+    cancelled_total: u64,
     peak_len: usize,
 }
 
@@ -71,26 +114,38 @@ impl<E> ReferenceQueue<E> {
         ReferenceQueue {
             heap: BinaryHeap::with_capacity(capacity),
             next_seq: 0,
+            seq_base: 0,
+            cancellable: BTreeMap::new(),
+            tombstones: BTreeSet::new(),
+            due: SimTime::ZERO,
             now: SimTime::ZERO,
             scheduled_total: 0,
+            cancelled_total: 0,
             peak_len: 0,
         }
     }
 
     /// Drop all pending events and reset every observable to its initial
     /// state: [`now`](Self::now) returns [`SimTime::ZERO`],
-    /// [`scheduled_total`](Self::scheduled_total) and
+    /// [`scheduled_total`](Self::scheduled_total),
+    /// [`cancelled_total`](Self::cancelled_total) and
     /// [`peak_len`](Self::peak_len) return 0, and the FIFO tie-break
     /// sequence restarts (so a cleared queue schedules and pops exactly
-    /// like a fresh one). Only the heap's allocation is kept, so repeated
-    /// seed runs reuse it instead of rebuilding the heap from scratch —
-    /// this is what makes `TransportSim::reset` observably identical to
-    /// constructing a new sim.
+    /// like a fresh one). Every handle issued before the clear goes
+    /// stale. Only the heap's allocation is kept, so repeated seed runs
+    /// reuse it instead of rebuilding the heap from scratch — this is what
+    /// makes `TransportSim::reset` observably identical to constructing a
+    /// new sim.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.seq_base += self.next_seq;
         self.next_seq = 0;
+        self.cancellable.clear();
+        self.tombstones.clear();
+        self.due = SimTime::ZERO;
         self.now = SimTime::ZERO;
         self.scheduled_total = 0;
+        self.cancelled_total = 0;
         self.peak_len = 0;
     }
 
@@ -111,6 +166,70 @@ impl<E> ReferenceQueue<E> {
     /// Panics if `at` is in the past — scheduling behind the clock would
     /// silently corrupt causality, so it is treated as a logic bug.
     pub fn schedule(&mut self, at: SimTime, event: E) {
+        self.push(at, event);
+    }
+
+    /// [`schedule`](Self::schedule) `event` at `at` and return a handle
+    /// that can [`cancel`](Self::cancel) it. Counts in
+    /// [`scheduled_total`](Self::scheduled_total) like any schedule.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past.
+    pub fn schedule_cancellable(&mut self, at: SimTime, event: E) -> TimerHandle {
+        let seq = self.push(at, event);
+        self.cancellable.insert(seq, at);
+        TimerHandle(self.seq_base + seq)
+    }
+
+    /// Remove the event behind `handle`. Returns its deadline, or `None`
+    /// if the handle is stale: the event was cancelled, popped, or is
+    /// already due (a peek or pop has reached its timestamp), or the
+    /// queue was cleared since. A cancelled event never pops and never
+    /// moves the clock.
+    pub fn cancel(&mut self, handle: TimerHandle) -> Option<SimTime> {
+        let seq = handle.0.checked_sub(self.seq_base)?;
+        let &at = self.cancellable.get(&seq)?;
+        if at <= self.due {
+            return None;
+        }
+        self.cancellable.remove(&seq);
+        self.tombstones.insert(seq);
+        self.cancelled_total += 1;
+        crate::par::record_cancelled_event();
+        self.purge();
+        Some(at)
+    }
+
+    /// Move the clock forward to `t` without popping anything; a `t` at
+    /// or before [`now`](Self::now) is a no-op.
+    ///
+    /// # Panics
+    /// Panics if a pending event is due before `t`.
+    pub fn advance_clock(&mut self, t: SimTime) {
+        if t <= self.now {
+            return;
+        }
+        if let Some(next) = self.peek_time() {
+            assert!(
+                next >= t,
+                "advancing the clock to {t} would skip an event at {next}"
+            );
+        }
+        self.now = t;
+    }
+
+    /// Pop the next event, advancing the clock to its timestamp.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        let Reverse(entry) = self.heap.pop()?;
+        self.cancellable.remove(&entry.seq);
+        self.purge();
+        self.now = entry.at;
+        self.due = self.due.max(entry.at);
+        Some((entry.at, entry.event))
+    }
+
+    /// Push an entry and return its `seq`.
+    fn push(&mut self, at: SimTime, event: E) -> u64 {
         assert!(
             at >= self.now,
             "scheduled event at {at} is before current time {}",
@@ -121,17 +240,22 @@ impl<E> ReferenceQueue<E> {
         self.scheduled_total += 1;
         crate::par::record_scheduled_event();
         self.heap.push(Reverse(Entry { at, seq, event }));
-        if self.heap.len() > self.peak_len {
-            self.peak_len = self.heap.len();
+        if self.len() > self.peak_len {
+            self.peak_len = self.len();
             crate::par::note_queue_depth(self.peak_len as u64);
         }
+        seq
     }
 
-    /// Pop the next event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse(entry) = self.heap.pop()?;
-        self.now = entry.at;
-        Some((entry.at, entry.event))
+    /// Drop tombstoned entries from the top of the heap, so the top is
+    /// always a live event.
+    fn purge(&mut self) {
+        while let Some(Reverse(top)) = self.heap.peek() {
+            if !self.tombstones.remove(&top.seq) {
+                break;
+            }
+            self.heap.pop();
+        }
     }
 
     /// Drain **every** event at the next (minimal) timestamp into `out`, in
@@ -142,32 +266,45 @@ impl<E> ReferenceQueue<E> {
     pub fn pop_batch(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
         let (at, first) = self.pop()?;
         out.push(first);
-        while self.peek_time() == Some(at) {
+        // Look at the raw heap top, not `peek_time`: the batch must not
+        // make the *next* timestamp due, exactly as the wheel's drain
+        // stops at the end of its ready run.
+        while self.heap.peek().is_some_and(|Reverse(e)| e.at == at) {
             let (_, e) = self.pop().expect("peeked entry vanished");
             out.push(e);
         }
         Some(at)
     }
 
-    /// The timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
+    /// The timestamp of the next event without popping it. Takes
+    /// `&mut self` like the wheel's: reaching a timestamp makes the
+    /// events there due, which [`cancel`](Self::cancel) observes.
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        let at = self.heap.peek().map(|Reverse(e)| e.at)?;
+        self.due = self.due.max(at);
+        Some(at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() - self.tombstones.len()
     }
 
     /// Whether the queue has no pending events.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Total number of events ever scheduled (a cheap progress/size metric
     /// for run reports and runaway detection in tests).
     pub fn scheduled_total(&self) -> u64 {
         self.scheduled_total
+    }
+
+    /// Total number of events removed by [`cancel`](Self::cancel) since
+    /// construction (or the last [`ReferenceQueue::clear`]).
+    pub fn cancelled_total(&self) -> u64 {
+        self.cancelled_total
     }
 
     /// The deepest pending-event backlog this queue has reached since

@@ -40,11 +40,22 @@
 //! them.
 //!
 //! **Arena**: event payloads live in a slab (`Vec<Node<E>>` plus an
-//! intrusive free list); wheel slots and the overflow list store `u32` node
-//! indices. Nodes are recycled on pop, so steady-state simulation performs
-//! zero allocator traffic per event, and [`EventQueue::clear`] keeps the
-//! slab allocation so repeated seed runs reuse it.
+//! intrusive free list); wheel slots and the overflow list are doubly
+//! linked lists of `u32` node indices. A node is freed when its event
+//! moves into the ready run (on its way to a pop) *or* when the event is
+//! cancelled, so steady-state simulation performs zero allocator traffic
+//! per event, and [`EventQueue::clear`] keeps the slab allocation so
+//! repeated seed runs reuse it.
+//!
+//! **Cancellation**: [`EventQueue::schedule_cancellable`] returns a
+//! [`TimerHandle`] — the node's slab index plus its generation, which every
+//! free bumps. [`EventQueue::cancel`] unlinks a live node from its slot (or
+//! the overflow list) in O(1), clears the slot's occupancy bits if it
+//! empties, and frees the node at once. A handle whose event already moved
+//! into the ready run, popped, was cancelled, or predates a
+//! [`EventQueue::clear`] is stale, and cancelling it is a no-op.
 
+use crate::queue::TimerHandle;
 use crate::time::SimTime;
 
 /// Bits per wheel level: 1024 slots each. Wide levels keep cascade counts
@@ -62,6 +73,10 @@ const HORIZON_BITS: u32 = SLOT_BITS * LEVELS as u32;
 const OCC_WORDS: usize = SLOTS / 64;
 /// Null node index (slab sentinel).
 const NIL: u32 = u32::MAX;
+/// `Node::level` of a node on the overflow list.
+const OVERFLOW: u8 = LEVELS as u8;
+/// `Node::level` of a node on the free list.
+const FREE: u8 = OVERFLOW + 1;
 
 /// Sabotage knobs for the mutation drill (`--features queue-drill`).
 ///
@@ -89,6 +104,12 @@ pub mod drill {
         /// Level-0 slots drain in *descending* seq order, turning the
         /// equal-timestamp FIFO contract into LIFO.
         BreakFifo,
+        /// `cancel` reports success but leaves the node linked in its
+        /// slot, so the cancelled event still fires (a ghost event).
+        GhostCancel,
+        /// Freeing a node does not bump its generation, so a stale handle
+        /// cancels whichever event reuses the node.
+        StaleGeneration,
     }
 
     thread_local! {
@@ -110,9 +131,10 @@ pub mod drill {
 ///
 /// Drop-in replacement for the binary-heap
 /// [`ReferenceQueue`](crate::ReferenceQueue): same API, same `(time, seq)`
-/// FIFO ordering contract, same observables (`now`, `scheduled_total`,
-/// `peak_len`), verified byte-for-byte by the differential suite in
-/// `tests/queue_diff.rs` and the golden corpus.
+/// FIFO ordering contract, same cancellation contract, same observables
+/// (`now`, `scheduled_total`, `cancelled_total`, `peak_len`), verified
+/// byte-for-byte by the differential suite in `tests/queue_diff.rs` and
+/// the golden corpus.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     /// Slab arena: all pending events' payloads and intrusive list links.
@@ -126,20 +148,24 @@ pub struct EventQueue<E> {
     /// Per-level summary: bit `w` set iff `occupied[level][w] != 0`, so
     /// level-empty checks and first-slot scans are O(1), not 16 words.
     occupied_sum: [u64; LEVELS],
-    /// Events beyond the current 2^36 ns horizon block.
-    overflow: Vec<u32>,
+    /// Head of the list of events beyond the current 2^40 ns horizon
+    /// block.
+    overflow: u32,
     /// Due events in `(at, seq)` order, consumed from `ready_head`.
     ready: Vec<Ready<E>>,
     ready_head: usize,
     /// Scratch for sorting a level-0 slot by seq at drain time.
     drain_buf: Vec<(u64, u32)>,
-    /// Wheel cursor in ns. Monotone; `>= now` except transiently never.
+    /// Wheel cursor in ns: the latest timestamp a peek or pop has
+    /// reached. Monotone; [`advance_clock`](Self::advance_clock) may move
+    /// `now` past it, never the other way round.
     wheel_time: u64,
     /// Pending events across ready + levels + overflow.
     len: usize,
     next_seq: u64,
     now: SimTime,
     scheduled_total: u64,
+    cancelled_total: u64,
     peak_len: usize,
 }
 
@@ -149,6 +175,14 @@ struct Node<E> {
     seq: u64,
     /// Next node in the slot list (or free list) — NIL terminates.
     next: u32,
+    /// Previous node in the slot list; NIL at the list head.
+    prev: u32,
+    /// Bumped on every free, so handles to earlier occupants go stale.
+    generation: u32,
+    /// The list holding the node: a wheel level, [`OVERFLOW`] or [`FREE`].
+    level: u8,
+    /// Slot index within `level` (0 on the overflow and free lists).
+    slot: u16,
     /// `None` only while the node sits on the free list.
     event: Option<E>,
 }
@@ -177,7 +211,7 @@ impl<E> EventQueue<E> {
             levels: [[NIL; SLOTS]; LEVELS],
             occupied: [[0; OCC_WORDS]; LEVELS],
             occupied_sum: [0; LEVELS],
-            overflow: Vec::new(),
+            overflow: NIL,
             ready: Vec::new(),
             ready_head: 0,
             drain_buf: Vec::new(),
@@ -186,26 +220,40 @@ impl<E> EventQueue<E> {
             next_seq: 0,
             now: SimTime::ZERO,
             scheduled_total: 0,
+            cancelled_total: 0,
             peak_len: 0,
         }
     }
 
     /// Drop all pending events and reset every observable to its initial
     /// state: [`now`](Self::now) returns [`SimTime::ZERO`],
-    /// [`scheduled_total`](Self::scheduled_total) and
+    /// [`scheduled_total`](Self::scheduled_total),
+    /// [`cancelled_total`](Self::cancelled_total) and
     /// [`peak_len`](Self::peak_len) return 0, and the FIFO tie-break
     /// sequence restarts (so a cleared queue schedules and pops exactly
-    /// like a fresh one). Only the allocations (arena, overflow, ready
-    /// run) are kept, so repeated seed runs reuse them instead of
-    /// rebuilding from scratch — this is what makes `TransportSim::reset`
-    /// observably identical to constructing a new sim.
+    /// like a fresh one). Every handle issued before the clear goes
+    /// stale. Only the allocations (arena, ready run) are kept, so
+    /// repeated seed runs reuse them instead of rebuilding from scratch —
+    /// this is what makes `TransportSim::reset` observably identical to
+    /// constructing a new sim.
     pub fn clear(&mut self) {
-        self.nodes.clear();
+        // Free every node in place rather than truncating the slab: the
+        // generations must survive, or a handle from before the clear
+        // could match a node's next occupant.
         self.free_head = NIL;
+        for (i, n) in self.nodes.iter_mut().enumerate().rev() {
+            if n.level != FREE {
+                n.event = None;
+                n.generation = n.generation.wrapping_add(1);
+                n.level = FREE;
+            }
+            n.next = self.free_head;
+            self.free_head = i as u32;
+        }
         self.levels = [[NIL; SLOTS]; LEVELS];
         self.occupied = [[0; OCC_WORDS]; LEVELS];
         self.occupied_sum = [0; LEVELS];
-        self.overflow.clear();
+        self.overflow = NIL;
         self.ready.clear();
         self.ready_head = 0;
         self.drain_buf.clear();
@@ -214,6 +262,7 @@ impl<E> EventQueue<E> {
         self.next_seq = 0;
         self.now = SimTime::ZERO;
         self.scheduled_total = 0;
+        self.cancelled_total = 0;
         self.peak_len = 0;
     }
 
@@ -234,6 +283,16 @@ impl<E> EventQueue<E> {
     /// Panics if `at` is in the past — scheduling behind the clock would
     /// silently corrupt causality, so it is treated as a logic bug.
     pub fn schedule(&mut self, at: SimTime, event: E) {
+        self.schedule_cancellable(at, event);
+    }
+
+    /// [`schedule`](Self::schedule) `event` at `at` and return a handle
+    /// that can [`cancel`](Self::cancel) it. Counts in
+    /// [`scheduled_total`](Self::scheduled_total) like any schedule.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past.
+    pub fn schedule_cancellable(&mut self, at: SimTime, event: E) -> TimerHandle {
         assert!(
             at >= self.now,
             "scheduled event at {at} is before current time {}",
@@ -244,21 +303,72 @@ impl<E> EventQueue<E> {
         self.scheduled_total += 1;
         crate::par::record_scheduled_event();
         let atn = at.as_nanos();
-        if atn <= self.wheel_time {
+        let handle = if atn <= self.wheel_time {
             // The cursor may sit ahead of `now` (it advances lazily on
             // peek), so a legal schedule can land at or behind it: merge
             // into the sorted ready run. `seq` is larger than every
             // pending seq, so the insertion point is `>= ready_head`.
+            // The event is already due, so its handle is born stale.
             self.insert_ready(atn, seq, event);
+            TimerHandle::STALE
         } else {
             let idx = self.alloc(atn, seq, event);
             self.place(idx);
-        }
+            TimerHandle::new(idx, self.nodes[idx as usize].generation)
+        };
         self.len += 1;
         if self.len > self.peak_len {
             self.peak_len = self.len;
             crate::par::note_queue_depth(self.peak_len as u64);
         }
+        handle
+    }
+
+    /// Remove the event behind `handle` and free its arena node at once.
+    /// Returns the removed event's deadline, or `None` if the handle is
+    /// stale: its event was cancelled, popped, or has already left the
+    /// wheel for the ready run (its timestamp was reached by a peek or
+    /// pop), or the queue was cleared since. A cancelled event never pops
+    /// and never moves the clock; [`len`](Self::len) drops by one and
+    /// [`cancelled_total`](Self::cancelled_total) rises by one.
+    pub fn cancel(&mut self, handle: TimerHandle) -> Option<SimTime> {
+        let (idx, generation) = handle.parts();
+        let n = self.nodes.get(idx as usize)?;
+        if n.generation != generation || n.level == FREE {
+            return None;
+        }
+        let at = n.at;
+        #[cfg(feature = "queue-drill")]
+        if drill::mode() == drill::Mode::GhostCancel {
+            return Some(SimTime::from_nanos(at));
+        }
+        self.unlink(idx);
+        drop(self.release(idx));
+        self.len -= 1;
+        self.cancelled_total += 1;
+        crate::par::record_cancelled_event();
+        Some(SimTime::from_nanos(at))
+    }
+
+    /// Move the clock forward to `t` without popping anything; a `t` at
+    /// or before [`now`](Self::now) is a no-op. A caller that cancels
+    /// events uses this to land the clock where the cancelled events
+    /// would have left it had they popped.
+    ///
+    /// # Panics
+    /// Panics if a pending event is due before `t`: the clock would pass
+    /// an event that has not fired.
+    pub fn advance_clock(&mut self, t: SimTime) {
+        if t <= self.now {
+            return;
+        }
+        if let Some(next) = self.peek_time() {
+            assert!(
+                next >= t,
+                "advancing the clock to {t} would skip an event at {next}"
+            );
+        }
+        self.now = t;
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
@@ -344,6 +454,12 @@ impl<E> EventQueue<E> {
         self.scheduled_total
     }
 
+    /// Total number of events removed by [`cancel`](Self::cancel) since
+    /// construction (or the last [`EventQueue::clear`]).
+    pub fn cancelled_total(&self) -> u64 {
+        self.cancelled_total
+    }
+
     /// The deepest pending-event backlog this queue has reached since
     /// construction (or the last [`EventQueue::clear`]) — the memory
     /// high-water mark of the run.
@@ -353,7 +469,8 @@ impl<E> EventQueue<E> {
 
     // ---- internals -------------------------------------------------------
 
-    /// Allocate a slab node, reusing the free list when possible.
+    /// Allocate a slab node, reusing the free list when possible. The
+    /// node's links are set by [`place`](Self::place).
     fn alloc(&mut self, at: u64, seq: u64, event: E) -> u32 {
         if self.free_head != NIL {
             let idx = self.free_head;
@@ -361,7 +478,6 @@ impl<E> EventQueue<E> {
             self.free_head = n.next;
             n.at = at;
             n.seq = seq;
-            n.next = NIL;
             n.event = Some(event);
             idx
         } else {
@@ -371,16 +487,29 @@ impl<E> EventQueue<E> {
                 at,
                 seq,
                 next: NIL,
+                prev: NIL,
+                generation: 0,
+                level: FREE,
+                slot: 0,
                 event: Some(event),
             });
             idx as u32
         }
     }
 
-    /// Return a node's payload and put the node on the free list.
+    /// Return a node's payload and put the node on the free list, bumping
+    /// its generation so outstanding handles to it go stale.
     fn release(&mut self, idx: u32) -> E {
         let n = &mut self.nodes[idx as usize];
         let event = n.event.take().expect("released an empty arena node");
+        #[cfg(feature = "queue-drill")]
+        let bump = drill::mode() != drill::Mode::StaleGeneration;
+        #[cfg(not(feature = "queue-drill"))]
+        let bump = true;
+        if bump {
+            n.generation = n.generation.wrapping_add(1);
+        }
+        n.level = FREE;
         n.next = self.free_head;
         self.free_head = idx;
         event
@@ -392,17 +521,63 @@ impl<E> EventQueue<E> {
         let at = self.nodes[idx as usize].at;
         debug_assert!(at > self.wheel_time);
         let xor = at ^ self.wheel_time;
-        if xor >> HORIZON_BITS != 0 {
-            // Different 2^36 ns block: beyond the wheel's horizon.
-            self.overflow.push(idx);
+        let (level, slot) = if xor >> HORIZON_BITS != 0 {
+            // Different 2^40 ns block: beyond the wheel's horizon.
+            (OVERFLOW, 0)
+        } else {
+            let level = ((63 - xor.leading_zeros()) / SLOT_BITS) as usize;
+            let slot = ((at >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
+            self.occupied[level][slot / 64] |= 1u64 << (slot % 64);
+            self.occupied_sum[level] |= 1u64 << (slot / 64);
+            (level as u8, slot as u16)
+        };
+        let head = self.list_head(level, slot);
+        let old = std::mem::replace(head, idx);
+        if old != NIL {
+            self.nodes[old as usize].prev = idx;
+        }
+        let n = &mut self.nodes[idx as usize];
+        n.next = old;
+        n.prev = NIL;
+        n.level = level;
+        n.slot = slot;
+    }
+
+    /// The head pointer of a wheel slot list or the overflow list.
+    fn list_head(&mut self, level: u8, slot: u16) -> &mut u32 {
+        if level == OVERFLOW {
+            &mut self.overflow
+        } else {
+            &mut self.levels[level as usize][slot as usize]
+        }
+    }
+
+    /// Detach a live node from its slot or overflow list in O(1),
+    /// clearing the slot's occupancy bits if the slot empties.
+    fn unlink(&mut self, idx: u32) {
+        let n = &self.nodes[idx as usize];
+        let (prev, next, level, slot) = (n.prev, n.next, n.level, n.slot);
+        debug_assert!(level < FREE, "unlinking a free node");
+        if next != NIL {
+            self.nodes[next as usize].prev = prev;
+        }
+        if prev != NIL {
+            self.nodes[prev as usize].next = next;
             return;
         }
-        let level = ((63 - xor.leading_zeros()) / SLOT_BITS) as usize;
-        let slot = ((at >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.nodes[idx as usize].next = self.levels[level][slot];
-        self.levels[level][slot] = idx;
-        self.occupied[level][slot / 64] |= 1u64 << (slot % 64);
-        self.occupied_sum[level] |= 1u64 << (slot / 64);
+        *self.list_head(level, slot) = next;
+        if next == NIL && level != OVERFLOW {
+            self.mark_empty(level as usize, slot as usize);
+        }
+    }
+
+    /// Clear a slot's occupancy bit (and its word's summary bit if the
+    /// word empties).
+    fn mark_empty(&mut self, level: usize, slot: usize) {
+        self.occupied[level][slot / 64] &= !(1u64 << (slot % 64));
+        if self.occupied[level][slot / 64] == 0 {
+            self.occupied_sum[level] &= !(1u64 << (slot / 64));
+        }
     }
 
     /// Re-home a node after a cascade or horizon jump moved the cursor:
@@ -449,7 +624,7 @@ impl<E> EventQueue<E> {
             }
             let Some(level) = (0..LEVELS).find(|&l| self.occupied_sum[l] != 0) else {
                 debug_assert!(
-                    !self.overflow.is_empty(),
+                    self.overflow != NIL,
                     "len > 0 but wheel, ready and overflow are all empty"
                 );
                 self.horizon_jump();
@@ -467,10 +642,7 @@ impl<E> EventQueue<E> {
             self.wheel_time = slot_start;
             let mut idx = self.levels[level][slot];
             self.levels[level][slot] = NIL;
-            self.occupied[level][slot / 64] &= !(1u64 << (slot % 64));
-            if self.occupied[level][slot / 64] == 0 {
-                self.occupied_sum[level] &= !(1u64 << (slot / 64));
-            }
+            self.mark_empty(level, slot);
             if level == 0 {
                 // A level-0 slot is one exact nanosecond: restore FIFO by
                 // sorting on seq alone, whatever order cascades used.
@@ -533,35 +705,50 @@ impl<E> EventQueue<E> {
     /// entry of that block into the wheel.
     fn horizon_jump(&mut self) {
         let mut min_at = u64::MAX;
-        for &idx in &self.overflow {
-            min_at = min_at.min(self.nodes[idx as usize].at);
+        let mut eligible = 0usize;
+        let mut idx = self.overflow;
+        while idx != NIL {
+            let n = &self.nodes[idx as usize];
+            min_at = min_at.min(n.at);
+            idx = n.next;
         }
         let block = min_at >> HORIZON_BITS;
         self.wheel_time = block << HORIZON_BITS;
         #[cfg(feature = "queue-drill")]
-        let mut skip_one = drill::mode() == drill::Mode::DropOverflowMigration
-            && self
-                .overflow
-                .iter()
-                .filter(|&&idx| self.nodes[idx as usize].at >> HORIZON_BITS == block)
-                .count()
-                >= 2;
-        let mut i = 0;
-        while i < self.overflow.len() {
-            let idx = self.overflow[i];
-            if self.nodes[idx as usize].at >> HORIZON_BITS == block {
+        let strand =
+            drill::mode() == drill::Mode::DropOverflowMigration && self.block_count(block) >= 2;
+        let mut idx = self.overflow;
+        while idx != NIL {
+            let n = &self.nodes[idx as usize];
+            let next = n.next;
+            if n.at >> HORIZON_BITS == block {
+                eligible += 1;
+                // Strand the earliest entry, so the sabotage delays it
+                // past later ones whatever the list order.
                 #[cfg(feature = "queue-drill")]
-                if skip_one {
-                    skip_one = false;
-                    i += 1;
+                if strand && n.at == min_at {
+                    idx = next;
                     continue;
                 }
-                self.overflow.swap_remove(i);
+                self.unlink(idx);
                 self.reinsert(idx);
-            } else {
-                i += 1;
             }
+            idx = next;
         }
+        debug_assert!(eligible > 0, "horizon jump found no overflow entry");
+    }
+
+    /// Overflow entries in horizon block `block` (drill trigger).
+    #[cfg(feature = "queue-drill")]
+    fn block_count(&self, block: u64) -> usize {
+        let mut count = 0;
+        let mut idx = self.overflow;
+        while idx != NIL {
+            let n = &self.nodes[idx as usize];
+            count += usize::from(n.at >> HORIZON_BITS == block);
+            idx = n.next;
+        }
+        count
     }
 }
 
@@ -858,6 +1045,118 @@ mod tests {
             "arena grew to {} for a working set of 1000",
             q.capacity()
         );
+    }
+
+    #[test]
+    fn cancel_removes_a_live_event_and_returns_its_deadline() {
+        let mut q = EventQueue::new();
+        q.schedule(ns(10), "a");
+        let h = q.schedule_cancellable(ns(20), "b");
+        q.schedule(ns(30), "c");
+        assert_eq!(q.cancel(h), Some(ns(20)));
+        assert_eq!(
+            (q.len(), q.cancelled_total(), q.scheduled_total()),
+            (2, 1, 3)
+        );
+        assert_eq!(q.cancel(h), None, "a second cancel is a no-op");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(order, [(ns(10), "a"), (ns(30), "c")]);
+        assert_eq!(q.now(), ns(30), "the cancelled event never moved the clock");
+    }
+
+    #[test]
+    fn cancelled_nodes_are_freed_at_once() {
+        // A steady stream of timers that are all cancelled long before
+        // their deadline: the arena holds only the live working set.
+        let mut q = EventQueue::new();
+        let mut live = std::collections::VecDeque::new();
+        for i in 0..100_000u64 {
+            live.push_back(q.schedule_cancellable(ns(1_000_000 + i), i));
+            if live.len() > 16 {
+                assert!(q.cancel(live.pop_front().unwrap()).is_some());
+            }
+        }
+        assert_eq!(q.len(), 16);
+        assert!(q.capacity() <= 64, "arena grew to {}", q.capacity());
+    }
+
+    #[test]
+    fn handles_go_stale_on_pop_due_and_clear() {
+        let mut q = EventQueue::new();
+        let popped = q.schedule_cancellable(ns(5), 0u32);
+        q.pop();
+        // The freed node is reused by the next schedule; the old handle
+        // must not reach the new occupant.
+        let fresh = q.schedule_cancellable(ns(9), 1);
+        assert_eq!(q.cancel(popped), None);
+        // Once a peek reaches an event's timestamp it is due: it has
+        // left the wheel for the ready run and can no longer be cancelled.
+        assert_eq!(q.peek_time(), Some(ns(9)));
+        assert_eq!(q.cancel(fresh), None);
+        let later = q.schedule_cancellable(ns(50), 2);
+        q.clear();
+        let reused = q.schedule_cancellable(ns(50), 3);
+        assert_eq!(q.cancel(later), None, "clear makes every handle stale");
+        assert_eq!(q.cancel(reused), Some(ns(50)));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn cancel_reaches_overflow_and_cascaded_events() {
+        let mut q = EventQueue::new();
+        let far = ns(5 * (1u64 << HORIZON_BITS) + 3);
+        let far_h = q.schedule_cancellable(far, "far");
+        let far_keep = ns(5 * (1u64 << HORIZON_BITS) + 4);
+        q.schedule(far_keep, "far-keep");
+        // A coarse-level timer that a cascade moves to a finer level
+        // before it is cancelled.
+        let mid_h = q.schedule_cancellable(ns(3_000_000), "mid");
+        q.schedule(ns(2_999_000), "cascade-trigger");
+        assert_eq!(q.pop(), Some((ns(2_999_000), "cascade-trigger")));
+        assert_eq!(q.cancel(mid_h), Some(ns(3_000_000)));
+        assert_eq!(q.cancel(far_h), Some(far));
+        assert_eq!(q.pop(), Some((far_keep, "far-keep")));
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn cancelling_a_slot_empties_its_occupancy_bits() {
+        // After the only event in a slot is cancelled the slot must not
+        // look occupied, or the next advance would drain an empty list.
+        let mut q = EventQueue::new();
+        let h = q.schedule_cancellable(ns(100), 1u8);
+        q.schedule(ns(200), 2);
+        q.cancel(h);
+        assert!(q.occupied.iter().flatten().filter(|w| **w != 0).count() == 1);
+        assert_eq!(q.pop(), Some((ns(200), 2)));
+        // Cancelling from the middle and the tail of a slot list keeps
+        // the rest of the list intact.
+        let hs: Vec<_> = (0..5).map(|i| q.schedule_cancellable(ns(300), i)).collect();
+        q.cancel(hs[2]);
+        q.cancel(hs[0]);
+        q.cancel(hs[4]);
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(rest, [1, 3]);
+    }
+
+    #[test]
+    fn advance_clock_moves_now_but_never_past_a_pending_event() {
+        let mut q = EventQueue::new();
+        q.advance_clock(ns(40));
+        assert_eq!(q.now(), ns(40));
+        q.advance_clock(ns(10));
+        assert_eq!(q.now(), ns(40), "the clock never runs backwards");
+        q.schedule(ns(60), ());
+        q.advance_clock(ns(60));
+        assert_eq!(q.pop(), Some((ns(60), ())));
+    }
+
+    #[test]
+    #[should_panic(expected = "would skip an event")]
+    fn advance_clock_past_a_pending_event_panics() {
+        let mut q = EventQueue::new();
+        q.schedule(ns(60), ());
+        q.advance_clock(ns(61));
     }
 
     #[test]

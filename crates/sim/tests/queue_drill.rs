@@ -8,7 +8,7 @@
 //! teeth; `scripts/ci.sh` runs this alongside the clean differential
 //! suite.
 //!
-//! The three injected defects:
+//! The five injected defects:
 //!
 //! * **WrongTier** — cascading a coarse slot truncates timestamps to the
 //!   next-finer slot width, firing events early on tier boundaries.
@@ -16,9 +16,63 @@
 //!   overflow entry when two or more should migrate.
 //! * **BreakFifo** — level-0 slots drain in descending seq order,
 //!   violating the equal-timestamp FIFO contract.
+//! * **GhostCancel** — `cancel` reports success but leaves the node
+//!   linked, so the cancelled event still fires.
+//! * **StaleGeneration** — freeing a node does not bump its generation,
+//!   so a stale handle cancels the node's next occupant.
 
 use stellar_sim::queue_drill::{set, Mode};
 use stellar_sim::{ReferenceQueue, SimDuration, SimTime, TimingWheelQueue};
+
+/// One step of a cancel workload.
+#[derive(Clone, Copy)]
+enum Op {
+    /// `schedule_cancellable` at this many ns.
+    Arm(u64),
+    Pop,
+    /// Cancel the handle of the `i`-th `Arm`.
+    Cancel(usize),
+}
+
+/// Run a cancel workload through both queues, comparing every pop and
+/// cancel result and then the drained remainder; return the index of the
+/// first step that diverged, if any.
+fn first_cancel_divergence(ops: &[Op]) -> Option<usize> {
+    let mut wheel = TimingWheelQueue::new();
+    let mut heap = ReferenceQueue::new();
+    let mut handles = Vec::new();
+    for (i, &op) in ops.iter().enumerate() {
+        let same = match op {
+            Op::Arm(at) => {
+                let at = SimTime::from_nanos(at);
+                let ev = handles.len() as u64;
+                handles.push((
+                    wheel.schedule_cancellable(at, ev),
+                    heap.schedule_cancellable(at, ev),
+                ));
+                true
+            }
+            Op::Pop => wheel.pop() == heap.pop(),
+            Op::Cancel(k) => {
+                let (w, h) = handles[k];
+                wheel.cancel(w) == heap.cancel(h)
+            }
+        };
+        if !same {
+            return Some(i);
+        }
+    }
+    let mut i = ops.len();
+    loop {
+        let w = wheel.pop();
+        let h = heap.pop();
+        if w != h {
+            return Some(i);
+        }
+        h?;
+        i += 1;
+    }
+}
 
 /// Run `ops` through both queues; return the first divergence, if any.
 /// Mirrors the comparison loop of `tests/queue_diff.rs`, but *expects*
@@ -61,6 +115,13 @@ fn clean_wheel_matches_on_drill_workloads() {
             first_divergence(&ops),
             None,
             "un-sabotaged wheel must match the reference on every drill workload"
+        );
+    }
+    for ops in [ghost_workload(), stale_generation_workload()] {
+        assert_eq!(
+            first_cancel_divergence(&ops),
+            None,
+            "un-sabotaged wheel must match the reference on every cancel workload"
         );
     }
 }
@@ -127,6 +188,46 @@ fn broken_fifo_is_caught() {
     assert!(
         first_divergence(&fifo_workload()).is_some(),
         "draining equal timestamps in LIFO order must change the pop stream"
+    );
+}
+
+/// Timers cancelled before they fire, next to ones that do fire: a
+/// ghost would pop an event the reference never delivers.
+fn ghost_workload() -> Vec<Op> {
+    vec![
+        Op::Arm(1_000),
+        Op::Arm(250_000),
+        Op::Arm(2_000),
+        Op::Cancel(1),
+        Op::Pop,
+        Op::Pop,
+    ]
+}
+
+#[test]
+fn ghost_cancel_is_caught() {
+    let _guard = Disarm;
+    set(Mode::GhostCancel);
+    assert!(
+        first_cancel_divergence(&ghost_workload()).is_some(),
+        "a cancelled event that still fires must change the pop stream"
+    );
+}
+
+/// A timer pops, its node is reused by the next timer, and the first
+/// timer's (now stale) handle is cancelled: only a generation bump keeps
+/// that cancel from removing the new timer.
+fn stale_generation_workload() -> Vec<Op> {
+    vec![Op::Arm(100), Op::Pop, Op::Arm(500), Op::Cancel(0), Op::Pop]
+}
+
+#[test]
+fn reused_generation_is_caught() {
+    let _guard = Disarm;
+    set(Mode::StaleGeneration);
+    assert!(
+        first_cancel_divergence(&stale_generation_workload()).is_some(),
+        "a stale handle reaching a reused node must change the cancel result"
     );
 }
 

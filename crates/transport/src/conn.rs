@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 
 
 use stellar_net::NicId;
-use stellar_sim::SimTime;
+use stellar_sim::{SimTime, TimerHandle};
 
 /// Connection identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -48,6 +48,9 @@ pub struct InflightPacket {
     pub sent_at: SimTime,
     /// Retransmission count.
     pub retx: u32,
+    /// The armed RTO timer, cancelled when the packet is ACKed or the
+    /// connection fails.
+    pub rto: TimerHandle,
 }
 
 /// Direct-mapped table of in-flight packets keyed by sequence number.

@@ -7,6 +7,9 @@
 //! the [`App`] trait to chain dependent messages (ring AllReduce steps,
 //! bursty background jobs) causally inside the simulation.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use stellar_net::{Delivery, Fabric, Network, NicId};
 use stellar_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use stellar_telemetry::{count, event, span_close, span_open, stage_sample, Entity, Stage, Subsystem};
@@ -235,6 +238,62 @@ struct ConnRuntime {
     inflight_scratch: Vec<u64>,
 }
 
+/// Deadlines of cancelled RTO timers, kept so the clock ends each
+/// [`TransportSim::run`] exactly where it would if every timer had been
+/// left to pop as a no-op.
+///
+/// A stale timer that pops moves the clock to its deadline, and
+/// `run(until)` pops every event at or before `until`. So a cancelled
+/// deadline counts in the run that would have popped it: the first run
+/// whose `until` reaches it. Deadlines at or before the current `until`
+/// fold into one maximum; later ones wait in a min-heap until a run's
+/// `until` reaches them. When a run returns, the clock advances to the
+/// folded maximum (if it is ahead of the last popped event).
+#[derive(Default)]
+struct CancelLedger {
+    /// `until` of the run in progress; `None` between runs.
+    until: Option<SimTime>,
+    /// Latest cancelled deadline the run in progress would have popped.
+    due: SimTime,
+    /// Cancelled deadlines past every `until` so far.
+    later: BinaryHeap<Reverse<SimTime>>,
+}
+
+impl CancelLedger {
+    /// Record the deadline of a timer just cancelled.
+    fn note(&mut self, deadline: SimTime) {
+        match self.until {
+            Some(until) if deadline <= until => self.due = self.due.max(deadline),
+            _ => self.later.push(Reverse(deadline)),
+        }
+    }
+
+    /// A run up to `until` starts: fold the waiting deadlines it reaches.
+    fn begin(&mut self, until: SimTime) {
+        self.until = Some(until);
+        while let Some(&Reverse(deadline)) = self.later.peek() {
+            if deadline > until {
+                break;
+            }
+            self.later.pop();
+            self.due = self.due.max(deadline);
+        }
+    }
+
+    /// The run returns: the latest deadline it would have popped.
+    fn end(&mut self) -> SimTime {
+        self.until = None;
+        std::mem::replace(&mut self.due, SimTime::ZERO)
+    }
+
+    /// Forget everything (simulation reset), keeping the allocation.
+    fn clear(&mut self) {
+        self.until = None;
+        self.due = SimTime::ZERO;
+        self.later.clear();
+    }
+}
+
 /// The transport simulation: fabric + connections + event queue.
 ///
 /// Generic over the [`Fabric`] carrying its packets; the default is the
@@ -246,6 +305,8 @@ pub struct TransportSim<F: Fabric = Network> {
     config: TransportConfig,
     network: F,
     queue: EventQueue<Ev>,
+    /// Deadlines of cancelled RTO timers, for the end-of-run clock.
+    cancelled: CancelLedger,
     conns: Vec<ConnRuntime>,
     completions: Vec<(ConnId, MsgId)>,
     errors: Vec<(ConnId, FatalError)>,
@@ -266,6 +327,7 @@ impl<F: Fabric> TransportSim<F> {
             // presize for a healthy window's worth so the heap does not
             // regrow during the first ramp-up.
             queue: EventQueue::with_capacity(1024),
+            cancelled: CancelLedger::default(),
             conns: Vec::new(),
             completions: Vec::new(),
             errors: Vec::new(),
@@ -287,6 +349,7 @@ impl<F: Fabric> TransportSim<F> {
     pub fn reset(&mut self, network: F, rng: SimRng) {
         self.network = network;
         self.queue.clear();
+        self.cancelled.clear();
         self.conns.clear();
         self.completions.clear();
         self.errors.clear();
@@ -303,6 +366,12 @@ impl<F: Fabric> TransportSim<F> {
     /// [`reset`](Self::reset) (which zeroes it via `EventQueue::clear`).
     pub fn events_scheduled(&self) -> u64 {
         self.queue.scheduled_total()
+    }
+
+    /// Events cancelled (RTO timers of ACKed packets and failed
+    /// connections) since construction or the last [`reset`](Self::reset).
+    pub fn events_cancelled(&self) -> u64 {
+        self.queue.cancelled_total()
     }
 
     /// Deepest pending-event backlog since construction or the last
@@ -529,7 +598,8 @@ impl<F: Fabric> TransportSim<F> {
     /// Tear down `conn` after a fatal error. Without a
     /// [`RecoveryPolicy`] (or once its attempt budget is spent) the
     /// error is terminal: queued and in-flight traffic is discarded
-    /// (stale Deliver/Ack/Rto events become no-ops) and the
+    /// (in-flight RTO timers are cancelled; stale Deliver/Ack events
+    /// become no-ops) and the
     /// [`App::on_connection_error`] callback is queued. With a policy
     /// and attempts remaining, the connection enters
     /// [`ConnState::Recovering`] instead: the same teardown drain, but a
@@ -543,6 +613,11 @@ impl<F: Fabric> TransportSim<F> {
             return;
         }
         rt.conn.unsent.clear();
+        for pkt in rt.conn.inflight.values() {
+            if let Some(deadline) = self.queue.cancel(pkt.rto) {
+                self.cancelled.note(deadline);
+            }
+        }
         rt.conn.inflight.clear();
         rt.conn.inflight_bytes = 0;
         if let Some(policy) = policy {
@@ -678,17 +753,6 @@ impl<F: Fabric> TransportSim<F> {
 
             rt.conn.unsent.pop_front();
             let seq = rt.conn.next_seq();
-            rt.conn.inflight.insert(
-                seq,
-                InflightPacket {
-                    msg: pkt.msg,
-                    idx: pkt.idx,
-                    bytes: pkt.bytes,
-                    path,
-                    sent_at: now,
-                    retx: 0,
-                },
-            );
             rt.conn.inflight_bytes += pkt.bytes;
             rt.conn.stats.sent_packets += 1;
             count(Subsystem::Transport, "packet.sent", 1);
@@ -711,12 +775,24 @@ impl<F: Fabric> TransportSim<F> {
                     },
                 );
             }
-            self.queue.schedule(
+            let timer = self.queue.schedule_cancellable(
                 now + rto,
                 Ev::Rto {
                     conn: conn_id,
                     seq,
                     epoch: 0,
+                },
+            );
+            self.conns[conn_id.0 as usize].conn.inflight.insert(
+                seq,
+                InflightPacket {
+                    msg: pkt.msg,
+                    idx: pkt.idx,
+                    bytes: pkt.bytes,
+                    path,
+                    sent_at: now,
+                    retx: 0,
+                    rto: timer,
                 },
             );
         }
@@ -766,6 +842,9 @@ impl<F: Fabric> TransportSim<F> {
             let Some(pkt) = rt.conn.inflight.remove(seq) else {
                 return; // duplicate ACK (original + retransmission)
             };
+            if let Some(deadline) = self.queue.cancel(pkt.rto) {
+                self.cancelled.note(deadline);
+            }
             rt.conn.inflight_bytes -= pkt.bytes;
             path = pkt.path;
             bytes = pkt.bytes;
@@ -795,6 +874,9 @@ impl<F: Fabric> TransportSim<F> {
         let (old_path, new_path, bytes, src, dst);
         {
             let rt = &mut self.conns[conn_id.0 as usize];
+            // ACKs and connection failures cancel a packet's timer, but a
+            // timer that was already due when they came cannot be
+            // cancelled any more; it fires here and must be ignored.
             let Some(pkt) = rt.conn.inflight.get(seq) else {
                 return; // ACKed in the meantime (or the connection died)
             };
@@ -875,7 +957,7 @@ impl<F: Fabric> TransportSim<F> {
         }
         // Exponential backoff: each retransmit epoch waits longer (up to
         // rto_max) before declaring the copy lost.
-        self.queue.schedule(
+        let timer = self.queue.schedule_cancellable(
             now + self.rto_after(epoch + 1),
             Ev::Rto {
                 conn: conn_id,
@@ -883,6 +965,12 @@ impl<F: Fabric> TransportSim<F> {
                 epoch: epoch + 1,
             },
         );
+        let pkt = self.conns[conn_id.0 as usize]
+            .conn
+            .inflight
+            .get_mut(seq)
+            .expect("the retransmitted packet is still in flight");
+        pkt.rto = timer;
     }
 
     /// Process events until the queue drains or the next event is past
@@ -895,6 +983,7 @@ impl<F: Fabric> TransportSim<F> {
         // produce a fresh batch on the next iteration, with higher FIFO
         // seqs — exactly the order per-event pops would have delivered.
         let mut batch = std::mem::take(&mut self.batch_buf);
+        self.cancelled.begin(until);
         loop {
             match self.queue.peek_time() {
                 Some(t) if t <= until => {}
@@ -931,6 +1020,10 @@ impl<F: Fabric> TransportSim<F> {
             }
         }
         self.batch_buf = batch;
+        // Cancelled timers no longer pop, so land the clock where the
+        // last of them this run would have popped had it been left in.
+        let deadline = self.cancelled.end();
+        self.queue.advance_clock(deadline);
         // Returning from `run` is a quiesce point: nothing is mid-event,
         // so every cross-layer ledger must balance.
         if stellar_check::enabled() {

@@ -159,5 +159,19 @@ for name in ("fig9", "fig16"):
 sys.exit(1 if failed else 0)
 PY
 rm -f "$perf_baseline"
+
+# Queue gate, part 3 — cancellation (DESIGN.md §13): ACKs cancel their
+# packet's RTO timer, so dead timers no longer pile up in the queue.
+# fig16 peaked at 201,528 pending events when every timer waited out its
+# 250 us; with cancellation it peaks near 12k. A change that stops
+# cancelling blows through this ceiling.
+python3 - BENCH_reproduce.json <<'PY'
+import json, sys
+fig16 = {s["name"]: s for s in json.load(open(sys.argv[1]))["scenarios"]}["fig16"]
+depth, ceiling = fig16["peak_queue_depth"], 20_000
+status = "ok" if depth <= ceiling else "REGRESSION"
+print(f"queue cancel gate: fig16 peak_queue_depth {depth:,} (ceiling {ceiling:,}) {status}")
+sys.exit(0 if depth <= ceiling else 1)
+PY
 echo "archived BENCH_reproduce.json:"
 cat BENCH_reproduce.json
