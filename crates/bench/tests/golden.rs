@@ -16,6 +16,12 @@
 //!
 //! Each comparison runs at 1 and 8 workers: the corpus is also a
 //! thread-count-invariance gate for the exact bytes the binary prints.
+//!
+//! `golden/scale.json` and `golden/recovery.json` (recorded with
+//! `STELLAR_THREADS=1 reproduce <exp> --quick --json`) pin the
+//! flow-level experiments. Those runs take seconds even in release, so
+//! `scripts/ci.sh` compares them against its release runs instead of
+//! this debug test.
 
 use stellar_bench as b;
 use stellar_sim::json::rows_to_json;

@@ -113,6 +113,11 @@ pub const INVARIANTS: &[InvariantSpec] = &[
     },
     InvariantSpec {
         layer: Layer::Net,
+        name: "net.fluid_flow_index",
+        description: "the fluid flow table's hashed index, slab and key-ordered live list agree: every live key maps to its slot, the list strictly increases by key, and no free slot is listed",
+    },
+    InvariantSpec {
+        layer: Layer::Net,
         name: "net.blacklist_readmit",
         description: "every blacklisted path and quarantined plane carries a bounded readmission deadline — nothing is blacklisted forever",
     },

@@ -33,15 +33,16 @@
 //! packet-granularity loss bursts — is exactly what
 //! [`crate::HybridFabric`] escalates to the packet model.
 
-use std::collections::BTreeMap;
-
+use stellar_sim::hash::FastMap;
 use stellar_sim::{transmit_time, SimDuration, SimRng, SimTime};
 use stellar_telemetry::{count, Subsystem};
 
 use crate::fabric::{uplink_imbalance_from, Fabric, FabricKind};
 use crate::fault::{FaultEvent, FaultPlan};
-use crate::network::{Delivery, DegradeRamp, DropReason, LinkStats, NetworkConfig, TraceRecord};
-use crate::topology::{ClosTopology, LinkId, NicId};
+use crate::network::{
+    record_trace, Delivery, DegradeRamp, DropReason, LinkStats, NetworkConfig, TraceRecord,
+};
+use crate::topology::{ClosTopology, LinkId, NicId, Route};
 
 /// Fluid-model knobs (the link parameters come from [`NetworkConfig`]).
 #[derive(Debug, Clone)]
@@ -79,12 +80,18 @@ struct FluidLink {
     ecn_marks: u64,
 }
 
+/// A flow's identity: `(src NIC, dst NIC, flow id)`.
+type FlowKey = (u32, u32, u64);
+
 /// One active flow.
 #[derive(Debug, Clone)]
 struct FlowState {
+    key: FlowKey,
     /// Constraint-resource indices (src egress, dst ingress, and the
-    /// uplink/downlink pools for cross-segment flows).
-    resources: Vec<u32>,
+    /// uplink/downlink pools for cross-segment flows); the first
+    /// `n_resources` are live.
+    resources: [u32; 4],
+    n_resources: u8,
     /// Per-flow rate cap from the planes actually observed, in Gbps.
     cap_gbps: f64,
     /// Bitmask of planes this flow's routes have touched.
@@ -98,6 +105,132 @@ struct FlowState {
     last_active: SimTime,
 }
 
+impl FlowState {
+    fn resources(&self) -> &[u32] {
+        &self.resources[..self.n_resources as usize]
+    }
+}
+
+/// The active flows. Sends find their flow through a hashed index into a
+/// slot-stable slab; every walk whose f64 arithmetic must not depend on
+/// hash order (fair-share filling, the capacity check) goes through
+/// `order`, the live slots sorted by key. Opens and retirements — rare
+/// next to sends — pay for keeping `order` sorted.
+#[derive(Debug, Default)]
+struct FlowTable {
+    slab: Vec<FlowState>,
+    /// Slab slots not holding a live flow, reused by the next open.
+    free: Vec<u32>,
+    index: FastMap<FlowKey, u32>,
+    /// Live slots in ascending key order.
+    order: Vec<u32>,
+}
+
+impl FlowTable {
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.order.is_empty()
+    }
+
+    fn slot(&self, key: &FlowKey) -> Option<u32> {
+        self.index.get(key).copied()
+    }
+
+    fn get_mut(&mut self, slot: u32) -> &mut FlowState {
+        &mut self.slab[slot as usize]
+    }
+
+    /// Live flows in key order.
+    fn iter(&self) -> impl Iterator<Item = &FlowState> {
+        self.order.iter().map(|&s| &self.slab[s as usize])
+    }
+
+    /// Register a flow whose key is not yet live; returns its slot.
+    fn open(&mut self, f: FlowState) -> u32 {
+        let key = f.key;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = f;
+                slot
+            }
+            None => {
+                self.slab.push(f);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        let at = self
+            .order
+            .binary_search_by_key(&key, |&s| self.slab[s as usize].key)
+            .expect_err("flow opened twice");
+        self.order.insert(at, slot);
+        self.index.insert(key, slot);
+        slot
+    }
+
+    /// Retire every flow `dead` selects, visiting flows in key order.
+    fn retire(&mut self, mut dead: impl FnMut(&FlowState) -> bool) {
+        let FlowTable {
+            slab,
+            free,
+            index,
+            order,
+        } = self;
+        order.retain(|&slot| {
+            let f = &slab[slot as usize];
+            if !dead(f) {
+                return true;
+            }
+            index.remove(&f.key);
+            free.push(slot);
+            false
+        });
+    }
+
+    /// Why the index, slab and key order disagree, if they do.
+    fn inconsistency(&self) -> Option<String> {
+        if self.index.len() != self.order.len() {
+            return Some(format!(
+                "index holds {} keys but {} slots are live",
+                self.index.len(),
+                self.order.len()
+            ));
+        }
+        if self.free.len() + self.order.len() != self.slab.len() {
+            return Some(format!(
+                "{} free + {} live slots != slab of {}",
+                self.free.len(),
+                self.order.len(),
+                self.slab.len()
+            ));
+        }
+        let mut is_free = vec![false; self.slab.len()];
+        for &slot in &self.free {
+            is_free[slot as usize] = true;
+        }
+        for (i, &slot) in self.order.iter().enumerate() {
+            let key = self.slab[slot as usize].key;
+            if is_free[slot as usize] {
+                return Some(format!("free slot {slot} is listed live (key {key:?})"));
+            }
+            if self.index.get(&key) != Some(&slot) {
+                return Some(format!(
+                    "key {key:?} in slot {slot} is indexed at {:?}",
+                    self.index.get(&key)
+                ));
+            }
+            if i > 0 && self.slab[self.order[i - 1] as usize].key >= key {
+                return Some(format!(
+                    "live slots out of key order at position {i} (key {key:?})"
+                ));
+            }
+        }
+        None
+    }
+}
+
 /// The flow-level fluid fabric. See the module docs for the model.
 #[derive(Debug)]
 pub struct FluidFabric {
@@ -109,10 +242,10 @@ pub struct FluidFabric {
     trace: Option<(Vec<TraceRecord>, usize)>,
     plan: Vec<(SimTime, FaultEvent)>,
     plan_cursor: usize,
-    /// Active flows in deterministic (src, dst, flow) order — the
-    /// recompute iterates this map, so allocation arithmetic is a pure
-    /// function of the flow set, never of hash order.
-    flows: BTreeMap<(u32, u32, u64), FlowState>,
+    /// Active flows. The recompute walks them in (src, dst, flow) key
+    /// order, so allocation arithmetic is a pure function of the flow
+    /// set, never of hash order or slot reuse.
+    flows: FlowTable,
     /// Capacity of each constraint resource, in Gbps.
     res_capacity: Vec<f64>,
     /// Active-flow count per resource (provisional-rate estimates).
@@ -190,7 +323,7 @@ impl FluidFabric {
             trace: None,
             plan: Vec::new(),
             plan_cursor: 0,
-            flows: BTreeMap::new(),
+            flows: FlowTable::default(),
             res_capacity,
             res_count,
             tor_plane,
@@ -218,27 +351,28 @@ impl FluidFabric {
         (self.flows_opened, self.flows_retired, self.flows.len())
     }
 
-    /// Constraint-resource indices of a `src → dst` flow.
-    fn flow_resources(&self, src: NicId, dst: NicId) -> Vec<u32> {
+    /// Constraint-resource indices of a `src → dst` flow, and how many
+    /// of the four are live.
+    fn flow_resources(&self, src: NicId, dst: NicId) -> ([u32; 4], u8) {
         let t = self.topo.config();
         let nics = self.topo.total_nics() as u32;
         let (src_host, rail) = self.topo.nic_location(src);
         let (dst_host, _) = self.topo.nic_location(dst);
         let src_seg = self.topo.segment_of_host(src_host);
         let dst_seg = self.topo.segment_of_host(dst_host);
-        let mut res = vec![src.0, nics + dst.0];
-        if src_seg != dst_seg {
-            let pool_base = 2 * nics;
-            let pools = (t.segments * t.rails) as u32;
-            res.push(pool_base + (src_seg * t.rails + rail) as u32);
-            res.push(pool_base + pools + (dst_seg * t.rails + rail) as u32);
+        if src_seg == dst_seg {
+            return ([src.0, nics + dst.0, 0, 0], 2);
         }
-        res
+        let pool_base = 2 * nics;
+        let pools = (t.segments * t.rails) as u32;
+        let up = pool_base + (src_seg * t.rails + rail) as u32;
+        let down = pool_base + pools + (dst_seg * t.rails + rail) as u32;
+        ([src.0, nics + dst.0, up, down], 4)
     }
 
     /// Progressive-filling max-min fair shares for the current flow
-    /// set. Pure: returns the per-flow rates (in `flows` iteration
-    /// order) without touching cached state, so the capacity invariant
+    /// set. Pure: returns the per-flow rates (in key order) without
+    /// touching cached state, so the capacity invariant
     /// can re-derive allocations at any quiesce point.
     fn compute_shares(&self) -> Vec<f64> {
         let n = self.flows.len();
@@ -249,9 +383,9 @@ impl FluidFabric {
         let mut frozen = vec![false; n];
         let mut remaining = self.res_capacity.clone();
         let mut counts = vec![0u32; remaining.len()];
-        let flows: Vec<&FlowState> = self.flows.values().collect();
+        let flows: Vec<&FlowState> = self.flows.iter().collect();
         for f in &flows {
-            for &r in &f.resources {
+            for &r in f.resources() {
                 counts[r as usize] += 1;
             }
         }
@@ -280,7 +414,7 @@ impl FluidFabric {
                     continue;
                 }
                 let bottlenecked = f.cap_gbps <= level + eps
-                    || f.resources.iter().any(|&r| {
+                    || f.resources().iter().any(|&r| {
                         let c = counts[r as usize];
                         c > 0 && remaining[r as usize].max(0.0) / c as f64 <= level + eps
                     });
@@ -290,7 +424,7 @@ impl FluidFabric {
                     frozen[i] = true;
                     froze_any = true;
                     unfrozen -= 1;
-                    for &r in &f.resources {
+                    for &r in f.resources() {
                         remaining[r as usize] -= rate;
                         counts[r as usize] -= 1;
                     }
@@ -315,8 +449,9 @@ impl FluidFabric {
     /// Install freshly computed fair shares into the flow table.
     fn recompute_rates(&mut self, now: SimTime) {
         let rates = self.compute_shares();
-        for (f, rate) in self.flows.values_mut().zip(rates) {
-            f.rate_gbps = rate;
+        let FlowTable { slab, order, .. } = &mut self.flows;
+        for (&slot, rate) in order.iter().zip(rates) {
+            slab[slot as usize].rate_gbps = rate;
         }
         self.dirty = false;
         self.last_recompute = now;
@@ -338,7 +473,7 @@ impl FluidFabric {
     /// its resources (counting itself).
     fn provisional_rate(&self, f: &FlowState) -> f64 {
         let mut rate = f.cap_gbps;
-        for &r in &f.resources {
+        for &r in f.resources() {
             let cnt = self.res_count[r as usize].max(1);
             rate = rate.min(self.res_capacity[r as usize] / cnt as f64);
         }
@@ -416,24 +551,23 @@ impl FluidFabric {
             (self.fluid.flow_idle_timeout.as_nanos() / 2).max(1),
         );
         let timeout = self.fluid.flow_idle_timeout;
-        let dead: Vec<(u32, u32, u64)> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| now.saturating_duration_since(f.last_active) >= timeout)
-            .map(|(&k, _)| k)
-            .collect();
-        if dead.is_empty() {
-            return;
-        }
-        for k in dead {
-            if let Some(f) = self.flows.remove(&k) {
-                for &r in &f.resources {
-                    self.res_count[r as usize] -= 1;
+        let before = self.flows.len();
+        let res_count = &mut self.res_count;
+        self.flows.retire(|f| {
+            let idle = now.saturating_duration_since(f.last_active) >= timeout;
+            if idle {
+                for &r in f.resources() {
+                    res_count[r as usize] -= 1;
                 }
-                self.flows_retired += 1;
                 count(Subsystem::Net, "fabric.fluid.flow.retired", 1);
             }
+            idle
+        });
+        let retired = before - self.flows.len();
+        if retired == 0 {
+            return;
         }
+        self.flows_retired += retired as u64;
         self.dirty = true;
     }
 
@@ -454,26 +588,13 @@ impl FluidFabric {
             at: now,
         }
     }
-}
 
-impl Fabric for FluidFabric {
-    fn kind(&self) -> FabricKind {
-        FabricKind::Fluid
-    }
-
-    fn topology(&self) -> &ClosTopology {
-        &self.topo
-    }
-
-    fn config(&self) -> &NetworkConfig {
-        &self.config
-    }
-
-    fn config_mut(&mut self) -> &mut NetworkConfig {
-        &mut self.config
-    }
-
-    fn send(
+    /// [`Fabric::send`] after `advance(now)`, on the route
+    /// `topo.route(src, dst, flow, path_id)` the caller already holds.
+    /// The hybrid fabric, which advances this half and computes the
+    /// route itself, enters here so neither happens twice per send.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn send_routed(
         &mut self,
         now: SimTime,
         src: NicId,
@@ -481,13 +602,12 @@ impl Fabric for FluidFabric {
         flow: u64,
         path_id: u32,
         bytes: u64,
+        mut route: Route,
     ) -> Delivery {
-        self.advance(now);
         self.injected_packets += 1;
         self.injected_bytes += bytes;
         count(Subsystem::Net, "fabric.fluid.sent", 1);
 
-        let mut route = self.topo.route(src, dst, flow, path_id);
         let delivery = 'fate: {
             if route.is_empty() {
                 // Host-local: PCIe/NVLink latency only, same as packet.
@@ -537,39 +657,45 @@ impl Fabric for FluidFabric {
                 let (_, tor) = self.topo.link_endpoints(route[0]);
                 self.tor_plane[tor.0 as usize] as u32
             };
-            if !self.flows.contains_key(&key) {
-                let resources = self.flow_resources(src, dst);
-                for &r in &resources {
-                    self.res_count[r as usize] += 1;
+            let slot = match self.flows.slot(&key) {
+                Some(slot) => {
+                    let f = self.flows.get_mut(slot);
+                    if f.planes_mask & (1 << plane) == 0 {
+                        // A new plane widens the flow's cap: re-derive shares.
+                        f.planes_mask |= 1 << plane;
+                        f.cap_gbps = self.config.link_gbps * f.planes_mask.count_ones() as f64;
+                        self.dirty = true;
+                    }
+                    slot
                 }
-                let f = FlowState {
-                    resources,
-                    cap_gbps: self.config.link_gbps,
-                    planes_mask: 1 << plane,
-                    rate_gbps: 0.0,
-                    next_free: now,
-                    last_active: now,
-                };
-                let rate = self.provisional_rate(&f);
-                let mut f = f;
-                f.rate_gbps = rate;
-                self.flows.insert(key, f);
-                self.flows_opened += 1;
-                self.dirty = true;
-                count(Subsystem::Net, "fabric.fluid.flow.opened", 1);
-            } else if self.flows[&key].planes_mask & (1 << plane) == 0 {
-                // A new plane widens the flow's cap: re-derive shares.
-                let f = self.flows.get_mut(&key).expect("flow just checked");
-                f.planes_mask |= 1 << plane;
-                f.cap_gbps = self.config.link_gbps * f.planes_mask.count_ones() as f64;
-                self.dirty = true;
-            }
+                None => {
+                    let (resources, n_resources) = self.flow_resources(src, dst);
+                    for &r in &resources[..n_resources as usize] {
+                        self.res_count[r as usize] += 1;
+                    }
+                    let mut f = FlowState {
+                        key,
+                        resources,
+                        n_resources,
+                        cap_gbps: self.config.link_gbps,
+                        planes_mask: 1 << plane,
+                        rate_gbps: 0.0,
+                        next_free: now,
+                        last_active: now,
+                    };
+                    f.rate_gbps = self.provisional_rate(&f);
+                    self.flows_opened += 1;
+                    self.dirty = true;
+                    count(Subsystem::Net, "fabric.fluid.flow.opened", 1);
+                    self.flows.open(f)
+                }
+            };
             self.maybe_recompute(now);
 
             let hop_delay = self.config.hop_delay;
             let ecn_threshold = self.config.ecn_threshold_bytes;
             let buffer = self.config.buffer_bytes;
-            let f = self.flows.get_mut(&key).expect("flow registered above");
+            let f = self.flows.get_mut(slot);
             f.last_active = now;
             let rate = f.rate_gbps.max(1e-6);
             let wait = f.next_free.saturating_duration_since(now);
@@ -602,20 +728,48 @@ impl Fabric for FluidFabric {
             }
             Delivery::Dropped { .. } => {}
         }
-        if let Some((records, limit)) = &mut self.trace {
-            if records.len() < *limit {
-                records.push(TraceRecord {
-                    sent: now,
-                    src,
-                    dst,
-                    flow,
-                    path_id,
-                    bytes,
-                    delivery,
-                });
-            }
-        }
+        record_trace(&mut self.trace, || TraceRecord {
+            sent: now,
+            src,
+            dst,
+            flow,
+            path_id,
+            bytes,
+            delivery,
+        });
         delivery
+    }
+}
+
+impl Fabric for FluidFabric {
+    fn kind(&self) -> FabricKind {
+        FabricKind::Fluid
+    }
+
+    fn topology(&self) -> &ClosTopology {
+        &self.topo
+    }
+
+    fn config(&self) -> &NetworkConfig {
+        &self.config
+    }
+
+    fn config_mut(&mut self) -> &mut NetworkConfig {
+        &mut self.config
+    }
+
+    fn send(
+        &mut self,
+        now: SimTime,
+        src: NicId,
+        dst: NicId,
+        flow: u64,
+        path_id: u32,
+        bytes: u64,
+    ) -> Delivery {
+        self.advance(now);
+        let route = self.topo.route(src, dst, flow, path_id);
+        self.send_routed(now, src, dst, flow, path_id, bytes, route)
     }
 
     fn advance(&mut self, now: SimTime) {
@@ -738,15 +892,19 @@ impl Fabric for FluidFabric {
                     )
                 },
             );
+            let torn = self.flows.inconsistency();
+            c.check("net.fluid_flow_index", torn.is_none(), || {
+                torn.unwrap_or_default()
+            });
             // Re-derive allocations from scratch (pure) so the check
             // validates the allocator itself, not a possibly-stale
             // cached rate between coalesced recomputes.
             let rates = self.compute_shares();
             let mut sums = vec![0.0f64; self.res_capacity.len()];
             let mut all_positive = true;
-            for (f, &rate) in self.flows.values().zip(&rates) {
+            for (f, &rate) in self.flows.iter().zip(&rates) {
                 all_positive &= rate > 0.0;
-                for &r in &f.resources {
+                for &r in f.resources() {
                     sums[r as usize] += rate;
                 }
             }
@@ -811,13 +969,13 @@ mod tests {
         assert!(d.arrival().is_some());
         // First packet rides one plane: capped at link rate until the
         // second plane is observed.
-        assert!((f.flows.values().next().unwrap().rate_gbps - 200.0).abs() < 1e-6);
+        assert!((f.flows.iter().next().unwrap().rate_gbps - 200.0).abs() < 1e-6);
         // A packet on the other plane (path_id picks the plane) widens
         // the cap to both ports.
         for p in 1..8 {
             f.send(t(0), src, dst, 1, p, 1 << 20);
         }
-        assert!((f.flows.values().next().unwrap().rate_gbps - 400.0).abs() < 1e-6);
+        assert!((f.flows.iter().next().unwrap().rate_gbps - 400.0).abs() < 1e-6);
     }
 
     #[test]
@@ -831,7 +989,7 @@ mod tests {
             f.send(t(0), src, dst, h as u64, 0, 4096);
             f.send(t(0), src, dst, h as u64, 1, 4096);
         }
-        let rates: Vec<f64> = f.flows.values().map(|fl| fl.rate_gbps).collect();
+        let rates: Vec<f64> = f.flows.iter().map(|fl| fl.rate_gbps).collect();
         assert_eq!(rates.len(), 4);
         for r in &rates {
             // 4 flows share 400 Gbps of dst ingress: 100 Gbps each.
@@ -873,13 +1031,22 @@ mod tests {
         f.set_link_state_at(t(0), link, false);
         let d = f.send(t(1), src, dst, 3, 0, 4096);
         assert!(
-            matches!(d, Delivery::Dropped { reason: DropReason::LinkDown, .. }),
+            matches!(
+                d,
+                Delivery::Dropped {
+                    reason: DropReason::LinkDown,
+                    ..
+                }
+            ),
             "pre-convergence sends on the dead plane must blackhole: {d:?}"
         );
         // After BGP convergence the slot reroutes onto a live plane.
         let after = t(0) + NetworkConfig::default().bgp_convergence + SimDuration::from_micros(1);
         let d = f.send(after, src, dst, 3, 0, 4096);
-        assert!(d.arrival().is_some(), "post-convergence send must reroute: {d:?}");
+        assert!(
+            d.arrival().is_some(),
+            "post-convergence send must reroute: {d:?}"
+        );
     }
 
     #[test]

@@ -32,15 +32,18 @@
 //! so either one can be the carrier at any moment; ledgers and stats
 //! are the field-wise sum of the two.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
 
+use stellar_sim::hash::FastMap;
 use stellar_sim::{SimDuration, SimRng, SimTime};
 use stellar_telemetry::{count, Subsystem};
 
 use crate::fabric::{uplink_imbalance_from, Fabric, FabricKind};
 use crate::fault::FaultPlan;
 use crate::fluid::{FluidConfig, FluidFabric};
-use crate::network::{Delivery, DropReason, LinkStats, Network, NetworkConfig, TraceRecord};
+use crate::network::{
+    record_trace, Delivery, DropReason, LinkStats, Network, NetworkConfig, TraceRecord,
+};
 use crate::topology::{ClosTopology, LinkId, NicId};
 
 /// Escalation knobs for the hybrid classifier.
@@ -80,11 +83,15 @@ pub struct HybridFabric {
     packet: Network,
     fluid: FluidFabric,
     hybrid: HybridConfig,
-    /// Active-flow metadata in deterministic key order.
-    meta: BTreeMap<(u32, u32, u64), FlowMeta>,
+    /// Active-flow metadata by `(src, dst, flow)`. Nothing iterates it
+    /// in an order that reaches an output: expiry only decrements
+    /// integer counts.
+    meta: FastMap<(u32, u32, u64), FlowMeta>,
     /// Distinct active flows per destination NIC (incast detector).
-    dst_flows: BTreeMap<u32, u32>,
+    dst_flows: Vec<u32>,
     next_expiry_scan: SimTime,
+    /// Sends in injection order, up to the limit, when tracing is on.
+    trace: Option<(Vec<TraceRecord>, usize)>,
     escalations: u64,
     packet_sends: u64,
     fluid_sends: u64,
@@ -100,15 +107,17 @@ impl HybridFabric {
         hybrid: HybridConfig,
         rng: SimRng,
     ) -> Self {
+        let nics = topo.total_nics();
         let packet = Network::new(topo.clone(), config.clone(), rng.fork("packet"));
         let fluid = FluidFabric::new(topo, config, hybrid.fluid.clone(), rng.fork("fluid"));
         HybridFabric {
             packet,
             fluid,
             hybrid,
-            meta: BTreeMap::new(),
-            dst_flows: BTreeMap::new(),
+            meta: FastMap::default(),
+            dst_flows: vec![0; nics],
             next_expiry_scan: SimTime::ZERO,
+            trace: None,
             escalations: 0,
             packet_sends: 0,
             fluid_sends: 0,
@@ -138,43 +147,25 @@ impl HybridFabric {
         self.next_expiry_scan = now
             + SimDuration::from_nanos((self.hybrid.flow_idle_timeout.as_nanos() / 2).max(1));
         let timeout = self.hybrid.flow_idle_timeout;
-        let dead: Vec<(u32, u32, u64)> = self
-            .meta
-            .iter()
-            .filter(|(_, m)| now.saturating_duration_since(m.last_active) >= timeout)
-            .map(|(&k, _)| k)
-            .collect();
-        for k in dead {
-            self.meta.remove(&k);
-            let left = {
-                let c = self.dst_flows.get_mut(&k.1).expect("dst counted at registration");
-                *c -= 1;
-                *c
-            };
-            if left == 0 {
-                self.dst_flows.remove(&k.1);
+        let dst_flows = &mut self.dst_flows;
+        self.meta.retain(|&(_, dst, _), m| {
+            let idle = now.saturating_duration_since(m.last_active) >= timeout;
+            if idle {
+                dst_flows[dst as usize] -= 1;
             }
-        }
+            !idle
+        });
     }
 
-    /// Whether this send must take the packet path. Checks the cheap
-    /// per-flow state first, then the route's fault and queue state on
-    /// the packet side.
-    fn contested(&self, now: SimTime, dst: NicId, route: &[LinkId], escalated: bool) -> bool {
-        if escalated {
-            return true;
-        }
-        if self.dst_flows.get(&dst.0).copied().unwrap_or(0) as usize
-            >= self.hybrid.incast_threshold
-        {
-            return true;
-        }
-        let ecn_threshold = self.packet.config().ecn_threshold_bytes;
+    /// Whether the route touches a link that is down, lossy, degrading,
+    /// or queued past the ECN threshold on the packet side.
+    fn route_contested(packet: &Network, now: SimTime, route: &[LinkId]) -> bool {
+        let ecn_threshold = packet.config().ecn_threshold_bytes;
         route.iter().any(|&l| {
-            !self.packet.link_up(l)
-                || self.packet.link_loss(l) > 0.0
-                || self.packet.degraded_loss_at(l, now) > 0.0
-                || self.packet.backlog_bytes(l, now) > ecn_threshold
+            !packet.link_up(l)
+                || packet.link_loss(l) > 0.0
+                || packet.degraded_loss_at(l, now) > 0.0
+                || packet.backlog_bytes(l, now) > ecn_threshold
         })
     }
 }
@@ -208,39 +199,49 @@ impl Fabric for HybridFabric {
         bytes: u64,
     ) -> Delivery {
         self.advance(now);
-        let key = (src.0, dst.0, flow);
-        let known = self.meta.contains_key(&key);
-        if !known {
-            self.meta.insert(
-                key,
-                FlowMeta {
+        let route = self.packet.topology().route(src, dst, flow, path_id);
+        let meta = match self.meta.entry((src.0, dst.0, flow)) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                self.dst_flows[dst.0 as usize] += 1;
+                e.insert(FlowMeta {
                     last_active: now,
                     escalated: false,
-                },
-            );
-            *self.dst_flows.entry(dst.0).or_insert(0) += 1;
-        }
-        let escalated = self.meta[&key].escalated;
-        let route = self.packet.topology().route(src, dst, flow, path_id);
-        let contested = self.contested(now, dst, &route, escalated);
-        {
-            let m = self.meta.get_mut(&key).expect("flow registered above");
-            m.last_active = now;
-            if contested && !m.escalated {
-                m.escalated = true;
-                self.escalations += 1;
-                count(Subsystem::Net, "fabric.hybrid.escalation", 1);
+                })
             }
+        };
+        meta.last_active = now;
+        // Cheap per-flow state first (stickiness, incast), then the
+        // route's fault and queue state on the packet side.
+        let contested = meta.escalated
+            || self.dst_flows[dst.0 as usize] as usize >= self.hybrid.incast_threshold
+            || Self::route_contested(&self.packet, now, &route);
+        if contested && !meta.escalated {
+            meta.escalated = true;
+            self.escalations += 1;
+            count(Subsystem::Net, "fabric.hybrid.escalation", 1);
         }
-        if contested {
+        let delivery = if contested {
             self.packet_sends += 1;
             count(Subsystem::Net, "fabric.hybrid.packet_send", 1);
             self.packet.send(now, src, dst, flow, path_id, bytes)
         } else {
             self.fluid_sends += 1;
             count(Subsystem::Net, "fabric.hybrid.fluid_send", 1);
-            self.fluid.send(now, src, dst, flow, path_id, bytes)
-        }
+            // `advance` above already advanced the fluid half to `now`.
+            self.fluid
+                .send_routed(now, src, dst, flow, path_id, bytes, route)
+        };
+        record_trace(&mut self.trace, || TraceRecord {
+            sent: now,
+            src,
+            dst,
+            flow,
+            path_id,
+            bytes,
+            delivery,
+        });
+        delivery
     }
 
     fn advance(&mut self, now: SimTime) {
@@ -330,17 +331,14 @@ impl Fabric for HybridFabric {
     }
 
     fn enable_trace(&mut self, limit: usize) {
-        self.packet.enable_trace(limit);
-        Fabric::enable_trace(&mut self.fluid, limit);
+        // Recorded here rather than in the halves, so the trace keeps
+        // injection order across both models and `limit` bounds the
+        // whole fabric.
+        self.trace = Some((Vec::new(), limit));
     }
 
     fn take_trace(&mut self) -> Vec<TraceRecord> {
-        let mut t = Network::take_trace(&mut self.packet);
-        t.extend(Fabric::take_trace(&mut self.fluid));
-        // Merge the two halves back into injection order (stable:
-        // packet-half records first at equal timestamps).
-        t.sort_by_key(|r| r.sent);
-        t
+        self.trace.take().map(|(v, _)| v).unwrap_or_default()
     }
 
     fn check_invariants(&self, at: SimTime) {
@@ -402,7 +400,11 @@ mod tests {
         }
         let (pkt, _fluid, esc) = f.send_split();
         // Flows 3..6 arrive after the threshold (3) is reached.
-        assert!(pkt >= 2, "incast fan-in must escalate: split {:?}", f.send_split());
+        assert!(
+            pkt >= 2,
+            "incast fan-in must escalate: split {:?}",
+            f.send_split()
+        );
         assert!(esc >= 2);
     }
 
@@ -415,7 +417,13 @@ mod tests {
         f.set_link_state_at(t(0), link, false);
         let d = f.send(t(1), src, dst, 7, 0, 4096);
         assert!(
-            matches!(d, Delivery::Dropped { reason: DropReason::LinkDown, .. }),
+            matches!(
+                d,
+                Delivery::Dropped {
+                    reason: DropReason::LinkDown,
+                    ..
+                }
+            ),
             "route over a dead link must blackhole pre-convergence: {d:?}"
         );
         let (pkt, fluid, _) = f.send_split();
@@ -425,6 +433,37 @@ mod tests {
         // even on a live route slot.
         f.send(t(2), src, dst, 7, 1, 4096);
         assert_eq!(f.send_split().0, 2);
+    }
+
+    #[test]
+    fn trace_keeps_send_order_across_halves_and_honours_the_limit() {
+        let mut f = fabric();
+        f.enable_trace(7);
+        let sink = f.topology().nic(0, 0);
+        let (a, b) = (f.topology().nic(6, 0), f.topology().nic(7, 0));
+        let mut sent = Vec::new();
+        // Every round sends at one timestamp: five incast flows (the last
+        // two escalate once the sink counts three) interleaved with a
+        // healthy 1:1 flow that stays on the fluid path.
+        for round in 0..2 {
+            for h in 1..6 {
+                let src = f.topology().nic(h, 0);
+                f.send(t(round), src, sink, h as u64, 0, 4096);
+                sent.push((t(round), src, h as u64));
+                f.send(t(round), a, b, 99, h as u32, 4096);
+                sent.push((t(round), a, 99));
+            }
+        }
+        let (pkt, fluid, _) = f.send_split();
+        assert!(pkt > 0 && fluid > 0, "both halves must carry traffic");
+        let trace = f.take_trace();
+        let got: Vec<_> = trace.iter().map(|r| (r.sent, r.src, r.flow)).collect();
+        assert_eq!(
+            got,
+            sent[..7],
+            "the trace is the first `limit` sends, in send order"
+        );
+        assert!(f.take_trace().is_empty(), "taking the trace disables it");
     }
 
     #[test]

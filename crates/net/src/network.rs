@@ -223,6 +223,19 @@ pub struct TraceRecord {
     pub delivery: Delivery,
 }
 
+/// Append a record to a bounded trace (`None` = tracing off); a full
+/// trace silently stops recording.
+pub(crate) fn record_trace(
+    trace: &mut Option<(Vec<TraceRecord>, usize)>,
+    record: impl FnOnce() -> TraceRecord,
+) {
+    if let Some((records, limit)) = trace {
+        if records.len() < *limit {
+            records.push(record());
+        }
+    }
+}
+
 /// The live fabric: topology + per-port calendars.
 #[derive(Debug)]
 pub struct Network {
@@ -519,19 +532,15 @@ impl Network {
                 event(at, Subsystem::Net, Entity::Link(link.0), reason.name(), bytes);
             }
         }
-        if let Some((records, limit)) = &mut self.trace {
-            if records.len() < *limit {
-                records.push(TraceRecord {
-                    sent: now,
-                    src,
-                    dst,
-                    flow,
-                    path_id,
-                    bytes,
-                    delivery,
-                });
-            }
-        }
+        record_trace(&mut self.trace, || TraceRecord {
+            sent: now,
+            src,
+            dst,
+            flow,
+            path_id,
+            bytes,
+            delivery,
+        });
         delivery
     }
 

@@ -147,7 +147,14 @@ fn fault_plan_replays_identical_drop_sequences() {
             net.install_fault_plan(plan);
             net.enable_trace(4096);
             for i in 0..400u64 {
-                net.send(SimTime::from_nanos(i * 2_000), src, dst, 1, (i % 8) as u32, 4096);
+                net.send(
+                    SimTime::from_nanos(i * 2_000),
+                    src,
+                    dst,
+                    1,
+                    (i % 8) as u32,
+                    4096,
+                );
             }
             let fates: Vec<(SimTime, Delivery)> = net
                 .take_trace()
@@ -230,7 +237,12 @@ fn fluid_fair_share_never_oversubscribes() {
         let rails = topo.config().rails;
         let seed = g.u64(0, 1000);
         let sends = g.vec(1, 120, |g| {
-            (g.usize(0, 1000), g.usize(0, 1000), g.u64(0, 40), g.u32(0, 256))
+            (
+                g.usize(0, 1000),
+                g.usize(0, 1000),
+                g.u64(0, 40),
+                g.u32(0, 256),
+            )
         });
         let mut fluid = FluidFabric::new(
             topo,
@@ -266,7 +278,9 @@ fn fluid_flows_conserve_through_retirement() {
         let hosts = topo.total_hosts();
         let rails = topo.config().rails;
         let seed = g.u64(0, 1000);
-        let flows = g.vec(1, 30, |g| (g.usize(0, 1000), g.usize(0, 1000), g.u64(0, 40)));
+        let flows = g.vec(1, 30, |g| {
+            (g.usize(0, 1000), g.usize(0, 1000), g.u64(0, 40))
+        });
         let mut fluid = FluidFabric::new(
             topo,
             NetworkConfig::default(),
@@ -274,26 +288,44 @@ fn fluid_flows_conserve_through_retirement() {
             SimRng::from_seed(seed),
         );
         stellar_check::strict(|| {
-            let mut sent = 0u64;
-            for &(a, b, flow) in &flows {
-                let rail = flow as usize % rails;
-                let src = fluid.topology().nic(a % hosts, rail);
-                let dst = fluid.topology().nic(b % hosts, rail);
-                if src == dst {
-                    continue;
+            // Two rounds over the same keys: the second re-opens every
+            // flow the first retired, reusing freed table slots.
+            let mut start = SimTime::ZERO;
+            let mut first_round_opens = None;
+            for _round in 0..2 {
+                let mut sent = 0u64;
+                for &(a, b, flow) in &flows {
+                    let rail = flow as usize % rails;
+                    let src = fluid.topology().nic(a % hosts, rail);
+                    let dst = fluid.topology().nic(b % hosts, rail);
+                    if src == dst {
+                        continue;
+                    }
+                    let now = start + SimDuration::from_nanos(sent * 100);
+                    fluid.send(now, src, dst, flow, 0, 4096);
+                    fluid.check_invariants(now);
+                    sent += 1;
                 }
-                fluid.send(SimTime::from_nanos(sent * 100), src, dst, flow, 0, 4096);
-                sent += 1;
+                let (opened, retired, active) = fluid.flow_ledger();
+                assert_eq!(
+                    opened,
+                    retired + active as u64,
+                    "mid-run ledger must balance"
+                );
+                // Idle long past the flow timeout: everything retires.
+                let idle =
+                    start + SimDuration::from_nanos(sent * 100) + SimDuration::from_millis(10);
+                fluid.advance(idle);
+                let (opened, retired, active) = fluid.flow_ledger();
+                assert_eq!(active, 0, "idle fabric must retire every flow");
+                assert_eq!(opened, retired);
+                fluid.check_invariants(idle);
+                match first_round_opens {
+                    None => first_round_opens = Some(opened),
+                    Some(first) => assert_eq!(opened, 2 * first, "every retired key re-opens"),
+                }
+                start = idle;
             }
-            let (opened, retired, active) = fluid.flow_ledger();
-            assert_eq!(opened, retired + active as u64, "mid-run ledger must balance");
-            // Idle long past the flow timeout: everything retires.
-            let idle = SimTime::from_nanos(sent * 100) + SimDuration::from_millis(10);
-            fluid.advance(idle);
-            let (opened, retired, active) = fluid.flow_ledger();
-            assert_eq!(active, 0, "idle fabric must retire every flow");
-            assert_eq!(opened, retired);
-            fluid.check_invariants(idle);
         });
     });
 }

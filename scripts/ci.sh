@@ -41,6 +41,14 @@ if [ "$scale_one" != "$scale_many" ]; then
     diff <(printf '%s\n' "$scale_one") <(printf '%s\n' "$scale_many") >&2 || true
     exit 1
 fi
+# ...and must match the recorded table byte-for-byte. These flow-level
+# runs are too slow for the debug golden test, so the comparison lives
+# here (see the golden-corpus gate below for the rest of the corpus).
+if [ "$scale_one" != "$(cat crates/bench/tests/golden/scale.json)" ]; then
+    echo "scale gate: reproduce scale --json differs from crates/bench/tests/golden/scale.json" >&2
+    diff crates/bench/tests/golden/scale.json <(printf '%s\n' "$scale_one") >&2 || true
+    exit 1
+fi
 
 # Determinism gate: the same figure must serialize byte-identically on
 # consecutive runs — any divergence means wall-clock or unseeded
@@ -106,6 +114,11 @@ rec_many="$(STELLAR_THREADS=8 cargo run --release --offline -p stellar-bench --b
 if [ "$rec_one" != "$rec_many" ]; then
     echo "recovery gate: reproduce recovery --json differs between 1 and 8 workers" >&2
     diff <(printf '%s\n' "$rec_one") <(printf '%s\n' "$rec_many") >&2 || true
+    exit 1
+fi
+if [ "$rec_one" != "$(cat crates/bench/tests/golden/recovery.json)" ]; then
+    echo "recovery gate: reproduce recovery --json differs from crates/bench/tests/golden/recovery.json" >&2
+    diff crates/bench/tests/golden/recovery.json <(printf '%s\n' "$rec_one") >&2 || true
     exit 1
 fi
 
