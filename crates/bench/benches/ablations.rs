@@ -19,7 +19,7 @@ use stellar_net::{ClosConfig, ClosTopology, Network, NetworkConfig};
 use stellar_pcie::addr::{Gpa, Hpa, PAGE_2M, PAGE_4K};
 use stellar_pcie::iommu::{Iommu, IommuConfig};
 use stellar_sim::{SimRng, SimTime};
-use stellar_transport::{NoopApp, PathAlgo, TransportConfig, TransportSim};
+use stellar_transport::{CompletionLog, PathAlgo, TransportConfig, TransportSim};
 use stellar_virt::hypervisor::{Hypervisor, HypervisorConfig};
 use stellar_virt::pvdma::{Pvdma, PvdmaConfig};
 use stellar_workloads::permutation::{run_permutation, PermutationConfig};
@@ -90,12 +90,9 @@ fn ablation_per_path_cc(h: &Harness) {
             let dst = sim.network().topology().nic(4, 0);
             let conn = sim.add_connection(src, dst);
             let msg = sim.post_message(conn, 8 << 20);
-            sim.run(&mut NoopApp, SimTime::from_nanos(u64::MAX / 2));
-            black_box(
-                sim.message_completed_at(conn, msg)
-                    .expect("completes")
-                    .as_nanos(),
-            );
+            let mut log = CompletionLog::new();
+            sim.run(&mut log, SimTime::from_nanos(u64::MAX / 2));
+            black_box(log.completed_at(conn, msg).expect("completes").as_nanos());
         });
     }
 }

@@ -239,19 +239,45 @@ struct PerfSample {
     event_driven: bool,
 }
 
+/// Peak resident set size of this process so far (`VmHWM`), in MB, or
+/// `None` where `/proc/self/status` does not exist.
+fn peak_rss_mb() -> Option<f64> {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()?
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().strip_suffix("kB"))
+        .and_then(|v| v.trim().parse::<f64>().ok())
+        .map(|kb| kb / 1024.0)
+}
+
+/// Write `value` as a float field, or `null` when it was not measured.
+fn field_opt_f64(obj: Obj, key: &str, value: Option<f64>) -> Obj {
+    match value {
+        Some(v) => obj.field_f64(key, v),
+        None => obj.field_raw(key, "null"),
+    }
+}
+
 /// Build the `BENCH_reproduce.json` document from the threaded pass and
 /// the single-thread baseline pass. Per-scenario `wall_ms` is the job's
 /// own clock (under contention it includes time-sliced waiting); the
 /// `total` block uses each pass's true elapsed wall, which is what the
-/// speedup is measured on.
+/// speedup is measured on. When the threaded pass itself ran on one
+/// worker there is nothing to compare, so `baseline_wall_ms` and
+/// `speedup` are `null` (the baseline pass still runs: it is the
+/// re-run identity check). `peak_rss_mb` is the process's `VmHWM` over
+/// both passes, `null` where it cannot be read.
 fn perf_report(
     quick: bool,
     threads: usize,
     elapsed_ms: f64,
     baseline_elapsed_ms: f64,
+    peak_rss_mb: Option<f64>,
     perf: &[PerfRec],
     baseline: &[PerfRec],
 ) -> String {
+    let compared = threads > 1;
     let mut scenarios = Arr::new();
     for (p, bp) in perf.iter().zip(baseline) {
         let secs = p.wall_ms / 1e3;
@@ -281,14 +307,30 @@ fn perf_report(
             Some(high_water) => obj.field_u64("ring_high_water", high_water),
             None => obj.field_raw("ring_high_water", "null"),
         };
-        scenarios = scenarios.push_raw(
-            &obj.field_f64("baseline_wall_ms", bp.wall_ms)
-                .field_f64("speedup", bp.wall_ms / p.wall_ms.max(1e-9))
-                .finish(),
+        let obj = field_opt_f64(obj, "baseline_wall_ms", compared.then_some(bp.wall_ms));
+        let obj = field_opt_f64(
+            obj,
+            "speedup",
+            compared.then(|| bp.wall_ms / p.wall_ms.max(1e-9)),
         );
+        scenarios = scenarios.push_raw(&obj.finish());
     }
     let events: u64 = perf.iter().map(|p| p.events).sum();
     let secs = elapsed_ms / 1e3;
+    let events_per_sec = if secs > 0.0 { events as f64 / secs } else { 0.0 };
+    let total = field_opt_f64(
+        Obj::new().field_f64("wall_ms", elapsed_ms),
+        "baseline_wall_ms",
+        compared.then_some(baseline_elapsed_ms),
+    )
+    .field_u64("events", events)
+    .field_f64("events_per_sec", events_per_sec);
+    let total = field_opt_f64(
+        total,
+        "speedup",
+        compared.then(|| baseline_elapsed_ms / elapsed_ms.max(1e-9)),
+    );
+    let total = field_opt_f64(total, "peak_rss_mb", peak_rss_mb);
     Obj::new()
         .field_u64("threads", threads as u64)
         .field_u64(
@@ -297,19 +339,7 @@ fn perf_report(
         )
         .field_raw("quick", if quick { "true" } else { "false" })
         .field_raw("scenarios", &scenarios.finish())
-        .field_raw(
-            "total",
-            &Obj::new()
-                .field_f64("wall_ms", elapsed_ms)
-                .field_f64("baseline_wall_ms", baseline_elapsed_ms)
-                .field_u64("events", events)
-                .field_f64(
-                    "events_per_sec",
-                    if secs > 0.0 { events as f64 / secs } else { 0.0 },
-                )
-                .field_f64("speedup", baseline_elapsed_ms / elapsed_ms.max(1e-9))
-                .finish(),
-        )
+        .field_raw("total", &total.finish())
         .finish()
 }
 
@@ -430,18 +460,24 @@ fn main() {
             threads,
             elapsed_ms,
             baseline_elapsed_ms,
+            peak_rss_mb(),
             &perf,
             &baseline,
         );
         std::fs::write("BENCH_reproduce.json", &report).expect("write BENCH_reproduce.json");
+        let speedup = if threads > 1 {
+            format!(
+                " vs {baseline_elapsed_ms:.1} ms on 1 (speedup {:.2}x)",
+                baseline_elapsed_ms / elapsed_ms.max(1e-9)
+            )
+        } else {
+            String::new()
+        };
         eprintln!(
-            "perf: {} scenario(s), {:.1} ms on {} thread(s) vs {:.1} ms on 1 \
-             (speedup {:.2}x); wrote BENCH_reproduce.json",
+            "perf: {} scenario(s), {:.1} ms on {} thread(s){speedup}; wrote BENCH_reproduce.json",
             perf.len(),
             elapsed_ms,
             threads,
-            baseline_elapsed_ms,
-            baseline_elapsed_ms / elapsed_ms.max(1e-9)
         );
     }
 }
@@ -506,7 +542,7 @@ mod tests {
         // measured zero events — their rows carry JSON nulls.
         let perf = [rec("fig6", false, 0), rec("fig9", true, 1000)];
         let base = [rec("fig6", false, 0), rec("fig9", true, 1000)];
-        let report = perf_report(true, 8, 20.0, 40.0, &perf, &base);
+        let report = perf_report(true, 8, 20.0, 40.0, Some(64.0), &perf, &base);
         assert!(
             report.contains(
                 "\"event_driven\":false,\"wall_ms\":10.0,\"events\":null,\
@@ -530,15 +566,49 @@ mod tests {
         let untraced = [rec("fig9", true, 900)];
         let mut traced = [rec("fig9", true, 900)];
         traced[0].ring_high_water = Some(4096);
-        let report = perf_report(true, 1, 10.0, 10.0, &untraced, &untraced);
+        let report = perf_report(true, 1, 10.0, 10.0, None, &untraced, &untraced);
         assert!(
             report.contains(
-                "\"events_cancelled\":300,\"peak_queue_depth\":7,\"ring_high_water\":null"
+                "\"events_cancelled\":300,\"peak_queue_depth\":7,\"ring_high_water\":null,\
+                 \"baseline_wall_ms\":null,\"speedup\":null}"
             ),
             "{report}"
         );
-        let report = perf_report(true, 1, 10.0, 10.0, &traced, &untraced);
+        let report = perf_report(true, 1, 10.0, 10.0, None, &traced, &untraced);
         assert!(report.contains("\"ring_high_water\":4096"), "{report}");
+    }
+
+    /// A 1-vs-1 comparison measures nothing: with one worker the
+    /// speedup fields are `null`, with more they are real numbers, and
+    /// `peak_rss_mb` is `null` only when it could not be read.
+    #[test]
+    fn speedup_is_null_on_one_worker_and_rss_is_reported() {
+        let perf = [rec("fig9", true, 900)];
+        let one = perf_report(true, 1, 10.0, 10.0, None, &perf, &perf);
+        assert!(
+            one.contains(
+                "\"total\":{\"wall_ms\":10.0,\"baseline_wall_ms\":null,\"events\":900,\
+                 \"events_per_sec\":90000.0,\"speedup\":null,\"peak_rss_mb\":null}"
+            ),
+            "{one}"
+        );
+        let mut slow = [rec("fig9", true, 900)];
+        slow[0].wall_ms = 20.0;
+        let two = perf_report(true, 2, 10.0, 20.0, Some(129.5), &perf, &slow);
+        assert!(
+            two.contains("\"ring_high_water\":null,\"baseline_wall_ms\":20.0,\"speedup\":2.0}"),
+            "{two}"
+        );
+        assert!(
+            two.contains(
+                "\"total\":{\"wall_ms\":10.0,\"baseline_wall_ms\":20.0,\"events\":900,\
+                 \"events_per_sec\":90000.0,\"speedup\":2.0,\"peak_rss_mb\":129.5}"
+            ),
+            "{two}"
+        );
+        if std::path::Path::new("/proc/self/status").exists() {
+            assert!(peak_rss_mb().is_some_and(|mb| mb > 0.0));
+        }
     }
 
     #[test]

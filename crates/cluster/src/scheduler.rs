@@ -366,7 +366,7 @@ pub fn run_cluster_with<F: Fabric>(
                 Some(j) => {
                     let mut h = stellar_sim::stats::Histogram::new();
                     for &c in app.runner.job_conns(j) {
-                        h.merge(&sim.message_latency_histogram(c));
+                        h.merge(sim.message_latency_histogram(c));
                     }
                     let p99 = h.p99().map_or(-1.0, |ns| ns as f64 / 1e3);
                     (

@@ -10,8 +10,8 @@
 
 use std::collections::VecDeque;
 
-
 use stellar_net::NicId;
+use stellar_sim::stats::Histogram;
 use stellar_sim::{SimTime, TimerHandle};
 
 /// Connection identifier.
@@ -172,7 +172,50 @@ impl InflightTable {
     }
 }
 
-/// Per-message receive/ack progress.
+/// Receiver-side bitmap of landed packets.
+///
+/// Stellar's messages are mostly small (a ring step is 2–3 packets), so a
+/// message of at most 64 packets keeps its bitmap inline in one word and
+/// only larger messages allocate.
+#[derive(Debug)]
+enum Bitmap {
+    Inline(u64),
+    Heap(Box<[u64]>),
+}
+
+impl Bitmap {
+    /// An empty bitmap of `bits` bits.
+    fn new(bits: u64) -> Self {
+        if bits <= 64 {
+            Bitmap::Inline(0)
+        } else {
+            Bitmap::Heap(vec![0u64; bits.div_ceil(64) as usize].into_boxed_slice())
+        }
+    }
+
+    /// Whether bit `idx` is set.
+    fn get(&self, idx: u64) -> bool {
+        let w = match self {
+            Bitmap::Inline(w) => *w,
+            Bitmap::Heap(ws) => ws[(idx / 64) as usize],
+        };
+        w & (1 << (idx % 64)) != 0
+    }
+
+    /// Set bit `idx`; returns whether it was clear.
+    fn set(&mut self, idx: u64) -> bool {
+        let w = match self {
+            Bitmap::Inline(w) => w,
+            Bitmap::Heap(ws) => &mut ws[(idx / 64) as usize],
+        };
+        let bit = 1 << (idx % 64);
+        let new = *w & bit == 0;
+        *w |= bit;
+        new
+    }
+}
+
+/// Per-message receive progress.
 #[derive(Debug)]
 pub struct MessageState {
     /// Total packets in the message.
@@ -182,12 +225,8 @@ pub struct MessageState {
     /// When the sender posted it.
     pub posted_at: SimTime,
     /// Receiver-side bitmap of landed packets.
-    received: Vec<u64>,
+    received: Bitmap,
     received_count: u64,
-    /// Sender-side count of acknowledged packets.
-    pub acked_packets: u64,
-    /// Set when the receiver completed the message.
-    pub completed_at: Option<SimTime>,
 }
 
 impl MessageState {
@@ -197,10 +236,8 @@ impl MessageState {
             total_packets,
             bytes,
             posted_at,
-            received: vec![0u64; total_packets.div_ceil(64) as usize],
+            received: Bitmap::new(total_packets),
             received_count: 0,
-            acked_packets: 0,
-            completed_at: None,
         }
     }
 
@@ -208,16 +245,14 @@ impl MessageState {
     /// was new (not a duplicate).
     pub fn place_packet(&mut self, idx: u64) -> bool {
         assert!(idx < self.total_packets, "packet index out of range");
-        let (w, b) = ((idx / 64) as usize, idx % 64);
-        if self.received[w] & (1 << b) != 0 {
-            return false;
-        }
-        self.received[w] |= 1 << b;
-        self.received_count += 1;
-        true
+        let new = self.received.set(idx);
+        self.received_count += u64::from(new);
+        new
     }
 
-    /// Whether every packet has landed.
+    /// Whether every packet has landed. The transport completes a
+    /// message at the placement that fills its bitmap, so this is also
+    /// "completed".
     pub fn fully_received(&self) -> bool {
         self.received_count == self.total_packets
     }
@@ -225,13 +260,27 @@ impl MessageState {
     /// Whether packet `idx` has landed at the receiver.
     pub fn is_received(&self, idx: u64) -> bool {
         assert!(idx < self.total_packets, "packet index out of range");
-        self.received[(idx / 64) as usize] & (1 << (idx % 64)) != 0
+        self.received.get(idx)
     }
 
     /// Packets landed so far.
     pub fn received_count(&self) -> u64 {
         self.received_count
     }
+}
+
+/// What retired messages leave behind on their connection: enough for
+/// the exactly-once and conservation checks to cover every message ever
+/// posted while the connection keeps only the live ones.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct RetiredLedger {
+    /// Messages retired so far.
+    pub(crate) messages: u64,
+    /// Sum of the retired messages' own bitmap populations
+    /// ([`MessageState::received_count`]), kept apart from
+    /// [`ConnStats::delivered_packets`] so the two can be checked against
+    /// each other.
+    pub(crate) placements: u64,
 }
 
 /// Why a two-sided send could not be accepted.
@@ -391,10 +440,20 @@ pub struct Connection {
     pub inflight: InflightTable,
     /// In-flight payload bytes (window accounting).
     pub inflight_bytes: u64,
-    /// Per-message state, indexed by [`MsgId`] (ids are dense sequence
-    /// numbers and messages live for the connection's lifetime, so a
-    /// plain vector beats any map on the per-packet lookup path).
-    pub messages: Vec<MessageState>,
+    /// Live messages, oldest first: entry `i` is message `msg_front + i`.
+    /// The window covers `[oldest not yet retired, next_msg)`. A message
+    /// retires (folds into [`Connection::retired`] and leaves the window)
+    /// once it and every older message have completed, so the window
+    /// holds O(live messages) however many the connection has carried.
+    /// Ids stay dense, so a lookup is one subtraction and one index.
+    messages: VecDeque<MessageState>,
+    /// Id of the window's front message: every lower id has retired.
+    msg_front: u64,
+    /// Running totals of the retired messages.
+    pub(crate) retired: RetiredLedger,
+    /// Completion latency (post → full receipt) of every completed
+    /// message, recorded at completion, so in completion order.
+    pub(crate) latency: Histogram,
     /// Posted receive buffers (two-sided verbs), FIFO-matched.
     pub recv_queue: VecDeque<u64>,
     /// Statistics.
@@ -423,7 +482,10 @@ impl Connection {
             unsent: VecDeque::new(),
             inflight: InflightTable::default(),
             inflight_bytes: 0,
-            messages: Vec::new(),
+            messages: VecDeque::new(),
+            msg_front: 0,
+            retired: RetiredLedger::default(),
+            latency: Histogram::new(),
             recv_queue: VecDeque::new(),
             stats: ConnStats::default(),
             state: ConnState::Active,
@@ -440,10 +502,10 @@ impl Connection {
         assert!(bytes > 0, "empty message");
         let id = MsgId(self.next_msg);
         self.next_msg += 1;
-        debug_assert_eq!(self.messages.len() as u64, id.0);
+        debug_assert_eq!(self.msg_front + self.messages.len() as u64, id.0);
         let total_packets = bytes.div_ceil(mtu);
         self.messages
-            .push(MessageState::new(total_packets, bytes, now));
+            .push_back(MessageState::new(total_packets, bytes, now));
         for idx in 0..total_packets {
             let chunk = if idx == total_packets - 1 {
                 bytes - idx * mtu
@@ -506,10 +568,52 @@ impl Connection {
         self.unsent.is_empty() && self.inflight.is_empty()
     }
 
+    /// The live message `id`; `None` once it has retired (or if it was
+    /// never posted).
+    pub fn message(&self, id: MsgId) -> Option<&MessageState> {
+        let i = id.0.checked_sub(self.msg_front)?;
+        self.messages.get(i as usize)
+    }
+
+    /// Mutable access to the live message `id`; `None` once it has
+    /// retired (or if it was never posted).
+    pub fn message_mut(&mut self, id: MsgId) -> Option<&mut MessageState> {
+        let i = id.0.checked_sub(self.msg_front)?;
+        self.messages.get_mut(i as usize)
+    }
+
+    /// Whether message `id` has completed: it retired, or it is live
+    /// with every packet landed.
+    pub fn message_done(&self, id: MsgId) -> bool {
+        id.0 < self.msg_front || self.message(id).is_some_and(MessageState::fully_received)
+    }
+
+    /// The live window, oldest first (message `msg_front + i` at `i`).
+    pub(crate) fn live_messages(&self) -> std::collections::vec_deque::Iter<'_, MessageState> {
+        self.messages.iter()
+    }
+
+    /// Message `id` just completed at `now` (its last packet landed):
+    /// record its latency, then retire the window's completed prefix.
+    /// A completed message behind an incomplete one stays live until the
+    /// older one completes.
+    pub(crate) fn complete_message(&mut self, id: MsgId, now: SimTime) {
+        let m = self.message(id).expect("a completing message is live");
+        debug_assert!(m.fully_received());
+        self.latency.record_duration(now.duration_since(m.posted_at));
+        while self.messages.front().is_some_and(MessageState::fully_received) {
+            let m = self.messages.pop_front().expect("front exists");
+            self.retired.messages += 1;
+            self.retired.placements += m.received_count();
+            self.msg_front += 1;
+        }
+    }
+
     /// Rebuild the send queue from the receiver bitmaps after a QP
-    /// re-establishment: every packet of every incomplete message that
-    /// has not landed is re-queued, in `(message, index)` order. Returns
-    /// the number of packets queued.
+    /// re-establishment: every packet of every incomplete message in the
+    /// live window that has not landed is re-queued, in
+    /// `(message, index)` order. Retired messages are complete and need
+    /// nothing. Returns the number of packets queued.
     ///
     /// This is the exactly-once replay. Indices already set in the
     /// bitmap are skipped — the receiver keeps its partial state across
@@ -523,11 +627,11 @@ impl Connection {
             "replay requires a drained connection"
         );
         let mut queued = 0;
-        for (idx, m) in self.messages.iter().enumerate() {
-            if m.completed_at.is_some() {
+        for (i, m) in self.messages.iter().enumerate() {
+            if m.fully_received() {
                 continue;
             }
-            let id = MsgId(idx as u64);
+            let id = MsgId(self.msg_front + i as u64);
             for idx in 0..m.total_packets {
                 if m.is_received(idx) {
                     continue;
@@ -561,7 +665,7 @@ mod tests {
     fn segmentation_counts_and_tail() {
         let mut c = conn();
         let id = c.post_message(SimTime::ZERO, 10_000, 4096);
-        let m = &c.messages[id.0 as usize];
+        let m = c.message(id).unwrap();
         assert_eq!(m.total_packets, 3);
         let sizes: Vec<u64> = c.unsent.iter().map(|p| p.bytes).collect();
         assert_eq!(sizes, vec![4096, 4096, 1808]);
@@ -571,7 +675,7 @@ mod tests {
     fn single_packet_message() {
         let mut c = conn();
         let id = c.post_message(SimTime::ZERO, 8, 4096);
-        assert_eq!(c.messages[id.0 as usize].total_packets, 1);
+        assert_eq!(c.message(id).unwrap().total_packets, 1);
         assert_eq!(c.unsent[0].bytes, 8);
     }
 
@@ -702,7 +806,7 @@ mod tests {
         let mut c = conn();
         let id = c.post_message(SimTime::ZERO, 10_000, 4096); // 3 packets
         c.unsent.clear(); // simulate all packets in flight, then drained
-        c.messages.get_mut(id.0 as usize).unwrap().place_packet(1);
+        c.message_mut(id).unwrap().place_packet(1);
         let queued = c.replay_unacked(4096);
         assert_eq!(queued, 2);
         let idxs: Vec<u64> = c.unsent.iter().map(|p| p.idx).collect();
@@ -711,12 +815,87 @@ mod tests {
         let sizes: Vec<u64> = c.unsent.iter().map(|p| p.bytes).collect();
         assert_eq!(sizes, vec![4096, 1808]);
         // A completed message is never replayed.
-        let m = c.messages.get_mut(id.0 as usize).unwrap();
+        let m = c.message_mut(id).unwrap();
         m.place_packet(0);
         m.place_packet(2);
-        m.completed_at = Some(SimTime::ZERO);
+        c.complete_message(id, SimTime::ZERO);
         c.unsent.clear();
         assert_eq!(c.replay_unacked(4096), 0);
+    }
+
+    /// Land every packet of `id` on `c` and complete it at `now`.
+    fn land_all(c: &mut Connection, id: MsgId, now: SimTime) {
+        let m = c.message_mut(id).unwrap();
+        for idx in 0..m.total_packets {
+            m.place_packet(idx);
+        }
+        c.complete_message(id, now);
+    }
+
+    #[test]
+    fn window_retires_only_the_completed_prefix() {
+        let mut c = conn();
+        let ids: Vec<MsgId> = (0..3)
+            .map(|_| c.post_message(SimTime::ZERO, 10_000, 4096))
+            .collect();
+        c.unsent.clear();
+        // Out of order: the middle message completes first and must wait
+        // behind message 0.
+        land_all(&mut c, ids[1], SimTime::from_nanos(10));
+        assert_eq!(c.live_messages().len(), 3);
+        assert!(c.message_done(ids[1]) && !c.message_done(ids[0]));
+        assert_eq!(c.retired, RetiredLedger::default());
+        // Message 0 completes: 0 and 1 retire together.
+        land_all(&mut c, ids[0], SimTime::from_nanos(30));
+        assert_eq!(c.live_messages().len(), 1);
+        assert!(c.message(ids[0]).is_none() && c.message(ids[1]).is_none());
+        assert!(c.message_done(ids[0]) && c.message_done(ids[1]));
+        assert!(!c.message_done(ids[2]));
+        assert_eq!(c.retired, RetiredLedger { messages: 2, placements: 6 });
+        // Replay numbers the remaining live message by its own id.
+        c.message_mut(ids[2]).unwrap().place_packet(0);
+        assert_eq!(c.replay_unacked(4096), 2);
+        assert!(c.unsent.iter().all(|p| p.msg == ids[2]));
+        c.unsent.clear();
+        land_all(&mut c, ids[2], SimTime::from_nanos(40));
+        assert_eq!(c.live_messages().len(), 0);
+        assert_eq!(c.retired, RetiredLedger { messages: 3, placements: 9 });
+        // Latencies arrive in completion order; the multiset is exact.
+        let p = c.latency.percentiles();
+        assert_eq!((p.count(), p.min(), p.max()), (3, Some(10), Some(40)));
+        // Ids keep counting from where the window left off.
+        assert_eq!(c.post_message(SimTime::ZERO, 1, 4096), MsgId(3));
+        assert!(!c.message_done(MsgId(3)) && !c.message_done(MsgId(4)));
+    }
+
+    /// Bitmaps of up to 64 packets live inline; the 65th packet needs a
+    /// second word and the heap. Every boundary places, dedups and
+    /// completes alike.
+    #[test]
+    fn bitmap_is_inline_up_to_64_packets_and_heap_beyond() {
+        for (total, inline) in [(63u64, true), (64, true), (65, false)] {
+            let mut m = MessageState::new(total, total * 4096, SimTime::ZERO);
+            assert_eq!(matches!(m.received, Bitmap::Inline(_)), inline, "{total} packets");
+            if let Bitmap::Heap(words) = &m.received {
+                assert_eq!(words.len(), 2);
+            }
+            // The highest index first, then the rest in reverse.
+            for idx in (0..total).rev() {
+                assert!(!m.is_received(idx));
+                assert!(m.place_packet(idx), "{total}: idx {idx} is new");
+                assert!(m.is_received(idx));
+                assert!(!m.place_packet(idx), "{total}: idx {idx} is a duplicate");
+                assert_eq!(m.fully_received(), idx == 0);
+            }
+            assert_eq!(m.received_count(), total);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn inline_bitmap_rejects_index_64() {
+        let mut m = MessageState::new(64, 64 * 4096, SimTime::ZERO);
+        m.place_packet(64);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use stellar_net::fixture::packet_fabric;
 use stellar_net::{ClosConfig, Fabric, NetworkConfig};
 use stellar_sim::{SimRng, SimTime};
-use stellar_transport::{ConnId, NoopApp, TransportConfig, TransportSim};
+use stellar_transport::{CompletionLog, ConnId, TransportConfig, TransportSim};
 
 /// Incast experiment parameters.
 #[derive(Debug, Clone)]
@@ -102,13 +102,14 @@ pub fn run_incast_with<F: Fabric>(
         .iter()
         .map(|&c| (c, sim.post_message(c, config.bytes_per_sender)))
         .collect();
-    sim.run(&mut NoopApp, SimTime::from_nanos(u64::MAX / 2));
+    let mut log = CompletionLog::new();
+    sim.run(&mut log, SimTime::from_nanos(u64::MAX / 2));
     // No connection may end the run dead or mid-recovery.
     debug_assert_eq!(sim.failed_connections() + sim.recovering_count(), 0);
 
     let done: Vec<SimTime> = msgs
         .iter()
-        .map(|&(c, m)| sim.message_completed_at(c, m).expect("incast completes"))
+        .map(|&(c, m)| log.completed_at(c, m).expect("incast completes"))
         .collect();
     let first = *done.iter().min().expect("senders > 0");
     let last = *done.iter().max().expect("senders > 0");

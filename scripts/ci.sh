@@ -10,6 +10,25 @@ cargo build --release --offline
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace -- -D warnings
 
+# Run `reproduce` (built above) with the given arguments, passing its
+# stdout through, and fail if its peak RSS exceeds a ceiling in MB. The
+# box has no /usr/bin/time; python3's getrusage reports the child's
+# high-water mark. Usage: run_capped LABEL CEILING_MB ARGS...
+run_capped() {
+    python3 - "$@" <<'PY'
+import resource, subprocess, sys
+label, ceiling, args = sys.argv[1], float(sys.argv[2]), sys.argv[3:]
+rc = subprocess.run(["target/release/reproduce", *args]).returncode
+if rc:
+    sys.exit(rc)
+mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+status = "ok" if mb <= ceiling else "REGRESSION"
+print(f"memory gate: {label} peak RSS {mb:.1f} MB (ceiling {ceiling:.0f} MB) {status}",
+      file=sys.stderr)
+sys.exit(0 if mb <= ceiling else 1)
+PY
+}
+
 # Queue gate, part 1 (DESIGN.md §13): the timing-wheel event queue must
 # stay observably identical to the binary-heap reference. Three layers:
 # the differential property suite (wheel vs heap in lockstep), the
@@ -33,8 +52,11 @@ cargo run --release --offline -p stellar-bench --bin reproduce -- chaos --quick 
 # fig9/fig16 hybrid-vs-packet tolerance asserts run in the workspace
 # test suite above; the experiment's events/sec lands in
 # BENCH_reproduce.json via the --perf pass below, which covers the
-# whole registry.)
-scale_one="$(STELLAR_THREADS=1 cargo run --release --offline -p stellar-bench --bin reproduce -- scale --quick --json)"
+# whole registry.) The single-worker run doubles as a memory gate:
+# completed messages retire from their connections (DESIGN.md §11), so
+# the run peaks near 265 MB; it peaked at 673 MB when every message
+# stayed live to the end.
+scale_one="$(STELLAR_THREADS=1 run_capped "scale --quick" 400 scale --quick --json)"
 scale_many="$(STELLAR_THREADS=8 cargo run --release --offline -p stellar-bench --bin reproduce -- scale --quick --json)"
 if [ "$scale_one" != "$scale_many" ]; then
     echo "scale gate: reproduce scale --json differs between 1 and 8 workers" >&2
@@ -109,7 +131,9 @@ cargo run --release --offline -p stellar-bench --bin reproduce -- chaos --quick 
 # transport.recovery_exactly_once and net.blacklist_readmit — and must
 # be byte-identical on one worker and eight. (Its events/sec lands in
 # BENCH_reproduce.json via the --perf pass below, like every experiment.)
-rec_one="$(STELLAR_THREADS=1 cargo run --release --offline -p stellar-bench --bin reproduce -- recovery --quick --json --check)"
+# Like scale, the single-worker run is memory-gated: about 128 MB with
+# bounded message state, 818 MB without.
+rec_one="$(STELLAR_THREADS=1 run_capped "recovery --quick --check" 250 recovery --quick --json --check)"
 rec_many="$(STELLAR_THREADS=8 cargo run --release --offline -p stellar-bench --bin reproduce -- recovery --quick --json)"
 if [ "$rec_one" != "$rec_many" ]; then
     echo "recovery gate: reproduce recovery --json differs between 1 and 8 workers" >&2

@@ -2,7 +2,9 @@
 //! and end-to-end determinism.
 
 use stellar::net::{ClosConfig, ClosTopology, Network, NetworkConfig, NicId};
-use stellar::transport::{App, ConnId, MsgId, NoopApp, PathAlgo, TransportConfig, TransportSim};
+use stellar::transport::{
+    App, CompletionLog, ConnId, MsgId, NoopApp, PathAlgo, TransportConfig, TransportSim,
+};
 use stellar::workloads::allreduce::{AllReduceJob, AllReduceRunner};
 use stellar_sim::{SimDuration, SimRng, SimTime};
 
@@ -40,12 +42,12 @@ fn link_goes_down_mid_transfer_and_traffic_survives() {
 
     // Run briefly, then kill one agg uplink the flow uses.
     sim.run(&mut NoopApp, SimTime::ZERO + SimDuration::from_micros(200));
-    assert!(sim.message_completed_at(conn, msg).is_none(), "still going");
+    assert!(!sim.message_done(conn, msg), "still going");
     let link = sim.network().topology().route(src, dst, conn.0 as u64, 3)[1];
     sim.network_mut().set_link_up(link, false);
 
     sim.run(&mut NoopApp, FOREVER);
-    assert!(sim.message_completed_at(conn, msg).is_some());
+    assert!(sim.message_done(conn, msg));
     let st = sim.conn_stats(conn);
     assert_eq!(st.delivered_bytes, 32 * MB);
     // Packets on the dead link were recovered on other paths.
@@ -144,7 +146,7 @@ fn bgp_reroute_takes_over_from_rto_recovery() {
     // Phase 1 (pre-convergence): RTO recovery carries the transfer.
     let m1 = sim.post_message(conn, 2 * MB);
     sim.run(&mut NoopApp, FOREVER);
-    assert!(sim.message_completed_at(conn, m1).is_some());
+    assert!(sim.message_done(conn, m1));
     let retx_phase1 = sim.conn_stats(conn).retransmits;
 
     // Phase 2 (post-convergence): the fabric routes around the failure.
@@ -175,10 +177,11 @@ fn whole_experiment_is_deterministic() {
         sim.network_mut().set_loss(lossy, 0.02);
         let conn = sim.add_connection(src, dst);
         let msg = sim.post_message(conn, 16 * MB);
-        sim.run(&mut NoopApp, FOREVER);
+        let mut log = CompletionLog::new();
+        sim.run(&mut log, FOREVER);
         let st = sim.conn_stats(conn);
         (
-            sim.message_completed_at(conn, msg).unwrap().as_nanos(),
+            log.completed_at(conn, msg).unwrap().as_nanos(),
             st.sent_packets,
             st.retransmits,
             st.ecn_acks,
@@ -216,8 +219,9 @@ fn per_path_cc_ablation_uses_fewer_paths_but_completes() {
         let dst = sim.network().topology().nic(2, 0);
         let conn = sim.add_connection(src, dst);
         let msg = sim.post_message(conn, 16 * MB);
-        sim.run(&mut NoopApp, FOREVER);
-        sim.message_completed_at(conn, msg).unwrap()
+        let mut log = CompletionLog::new();
+        sim.run(&mut log, FOREVER);
+        log.completed_at(conn, msg).unwrap()
     };
     let shared = run(false, 128);
     let per_path = run(true, 4);

@@ -59,7 +59,7 @@ fn any_transport_config_delivers_exactly_once() {
         let bytes = kb * 1024;
         let msg = sim.post_message(conn, bytes);
         sim.run(&mut NoopApp, FOREVER);
-        assert!(sim.message_completed_at(conn, msg).is_some());
+        assert!(sim.message_done(conn, msg));
         let st = sim.conn_stats(conn);
         assert_eq!(st.delivered_bytes, bytes);
         assert_eq!(st.completed_messages, 1);
@@ -99,7 +99,7 @@ fn lossy_fabric_still_delivers_exactly_once() {
         let conn = sim.add_connection(src, dst);
         let msg = sim.post_message(conn, 512 * 1024);
         sim.run(&mut NoopApp, FOREVER);
-        assert!(sim.message_completed_at(conn, msg).is_some());
+        assert!(sim.message_done(conn, msg));
         assert_eq!(sim.conn_stats(conn).delivered_bytes, 512 * 1024);
     });
 }
