@@ -30,7 +30,7 @@
 use std::time::Instant;
 
 use stellar_bench as b;
-use stellar_sim::json::{rows_to_json, Arr, Obj};
+use stellar_sim::json::{Arr, Obj};
 use stellar_sim::par::{
     configured_threads, events_cancelled_here, events_scheduled_here, note_queue_depth, par_map,
     take_queue_depth_peak, with_thread_override,
@@ -62,11 +62,7 @@ macro_rules! experiments {
                 run: |quick, json| {
                     let rows = b::$module::run(quick);
                     if json {
-                        format!(
-                            "{{\"experiment\":\"{}\",\"rows\":{}}}\n",
-                            $name,
-                            rows_to_json(&rows)
-                        )
+                        b::json_line($name, &rows)
                     } else {
                         let mut out = b::$module::render(&rows);
                         out.push('\n');
@@ -251,14 +247,6 @@ fn peak_rss_mb() -> Option<f64> {
         .map(|kb| kb / 1024.0)
 }
 
-/// Write `value` as a float field, or `null` when it was not measured.
-fn field_opt_f64(obj: Obj, key: &str, value: Option<f64>) -> Obj {
-    match value {
-        Some(v) => obj.field_f64(key, v),
-        None => obj.field_raw(key, "null"),
-    }
-}
-
 /// Build the `BENCH_reproduce.json` document from the threaded pass and
 /// the single-thread baseline pass. Per-scenario `wall_ms` is the job's
 /// own clock (under contention it includes time-sliced waiting); the
@@ -307,30 +295,24 @@ fn perf_report(
             Some(high_water) => obj.field_u64("ring_high_water", high_water),
             None => obj.field_raw("ring_high_water", "null"),
         };
-        let obj = field_opt_f64(obj, "baseline_wall_ms", compared.then_some(bp.wall_ms));
-        let obj = field_opt_f64(
-            obj,
-            "speedup",
-            compared.then(|| bp.wall_ms / p.wall_ms.max(1e-9)),
-        );
+        let obj = obj
+            .field_opt_f64("baseline_wall_ms", compared.then_some(bp.wall_ms))
+            .field_opt_f64("speedup", compared.then(|| bp.wall_ms / p.wall_ms.max(1e-9)));
         scenarios = scenarios.push_raw(&obj.finish());
     }
     let events: u64 = perf.iter().map(|p| p.events).sum();
     let secs = elapsed_ms / 1e3;
     let events_per_sec = if secs > 0.0 { events as f64 / secs } else { 0.0 };
-    let total = field_opt_f64(
-        Obj::new().field_f64("wall_ms", elapsed_ms),
-        "baseline_wall_ms",
-        compared.then_some(baseline_elapsed_ms),
-    )
-    .field_u64("events", events)
-    .field_f64("events_per_sec", events_per_sec);
-    let total = field_opt_f64(
-        total,
-        "speedup",
-        compared.then(|| baseline_elapsed_ms / elapsed_ms.max(1e-9)),
-    );
-    let total = field_opt_f64(total, "peak_rss_mb", peak_rss_mb);
+    let total = Obj::new()
+        .field_f64("wall_ms", elapsed_ms)
+        .field_opt_f64("baseline_wall_ms", compared.then_some(baseline_elapsed_ms))
+        .field_u64("events", events)
+        .field_f64("events_per_sec", events_per_sec)
+        .field_opt_f64(
+            "speedup",
+            compared.then(|| baseline_elapsed_ms / elapsed_ms.max(1e-9)),
+        )
+        .field_opt_f64("peak_rss_mb", peak_rss_mb);
     Obj::new()
         .field_u64("threads", threads as u64)
         .field_u64(

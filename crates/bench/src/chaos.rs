@@ -9,51 +9,37 @@
 
 use std::fmt::Write as _;
 
-use stellar_sim::json::{Obj, ToJsonRow};
+use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 use stellar_sim::SimDuration;
 use stellar_transport::{PathAlgo, ScoreboardPolicy};
 use stellar_workloads::chaos::{run_chaos, ChaosConfig, ChaosScenario};
 
-/// One chaos-scenario row.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Scenario name.
-    pub scenario: &'static str,
-    /// Transport variant ("hardened-obs" or "unhardened-single").
-    pub transport: &'static str,
-    /// Fault-free calibration busbw, GB/s.
-    pub healthy_gbs: f64,
-    /// Bridged-window busbw relative to healthy, or `-1` if no iteration
-    /// overlapped the fault window.
-    pub bridged_rel: f64,
-    /// Post-recovery busbw relative to healthy, or `-1` if the job ended
-    /// before the reroute settled.
-    pub after_rel: f64,
-    /// Total fabric drops attributed to the fault plan (dead + degraded
-    /// links).
-    pub fault_drops: u64,
-    /// Retransmissions across all connections.
-    pub retransmits: u64,
-    /// Connections that hit their retry budget.
-    pub conn_errors: u64,
-    /// Graceful-degradation verdict.
-    pub verdict: &'static str,
-}
-
-impl ToJsonRow for Row {
-    fn to_json_row(&self) -> String {
-        Obj::new()
-            .field_str("scenario", self.scenario)
-            .field_str("transport", self.transport)
-            .field_f64("healthy_gbs", self.healthy_gbs)
-            .field_f64("bridged_rel", self.bridged_rel)
-            .field_f64("after_rel", self.after_rel)
-            .field_u64("fault_drops", self.fault_drops)
-            .field_u64("retransmits", self.retransmits)
-            .field_u64("conn_errors", self.conn_errors)
-            .field_str("verdict", self.verdict)
-            .finish()
+json_row! {
+    /// One chaos-scenario row.
+    #[derive(Debug, Clone)]
+    pub struct Row {
+        /// Scenario name.
+        pub scenario: &'static str,
+        /// Transport variant ("hardened-obs" or "unhardened-single").
+        pub transport: &'static str,
+        /// Fault-free calibration busbw, GB/s.
+        pub healthy_gbs: f64,
+        /// Bridged-window busbw relative to healthy, or `-1` if no iteration
+        /// overlapped the fault window.
+        pub bridged_rel: f64,
+        /// Post-recovery busbw relative to healthy, or `-1` if the job ended
+        /// before the reroute settled.
+        pub after_rel: f64,
+        /// Total fabric drops attributed to the fault plan (dead + degraded
+        /// links).
+        pub fault_drops: u64,
+        /// Retransmissions across all connections.
+        pub retransmits: u64,
+        /// Connections that hit their retry budget.
+        pub conn_errors: u64,
+        /// Graceful-degradation verdict.
+        pub verdict: &'static str,
     }
 }
 
@@ -142,7 +128,7 @@ pub fn run(quick: bool) -> Vec<Row> {
     par_map(&jobs, |job| row_for(&job.0, job.1))
 }
 
-/// Render the table as `print` emits it.
+/// Render the table as `reproduce` prints it.
 pub fn render(rows: &[Row]) -> String {
     let mut out = String::new();
     writeln!(out, "Chaos scenarios — graceful degradation under multi-fault plans").unwrap();
@@ -176,11 +162,6 @@ pub fn render(rows: &[Row]) -> String {
         .unwrap();
     }
     out
-}
-
-/// Print the table.
-pub fn print(rows: &[Row]) {
-    print!("{}", render(rows));
 }
 
 #[cfg(test)]

@@ -11,26 +11,18 @@ use std::fmt::Write as _;
 use stellar_core::vstellar::VStellarStack;
 use stellar_core::{RnicId, ServerConfig, StellarServer};
 use stellar_virt::rund::MemoryStrategy;
-use stellar_sim::json::{Obj, ToJsonRow};
+use stellar_sim::json::json_row;
 
-/// One claim check.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Claim label.
-    pub claim: &'static str,
-    /// Measured value (unit in the label).
-    pub measured: f64,
-    /// Paper value.
-    pub paper: f64,
-}
-
-impl ToJsonRow for Row {
-    fn to_json_row(&self) -> String {
-        Obj::new()
-            .field_str("claim", self.claim)
-            .field_f64("measured", self.measured)
-            .field_f64("paper", self.paper)
-            .finish()
+json_row! {
+    /// One claim check.
+    #[derive(Debug, Clone)]
+    pub struct Row {
+        /// Claim label.
+        pub claim: &'static str,
+        /// Measured value (unit in the label).
+        pub measured: f64,
+        /// Paper value.
+        pub paper: f64,
     }
 }
 
@@ -88,7 +80,7 @@ pub fn run(quick: bool) -> Vec<Row> {
     ]
 }
 
-/// Render the claims table as `print` emits it.
+/// Render the claims table as `reproduce` prints it.
 pub fn render(rows: &[Row]) -> String {
     let mut out = String::new();
     writeln!(out, "Section 4 claims — measured vs paper").unwrap();
@@ -97,11 +89,6 @@ pub fn render(rows: &[Row]) -> String {
         writeln!(out, "{:>44} {:>12.2} {:>10.2}", r.claim, r.measured, r.paper).unwrap();
     }
     out
-}
-
-/// Print the claims table.
-pub fn print(rows: &[Row]) {
-    print!("{}", render(rows));
 }
 
 #[cfg(test)]

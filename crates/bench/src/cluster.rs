@@ -31,63 +31,44 @@ use stellar_cluster::{
 };
 use stellar_net::fixture::hybrid_fabric;
 use stellar_net::{ClosConfig, HybridConfig};
-use stellar_sim::json::{Obj, ToJsonRow};
+use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 use stellar_sim::{SimDuration, SimTime};
 use stellar_workloads::allreduce::BurstSchedule;
 
-/// One cluster-table row.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Scenario name.
-    pub scenario: &'static str,
-    /// Placement policy the run used.
-    pub policy: &'static str,
-    /// Fabric the run was carried on.
-    pub fabric: &'static str,
-    /// Tenants submitted.
-    pub tenants: u64,
-    /// Total ranks submitted across all tenants.
-    pub ranks: u64,
-    /// Peak concurrently admitted ranks.
-    pub peak_ranks: u64,
-    /// NIC slot capacity of the shared topology.
-    pub capacity: u64,
-    /// Longest admission-queue wait, ms.
-    pub max_wait_ms: f64,
-    /// Mean per-tenant goodput, GB/s.
-    pub goodput_gbs: f64,
-    /// Worst per-tenant p99 message latency, µs.
-    pub p99_us: f64,
-    /// Interference factor: worst shared-cluster p99 over the p99 of
-    /// the same tenant shape running alone (`-1` when not measured).
-    pub x_solo: f64,
-    /// Completed connection recoveries across the run.
-    pub recoveries: u64,
-    /// Terminal connection errors (graceful degradation requires 0).
-    pub errors: u64,
-    /// Graceful-degradation verdict.
-    pub verdict: &'static str,
-}
-
-impl ToJsonRow for Row {
-    fn to_json_row(&self) -> String {
-        Obj::new()
-            .field_str("scenario", self.scenario)
-            .field_str("policy", self.policy)
-            .field_str("fabric", self.fabric)
-            .field_u64("tenants", self.tenants)
-            .field_u64("ranks", self.ranks)
-            .field_u64("peak_ranks", self.peak_ranks)
-            .field_u64("capacity", self.capacity)
-            .field_f64("max_wait_ms", self.max_wait_ms)
-            .field_f64("goodput_gbs", self.goodput_gbs)
-            .field_f64("p99_us", self.p99_us)
-            .field_f64("x_solo", self.x_solo)
-            .field_u64("recoveries", self.recoveries)
-            .field_u64("errors", self.errors)
-            .field_str("verdict", self.verdict)
-            .finish()
+json_row! {
+    /// One cluster-table row.
+    #[derive(Debug, Clone)]
+    pub struct Row {
+        /// Scenario name.
+        pub scenario: &'static str,
+        /// Placement policy the run used.
+        pub policy: &'static str,
+        /// Fabric the run was carried on.
+        pub fabric: &'static str,
+        /// Tenants submitted.
+        pub tenants: u64,
+        /// Total ranks submitted across all tenants.
+        pub ranks: u64,
+        /// Peak concurrently admitted ranks.
+        pub peak_ranks: u64,
+        /// NIC slot capacity of the shared topology.
+        pub capacity: u64,
+        /// Longest admission-queue wait, ms.
+        pub max_wait_ms: f64,
+        /// Mean per-tenant goodput, GB/s.
+        pub goodput_gbs: f64,
+        /// Worst per-tenant p99 message latency, µs.
+        pub p99_us: f64,
+        /// Interference factor: worst shared-cluster p99 over the p99 of
+        /// the same tenant shape running alone (`-1` when not measured).
+        pub x_solo: f64,
+        /// Completed connection recoveries across the run.
+        pub recoveries: u64,
+        /// Terminal connection errors (graceful degradation requires 0).
+        pub errors: u64,
+        /// Graceful-degradation verdict.
+        pub verdict: &'static str,
     }
 }
 
@@ -389,7 +370,7 @@ pub fn run(quick: bool) -> Vec<Row> {
     par_map(JOBS, |job| job(quick)).into_iter().flatten().collect()
 }
 
-/// Render the table `print` emits.
+/// Render the table `reproduce` prints.
 pub fn render(rows: &[Row]) -> String {
     let mut out = String::new();
     writeln!(out, "cluster — multi-tenant scheduling on one shared fabric").unwrap();
@@ -429,11 +410,6 @@ pub fn render(rows: &[Row]) -> String {
         .unwrap();
     }
     out
-}
-
-/// Print the table.
-pub fn print(rows: &[Row]) {
-    print!("{}", render(rows));
 }
 
 #[cfg(test)]

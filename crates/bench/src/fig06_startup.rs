@@ -11,30 +11,21 @@ use stellar_core::{ServerConfig, StellarServer};
 use stellar_pcie::addr::PAGE_2M;
 use stellar_pcie::iommu::IommuConfig;
 use stellar_virt::rund::MemoryStrategy;
-use stellar_sim::json::{Obj, ToJsonRow};
+use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 
-/// One bar pair of Fig. 6.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Container memory in GiB.
-    pub memory_gib: u64,
-    /// Boot time without PVDMA (full pin), seconds.
-    pub full_pin_s: f64,
-    /// Boot time with PVDMA, seconds.
-    pub pvdma_s: f64,
-    /// Speedup.
-    pub speedup: f64,
-}
-
-impl ToJsonRow for Row {
-    fn to_json_row(&self) -> String {
-        Obj::new()
-            .field_u64("memory_gib", self.memory_gib)
-            .field_f64("full_pin_s", self.full_pin_s)
-            .field_f64("pvdma_s", self.pvdma_s)
-            .field_f64("speedup", self.speedup)
-            .finish()
+json_row! {
+    /// One bar pair of Fig. 6.
+    #[derive(Debug, Clone)]
+    pub struct Row {
+        /// Container memory in GiB.
+        pub memory_gib: u64,
+        /// Boot time without PVDMA (full pin), seconds.
+        pub full_pin_s: f64,
+        /// Boot time with PVDMA, seconds.
+        pub pvdma_s: f64,
+        /// Speedup.
+        pub speedup: f64,
     }
 }
 
@@ -67,7 +58,7 @@ pub fn run(_quick: bool) -> Vec<Row> {
     })
 }
 
-/// Render the figure as the table `print` emits.
+/// Render the figure as the table `reproduce` prints.
 pub fn render(rows: &[Row]) -> String {
     let mut out = String::new();
     writeln!(out, "Fig. 6 — GPU pod start-up time (s) vs container memory").unwrap();
@@ -81,11 +72,6 @@ pub fn render(rows: &[Row]) -> String {
         .unwrap();
     }
     out
-}
-
-/// Print the figure as a table.
-pub fn print(rows: &[Row]) {
-    print!("{}", render(rows));
 }
 
 #[cfg(test)]

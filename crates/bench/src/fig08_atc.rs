@@ -18,33 +18,24 @@ use stellar_pcie::iommu::IommuConfig;
 use stellar_pcie::{Hpa, Iova};
 use stellar_rnic::dma::{RnicDataPathConfig, TranslationMode};
 use stellar_rnic::verbs::{AccessFlags, MrKey};
-use stellar_sim::json::{Obj, ToJsonRow};
+use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 
 const MB: u64 = 1024 * 1024;
 const CONNS: usize = 16;
 
-/// One x-position of Fig. 8.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Per-connection message size in bytes.
-    pub msg_bytes: u64,
-    /// CX6 ATS/ATC aggregate GDR bandwidth, Gbps.
-    pub cx6_gbps: f64,
-    /// vStellar (eMTT) aggregate GDR bandwidth, Gbps.
-    pub vstellar_gbps: f64,
-    /// ATC hit ratio during the measured round (CX6).
-    pub atc_hit_ratio: f64,
-}
-
-impl ToJsonRow for Row {
-    fn to_json_row(&self) -> String {
-        Obj::new()
-            .field_u64("msg_bytes", self.msg_bytes)
-            .field_f64("cx6_gbps", self.cx6_gbps)
-            .field_f64("vstellar_gbps", self.vstellar_gbps)
-            .field_f64("atc_hit_ratio", self.atc_hit_ratio)
-            .finish()
+json_row! {
+    /// One x-position of Fig. 8.
+    #[derive(Debug, Clone)]
+    pub struct Row {
+        /// Per-connection message size in bytes.
+        pub msg_bytes: u64,
+        /// CX6 ATS/ATC aggregate GDR bandwidth, Gbps.
+        pub cx6_gbps: f64,
+        /// vStellar (eMTT) aggregate GDR bandwidth, Gbps.
+        pub vstellar_gbps: f64,
+        /// ATC hit ratio during the measured round (CX6).
+        pub atc_hit_ratio: f64,
     }
 }
 
@@ -192,7 +183,7 @@ pub fn run(quick: bool) -> Vec<Row> {
     })
 }
 
-/// Render the figure as the table `print` emits.
+/// Render the figure as the table `reproduce` prints.
 pub fn render(rows: &[Row]) -> String {
     let mut out = String::new();
     writeln!(out, "Fig. 8 — GDR bandwidth vs message size (16 connections, 4 KiB pages)").unwrap();
@@ -214,11 +205,6 @@ pub fn render(rows: &[Row]) -> String {
         .unwrap();
     }
     out
-}
-
-/// Print the figure.
-pub fn print(rows: &[Row]) {
-    print!("{}", render(rows));
 }
 
 #[cfg(test)]

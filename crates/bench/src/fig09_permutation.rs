@@ -8,36 +8,26 @@
 use std::fmt::Write as _;
 
 use stellar_net::ClosConfig;
-use stellar_sim::json::{Obj, ToJsonRow};
+use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 use stellar_sim::SimDuration;
 use stellar_transport::{PathAlgo, TransportConfig};
 use stellar_workloads::permutation::{run_permutation, PermutationConfig};
 
-/// One bar of Fig. 9.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Algorithm name.
-    pub algo: &'static str,
-    /// Paths per connection.
-    pub paths: u32,
-    /// Load-weighted average ToR-uplink queue, KB.
-    pub avg_queue_kb: f64,
-    /// Maximum ToR-uplink queue, KB.
-    pub max_queue_kb: f64,
-    /// Aggregate goodput, Gbps.
-    pub goodput_gbps: f64,
-}
-
-impl ToJsonRow for Row {
-    fn to_json_row(&self) -> String {
-        Obj::new()
-            .field_str("algo", self.algo)
-            .field_u64("paths", self.paths as u64)
-            .field_f64("avg_queue_kb", self.avg_queue_kb)
-            .field_f64("max_queue_kb", self.max_queue_kb)
-            .field_f64("goodput_gbps", self.goodput_gbps)
-            .finish()
+json_row! {
+    /// One bar of Fig. 9.
+    #[derive(Debug, Clone)]
+    pub struct Row {
+        /// Algorithm name.
+        pub algo: &'static str,
+        /// Paths per connection.
+        pub paths: u32,
+        /// Load-weighted average ToR-uplink queue, KB.
+        pub avg_queue_kb: f64,
+        /// Maximum ToR-uplink queue, KB.
+        pub max_queue_kb: f64,
+        /// Aggregate goodput, Gbps.
+        pub goodput_gbps: f64,
     }
 }
 
@@ -111,7 +101,7 @@ pub fn run(quick: bool) -> Vec<Row> {
     })
 }
 
-/// Render the figure as the table `print` emits.
+/// Render the figure as the table `reproduce` prints.
 pub fn render(rows: &[Row]) -> String {
     let mut out = String::new();
     writeln!(out, "Fig. 9 — queue depth for permutation traffic").unwrap();
@@ -130,11 +120,6 @@ pub fn render(rows: &[Row]) -> String {
         .unwrap();
     }
     out
-}
-
-/// Print the figure.
-pub fn print(rows: &[Row]) {
-    print!("{}", render(rows));
 }
 
 #[cfg(test)]

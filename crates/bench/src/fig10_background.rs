@@ -9,33 +9,24 @@
 use std::fmt::Write as _;
 
 use stellar_net::{ClosConfig, ClosTopology, Network, NetworkConfig, NicId};
-use stellar_sim::json::{Obj, ToJsonRow};
+use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 use stellar_sim::{SimDuration, SimRng, SimTime};
 use stellar_transport::{PathAlgo, TransportConfig, TransportSim};
 use stellar_workloads::allreduce::{AllReduceJob, AllReduceRunner, BurstSchedule};
 
-/// One bar of Fig. 10.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Algorithm.
-    pub algo: &'static str,
-    /// Paths.
-    pub paths: u32,
-    /// Background kind: "static" or "bursty".
-    pub background: &'static str,
-    /// Probe job mean bus bandwidth, GB/s.
-    pub probe_busbw_gbs: f64,
-}
-
-impl ToJsonRow for Row {
-    fn to_json_row(&self) -> String {
-        Obj::new()
-            .field_str("algo", self.algo)
-            .field_u64("paths", self.paths as u64)
-            .field_str("background", self.background)
-            .field_f64("probe_busbw_gbs", self.probe_busbw_gbs)
-            .finish()
+json_row! {
+    /// One bar of Fig. 10.
+    #[derive(Debug, Clone)]
+    pub struct Row {
+        /// Algorithm.
+        pub algo: &'static str,
+        /// Paths.
+        pub paths: u32,
+        /// Background kind: "static" or "bursty".
+        pub background: &'static str,
+        /// Probe job mean bus bandwidth, GB/s.
+        pub probe_busbw_gbs: f64,
     }
 }
 
@@ -134,7 +125,7 @@ pub fn run(quick: bool) -> Vec<Row> {
     })
 }
 
-/// Render the figure as the table `print` emits.
+/// Render the figure as the table `reproduce` prints.
 pub fn render(rows: &[Row]) -> String {
     let mut out = String::new();
     writeln!(out, "Fig. 10 — probe AllReduce bus bandwidth under background traffic (GB/s)")
@@ -154,11 +145,6 @@ pub fn render(rows: &[Row]) -> String {
         .unwrap();
     }
     out
-}
-
-/// Print the figure.
-pub fn print(rows: &[Row]) {
-    print!("{}", render(rows));
 }
 
 #[cfg(test)]

@@ -9,36 +9,26 @@
 use std::fmt::Write as _;
 
 use stellar_net::{ClosConfig, ClosTopology, Network, NetworkConfig, NicId};
-use stellar_sim::json::{Obj, ToJsonRow};
+use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 use stellar_sim::{SimRng, SimTime};
 use stellar_transport::{PathAlgo, TransportConfig, TransportSim};
 use stellar_workloads::allreduce::{AllReduceJob, AllReduceRunner};
 
-/// One bar of Fig. 11.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Algorithm.
-    pub algo: &'static str,
-    /// Paths.
-    pub paths: u32,
-    /// Injected loss probability on one agg link.
-    pub loss: f64,
-    /// Bus bandwidth relative to the same setup with zero loss.
-    pub relative_busbw: f64,
-    /// RTO events observed.
-    pub rto_events: u64,
-}
-
-impl ToJsonRow for Row {
-    fn to_json_row(&self) -> String {
-        Obj::new()
-            .field_str("algo", self.algo)
-            .field_u64("paths", self.paths as u64)
-            .field_f64("loss", self.loss)
-            .field_f64("relative_busbw", self.relative_busbw)
-            .field_u64("rto_events", self.rto_events)
-            .finish()
+json_row! {
+    /// One bar of Fig. 11.
+    #[derive(Debug, Clone)]
+    pub struct Row {
+        /// Algorithm.
+        pub algo: &'static str,
+        /// Paths.
+        pub paths: u32,
+        /// Injected loss probability on one agg link.
+        pub loss: f64,
+        /// Bus bandwidth relative to the same setup with zero loss.
+        pub relative_busbw: f64,
+        /// RTO events observed.
+        pub rto_events: u64,
     }
 }
 
@@ -132,7 +122,7 @@ pub fn run(quick: bool) -> Vec<Row> {
     .collect()
 }
 
-/// Render the figure as the table `print` emits.
+/// Render the figure as the table `reproduce` prints.
 pub fn render(rows: &[Row]) -> String {
     let mut out = String::new();
     writeln!(out, "Fig. 11 — AllReduce under link failures (busbw relative to lossless)").unwrap();
@@ -155,11 +145,6 @@ pub fn render(rows: &[Row]) -> String {
         .unwrap();
     }
     out
-}
-
-/// Print the figure.
-pub fn print(rows: &[Row]) {
-    print!("{}", render(rows));
 }
 
 #[cfg(test)]

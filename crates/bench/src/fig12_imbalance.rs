@@ -8,26 +8,19 @@
 use std::fmt::Write as _;
 
 use stellar_net::{ClosConfig, ClosTopology, Network, NetworkConfig};
-use stellar_sim::json::{Obj, ToJsonRow};
+use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 use stellar_sim::{SimRng, SimTime};
 use stellar_transport::{NoopApp, PathAlgo, TransportConfig, TransportSim};
 
-/// One x-position of Fig. 12.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Paths per connection.
-    pub paths: u32,
-    /// Max-min load delta as a percentage of the busiest port.
-    pub imbalance_pct: f64,
-}
-
-impl ToJsonRow for Row {
-    fn to_json_row(&self) -> String {
-        Obj::new()
-            .field_u64("paths", self.paths as u64)
-            .field_f64("imbalance_pct", self.imbalance_pct)
-            .finish()
+json_row! {
+    /// One x-position of Fig. 12.
+    #[derive(Debug, Clone)]
+    pub struct Row {
+        /// Paths per connection.
+        pub paths: u32,
+        /// Max-min load delta as a percentage of the busiest port.
+        pub imbalance_pct: f64,
     }
 }
 
@@ -74,7 +67,7 @@ pub fn run(quick: bool) -> Vec<Row> {
     })
 }
 
-/// Render the figure as the table `print` emits.
+/// Render the figure as the table `reproduce` prints.
 pub fn render(rows: &[Row]) -> String {
     let mut out = String::new();
     writeln!(out, "Fig. 12 — switch-port load imbalance vs number of paths").unwrap();
@@ -83,11 +76,6 @@ pub fn render(rows: &[Row]) -> String {
         writeln!(out, "{:>8} {:>16.1}", r.paths, r.imbalance_pct).unwrap();
     }
     out
-}
-
-/// Print the figure.
-pub fn print(rows: &[Row]) {
-    print!("{}", render(rows));
 }
 
 #[cfg(test)]

@@ -5,30 +5,21 @@
 use std::fmt::Write as _;
 
 use stellar_core::perftest::{perftest_point, StackKind};
-use stellar_sim::json::{Obj, ToJsonRow};
+use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 
-/// One x-position of Fig. 13 for one stack.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Stack name.
-    pub stack: &'static str,
-    /// Message size.
-    pub msg_bytes: u64,
-    /// One-way latency, µs.
-    pub latency_us: f64,
-    /// Throughput, Gbps.
-    pub gbps: f64,
-}
-
-impl ToJsonRow for Row {
-    fn to_json_row(&self) -> String {
-        Obj::new()
-            .field_str("stack", self.stack)
-            .field_u64("msg_bytes", self.msg_bytes)
-            .field_f64("latency_us", self.latency_us)
-            .field_f64("gbps", self.gbps)
-            .finish()
+json_row! {
+    /// One x-position of Fig. 13 for one stack.
+    #[derive(Debug, Clone)]
+    pub struct Row {
+        /// Stack name.
+        pub stack: &'static str,
+        /// Message size.
+        pub msg_bytes: u64,
+        /// One-way latency, µs.
+        pub latency_us: f64,
+        /// Throughput, Gbps.
+        pub gbps: f64,
     }
 }
 
@@ -65,7 +56,7 @@ pub fn run(quick: bool) -> Vec<Row> {
     })
 }
 
-/// Render the figure as the table `print` emits.
+/// Render the figure as the table `reproduce` prints.
 pub fn render(rows: &[Row]) -> String {
     let mut out = String::new();
     writeln!(out, "Fig. 13 — RDMA write microbenchmarks").unwrap();
@@ -84,11 +75,6 @@ pub fn render(rows: &[Row]) -> String {
         .unwrap();
     }
     out
-}
-
-/// Print the figure.
-pub fn print(rows: &[Row]) {
-    print!("{}", render(rows));
 }
 
 #[cfg(test)]

@@ -11,32 +11,23 @@
 
 use std::fmt::Write as _;
 
-use stellar_sim::json::{Obj, ToJsonRow};
+use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 use stellar_transport::PathAlgo;
 use stellar_workloads::llm::{simulate_training_step, Placement, TrainingSimConfig};
 
-/// One bar pair of Fig. 15.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Model/job label.
-    pub job: &'static str,
-    /// Step time in a regular container, ms.
-    pub regular_ms: f64,
-    /// Step time in a RunD secure container (vStellar), ms.
-    pub secure_ms: f64,
-    /// Relative difference.
-    pub overhead: f64,
-}
-
-impl ToJsonRow for Row {
-    fn to_json_row(&self) -> String {
-        Obj::new()
-            .field_str("job", self.job)
-            .field_f64("regular_ms", self.regular_ms)
-            .field_f64("secure_ms", self.secure_ms)
-            .field_f64("overhead", self.overhead)
-            .finish()
+json_row! {
+    /// One bar pair of Fig. 15.
+    #[derive(Debug, Clone)]
+    pub struct Row {
+        /// Model/job label.
+        pub job: &'static str,
+        /// Step time in a regular container, ms.
+        pub regular_ms: f64,
+        /// Step time in a RunD secure container (vStellar), ms.
+        pub secure_ms: f64,
+        /// Relative difference.
+        pub overhead: f64,
     }
 }
 
@@ -81,7 +72,7 @@ pub fn run(quick: bool) -> Vec<Row> {
     })
 }
 
-/// Render the figure as the table `print` emits.
+/// Render the figure as the table `reproduce` prints.
 pub fn render(rows: &[Row]) -> String {
     let mut out = String::new();
     writeln!(out, "Fig. 15 — step time: regular vs secure containers (same Stellar transport)")
@@ -104,11 +95,6 @@ pub fn render(rows: &[Row]) -> String {
         .unwrap();
     }
     out
-}
-
-/// Print the figure.
-pub fn print(rows: &[Row]) {
-    print!("{}", render(rows));
 }
 
 #[cfg(test)]

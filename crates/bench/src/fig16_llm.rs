@@ -8,35 +8,25 @@
 
 use std::fmt::Write as _;
 
-use stellar_sim::json::{Obj, ToJsonRow};
+use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 use stellar_transport::PathAlgo;
 use stellar_workloads::llm::{simulate_training_step, Placement, TrainingSimConfig};
 
-/// One x-position of Fig. 16.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Parallel configuration label "(tp,pp,dp,ep)".
-    pub config: &'static str,
-    /// Placement.
-    pub placement: &'static str,
-    /// Step time under CX7 single-path, ms.
-    pub cx7_ms: f64,
-    /// Step time under Stellar 128-path OBS, ms.
-    pub stellar_ms: f64,
-    /// Training-speed improvement of Stellar.
-    pub speedup: f64,
-}
-
-impl ToJsonRow for Row {
-    fn to_json_row(&self) -> String {
-        Obj::new()
-            .field_str("config", self.config)
-            .field_str("placement", self.placement)
-            .field_f64("cx7_ms", self.cx7_ms)
-            .field_f64("stellar_ms", self.stellar_ms)
-            .field_f64("speedup", self.speedup)
-            .finish()
+json_row! {
+    /// One x-position of Fig. 16.
+    #[derive(Debug, Clone)]
+    pub struct Row {
+        /// Parallel configuration label "(tp,pp,dp,ep)".
+        pub config: &'static str,
+        /// Placement.
+        pub placement: &'static str,
+        /// Step time under CX7 single-path, ms.
+        pub cx7_ms: f64,
+        /// Step time under Stellar 128-path OBS, ms.
+        pub stellar_ms: f64,
+        /// Training-speed improvement of Stellar.
+        pub speedup: f64,
     }
 }
 
@@ -127,7 +117,7 @@ pub fn run(quick: bool) -> Vec<Row> {
         .collect()
 }
 
-/// Render the figure as the table `print` emits.
+/// Render the figure as the table `reproduce` prints.
 pub fn render(rows: &[Row]) -> String {
     let mut out = String::new();
     writeln!(out, "Fig. 16 — LLM training speed: Stellar vs CX7 single-path").unwrap();
@@ -166,11 +156,6 @@ pub fn render(rows: &[Row]) -> String {
         .unwrap();
     }
     out
-}
-
-/// Print the figure.
-pub fn print(rows: &[Row]) {
-    print!("{}", render(rows));
 }
 
 #[cfg(test)]

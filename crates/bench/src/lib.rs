@@ -1,16 +1,19 @@
 //! # stellar-bench — regenerates every table and figure of the paper
 //!
 //! One module per experiment. Each exposes a `run(quick)` function
-//! returning serializable rows plus a `print` helper producing the same
-//! rows/series the paper reports. The `reproduce` binary dispatches on
-//! experiment id; the criterion benches reuse the same runners with
-//! `quick = true`.
+//! returning rows declared with [`json_row!`](stellar_sim::json::json_row)
+//! plus a `render` function producing the text table of the rows/series
+//! the paper reports. The `reproduce` binary dispatches on experiment id
+//! and prints either `render` or [`json_line`]; the benches reuse the
+//! same runners with `quick = true`.
 //!
 //! `quick` trades statistical smoothness for speed (smaller fabrics,
 //! shorter runs); the *relative* results — who wins, roughly by how much,
 //! where the crossovers sit — are stable across both modes.
 
 #![warn(missing_docs)]
+
+use stellar_sim::json::{rows_to_json, ToJsonRow};
 
 pub mod chaos;
 pub mod claims;
@@ -30,17 +33,11 @@ pub mod scale;
 pub mod table1_comm;
 pub mod timeline;
 
-/// Render a row of fixed-width columns.
-pub fn row(cells: &[String], widths: &[usize]) -> String {
-    cells
-        .iter()
-        .zip(widths)
-        .map(|(c, w)| format!("{c:>w$}", w = w))
-        .collect::<Vec<_>>()
-        .join("  ")
-}
-
-/// Pretty gigabit formatting.
-pub fn gbps(v: f64) -> String {
-    format!("{v:.1}")
+/// Render one experiment's rows as the line `reproduce --json` prints:
+/// `{"experiment":"<name>","rows":[...]}` and a newline.
+pub fn json_line<T: ToJsonRow>(experiment: &str, rows: &[T]) -> String {
+    format!(
+        "{{\"experiment\":\"{experiment}\",\"rows\":{}}}\n",
+        rows_to_json(rows)
+    )
 }

@@ -31,7 +31,7 @@ use stellar_net::{
     ClosConfig, Fabric, FaultPlan, HybridConfig, HybridFabric, NetworkConfig, NicId,
 };
 use stellar_pcie::addr::Gva;
-use stellar_sim::json::{Obj, ToJsonRow};
+use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 use stellar_sim::stats::Histogram;
 use stellar_sim::{SimDuration, SimRng, SimTime};
@@ -43,54 +43,37 @@ use stellar_virt::rund::MemoryStrategy;
 use stellar_workloads::allreduce::{AllReduceJob, AllReduceRunner};
 use stellar_workloads::chaos::{run_chaos, ChaosConfig, ChaosScenario};
 
-/// One recovery-table row.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Scenario name.
-    pub scenario: &'static str,
-    /// Fabric the row ran on.
-    pub fabric: &'static str,
-    /// Total ranks in the job.
-    pub ranks: u64,
-    /// Completed connection recoveries (teardown → re-establish).
-    pub recoveries: u64,
-    /// Packets replayed from receiver bitmaps at re-establishment.
-    pub replayed: u64,
-    /// Recovery downtime percentiles, milliseconds (`-1` when the row
-    /// recorded no recoveries).
-    pub p50_ms: f64,
-    /// 99th-percentile downtime, ms.
-    pub p99_ms: f64,
-    /// Worst-case downtime, ms.
-    pub max_ms: f64,
-    /// Goodput while the faults were live, relative to the fault-free
-    /// calibration run (`-1` if no iteration overlapped the window).
-    pub dip_rel: f64,
-    /// Goodput after the fabric recovered, relative to calibration.
-    pub restore_rel: f64,
-    /// `"ok"` when every iteration completed with zero terminal errors
-    /// (exactly-once delivery held end-to-end), else `"violated"`.
-    pub exactly_once: &'static str,
-    /// Graceful-degradation verdict.
-    pub verdict: &'static str,
-}
-
-impl ToJsonRow for Row {
-    fn to_json_row(&self) -> String {
-        Obj::new()
-            .field_str("scenario", self.scenario)
-            .field_str("fabric", self.fabric)
-            .field_u64("ranks", self.ranks)
-            .field_u64("recoveries", self.recoveries)
-            .field_u64("replayed", self.replayed)
-            .field_f64("p50_ms", self.p50_ms)
-            .field_f64("p99_ms", self.p99_ms)
-            .field_f64("max_ms", self.max_ms)
-            .field_f64("dip_rel", self.dip_rel)
-            .field_f64("restore_rel", self.restore_rel)
-            .field_str("exactly_once", self.exactly_once)
-            .field_str("verdict", self.verdict)
-            .finish()
+json_row! {
+    /// One recovery-table row.
+    #[derive(Debug, Clone)]
+    pub struct Row {
+        /// Scenario name.
+        pub scenario: &'static str,
+        /// Fabric the row ran on.
+        pub fabric: &'static str,
+        /// Total ranks in the job.
+        pub ranks: u64,
+        /// Completed connection recoveries (teardown → re-establish).
+        pub recoveries: u64,
+        /// Packets replayed from receiver bitmaps at re-establishment.
+        pub replayed: u64,
+        /// Recovery downtime percentiles, milliseconds (`-1` when the row
+        /// recorded no recoveries).
+        pub p50_ms: f64,
+        /// 99th-percentile downtime, ms.
+        pub p99_ms: f64,
+        /// Worst-case downtime, ms.
+        pub max_ms: f64,
+        /// Goodput while the faults were live, relative to the fault-free
+        /// calibration run (`-1` if no iteration overlapped the window).
+        pub dip_rel: f64,
+        /// Goodput after the fabric recovered, relative to calibration.
+        pub restore_rel: f64,
+        /// `"ok"` when every iteration completed with zero terminal errors
+        /// (exactly-once delivery held end-to-end), else `"violated"`.
+        pub exactly_once: &'static str,
+        /// Graceful-degradation verdict.
+        pub verdict: &'static str,
     }
 }
 
@@ -503,7 +486,7 @@ pub fn run(quick: bool) -> Vec<Row> {
     par_map(JOBS, |job| job(quick))
 }
 
-/// Render the table `print` emits.
+/// Render the table `reproduce` prints.
 pub fn render(rows: &[Row]) -> String {
     let mut out = String::new();
     writeln!(out, "recovery — re-establishment, failover, and churn survival").unwrap();
@@ -548,11 +531,6 @@ pub fn render(rows: &[Row]) -> String {
         .unwrap();
     }
     out
-}
-
-/// Print the table.
-pub fn print(rows: &[Row]) {
-    print!("{}", render(rows));
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 
 use stellar_net::fixture::{fluid_fabric, hybrid_fabric};
 use stellar_net::{ClosConfig, FluidConfig, HybridConfig};
-use stellar_sim::json::{Obj, ToJsonRow};
+use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 use stellar_sim::SimDuration;
 use stellar_transport::{PathAlgo, TransportConfig};
@@ -29,36 +29,25 @@ use stellar_workloads::llm::{
 };
 use stellar_workloads::permutation::{run_permutation, run_permutation_with, PermutationConfig};
 
-/// One row of the scale table.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Scenario id.
-    pub scenario: &'static str,
-    /// Fabric the row ran on.
-    pub fabric: &'static str,
-    /// Ranks (LLM scenarios) or flows (permutation scenarios).
-    pub ranks: u64,
-    /// Headline rate: aggregate goodput in Gbps for permutation rows,
-    /// ring bus bandwidth in GB/s for LLM rows.
-    pub rate: f64,
-    /// Rate unit, `"Gbps"` or `"GB/s"`.
-    pub unit: &'static str,
-    /// Relative deviation from the packet-fabric row of the same
-    /// scenario, percent (0 for packet rows and for scale rows, which
-    /// have no packet reference by construction).
-    pub delta_pct: f64,
-}
-
-impl ToJsonRow for Row {
-    fn to_json_row(&self) -> String {
-        Obj::new()
-            .field_str("scenario", self.scenario)
-            .field_str("fabric", self.fabric)
-            .field_u64("ranks", self.ranks)
-            .field_f64("rate", self.rate)
-            .field_str("unit", self.unit)
-            .field_f64("delta_pct", self.delta_pct)
-            .finish()
+json_row! {
+    /// One row of the scale table.
+    #[derive(Debug, Clone)]
+    pub struct Row {
+        /// Scenario id.
+        pub scenario: &'static str,
+        /// Fabric the row ran on.
+        pub fabric: &'static str,
+        /// Ranks (LLM scenarios) or flows (permutation scenarios).
+        pub ranks: u64,
+        /// Headline rate: aggregate goodput in Gbps for permutation rows,
+        /// ring bus bandwidth in GB/s for LLM rows.
+        pub rate: f64,
+        /// Rate unit, `"Gbps"` or `"GB/s"`.
+        pub unit: &'static str,
+        /// Relative deviation from the packet-fabric row of the same
+        /// scenario, percent (0 for packet rows and for scale rows, which
+        /// have no packet reference by construction).
+        pub delta_pct: f64,
     }
 }
 
@@ -240,7 +229,7 @@ pub fn run(quick: bool) -> Vec<Row> {
         .collect()
 }
 
-/// Render the table `print` emits.
+/// Render the table `reproduce` prints.
 pub fn render(rows: &[Row]) -> String {
     let mut out = String::new();
     writeln!(out, "scale — hybrid fabric validation and 10k+-rank jobs").unwrap();
@@ -259,11 +248,6 @@ pub fn render(rows: &[Row]) -> String {
         .unwrap();
     }
     out
-}
-
-/// Print the table.
-pub fn print(rows: &[Row]) {
-    print!("{}", render(rows));
 }
 
 #[cfg(test)]

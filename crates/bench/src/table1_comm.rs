@@ -12,42 +12,24 @@
 use std::fmt::Write as _;
 
 use stellar_workloads::llm::{comm_ratios, LlmJobConfig};
-use stellar_sim::json::{Arr, Obj, ToJsonRow};
+use stellar_sim::json::json_row;
 
-/// One row of Table 1, measured and paper-reported.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Job name.
-    pub name: &'static str,
-    /// Parallel parameters "(tp,pp,dp,mb,ga,gb)".
-    pub parameters: String,
-    /// Measured TP ratio (percent), if applicable.
-    pub tp_pct: Option<f64>,
-    /// Measured DP ratio (percent).
-    pub dp_pct: f64,
-    /// Measured PP ratio (percent), if applicable.
-    pub pp_pct: Option<f64>,
-    /// Paper-reported `(tp, dp, pp)` percentages.
-    pub paper: (Option<f64>, f64, Option<f64>),
-}
-
-impl ToJsonRow for Row {
-    fn to_json_row(&self) -> String {
-        Obj::new()
-            .field_str("name", self.name)
-            .field_str("parameters", &self.parameters)
-            .field_opt_f64("tp_pct", self.tp_pct)
-            .field_f64("dp_pct", self.dp_pct)
-            .field_opt_f64("pp_pct", self.pp_pct)
-            .field_raw(
-                "paper",
-                &Arr::new()
-                    .push_opt_f64(self.paper.0)
-                    .push_f64(self.paper.1)
-                    .push_opt_f64(self.paper.2)
-                    .finish(),
-            )
-            .finish()
+json_row! {
+    /// One row of Table 1, measured and paper-reported.
+    #[derive(Debug, Clone)]
+    pub struct Row {
+        /// Job name.
+        pub name: &'static str,
+        /// Parallel parameters "(tp,pp,dp,mb,ga,gb)".
+        pub parameters: String,
+        /// Measured TP ratio (percent), if applicable.
+        pub tp_pct: Option<f64>,
+        /// Measured DP ratio (percent).
+        pub dp_pct: f64,
+        /// Measured PP ratio (percent), if applicable.
+        pub pp_pct: Option<f64>,
+        /// Paper-reported `(tp, dp, pp)` percentages.
+        pub paper: (Option<f64>, f64, Option<f64>),
     }
 }
 
@@ -87,7 +69,7 @@ fn fmt_opt(v: Option<f64>) -> String {
     v.map_or_else(|| "N/A".to_string(), |x| format!("{x:.2}%"))
 }
 
-/// Render the table as `print` emits it.
+/// Render the table as `reproduce` prints it.
 pub fn render(rows: &[Row]) -> String {
     let mut out = String::new();
     writeln!(out, "Table 1 — communication ratios (measured | paper)").unwrap();
@@ -113,11 +95,6 @@ pub fn render(rows: &[Row]) -> String {
         .unwrap();
     }
     out
-}
-
-/// Print the table with paper values side by side.
-pub fn print(rows: &[Row]) {
-    print!("{}", render(rows));
 }
 
 #[cfg(test)]

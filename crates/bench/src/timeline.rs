@@ -6,33 +6,23 @@ use std::fmt::Write as _;
 
 use stellar_transport::PathAlgo;
 use stellar_workloads::failures::{run_failure_timeline, FailureTimelineConfig};
-use stellar_sim::json::{Obj, ToJsonRow};
+use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 
-/// One timeline phase row.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Algorithm.
-    pub algo: &'static str,
-    /// Healthy-phase bus bandwidth, GB/s.
-    pub before_gbs: f64,
-    /// RTO-bridged phase, GB/s.
-    pub during_gbs: f64,
-    /// Post-reroute phase, GB/s.
-    pub after_gbs: f64,
-    /// RTO retransmissions.
-    pub retransmits: u64,
-}
-
-impl ToJsonRow for Row {
-    fn to_json_row(&self) -> String {
-        Obj::new()
-            .field_str("algo", self.algo)
-            .field_f64("before_gbs", self.before_gbs)
-            .field_f64("during_gbs", self.during_gbs)
-            .field_f64("after_gbs", self.after_gbs)
-            .field_u64("retransmits", self.retransmits)
-            .finish()
+json_row! {
+    /// One timeline phase row.
+    #[derive(Debug, Clone)]
+    pub struct Row {
+        /// Algorithm.
+        pub algo: &'static str,
+        /// Healthy-phase bus bandwidth, GB/s.
+        pub before_gbs: f64,
+        /// RTO-bridged phase, GB/s.
+        pub during_gbs: f64,
+        /// Post-reroute phase, GB/s.
+        pub after_gbs: f64,
+        /// RTO retransmissions.
+        pub retransmits: u64,
     }
 }
 
@@ -69,7 +59,7 @@ pub fn run(quick: bool) -> Vec<Row> {
     par_map(&variants, |&(name, algo, paths, seed)| mk(name, algo, paths, seed))
 }
 
-/// Render the timeline as the table `print` emits.
+/// Render the timeline as the table `reproduce` prints.
 pub fn render(rows: &[Row]) -> String {
     let mut out = String::new();
     writeln!(out, "Failure-recovery timeline (link dies mid-AllReduce), busbw GB/s").unwrap();
@@ -88,11 +78,6 @@ pub fn render(rows: &[Row]) -> String {
         .unwrap();
     }
     out
-}
-
-/// Print the timeline.
-pub fn print(rows: &[Row]) {
-    print!("{}", render(rows));
 }
 
 #[cfg(test)]

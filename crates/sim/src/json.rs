@@ -2,10 +2,12 @@
 //! small parser.
 //!
 //! The bench crate emits machine-readable rows (`reproduce --json`) and
-//! its tests parse them back. Owning the serializer keeps that output
-//! format pinned by this repository's tests rather than by a dependency's
-//! formatting choices; the parser exists so tests can make structural
-//! assertions without a second implementation drifting from the first.
+//! its tests parse them back. Each row struct is declared through
+//! [`json_row!`], which derives its [`ToJsonRow`] impl from the fields.
+//! Owning the serializer keeps that output format pinned by this
+//! repository's tests rather than by a dependency's formatting choices;
+//! the parser exists so tests can make structural assertions without a
+//! second implementation drifting from the first.
 //!
 //! ```
 //! use stellar_sim::json::{self, Obj};
@@ -193,6 +195,111 @@ pub fn rows_to_json<T: ToJsonRow>(rows: &[T]) -> String {
         .fold(Arr::new(), |arr, r| arr.push_raw(&r.to_json_row()))
         .finish()
 }
+
+/// A value that [`json_row!`] can write as one object field.
+pub trait JsonField {
+    /// Append `self` to `obj` under `key`.
+    fn write_field(&self, obj: Obj, key: &str) -> Obj;
+}
+
+impl JsonField for &str {
+    fn write_field(&self, obj: Obj, key: &str) -> Obj {
+        obj.field_str(key, self)
+    }
+}
+
+impl JsonField for String {
+    fn write_field(&self, obj: Obj, key: &str) -> Obj {
+        obj.field_str(key, self)
+    }
+}
+
+impl JsonField for u32 {
+    fn write_field(&self, obj: Obj, key: &str) -> Obj {
+        obj.field_u64(key, u64::from(*self))
+    }
+}
+
+impl JsonField for u64 {
+    fn write_field(&self, obj: Obj, key: &str) -> Obj {
+        obj.field_u64(key, *self)
+    }
+}
+
+impl JsonField for f64 {
+    fn write_field(&self, obj: Obj, key: &str) -> Obj {
+        obj.field_f64(key, *self)
+    }
+}
+
+impl JsonField for Option<f64> {
+    fn write_field(&self, obj: Obj, key: &str) -> Obj {
+        obj.field_opt_f64(key, *self)
+    }
+}
+
+/// A `(optional, required, optional)` triple renders as a three-element
+/// array, `None` as `null`.
+impl JsonField for (Option<f64>, f64, Option<f64>) {
+    fn write_field(&self, obj: Obj, key: &str) -> Obj {
+        let arr = Arr::new()
+            .push_opt_f64(self.0)
+            .push_f64(self.1)
+            .push_opt_f64(self.2);
+        obj.field_raw(key, &arr.finish())
+    }
+}
+
+/// Declare a row struct and its [`ToJsonRow`] impl in one place.
+///
+/// The struct is emitted unchanged, attributes and doc comments included.
+/// Its JSON object has one key per field, named after the field, in
+/// declaration order; each field's type must implement [`JsonField`].
+///
+/// ```
+/// use stellar_sim::json::{json_row, ToJsonRow};
+///
+/// json_row! {
+///     /// One measured point.
+///     pub struct Row {
+///         /// Algorithm name.
+///         pub algo: &'static str,
+///         /// Paths used.
+///         pub paths: u32,
+///     }
+/// }
+///
+/// let row = Row { algo: "obs", paths: 128 };
+/// assert_eq!(row.to_json_row(), r#"{"algo":"obs","paths":128}"#);
+/// ```
+#[macro_export]
+macro_rules! json_row {
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$field_attr:meta])* $field_vis:vis $field:ident: $ty:ty),* $(,)?
+        }
+    ) => {
+        $(#[$attr])*
+        $vis struct $name {
+            $($(#[$field_attr])* $field_vis $field: $ty),*
+        }
+
+        impl $crate::json::ToJsonRow for $name {
+            fn to_json_row(&self) -> String {
+                let obj = $crate::json::Obj::new();
+                $(let obj = $crate::json::JsonField::write_field(
+                    &self.$field,
+                    obj,
+                    stringify!($field),
+                );)*
+                obj.finish()
+            }
+        }
+    };
+}
+
+pub use crate::json_row;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -507,6 +614,57 @@ mod tests {
             .field_bool("ok", true)
             .finish();
         assert_eq!(obj, r#"{"name":"x\"y","n":7,"vals":[1.0,null],"ok":true}"#);
+    }
+
+    json_row! {
+        /// One field of every type a bench row uses.
+        #[derive(Debug)]
+        struct Every {
+            label: &'static str,
+            name: String,
+            paths: u32,
+            events: u64,
+            gbps: f64,
+            present: Option<f64>,
+            absent: Option<f64>,
+            paper: (Option<f64>, f64, Option<f64>),
+        }
+    }
+
+    #[test]
+    fn json_row_matches_the_hand_built_object() {
+        let row = Every {
+            label: "obs",
+            name: "Llama \"33B\"\n".to_owned(),
+            paths: 128,
+            events: 14_470_309,
+            gbps: 98.0,
+            present: Some(4.57),
+            absent: None,
+            paper: (None, 17.3, Some(2.65)),
+        };
+        let hand = Obj::new()
+            .field_str("label", row.label)
+            .field_str("name", &row.name)
+            .field_u64("paths", row.paths as u64)
+            .field_u64("events", row.events)
+            .field_f64("gbps", row.gbps)
+            .field_opt_f64("present", row.present)
+            .field_opt_f64("absent", row.absent)
+            .field_raw(
+                "paper",
+                &Arr::new()
+                    .push_opt_f64(row.paper.0)
+                    .push_f64(row.paper.1)
+                    .push_opt_f64(row.paper.2)
+                    .finish(),
+            )
+            .finish();
+        assert_eq!(row.to_json_row(), hand);
+        assert_eq!(
+            hand,
+            r#"{"label":"obs","name":"Llama \"33B\"\n","paths":128,"events":14470309,"gbps":98.0,"present":4.57,"absent":null,"paper":[null,17.3,2.65]}"#
+        );
     }
 
     #[test]
