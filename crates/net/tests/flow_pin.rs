@@ -1,22 +1,28 @@
-//! Pinned deliveries for the flow-level fabrics.
+//! Pinned deliveries and fabric state for every fabric model.
 //!
-//! Seeded random traffic runs through [`FluidFabric`] (with the
-//! coalescing quantum at zero and at its default) and through
-//! [`HybridFabric`]. Every [`Delivery`] is folded into an FNV-1a hash
-//! together with the flow ledger and the hybrid's send split. The
+//! Seeded random traffic runs through the packet [`Network`], through
+//! [`FluidFabric`] (with the coalescing quantum at zero and at its
+//! default) and through [`HybridFabric`]. Every [`Delivery`] is folded
+//! into an FNV-1a hash together with the flow ledger and the hybrid's
+//! send split. A second hash pins what the fabric reports afterwards:
+//! its conservation ledger, its per-reason drop counts, the statistics
+//! of every link at the final send time, and the bounded packet trace
+//! of the run. The
 //! traffic covers plane widening (random path ids per flow), idle
 //! retirement followed by re-opening the same flow keys, a fault plan
 //! with link down/up, flat loss and a degradation ramp, and an incast
 //! destination that forces escalation.
 //!
-//! The expected hashes were recorded from the `BTreeMap`-backed flow
-//! tables, before the flow table became a slab with a hashed index. They
-//! must never change: a drift means a table refactor altered what the
-//! transport observes, down to one arrival-time bit.
+//! The fluid and hybrid delivery hashes were recorded from the
+//! `BTreeMap`-backed flow tables, before the flow table became a slab
+//! with a hashed index; the packet delivery hash and every state hash
+//! were recorded while each model still kept its own link table, fault
+//! applier and trace. They must never change: a drift means a refactor
+//! altered what the transport or a report observes, down to one bit.
 
 use stellar_net::{
     ClosConfig, ClosTopology, Delivery, DropReason, Fabric, FaultEvent, FaultPlan, FluidConfig,
-    FluidFabric, HybridConfig, HybridFabric, LinkId, NetworkConfig, NicId,
+    FluidFabric, HybridConfig, HybridFabric, LinkId, Network, NetworkConfig, NicId,
 };
 use stellar_sim::{SimDuration, SimRng, SimTime};
 
@@ -32,6 +38,8 @@ type Key = (NicId, NicId, u64);
 const PHASE_START_US: [u64; 3] = [0, 2_000, 300_000];
 const SENDS_PER_PHASE: usize = 2_500;
 const BURST: usize = 600;
+/// Trace bound: below the send count, so the bound itself is pinned.
+const TRACE_LIMIT: usize = 5_000;
 
 fn topo() -> ClosTopology {
     ClosTopology::build(ClosConfig {
@@ -166,30 +174,85 @@ impl Fnv {
     }
 }
 
-fn drive<F: Fabric>(fabric: &mut F, seed: u64) -> Fnv {
-    let plan = fault_plan(fabric.topology(), seed);
-    let sends = traffic(fabric.topology(), seed);
-    fabric.install_fault_plan(plan);
-    let mut h = Fnv::new();
-    for (now, src, dst, flow, path_id, bytes) in sends {
-        match fabric.send(now, src, dst, flow, path_id, bytes) {
-            Delivery::Delivered { at, ecn } => {
-                h.word(0);
-                h.word(at.as_nanos());
-                h.word(ecn as u64);
-            }
-            Delivery::Dropped { link, reason, at } => {
-                h.word(1);
-                h.word(link.0 as u64);
-                h.word(DropReason::ALL.iter().position(|&r| r == reason).unwrap() as u64);
-                h.word(at.as_nanos());
-            }
+fn delivery(h: &mut Fnv, d: Delivery) {
+    match d {
+        Delivery::Delivered { at, ecn } => {
+            h.word(0);
+            h.word(at.as_nanos());
+            h.word(ecn as u64);
+        }
+        Delivery::Dropped { link, reason, at } => {
+            h.word(1);
+            h.word(link.0 as u64);
+            h.word(DropReason::ALL.iter().position(|&r| r == reason).unwrap() as u64);
+            h.word(at.as_nanos());
         }
     }
-    h
 }
 
-fn fluid_hash(quantum: SimDuration, seed: u64) -> u64 {
+/// Run the seeded traffic with tracing on. Returns the delivery hash
+/// and the state hash (see the module docs).
+fn drive<F: Fabric>(fabric: &mut F, seed: u64) -> (Fnv, u64) {
+    let plan = fault_plan(fabric.topology(), seed);
+    let sends = traffic(fabric.topology(), seed);
+    let end = sends.last().unwrap().0;
+    fabric.install_fault_plan(plan);
+    fabric.enable_trace(TRACE_LIMIT);
+    let mut h = Fnv::new();
+    for (now, src, dst, flow, path_id, bytes) in sends {
+        delivery(&mut h, fabric.send(now, src, dst, flow, path_id, bytes));
+    }
+    (h, state_hash(fabric, end))
+}
+
+/// Ledgers, drops by reason, every link's stats at `end`, and the trace.
+fn state_hash<F: Fabric>(fabric: &mut F, end: SimTime) -> u64 {
+    let mut h = Fnv::new();
+    let ((ip, ib), (dp, db)) = (fabric.injected(), fabric.delivered());
+    for w in [ip, ib, dp, db] {
+        h.word(w);
+    }
+    for r in DropReason::ALL {
+        h.word(fabric.drops_by_reason(r));
+    }
+    for l in 0..fabric.topology().total_links() {
+        let s = fabric.link_stats(LinkId(l as u32), end);
+        for w in [
+            s.tx_bytes,
+            s.tx_packets,
+            s.drops,
+            s.ecn_marks,
+            s.max_queue_bytes,
+            s.avg_queue_bytes.to_bits(),
+        ] {
+            h.word(w);
+        }
+    }
+    let trace = fabric.take_trace();
+    h.word(trace.len() as u64);
+    for r in trace {
+        for w in [
+            r.sent.as_nanos(),
+            r.src.0 as u64,
+            r.dst.0 as u64,
+            r.flow,
+            r.path_id as u64,
+            r.bytes,
+        ] {
+            h.word(w);
+        }
+        delivery(&mut h, r.delivery);
+    }
+    h.0
+}
+
+fn packet_hash(seed: u64) -> (u64, u64) {
+    let mut n = Network::new(topo(), NetworkConfig::default(), SimRng::from_seed(seed));
+    let (h, state) = drive(&mut n, seed);
+    (h.0, state)
+}
+
+fn fluid_hash(quantum: SimDuration, seed: u64) -> (u64, u64) {
     let mut f = FluidFabric::new(
         topo(),
         NetworkConfig::default(),
@@ -199,60 +262,93 @@ fn fluid_hash(quantum: SimDuration, seed: u64) -> u64 {
         },
         SimRng::from_seed(seed),
     );
-    let mut h = drive(&mut f, seed);
+    let (mut h, state) = drive(&mut f, seed);
     let (opened, retired, active) = f.flow_ledger();
     for w in [opened, retired, active as u64] {
         h.word(w);
     }
-    h.0
+    (h.0, state)
 }
 
-fn hybrid_hash(seed: u64) -> u64 {
+fn hybrid_hash(seed: u64) -> (u64, u64) {
     let mut f = HybridFabric::new(
         topo(),
         NetworkConfig::default(),
         HybridConfig::default(),
         SimRng::from_seed(seed),
     );
-    let mut h = drive(&mut f, seed);
+    let (mut h, state) = drive(&mut f, seed);
     let (opened, retired, active) = f.fluid().flow_ledger();
     let (pkt, fluid, esc) = f.send_split();
     for w in [opened, retired, active as u64, pkt, fluid, esc] {
         h.word(w);
     }
-    h.0
+    (h.0, state)
+}
+
+/// Run `hash` on seeds 0 and 1 and split the delivery and state hashes.
+fn pins(hash: impl Fn(u64) -> (u64, u64)) -> ([u64; 2], [u64; 2]) {
+    let (a, b) = (hash(0), hash(1));
+    ([a.0, b.0], [a.1, b.1])
+}
+
+#[test]
+fn packet_deliveries_and_state_are_pinned() {
+    let (got, state) = pins(packet_hash);
+    assert_eq!(
+        got,
+        [0x256f_adeb_541b_65a9, 0xe094_4f43_fefa_bda3],
+        "got {got:#x?}"
+    );
+    assert_eq!(
+        state,
+        [0x86f5_63de_8166_ab59, 0x9319_2236_4944_679a],
+        "state {state:#x?}"
+    );
 }
 
 #[test]
 fn fluid_zero_quantum_deliveries_are_pinned() {
-    let got = [
-        fluid_hash(SimDuration::ZERO, 0),
-        fluid_hash(SimDuration::ZERO, 1),
-    ];
+    let (got, state) = pins(|seed| fluid_hash(SimDuration::ZERO, seed));
     assert_eq!(
         got,
         [0x7e63_d0cf_8e5f_047c, 0x5093_40e9_6fc0_95b4],
         "got {got:#x?}"
+    );
+    assert_eq!(
+        state,
+        [0x7850_1ad6_0db6_b6c2, 0xdc95_42ee_3d7d_05f7],
+        "state {state:#x?}"
     );
 }
 
 #[test]
 fn fluid_default_quantum_deliveries_are_pinned() {
     let q = FluidConfig::default().recompute_quantum;
-    let got = [fluid_hash(q, 0), fluid_hash(q, 1)];
+    let (got, state) = pins(|seed| fluid_hash(q, seed));
     assert_eq!(
         got,
         [0xf8e3_94d7_96b3_df0b, 0x9892_c40e_6219_c326],
         "got {got:#x?}"
     );
+    assert_eq!(
+        state,
+        [0xc253_b10f_28cb_a59d, 0x0e29_d749_a00b_b8d6],
+        "state {state:#x?}"
+    );
 }
 
 #[test]
 fn hybrid_deliveries_are_pinned() {
-    let got = [hybrid_hash(0), hybrid_hash(1)];
+    let (got, state) = pins(hybrid_hash);
     assert_eq!(
         got,
         [0x1082_c596_f54d_77d4, 0x38ca_37b9_fa45_7cf2],
         "got {got:#x?}"
+    );
+    assert_eq!(
+        state,
+        [0x154f_7c81_74ce_a416, 0xc8cc_02a9_4832_9d13],
+        "state {state:#x?}"
     );
 }
