@@ -15,7 +15,7 @@ use std::hint::black_box;
 use stellar_sim::bench_timer::Harness;
 
 use stellar_core::perftest::{perftest_point, StackKind};
-use stellar_net::{ClosConfig, ClosTopology, Network, NetworkConfig};
+use stellar_net::{ClosConfig, ClosTopology, Fabric, Network, NetworkConfig};
 use stellar_pcie::addr::{Gpa, Hpa, PAGE_2M, PAGE_4K};
 use stellar_pcie::iommu::{Iommu, IommuConfig};
 use stellar_sim::{SimRng, SimTime};

@@ -8,7 +8,7 @@
 
 use std::fmt::Write as _;
 
-use stellar_net::{ClosConfig, ClosTopology, Network, NetworkConfig, NicId};
+use stellar_net::{ClosConfig, ClosTopology, Fabric, Network, NetworkConfig, NicId};
 use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 use stellar_sim::{SimDuration, SimRng, SimTime};

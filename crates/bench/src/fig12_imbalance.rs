@@ -7,7 +7,7 @@
 
 use std::fmt::Write as _;
 
-use stellar_net::{ClosConfig, ClosTopology, Network, NetworkConfig};
+use stellar_net::{ClosConfig, ClosTopology, Fabric, Network, NetworkConfig};
 use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 use stellar_sim::{SimRng, SimTime};

@@ -1,0 +1,600 @@
+//! The model-independent half of every fabric.
+//!
+//! The packet, fluid and hybrid fabrics differ only in how they carry a
+//! packet across its route. Everything else lives once, in [`Core`]: the
+//! topology and link configuration, each link's fault state and
+//! transmit counters, the installed fault plan and its cursor, the
+//! bounded packet trace, the control-plane reroute, and the reports
+//! built from link counters. A [`Model`] carries packets on a borrowed
+//! core and keeps its own conservation [`Ledger`]; [`ModelFabric`] pairs
+//! one core with one model behind a single [`Fabric`] implementation.
+//! The hybrid is one more model that owns a packet and a fluid model,
+//! so it shares one topology, one link table and one fault applier with
+//! both of them.
+
+use stellar_check::Checker;
+use stellar_sim::{transmit_time, SimDuration, SimTime};
+use stellar_telemetry::{count, event, Entity, Subsystem};
+
+use crate::fabric::{Fabric, FabricKind};
+use crate::fault::{FaultEvent, FaultPlan};
+use crate::network::{Delivery, DropReason, LinkStats, NetworkConfig, TraceRecord};
+use crate::topology::{ClosTopology, LinkId, NicId, Route};
+
+/// An active optical-degradation ramp on one link.
+#[derive(Debug, Clone, Copy)]
+pub struct DegradeRamp {
+    t0: SimTime,
+    from: f64,
+    to: f64,
+    over: SimDuration,
+}
+
+impl DegradeRamp {
+    /// Loss probability at time `t`: linear interpolation inside the
+    /// window, clamped to the endpoints outside it.
+    pub fn loss_at(&self, t: SimTime) -> f64 {
+        if t <= self.t0 {
+            return self.from;
+        }
+        let elapsed = t.duration_since(self.t0).as_nanos();
+        let window = self.over.as_nanos();
+        if window == 0 || elapsed >= window {
+            return self.to;
+        }
+        self.from + (self.to - self.from) * (elapsed as f64 / window as f64)
+    }
+}
+
+/// One directed link: fault state plus transmit counters. Queueing is
+/// the model's business (port calendars or per-flow calendars).
+///
+/// Every hop of every packet reads and writes one `Link`; the rare
+/// degrade ramp is boxed to keep it at 64 bytes.
+#[derive(Debug, Clone)]
+pub struct Link {
+    pub up: bool,
+    pub down_since: SimTime,
+    pub loss_prob: f64,
+    pub degrade: Option<Box<DegradeRamp>>,
+    pub tx_bytes: u64,
+    pub tx_packets: u64,
+    pub drops: u64,
+    pub ecn_marks: u64,
+}
+
+impl Link {
+    /// Whether the link is down, lossy, or degrading at `now`.
+    pub fn faulty(&self, now: SimTime) -> bool {
+        !self.up
+            || self.loss_prob > 0.0
+            || self.degrade.as_ref().map_or(0.0, |r| r.loss_at(now)) > 0.0
+    }
+
+    /// Count one packet of `bytes` transmitted, ECN-marked or not.
+    #[inline]
+    pub fn transmit(&mut self, bytes: u64, ecn: bool) {
+        self.tx_bytes += bytes;
+        self.tx_packets += 1;
+        if ecn {
+            self.ecn_marks += 1;
+        }
+    }
+}
+
+/// The arguments of one [`Fabric::send`].
+#[derive(Debug, Clone, Copy)]
+pub struct Packet {
+    pub now: SimTime,
+    pub src: NicId,
+    pub dst: NicId,
+    pub flow: u64,
+    pub path_id: u32,
+    pub bytes: u64,
+}
+
+/// A model's conservation ledger: every packet it was handed, and what
+/// became of it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Ledger {
+    /// Drops by [`DropReason::index`].
+    pub drops: [u64; 4],
+    pub injected_packets: u64,
+    pub injected_bytes: u64,
+    pub delivered_packets: u64,
+    pub delivered_bytes: u64,
+    /// Bytes of the packets counted in `drops`.
+    pub dropped_bytes: u64,
+}
+
+impl Ledger {
+    /// Both ledgers, field by field.
+    pub fn plus(mut self, other: &Ledger) -> Ledger {
+        for (d, o) in self.drops.iter_mut().zip(other.drops) {
+            *d += o;
+        }
+        self.injected_packets += other.injected_packets;
+        self.injected_bytes += other.injected_bytes;
+        self.delivered_packets += other.delivered_packets;
+        self.delivered_bytes += other.delivered_bytes;
+        self.dropped_bytes += other.dropped_bytes;
+        self
+    }
+
+    /// Packet and byte conservation: `injected == delivered + dropped`.
+    pub fn check(&self, c: &mut Checker) {
+        let dropped: u64 = self.drops.iter().sum();
+        c.check(
+            "net.packet_conservation",
+            self.injected_packets == self.delivered_packets + dropped,
+            || {
+                format!(
+                    "injected {} != delivered {} + drops {} ({:?} by reason)",
+                    self.injected_packets, self.delivered_packets, dropped, self.drops
+                )
+            },
+        );
+        c.check(
+            "net.byte_conservation",
+            self.injected_bytes == self.delivered_bytes + self.dropped_bytes,
+            || {
+                format!(
+                    "injected {} B != delivered {} B + dropped {} B",
+                    self.injected_bytes, self.delivered_bytes, self.dropped_bytes
+                )
+            },
+        );
+    }
+}
+
+/// The state every fabric model shares. See the module docs.
+#[derive(Debug)]
+pub struct Core {
+    pub topo: ClosTopology,
+    pub config: NetworkConfig,
+    pub links: Vec<Link>,
+    /// Installed fault schedule, sorted by time; `plan_cursor` is the
+    /// first not-yet-applied event.
+    plan: Vec<(SimTime, FaultEvent)>,
+    plan_cursor: usize,
+    /// Bounded packet trace; `None` = tracing off (the default).
+    trace: Option<(Vec<TraceRecord>, usize)>,
+}
+
+impl Core {
+    pub fn new(topo: ClosTopology, config: NetworkConfig) -> Self {
+        let links = vec![
+            Link {
+                up: true,
+                down_since: SimTime::ZERO,
+                loss_prob: 0.0,
+                degrade: None,
+                tx_bytes: 0,
+                tx_packets: 0,
+                drops: 0,
+                ecn_marks: 0,
+            };
+            topo.total_links()
+        ];
+        Core {
+            topo,
+            config,
+            links,
+            plan: Vec::new(),
+            plan_cursor: 0,
+            trace: None,
+        }
+    }
+
+    /// Validate and install a fault schedule, replacing any previous
+    /// plan; already-applied state is left as is.
+    fn install_fault_plan(&mut self, plan: FaultPlan) {
+        if let Err(e) = plan.validate(&self.topo) {
+            panic!("{e}");
+        }
+        self.plan = plan.into_events();
+        self.plan_cursor = 0;
+    }
+
+    /// Apply every scheduled fault event with timestamp `<= now`.
+    /// Returns whether any fired.
+    #[inline]
+    fn apply_faults(&mut self, now: SimTime) -> bool {
+        let first = self.plan_cursor;
+        while let Some(&(at, ev)) = self.plan.get(self.plan_cursor) {
+            if at > now {
+                break;
+            }
+            self.plan_cursor += 1;
+            self.apply_fault_event(at, ev);
+        }
+        self.plan_cursor > first
+    }
+
+    /// Apply one event at its scheduled time `at` (which may precede the
+    /// packet that triggered the catch-up — the control plane's
+    /// convergence clock starts at the true fault time).
+    fn apply_fault_event(&mut self, at: SimTime, ev: FaultEvent) {
+        count(Subsystem::Net, "fault.applied", 1);
+        event(at, Subsystem::Net, Entity::None, ev.kind(), 0);
+        let (links, up) = match ev {
+            FaultEvent::LinkDown(l) => (vec![l], false),
+            FaultEvent::LinkUp(l) => (vec![l], true),
+            FaultEvent::SwitchDown(node) => (self.topo.links_of_node(node), false),
+            FaultEvent::SwitchUp(node) => (self.topo.links_of_node(node), true),
+            FaultEvent::NicPortDown { nic, plane } => {
+                let (up, down) = self.topo.nic_port_links(nic, plane as usize);
+                (vec![up, down], false)
+            }
+            FaultEvent::NicPortUp { nic, plane } => {
+                let (up, down) = self.topo.nic_port_links(nic, plane as usize);
+                (vec![up, down], true)
+            }
+            FaultEvent::SetLoss { link, p } => {
+                let l = &mut self.links[link.0 as usize];
+                l.loss_prob = p;
+                l.degrade = None;
+                return;
+            }
+            FaultEvent::DegradeRamp {
+                link,
+                from,
+                to,
+                over,
+            } => {
+                self.links[link.0 as usize].degrade = Some(Box::new(DegradeRamp {
+                    t0: at,
+                    from,
+                    to,
+                    over,
+                }));
+                return;
+            }
+        };
+        for l in links {
+            self.set_link_state_at(at, l, up);
+        }
+    }
+
+    fn set_link_state_at(&mut self, now: SimTime, link: LinkId, up: bool) {
+        let l = &mut self.links[link.0 as usize];
+        if l.up && !up {
+            l.down_since = now;
+        }
+        l.up = up;
+    }
+
+    fn route_is_up(&self, route: &[LinkId]) -> bool {
+        route.iter().all(|l| self.links[l.0 as usize].up)
+    }
+
+    /// Whether the control plane has converged around every down link on
+    /// `route` by `now`.
+    fn converged_around(&self, now: SimTime, route: &[LinkId]) -> bool {
+        route.iter().all(|l| {
+            let link = &self.links[l.0 as usize];
+            link.up || now.saturating_duration_since(link.down_since) >= self.config.bgp_convergence
+        })
+    }
+
+    /// Control-plane reroute: once BGP has converged around a failed
+    /// link on `route`, the routing tables steer this slot to a live
+    /// alternative (successive path-table slots are probed, as route
+    /// withdrawal re-hashes onto the surviving next hops). Otherwise
+    /// `route` stands, dead links and all.
+    #[inline]
+    pub fn reroute(&self, p: &Packet, route: Route) -> Route {
+        if self.route_is_up(&route) || !self.converged_around(p.now, &route) {
+            return route;
+        }
+        let slots = (self.topo.config().planes * self.topo.config().aggs_per_plane) as u32;
+        (1..slots)
+            .map(|bump| {
+                self.topo
+                    .route(p.src, p.dst, p.flow, p.path_id.wrapping_add(bump))
+            })
+            .find(|alt| self.route_is_up(alt))
+            .unwrap_or(route)
+    }
+
+    /// Book the fate of one packet of `bytes` in the carrying model's
+    /// `ledger`, and a drop on the link where it died. The hub mirrors
+    /// the per-reason drop counters at this single site, so hub totals
+    /// equal `drops_by_reason` exactly.
+    #[inline]
+    pub fn book(&mut self, ledger: &mut Ledger, bytes: u64, delivery: Delivery) {
+        ledger.injected_packets += 1;
+        ledger.injected_bytes += bytes;
+        match delivery {
+            Delivery::Delivered { .. } => {
+                ledger.delivered_packets += 1;
+                ledger.delivered_bytes += bytes;
+            }
+            Delivery::Dropped { link, reason, .. } => {
+                self.links[link.0 as usize].drops += 1;
+                ledger.drops[reason.index()] += 1;
+                ledger.dropped_bytes += bytes;
+                count(Subsystem::Net, reason.counter(), 1);
+            }
+        }
+    }
+
+    /// Fig. 12 imbalance over the ToR→Agg uplinks of every ToR that
+    /// carried traffic: `(max−min)/capacity` of the per-port byte loads,
+    /// where capacity is the busiest port's load (the paper normalizes by
+    /// total port bandwidth; over a fixed window the busiest port's bytes
+    /// play that role). Idle ToRs (other rails/segments) are not part of
+    /// the experiment and do not participate.
+    fn tor_uplink_imbalance(&self) -> f64 {
+        use std::collections::HashMap;
+        let mut by_tor: HashMap<crate::topology::NodeId, Vec<f64>> = HashMap::new();
+        for l in self.topo.tor_uplinks() {
+            let (from, _) = self.topo.link_endpoints(l);
+            by_tor
+                .entry(from)
+                .or_default()
+                .push(self.links[l.0 as usize].tx_bytes as f64);
+        }
+        let loads: Vec<f64> = by_tor
+            .values()
+            .filter(|ports| ports.iter().any(|&b| b > 0.0))
+            .flatten()
+            .copied()
+            .collect();
+        let max = loads.iter().copied().fold(f64::MIN, f64::max);
+        if loads.is_empty() || max <= 0.0 {
+            return 0.0;
+        }
+        stellar_sim::stats::imbalance(&loads, max)
+    }
+}
+
+/// How a fabric carries packets over a [`Core`]. Sealed: the three
+/// models are the crate's own.
+pub trait Model {
+    /// The fabric kind this model makes.
+    const KIND: FabricKind;
+
+    /// Carry `p` along `route` — `topo.route(src, dst, flow, path_id)`
+    /// before any reroute — once the core and this model have advanced
+    /// to `p.now`, and book it in this model's ledger.
+    fn send(&mut self, core: &mut Core, p: &Packet, route: Route) -> Delivery;
+
+    /// Catch model state up to `now`, after the core applied the fault
+    /// events due by then.
+    fn advance(&mut self, _now: SimTime) {}
+
+    /// A link went up or down (a fault fired or a caller set it).
+    fn links_changed(&mut self) {}
+
+    /// `(max, time-averaged)` port backlog of `link` at `now`, in bytes;
+    /// zero for models without per-port queues.
+    fn port_queue(&self, _link: LinkId, _now: SimTime) -> (u64, f64) {
+        (0, 0.0)
+    }
+
+    /// [`Fabric::tor_uplink_queue_stats`]; zero without per-port queues.
+    fn tor_uplink_queue_stats(&self, _topo: &ClosTopology, _now: SimTime) -> (f64, u64) {
+        (0.0, 0)
+    }
+
+    /// Every packet this model was handed, and its fate.
+    fn ledger(&self) -> Ledger;
+
+    /// This model's invariants at a quiesce point.
+    fn check_invariants(&self, at: SimTime);
+}
+
+/// A fabric: the shared link, fault and trace core plus a traffic model
+/// `M`. [`crate::Network`], [`crate::FluidFabric`] and
+/// [`crate::HybridFabric`] are this type over the packet, fluid and
+/// hybrid models.
+#[derive(Debug)]
+pub struct ModelFabric<M> {
+    pub(crate) core: Core,
+    pub(crate) model: M,
+}
+
+impl<M: Model> Fabric for ModelFabric<M> {
+    fn kind(&self) -> FabricKind {
+        M::KIND
+    }
+
+    fn topology(&self) -> &ClosTopology {
+        &self.core.topo
+    }
+
+    fn config(&self) -> &NetworkConfig {
+        &self.core.config
+    }
+
+    fn config_mut(&mut self) -> &mut NetworkConfig {
+        &mut self.core.config
+    }
+
+    fn send(
+        &mut self,
+        now: SimTime,
+        src: NicId,
+        dst: NicId,
+        flow: u64,
+        path_id: u32,
+        bytes: u64,
+    ) -> Delivery {
+        self.advance(now);
+        let p = Packet {
+            now,
+            src,
+            dst,
+            flow,
+            path_id,
+            bytes,
+        };
+        let route = self.core.topo.route(src, dst, flow, path_id);
+        let delivery = self.model.send(&mut self.core, &p, route);
+        if let Some((records, limit)) = &mut self.core.trace {
+            if records.len() < *limit {
+                records.push(TraceRecord {
+                    sent: now,
+                    src,
+                    dst,
+                    flow,
+                    path_id,
+                    bytes,
+                    delivery,
+                });
+            }
+        }
+        delivery
+    }
+
+    fn advance(&mut self, now: SimTime) {
+        if self.core.apply_faults(now) {
+            self.model.links_changed();
+        }
+        self.model.advance(now);
+    }
+
+    fn install_fault_plan(&mut self, plan: FaultPlan) {
+        self.core.install_fault_plan(plan);
+    }
+
+    fn pending_fault_events(&self) -> usize {
+        self.core.plan.len() - self.core.plan_cursor
+    }
+
+    fn set_link_up(&mut self, link: LinkId, up: bool) {
+        self.set_link_state_at(SimTime::ZERO, link, up);
+    }
+
+    fn set_link_state_at(&mut self, now: SimTime, link: LinkId, up: bool) {
+        self.core.set_link_state_at(now, link, up);
+        self.model.links_changed();
+    }
+
+    fn set_loss(&mut self, link: LinkId, p: f64) {
+        assert!((0.0..=1.0).contains(&p), "probability out of range");
+        self.core.links[link.0 as usize].loss_prob = p;
+    }
+
+    /// Real RNICs prioritize ACKs (CNP-class traffic); modelling them
+    /// outside the data-queue calendar keeps ACK-clocking stable and
+    /// halves event volume.
+    fn control_rtt_component(&self, src: NicId, dst: NicId) -> SimDuration {
+        let hops = if src == dst {
+            1
+        } else {
+            self.core.topo.route(src, dst, 0, 0).len() as u64
+        };
+        let config = &self.core.config;
+        config.hop_delay.mul(hops) + transmit_time(64, config.link_gbps).mul(hops)
+    }
+
+    fn drops_by_reason(&self, reason: DropReason) -> u64 {
+        self.model.ledger().drops[reason.index()]
+    }
+
+    fn injected(&self) -> (u64, u64) {
+        let l = self.model.ledger();
+        (l.injected_packets, l.injected_bytes)
+    }
+
+    fn delivered(&self) -> (u64, u64) {
+        let l = self.model.ledger();
+        (l.delivered_packets, l.delivered_bytes)
+    }
+
+    fn link_stats(&self, link: LinkId, now: SimTime) -> LinkStats {
+        let l = &self.core.links[link.0 as usize];
+        let (max_queue_bytes, avg_queue_bytes) = self.model.port_queue(link, now);
+        LinkStats {
+            tx_bytes: l.tx_bytes,
+            tx_packets: l.tx_packets,
+            drops: l.drops,
+            ecn_marks: l.ecn_marks,
+            max_queue_bytes,
+            avg_queue_bytes,
+        }
+    }
+
+    fn tor_uplink_imbalance(&self) -> f64 {
+        self.core.tor_uplink_imbalance()
+    }
+
+    fn tor_uplink_queue_stats(&self, now: SimTime) -> (f64, u64) {
+        self.model.tor_uplink_queue_stats(&self.core.topo, now)
+    }
+
+    /// The trace is bounded — a long run would balloon otherwise — and
+    /// silently stops recording when full.
+    fn enable_trace(&mut self, limit: usize) {
+        self.core.trace = Some((Vec::new(), limit));
+    }
+
+    fn take_trace(&mut self) -> Vec<TraceRecord> {
+        self.core.trace.take().map(|(v, _)| v).unwrap_or_default()
+    }
+
+    fn check_invariants(&self, at: SimTime) {
+        self.model.check_invariants(at);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::topology::ClosConfig;
+    use crate::{FluidConfig, FluidFabric, HybridConfig, HybridFabric, Network};
+    use stellar_sim::SimRng;
+    use stellar_telemetry::{capture, TelemetryConfig};
+
+    fn topo() -> ClosTopology {
+        ClosTopology::build(ClosConfig {
+            segments: 2,
+            hosts_per_segment: 4,
+            rails: 1,
+            planes: 2,
+            aggs_per_plane: 4,
+        })
+    }
+
+    fn us(n: u64) -> SimTime {
+        SimTime::from_nanos(n * 1000)
+    }
+
+    /// Every fabric kind applies each fault event exactly once, and says
+    /// so once: one `fault.applied` count and one flight-recorder event.
+    #[test]
+    fn each_applied_fault_counts_once_on_every_fabric_kind() {
+        fn run<F: Fabric>(mut fabric: F) -> (u64, usize) {
+            let topo = fabric.topology().clone();
+            let link = LinkId(3);
+            let plan = FaultPlan::new(1)
+                .link_down(us(1), link)
+                .link_up(us(2), link)
+                .at(us(3), FaultEvent::SetLoss { link, p: 0.1 })
+                .degrade(us(4), link, 0.0, 0.5, SimDuration::from_micros(5))
+                .switch_down(us(5), topo.agg_node(0, 1))
+                .nic_port_down(us(6), topo.nic(2, 0), 1);
+            let ((), tel) = capture(TelemetryConfig::default(), || {
+                fabric.install_fault_plan(plan);
+                fabric.advance(us(3));
+                fabric.send(us(10), topo.nic(0, 0), topo.nic(4, 0), 1, 0, 4096);
+            });
+            assert_eq!(fabric.pending_fault_events(), 0);
+            let events = tel
+                .recorder
+                .events()
+                .filter(|e| e.kind.starts_with("fault."))
+                .count();
+            (tel.hub.get(Subsystem::Net, "fault.applied"), events)
+        }
+        let net = NetworkConfig::default();
+        let rng = SimRng::from_seed(3);
+        let fluid = FluidFabric::new(topo(), net.clone(), FluidConfig::default(), rng.clone());
+        let hybrid = HybridFabric::new(topo(), net.clone(), HybridConfig::default(), rng.clone());
+        assert_eq!(run(Network::new(topo(), net, rng)), (6, 6), "packet");
+        assert_eq!(run(fluid), (6, 6), "fluid");
+        assert_eq!(run(hybrid), (6, 6), "hybrid");
+    }
+}

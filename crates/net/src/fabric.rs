@@ -1,7 +1,7 @@
 //! The `Fabric` trait: one seam for every network model.
 //!
 //! The transport's event loop does not care whether a packet crosses a
-//! per-port calendar ([`Network`]), a max-min fluid allocation
+//! per-port calendar ([`crate::Network`]), a max-min fluid allocation
 //! ([`crate::FluidFabric`]), or a mix of both ([`crate::HybridFabric`]) —
 //! it needs a send/deliver/advance/stats/fault surface. This trait is
 //! that surface. `TransportSim` and every workload driver are generic
@@ -23,14 +23,14 @@
 use stellar_sim::{SimDuration, SimTime};
 
 use crate::fault::FaultPlan;
-use crate::network::{Delivery, DropReason, LinkStats, Network, NetworkConfig, TraceRecord};
+use crate::network::{Delivery, DropReason, LinkStats, NetworkConfig, TraceRecord};
 use crate::topology::{ClosTopology, LinkId, NicId};
 
 /// Which fabric model a [`Fabric`] implementation is, for telemetry
 /// tags and experiment labels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FabricKind {
-    /// Packet-level per-port calendar model ([`Network`]).
+    /// Packet-level per-port calendar model ([`crate::Network`]).
     Packet,
     /// Flow-level max-min fair-share fluid model
     /// ([`crate::FluidFabric`]).
@@ -122,7 +122,7 @@ pub trait Fabric {
     fn link_stats(&self, link: LinkId, now: SimTime) -> LinkStats;
 
     /// Fig. 12 imbalance over the ToR→Agg uplinks of every ToR that
-    /// carried traffic (see [`Network::tor_uplink_imbalance`]).
+    /// carried traffic: `(max−min)/max` of the per-port byte loads.
     fn tor_uplink_imbalance(&self) -> f64;
 
     /// Aggregate queue statistics over all ToR uplinks at `now`:
@@ -141,132 +141,11 @@ pub trait Fabric {
     fn check_invariants(&self, at: SimTime);
 }
 
-/// The packet-level calendar model is the reference [`Fabric`]: every
-/// method delegates to the inherent `Network` API unchanged, so routing
-/// `Network` through the trait is byte-identical to calling it
-/// directly.
-impl Fabric for Network {
-    fn kind(&self) -> FabricKind {
-        FabricKind::Packet
-    }
-
-    fn topology(&self) -> &ClosTopology {
-        Network::topology(self)
-    }
-
-    fn config(&self) -> &NetworkConfig {
-        Network::config(self)
-    }
-
-    fn config_mut(&mut self) -> &mut NetworkConfig {
-        Network::config_mut(self)
-    }
-
-    fn send(
-        &mut self,
-        now: SimTime,
-        src: NicId,
-        dst: NicId,
-        flow: u64,
-        path_id: u32,
-        bytes: u64,
-    ) -> Delivery {
-        Network::send(self, now, src, dst, flow, path_id, bytes)
-    }
-
-    fn advance(&mut self, now: SimTime) {
-        Network::apply_faults(self, now)
-    }
-
-    fn install_fault_plan(&mut self, plan: FaultPlan) {
-        Network::install_fault_plan(self, plan)
-    }
-
-    fn pending_fault_events(&self) -> usize {
-        Network::pending_fault_events(self)
-    }
-
-    fn set_link_up(&mut self, link: LinkId, up: bool) {
-        Network::set_link_up(self, link, up)
-    }
-
-    fn set_link_state_at(&mut self, now: SimTime, link: LinkId, up: bool) {
-        Network::set_link_state_at(self, now, link, up)
-    }
-
-    fn set_loss(&mut self, link: LinkId, p: f64) {
-        Network::set_loss(self, link, p)
-    }
-
-    fn control_rtt_component(&self, src: NicId, dst: NicId) -> SimDuration {
-        Network::control_rtt_component(self, src, dst)
-    }
-
-    fn drops_by_reason(&self, reason: DropReason) -> u64 {
-        Network::drops_by_reason(self, reason)
-    }
-
-    fn injected(&self) -> (u64, u64) {
-        Network::injected(self)
-    }
-
-    fn delivered(&self) -> (u64, u64) {
-        Network::delivered(self)
-    }
-
-    fn link_stats(&self, link: LinkId, now: SimTime) -> LinkStats {
-        Network::link_stats(self, link, now)
-    }
-
-    fn tor_uplink_imbalance(&self) -> f64 {
-        Network::tor_uplink_imbalance(self)
-    }
-
-    fn tor_uplink_queue_stats(&self, now: SimTime) -> (f64, u64) {
-        Network::tor_uplink_queue_stats(self, now)
-    }
-
-    fn enable_trace(&mut self, limit: usize) {
-        Network::enable_trace(self, limit)
-    }
-
-    fn take_trace(&mut self) -> Vec<TraceRecord> {
-        Network::take_trace(self)
-    }
-
-    fn check_invariants(&self, at: SimTime) {
-        Network::check_invariants(self, at)
-    }
-}
-
-/// Fig. 12-style uplink imbalance from an arbitrary per-link byte-load
-/// function: `(max−min)/max` over the per-port loads of every ToR with
-/// at least one non-idle uplink. Shared by the fluid and hybrid fabrics
-/// (the packet model keeps its own identical implementation).
-pub(crate) fn uplink_imbalance_from(topo: &ClosTopology, tx_bytes: impl Fn(LinkId) -> u64) -> f64 {
-    use std::collections::HashMap;
-    let mut by_tor: HashMap<crate::topology::NodeId, Vec<f64>> = HashMap::new();
-    for l in topo.tor_uplinks() {
-        let (from, _) = topo.link_endpoints(l);
-        by_tor.entry(from).or_default().push(tx_bytes(l) as f64);
-    }
-    let loads: Vec<f64> = by_tor
-        .values()
-        .filter(|ports| ports.iter().any(|&b| b > 0.0))
-        .flatten()
-        .copied()
-        .collect();
-    let max = loads.iter().copied().fold(f64::MIN, f64::max);
-    if loads.is_empty() || max <= 0.0 {
-        return 0.0;
-    }
-    stellar_sim::stats::imbalance(&loads, max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::topology::ClosConfig;
+    use crate::Network;
     use stellar_sim::SimRng;
 
     fn net() -> Network {
@@ -278,27 +157,6 @@ mod tests {
             aggs_per_plane: 4,
         });
         Network::new(topo, NetworkConfig::default(), SimRng::from_seed(7))
-    }
-
-    /// The trait is pure delegation: a send through `dyn`-free generic
-    /// dispatch must produce the identical `Delivery` (and ledger
-    /// state) as the inherent call on a twin network.
-    #[test]
-    fn packet_fabric_delegation_is_byte_identical() {
-        fn send_via_trait<F: Fabric>(f: &mut F, src: NicId, dst: NicId) -> Delivery {
-            f.send(SimTime::ZERO, src, dst, 1, 0, 4096)
-        }
-        let mut a = net();
-        let mut b = net();
-        let src = Network::topology(&a).nic(0, 0);
-        let dst = Network::topology(&a).nic(4, 0);
-        for i in 0..50 {
-            let via_trait = send_via_trait(&mut a, src, dst);
-            let direct = Network::send(&mut b, SimTime::ZERO, src, dst, 1, 0, 4096);
-            assert_eq!(via_trait, direct, "packet {i} diverged through the trait");
-        }
-        assert_eq!(Network::injected(&a), Network::injected(&b));
-        assert_eq!(Network::delivered(&a), Network::delivered(&b));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic fault-injection plans (§7.2 availability experiments).
 //!
 //! A [`FaultPlan`] is a seeded, time-ordered schedule of [`FaultEvent`]s
-//! executed *inside* the simulation clock: the [`crate::Network`] applies
+//! executed *inside* the simulation clock: every fabric applies
 //! every event whose timestamp has been reached before forwarding the
 //! next packet, so an identical seed and plan reproduce the exact same
 //! drop sequence bit for bit. Test code never pokes link state mid-run —
@@ -23,7 +23,7 @@
 
 use stellar_sim::{SimDuration, SimRng, SimTime};
 
-use crate::topology::{LinkId, NicId, NodeId};
+use crate::topology::{ClosTopology, LinkId, NicId, NodeId, NodeKind};
 
 /// One scheduled fault transition.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,10 +90,49 @@ impl FaultEvent {
     }
 }
 
+/// Why a [`FaultPlan`] cannot run on a topology.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FaultPlanError {
+    /// The event names a link, switch or NIC port the topology lacks.
+    UnknownElement {
+        /// When the event was scheduled.
+        at: SimTime,
+        /// The offending event.
+        event: FaultEvent,
+    },
+    /// The event sets a loss probability outside `[0, 1]`.
+    ProbabilityOutOfRange {
+        /// When the event was scheduled.
+        at: SimTime,
+        /// The offending event.
+        event: FaultEvent,
+    },
+}
+
+impl std::fmt::Display for FaultPlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FaultPlanError::UnknownElement { at, event } => write!(
+                f,
+                "fault plan: {event:?} at {} ns names an element the topology lacks",
+                at.as_nanos()
+            ),
+            FaultPlanError::ProbabilityOutOfRange { at, event } => write!(
+                f,
+                "fault plan: {event:?} at {} ns sets a loss probability outside [0, 1]",
+                at.as_nanos()
+            ),
+        }
+    }
+}
+
+impl std::error::Error for FaultPlanError {}
+
 /// A seeded, time-ordered fault schedule.
 ///
 /// Build with the chained helpers, then hand to
-/// [`crate::Network::install_fault_plan`]. Events with equal timestamps
+/// [`crate::Fabric::install_fault_plan`], which checks it with
+/// [`FaultPlan::validate`]. Events with equal timestamps
 /// apply in insertion order (stable sort), so a plan is a pure function
 /// of its construction sequence and seed.
 #[derive(Debug, Clone)]
@@ -232,6 +271,41 @@ impl FaultPlan {
     ) -> Self {
         assert!((0.0..=1.0).contains(&from) && (0.0..=1.0).contains(&to));
         self.at(at, FaultEvent::DegradeRamp { link, from, to, over })
+    }
+
+    /// Check every event against `topo`: each named link, switch and NIC
+    /// port must exist, and each loss probability must lie in `[0, 1]`.
+    /// Reports the first offending event in insertion order.
+    pub fn validate(&self, topo: &ClosTopology) -> Result<(), FaultPlanError> {
+        let link_ok = |l: LinkId| (l.0 as usize) < topo.total_links();
+        let switch_ok = |n: NodeId| {
+            (n.0 as usize) < topo.total_nodes()
+                && !matches!(topo.node_kind(n), NodeKind::Nic { .. })
+        };
+        let port_ok = |nic: NicId, plane: u32| {
+            (nic.0 as usize) < topo.total_nics() && (plane as usize) < topo.config().planes
+        };
+        let prob_ok = |p: f64| (0.0..=1.0).contains(&p);
+        for &(at, event) in &self.events {
+            let (exists, probs_ok) = match event {
+                FaultEvent::LinkDown(l) | FaultEvent::LinkUp(l) => (link_ok(l), true),
+                FaultEvent::SwitchDown(n) | FaultEvent::SwitchUp(n) => (switch_ok(n), true),
+                FaultEvent::NicPortDown { nic, plane } | FaultEvent::NicPortUp { nic, plane } => {
+                    (port_ok(nic, plane), true)
+                }
+                FaultEvent::SetLoss { link, p } => (link_ok(link), prob_ok(p)),
+                FaultEvent::DegradeRamp { link, from, to, .. } => {
+                    (link_ok(link), prob_ok(from) && prob_ok(to))
+                }
+            };
+            if !exists {
+                return Err(FaultPlanError::UnknownElement { at, event });
+            }
+            if !probs_ok {
+                return Err(FaultPlanError::ProbabilityOutOfRange { at, event });
+            }
+        }
+        Ok(())
     }
 
     /// The events in execution order (stable-sorted by time).
@@ -414,6 +488,103 @@ mod tests {
             .switch_down(us(30), NodeId(3));
         assert_eq!(both.recovery_time(bgp), Some(us(2030)));
         assert_eq!(FaultPlan::new(0).recovery_time(bgp), None);
+    }
+
+    fn topo() -> ClosTopology {
+        ClosTopology::build(crate::ClosConfig {
+            segments: 2,
+            hosts_per_segment: 4,
+            rails: 1,
+            planes: 2,
+            aggs_per_plane: 4,
+        })
+    }
+
+    #[test]
+    fn validate_rejects_loss_probabilities_outside_the_unit_range() {
+        let topo = topo();
+        let set = FaultEvent::SetLoss {
+            link: LinkId(0),
+            p: 1.5,
+        };
+        assert_eq!(
+            FaultPlan::new(0).at(us(5), set).validate(&topo),
+            Err(FaultPlanError::ProbabilityOutOfRange {
+                at: us(5),
+                event: set
+            })
+        );
+        for (from, to) in [(-0.1, 0.5), (0.0, 2.0), (f64::NAN, 0.5)] {
+            let ramp = FaultEvent::DegradeRamp {
+                link: LinkId(1),
+                from,
+                to,
+                over: SimDuration::from_micros(10),
+            };
+            let plan = FaultPlan::from_events(0, vec![(us(1), ramp)]);
+            assert!(
+                matches!(
+                    plan.validate(&topo),
+                    Err(FaultPlanError::ProbabilityOutOfRange { .. })
+                ),
+                "ramp {from} -> {to} must be rejected"
+            );
+        }
+        let edges = FaultPlan::new(0)
+            .at(
+                us(1),
+                FaultEvent::SetLoss {
+                    link: LinkId(0),
+                    p: 1.0,
+                },
+            )
+            .degrade(us(2), LinkId(0), 0.0, 1.0, SimDuration::from_micros(5));
+        assert_eq!(edges.validate(&topo), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_elements_the_topology_lacks() {
+        let topo = topo();
+        let nic = topo.nic(0, 0);
+        let bad = [
+            FaultEvent::LinkDown(LinkId(topo.total_links() as u32)),
+            FaultEvent::LinkUp(LinkId(u32::MAX)),
+            FaultEvent::SetLoss {
+                link: LinkId(topo.total_links() as u32),
+                p: 0.1,
+            },
+            // A NIC is not a switch.
+            FaultEvent::SwitchDown(NodeId(nic.0)),
+            FaultEvent::SwitchUp(NodeId(u32::MAX)),
+            FaultEvent::NicPortDown { nic, plane: 2 },
+            FaultEvent::NicPortUp {
+                nic: NicId(topo.total_nics() as u32),
+                plane: 0,
+            },
+        ];
+        for event in bad {
+            let plan = FaultPlan::new(0)
+                .link_down(us(1), LinkId(0))
+                .at(us(9), event);
+            assert_eq!(
+                plan.validate(&topo),
+                Err(FaultPlanError::UnknownElement { at: us(9), event }),
+                "{event:?} must be rejected"
+            );
+        }
+        let good = FaultPlan::new(0)
+            .switch_down(us(1), topo.agg_node(1, 3))
+            .switch_down(us(2), topo.tor_node(1, 0, 1))
+            .nic_port_down(us(3), nic, 1);
+        assert_eq!(good.validate(&topo), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "names an element the topology lacks")]
+    fn installing_a_bad_plan_panics_with_the_error() {
+        use crate::{Fabric, Network, NetworkConfig};
+        let mut net = Network::new(topo(), NetworkConfig::default(), SimRng::from_seed(0));
+        net.install_fault_plan(FaultPlan::new(0).link_down(us(1), LinkId(u32::MAX)));
     }
 
     #[test]

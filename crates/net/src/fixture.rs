@@ -61,6 +61,7 @@ pub fn hybrid_fabric(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fabric;
     use stellar_sim::SimTime;
 
     /// The fixture is sugar, not behaviour: it must produce a network

@@ -37,12 +37,10 @@ use stellar_sim::hash::FastMap;
 use stellar_sim::{transmit_time, SimDuration, SimRng, SimTime};
 use stellar_telemetry::{count, Subsystem};
 
-use crate::fabric::{uplink_imbalance_from, Fabric, FabricKind};
-use crate::fault::{FaultEvent, FaultPlan};
-use crate::network::{
-    record_trace, Delivery, DegradeRamp, DropReason, LinkStats, NetworkConfig, TraceRecord,
-};
-use crate::topology::{ClosTopology, LinkId, NicId, Route};
+use crate::core::{Core, Ledger, Model, ModelFabric, Packet};
+use crate::fabric::FabricKind;
+use crate::network::{Delivery, DropReason, NetworkConfig};
+use crate::topology::{ClosTopology, NicId, Route};
 
 /// Fluid-model knobs (the link parameters come from [`NetworkConfig`]).
 #[derive(Debug, Clone)]
@@ -64,20 +62,6 @@ impl Default for FluidConfig {
             recompute_quantum: SimDuration::from_micros(2),
         }
     }
-}
-
-/// Per-link bookkeeping: fault state plus transmit statistics. No
-/// calendar — queueing lives in the per-flow virtual calendars.
-#[derive(Debug, Clone)]
-struct FluidLink {
-    up: bool,
-    down_since: SimTime,
-    loss_prob: f64,
-    degrade: Option<DegradeRamp>,
-    tx_bytes: u64,
-    tx_packets: u64,
-    drops: u64,
-    ecn_marks: u64,
 }
 
 /// A flow's identity: `(src NIC, dst NIC, flow id)`.
@@ -231,17 +215,12 @@ impl FlowTable {
     }
 }
 
-/// The flow-level fluid fabric. See the module docs for the model.
+/// The flow-level fluid model: flow table, constraint resources and
+/// its loss RNG over the shared link table. See the module docs.
 #[derive(Debug)]
-pub struct FluidFabric {
-    topo: ClosTopology,
-    config: NetworkConfig,
+pub struct FluidModel {
     fluid: FluidConfig,
-    links: Vec<FluidLink>,
     rng: SimRng,
-    trace: Option<(Vec<TraceRecord>, usize)>,
-    plan: Vec<(SimTime, FaultEvent)>,
-    plan_cursor: usize,
     /// Active flows. The recompute walks them in (src, dst, flow) key
     /// order, so allocation arithmetic is a pure function of the flow
     /// set, never of hash order or slot reuse.
@@ -257,35 +236,21 @@ pub struct FluidFabric {
     dirty: bool,
     last_recompute: SimTime,
     next_expiry_scan: SimTime,
-    /// Conservation ledgers, mirroring the packet model's.
-    drop_counts: [u64; 4],
-    injected_packets: u64,
-    injected_bytes: u64,
-    delivered_packets: u64,
-    delivered_bytes: u64,
-    dropped_bytes: u64,
+    ledger: Ledger,
     flows_opened: u64,
     flows_retired: u64,
 }
 
-impl FluidFabric {
-    /// A fluid fabric over `topo` with link parameters from `config`,
-    /// using `rng` for loss injection (same draw structure as the
-    /// packet model: one draw per lossy link per packet).
-    pub fn new(topo: ClosTopology, config: NetworkConfig, fluid: FluidConfig, rng: SimRng) -> Self {
-        let links = vec![
-            FluidLink {
-                up: true,
-                down_since: SimTime::ZERO,
-                loss_prob: 0.0,
-                degrade: None,
-                tx_bytes: 0,
-                tx_packets: 0,
-                drops: 0,
-                ecn_marks: 0,
-            };
-            topo.total_links()
-        ];
+impl FluidModel {
+    /// A fluid model over `topo` with link rates from `config`, using
+    /// `rng` for loss injection (same draw structure as the packet
+    /// model: one draw per lossy link per packet).
+    pub(crate) fn new(
+        topo: &ClosTopology,
+        config: &NetworkConfig,
+        fluid: FluidConfig,
+        rng: SimRng,
+    ) -> Self {
         let t = topo.config().clone();
         let nics = topo.total_nics();
         let pools = t.segments * t.rails;
@@ -314,15 +279,9 @@ impl FluidFabric {
                 }
             }
         }
-        FluidFabric {
-            topo,
-            config,
+        FluidModel {
             fluid,
-            links,
             rng,
-            trace: None,
-            plan: Vec::new(),
-            plan_cursor: 0,
             flows: FlowTable::default(),
             res_capacity,
             res_count,
@@ -330,20 +289,10 @@ impl FluidFabric {
             dirty: false,
             last_recompute: SimTime::ZERO,
             next_expiry_scan: SimTime::ZERO,
-            drop_counts: [0; 4],
-            injected_packets: 0,
-            injected_bytes: 0,
-            delivered_packets: 0,
-            delivered_bytes: 0,
-            dropped_bytes: 0,
+            ledger: Ledger::default(),
             flows_opened: 0,
             flows_retired: 0,
         }
-    }
-
-    /// The fluid-model knobs.
-    pub fn fluid_config(&self) -> &FluidConfig {
-        &self.fluid
     }
 
     /// `(flows opened, flows retired, flows active)` since construction.
@@ -353,13 +302,13 @@ impl FluidFabric {
 
     /// Constraint-resource indices of a `src → dst` flow, and how many
     /// of the four are live.
-    fn flow_resources(&self, src: NicId, dst: NicId) -> ([u32; 4], u8) {
-        let t = self.topo.config();
-        let nics = self.topo.total_nics() as u32;
-        let (src_host, rail) = self.topo.nic_location(src);
-        let (dst_host, _) = self.topo.nic_location(dst);
-        let src_seg = self.topo.segment_of_host(src_host);
-        let dst_seg = self.topo.segment_of_host(dst_host);
+    fn flow_resources(topo: &ClosTopology, src: NicId, dst: NicId) -> ([u32; 4], u8) {
+        let t = topo.config();
+        let nics = topo.total_nics() as u32;
+        let (src_host, rail) = topo.nic_location(src);
+        let (dst_host, _) = topo.nic_location(dst);
+        let src_seg = topo.segment_of_host(src_host);
+        let dst_seg = topo.segment_of_host(dst_host);
         if src_seg == dst_seg {
             return ([src.0, nics + dst.0, 0, 0], 2);
         }
@@ -480,67 +429,6 @@ impl FluidFabric {
         rate
     }
 
-    fn apply_fault_event(&mut self, at: SimTime, ev: FaultEvent) {
-        self.dirty = true;
-        match ev {
-            FaultEvent::LinkDown(l) => self.set_fluid_link(at, l, false),
-            FaultEvent::LinkUp(l) => self.set_fluid_link(at, l, true),
-            FaultEvent::SwitchDown(node) => {
-                for l in self.topo.links_of_node(node) {
-                    self.set_fluid_link(at, l, false);
-                }
-            }
-            FaultEvent::SwitchUp(node) => {
-                for l in self.topo.links_of_node(node) {
-                    self.set_fluid_link(at, l, true);
-                }
-            }
-            FaultEvent::NicPortDown { nic, plane } => {
-                let (up, down) = self.topo.nic_port_links(nic, plane as usize);
-                self.set_fluid_link(at, up, false);
-                self.set_fluid_link(at, down, false);
-            }
-            FaultEvent::NicPortUp { nic, plane } => {
-                let (up, down) = self.topo.nic_port_links(nic, plane as usize);
-                self.set_fluid_link(at, up, true);
-                self.set_fluid_link(at, down, true);
-            }
-            FaultEvent::SetLoss { link, p } => {
-                let l = &mut self.links[link.0 as usize];
-                l.loss_prob = p;
-                l.degrade = None;
-            }
-            FaultEvent::DegradeRamp { link, from, to, over } => {
-                self.links[link.0 as usize].degrade = Some(DegradeRamp {
-                    t0: at,
-                    from,
-                    to,
-                    over,
-                });
-            }
-        }
-    }
-
-    fn set_fluid_link(&mut self, now: SimTime, link: LinkId, up: bool) {
-        let l = &mut self.links[link.0 as usize];
-        if l.up && !up {
-            l.down_since = now;
-        }
-        l.up = up;
-    }
-
-    fn route_is_up(&self, route: &[LinkId]) -> bool {
-        route.iter().all(|l| self.links[l.0 as usize].up)
-    }
-
-    fn converged_around(&self, now: SimTime, route: &[LinkId]) -> bool {
-        route.iter().all(|l| {
-            let link = &self.links[l.0 as usize];
-            link.up
-                || now.saturating_duration_since(link.down_since) >= self.config.bgp_convergence
-        })
-    }
-
     /// Retire flows idle past the timeout. Scans are rate-limited to
     /// half a timeout so the check stays O(1) amortized per send.
     fn expire_flows(&mut self, now: SimTime) {
@@ -570,91 +458,61 @@ impl FluidFabric {
         self.flows_retired += retired as u64;
         self.dirty = true;
     }
+}
 
-    fn record_drop(
-        &mut self,
-        now: SimTime,
-        link: LinkId,
-        reason: DropReason,
-        bytes: u64,
-    ) -> Delivery {
-        self.links[link.0 as usize].drops += 1;
-        self.drop_counts[reason.index()] += 1;
-        self.dropped_bytes += bytes;
-        count(Subsystem::Net, reason.counter(), 1);
-        Delivery::Dropped {
+impl Model for FluidModel {
+    const KIND: FabricKind = FabricKind::Fluid;
+
+    fn send(&mut self, core: &mut Core, p: &Packet, route: Route) -> Delivery {
+        let Packet {
+            now,
+            src,
+            dst,
+            flow,
+            bytes,
+            ..
+        } = *p;
+        count(Subsystem::Net, "fabric.fluid.sent", 1);
+        let dropped = |link, reason| Delivery::Dropped {
             link,
             reason,
             at: now,
-        }
-    }
-
-    /// [`Fabric::send`] after `advance(now)`, on the route
-    /// `topo.route(src, dst, flow, path_id)` the caller already holds.
-    /// The hybrid fabric, which advances this half and computes the
-    /// route itself, enters here so neither happens twice per send.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn send_routed(
-        &mut self,
-        now: SimTime,
-        src: NicId,
-        dst: NicId,
-        flow: u64,
-        path_id: u32,
-        bytes: u64,
-        mut route: Route,
-    ) -> Delivery {
-        self.injected_packets += 1;
-        self.injected_bytes += bytes;
-        count(Subsystem::Net, "fabric.fluid.sent", 1);
+        };
 
         let delivery = 'fate: {
+            let config = &core.config;
             if route.is_empty() {
                 // Host-local: PCIe/NVLink latency only, same as packet.
                 break 'fate Delivery::Delivered {
-                    at: now + self.config.hop_delay,
+                    at: now + config.hop_delay,
                     ecn: false,
                 };
             }
-            // Control-plane reroute around converged failures, probing
-            // successive path-table slots like the packet model.
-            if !self.route_is_up(&route) && self.converged_around(now, &route) {
-                let slots = (self.topo.config().planes * self.topo.config().aggs_per_plane) as u32;
-                for bump in 1..slots {
-                    let alt = self.topo.route(src, dst, flow, path_id.wrapping_add(bump));
-                    if self.route_is_up(&alt) {
-                        route = alt;
-                        break;
-                    }
-                }
-            }
+            let route = core.reroute(p, route);
             // Fault surface: dead links blackhole until convergence;
             // degrade ramps and flat loss draw per link, keeping the
             // DropReason taxonomy and draw structure of the packet
             // model.
-            for &link_id in &route {
-                let (up, degrade, loss_prob) = {
-                    let l = &self.links[link_id.0 as usize];
-                    (l.up, l.degrade, l.loss_prob)
-                };
-                if !up {
-                    break 'fate self.record_drop(now, link_id, DropReason::LinkDown, bytes);
+            for &link in &route {
+                let state = &core.links[link.0 as usize];
+                if !state.up {
+                    break 'fate dropped(link, DropReason::LinkDown);
                 }
-                if let Some(ramp) = degrade {
-                    let p = ramp.loss_at(now);
-                    if p > 0.0 && self.rng.chance(p) {
-                        break 'fate self.record_drop(now, link_id, DropReason::DegradedLink, bytes);
+                if let Some(ramp) = &state.degrade {
+                    let loss = ramp.loss_at(now);
+                    if loss > 0.0 && self.rng.chance(loss) {
+                        break 'fate dropped(link, DropReason::DegradedLink);
                     }
                 }
-                if loss_prob > 0.0 && self.rng.chance(loss_prob) {
-                    break 'fate self.record_drop(now, link_id, DropReason::RandomLoss, bytes);
+                if state.loss_prob > 0.0 && self.rng.chance(state.loss_prob) {
+                    break 'fate dropped(link, DropReason::RandomLoss);
                 }
             }
 
             // Flow bookkeeping: register or refresh, then allocate.
             let key = (src.0, dst.0, flow);
             let plane = {
-                let (_, tor) = self.topo.link_endpoints(route[0]);
+                let (_, tor) = core.topo.link_endpoints(route[0]);
                 self.tor_plane[tor.0 as usize] as u32
             };
             let slot = match self.flows.slot(&key) {
@@ -663,13 +521,13 @@ impl FluidFabric {
                     if f.planes_mask & (1 << plane) == 0 {
                         // A new plane widens the flow's cap: re-derive shares.
                         f.planes_mask |= 1 << plane;
-                        f.cap_gbps = self.config.link_gbps * f.planes_mask.count_ones() as f64;
+                        f.cap_gbps = config.link_gbps * f.planes_mask.count_ones() as f64;
                         self.dirty = true;
                     }
                     slot
                 }
                 None => {
-                    let (resources, n_resources) = self.flow_resources(src, dst);
+                    let (resources, n_resources) = Self::flow_resources(&core.topo, src, dst);
                     for &r in &resources[..n_resources as usize] {
                         self.res_count[r as usize] += 1;
                     }
@@ -677,7 +535,7 @@ impl FluidFabric {
                         key,
                         resources,
                         n_resources,
-                        cap_gbps: self.config.link_gbps,
+                        cap_gbps: config.link_gbps,
                         planes_mask: 1 << plane,
                         rate_gbps: 0.0,
                         next_free: now,
@@ -692,194 +550,46 @@ impl FluidFabric {
             };
             self.maybe_recompute(now);
 
-            let hop_delay = self.config.hop_delay;
-            let ecn_threshold = self.config.ecn_threshold_bytes;
-            let buffer = self.config.buffer_bytes;
             let f = self.flows.get_mut(slot);
             f.last_active = now;
             let rate = f.rate_gbps.max(1e-6);
             let wait = f.next_free.saturating_duration_since(now);
             let backlog = (wait.as_nanos() as f64 * rate / 8.0) as u64;
-            if backlog + bytes > buffer {
-                break 'fate self.record_drop(now, route[0], DropReason::BufferOverflow, bytes);
+            if backlog + bytes > config.buffer_bytes {
+                break 'fate dropped(route[0], DropReason::BufferOverflow);
             }
-            let ecn = backlog > ecn_threshold;
+            let ecn = backlog > config.ecn_threshold_bytes;
             let start = if f.next_free > now { f.next_free } else { now };
             f.next_free = start + transmit_time(bytes, rate);
-            let at = f.next_free + hop_delay.mul(route.len() as u64);
+            let at = f.next_free + config.hop_delay.mul(route.len() as u64);
             for &l in &route {
-                let link = &mut self.links[l.0 as usize];
-                link.tx_bytes += bytes;
-                link.tx_packets += 1;
-                if ecn {
-                    link.ecn_marks += 1;
-                }
+                core.links[l.0 as usize].transmit(bytes, ecn);
             }
             if ecn {
                 count(Subsystem::Net, "ecn_mark", 1);
             }
             Delivery::Delivered { at, ecn }
         };
-
-        match delivery {
-            Delivery::Delivered { .. } => {
-                self.delivered_packets += 1;
-                self.delivered_bytes += bytes;
-            }
-            Delivery::Dropped { .. } => {}
-        }
-        record_trace(&mut self.trace, || TraceRecord {
-            sent: now,
-            src,
-            dst,
-            flow,
-            path_id,
-            bytes,
-            delivery,
-        });
+        core.book(&mut self.ledger, bytes, delivery);
         delivery
-    }
-}
-
-impl Fabric for FluidFabric {
-    fn kind(&self) -> FabricKind {
-        FabricKind::Fluid
-    }
-
-    fn topology(&self) -> &ClosTopology {
-        &self.topo
-    }
-
-    fn config(&self) -> &NetworkConfig {
-        &self.config
-    }
-
-    fn config_mut(&mut self) -> &mut NetworkConfig {
-        &mut self.config
-    }
-
-    fn send(
-        &mut self,
-        now: SimTime,
-        src: NicId,
-        dst: NicId,
-        flow: u64,
-        path_id: u32,
-        bytes: u64,
-    ) -> Delivery {
-        self.advance(now);
-        let route = self.topo.route(src, dst, flow, path_id);
-        self.send_routed(now, src, dst, flow, path_id, bytes, route)
     }
 
     fn advance(&mut self, now: SimTime) {
-        while let Some(&(at, ev)) = self.plan.get(self.plan_cursor) {
-            if at > now {
-                break;
-            }
-            self.plan_cursor += 1;
-            self.apply_fault_event(at, ev);
-        }
         self.expire_flows(now);
         self.maybe_recompute(now);
     }
 
-    fn install_fault_plan(&mut self, plan: FaultPlan) {
-        self.plan = plan.into_events();
-        self.plan_cursor = 0;
-    }
-
-    fn pending_fault_events(&self) -> usize {
-        self.plan.len() - self.plan_cursor
-    }
-
-    fn set_link_up(&mut self, link: LinkId, up: bool) {
-        self.set_link_state_at(SimTime::ZERO, link, up);
-    }
-
-    fn set_link_state_at(&mut self, now: SimTime, link: LinkId, up: bool) {
-        self.set_fluid_link(now, link, up);
+    fn links_changed(&mut self) {
         self.dirty = true;
     }
 
-    fn set_loss(&mut self, link: LinkId, p: f64) {
-        assert!((0.0..=1.0).contains(&p), "probability out of range");
-        self.links[link.0 as usize].loss_prob = p;
-    }
-
-    fn control_rtt_component(&self, src: NicId, dst: NicId) -> SimDuration {
-        let hops = if src == dst {
-            1
-        } else {
-            self.topo.route(src, dst, 0, 0).len() as u64
-        };
-        self.config.hop_delay.mul(hops) + transmit_time(64, self.config.link_gbps).mul(hops)
-    }
-
-    fn drops_by_reason(&self, reason: DropReason) -> u64 {
-        self.drop_counts[reason.index()]
-    }
-
-    fn injected(&self) -> (u64, u64) {
-        (self.injected_packets, self.injected_bytes)
-    }
-
-    fn delivered(&self) -> (u64, u64) {
-        (self.delivered_packets, self.delivered_bytes)
-    }
-
-    fn link_stats(&self, link: LinkId, _now: SimTime) -> LinkStats {
-        let l = &self.links[link.0 as usize];
-        LinkStats {
-            tx_bytes: l.tx_bytes,
-            tx_packets: l.tx_packets,
-            drops: l.drops,
-            ecn_marks: l.ecn_marks,
-            // Queues live in per-flow calendars, not per-port gauges.
-            max_queue_bytes: 0,
-            avg_queue_bytes: 0.0,
-        }
-    }
-
-    fn tor_uplink_imbalance(&self) -> f64 {
-        uplink_imbalance_from(&self.topo, |l| self.links[l.0 as usize].tx_bytes)
-    }
-
-    fn tor_uplink_queue_stats(&self, _now: SimTime) -> (f64, u64) {
-        (0.0, 0)
-    }
-
-    fn enable_trace(&mut self, limit: usize) {
-        self.trace = Some((Vec::new(), limit));
-    }
-
-    fn take_trace(&mut self) -> Vec<TraceRecord> {
-        self.trace.take().map(|(v, _)| v).unwrap_or_default()
+    fn ledger(&self) -> Ledger {
+        self.ledger
     }
 
     fn check_invariants(&self, at: SimTime) {
         stellar_check::at_quiesce(at, stellar_check::Layer::Net, |c| {
-            let dropped: u64 = self.drop_counts.iter().sum();
-            c.check(
-                "net.packet_conservation",
-                self.injected_packets == self.delivered_packets + dropped,
-                || {
-                    format!(
-                        "injected {} != delivered {} + drops {} ({:?} by reason)",
-                        self.injected_packets, self.delivered_packets, dropped, self.drop_counts
-                    )
-                },
-            );
-            c.check(
-                "net.byte_conservation",
-                self.injected_bytes == self.delivered_bytes + self.dropped_bytes,
-                || {
-                    format!(
-                        "injected {} B != delivered {} B + dropped {} B",
-                        self.injected_bytes, self.delivered_bytes, self.dropped_bytes
-                    )
-                },
-            );
+            self.ledger.check(c);
             c.check(
                 "net.fluid_flow_conservation",
                 self.flows_opened == self.flows_retired + self.flows.len() as u64,
@@ -929,10 +639,37 @@ impl Fabric for FluidFabric {
     }
 }
 
+/// The flow-level fluid fabric: the shared core plus the fluid model.
+pub type FluidFabric = ModelFabric<FluidModel>;
+
+impl FluidFabric {
+    /// A fluid fabric over `topo` with link parameters from `config`,
+    /// using `rng` for loss injection (same draw structure as the
+    /// packet model: one draw per lossy link per packet).
+    pub fn new(topo: ClosTopology, config: NetworkConfig, fluid: FluidConfig, rng: SimRng) -> Self {
+        let model = FluidModel::new(&topo, &config, fluid, rng);
+        ModelFabric {
+            core: Core::new(topo, config),
+            model,
+        }
+    }
+
+    /// The fluid-model knobs.
+    pub fn fluid_config(&self) -> &FluidConfig {
+        &self.model.fluid
+    }
+
+    /// `(flows opened, flows retired, flows active)` since construction.
+    pub fn flow_ledger(&self) -> (u64, u64, usize) {
+        self.model.flow_ledger()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::topology::ClosConfig;
+    use crate::Fabric;
 
     fn topo() -> ClosTopology {
         ClosTopology::build(ClosConfig {
@@ -969,13 +706,13 @@ mod tests {
         assert!(d.arrival().is_some());
         // First packet rides one plane: capped at link rate until the
         // second plane is observed.
-        assert!((f.flows.iter().next().unwrap().rate_gbps - 200.0).abs() < 1e-6);
+        assert!((f.model.flows.iter().next().unwrap().rate_gbps - 200.0).abs() < 1e-6);
         // A packet on the other plane (path_id picks the plane) widens
         // the cap to both ports.
         for p in 1..8 {
             f.send(t(0), src, dst, 1, p, 1 << 20);
         }
-        assert!((f.flows.iter().next().unwrap().rate_gbps - 400.0).abs() < 1e-6);
+        assert!((f.model.flows.iter().next().unwrap().rate_gbps - 400.0).abs() < 1e-6);
     }
 
     #[test]
@@ -989,7 +726,7 @@ mod tests {
             f.send(t(0), src, dst, h as u64, 0, 4096);
             f.send(t(0), src, dst, h as u64, 1, 4096);
         }
-        let rates: Vec<f64> = f.flows.iter().map(|fl| fl.rate_gbps).collect();
+        let rates: Vec<f64> = f.model.flows.iter().map(|fl| fl.rate_gbps).collect();
         assert_eq!(rates.len(), 4);
         for r in &rates {
             // 4 flows share 400 Gbps of dst ingress: 100 Gbps each.
@@ -1019,7 +756,7 @@ mod tests {
         let (dp, db) = f.delivered();
         let drops: u64 = DropReason::ALL.iter().map(|&r| f.drops_by_reason(r)).sum();
         assert_eq!(ip, dp + drops);
-        assert_eq!(ib, db + f.dropped_bytes);
+        assert_eq!(ib, db + f.model.ledger.dropped_bytes);
     }
 
     #[test]

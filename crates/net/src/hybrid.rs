@@ -28,9 +28,10 @@
 //! handles itself — escalating on it would collapse every saturating
 //! collective onto the packet path and forfeit the scale win.
 //!
-//! Fault plans and manual link mutations are mirrored into both models
-//! so either one can be the carrier at any moment; ledgers and stats
-//! are the field-wise sum of the two.
+//! Both models run on one shared core: one topology, one link table,
+//! one fault applier and one trace, so either model can be the carrier
+//! at any moment and link counters need no merging. Each model keeps
+//! its own conservation ledger, checked separately.
 
 use std::collections::hash_map::Entry;
 
@@ -38,13 +39,11 @@ use stellar_sim::hash::FastMap;
 use stellar_sim::{SimDuration, SimRng, SimTime};
 use stellar_telemetry::{count, Subsystem};
 
-use crate::fabric::{uplink_imbalance_from, Fabric, FabricKind};
-use crate::fault::FaultPlan;
-use crate::fluid::{FluidConfig, FluidFabric};
-use crate::network::{
-    record_trace, Delivery, DropReason, LinkStats, Network, NetworkConfig, TraceRecord,
-};
-use crate::topology::{ClosTopology, LinkId, NicId};
+use crate::core::{Core, Ledger, Model, ModelFabric, Packet};
+use crate::fabric::FabricKind;
+use crate::fluid::{FluidConfig, FluidModel};
+use crate::network::{Delivery, NetworkConfig, PacketModel};
+use crate::topology::{ClosTopology, LinkId, Route};
 
 /// Escalation knobs for the hybrid classifier.
 #[derive(Debug, Clone)]
@@ -76,12 +75,12 @@ struct FlowMeta {
     escalated: bool,
 }
 
-/// The hybrid packet/fluid fabric. See the module docs for the
-/// escalation rules.
+/// The hybrid classifier with both models it dispatches to. See the
+/// module docs for the escalation rules.
 #[derive(Debug)]
-pub struct HybridFabric {
-    packet: Network,
-    fluid: FluidFabric,
+pub struct HybridModel {
+    packet: PacketModel,
+    fluid: FluidModel,
     hybrid: HybridConfig,
     /// Active-flow metadata by `(src, dst, flow)`. Nothing iterates it
     /// in an order that reaches an output: expiry only decrements
@@ -90,56 +89,12 @@ pub struct HybridFabric {
     /// Distinct active flows per destination NIC (incast detector).
     dst_flows: Vec<u32>,
     next_expiry_scan: SimTime,
-    /// Sends in injection order, up to the limit, when tracing is on.
-    trace: Option<(Vec<TraceRecord>, usize)>,
     escalations: u64,
     packet_sends: u64,
     fluid_sends: u64,
 }
 
-impl HybridFabric {
-    /// A hybrid fabric over `topo`. The packet and fluid halves get
-    /// independent RNG streams forked from `rng` (labels `"packet"` and
-    /// `"fluid"`), so loss draws on one path never perturb the other.
-    pub fn new(
-        topo: ClosTopology,
-        config: NetworkConfig,
-        hybrid: HybridConfig,
-        rng: SimRng,
-    ) -> Self {
-        let nics = topo.total_nics();
-        let packet = Network::new(topo.clone(), config.clone(), rng.fork("packet"));
-        let fluid = FluidFabric::new(topo, config, hybrid.fluid.clone(), rng.fork("fluid"));
-        HybridFabric {
-            packet,
-            fluid,
-            hybrid,
-            meta: FastMap::default(),
-            dst_flows: vec![0; nics],
-            next_expiry_scan: SimTime::ZERO,
-            trace: None,
-            escalations: 0,
-            packet_sends: 0,
-            fluid_sends: 0,
-        }
-    }
-
-    /// `(packet sends, fluid sends, escalation events)` so far — the
-    /// split that tells you whether the hybrid is earning its keep.
-    pub fn send_split(&self) -> (u64, u64, u64) {
-        (self.packet_sends, self.fluid_sends, self.escalations)
-    }
-
-    /// The packet half (e.g. for packet-side queue inspection).
-    pub fn packet(&self) -> &Network {
-        &self.packet
-    }
-
-    /// The fluid half.
-    pub fn fluid(&self) -> &FluidFabric {
-        &self.fluid
-    }
-
+impl HybridModel {
     fn expire_meta(&mut self, now: SimTime) {
         if now < self.next_expiry_scan || self.meta.is_empty() {
             return;
@@ -159,198 +114,129 @@ impl HybridFabric {
 
     /// Whether the route touches a link that is down, lossy, degrading,
     /// or queued past the ECN threshold on the packet side.
-    fn route_contested(packet: &Network, now: SimTime, route: &[LinkId]) -> bool {
-        let ecn_threshold = packet.config().ecn_threshold_bytes;
+    fn route_contested(packet: &PacketModel, core: &Core, now: SimTime, route: &[LinkId]) -> bool {
+        let ecn_threshold = core.config.ecn_threshold_bytes;
         route.iter().any(|&l| {
-            !packet.link_up(l)
-                || packet.link_loss(l) > 0.0
-                || packet.degraded_loss_at(l, now) > 0.0
-                || packet.backlog_bytes(l, now) > ecn_threshold
+            core.links[l.0 as usize].faulty(now)
+                || packet.backlog_bytes(&core.config, l, now) > ecn_threshold
         })
     }
 }
 
-impl Fabric for HybridFabric {
-    fn kind(&self) -> FabricKind {
-        FabricKind::Hybrid
-    }
+impl Model for HybridModel {
+    const KIND: FabricKind = FabricKind::Hybrid;
 
-    fn topology(&self) -> &ClosTopology {
-        Network::topology(&self.packet)
-    }
-
-    fn config(&self) -> &NetworkConfig {
-        Network::config(&self.packet)
-    }
-
-    fn config_mut(&mut self) -> &mut NetworkConfig {
-        // Keep both halves in sync: the packet half is authoritative,
-        // the fluid half is overwritten from it on the next advance.
-        Network::config_mut(&mut self.packet)
-    }
-
-    fn send(
-        &mut self,
-        now: SimTime,
-        src: NicId,
-        dst: NicId,
-        flow: u64,
-        path_id: u32,
-        bytes: u64,
-    ) -> Delivery {
-        self.advance(now);
-        let route = self.packet.topology().route(src, dst, flow, path_id);
-        let meta = match self.meta.entry((src.0, dst.0, flow)) {
+    fn send(&mut self, core: &mut Core, p: &Packet, route: Route) -> Delivery {
+        let meta = match self.meta.entry((p.src.0, p.dst.0, p.flow)) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
-                self.dst_flows[dst.0 as usize] += 1;
+                self.dst_flows[p.dst.0 as usize] += 1;
                 e.insert(FlowMeta {
-                    last_active: now,
+                    last_active: p.now,
                     escalated: false,
                 })
             }
         };
-        meta.last_active = now;
+        meta.last_active = p.now;
         // Cheap per-flow state first (stickiness, incast), then the
-        // route's fault and queue state on the packet side.
+        // route's fault and queue state.
         let contested = meta.escalated
-            || self.dst_flows[dst.0 as usize] as usize >= self.hybrid.incast_threshold
-            || Self::route_contested(&self.packet, now, &route);
+            || self.dst_flows[p.dst.0 as usize] as usize >= self.hybrid.incast_threshold
+            || Self::route_contested(&self.packet, core, p.now, &route);
         if contested && !meta.escalated {
             meta.escalated = true;
             self.escalations += 1;
             count(Subsystem::Net, "fabric.hybrid.escalation", 1);
         }
-        let delivery = if contested {
+        if contested {
             self.packet_sends += 1;
             count(Subsystem::Net, "fabric.hybrid.packet_send", 1);
-            self.packet.send(now, src, dst, flow, path_id, bytes)
+            self.packet.send(core, p, route)
         } else {
             self.fluid_sends += 1;
             count(Subsystem::Net, "fabric.hybrid.fluid_send", 1);
-            // `advance` above already advanced the fluid half to `now`.
-            self.fluid
-                .send_routed(now, src, dst, flow, path_id, bytes, route)
-        };
-        record_trace(&mut self.trace, || TraceRecord {
-            sent: now,
-            src,
-            dst,
-            flow,
-            path_id,
-            bytes,
-            delivery,
-        });
-        delivery
+            self.fluid.send(core, p, route)
+        }
     }
 
     fn advance(&mut self, now: SimTime) {
-        // The fluid half's NetworkConfig may have drifted behind a
-        // config_mut() tweak on the packet half; re-sync cheaply.
-        if self.fluid.config().link_gbps != self.packet.config().link_gbps
-            || self.fluid.config().bgp_convergence != self.packet.config().bgp_convergence
-            || self.fluid.config().ecn_threshold_bytes != self.packet.config().ecn_threshold_bytes
-            || self.fluid.config().buffer_bytes != self.packet.config().buffer_bytes
-            || self.fluid.config().hop_delay != self.packet.config().hop_delay
-        {
-            *self.fluid.config_mut() = self.packet.config().clone();
-        }
-        self.packet.apply_faults(now);
         self.fluid.advance(now);
         self.expire_meta(now);
     }
 
-    fn install_fault_plan(&mut self, plan: FaultPlan) {
-        self.packet.install_fault_plan(plan.clone());
-        self.fluid.install_fault_plan(plan);
+    fn links_changed(&mut self) {
+        self.fluid.links_changed();
     }
 
-    fn pending_fault_events(&self) -> usize {
-        self.packet.pending_fault_events()
+    fn port_queue(&self, link: LinkId, now: SimTime) -> (u64, f64) {
+        // Per-port queues only exist in the packet model.
+        self.packet.port_queue(link, now)
     }
 
-    fn set_link_up(&mut self, link: LinkId, up: bool) {
-        self.packet.set_link_up(link, up);
-        Fabric::set_link_up(&mut self.fluid, link, up);
+    fn tor_uplink_queue_stats(&self, topo: &ClosTopology, now: SimTime) -> (f64, u64) {
+        self.packet.tor_uplink_queue_stats(topo, now)
     }
 
-    fn set_link_state_at(&mut self, now: SimTime, link: LinkId, up: bool) {
-        self.packet.set_link_state_at(now, link, up);
-        Fabric::set_link_state_at(&mut self.fluid, now, link, up);
-    }
-
-    fn set_loss(&mut self, link: LinkId, p: f64) {
-        self.packet.set_loss(link, p);
-        Fabric::set_loss(&mut self.fluid, link, p);
-    }
-
-    fn control_rtt_component(&self, src: NicId, dst: NicId) -> SimDuration {
-        self.packet.control_rtt_component(src, dst)
-    }
-
-    fn drops_by_reason(&self, reason: DropReason) -> u64 {
-        self.packet.drops_by_reason(reason) + Fabric::drops_by_reason(&self.fluid, reason)
-    }
-
-    fn injected(&self) -> (u64, u64) {
-        let (pp, pb) = Network::injected(&self.packet);
-        let (fp, fb) = Fabric::injected(&self.fluid);
-        (pp + fp, pb + fb)
-    }
-
-    fn delivered(&self) -> (u64, u64) {
-        let (pp, pb) = Network::delivered(&self.packet);
-        let (fp, fb) = Fabric::delivered(&self.fluid);
-        (pp + fp, pb + fb)
-    }
-
-    fn link_stats(&self, link: LinkId, now: SimTime) -> LinkStats {
-        let p = Network::link_stats(&self.packet, link, now);
-        let f = Fabric::link_stats(&self.fluid, link, now);
-        LinkStats {
-            tx_bytes: p.tx_bytes + f.tx_bytes,
-            tx_packets: p.tx_packets + f.tx_packets,
-            drops: p.drops + f.drops,
-            ecn_marks: p.ecn_marks + f.ecn_marks,
-            max_queue_bytes: p.max_queue_bytes.max(f.max_queue_bytes),
-            avg_queue_bytes: p.avg_queue_bytes + f.avg_queue_bytes,
-        }
-    }
-
-    fn tor_uplink_imbalance(&self) -> f64 {
-        let topo = Network::topology(&self.packet);
-        uplink_imbalance_from(topo, |l| {
-            Network::link_stats(&self.packet, l, SimTime::ZERO).tx_bytes
-                + Fabric::link_stats(&self.fluid, l, SimTime::ZERO).tx_bytes
-        })
-    }
-
-    fn tor_uplink_queue_stats(&self, now: SimTime) -> (f64, u64) {
-        // Per-port queues only exist on the packet half.
-        Network::tor_uplink_queue_stats(&self.packet, now)
-    }
-
-    fn enable_trace(&mut self, limit: usize) {
-        // Recorded here rather than in the halves, so the trace keeps
-        // injection order across both models and `limit` bounds the
-        // whole fabric.
-        self.trace = Some((Vec::new(), limit));
-    }
-
-    fn take_trace(&mut self) -> Vec<TraceRecord> {
-        self.trace.take().map(|(v, _)| v).unwrap_or_default()
+    fn ledger(&self) -> Ledger {
+        self.packet.ledger().plus(&self.fluid.ledger())
     }
 
     fn check_invariants(&self, at: SimTime) {
         self.packet.check_invariants(at);
-        Fabric::check_invariants(&self.fluid, at);
+        self.fluid.check_invariants(at);
+    }
+}
+
+/// The hybrid packet/fluid fabric: the shared core plus the hybrid
+/// model. See the module docs for the escalation rules.
+pub type HybridFabric = ModelFabric<HybridModel>;
+
+impl HybridFabric {
+    /// A hybrid fabric over `topo`. The packet and fluid models get
+    /// independent RNG streams forked from `rng` (labels `"packet"` and
+    /// `"fluid"`), so loss draws on one path never perturb the other.
+    pub fn new(
+        topo: ClosTopology,
+        config: NetworkConfig,
+        hybrid: HybridConfig,
+        rng: SimRng,
+    ) -> Self {
+        let model = HybridModel {
+            packet: PacketModel::new(topo.total_links(), rng.fork("packet")),
+            fluid: FluidModel::new(&topo, &config, hybrid.fluid.clone(), rng.fork("fluid")),
+            hybrid,
+            meta: FastMap::default(),
+            dst_flows: vec![0; topo.total_nics()],
+            next_expiry_scan: SimTime::ZERO,
+            escalations: 0,
+            packet_sends: 0,
+            fluid_sends: 0,
+        };
+        ModelFabric {
+            core: Core::new(topo, config),
+            model,
+        }
+    }
+
+    /// `(packet sends, fluid sends, escalation events)` so far — the
+    /// split that tells you whether the hybrid is earning its keep.
+    pub fn send_split(&self) -> (u64, u64, u64) {
+        let m = &self.model;
+        (m.packet_sends, m.fluid_sends, m.escalations)
+    }
+
+    /// The fluid model (e.g. for its flow ledger).
+    pub fn fluid(&self) -> &FluidModel {
+        &self.model.fluid
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::DropReason;
     use crate::topology::ClosConfig;
+    use crate::Fabric;
 
     fn topo() -> ClosTopology {
         ClosTopology::build(ClosConfig {
@@ -464,6 +350,41 @@ mod tests {
             "the trace is the first `limit` sends, in send order"
         );
         assert!(f.take_trace().is_empty(), "taking the trace disables it");
+    }
+
+    /// The fluid model reads the one shared `NetworkConfig`, so a
+    /// `config_mut` change shows in the very next fluid-carried send.
+    #[test]
+    fn config_changes_reach_the_next_fluid_send() {
+        let bytes = 4096;
+        // A fresh healthy 1:1 cross-segment flow: 4 hops, one plane, so
+        // it rides the fluid model at the link rate.
+        let latency = |f: &mut HybridFabric, now: SimTime, h: usize, flow: u64| {
+            let (src, dst) = (f.topology().nic(h, 0), f.topology().nic(h + 4, 0));
+            let fluid_before = f.send_split().1;
+            let at = f.send(now, src, dst, flow, 0, bytes).arrival().unwrap();
+            assert_eq!(
+                f.send_split().1,
+                fluid_before + 1,
+                "must ride the fluid model"
+            );
+            at.duration_since(now)
+        };
+        let expect =
+            |gbps: f64, hop: SimDuration| stellar_sim::transmit_time(bytes, gbps) + hop.mul(4);
+
+        let mut f = fabric();
+        let hop = NetworkConfig::default().hop_delay;
+        assert_eq!(latency(&mut f, t(0), 0, 1), expect(200.0, hop));
+        let slower_hop = SimDuration::from_micros(3);
+        f.config_mut().hop_delay = slower_hop;
+        assert_eq!(latency(&mut f, t(10), 1, 2), expect(200.0, slower_hop));
+
+        let mut f = fabric();
+        let (src, dst) = (f.topology().nic(0, 0), f.topology().nic(4, 0));
+        f.send(t(0), src, dst, 1, 0, bytes);
+        f.config_mut().link_gbps = 100.0;
+        assert_eq!(latency(&mut f, t(10), 1, 2), expect(100.0, hop));
     }
 
     #[test]

@@ -24,11 +24,17 @@
 //!   generic over; [`fixture`] — one-line fabric constructors for tests
 //!   and workloads.
 //!
+//! The three fabrics are one type, [`ModelFabric`], over three models:
+//! the topology, link fault state and counters, fault plan, trace and
+//! control-plane reroute live once in a shared core, and each model
+//! adds only how it carries a packet.
+//!
 //! Per-port gauges (queue depth) and counters (bytes, drops, ECN marks)
 //! feed Figures 9–12 directly.
 
 #![warn(missing_docs)]
 
+mod core;
 pub mod fabric;
 pub mod fault;
 pub mod fixture;
@@ -37,8 +43,9 @@ pub mod hybrid;
 pub mod network;
 pub mod topology;
 
+pub use crate::core::ModelFabric;
 pub use fabric::{Fabric, FabricKind};
-pub use fault::{FaultEvent, FaultPlan};
+pub use fault::{FaultEvent, FaultPlan, FaultPlanError};
 pub use fluid::{FluidConfig, FluidFabric};
 pub use hybrid::{HybridConfig, HybridFabric};
 pub use network::{Delivery, DropReason, LinkStats, Network, NetworkConfig, TraceRecord};

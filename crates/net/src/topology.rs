@@ -246,6 +246,11 @@ impl ClosTopology {
         self.total_hosts() * self.config.rails
     }
 
+    /// Total nodes (NICs and switches).
+    pub(crate) fn total_nodes(&self) -> usize {
+        self.nodes.len()
+    }
+
     /// Total links.
     pub fn total_links(&self) -> usize {
         self.links.len()

@@ -1,6 +1,6 @@
 //! Property tests for the transport's core invariants.
 
-use stellar_net::{ClosConfig, ClosTopology, FaultPlan, Network, NetworkConfig};
+use stellar_net::{ClosConfig, ClosTopology, Fabric, FaultPlan, Network, NetworkConfig};
 use stellar_sim::par::with_thread_override;
 use stellar_sim::proptest_lite::check;
 use stellar_sim::{SimDuration, SimRng, SimTime};

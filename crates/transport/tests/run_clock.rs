@@ -11,7 +11,7 @@
 //! cancellable, when every dead timer still popped. They must never
 //! change: a drift means cancellation altered what a workload observes.
 
-use stellar_net::{ClosConfig, ClosTopology, Network, NetworkConfig};
+use stellar_net::{ClosConfig, ClosTopology, Fabric, Network, NetworkConfig};
 use stellar_sim::{SimDuration, SimRng, SimTime};
 use stellar_transport::{ConnStats, NoopApp, PathAlgo, TransportConfig, TransportSim};
 

@@ -3,7 +3,7 @@
 //! what retirement keeps (the latency histogram, the exactly-once ledger)
 //! matches what an app observes.
 
-use stellar_net::{ClosConfig, ClosTopology, Network, NetworkConfig};
+use stellar_net::{ClosConfig, ClosTopology, Fabric, Network, NetworkConfig};
 use stellar_sim::stats::Histogram;
 use stellar_sim::{SimRng, SimTime};
 use stellar_transport::{

@@ -1048,6 +1048,32 @@ mod tests {
         assert!(src.contains("chaos_fails(&config)"), "missing oracle:\n{src}");
     }
 
+    /// Every scenario's plan — flap storms, switch cascades, the compound
+    /// storm — and the shrinker's bisected subset pass the fault-plan
+    /// validation that `install_fault_plan` applies.
+    #[test]
+    fn scenario_and_shrunk_plans_validate() {
+        let shrunk = shrink_failing_chaos(&failing_unhardened()).expect("must shrink");
+        let scenarios = [
+            ChaosScenario::FlapStorm,
+            ChaosScenario::SwitchDeath,
+            ChaosScenario::SlowOptics,
+            ChaosScenario::Compound,
+        ];
+        let configs = scenarios.into_iter().map(quick).chain([shrunk.config]);
+        for config in configs {
+            let (sim, nics) = build_sim(&config);
+            let plan = effective_plan(&config, &sim, &nics, SimDuration::from_micros(100));
+            assert!(!plan.is_empty());
+            assert_eq!(
+                plan.validate(sim.network().topology()),
+                Ok(()),
+                "{:?}",
+                config.scenario
+            );
+        }
+    }
+
     #[test]
     fn shrinker_declines_a_healthy_config() {
         // The hardened default rides through FlapStorm; nothing to shrink.

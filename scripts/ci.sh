@@ -10,6 +10,12 @@ cargo build --release --offline
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace -- -D warnings
 
+# Benchmark harness: benchmark/ is its own package that builds against
+# these crates by path, so an API break of `Fabric`, of the fabric
+# constructors or of the `*_with` workload drivers must fail here, not
+# first in a benchmark run.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 # Run `reproduce` (built above) with the given arguments, passing its
 # stdout through, and fail if its peak RSS exceeds a ceiling in MB. The
 # box has no /usr/bin/time; python3's getrusage reports the child's

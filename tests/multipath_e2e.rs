@@ -1,7 +1,7 @@
 //! Transport × fabric integration: spraying, failures injected mid-run,
 //! and end-to-end determinism.
 
-use stellar::net::{ClosConfig, ClosTopology, Network, NetworkConfig, NicId};
+use stellar::net::{ClosConfig, ClosTopology, Fabric, Network, NetworkConfig, NicId};
 use stellar::transport::{
     App, CompletionLog, ConnId, MsgId, NoopApp, PathAlgo, TransportConfig, TransportSim,
 };

@@ -3,7 +3,7 @@
 
 use stellar::net::fixture::{fluid_fabric, hybrid_fabric};
 use stellar::net::{
-    ClosConfig, ClosTopology, FluidConfig, HybridConfig, Network, NetworkConfig, NicId,
+    ClosConfig, ClosTopology, Fabric, FluidConfig, HybridConfig, Network, NetworkConfig, NicId,
 };
 use stellar::pcie::addr::{Gpa, Hpa, PAGE_4K};
 use stellar::pcie::iommu::{Iommu, IommuConfig};
