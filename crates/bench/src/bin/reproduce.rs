@@ -32,8 +32,8 @@ use std::time::Instant;
 use stellar_bench as b;
 use stellar_sim::json::{Arr, Obj};
 use stellar_sim::par::{
-    configured_threads, events_cancelled_here, events_scheduled_here, note_queue_depth, par_map,
-    take_queue_depth_peak, with_thread_override,
+    configured_threads, events_scheduled_here, note_queue_depth, par_map, take_queue_depth_peak,
+    with_thread_override,
 };
 use stellar_telemetry::TelemetryConfig;
 
@@ -42,9 +42,8 @@ use stellar_telemetry::TelemetryConfig;
 ///
 /// `event_driven` says whether the experiment runs the discrete-event
 /// simulator. Analytic experiments (closed-form models, no event queue)
-/// report `null` for `events`/`events_per_sec`/`events_cancelled`/
-/// `peak_queue_depth` in the `--perf` report instead of a misleading
-/// `0`; an event-driven
+/// report `null` for `events`/`events_per_sec`/`peak_queue_depth` in
+/// the `--perf` report instead of a misleading `0`; an event-driven
 /// experiment reporting zero events is treated as a harness bug and
 /// fails the run.
 struct Experiment {
@@ -153,7 +152,6 @@ struct PerfRec {
     event_driven: bool,
     wall_ms: f64,
     events: u64,
-    events_cancelled: u64,
     peak_queue_depth: u64,
     /// The flight recorder's high-water mark; `None` when the pass ran
     /// untraced and there was no recorder to measure.
@@ -178,7 +176,6 @@ fn run_selected(
         let saved = take_queue_depth_peak();
         let t0 = Instant::now();
         let ev0 = events_scheduled_here();
-        let cancelled0 = events_cancelled_here();
         let (out, trace_doc, ring_high_water) = if trace {
             let (out, tel) =
                 stellar_telemetry::capture(TelemetryConfig::default(), || (exp.run)(quick, json));
@@ -189,14 +186,12 @@ fn run_selected(
         };
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         let events = events_scheduled_here() - ev0;
-        let events_cancelled = events_cancelled_here() - cancelled0;
         let peak = take_queue_depth_peak();
         note_queue_depth(saved.max(peak));
         PerfSample {
             out,
             wall_ms,
             events,
-            events_cancelled,
             peak_queue_depth: peak,
             ring_high_water,
             trace_doc,
@@ -215,7 +210,6 @@ fn run_selected(
             event_driven: s.event_driven,
             wall_ms: s.wall_ms,
             events: s.events,
-            events_cancelled: s.events_cancelled,
             peak_queue_depth: s.peak_queue_depth,
             ring_high_water: s.ring_high_water,
         });
@@ -227,7 +221,6 @@ struct PerfSample {
     out: String,
     wall_ms: f64,
     events: u64,
-    events_cancelled: u64,
     peak_queue_depth: u64,
     ring_high_water: Option<u64>,
     trace_doc: Option<String>,
@@ -282,12 +275,10 @@ fn perf_report(
                     "events_per_sec",
                     if secs > 0.0 { p.events as f64 / secs } else { 0.0 },
                 )
-                .field_u64("events_cancelled", p.events_cancelled)
                 .field_u64("peak_queue_depth", p.peak_queue_depth)
         } else {
             obj.field_raw("events", "null")
                 .field_raw("events_per_sec", "null")
-                .field_raw("events_cancelled", "null")
                 .field_raw("peak_queue_depth", "null")
         };
         // The ring is only measured under --trace; untraced rows say so.
@@ -512,7 +503,6 @@ mod tests {
             event_driven,
             wall_ms: 10.0,
             events,
-            events_cancelled: events / 3,
             peak_queue_depth: if events > 0 { 7 } else { 0 },
             ring_high_water: None,
         }
@@ -528,8 +518,8 @@ mod tests {
         assert!(
             report.contains(
                 "\"event_driven\":false,\"wall_ms\":10.0,\"events\":null,\
-                 \"events_per_sec\":null,\"events_cancelled\":null,\
-                 \"peak_queue_depth\":null,\"ring_high_water\":null"
+                 \"events_per_sec\":null,\"peak_queue_depth\":null,\
+                 \"ring_high_water\":null"
             ),
             "analytic row must carry nulls: {report}"
         );
@@ -551,7 +541,7 @@ mod tests {
         let report = perf_report(true, 1, 10.0, 10.0, None, &untraced, &untraced);
         assert!(
             report.contains(
-                "\"events_cancelled\":300,\"peak_queue_depth\":7,\"ring_high_water\":null,\
+                "\"peak_queue_depth\":7,\"ring_high_water\":null,\
                  \"baseline_wall_ms\":null,\"speedup\":null}"
             ),
             "{report}"

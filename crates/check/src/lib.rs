@@ -172,6 +172,11 @@ pub const INVARIANTS: &[InvariantSpec] = &[
         description: "across any number of recoveries, receiver bitmaps count each packet once: placed packets == delivered packets, completions == completed bitmaps, and no bitmap overfills",
     },
     InvariantSpec {
+        layer: Layer::Transport,
+        name: "transport.rto_armed",
+        description: "a connection with packets in flight has an RTO timer queued at or before its earliest in-flight (deadline, seq) key",
+    },
+    InvariantSpec {
         layer: Layer::Telemetry,
         name: "telemetry.span_balance",
         description: "spans opened == spans closed + leaked + still open",

@@ -12,8 +12,8 @@
 //!   Deliver/Ack/Rto horizon of a transport run.
 //! * `bimodal`  — 90% short (≈2 µs ACK turnaround), 10% long (≈10 ms
 //!   RTO): two wheel tiers exercised on every iteration.
-//! * `equal`    — every event at the *same* next nanosecond: the
-//!   same-timestamp burst `pop_batch` exists for; stresses FIFO
+//! * `equal`    — every event at the *same* next nanosecond: a
+//!   same-timestamp burst drained from the ready run; stresses FIFO
 //!   tie-breaking, the heap's worst comparison case.
 //!
 //! Run with `cargo bench -p stellar-sim --bench queue`; filter by

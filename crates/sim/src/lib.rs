@@ -59,7 +59,6 @@ pub use cache::LruCache;
 /// The binary-heap reference queue, kept for differential testing and
 /// `--features reference-queue` A/B perf runs.
 pub use queue::ReferenceQueue;
-pub use queue::TimerHandle;
 /// The timing wheel under its explicit name, so the differential suite can
 /// name both implementations regardless of which one `EventQueue` aliases.
 pub use wheel::EventQueue as TimingWheelQueue;

@@ -35,10 +35,9 @@
 //!   the pool drains, so failure reporting is independent of scheduling.
 //!
 //! The module also owns the per-thread *scheduled-event* counter that
-//! [`EventQueue::schedule`] ticks, and its twin for cancels.
-//! [`events_scheduled_here`] reads the calling thread's count; `par_map`
-//! folds the events its workers scheduled (and cancelled) back into the
-//! caller's counters when the pool drains, so a
+//! [`EventQueue::schedule`] ticks. [`events_scheduled_here`] reads the
+//! calling thread's count; `par_map` folds the events its workers
+//! scheduled back into the caller's counter when the pool drains, so a
 //! `(before, after)` snapshot pair around any call — including one that
 //! internally fans out — yields an inclusive event count. The `--perf`
 //! harness of the `reproduce` binary is built on this.
@@ -57,10 +56,6 @@ thread_local! {
     /// Events scheduled by this thread (plus events folded in from child
     /// pools that this thread waited on).
     static EVENTS_SCHEDULED: Cell<u64> = const { Cell::new(0) };
-
-    /// Events cancelled by this thread (plus events folded in from child
-    /// pools that this thread waited on).
-    static EVENTS_CANCELLED: Cell<u64> = const { Cell::new(0) };
 
     /// Deepest pending-event backlog any [`EventQueue`] on this thread
     /// reached (plus peaks folded in from child pools this thread waited
@@ -90,18 +85,6 @@ pub(crate) fn record_scheduled_event() {
 
 fn add_events(n: u64) {
     EVENTS_SCHEDULED.with(|c| c.set(c.get() + n));
-}
-
-/// Total simulation events cancelled on this thread, inclusive of any
-/// [`par_map`] pools this thread has drained; snapshot it like
-/// [`events_scheduled_here`].
-pub fn events_cancelled_here() -> u64 {
-    EVENTS_CANCELLED.with(|c| c.get())
-}
-
-/// Tick the per-thread cancel counter (called by `EventQueue::cancel`).
-pub(crate) fn record_cancelled_event() {
-    EVENTS_CANCELLED.with(|c| c.set(c.get() + 1));
 }
 
 /// Raise this thread's queue-depth high-water mark to at least `depth`.
@@ -252,7 +235,6 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
     let ctx_slots: Vec<Mutex<Option<Box<dyn Any + Send>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
     let child_events = AtomicU64::new(0);
-    let child_cancelled = AtomicU64::new(0);
     let child_peak = AtomicU64::new(0);
 
     std::thread::scope(|scope| {
@@ -261,7 +243,6 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
                 // Workers are fresh threads, so their counters start at 0
                 // (the snapshots below are just defensive).
                 let before = events_scheduled_here();
-                let cancelled_before = events_cancelled_here();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
@@ -285,10 +266,6 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
                 // inclusive. Queue-depth peaks fold as a max.
                 let delta = events_scheduled_here() - before;
                 child_events.fetch_add(delta, Ordering::Relaxed);
-                child_cancelled.fetch_add(
-                    events_cancelled_here() - cancelled_before,
-                    Ordering::Relaxed,
-                );
                 child_peak.fetch_max(
                     QUEUE_DEPTH_PEAK.with(|c| c.get()),
                     Ordering::Relaxed,
@@ -297,7 +274,6 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
         }
     });
     add_events(child_events.load(Ordering::Relaxed));
-    EVENTS_CANCELLED.with(|c| c.set(c.get() + child_cancelled.load(Ordering::Relaxed)));
     note_queue_depth(child_peak.load(Ordering::Relaxed));
     if let (Some(h), Some(_)) = (hooks, &snap) {
         // Per-job contexts merge back strictly in input order — the same
@@ -403,24 +379,17 @@ mod tests {
     fn events_fold_into_caller() {
         use crate::{EventQueue, SimDuration, SimTime};
         let before = events_scheduled_here();
-        let cancelled_before = events_cancelled_here();
         let items: Vec<u64> = (1..=8).collect();
         with_thread_override(4, || {
             par_map(&items, |&k| {
                 let mut q = EventQueue::new();
                 for i in 0..k {
-                    let h =
-                        q.schedule_cancellable(SimTime::ZERO + SimDuration::from_nanos(i + 1), ());
-                    if i % 2 == 0 {
-                        assert!(q.cancel(h).is_some());
-                    }
+                    q.schedule(SimTime::ZERO + SimDuration::from_nanos(i + 1), ());
                 }
             })
         });
         let delta = events_scheduled_here() - before;
         assert_eq!(delta, (1..=8).sum::<u64>());
-        let cancelled = events_cancelled_here() - cancelled_before;
-        assert_eq!(cancelled, (1..=8u64).map(|k| k.div_ceil(2)).sum::<u64>());
     }
 
     #[test]

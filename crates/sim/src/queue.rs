@@ -14,41 +14,16 @@
 //! `--features reference-queue` to alias `EventQueue` back to this type
 //! for A/B perf runs.
 //!
-//! Cancellation is modelled with tombstones: [`ReferenceQueue::cancel`]
-//! records the event's `seq`, and the heap drops tombstoned entries as
-//! they reach the top, so a cancelled event never pops and never moves
-//! the clock.
+//! A caller may [`reserve_seq`](ReferenceQueue::reserve_seq) a tie-break
+//! number now and [`schedule_reserved`](ReferenceQueue::schedule_reserved)
+//! an event under it later: the event then pops at the `(time, seq)` rank
+//! it would have had if it had been scheduled when the number was
+//! reserved.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
-
-/// A ticket for cancelling one event scheduled with
-/// `schedule_cancellable` on either queue implementation.
-///
-/// Opaque and `Copy`. The timing wheel packs a slab index and that node's
-/// generation into it; the reference queue a serial number that no clear
-/// resets. A handle goes stale once its event is cancelled, pops, becomes
-/// due (a peek or pop has reached its timestamp), or the queue is
-/// cleared; cancelling a stale handle is a no-op that returns `None`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimerHandle(u64);
-
-impl TimerHandle {
-    /// A handle that matches no event.
-    pub(crate) const STALE: TimerHandle = TimerHandle(u64::MAX);
-
-    /// Pack a slab index and generation (timing wheel).
-    pub(crate) fn new(index: u32, generation: u32) -> Self {
-        TimerHandle(u64::from(generation) << 32 | u64::from(index))
-    }
-
-    /// The `(index, generation)` pair packed by [`TimerHandle::new`].
-    pub(crate) fn parts(self) -> (u32, u32) {
-        (self.0 as u32, (self.0 >> 32) as u32)
-    }
-}
 
 /// A deterministic timestamped event queue (binary-heap reference model).
 ///
@@ -58,20 +33,10 @@ impl TimerHandle {
 pub struct ReferenceQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
-    /// Sequence numbers issued before the last clear: a handle's serial is
-    /// `seq_base + seq`, so handles never repeat across clears.
-    seq_base: u64,
-    /// Deadlines of pending cancellable events, by `seq`.
-    cancellable: BTreeMap<u64, SimTime>,
-    /// `seq`s of cancelled events still in the heap.
-    tombstones: BTreeSet<u64>,
-    /// The latest timestamp a peek or pop has reached; events at or before
-    /// it are due and can no longer be cancelled (the wheel has moved them
-    /// into its ready run).
-    due: SimTime,
+    /// `(at, seq)` of the last popped event: no reserved key may precede it.
+    popped: Option<(SimTime, u64)>,
     now: SimTime,
     scheduled_total: u64,
-    cancelled_total: u64,
     peak_len: usize,
 }
 
@@ -114,38 +79,28 @@ impl<E> ReferenceQueue<E> {
         ReferenceQueue {
             heap: BinaryHeap::with_capacity(capacity),
             next_seq: 0,
-            seq_base: 0,
-            cancellable: BTreeMap::new(),
-            tombstones: BTreeSet::new(),
-            due: SimTime::ZERO,
+            popped: None,
             now: SimTime::ZERO,
             scheduled_total: 0,
-            cancelled_total: 0,
             peak_len: 0,
         }
     }
 
     /// Drop all pending events and reset every observable to its initial
     /// state: [`now`](Self::now) returns [`SimTime::ZERO`],
-    /// [`scheduled_total`](Self::scheduled_total),
-    /// [`cancelled_total`](Self::cancelled_total) and
+    /// [`scheduled_total`](Self::scheduled_total) and
     /// [`peak_len`](Self::peak_len) return 0, and the FIFO tie-break
     /// sequence restarts (so a cleared queue schedules and pops exactly
-    /// like a fresh one). Every handle issued before the clear goes
-    /// stale. Only the heap's allocation is kept, so repeated seed runs
-    /// reuse it instead of rebuilding the heap from scratch — this is what
-    /// makes `TransportSim::reset` observably identical to constructing a
-    /// new sim.
+    /// like a fresh one). Only the heap's allocation is kept, so repeated
+    /// seed runs reuse it instead of rebuilding the heap from scratch —
+    /// this is what makes `TransportSim::reset` observably identical to
+    /// constructing a new sim.
     pub fn clear(&mut self) {
         self.heap.clear();
-        self.seq_base += self.next_seq;
         self.next_seq = 0;
-        self.cancellable.clear();
-        self.tombstones.clear();
-        self.due = SimTime::ZERO;
+        self.popped = None;
         self.now = SimTime::ZERO;
         self.scheduled_total = 0;
-        self.cancelled_total = 0;
         self.peak_len = 0;
     }
 
@@ -166,38 +121,35 @@ impl<E> ReferenceQueue<E> {
     /// Panics if `at` is in the past — scheduling behind the clock would
     /// silently corrupt causality, so it is treated as a logic bug.
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        self.push(at, event);
+        let seq = self.reserve_seq();
+        self.push(at, seq, event);
     }
 
-    /// [`schedule`](Self::schedule) `event` at `at` and return a handle
-    /// that can [`cancel`](Self::cancel) it. Counts in
+    /// Take the next FIFO tie-break number without scheduling anything.
+    /// Pass it to [`schedule_reserved`](Self::schedule_reserved) later.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedule `event` at `at` under a number from
+    /// [`reserve_seq`](Self::reserve_seq): it pops at the `(at, seq)` rank
+    /// it would have had if scheduled when `seq` was reserved. Counts in
     /// [`scheduled_total`](Self::scheduled_total) like any schedule.
     ///
     /// # Panics
-    /// Panics if `at` is in the past.
-    pub fn schedule_cancellable(&mut self, at: SimTime, event: E) -> TimerHandle {
-        let seq = self.push(at, event);
-        self.cancellable.insert(seq, at);
-        TimerHandle(self.seq_base + seq)
-    }
-
-    /// Remove the event behind `handle`. Returns its deadline, or `None`
-    /// if the handle is stale: the event was cancelled, popped, or is
-    /// already due (a peek or pop has reached its timestamp), or the
-    /// queue was cleared since. A cancelled event never pops and never
-    /// moves the clock.
-    pub fn cancel(&mut self, handle: TimerHandle) -> Option<SimTime> {
-        let seq = handle.0.checked_sub(self.seq_base)?;
-        let &at = self.cancellable.get(&seq)?;
-        if at <= self.due {
-            return None;
+    /// Panics if `at` is in the past, if `seq` was never reserved, or if
+    /// `(at, seq)` orders before the last popped event.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) {
+        assert!(seq < self.next_seq, "seq {seq} was never reserved");
+        if let Some((t, s)) = self.popped {
+            assert!(
+                (at, seq) > (t, s),
+                "reserved key ({at}, {seq}) is before the last popped ({t}, {s})"
+            );
         }
-        self.cancellable.remove(&seq);
-        self.tombstones.insert(seq);
-        self.cancelled_total += 1;
-        crate::par::record_cancelled_event();
-        self.purge();
-        Some(at)
+        self.push(at, seq, event);
     }
 
     /// Move the clock forward to `t` without popping anything; a `t` at
@@ -221,22 +173,17 @@ impl<E> ReferenceQueue<E> {
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let Reverse(entry) = self.heap.pop()?;
-        self.cancellable.remove(&entry.seq);
-        self.purge();
         self.now = entry.at;
-        self.due = self.due.max(entry.at);
+        self.popped = Some((entry.at, entry.seq));
         Some((entry.at, entry.event))
     }
 
-    /// Push an entry and return its `seq`.
-    fn push(&mut self, at: SimTime, event: E) -> u64 {
+    fn push(&mut self, at: SimTime, seq: u64, event: E) {
         assert!(
             at >= self.now,
             "scheduled event at {at} is before current time {}",
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.scheduled_total += 1;
         crate::par::record_scheduled_event();
         self.heap.push(Reverse(Entry { at, seq, event }));
@@ -244,50 +191,16 @@ impl<E> ReferenceQueue<E> {
             self.peak_len = self.len();
             crate::par::note_queue_depth(self.peak_len as u64);
         }
-        seq
     }
 
-    /// Drop tombstoned entries from the top of the heap, so the top is
-    /// always a live event.
-    fn purge(&mut self) {
-        while let Some(Reverse(top)) = self.heap.peek() {
-            if !self.tombstones.remove(&top.seq) {
-                break;
-            }
-            self.heap.pop();
-        }
-    }
-
-    /// Drain **every** event at the next (minimal) timestamp into `out`, in
-    /// FIFO order, advancing the clock to that timestamp. Returns the
-    /// timestamp, or `None` if the queue is empty. `out` is appended to,
-    /// not cleared. Mirrors the timing wheel's batched drain so either
-    /// implementation can sit under `TransportSim`.
-    pub fn pop_batch(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
-        let (at, first) = self.pop()?;
-        out.push(first);
-        // Look at the raw heap top, not `peek_time`: the batch must not
-        // make the *next* timestamp due, exactly as the wheel's drain
-        // stops at the end of its ready run.
-        while self.heap.peek().is_some_and(|Reverse(e)| e.at == at) {
-            let (_, e) = self.pop().expect("peeked entry vanished");
-            out.push(e);
-        }
-        Some(at)
-    }
-
-    /// The timestamp of the next event without popping it. Takes
-    /// `&mut self` like the wheel's: reaching a timestamp makes the
-    /// events there due, which [`cancel`](Self::cancel) observes.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        let at = self.heap.peek().map(|Reverse(e)| e.at)?;
-        self.due = self.due.max(at);
-        Some(at)
+    /// The timestamp of the next event without popping it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(e)| e.at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.tombstones.len()
+        self.heap.len()
     }
 
     /// Whether the queue has no pending events.
@@ -299,12 +212,6 @@ impl<E> ReferenceQueue<E> {
     /// for run reports and runaway detection in tests).
     pub fn scheduled_total(&self) -> u64 {
         self.scheduled_total
-    }
-
-    /// Total number of events removed by [`cancel`](Self::cancel) since
-    /// construction (or the last [`ReferenceQueue::clear`]).
-    pub fn cancelled_total(&self) -> u64 {
-        self.cancelled_total
     }
 
     /// The deepest pending-event backlog this queue has reached since

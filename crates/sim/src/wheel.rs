@@ -17,9 +17,8 @@
 //!   so overflow only triggers near block boundaries or in far-future
 //!   stress tests.
 //! * **Ready run** — a sorted `(at, seq)` buffer of events whose time has
-//!   come. [`EventQueue::pop`] and [`EventQueue::pop_batch`] consume it
-//!   with a moving head index, so a same-timestamp burst drains with no
-//!   per-event comparator work at all.
+//!   come. [`EventQueue::pop`] consumes it with a moving head index, so a
+//!   same-timestamp burst drains with no per-event comparator work at all.
 //!
 //! **Level selection** is the XOR trick used by kernel timer wheels: the
 //! level of an event is the 10-bit group of the highest bit where `at`
@@ -39,23 +38,21 @@
 //! drain time restores FIFO regardless of the order cascades delivered
 //! them.
 //!
-//! **Arena**: event payloads live in a slab (`Vec<Node<E>>` plus an
-//! intrusive free list); wheel slots and the overflow list are doubly
-//! linked lists of `u32` node indices. A node is freed when its event
-//! moves into the ready run (on its way to a pop) *or* when the event is
-//! cancelled, so steady-state simulation performs zero allocator traffic
-//! per event, and [`EventQueue::clear`] keeps the slab allocation so
-//! repeated seed runs reuse it.
+//! **Reserved keys**: [`EventQueue::reserve_seq`] hands out a tie-break
+//! number without scheduling anything, and
+//! [`EventQueue::schedule_reserved`] later queues an event under it. The
+//! event lands like any other: in a wheel slot (a level-0 drain sorts by
+//! seq, whatever the insertion order) or, at or behind the cursor, merged
+//! into the ready run at its `(at, seq)` rank.
 //!
-//! **Cancellation**: [`EventQueue::schedule_cancellable`] returns a
-//! [`TimerHandle`] — the node's slab index plus its generation, which every
-//! free bumps. [`EventQueue::cancel`] unlinks a live node from its slot (or
-//! the overflow list) in O(1), clears the slot's occupancy bits if it
-//! empties, and frees the node at once. A handle whose event already moved
-//! into the ready run, popped, was cancelled, or predates a
-//! [`EventQueue::clear`] is stale, and cancelling it is a no-op.
+//! **Arena**: event payloads live in a slab (`Vec<Node<E>>` plus an
+//! intrusive free list); wheel slots and the overflow list are singly
+//! linked lists of `u32` node indices. A node is freed when its event
+//! moves into the ready run on its way to a pop, so steady-state
+//! simulation performs zero allocator traffic per event, and
+//! [`EventQueue::clear`] keeps the slab allocation so repeated seed runs
+//! reuse it.
 
-use crate::queue::TimerHandle;
 use crate::time::SimTime;
 
 /// Bits per wheel level: 1024 slots each. Wide levels keep cascade counts
@@ -73,10 +70,6 @@ const HORIZON_BITS: u32 = SLOT_BITS * LEVELS as u32;
 const OCC_WORDS: usize = SLOTS / 64;
 /// Null node index (slab sentinel).
 const NIL: u32 = u32::MAX;
-/// `Node::level` of a node on the overflow list.
-const OVERFLOW: u8 = LEVELS as u8;
-/// `Node::level` of a node on the free list.
-const FREE: u8 = OVERFLOW + 1;
 
 /// Sabotage knobs for the mutation drill (`--features queue-drill`).
 ///
@@ -104,12 +97,10 @@ pub mod drill {
         /// Level-0 slots drain in *descending* seq order, turning the
         /// equal-timestamp FIFO contract into LIFO.
         BreakFifo,
-        /// `cancel` reports success but leaves the node linked in its
-        /// slot, so the cancelled event still fires (a ghost event).
-        GhostCancel,
-        /// Freeing a node does not bump its generation, so a stale handle
-        /// cancels whichever event reuses the node.
-        StaleGeneration,
+        /// `schedule_reserved` ignores the reserved number and takes a
+        /// fresh one, so the event pops behind everything scheduled since
+        /// the reservation.
+        IgnoreReservedSeq,
     }
 
     thread_local! {
@@ -131,8 +122,8 @@ pub mod drill {
 ///
 /// Drop-in replacement for the binary-heap
 /// [`ReferenceQueue`](crate::ReferenceQueue): same API, same `(time, seq)`
-/// FIFO ordering contract, same cancellation contract, same observables
-/// (`now`, `scheduled_total`, `cancelled_total`, `peak_len`), verified
+/// FIFO ordering contract, same reserved-key contract, same observables
+/// (`now`, `scheduled_total`, `peak_len`), verified
 /// byte-for-byte by the differential suite in `tests/queue_diff.rs` and
 /// the golden corpus.
 #[derive(Debug)]
@@ -163,9 +154,10 @@ pub struct EventQueue<E> {
     /// Pending events across ready + levels + overflow.
     len: usize,
     next_seq: u64,
+    /// `(at, seq)` of the last popped event: no reserved key may precede it.
+    popped: Option<(u64, u64)>,
     now: SimTime,
     scheduled_total: u64,
-    cancelled_total: u64,
     peak_len: usize,
 }
 
@@ -175,14 +167,6 @@ struct Node<E> {
     seq: u64,
     /// Next node in the slot list (or free list) — NIL terminates.
     next: u32,
-    /// Previous node in the slot list; NIL at the list head.
-    prev: u32,
-    /// Bumped on every free, so handles to earlier occupants go stale.
-    generation: u32,
-    /// The list holding the node: a wheel level, [`OVERFLOW`] or [`FREE`].
-    level: u8,
-    /// Slot index within `level` (0 on the overflow and free lists).
-    slot: u16,
     /// `None` only while the node sits on the free list.
     event: Option<E>,
 }
@@ -218,38 +202,25 @@ impl<E> EventQueue<E> {
             wheel_time: 0,
             len: 0,
             next_seq: 0,
+            popped: None,
             now: SimTime::ZERO,
             scheduled_total: 0,
-            cancelled_total: 0,
             peak_len: 0,
         }
     }
 
     /// Drop all pending events and reset every observable to its initial
     /// state: [`now`](Self::now) returns [`SimTime::ZERO`],
-    /// [`scheduled_total`](Self::scheduled_total),
-    /// [`cancelled_total`](Self::cancelled_total) and
+    /// [`scheduled_total`](Self::scheduled_total) and
     /// [`peak_len`](Self::peak_len) return 0, and the FIFO tie-break
     /// sequence restarts (so a cleared queue schedules and pops exactly
-    /// like a fresh one). Every handle issued before the clear goes
-    /// stale. Only the allocations (arena, ready run) are kept, so
-    /// repeated seed runs reuse them instead of rebuilding from scratch —
-    /// this is what makes `TransportSim::reset` observably identical to
-    /// constructing a new sim.
+    /// like a fresh one). Only the allocations (arena, ready run) are
+    /// kept, so repeated seed runs reuse them instead of rebuilding from
+    /// scratch — this is what makes `TransportSim::reset` observably
+    /// identical to constructing a new sim.
     pub fn clear(&mut self) {
-        // Free every node in place rather than truncating the slab: the
-        // generations must survive, or a handle from before the clear
-        // could match a node's next occupant.
+        self.nodes.clear();
         self.free_head = NIL;
-        for (i, n) in self.nodes.iter_mut().enumerate().rev() {
-            if n.level != FREE {
-                n.event = None;
-                n.generation = n.generation.wrapping_add(1);
-                n.level = FREE;
-            }
-            n.next = self.free_head;
-            self.free_head = i as u32;
-        }
         self.levels = [[NIL; SLOTS]; LEVELS];
         self.occupied = [[0; OCC_WORDS]; LEVELS];
         self.occupied_sum = [0; LEVELS];
@@ -260,9 +231,9 @@ impl<E> EventQueue<E> {
         self.wheel_time = 0;
         self.len = 0;
         self.next_seq = 0;
+        self.popped = None;
         self.now = SimTime::ZERO;
         self.scheduled_total = 0;
-        self.cancelled_total = 0;
         self.peak_len = 0;
     }
 
@@ -283,77 +254,74 @@ impl<E> EventQueue<E> {
     /// Panics if `at` is in the past — scheduling behind the clock would
     /// silently corrupt causality, so it is treated as a logic bug.
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        self.schedule_cancellable(at, event);
+        let seq = self.reserve_seq();
+        self.insert(at, seq, event);
     }
 
-    /// [`schedule`](Self::schedule) `event` at `at` and return a handle
-    /// that can [`cancel`](Self::cancel) it. Counts in
+    /// Take the next FIFO tie-break number without scheduling anything.
+    /// Pass it to [`schedule_reserved`](Self::schedule_reserved) later.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedule `event` at `at` under a number from
+    /// [`reserve_seq`](Self::reserve_seq): it pops at the `(at, seq)` rank
+    /// it would have had if scheduled when `seq` was reserved. Counts in
     /// [`scheduled_total`](Self::scheduled_total) like any schedule.
     ///
     /// # Panics
-    /// Panics if `at` is in the past.
-    pub fn schedule_cancellable(&mut self, at: SimTime, event: E) -> TimerHandle {
+    /// Panics if `at` is in the past, if `seq` was never reserved, or if
+    /// `(at, seq)` orders before the last popped event.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) {
+        assert!(seq < self.next_seq, "seq {seq} was never reserved");
+        if let Some((t, s)) = self.popped {
+            assert!(
+                (at.as_nanos(), seq) > (t, s),
+                "reserved key ({at}, {seq}) is before the last popped ({}, {s})",
+                SimTime::from_nanos(t)
+            );
+        }
+        #[cfg(feature = "queue-drill")]
+        let seq = if drill::mode() == drill::Mode::IgnoreReservedSeq {
+            self.reserve_seq()
+        } else {
+            seq
+        };
+        self.insert(at, seq, event);
+    }
+
+    fn insert(&mut self, at: SimTime, seq: u64, event: E) {
         assert!(
             at >= self.now,
             "scheduled event at {at} is before current time {}",
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.scheduled_total += 1;
         crate::par::record_scheduled_event();
         let atn = at.as_nanos();
-        let handle = if atn <= self.wheel_time {
+        if atn <= self.wheel_time {
             // The cursor may sit ahead of `now` (it advances lazily on
             // peek), so a legal schedule can land at or behind it: merge
-            // into the sorted ready run. `seq` is larger than every
-            // pending seq, so the insertion point is `>= ready_head`.
-            // The event is already due, so its handle is born stale.
+            // into the sorted ready run at its `(at, seq)` rank, which is
+            // `>= ready_head` because the key follows the last pop.
             self.insert_ready(atn, seq, event);
-            TimerHandle::STALE
         } else {
             let idx = self.alloc(atn, seq, event);
             self.place(idx);
-            TimerHandle::new(idx, self.nodes[idx as usize].generation)
-        };
+        }
         self.len += 1;
         if self.len > self.peak_len {
             self.peak_len = self.len;
             crate::par::note_queue_depth(self.peak_len as u64);
         }
-        handle
-    }
-
-    /// Remove the event behind `handle` and free its arena node at once.
-    /// Returns the removed event's deadline, or `None` if the handle is
-    /// stale: its event was cancelled, popped, or has already left the
-    /// wheel for the ready run (its timestamp was reached by a peek or
-    /// pop), or the queue was cleared since. A cancelled event never pops
-    /// and never moves the clock; [`len`](Self::len) drops by one and
-    /// [`cancelled_total`](Self::cancelled_total) rises by one.
-    pub fn cancel(&mut self, handle: TimerHandle) -> Option<SimTime> {
-        let (idx, generation) = handle.parts();
-        let n = self.nodes.get(idx as usize)?;
-        if n.generation != generation || n.level == FREE {
-            return None;
-        }
-        let at = n.at;
-        #[cfg(feature = "queue-drill")]
-        if drill::mode() == drill::Mode::GhostCancel {
-            return Some(SimTime::from_nanos(at));
-        }
-        self.unlink(idx);
-        drop(self.release(idx));
-        self.len -= 1;
-        self.cancelled_total += 1;
-        crate::par::record_cancelled_event();
-        Some(SimTime::from_nanos(at))
     }
 
     /// Move the clock forward to `t` without popping anything; a `t` at
-    /// or before [`now`](Self::now) is a no-op. A caller that cancels
-    /// events uses this to land the clock where the cancelled events
-    /// would have left it had they popped.
+    /// or before [`now`](Self::now) is a no-op. A caller that drops
+    /// timers without popping them uses this to land the clock where
+    /// they would have left it had they popped.
     ///
     /// # Panics
     /// Panics if a pending event is due before `t`: the clock would pass
@@ -382,42 +350,11 @@ impl<E> EventQueue<E> {
         let r = &mut self.ready[self.ready_head];
         let at = SimTime::from_nanos(r.at);
         let event = r.event.take().expect("ready entry popped twice");
+        self.popped = Some((r.at, r.seq));
         self.ready_head += 1;
         self.len -= 1;
         self.now = at;
         Some((at, event))
-    }
-
-    /// Drain **every** event at the next (minimal) timestamp into `out`, in
-    /// FIFO order, advancing the clock to that timestamp. Returns the
-    /// timestamp, or `None` if the queue is empty. `out` is appended to,
-    /// not cleared.
-    ///
-    /// Equivalent to popping while [`peek_time`](Self::peek_time) equals the
-    /// first pop's time — but without per-event peek/compare work, which is
-    /// what makes same-timestamp delivery bursts (ACK fan-in, collective
-    /// step edges) cheap. Events scheduled *at* the drained timestamp by
-    /// the caller afterwards form a new batch at the same time: they carry
-    /// higher seqs, exactly as unbatched pops would order them.
-    pub fn pop_batch(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.ready_head >= self.ready.len() {
-            self.advance();
-        }
-        let at = self.ready[self.ready_head].at;
-        while let Some(r) = self.ready.get_mut(self.ready_head) {
-            if r.at != at {
-                break;
-            }
-            out.push(r.event.take().expect("ready entry popped twice"));
-            self.ready_head += 1;
-            self.len -= 1;
-        }
-        let t = SimTime::from_nanos(at);
-        self.now = t;
-        Some(t)
     }
 
     /// The timestamp of the next event without popping it.
@@ -454,12 +391,6 @@ impl<E> EventQueue<E> {
         self.scheduled_total
     }
 
-    /// Total number of events removed by [`cancel`](Self::cancel) since
-    /// construction (or the last [`EventQueue::clear`]).
-    pub fn cancelled_total(&self) -> u64 {
-        self.cancelled_total
-    }
-
     /// The deepest pending-event backlog this queue has reached since
     /// construction (or the last [`EventQueue::clear`]) — the memory
     /// high-water mark of the run.
@@ -470,7 +401,7 @@ impl<E> EventQueue<E> {
     // ---- internals -------------------------------------------------------
 
     /// Allocate a slab node, reusing the free list when possible. The
-    /// node's links are set by [`place`](Self::place).
+    /// node's link is set by [`place`](Self::place).
     fn alloc(&mut self, at: u64, seq: u64, event: E) -> u32 {
         if self.free_head != NIL {
             let idx = self.free_head;
@@ -487,88 +418,39 @@ impl<E> EventQueue<E> {
                 at,
                 seq,
                 next: NIL,
-                prev: NIL,
-                generation: 0,
-                level: FREE,
-                slot: 0,
                 event: Some(event),
             });
             idx as u32
         }
     }
 
-    /// Return a node's payload and put the node on the free list, bumping
-    /// its generation so outstanding handles to it go stale.
+    /// Return a node's payload and put the node on the free list.
     fn release(&mut self, idx: u32) -> E {
         let n = &mut self.nodes[idx as usize];
         let event = n.event.take().expect("released an empty arena node");
-        #[cfg(feature = "queue-drill")]
-        let bump = drill::mode() != drill::Mode::StaleGeneration;
-        #[cfg(not(feature = "queue-drill"))]
-        let bump = true;
-        if bump {
-            n.generation = n.generation.wrapping_add(1);
-        }
-        n.level = FREE;
         n.next = self.free_head;
         self.free_head = idx;
         event
     }
 
-    /// Insert an allocated node into the wheel level/slot (or overflow)
+    /// Push an allocated node onto the wheel slot (or the overflow list)
     /// derived from its timestamp. Requires `at > wheel_time`.
     fn place(&mut self, idx: u32) {
         let at = self.nodes[idx as usize].at;
         debug_assert!(at > self.wheel_time);
         let xor = at ^ self.wheel_time;
-        let (level, slot) = if xor >> HORIZON_BITS != 0 {
+        let head = if xor >> HORIZON_BITS != 0 {
             // Different 2^40 ns block: beyond the wheel's horizon.
-            (OVERFLOW, 0)
+            &mut self.overflow
         } else {
             let level = ((63 - xor.leading_zeros()) / SLOT_BITS) as usize;
             let slot = ((at >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
             self.occupied[level][slot / 64] |= 1u64 << (slot % 64);
             self.occupied_sum[level] |= 1u64 << (slot / 64);
-            (level as u8, slot as u16)
+            &mut self.levels[level][slot]
         };
-        let head = self.list_head(level, slot);
         let old = std::mem::replace(head, idx);
-        if old != NIL {
-            self.nodes[old as usize].prev = idx;
-        }
-        let n = &mut self.nodes[idx as usize];
-        n.next = old;
-        n.prev = NIL;
-        n.level = level;
-        n.slot = slot;
-    }
-
-    /// The head pointer of a wheel slot list or the overflow list.
-    fn list_head(&mut self, level: u8, slot: u16) -> &mut u32 {
-        if level == OVERFLOW {
-            &mut self.overflow
-        } else {
-            &mut self.levels[level as usize][slot as usize]
-        }
-    }
-
-    /// Detach a live node from its slot or overflow list in O(1),
-    /// clearing the slot's occupancy bits if the slot empties.
-    fn unlink(&mut self, idx: u32) {
-        let n = &self.nodes[idx as usize];
-        let (prev, next, level, slot) = (n.prev, n.next, n.level, n.slot);
-        debug_assert!(level < FREE, "unlinking a free node");
-        if next != NIL {
-            self.nodes[next as usize].prev = prev;
-        }
-        if prev != NIL {
-            self.nodes[prev as usize].next = next;
-            return;
-        }
-        *self.list_head(level, slot) = next;
-        if next == NIL && level != OVERFLOW {
-            self.mark_empty(level as usize, slot as usize);
-        }
+        self.nodes[idx as usize].next = old;
     }
 
     /// Clear a slot's occupancy bit (and its word's summary bit if the
@@ -717,21 +599,22 @@ impl<E> EventQueue<E> {
         #[cfg(feature = "queue-drill")]
         let strand =
             drill::mode() == drill::Mode::DropOverflowMigration && self.block_count(block) >= 2;
-        let mut idx = self.overflow;
+        // Detach the whole list and rebuild it from the entries that stay.
+        let mut idx = std::mem::replace(&mut self.overflow, NIL);
         while idx != NIL {
             let n = &self.nodes[idx as usize];
             let next = n.next;
-            if n.at >> HORIZON_BITS == block {
+            let migrate = n.at >> HORIZON_BITS == block;
+            // Strand the earliest entry, so the sabotage delays it past
+            // later ones whatever the list order.
+            #[cfg(feature = "queue-drill")]
+            let migrate = migrate && !(strand && n.at == min_at);
+            if migrate {
                 eligible += 1;
-                // Strand the earliest entry, so the sabotage delays it
-                // past later ones whatever the list order.
-                #[cfg(feature = "queue-drill")]
-                if strand && n.at == min_at {
-                    idx = next;
-                    continue;
-                }
-                self.unlink(idx);
                 self.reinsert(idx);
+            } else {
+                self.nodes[idx as usize].next = self.overflow;
+                self.overflow = idx;
             }
             idx = next;
         }
@@ -998,36 +881,21 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_drains_exactly_one_timestamp() {
+    fn reserved_key_pops_at_its_reservation_rank() {
+        // Reserve between two schedules at one instant: the reserved event
+        // pops between them even though it is queued last.
         let mut q = EventQueue::new();
-        for i in 0..5 {
-            q.schedule(t(10), i);
-        }
-        q.schedule(t(20), 99);
-        let mut buf = Vec::new();
-        assert_eq!(q.pop_batch(&mut buf), Some(t(10)));
-        assert_eq!(buf, [0, 1, 2, 3, 4]);
-        assert_eq!(q.now(), t(10));
-        assert_eq!(q.len(), 1);
-        buf.clear();
-        assert_eq!(q.pop_batch(&mut buf), Some(t(20)));
-        assert_eq!(buf, [99]);
-        assert_eq!(q.pop_batch(&mut buf), None);
-    }
-
-    #[test]
-    fn pop_batch_then_same_time_schedule_forms_new_batch() {
-        // Mirrors the transport loop: a handler scheduling at the drained
-        // timestamp produces a follow-up batch at the same time.
-        let mut q = EventQueue::new();
-        q.schedule(t(10), 1u32);
-        let mut buf = Vec::new();
-        assert_eq!(q.pop_batch(&mut buf), Some(t(10)));
-        assert_eq!(buf, [1]);
-        q.schedule(t(10), 2u32);
-        buf.clear();
-        assert_eq!(q.pop_batch(&mut buf), Some(t(10)));
-        assert_eq!(buf, [2]);
+        q.schedule(t(10), "first");
+        let seq = q.reserve_seq();
+        q.schedule(t(10), "third");
+        q.schedule_reserved(t(10), seq, "second");
+        assert_eq!(
+            q.scheduled_total(),
+            3,
+            "a reservation alone schedules nothing"
+        );
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, ["first", "second", "third"]);
     }
 
     #[test]
@@ -1045,98 +913,6 @@ mod tests {
             "arena grew to {} for a working set of 1000",
             q.capacity()
         );
-    }
-
-    #[test]
-    fn cancel_removes_a_live_event_and_returns_its_deadline() {
-        let mut q = EventQueue::new();
-        q.schedule(ns(10), "a");
-        let h = q.schedule_cancellable(ns(20), "b");
-        q.schedule(ns(30), "c");
-        assert_eq!(q.cancel(h), Some(ns(20)));
-        assert_eq!(
-            (q.len(), q.cancelled_total(), q.scheduled_total()),
-            (2, 1, 3)
-        );
-        assert_eq!(q.cancel(h), None, "a second cancel is a no-op");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(order, [(ns(10), "a"), (ns(30), "c")]);
-        assert_eq!(q.now(), ns(30), "the cancelled event never moved the clock");
-    }
-
-    #[test]
-    fn cancelled_nodes_are_freed_at_once() {
-        // A steady stream of timers that are all cancelled long before
-        // their deadline: the arena holds only the live working set.
-        let mut q = EventQueue::new();
-        let mut live = std::collections::VecDeque::new();
-        for i in 0..100_000u64 {
-            live.push_back(q.schedule_cancellable(ns(1_000_000 + i), i));
-            if live.len() > 16 {
-                assert!(q.cancel(live.pop_front().unwrap()).is_some());
-            }
-        }
-        assert_eq!(q.len(), 16);
-        assert!(q.capacity() <= 64, "arena grew to {}", q.capacity());
-    }
-
-    #[test]
-    fn handles_go_stale_on_pop_due_and_clear() {
-        let mut q = EventQueue::new();
-        let popped = q.schedule_cancellable(ns(5), 0u32);
-        q.pop();
-        // The freed node is reused by the next schedule; the old handle
-        // must not reach the new occupant.
-        let fresh = q.schedule_cancellable(ns(9), 1);
-        assert_eq!(q.cancel(popped), None);
-        // Once a peek reaches an event's timestamp it is due: it has
-        // left the wheel for the ready run and can no longer be cancelled.
-        assert_eq!(q.peek_time(), Some(ns(9)));
-        assert_eq!(q.cancel(fresh), None);
-        let later = q.schedule_cancellable(ns(50), 2);
-        q.clear();
-        let reused = q.schedule_cancellable(ns(50), 3);
-        assert_eq!(q.cancel(later), None, "clear makes every handle stale");
-        assert_eq!(q.cancel(reused), Some(ns(50)));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_reaches_overflow_and_cascaded_events() {
-        let mut q = EventQueue::new();
-        let far = ns(5 * (1u64 << HORIZON_BITS) + 3);
-        let far_h = q.schedule_cancellable(far, "far");
-        let far_keep = ns(5 * (1u64 << HORIZON_BITS) + 4);
-        q.schedule(far_keep, "far-keep");
-        // A coarse-level timer that a cascade moves to a finer level
-        // before it is cancelled.
-        let mid_h = q.schedule_cancellable(ns(3_000_000), "mid");
-        q.schedule(ns(2_999_000), "cascade-trigger");
-        assert_eq!(q.pop(), Some((ns(2_999_000), "cascade-trigger")));
-        assert_eq!(q.cancel(mid_h), Some(ns(3_000_000)));
-        assert_eq!(q.cancel(far_h), Some(far));
-        assert_eq!(q.pop(), Some((far_keep, "far-keep")));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancelling_a_slot_empties_its_occupancy_bits() {
-        // After the only event in a slot is cancelled the slot must not
-        // look occupied, or the next advance would drain an empty list.
-        let mut q = EventQueue::new();
-        let h = q.schedule_cancellable(ns(100), 1u8);
-        q.schedule(ns(200), 2);
-        q.cancel(h);
-        assert!(q.occupied.iter().flatten().filter(|w| **w != 0).count() == 1);
-        assert_eq!(q.pop(), Some((ns(200), 2)));
-        // Cancelling from the middle and the tail of a slot list keeps
-        // the rest of the list intact.
-        let hs: Vec<_> = (0..5).map(|i| q.schedule_cancellable(ns(300), i)).collect();
-        q.cancel(hs[2]);
-        q.cancel(hs[0]);
-        q.cancel(hs[4]);
-        let rest: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(rest, [1, 3]);
     }
 
     #[test]

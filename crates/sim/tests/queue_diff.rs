@@ -5,23 +5,30 @@
 //! the *same* operation sequence and asserts the complete observable
 //! surface matches at every step: pop order (time **and** payload), the
 //! advancing clock (`now`), `len`/`is_empty`, `scheduled_total`,
-//! `cancelled_total`, `peak_len`, and every `cancel` result. The
-//! generator is biased toward the wheel's hard cases — equal-timestamp
-//! bursts (FIFO tie-break), timestamps straddling tier boundaries (cascade
-//! ordering), far-future outliers (overflow migration), interleaved
-//! schedule/pop/clear (ready-run merges), and cancels of live, stale,
-//! already-cancelled, cascaded, due (ready-run) and overflow events.
+//! `peak_len`, and every reserved number. The generator is biased toward
+//! the wheel's hard cases — equal-timestamp bursts (FIFO tie-break),
+//! timestamps straddling tier boundaries (cascade ordering), far-future
+//! outliers (overflow migration), interleaved schedule/pop/clear
+//! (ready-run merges), and events queued under numbers reserved earlier,
+//! at the current nanosecond included (ready-run merges by `(at, seq)`).
+
+use std::collections::HashMap;
 
 use stellar_sim::proptest_lite::{check, Gen};
-use stellar_sim::{ReferenceQueue, SimDuration, SimTime, TimerHandle, TimingWheelQueue};
+use stellar_sim::{ReferenceQueue, SimDuration, SimTime, TimingWheelQueue};
 
 /// Drive both queues with one op and assert the observables agree.
 struct Pair {
     wheel: TimingWheelQueue<u64>,
     heap: ReferenceQueue<u64>,
-    /// Every handle pair ever issued, clears included, so cancels hit
-    /// live, popped, cancelled and pre-clear events alike.
-    handles: Vec<(TimerHandle, TimerHandle)>,
+    /// The tie-break number each payload was queued under.
+    seq_of: HashMap<u64, u64>,
+    /// The next number either queue will hand out.
+    next_seq: u64,
+    /// Reserved numbers not yet used, oldest first.
+    reserved: Vec<u64>,
+    /// `(at, seq)` of the last popped event.
+    popped: Option<(SimTime, u64)>,
 }
 
 impl Pair {
@@ -29,40 +36,50 @@ impl Pair {
         Pair {
             wheel: TimingWheelQueue::new(),
             heap: ReferenceQueue::new(),
-            handles: Vec::new(),
+            seq_of: HashMap::new(),
+            next_seq: 0,
+            reserved: Vec::new(),
+            popped: None,
         }
     }
 
     fn schedule(&mut self, at: SimTime, ev: u64) {
         self.wheel.schedule(at, ev);
         self.heap.schedule(at, ev);
+        self.seq_of.insert(ev, self.next_seq);
+        self.next_seq += 1;
         self.assert_counters("schedule");
     }
 
-    fn schedule_cancellable(&mut self, at: SimTime, ev: u64) {
-        let w = self.wheel.schedule_cancellable(at, ev);
-        let h = self.heap.schedule_cancellable(at, ev);
-        self.handles.push((w, h));
-        self.assert_counters("schedule_cancellable");
+    fn reserve(&mut self) {
+        let w = self.wheel.reserve_seq();
+        let h = self.heap.reserve_seq();
+        assert_eq!(
+            (w, h),
+            (self.next_seq, self.next_seq),
+            "reserve_seq diverged"
+        );
+        self.reserved.push(w);
+        self.next_seq += 1;
+        self.assert_counters("reserve_seq");
     }
 
-    /// Cancel the `i`-th handle ever issued (modulo the count).
-    fn cancel(&mut self, i: usize) {
-        if self.handles.is_empty() {
+    /// Queue `ev` under the `i`-th unused reserved number (modulo the
+    /// count) at `at`, or just after the last pop if that key would
+    /// precede it.
+    fn schedule_reserved(&mut self, i: usize, at: SimTime, ev: u64) {
+        if self.reserved.is_empty() {
             return;
         }
-        let (w, h) = self.handles[i % self.handles.len()];
-        assert_eq!(
-            self.wheel.cancel(w),
-            self.heap.cancel(h),
-            "cancel result diverged (wheel vs reference)"
-        );
-        self.assert_counters("cancel");
-    }
-
-    /// Cancel the most recent handle (the likeliest to be live).
-    fn cancel_latest(&mut self) {
-        self.cancel(self.handles.len().wrapping_sub(1));
+        let seq = self.reserved.remove(i % self.reserved.len());
+        let at = match self.popped {
+            Some((t, s)) if (at, seq) <= (t, s) => t + SimDuration::from_nanos(1),
+            _ => at,
+        };
+        self.wheel.schedule_reserved(at, seq, ev);
+        self.heap.schedule_reserved(at, seq, ev);
+        self.seq_of.insert(ev, seq);
+        self.assert_counters("schedule_reserved");
     }
 
     /// Advance the clock by up to `delta`, never past the next event.
@@ -71,34 +88,28 @@ impl Pair {
         if let Some(next) = self.heap.peek_time() {
             t = t.min(next);
         }
-        // The wheel peeks too (inside `advance_clock`), keeping both
-        // queues' view of what is due in step.
-        self.wheel.peek_time();
         self.wheel.advance_clock(t);
         self.heap.advance_clock(t);
         self.assert_counters("advance_clock");
     }
 
-    fn pop(&mut self) {
+    /// Pop both queues; returns the popped payload.
+    fn pop(&mut self) -> Option<u64> {
         let w = self.wheel.pop();
         let h = self.heap.pop();
         assert_eq!(w, h, "pop diverged (wheel vs reference)");
         self.assert_counters("pop");
-    }
-
-    fn pop_batch(&mut self) {
-        let mut w_out = Vec::new();
-        let mut h_out = Vec::new();
-        let w_t = self.wheel.pop_batch(&mut w_out);
-        let h_t = self.heap.pop_batch(&mut h_out);
-        assert_eq!(w_t, h_t, "pop_batch timestamp diverged");
-        assert_eq!(w_out, h_out, "pop_batch contents diverged");
-        self.assert_counters("pop_batch");
+        let (at, ev) = h?;
+        self.popped = Some((at, self.seq_of[&ev]));
+        Some(ev)
     }
 
     fn clear(&mut self) {
         self.wheel.clear();
         self.heap.clear();
+        self.next_seq = 0;
+        self.reserved.clear();
+        self.popped = None;
         self.assert_counters("clear");
     }
 
@@ -121,11 +132,6 @@ impl Pair {
             self.wheel.scheduled_total(),
             self.heap.scheduled_total(),
             "{ctx}: scheduled_total"
-        );
-        assert_eq!(
-            self.wheel.cancelled_total(),
-            self.heap.cancelled_total(),
-            "{ctx}: cancelled_total"
         );
         assert_eq!(
             self.wheel.peak_len(),
@@ -166,21 +172,21 @@ fn interleaved_ops_match_reference() {
         for _ in 0..steps {
             match g.u8(0, 12) {
                 // Scheduling dominates so the queue actually grows.
-                0..=2 => {
+                0..=3 => {
                     let at = gen_at(g, pair.heap.now());
                     pair.schedule(at, ev);
                     ev += 1;
                 }
-                3..=5 => {
+                4 => pair.reserve(),
+                5 | 6 => {
                     let at = gen_at(g, pair.heap.now());
-                    pair.schedule_cancellable(at, ev);
+                    pair.schedule_reserved(g.usize(0, 1 << 16), at, ev);
                     ev += 1;
                 }
-                6..=7 => pair.pop(),
-                8 => pair.pop_batch(),
-                9 => pair.cancel(g.usize(0, 1 << 16)),
-                10 => pair.cancel_latest(),
-                11 => pair.advance_clock(g.u64(0, 1 << 12)),
+                7..=9 => {
+                    pair.pop();
+                }
+                10 => pair.advance_clock(g.u64(0, 1 << 12)),
                 _ => {
                     // Rare: clear, or a no-op pop on a drained queue.
                     if g.u8(0, 9) == 0 {
@@ -211,9 +217,6 @@ fn equal_timestamp_bursts_stay_fifo() {
             }
             for _ in 0..g.usize(0, 10) {
                 pair.pop();
-            }
-            if g.bool() {
-                pair.pop_batch();
             }
         }
         pair.drain();
@@ -296,74 +299,80 @@ fn clear_resets_to_a_fresh_queue() {
 }
 
 #[test]
-fn cancels_of_every_kind_match_reference() {
-    check("cancels_of_every_kind_match_reference", 128, |g| {
+fn reserved_keys_rearm_at_the_current_nanosecond() {
+    // The transport's RTO pattern: numbers reserved between events that
+    // share an instant, the first queued up front, and each next one
+    // queued at the current nanosecond when its predecessor pops —
+    // between the same-instant events around its key.
+    check("reserved_keys_rearm_at_the_current_nanosecond", 128, |g| {
         let mut pair = Pair::new();
         let mut ev = 0u64;
-        for _ in 0..g.usize(1, 40) {
-            match g.u8(0, 5) {
-                // Live and double cancels: arm a timer, cancel it, and
-                // sometimes cancel it again.
-                0 => {
-                    let at = gen_at(g, pair.heap.now());
-                    pair.schedule_cancellable(at, ev);
+        for _ in 0..g.usize(1, 20) {
+            let at = gen_at(g, pair.heap.now());
+            let mut keys = Vec::new();
+            for _ in 0..g.usize(1, 30) {
+                if g.bool() {
+                    pair.reserve();
+                    keys.push(pair.next_seq - 1);
+                } else {
+                    pair.schedule(at, ev);
                     ev += 1;
-                    pair.cancel_latest();
-                    if g.bool() {
-                        pair.cancel_latest();
-                    }
                 }
-                // After a cascade: coarse-level timers, then pops that
-                // walk the cursor through their slots, then cancels.
-                1 => {
-                    let base = pair.heap.now();
-                    for _ in 0..g.usize(1, 6) {
-                        let at = base + SimDuration::from_nanos(g.u64(1 << 10, 1 << 22));
-                        pair.schedule_cancellable(at, ev);
-                        ev += 1;
-                    }
-                    for _ in 0..g.usize(0, 4) {
-                        pair.pop();
-                    }
-                    for _ in 0..g.usize(1, 4) {
-                        pair.cancel(g.usize(0, 1 << 16));
-                    }
+            }
+            // Unrelated traffic queued later at the same instant.
+            for _ in 0..g.usize(0, 4) {
+                pair.schedule(at, ev);
+                ev += 1;
+            }
+            let mut rearm = |pair: &mut Pair, ev: &mut u64| {
+                if let Some(&seq) = keys.first() {
+                    keys.remove(0);
+                    let i = pair.reserved.iter().position(|&s| s == seq).unwrap();
+                    pair.schedule_reserved(i, at, *ev);
+                    *ev += 1;
+                    return true;
                 }
-                // Ready-run entries: a peek makes the next timestamp due,
-                // and a timer armed at `now` lands in the ready run
-                // directly. Neither can be cancelled any more.
-                2 => {
-                    let at = gen_at(g, pair.heap.now());
-                    pair.schedule_cancellable(at, ev);
-                    ev += 1;
-                    pair.assert_counters("peek");
-                    pair.cancel_latest();
-                    let now = pair.heap.now();
-                    pair.schedule_cancellable(now, ev);
-                    ev += 1;
-                    pair.cancel_latest();
+                false
+            };
+            let mut timer = if rearm(&mut pair, &mut ev) {
+                Some(ev - 1)
+            } else {
+                None
+            };
+            while pair.heap.peek_time() == Some(at) {
+                let popped = pair.pop();
+                if popped.is_some() && popped == timer {
+                    timer = if rearm(&mut pair, &mut ev) {
+                        Some(ev - 1)
+                    } else {
+                        None
+                    };
                 }
-                // Overflow entries beyond the horizon block.
-                3 => {
-                    let at = pair.heap.now() + SimDuration::from_nanos(g.u64(1 << 40, 1 << 44));
-                    pair.schedule_cancellable(at, ev);
-                    ev += 1;
-                    if g.bool() {
-                        pair.cancel_latest();
-                    }
-                }
-                // Stale handles: popped events and handles from before a
-                // clear.
-                4 => {
-                    pair.pop();
-                    if g.u8(0, 7) == 0 {
-                        pair.clear();
-                    }
-                    pair.cancel(g.usize(0, 1 << 16));
-                }
-                _ => pair.advance_clock(g.u64(0, 1 << 20)),
+            }
+            for _ in 0..g.usize(0, 3) {
+                pair.pop();
             }
         }
         pair.drain();
     });
+}
+
+#[test]
+#[should_panic(expected = "before the last popped")]
+fn wheel_rejects_a_reserved_key_before_the_last_pop() {
+    let mut q = TimingWheelQueue::new();
+    let early = q.reserve_seq();
+    q.schedule(SimTime::from_nanos(10), 1u64);
+    q.pop();
+    q.schedule_reserved(SimTime::from_nanos(10), early, 0);
+}
+
+#[test]
+#[should_panic(expected = "before the last popped")]
+fn reference_rejects_a_reserved_key_before_the_last_pop() {
+    let mut q = ReferenceQueue::new();
+    let early = q.reserve_seq();
+    q.schedule(SimTime::from_nanos(10), 1u64);
+    q.pop();
+    q.schedule_reserved(SimTime::from_nanos(10), early, 0);
 }

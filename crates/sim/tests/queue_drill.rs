@@ -8,7 +8,7 @@
 //! teeth; `scripts/ci.sh` runs this alongside the clean differential
 //! suite.
 //!
-//! The five injected defects:
+//! The four injected defects:
 //!
 //! * **WrongTier** — cascading a coarse slot truncates timestamps to the
 //!   next-finer slot width, firing events early on tier boundaries.
@@ -16,47 +16,50 @@
 //!   overflow entry when two or more should migrate.
 //! * **BreakFifo** — level-0 slots drain in descending seq order,
 //!   violating the equal-timestamp FIFO contract.
-//! * **GhostCancel** — `cancel` reports success but leaves the node
-//!   linked, so the cancelled event still fires.
-//! * **StaleGeneration** — freeing a node does not bump its generation,
-//!   so a stale handle cancels the node's next occupant.
+//! * **IgnoreReservedSeq** — `schedule_reserved` takes a fresh number
+//!   instead of the reserved one, so the event pops behind everything
+//!   scheduled since its reservation.
 
 use stellar_sim::queue_drill::{set, Mode};
 use stellar_sim::{ReferenceQueue, SimDuration, SimTime, TimingWheelQueue};
 
-/// One step of a cancel workload.
+/// One step of a reserved-key workload.
 #[derive(Clone, Copy)]
 enum Op {
-    /// `schedule_cancellable` at this many ns.
-    Arm(u64),
+    /// `reserve_seq`.
+    Reserve,
+    /// `schedule` at this many ns.
+    Schedule(u64),
+    /// `schedule_reserved` at this many ns under the `i`-th reservation.
+    Reserved(u64, usize),
     Pop,
-    /// Cancel the handle of the `i`-th `Arm`.
-    Cancel(usize),
 }
 
-/// Run a cancel workload through both queues, comparing every pop and
-/// cancel result and then the drained remainder; return the index of the
-/// first step that diverged, if any.
-fn first_cancel_divergence(ops: &[Op]) -> Option<usize> {
+/// Run a reserved-key workload through both queues, comparing every pop
+/// and then the drained remainder; return the index of the first step
+/// that diverged, if any.
+fn first_reserved_divergence(ops: &[Op]) -> Option<usize> {
     let mut wheel = TimingWheelQueue::new();
     let mut heap = ReferenceQueue::new();
-    let mut handles = Vec::new();
+    let mut reserved = Vec::new();
     for (i, &op) in ops.iter().enumerate() {
         let same = match op {
-            Op::Arm(at) => {
-                let at = SimTime::from_nanos(at);
-                let ev = handles.len() as u64;
-                handles.push((
-                    wheel.schedule_cancellable(at, ev),
-                    heap.schedule_cancellable(at, ev),
-                ));
+            Op::Reserve => {
+                let (w, h) = (wheel.reserve_seq(), heap.reserve_seq());
+                reserved.push(h);
+                w == h
+            }
+            Op::Schedule(at) => {
+                wheel.schedule(SimTime::from_nanos(at), i as u64);
+                heap.schedule(SimTime::from_nanos(at), i as u64);
+                true
+            }
+            Op::Reserved(at, k) => {
+                wheel.schedule_reserved(SimTime::from_nanos(at), reserved[k], i as u64);
+                heap.schedule_reserved(SimTime::from_nanos(at), reserved[k], i as u64);
                 true
             }
             Op::Pop => wheel.pop() == heap.pop(),
-            Op::Cancel(k) => {
-                let (w, h) = handles[k];
-                wheel.cancel(w) == heap.cancel(h)
-            }
         };
         if !same {
             return Some(i);
@@ -117,13 +120,11 @@ fn clean_wheel_matches_on_drill_workloads() {
             "un-sabotaged wheel must match the reference on every drill workload"
         );
     }
-    for ops in [ghost_workload(), stale_generation_workload()] {
-        assert_eq!(
-            first_cancel_divergence(&ops),
-            None,
-            "un-sabotaged wheel must match the reference on every cancel workload"
-        );
-    }
+    assert_eq!(
+        first_reserved_divergence(&reserved_workload()),
+        None,
+        "un-sabotaged wheel must match the reference on the reserved-key workload"
+    );
 }
 
 /// Timestamps spread across coarse tiers, with sub-tier offsets that the
@@ -191,43 +192,31 @@ fn broken_fifo_is_caught() {
     );
 }
 
-/// Timers cancelled before they fire, next to ones that do fire: a
-/// ghost would pop an event the reference never delivers.
-fn ghost_workload() -> Vec<Op> {
+/// The RTO re-arm pattern: two numbers reserved around an event at one
+/// instant; the first key is queued late and the second only once the
+/// first pops, at the current nanosecond. Only the reserved numbers put
+/// them ahead of the events scheduled after them.
+fn reserved_workload() -> Vec<Op> {
     vec![
-        Op::Arm(1_000),
-        Op::Arm(250_000),
-        Op::Arm(2_000),
-        Op::Cancel(1),
+        Op::Reserve,
+        Op::Schedule(100),
+        Op::Reserve,
+        Op::Schedule(100),
+        Op::Reserved(100, 0),
+        Op::Pop,
+        Op::Reserved(100, 1),
         Op::Pop,
         Op::Pop,
     ]
 }
 
 #[test]
-fn ghost_cancel_is_caught() {
+fn ignored_reserved_seq_is_caught() {
     let _guard = Disarm;
-    set(Mode::GhostCancel);
+    set(Mode::IgnoreReservedSeq);
     assert!(
-        first_cancel_divergence(&ghost_workload()).is_some(),
-        "a cancelled event that still fires must change the pop stream"
-    );
-}
-
-/// A timer pops, its node is reused by the next timer, and the first
-/// timer's (now stale) handle is cancelled: only a generation bump keeps
-/// that cancel from removing the new timer.
-fn stale_generation_workload() -> Vec<Op> {
-    vec![Op::Arm(100), Op::Pop, Op::Arm(500), Op::Cancel(0), Op::Pop]
-}
-
-#[test]
-fn reused_generation_is_caught() {
-    let _guard = Disarm;
-    set(Mode::StaleGeneration);
-    assert!(
-        first_cancel_divergence(&stale_generation_workload()).is_some(),
-        "a stale handle reaching a reused node must change the cancel result"
+        first_reserved_divergence(&reserved_workload()).is_some(),
+        "a reserved key queued under a fresh number must change the pop stream"
     );
 }
 

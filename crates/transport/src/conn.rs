@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 
 use stellar_net::NicId;
 use stellar_sim::stats::Histogram;
-use stellar_sim::{SimTime, TimerHandle};
+use stellar_sim::SimTime;
 
 /// Connection identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -48,9 +48,10 @@ pub struct InflightPacket {
     pub sent_at: SimTime,
     /// Retransmission count.
     pub retx: u32,
-    /// The armed RTO timer, cancelled when the packet is ACKed or the
-    /// connection fails.
-    pub rto: TimerHandle,
+    /// The event-queue tie-break number reserved for this transmission's
+    /// RTO: the packet times out at key `(sent_at + RTO, rto_seq)`, the
+    /// rank its own timer would have had if scheduled at send time.
+    pub rto_seq: u64,
 }
 
 /// Direct-mapped table of in-flight packets keyed by sequence number.
@@ -153,9 +154,12 @@ impl InflightTable {
         self.len = 0;
     }
 
-    /// Iterate over the in-flight packets (arbitrary order).
-    pub fn values(&self) -> impl Iterator<Item = &InflightPacket> {
-        self.slots.iter().filter_map(|s| s.as_ref().map(|(_, p)| p))
+    /// Iterate over the in-flight packets with their sequence numbers
+    /// (arbitrary order).
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &InflightPacket)> {
+        self.slots
+            .iter()
+            .filter_map(|s| s.as_ref().map(|(seq, p)| (*seq, p)))
     }
 
     /// Double the table until the colliding span fits, re-placing every

@@ -81,6 +81,19 @@ pub struct TransportConfig {
     pub recovery: Option<RecoveryPolicy>,
 }
 
+impl TransportConfig {
+    /// The RTO for retransmit epoch `epoch`:
+    /// `min(rto × rto_backoff^epoch, rto_max)`.
+    fn rto_after(&self, epoch: u32) -> SimDuration {
+        if self.rto_backoff <= 1.0 || epoch == 0 {
+            return self.rto;
+        }
+        let scaled = self.rto.as_nanos() as f64 * self.rto_backoff.powi(epoch as i32);
+        let capped = scaled.min(self.rto_max.as_nanos() as f64);
+        SimDuration::from_nanos(capped as u64)
+    }
+}
+
 impl Default for TransportConfig {
     fn default() -> Self {
         TransportConfig {
@@ -240,7 +253,8 @@ enum Ev {
     Deliver { conn: ConnId, seq: u64, ecn: bool },
     /// ACK landed back at the sender.
     Ack { conn: ConnId, seq: u64, ecn: bool },
-    /// Retransmission timer for (conn, seq) at a given retransmit epoch.
+    /// The connection's RTO timer, armed at the key of packet `seq`'s
+    /// transmission at retransmit epoch `epoch`.
     Rto { conn: ConnId, seq: u64, epoch: u32 },
     /// Pacing gate opened: resume pumping the connection.
     Pace { conn: ConnId },
@@ -264,14 +278,48 @@ struct ConnRuntime {
     /// Scratch for the per-path inflight snapshot `pump` hands the
     /// selector (reused so the per-packet send path never allocates).
     inflight_scratch: Vec<u64>,
+    /// Keys of this connection's queued RTO timers. A key is queued only
+    /// when it is earlier than every queued one, and the queue pops keys
+    /// in order, so the last entry is the earliest and is the one the
+    /// next timer pop removes.
+    armed: Vec<RtoKey>,
 }
 
-/// Deadlines of cancelled RTO timers, kept so the clock ends each
-/// [`TransportSim::run`] exactly where it would if every timer had been
-/// left to pop as a no-op.
+/// Where an RTO timer sits in the event queue: its deadline and the
+/// tie-break number reserved when the packet was (re)transmitted.
+type RtoKey = (SimTime, u64);
+
+impl ConnRuntime {
+    /// Queue the connection's timer at `key` for packet `seq` at `epoch`,
+    /// unless a timer at or before `key` is already queued.
+    fn arm(&mut self, queue: &mut EventQueue<Ev>, key: RtoKey, seq: u64, epoch: u32) {
+        if self.armed.last().is_some_and(|&top| top <= key) {
+            return;
+        }
+        let conn = self.conn.id;
+        queue.schedule_reserved(key.0, key.1, Ev::Rto { conn, seq, epoch });
+        self.armed.push(key);
+    }
+}
+
+/// The earliest RTO key among `conn`'s in-flight packets, with that
+/// packet's sequence number and retransmit epoch.
+fn earliest_rto(config: &TransportConfig, conn: &Connection) -> Option<(RtoKey, u64, u32)> {
+    conn.inflight
+        .iter()
+        .map(|(seq, p)| {
+            let deadline = p.sent_at + config.rto_after(p.retx);
+            ((deadline, p.rto_seq), seq, p.retx)
+        })
+        .min_by_key(|&(key, _, _)| key)
+}
+
+/// RTO deadlines of packets that left flight (ACKed or torn down), kept
+/// so the clock ends each [`TransportSim::run`] exactly where it would if
+/// every packet had its own timer left to pop as a no-op.
 ///
 /// A stale timer that pops moves the clock to its deadline, and
-/// `run(until)` pops every event at or before `until`. So a cancelled
+/// `run(until)` pops every event at or before `until`. So a recorded
 /// deadline counts in the run that would have popped it: the first run
 /// whose `until` reaches it. Deadlines at or before the current `until`
 /// fold into one maximum; later ones wait in a min-heap until a run's
@@ -281,14 +329,14 @@ struct ConnRuntime {
 struct CancelLedger {
     /// `until` of the run in progress; `None` between runs.
     until: Option<SimTime>,
-    /// Latest cancelled deadline the run in progress would have popped.
+    /// Latest recorded deadline the run in progress would have popped.
     due: SimTime,
-    /// Cancelled deadlines past every `until` so far.
+    /// Recorded deadlines past every `until` so far.
     later: BinaryHeap<Reverse<SimTime>>,
 }
 
 impl CancelLedger {
-    /// Record the deadline of a timer just cancelled.
+    /// Record the RTO deadline of a packet that just left flight.
     fn note(&mut self, deadline: SimTime) {
         match self.until {
             Some(until) if deadline <= until => self.due = self.due.max(deadline),
@@ -333,16 +381,13 @@ pub struct TransportSim<F: Fabric = Network> {
     config: TransportConfig,
     network: F,
     queue: EventQueue<Ev>,
-    /// Deadlines of cancelled RTO timers, for the end-of-run clock.
-    cancelled: CancelLedger,
+    /// RTO deadlines of packets that left flight, for the end-of-run clock.
+    dead_timers: CancelLedger,
     conns: Vec<ConnRuntime>,
     completions: Vec<(ConnId, MsgId)>,
     errors: Vec<(ConnId, FatalError)>,
     recovered: Vec<(ConnId, SimDuration)>,
     rng: SimRng,
-    /// Reusable buffer for the batched same-timestamp drain in
-    /// [`TransportSim::run`] (kept across calls to avoid reallocation).
-    batch_buf: Vec<Ev>,
 }
 
 impl<F: Fabric> TransportSim<F> {
@@ -351,17 +396,16 @@ impl<F: Fabric> TransportSim<F> {
         TransportSim {
             config,
             network,
-            // Every packet in flight holds a Deliver and an Rto event;
-            // presize for a healthy window's worth so the heap does not
+            // Every packet in flight holds a Deliver or an Ack event;
+            // presize for a healthy window's worth so the arena does not
             // regrow during the first ramp-up.
             queue: EventQueue::with_capacity(1024),
-            cancelled: CancelLedger::default(),
+            dead_timers: CancelLedger::default(),
             conns: Vec::new(),
             completions: Vec::new(),
             errors: Vec::new(),
             recovered: Vec::new(),
             rng,
-            batch_buf: Vec::new(),
         }
     }
 
@@ -377,7 +421,7 @@ impl<F: Fabric> TransportSim<F> {
     pub fn reset(&mut self, network: F, rng: SimRng) {
         self.network = network;
         self.queue.clear();
-        self.cancelled.clear();
+        self.dead_timers.clear();
         self.conns.clear();
         self.completions.clear();
         self.errors.clear();
@@ -394,12 +438,6 @@ impl<F: Fabric> TransportSim<F> {
     /// [`reset`](Self::reset) (which zeroes it via `EventQueue::clear`).
     pub fn events_scheduled(&self) -> u64 {
         self.queue.scheduled_total()
-    }
-
-    /// Events cancelled (RTO timers of ACKed packets and failed
-    /// connections) since construction or the last [`reset`](Self::reset).
-    pub fn events_cancelled(&self) -> u64 {
-        self.queue.cancelled_total()
     }
 
     /// Deepest pending-event backlog since construction or the last
@@ -451,6 +489,7 @@ impl<F: Fabric> TransportSim<F> {
             pace_until: SimTime::ZERO,
             pace_scheduled: false,
             inflight_scratch: Vec::new(),
+            armed: Vec::new(),
         });
         id
     }
@@ -593,18 +632,6 @@ impl<F: Fabric> TransportSim<F> {
             .sum()
     }
 
-    /// The RTO for retransmit epoch `epoch`:
-    /// `min(rto × rto_backoff^epoch, rto_max)`.
-    fn rto_after(&self, epoch: u32) -> SimDuration {
-        if self.config.rto_backoff <= 1.0 || epoch == 0 {
-            return self.config.rto;
-        }
-        let scaled =
-            self.config.rto.as_nanos() as f64 * self.config.rto_backoff.powi(epoch as i32);
-        let capped = scaled.min(self.config.rto_max.as_nanos() as f64);
-        SimDuration::from_nanos(capped as u64)
-    }
-
     /// Tear out `conn`'s virtual device from under it — vStellar device
     /// churn (host driver restart, device error, container reschedule).
     /// The connection rides the normal recovery ladder: teardown drain,
@@ -630,8 +657,7 @@ impl<F: Fabric> TransportSim<F> {
     /// Tear down `conn` after a fatal error. Without a
     /// [`RecoveryPolicy`] (or once its attempt budget is spent) the
     /// error is terminal: queued and in-flight traffic is discarded
-    /// (in-flight RTO timers are cancelled; stale Deliver/Ack events
-    /// become no-ops) and the
+    /// (stale Deliver/Ack/RTO events become no-ops) and the
     /// [`App::on_connection_error`] callback is queued. With a policy
     /// and attempts remaining, the connection enters
     /// [`ConnState::Recovering`] instead: the same teardown drain, but a
@@ -645,10 +671,9 @@ impl<F: Fabric> TransportSim<F> {
             return;
         }
         rt.conn.unsent.clear();
-        for pkt in rt.conn.inflight.values() {
-            if let Some(deadline) = self.queue.cancel(pkt.rto) {
-                self.cancelled.note(deadline);
-            }
+        for (_, pkt) in rt.conn.inflight.iter() {
+            self.dead_timers
+                .note(pkt.sent_at + self.config.rto_after(pkt.retx));
         }
         rt.conn.inflight.clear();
         rt.conn.inflight_bytes = 0;
@@ -807,15 +832,9 @@ impl<F: Fabric> TransportSim<F> {
                     },
                 );
             }
-            let timer = self.queue.schedule_cancellable(
-                now + rto,
-                Ev::Rto {
-                    conn: conn_id,
-                    seq,
-                    epoch: 0,
-                },
-            );
-            self.conns[conn_id.0 as usize].conn.inflight.insert(
+            let rto_seq = self.queue.reserve_seq();
+            let rt = &mut self.conns[conn_id.0 as usize];
+            rt.conn.inflight.insert(
                 seq,
                 InflightPacket {
                     msg: pkt.msg,
@@ -824,9 +843,10 @@ impl<F: Fabric> TransportSim<F> {
                     path,
                     sent_at: now,
                     retx: 0,
-                    rto: timer,
+                    rto_seq,
                 },
             );
+            rt.arm(&mut self.queue, (now + rto, rto_seq), seq, 0);
         }
     }
 
@@ -883,9 +903,8 @@ impl<F: Fabric> TransportSim<F> {
             let Some(pkt) = rt.conn.inflight.remove(seq) else {
                 return; // duplicate ACK (original + retransmission)
             };
-            if let Some(deadline) = self.queue.cancel(pkt.rto) {
-                self.cancelled.note(deadline);
-            }
+            self.dead_timers
+                .note(pkt.sent_at + self.config.rto_after(pkt.retx));
             rt.conn.inflight_bytes -= pkt.bytes;
             path = pkt.path;
             bytes = pkt.bytes;
@@ -912,9 +931,7 @@ impl<F: Fabric> TransportSim<F> {
         let (old_path, new_path, bytes, src, dst);
         {
             let rt = &mut self.conns[conn_id.0 as usize];
-            // ACKs and connection failures cancel a packet's timer, but a
-            // timer that was already due when they came cannot be
-            // cancelled any more; it fires here and must be ignored.
+            // The timer may outlive the packet it was armed for.
             let Some(pkt) = rt.conn.inflight.get(seq) else {
                 return; // ACKed in the meantime (or the connection died)
             };
@@ -994,73 +1011,60 @@ impl<F: Fabric> TransportSim<F> {
             );
         }
         // Exponential backoff: each retransmit epoch waits longer (up to
-        // rto_max) before declaring the copy lost.
-        let timer = self.queue.schedule_cancellable(
-            now + self.rto_after(epoch + 1),
-            Ev::Rto {
-                conn: conn_id,
-                seq,
-                epoch: epoch + 1,
-            },
-        );
+        // rto_max) before declaring the copy lost. The run loop re-arms
+        // the connection's timer once this returns.
+        let rto_seq = self.queue.reserve_seq();
         let pkt = self.conns[conn_id.0 as usize]
             .conn
             .inflight
             .get_mut(seq)
             .expect("the retransmitted packet is still in flight");
-        pkt.rto = timer;
+        pkt.rto_seq = rto_seq;
     }
 
     /// Process events until the queue drains or the next event is past
     /// `until`. Completion callbacks run in causal order.
     pub fn run<A: App<F>>(&mut self, app: &mut A, until: SimTime) {
-        // Batched same-timestamp drain: the wheel hands over every event at
-        // the next timestamp in one call, so the hot loop runs one
-        // peek/advance per *timestamp* instead of per event. Handlers that
-        // schedule new events at the drained timestamp (zero-latency hops)
-        // produce a fresh batch on the next iteration, with higher FIFO
-        // seqs — exactly the order per-event pops would have delivered.
-        let mut batch = std::mem::take(&mut self.batch_buf);
-        self.cancelled.begin(until);
-        loop {
-            match self.queue.peek_time() {
-                Some(t) if t <= until => {}
-                _ => break,
-            }
-            batch.clear();
-            self.queue
-                .pop_batch(&mut batch)
-                .expect("peeked event exists");
-            for ev in batch.drain(..) {
-                match ev {
-                    Ev::Deliver { conn, seq, ecn } => self.handle_deliver(conn, seq, ecn),
-                    Ev::Ack { conn, seq, ecn } => self.handle_ack(conn, seq, ecn),
-                    Ev::Rto { conn, seq, epoch } => self.handle_rto(conn, seq, epoch),
-                    Ev::Pace { conn } => {
-                        self.conns[conn.0 as usize].pace_scheduled = false;
-                        self.pump(conn);
+        // One event at a time: a timer re-armed at the current nanosecond
+        // must pop between the same-nanosecond events around its key.
+        self.dead_timers.begin(until);
+        while self.queue.peek_time().is_some_and(|t| t <= until) {
+            let (_, ev) = self.queue.pop().expect("peeked event exists");
+            match ev {
+                Ev::Deliver { conn, seq, ecn } => self.handle_deliver(conn, seq, ecn),
+                Ev::Ack { conn, seq, ecn } => self.handle_ack(conn, seq, ecn),
+                Ev::Rto { conn, seq, epoch } => {
+                    // Fire the packet the timer was armed for (if it is
+                    // still waiting on that key), then re-arm at the
+                    // earliest key left in flight.
+                    self.conns[conn.0 as usize].armed.pop();
+                    self.handle_rto(conn, seq, epoch);
+                    let rt = &mut self.conns[conn.0 as usize];
+                    if let Some((key, seq, epoch)) = earliest_rto(&self.config, &rt.conn) {
+                        rt.arm(&mut self.queue, key, seq, epoch);
                     }
-                    Ev::AppTimer { token } => app.on_timer(self, token),
-                    Ev::Reconnect { conn } => self.handle_reconnect(conn),
                 }
-                // Callbacks run after every event, exactly as the
-                // unbatched loop did — batching may never reorder an
-                // event relative to the completions it caused.
-                while let Some((c, m)) = pop_front(&mut self.completions) {
-                    app.on_message_complete(self, c, m);
+                Ev::Pace { conn } => {
+                    self.conns[conn.0 as usize].pace_scheduled = false;
+                    self.pump(conn);
                 }
-                while let Some((c, e)) = pop_front(&mut self.errors) {
-                    app.on_connection_error(self, c, e);
-                }
-                while let Some((c, d)) = pop_front(&mut self.recovered) {
-                    app.on_connection_recovered(self, c, d);
-                }
+                Ev::AppTimer { token } => app.on_timer(self, token),
+                Ev::Reconnect { conn } => self.handle_reconnect(conn),
+            }
+            while let Some((c, m)) = pop_front(&mut self.completions) {
+                app.on_message_complete(self, c, m);
+            }
+            while let Some((c, e)) = pop_front(&mut self.errors) {
+                app.on_connection_error(self, c, e);
+            }
+            while let Some((c, d)) = pop_front(&mut self.recovered) {
+                app.on_connection_recovered(self, c, d);
             }
         }
-        self.batch_buf = batch;
-        // Cancelled timers no longer pop, so land the clock where the
-        // last of them this run would have popped had it been left in.
-        let deadline = self.cancelled.end();
+        // Packets that left flight have no timer to pop, so land the
+        // clock where the last of their deadlines this run would have
+        // left it.
+        let deadline = self.dead_timers.end();
         self.queue.advance_clock(deadline);
         // Returning from `run` is a quiesce point: nothing is mid-event,
         // so every cross-layer ledger must balance.
@@ -1080,11 +1084,32 @@ impl<F: Fabric> TransportSim<F> {
     /// directly from tests. Cascades into the fabric's own checks.
     pub fn check_invariants(&self, at: SimTime) {
         stellar_check::at_quiesce(at, stellar_check::Layer::Transport, |c| {
-            let drained = self.queue.is_empty();
+            // A timer left behind by a connection with nothing in flight
+            // would pop as a no-op: it holds no work.
+            let idle_timers: usize = self
+                .conns
+                .iter()
+                .filter(|rt| rt.conn.inflight.is_empty())
+                .map(|rt| rt.armed.len())
+                .sum();
+            let drained = self.queue.len() == idle_timers;
             for rt in &self.conns {
                 let conn = &rt.conn;
                 let id = conn.id.0;
-                let actual: u64 = conn.inflight.values().map(|p| p.bytes).sum();
+                if let Some((key, seq, _)) = earliest_rto(&self.config, conn) {
+                    c.check(
+                        "transport.rto_armed",
+                        rt.armed.last().is_some_and(|&top| top <= key),
+                        || {
+                            format!(
+                                "conn {id}: packet seq {seq} times out at {key:?} but the \
+                                 earliest queued timer is {:?}",
+                                rt.armed.last()
+                            )
+                        },
+                    );
+                }
+                let actual: u64 = conn.inflight.iter().map(|(_, p)| p.bytes).sum();
                 c.check(
                     "transport.inflight_bytes",
                     conn.inflight_bytes == actual,
@@ -1095,7 +1120,7 @@ impl<F: Fabric> TransportSim<F> {
                         )
                     },
                 );
-                let worst = conn.inflight.values().map(|p| p.retx).max().unwrap_or(0);
+                let worst = conn.inflight.iter().map(|(_, p)| p.retx).max().unwrap_or(0);
                 c.check(
                     "transport.retry_budget",
                     worst <= self.config.retry_budget,
@@ -1292,6 +1317,29 @@ mod tests {
             first, second,
             "a reset sim must be observably identical to a fresh one"
         );
+    }
+
+    /// A connection whose queued timer went missing while packets are in
+    /// flight fails `transport.rto_armed` at the next quiesce point.
+    #[test]
+    fn rto_armed_catches_a_lost_timer() {
+        let mut sim = make_sim(PathAlgo::Obs, 8, 9);
+        let src = sim.network().topology().nic(0, 0);
+        let dst = sim.network().topology().nic(4, 0);
+        let conn = sim.add_connection(src, dst);
+        sim.post_message(conn, 1 << 20);
+        sim.run(&mut NoopApp, SimTime::ZERO + SimDuration::from_micros(5));
+        assert!(!sim.conns[conn.0 as usize].conn.inflight.is_empty());
+        let lost_timer = |sim: &TransportSim| {
+            let (_, report) = stellar_check::capture(|| sim.check_invariants(sim.now()));
+            report
+                .violations
+                .iter()
+                .any(|v| v.invariant == "transport.rto_armed")
+        };
+        assert!(!lost_timer(&sim), "the armed timer passes");
+        sim.conns[conn.0 as usize].armed.clear();
+        assert!(lost_timer(&sim), "a missing timer is reported");
     }
 
     #[test]
@@ -1561,11 +1609,11 @@ mod tests {
     fn rto_backoff_grows_and_caps() {
         let sim = make_sim(PathAlgo::Obs, 4, 1);
         // Defaults: rto 250 µs, backoff 2.0, cap 4 ms.
-        assert_eq!(sim.rto_after(0), SimDuration::from_micros(250));
-        assert_eq!(sim.rto_after(1), SimDuration::from_micros(500));
-        assert_eq!(sim.rto_after(2), SimDuration::from_micros(1000));
-        assert_eq!(sim.rto_after(4), SimDuration::from_millis(4));
-        assert_eq!(sim.rto_after(30), SimDuration::from_millis(4));
+        assert_eq!(sim.config().rto_after(0), SimDuration::from_micros(250));
+        assert_eq!(sim.config().rto_after(1), SimDuration::from_micros(500));
+        assert_eq!(sim.config().rto_after(2), SimDuration::from_micros(1000));
+        assert_eq!(sim.config().rto_after(4), SimDuration::from_millis(4));
+        assert_eq!(sim.config().rto_after(30), SimDuration::from_millis(4));
     }
 
     #[test]
@@ -1703,7 +1751,7 @@ mod tests {
             )
         };
         for epoch in 0..10 {
-            assert_eq!(sim.rto_after(epoch), sim.config().rto);
+            assert_eq!(sim.config().rto_after(epoch), sim.config().rto);
         }
     }
 

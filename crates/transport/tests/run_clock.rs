@@ -1,15 +1,19 @@
 //! The clock after a bounded `run(until)`.
 //!
-//! ACKs cancel their packet's RTO timer, so the timer never pops. A
-//! timer left to pop as a no-op would still have moved the clock to its
-//! deadline, and workloads read `sim.now()` after a bounded run (goodput
-//! and queue averages divide by it). The transport therefore keeps the
-//! deadlines of cancelled timers and, when `run` returns, lands the clock
-//! where the last timer that run would have popped left it.
+//! A connection has one RTO timer, armed at its earliest in-flight key,
+//! so an ACKed packet's deadline need never pop. A per-packet timer left
+//! to pop as a no-op would still have moved the clock to its deadline,
+//! and workloads read `sim.now()` after a bounded run (goodput and queue
+//! averages divide by it). The transport therefore keeps the deadlines
+//! of packets that left flight and, when `run` returns, lands the clock
+//! where the last such timer that run would have popped left it.
 //!
-//! The expected values below were recorded before timers became
-//! cancellable, when every dead timer still popped. They must never
-//! change: a drift means cancellation altered what a workload observes.
+//! The clock, byte, ACK and retransmit values below were recorded when
+//! every packet had its own timer and every dead timer still popped.
+//! They must never change: a drift means the timer design altered what a
+//! workload observes. The `events scheduled` column counts queued
+//! events, and fell when per-packet timers gave way to one timer per
+//! connection.
 
 use stellar_net::{ClosConfig, ClosTopology, Fabric, Network, NetworkConfig};
 use stellar_sim::{SimDuration, SimRng, SimTime};
@@ -50,8 +54,8 @@ fn us(n: u64) -> SimTime {
 /// Two messages that finish long before their timers' 250 µs deadlines,
 /// run in bounded steps. Steps that stop short of every deadline leave
 /// the clock at the last packet event; later steps must land it on the
-/// last deadline they reach, including deadlines of timers cancelled in
-/// an earlier step.
+/// last deadline they reach, including deadlines of packets ACKed in an
+/// earlier step.
 #[test]
 fn bounded_runs_end_where_dead_timers_would_have_left_the_clock() {
     let mut s = sim(7);
@@ -67,12 +71,12 @@ fn bounded_runs_end_where_dead_timers_would_have_left_the_clock() {
     s.post_message(b, 1 << 20);
     // (until µs, now ns, events scheduled, bytes delivered, acks)
     let expected = [
-        (30, 29_940, 950, 1_163_264, 233),
-        (120, 92_256, 2_304, 3_145_728, 768),
-        (200, 92_256, 2_304, 3_145_728, 768),
-        (300, 299_080, 2_304, 3_145_728, 768),
-        (330, 329_840, 2_304, 3_145_728, 768),
-        (360, 333_588, 2_304, 3_145_728, 768),
+        (30, 29_940, 619, 1_163_264, 233),
+        (120, 92_256, 1_538, 3_145_728, 768),
+        (200, 92_256, 1_538, 3_145_728, 768),
+        (300, 299_080, 1_538, 3_145_728, 768),
+        (330, 329_840, 1_538, 3_145_728, 768),
+        (360, 333_588, 1_538, 3_145_728, 768),
     ];
     for (until, now, events, delivered, acks) in expected {
         s.run(&mut NoopApp, us(until));
@@ -89,8 +93,7 @@ fn bounded_runs_end_where_dead_timers_would_have_left_the_clock() {
     }
     s.run(&mut NoopApp, FOREVER);
     assert_eq!(s.now().as_nanos(), 333_588);
-    assert_eq!(s.events_scheduled(), 2_304);
-    assert_eq!(s.events_cancelled(), 768, "every ACK cancelled its timer");
+    assert_eq!(s.events_scheduled(), 1_538);
     assert_eq!(
         s.total_stats(),
         ConnStats {
@@ -104,9 +107,9 @@ fn bounded_runs_end_where_dead_timers_would_have_left_the_clock() {
     );
 }
 
-/// One lost packet: its first timer fires and retransmits, the re-armed
-/// timer (500 µs after backoff) is cancelled by the retransmission's ACK
-/// and waits through three bounded steps that stop short of it.
+/// One lost packet: its first timer fires and retransmits, and the
+/// retransmission's ACK retires its 500 µs backed-off deadline, which
+/// waits through three bounded steps that stop short of it.
 #[test]
 fn a_re_armed_timer_counts_only_once_its_deadline_is_reached() {
     let mut s = sim(11);
@@ -118,11 +121,11 @@ fn a_re_armed_timer_counts_only_once_its_deadline_is_reached() {
     s.post_message(a, 1 << 20);
     // (until µs, now ns, events scheduled, retransmits)
     let expected = [
-        (100, 52_992, 766, 0),
-        (260, 259_980, 766, 0),
-        (400, 294_160, 769, 1),
-        (520, 294_160, 769, 1),
-        (700, 294_160, 769, 1),
+        (100, 52_992, 511, 0),
+        (260, 259_980, 512, 0),
+        (400, 294_160, 515, 1),
+        (520, 294_160, 515, 1),
+        (700, 294_160, 515, 1),
     ];
     for (until, now, events, retransmits) in expected {
         s.run(&mut NoopApp, us(until));
@@ -145,7 +148,7 @@ fn a_re_armed_timer_counts_only_once_its_deadline_is_reached() {
     );
 }
 
-/// Deadlines cancelled before a `reset` must not reach the next run's
+/// Deadlines recorded before a `reset` must not reach the next run's
 /// clock: after the reset a one-packet message ends at its own timer's
 /// deadline, as on a fresh sim, not at the old run's later deadlines.
 #[test]
@@ -165,14 +168,13 @@ fn reset_clears_the_cancelled_deadlines() {
         s.network().topology().nic(4, 0),
     );
     s.post_message(a, 2 << 20);
-    // Stop after the traffic but before any deadline: every cancelled
+    // Stop after the traffic but before any deadline: every recorded
     // deadline is still waiting for a later run.
     s.run(&mut NoopApp, us(200));
     assert!(s.all_idle());
-    assert!(s.events_cancelled() > 0);
+    assert!(s.now() < us(200));
     let (net, rng) = network(7);
     s.reset(net, rng.fork("transport"));
-    assert_eq!(s.events_cancelled(), 0, "reset zeroes the cancel count");
     assert_eq!(one_packet(&mut s), (250_000, 3));
     assert_eq!(one_packet(&mut sim(7)), (250_000, 3), "a fresh sim agrees");
 }

@@ -201,17 +201,19 @@ sys.exit(1 if failed else 0)
 PY
 rm -f "$perf_baseline"
 
-# Queue gate, part 3 — cancellation (DESIGN.md §13): ACKs cancel their
-# packet's RTO timer, so dead timers no longer pile up in the queue.
-# fig16 peaked at 201,528 pending events when every timer waited out its
-# 250 us; with cancellation it peaks near 12k. A change that stops
-# cancelling blows through this ceiling.
+# Queue gate, part 3 — one RTO timer per connection (DESIGN.md §13):
+# a connection queues a single timer at its earliest in-flight deadline,
+# so RTO timers no longer scale with packets in flight. fig16 peaked at
+# 201,528 pending events when every packet's timer waited out its
+# 250 us, at 12,122 with per-packet timers cancelled on the ACK, and at
+# 6,158 with one timer per connection. A change that queues timers per
+# packet again blows through this ceiling.
 python3 - BENCH_reproduce.json <<'PY'
 import json, sys
 fig16 = {s["name"]: s for s in json.load(open(sys.argv[1]))["scenarios"]}["fig16"]
-depth, ceiling = fig16["peak_queue_depth"], 20_000
+depth, ceiling = fig16["peak_queue_depth"], 9_000
 status = "ok" if depth <= ceiling else "REGRESSION"
-print(f"queue cancel gate: fig16 peak_queue_depth {depth:,} (ceiling {ceiling:,}) {status}")
+print(f"queue depth gate: fig16 peak_queue_depth {depth:,} (ceiling {ceiling:,}) {status}")
 sys.exit(0 if depth <= ceiling else 1)
 PY
 echo "archived BENCH_reproduce.json:"
