@@ -20,6 +20,8 @@
 //! exact bytes the binary prints. The analytic experiments (`fig6`,
 //! `fig13`, `fig14`, `table1`, `claims`) run in milliseconds and pin
 //! every field type a row can carry, `null`s and arrays included.
+//! `cluster` pins the multi-tenant scheduler's per-tenant tail
+//! latencies, which its app records from the completions it owns.
 //!
 //! `golden/scale.json` and `golden/recovery.json` (recorded with
 //! `STELLAR_THREADS=1 reproduce <exp> --quick --json`) pin the
@@ -111,6 +113,15 @@ fn chaos_json_matches_golden_at_1_and_8_threads() {
         "chaos --quick --json",
         include_str!("golden/chaos.json"),
         || json_line("chaos", &b::chaos::run(true)),
+    );
+}
+
+#[test]
+fn cluster_json_matches_golden_at_1_and_8_threads() {
+    assert_golden(
+        "cluster --quick --json",
+        include_str!("golden/cluster.json"),
+        || json_line("cluster", &b::cluster::run(true)),
     );
 }
 

@@ -4,7 +4,7 @@ use stellar_net::{ClosConfig, ClosTopology, Fabric, FaultPlan, Network, NetworkC
 use stellar_sim::par::with_thread_override;
 use stellar_sim::proptest_lite::check;
 use stellar_sim::{SimDuration, SimRng, SimTime};
-use stellar_transport::conn::{ConnId, Connection, MessageState};
+use stellar_transport::conn::{ConnId, Connection, InflightPacket, InflightTable, MessageState};
 use stellar_transport::{
     App, MsgId, PathAlgo, PathSelector, RecoveryPolicy, ScoreboardPolicy, TransportConfig,
     TransportSim,
@@ -358,5 +358,79 @@ fn obs_covers_paths() {
             s.select(None, &|_| true);
         }
         assert!(s.active_paths() as u32 >= paths * 8 / 10);
+    });
+}
+
+/// `InflightTable` behaves as a map from sequence number to packet:
+/// checked against a `BTreeMap` under random insert, remove, get,
+/// get_mut and clear. Sequence numbers are dense and monotone, as the
+/// transport allocates them, and each case bounds the live span (newest
+/// minus oldest in flight) somewhere between 1 and 200, so the table
+/// grows from its first allocation past 64 slots.
+#[test]
+fn inflight_table_matches_a_map() {
+    use std::collections::BTreeMap;
+    check("inflight_table_matches_a_map", 256, |g| {
+        let span = g.u64(1, 201);
+        let mut table = InflightTable::default();
+        let mut model: BTreeMap<u64, InflightPacket> = BTreeMap::new();
+        let mut next = 0u64;
+        let packet = |seq: u64| InflightPacket {
+            msg: MsgId(seq / 3),
+            idx: seq % 3,
+            bytes: 4096,
+            path: (seq % 128) as u32,
+            sent_at: SimTime::from_nanos(seq),
+            retx: 0,
+            rto_seq: seq,
+        };
+        for _ in 0..g.usize(1, 600) {
+            let oldest = model.keys().next().copied().unwrap_or(next);
+            match g.u32(0, 100) {
+                // Insert the next sequence number while the span allows.
+                0..=44 if next - oldest < span => {
+                    table.insert(next, packet(next));
+                    model.insert(next, packet(next));
+                    next += 1;
+                }
+                // Remove: mostly the oldest (cumulative ACKs), else any
+                // sequence number near the window, live or not.
+                0..=69 => {
+                    let seq = if g.bool() {
+                        oldest
+                    } else {
+                        g.u64(oldest.saturating_sub(4), next + 4)
+                    };
+                    assert_eq!(table.remove(seq), model.remove(&seq), "remove {seq}");
+                }
+                70..=84 => {
+                    let seq = g.u64(oldest.saturating_sub(4), next + 4);
+                    assert_eq!(table.get(seq), model.get(&seq), "get {seq}");
+                }
+                85..=98 => {
+                    let seq = g.u64(oldest.saturating_sub(4), next + 4);
+                    let path = g.u32(0, 128);
+                    let t = table.get_mut(seq).map(|p| {
+                        p.retx += 1;
+                        p.path = path;
+                    });
+                    let m = model.get_mut(&seq).map(|p| {
+                        p.retx += 1;
+                        p.path = path;
+                    });
+                    assert_eq!(t.is_some(), m.is_some(), "get_mut {seq}");
+                }
+                _ => {
+                    table.clear();
+                    model.clear();
+                }
+            }
+            assert_eq!(table.len(), model.len());
+            assert_eq!(table.is_empty(), model.is_empty());
+            let mut live: Vec<(u64, InflightPacket)> =
+                table.iter().map(|(seq, p)| (seq, *p)).collect();
+            live.sort_unstable_by_key(|&(seq, _)| seq);
+            assert!(live.iter().map(|(seq, p)| (seq, p)).eq(model.iter()));
+        }
     });
 }
