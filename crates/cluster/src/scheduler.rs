@@ -26,6 +26,7 @@ use stellar_core::{RnicId, ServerConfig, StellarServer};
 use stellar_net::fixture::packet_fabric;
 use stellar_net::{ClosConfig, ClosTopology, Fabric, Network, NetworkConfig, NicId};
 use stellar_pcie::addr::{Gva, PAGE_4K};
+use stellar_sim::stats::Histogram;
 use stellar_sim::{SimDuration, SimRng, SimTime};
 use stellar_transport::{
     App, ConnId, FatalError, MsgId, RecoveryPolicy, TransportConfig, TransportSim,
@@ -125,6 +126,8 @@ struct Scheduler<'a> {
     tenants: Vec<TenantState>,
     queue: VecDeque<usize>,
     conn_owner: HashMap<ConnId, usize>,
+    /// Completion latencies of each tenant's ring messages.
+    latency: Vec<Histogram>,
     setup: Vec<SimDuration>,
     admitted_ranks: usize,
     peak_admitted_ranks: usize,
@@ -246,6 +249,18 @@ impl Scheduler<'_> {
 }
 
 impl<F: Fabric> App<F> for Scheduler<'_> {
+    fn on_message_latency(
+        &mut self,
+        _sim: &mut TransportSim<F>,
+        conn: ConnId,
+        _msg: MsgId,
+        latency: SimDuration,
+    ) {
+        if let Some(&t) = self.conn_owner.get(&conn) {
+            self.latency[t].record_duration(latency);
+        }
+    }
+
     fn on_message_complete(&mut self, sim: &mut TransportSim<F>, conn: ConnId, msg: MsgId) {
         self.runner.on_message_complete(sim, conn, msg);
         let Some(&t) = self.conn_owner.get(&conn) else {
@@ -343,6 +358,7 @@ pub fn run_cluster_with<F: Fabric>(
         ],
         queue: VecDeque::new(),
         conn_owner: HashMap::new(),
+        latency: vec![Histogram::new(); config.tenants.len()],
         setup,
         admitted_ranks: 0,
         peak_admitted_ranks: 0,
@@ -364,11 +380,10 @@ pub fn run_cluster_with<F: Fabric>(
             let st = &app.tenants[t];
             let (goodput, p99, finished) = match st.job {
                 Some(j) => {
-                    let mut h = stellar_sim::stats::Histogram::new();
-                    for &c in app.runner.job_conns(j) {
-                        h.merge(sim.message_latency_histogram(c));
-                    }
-                    let p99 = h.p99().map_or(-1.0, |ns| ns as f64 / 1e3);
+                    let p99 = app.latency[t]
+                        .percentiles()
+                        .p99()
+                        .map_or(-1.0, |ns| ns as f64 / 1e3);
                     (
                         app.runner.report(j).mean_bus_bandwidth_gbs(),
                         p99,

@@ -1,8 +1,12 @@
 //! Per-packet path selection over N equivalent paths (§7.2).
 //!
 //! A *path id* is an opaque entropy value `0..num_paths`; the fabric's
-//! ECMP hash maps it to a concrete route. Each algorithm keeps per-path
-//! observations (EWMA RTT, recent ECN fraction) fed back from ACKs.
+//! ECMP hash maps it to a concrete route. The feedback-driven algorithms
+//! keep per-path observations (EWMA RTT, recent ECN fraction) fed back
+//! from ACKs. Per-path state is stored by field and only for the readers
+//! that need it: OBS — the algorithm Stellar deploys over 128 paths —
+//! reads no feedback, so a connection spraying with it keeps nothing per
+//! path beyond its sent-packet counts.
 
 use stellar_sim::{SimDuration, SimRng, SimTime};
 
@@ -103,43 +107,53 @@ impl Default for PlaneFailover {
     }
 }
 
-/// Observed state of one path.
-#[derive(Debug, Clone)]
+/// Observed state of one path, read back from a [`PathSelector`].
+///
+/// An EWMA the selector's algorithm does not track reads `None`.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathState {
-    /// EWMA of measured RTT; zero until first sample.
-    pub rtt_ewma: SimDuration,
-    /// EWMA of the ECN-marked fraction of ACKs (0..1).
-    pub ecn_ewma: f64,
-    /// Packets currently outstanding on this path.
-    pub inflight_packets: u64,
+    /// EWMA of measured RTT; `Some(ZERO)` until the first sample. Tracked
+    /// by BestRtt and Dwrr.
+    pub rtt_ewma: Option<SimDuration>,
+    /// EWMA of the ECN-marked fraction of ACKs (0..1). Tracked by MpRdma.
+    pub ecn_ewma: Option<f64>,
     /// Packets ever sent on this path (for distribution tests).
     pub sent_packets: u64,
     /// Losses since the last ACK on this path (scoreboard input).
     pub consecutive_losses: u32,
     /// The path is blacklisted until this time (ZERO = not blacklisted).
     pub blacklisted_until: SimTime,
-    dwrr_deficit: f64,
 }
 
-impl Default for PathState {
-    fn default() -> Self {
-        PathState {
-            rtt_ewma: SimDuration::ZERO,
-            ecn_ewma: 0.0,
-            inflight_packets: 0,
-            sent_packets: 0,
-            consecutive_losses: 0,
-            blacklisted_until: SimTime::ZERO,
-            dwrr_deficit: 0.0,
-        }
-    }
+/// One path's loss-scoreboard entry.
+#[derive(Debug, Clone, Copy, Default)]
+struct Score {
+    /// Losses since the last ACK on this path.
+    losses: u32,
+    /// Blacklisted until this time (ZERO = not blacklisted).
+    blacklisted_until: SimTime,
 }
 
 /// Per-connection path selector.
+///
+/// Per-path state lives in one vector per field, each allocated only
+/// for the algorithms or features that read it: `sent` always (the
+/// distribution readers), `rtt_ewma` for BestRtt and Dwrr, `ecn_ewma`
+/// for MpRdma, `dwrr_deficit` for Dwrr, and `scores` from the first loss
+/// the scoreboard counts. An empty vector means "not tracked".
 #[derive(Debug)]
 pub struct PathSelector {
     algo: PathAlgo,
-    paths: Vec<PathState>,
+    /// Packets ever sent per path.
+    sent: Vec<u64>,
+    /// RTT EWMA per path (ZERO until the first sample).
+    rtt_ewma: Vec<SimDuration>,
+    /// ECN-fraction EWMA per path.
+    ecn_ewma: Vec<f64>,
+    /// DWRR deficit counter per path.
+    dwrr_deficit: Vec<f64>,
+    /// Loss scoreboard per path; empty until a loss is counted.
+    scores: Vec<Score>,
     rr_cursor: u32,
     rng: SimRng,
     flowlet_path: u32,
@@ -167,9 +181,25 @@ impl PathSelector {
     pub fn new(algo: PathAlgo, num_paths: u32, rng: SimRng) -> Self {
         assert!(num_paths >= 1, "need at least one path");
         assert!(num_paths <= 256, "at most 256 paths (paper's sweep ceiling)");
+        let n = num_paths as usize;
+        let tracks_rtt = matches!(algo, PathAlgo::BestRtt | PathAlgo::Dwrr);
+        let tracks_ecn = algo == PathAlgo::MpRdma;
+        let tracks_deficit = algo == PathAlgo::Dwrr;
         PathSelector {
             algo,
-            paths: (0..num_paths).map(|_| PathState::default()).collect(),
+            sent: vec![0; n],
+            rtt_ewma: if tracks_rtt {
+                vec![SimDuration::ZERO; n]
+            } else {
+                Vec::new()
+            },
+            ecn_ewma: if tracks_ecn { vec![0.0; n] } else { Vec::new() },
+            dwrr_deficit: if tracks_deficit {
+                vec![0.0; n]
+            } else {
+                Vec::new()
+            },
+            scores: Vec::new(),
             rr_cursor: 0,
             rng,
             flowlet_path: 0,
@@ -239,9 +269,9 @@ impl PathSelector {
     pub fn readmission_bounded(&self, at: SimTime) -> bool {
         let blacklist_horizon = at + self.scoreboard.penalty;
         let quarantine_horizon = at + self.failover.readmit_after;
-        self.paths
+        self.scores
             .iter()
-            .all(|p| p.blacklisted_until <= blacklist_horizon)
+            .all(|sc| sc.blacklisted_until <= blacklist_horizon)
             && self
                 .plane_quarantine_until
                 .iter()
@@ -250,17 +280,23 @@ impl PathSelector {
 
     /// Whether `path` is blacklisted at `now`.
     pub fn is_blacklisted(&self, path: u32, now: SimTime) -> bool {
-        self.paths[path as usize].blacklisted_until > now
+        assert!(path < self.num_paths(), "path {path} out of range");
+        self.scores
+            .get(path as usize)
+            .is_some_and(|sc| sc.blacklisted_until > now)
     }
 
     /// Number of paths blacklisted at `now`.
     pub fn blacklisted_count(&self, now: SimTime) -> usize {
-        self.paths.iter().filter(|p| p.blacklisted_until > now).count()
+        self.scores
+            .iter()
+            .filter(|sc| sc.blacklisted_until > now)
+            .count()
     }
 
     /// Number of configured paths.
     pub fn num_paths(&self) -> u32 {
-        self.paths.len() as u32
+        self.sent.len() as u32
     }
 
     /// The algorithm in use.
@@ -269,8 +305,16 @@ impl PathSelector {
     }
 
     /// State of one path.
-    pub fn path(&self, id: u32) -> &PathState {
-        &self.paths[id as usize]
+    pub fn path(&self, id: u32) -> PathState {
+        let i = id as usize;
+        let score = self.scores.get(i).copied().unwrap_or_default();
+        PathState {
+            rtt_ewma: self.rtt_ewma.get(i).copied(),
+            ecn_ewma: self.ecn_ewma.get(i).copied(),
+            sent_packets: self.sent[i],
+            consecutive_losses: score.losses,
+            blacklisted_until: score.blacklisted_until,
+        }
     }
 
     /// Select the path for the next packet. `exclude` removes one path
@@ -303,18 +347,19 @@ impl PathSelector {
     ) -> Option<u32> {
         // Healthy fast path: no active blacklist or quarantine, no extra
         // RNG draws — keeps fault-free runs byte-identical to the
-        // unhardened selector.
+        // unhardened selector. A quarantine follows a blacklist, so an
+        // active deadline means the scoreboard is allocated.
         if (self.max_blacklist_until > now || self.max_quarantine_until > now)
-            && self.paths.len() > 1
+            && self.sent.len() > 1
         {
             let mut mask = [0u64; 4];
             let mut any = false;
-            for (i, st) in self.paths.iter().enumerate() {
+            for (i, sc) in self.scores.iter().enumerate() {
                 let quarantined = self.failover.planes > 0
                     && self.plane_quarantine_until
                         [(i as u32 % self.failover.planes) as usize]
                         > now;
-                if st.blacklisted_until > now || quarantined {
+                if sc.blacklisted_until > now || quarantined {
                     mask[i / 64] |= 1 << (i % 64);
                     any = true;
                 }
@@ -337,7 +382,7 @@ impl PathSelector {
         exclude: Option<u32>,
         allowed: &F,
     ) -> Option<u32> {
-        let n = self.paths.len() as u32;
+        let n = self.num_paths();
         let ok = |p: u32| -> bool { Some(p) != exclude && allowed(p) };
         // With one path there is nowhere else to go.
         if n == 1 {
@@ -427,7 +472,7 @@ impl PathSelector {
             }
             PathAlgo::BestRtt => (0..n)
                 .filter(|&p| ok(p))
-                .min_by_key(|&p| self.paths[p as usize].rtt_ewma),
+                .min_by_key(|&p| self.rtt_ewma[p as usize]),
             PathAlgo::MpRdma => {
                 // Power-of-two-choices on ECN fraction.
                 let a = self.rng.below(n as u64) as u32;
@@ -435,9 +480,7 @@ impl PathSelector {
                 let pick = |x: u32, y: u32| -> Option<u32> {
                     match (ok(x), ok(y)) {
                         (true, true) => {
-                            if self.paths[x as usize].ecn_ewma
-                                <= self.paths[y as usize].ecn_ewma
-                            {
+                            if self.ecn_ewma[x as usize] <= self.ecn_ewma[y as usize] {
                                 Some(x)
                             } else {
                                 Some(y)
@@ -452,9 +495,7 @@ impl PathSelector {
             }
         };
         if let Some(p) = choice {
-            let st = &mut self.paths[p as usize];
-            st.inflight_packets += 1;
-            st.sent_packets += 1;
+            self.sent[p as usize] += 1;
         }
         choice
     }
@@ -464,7 +505,7 @@ impl PathSelector {
         exclude: Option<u32>,
         allowed: &F,
     ) -> Option<u32> {
-        let n = self.paths.len() as u32;
+        let n = self.num_paths();
         let ok = |p: u32| -> bool { Some(p) != exclude && allowed(p) };
         if !(0..n).any(ok) {
             return None;
@@ -473,8 +514,8 @@ impl PathSelector {
         // explored); accumulate deficits until a permitted path qualifies.
         let mut weights = std::mem::take(&mut self.dwrr_weights);
         weights.clear();
-        weights.extend(self.paths.iter().map(|p| {
-            let rtt = p.rtt_ewma.as_nanos();
+        weights.extend(self.rtt_ewma.iter().map(|ewma| {
+            let rtt = ewma.as_nanos();
             if rtt == 0 {
                 1.0
             } else {
@@ -486,10 +527,10 @@ impl PathSelector {
         'rounds: for _round in 0..64 {
             for i in 0..n {
                 let p = (self.rr_cursor + i) % n;
-                let st = &mut self.paths[p as usize];
-                st.dwrr_deficit += weights[p as usize] / wmax;
-                if ok(p) && st.dwrr_deficit >= 1.0 {
-                    st.dwrr_deficit -= 1.0;
+                let deficit = &mut self.dwrr_deficit[p as usize];
+                *deficit += weights[p as usize] / wmax;
+                if ok(p) && *deficit >= 1.0 {
+                    *deficit -= 1.0;
                     self.rr_cursor = p + 1;
                     choice = Some(p);
                     break 'rounds;
@@ -513,28 +554,32 @@ impl PathSelector {
             self.plane_quarantine_until[(path % self.failover.planes) as usize] =
                 SimTime::ZERO;
         }
-        let st = &mut self.paths[path as usize];
-        st.inflight_packets = st.inflight_packets.saturating_sub(1);
+        assert!(path < self.num_paths(), "path {path} out of range");
+        let i = path as usize;
         // An ACK proves the path forwards again: clear the scoreboard.
-        st.consecutive_losses = 0;
-        st.blacklisted_until = SimTime::ZERO;
-        st.rtt_ewma = if st.rtt_ewma == SimDuration::ZERO {
-            rtt
-        } else {
-            // EWMA with alpha = 1/8 (RFC 6298 flavour).
-            SimDuration::from_nanos(
-                (st.rtt_ewma.as_nanos() * 7 + rtt.as_nanos()) / 8,
-            )
-        };
-        st.ecn_ewma = st.ecn_ewma * 0.875 + if ecn { 0.125 } else { 0.0 };
+        if let Some(sc) = self.scores.get_mut(i) {
+            *sc = Score::default();
+        }
+        if let Some(ewma) = self.rtt_ewma.get_mut(i) {
+            *ewma = if *ewma == SimDuration::ZERO {
+                rtt
+            } else {
+                // EWMA with alpha = 1/8 (RFC 6298 flavour).
+                SimDuration::from_nanos((ewma.as_nanos() * 7 + rtt.as_nanos()) / 8)
+            };
+        }
+        if let Some(ewma) = self.ecn_ewma.get_mut(i) {
+            *ewma = *ewma * 0.875 + if ecn { 0.125 } else { 0.0 };
+        }
     }
 
     /// Note a loss (RTO fired) on `path`.
     pub fn on_loss(&mut self, path: u32) {
-        let st = &mut self.paths[path as usize];
-        st.inflight_packets = st.inflight_packets.saturating_sub(1);
+        assert!(path < self.num_paths(), "path {path} out of range");
         // A loss is worse than an ECN mark; poison the EWMA.
-        st.ecn_ewma = st.ecn_ewma * 0.5 + 0.5;
+        if let Some(ewma) = self.ecn_ewma.get_mut(path as usize) {
+            *ewma = *ewma * 0.5 + 0.5;
+        }
     }
 
     /// Note a loss at `now`, feeding the scoreboard: after
@@ -545,9 +590,12 @@ impl PathSelector {
         if self.scoreboard.blacklist_after == 0 {
             return;
         }
-        let st = &mut self.paths[path as usize];
-        st.consecutive_losses += 1;
-        if st.consecutive_losses >= self.scoreboard.blacklist_after {
+        if self.scores.is_empty() {
+            self.scores = vec![Score::default(); self.sent.len()];
+        }
+        let st = &mut self.scores[path as usize];
+        st.losses += 1;
+        if st.losses >= self.scoreboard.blacklist_after {
             st.blacklisted_until = now + self.scoreboard.penalty;
             stellar_telemetry::count(
                 stellar_telemetry::Subsystem::Transport,
@@ -559,7 +607,7 @@ impl PathSelector {
                 stellar_telemetry::Subsystem::Transport,
                 stellar_telemetry::Entity::Path(path),
                 "blacklist",
-                u64::from(st.consecutive_losses),
+                u64::from(st.losses),
             );
             if st.blacklisted_until > self.max_blacklist_until {
                 self.max_blacklist_until = st.blacklisted_until;
@@ -580,10 +628,10 @@ impl PathSelector {
         }
         let mut total = 0u32;
         let mut blacklisted = 0u32;
-        for (i, st) in self.paths.iter().enumerate() {
+        for (i, sc) in self.scores.iter().enumerate() {
             if i as u32 % planes == plane {
                 total += 1;
-                if st.blacklisted_until > now {
+                if sc.blacklisted_until > now {
                     blacklisted += 1;
                 }
             }
@@ -611,12 +659,12 @@ impl PathSelector {
 
     /// Count of paths that ever carried a packet.
     pub fn active_paths(&self) -> usize {
-        self.paths.iter().filter(|p| p.sent_packets > 0).count()
+        self.sent.iter().filter(|&&n| n > 0).count()
     }
 
     /// Per-path sent-packet histogram.
     pub fn sent_histogram(&self) -> Vec<u64> {
-        self.paths.iter().map(|p| p.sent_packets).collect()
+        self.sent.clone()
     }
 }
 
@@ -709,8 +757,7 @@ mod tests {
         // Mark paths 0..4 as heavily ECN-marked.
         for p in 0..4 {
             for _ in 0..20 {
-                s.paths[p as usize].ecn_ewma =
-                    s.paths[p as usize].ecn_ewma * 0.875 + 0.125;
+                s.ecn_ewma[p] = s.ecn_ewma[p] * 0.875 + 0.125;
             }
         }
         for _ in 0..800 {
@@ -744,20 +791,68 @@ mod tests {
 
     #[test]
     fn ack_updates_rtt_ewma() {
-        let mut s = selector(PathAlgo::Obs, 2);
+        let mut s = selector(PathAlgo::BestRtt, 2);
+        assert_eq!(s.path(0).rtt_ewma, Some(SimDuration::ZERO), "unprobed");
         s.on_ack(0, SimDuration::from_micros(8), false);
-        assert_eq!(s.path(0).rtt_ewma, SimDuration::from_micros(8));
+        assert_eq!(s.path(0).rtt_ewma, Some(SimDuration::from_micros(8)));
         s.on_ack(0, SimDuration::from_micros(16), true);
-        let e = s.path(0).rtt_ewma.as_nanos();
+        let e = s.path(0).rtt_ewma.unwrap().as_nanos();
         assert!(e > 8_000 && e < 16_000, "ewma={e}");
-        assert!(s.path(0).ecn_ewma > 0.0);
+    }
+
+    #[test]
+    fn ack_updates_ecn_ewma() {
+        let mut s = selector(PathAlgo::MpRdma, 2);
+        s.on_ack(0, SimDuration::from_micros(8), true);
+        assert_eq!(s.path(0).ecn_ewma, Some(0.125));
+        assert_eq!(s.path(1).ecn_ewma, Some(0.0));
     }
 
     #[test]
     fn loss_poisons_path() {
         let mut s = selector(PathAlgo::MpRdma, 2);
         s.on_loss(1);
-        assert!(s.path(1).ecn_ewma >= 0.5);
+        assert!(s.path(1).ecn_ewma.unwrap() >= 0.5);
+    }
+
+    /// Each EWMA exists only for the algorithms that read it, and the
+    /// scoreboard only once it has counted a loss.
+    #[test]
+    fn untracked_state_reads_none_and_allocates_nothing() {
+        let flowlet = PathAlgo::Flowlet {
+            gap: SimDuration::from_micros(5),
+        };
+        for (algo, rtt, ecn, deficit) in [
+            (PathAlgo::SinglePath, false, false, false),
+            (PathAlgo::RoundRobin, false, false, false),
+            (PathAlgo::Obs, false, false, false),
+            (PathAlgo::Dwrr, true, false, true),
+            (PathAlgo::BestRtt, true, false, false),
+            (PathAlgo::MpRdma, false, true, false),
+            (flowlet, false, false, false),
+            (PathAlgo::PathAware, false, false, false),
+        ] {
+            let mut s = selector(algo, 128);
+            s.select(None, &ALL);
+            s.on_ack(3, SimDuration::from_micros(8), true);
+            s.on_loss(4);
+            let st = s.path(3);
+            assert_eq!(st.rtt_ewma.is_some(), rtt, "{algo:?}");
+            assert_eq!(st.ecn_ewma.is_some(), ecn, "{algo:?}");
+            assert_eq!(
+                (s.rtt_ewma.len(), s.ecn_ewma.len(), s.dwrr_deficit.len()),
+                (
+                    if rtt { 128 } else { 0 },
+                    if ecn { 128 } else { 0 },
+                    if deficit { 128 } else { 0 },
+                ),
+                "{algo:?}"
+            );
+            assert!(s.scores.is_empty(), "{algo:?}: no loss counted yet");
+            s.on_loss_at(SimTime::from_nanos(10), 4);
+            assert_eq!(s.scores.len(), 128);
+            assert_eq!(s.path(4).consecutive_losses, 1);
+        }
     }
 
     #[test]

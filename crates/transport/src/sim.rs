@@ -183,6 +183,21 @@ pub trait App<F: Fabric = Network> {
     /// messages via [`TransportSim::post_message`].
     fn on_message_complete(&mut self, sim: &mut TransportSim<F>, conn: ConnId, msg: MsgId);
 
+    /// `msg` on `conn` completed `latency` after it was posted (post →
+    /// full receipt). Called for every completion, just before
+    /// [`App::on_message_complete`]. The transport keeps no latency
+    /// samples itself: apps that report latency record them here.
+    /// Default: ignore.
+    fn on_message_latency(
+        &mut self,
+        sim: &mut TransportSim<F>,
+        conn: ConnId,
+        msg: MsgId,
+        latency: SimDuration,
+    ) {
+        let _ = (sim, conn, msg, latency);
+    }
+
     /// A timer scheduled via [`TransportSim::schedule_timer`] fired.
     /// Default: ignore. Used by on/off (bursty) workloads.
     fn on_timer(&mut self, sim: &mut TransportSim<F>, token: u64) {
@@ -220,13 +235,15 @@ impl<F: Fabric> App<F> for NoopApp {
     fn on_message_complete(&mut self, _sim: &mut TransportSim<F>, _conn: ConnId, _msg: MsgId) {}
 }
 
-/// An open-loop [`App`] that records when each message completed. The
-/// transport forgets a message once it retires, so callers that need
-/// completion times run under this app instead of [`NoopApp`] (it
-/// schedules nothing, so the run is otherwise identical).
+/// An open-loop [`App`] that records when each message completed and
+/// its latency. The transport forgets a message once it retires, so
+/// callers that need completion times or latencies run under this app
+/// instead of [`NoopApp`] (it schedules nothing, so the run is otherwise
+/// identical).
 #[derive(Debug, Default, Clone)]
 pub struct CompletionLog {
-    done: FastMap<(ConnId, MsgId), SimTime>,
+    /// Completion time and latency per completed message.
+    done: FastMap<(ConnId, MsgId), (SimTime, SimDuration)>,
 }
 
 impl CompletionLog {
@@ -237,14 +254,28 @@ impl CompletionLog {
 
     /// When `msg` on `conn` completed, if it has.
     pub fn completed_at(&self, conn: ConnId, msg: MsgId) -> Option<SimTime> {
-        self.done.get(&(conn, msg)).copied()
+        self.done.get(&(conn, msg)).map(|&(at, _)| at)
+    }
+
+    /// How long `msg` on `conn` took from post to full receipt, if it
+    /// completed.
+    pub fn latency(&self, conn: ConnId, msg: MsgId) -> Option<SimDuration> {
+        self.done.get(&(conn, msg)).map(|&(_, latency)| latency)
     }
 }
 
 impl<F: Fabric> App<F> for CompletionLog {
-    fn on_message_complete(&mut self, sim: &mut TransportSim<F>, conn: ConnId, msg: MsgId) {
-        self.done.insert((conn, msg), sim.now());
+    fn on_message_latency(
+        &mut self,
+        sim: &mut TransportSim<F>,
+        conn: ConnId,
+        msg: MsgId,
+        latency: SimDuration,
+    ) {
+        self.done.insert((conn, msg), (sim.now(), latency));
     }
+
+    fn on_message_complete(&mut self, _sim: &mut TransportSim<F>, _conn: ConnId, _msg: MsgId) {}
 }
 
 #[derive(Debug)]
@@ -270,14 +301,16 @@ struct ConnRuntime {
     selector: PathSelector,
     /// One shared CCC, or one per path (§9 ablation).
     ccs: Vec<CongestionControl>,
+    /// Packets outstanding per path, read by the per-path CCs' window
+    /// gate; empty unless `per_path_cc`. A count rises when the selector
+    /// picks its path and falls (saturating) when a packet on it is
+    /// ACKed or declared lost; teardown leaves the counts as they are.
+    path_inflight: Vec<u64>,
     ack_delay: SimDuration,
     /// Egress pacing: earliest time the next packet may leave.
     pace_until: SimTime,
     /// Whether a Pace wake-up is already queued.
     pace_scheduled: bool,
-    /// Scratch for the per-path inflight snapshot `pump` hands the
-    /// selector (reused so the per-packet send path never allocates).
-    inflight_scratch: Vec<u64>,
     /// Keys of this connection's queued RTO timers. A key is queued only
     /// when it is earlier than every queued one, and the queue pops keys
     /// in order, so the last entry is the earliest and is the one the
@@ -299,6 +332,20 @@ impl ConnRuntime {
         let conn = self.conn.id;
         queue.schedule_reserved(key.0, key.1, Ev::Rto { conn, seq, epoch });
         self.armed.push(key);
+    }
+
+    /// A packet left on `path` (the selector chose it).
+    fn path_sent(&mut self, path: u32) {
+        if let Some(n) = self.path_inflight.get_mut(path as usize) {
+            *n += 1;
+        }
+    }
+
+    /// A packet on `path` was ACKed or declared lost.
+    fn path_released(&mut self, path: u32) {
+        if let Some(n) = self.path_inflight.get_mut(path as usize) {
+            *n = n.saturating_sub(1);
+        }
     }
 }
 
@@ -384,7 +431,9 @@ pub struct TransportSim<F: Fabric = Network> {
     /// RTO deadlines of packets that left flight, for the end-of-run clock.
     dead_timers: CancelLedger,
     conns: Vec<ConnRuntime>,
-    completions: Vec<(ConnId, MsgId)>,
+    /// Completed messages awaiting their app callbacks, with each one's
+    /// post → receipt latency.
+    completions: Vec<(ConnId, MsgId, SimDuration)>,
     errors: Vec<(ConnId, FatalError)>,
     recovered: Vec<(ConnId, SimDuration)>,
     rng: SimRng,
@@ -464,10 +513,10 @@ impl<F: Fabric> TransportSim<F> {
     /// Open an RC connection `src → dst`.
     pub fn add_connection(&mut self, src: NicId, dst: NicId) -> ConnId {
         let id = ConnId(self.conns.len() as u32);
-        let cc_count = if self.config.per_path_cc {
+        let per_path = if self.config.per_path_cc {
             self.config.num_paths as usize
         } else {
-            1
+            0
         };
         let ack_delay = self.network.control_rtt_component(dst, src);
         let mut selector = PathSelector::new(
@@ -482,13 +531,13 @@ impl<F: Fabric> TransportSim<F> {
         self.conns.push(ConnRuntime {
             conn: Connection::new(id, src, dst),
             selector,
-            ccs: (0..cc_count)
+            ccs: (0..per_path.max(1))
                 .map(|_| CongestionControl::new(self.config.cc.clone()))
                 .collect(),
+            path_inflight: vec![0; per_path],
             ack_delay,
             pace_until: SimTime::ZERO,
             pace_scheduled: false,
-            inflight_scratch: Vec::new(),
             armed: Vec::new(),
         });
         id
@@ -589,21 +638,11 @@ impl<F: Fabric> TransportSim<F> {
         &self.conns[conn.0 as usize].selector
     }
 
-    /// Histogram of message completion latencies (post → full receipt)
-    /// on `conn`, in nanoseconds. Only completed messages contribute.
-    ///
-    /// Samples are recorded as messages complete, so they sit in
-    /// completion order, not message-id order. Read only order-insensitive
-    /// statistics from it: `percentiles()`, `p99()`, `merge` (as `incast`
-    /// and `cluster` do); `Histogram::mean` sums in sample order.
-    pub fn message_latency_histogram(&self, conn: ConnId) -> &stellar_sim::stats::Histogram {
-        &self.conns[conn.0 as usize].conn.latency
-    }
-
     /// Whether message `msg` on `conn` has completed. The transport keeps
     /// no per-message state once a message retires, so it cannot say
-    /// *when*; run under a [`CompletionLog`] (or record
-    /// [`App::on_message_complete`]) for completion times.
+    /// *when* or how long it took; run under a [`CompletionLog`] (or
+    /// record [`App::on_message_latency`]) for completion times and
+    /// latencies.
     pub fn message_done(&self, conn: ConnId, msg: MsgId) -> bool {
         self.conns[conn.0 as usize].conn.message_done(msg)
     }
@@ -784,29 +823,21 @@ impl<F: Fabric> TransportSim<F> {
                 let ConnRuntime {
                     selector,
                     ccs,
-                    inflight_scratch,
+                    path_inflight,
                     ..
                 } = rt;
-                // Snapshot per-path inflight before the mutable select call
-                // (reused scratch: the per-packet send path must not
-                // allocate).
-                inflight_scratch.clear();
-                if per_path {
-                    inflight_scratch
-                        .extend((0..selector.num_paths()).map(|p| selector.path(p).inflight_packets));
-                }
-                let inflight_pkts: &[u64] = inflight_scratch;
                 let allowed = |p: u32| -> bool {
                     if !per_path {
                         return true;
                     }
-                    ccs[p as usize].can_send(inflight_pkts[p as usize] * mtu, mtu)
+                    ccs[p as usize].can_send(path_inflight[p as usize] * mtu, mtu)
                 };
                 match selector.select_at(now, None, &allowed) {
                     Some(p) => p,
                     None => break,
                 }
             };
+            rt.path_sent(path);
 
             rt.conn.unsent.pop_front();
             let seq = rt.conn.next_seq();
@@ -876,11 +907,11 @@ impl<F: Fabric> TransportSim<F> {
             rt.conn.stats.delivered_packets += 1;
             rt.conn.stats.delivered_bytes += pkt.bytes;
             if completed {
-                rt.conn.complete_message(pkt.msg, now);
+                let latency = rt.conn.complete_message(pkt.msg, now);
                 rt.conn.stats.completed_messages += 1;
                 count(Subsystem::Transport, "msg.completed", 1);
                 span_close(now, Stage::TransportMsg, msg_span_key(conn_id, pkt.msg));
-                self.completions.push((conn_id, pkt.msg));
+                self.completions.push((conn_id, pkt.msg, latency));
             }
         }
         // ACK travels back on the prioritized control path.
@@ -919,6 +950,7 @@ impl<F: Fabric> TransportSim<F> {
                 rt.conn.stats.ecn_acks += 1;
             }
             rt.selector.on_ack(path, rtt, ecn);
+            rt.path_released(path);
         }
         let cc_idx = self.cc_index(conn_id, path);
         self.conns[conn_id.0 as usize].ccs[cc_idx].on_ack(now, bytes, rtt, ecn);
@@ -958,11 +990,15 @@ impl<F: Fabric> TransportSim<F> {
             event(now, Subsystem::Transport, Entity::Conn(conn_id.0), "rto", u64::from(epoch));
             // Feed the loss scoreboard: repeated losses blacklist the path.
             rt.selector.on_loss_at(now, old_path);
+            rt.path_released(old_path);
             // Retransmit on a different path for instant recovery.
-            new_path = rt
-                .selector
-                .select_at(now, Some(old_path), &|_| true)
-                .unwrap_or(old_path);
+            new_path = match rt.selector.select_at(now, Some(old_path), &|_| true) {
+                Some(p) => {
+                    rt.path_sent(p);
+                    p
+                }
+                None => old_path,
+            };
             let pkt = rt.conn.inflight.get_mut(seq).unwrap();
             pkt.retx += 1;
             pkt.sent_at = now;
@@ -1051,7 +1087,8 @@ impl<F: Fabric> TransportSim<F> {
                 Ev::AppTimer { token } => app.on_timer(self, token),
                 Ev::Reconnect { conn } => self.handle_reconnect(conn),
             }
-            while let Some((c, m)) = pop_front(&mut self.completions) {
+            while let Some((c, m, latency)) = pop_front(&mut self.completions) {
+                app.on_message_latency(self, c, m, latency);
                 app.on_message_complete(self, c, m);
             }
             while let Some((c, e)) = pop_front(&mut self.errors) {
@@ -1061,6 +1098,9 @@ impl<F: Fabric> TransportSim<F> {
                 app.on_connection_recovered(self, c, d);
             }
         }
+        // Every completion is recorded by an event and dispatched right
+        // after it, so no latency sample is left behind at return.
+        debug_assert!(self.completions.is_empty(), "undispatched completions");
         // Packets that left flight have no timer to pop, so land the
         // clock where the last of their deadlines this run would have
         // left it.
@@ -1591,13 +1631,16 @@ mod tests {
         let src = sim.network().topology().nic(0, 0);
         let dst = sim.network().topology().nic(4, 0);
         let conn = sim.add_connection(src, dst);
-        for _ in 0..4 {
-            sim.post_message(conn, 16 * 1024);
+        let mut msgs: Vec<MsgId> = (0..4).map(|_| sim.post_message(conn, 16 * 1024)).collect();
+        let mut log = CompletionLog::new();
+        sim.run(&mut log, FOREVER);
+        msgs.push(sim.post_message(conn, 8 * 1024 * 1024));
+        sim.run(&mut log, FOREVER);
+        let mut h = stellar_sim::stats::Histogram::new();
+        for &m in &msgs {
+            h.record_duration(log.latency(conn, m).expect("every message completed"));
         }
-        sim.run(&mut NoopApp, FOREVER);
-        sim.post_message(conn, 8 * 1024 * 1024);
-        sim.run(&mut NoopApp, FOREVER);
-        let p = sim.message_latency_histogram(conn).percentiles();
+        let p = h.percentiles();
         assert_eq!(p.count(), 5);
         // The big message is the tail.
         let p50 = p.p50().unwrap();

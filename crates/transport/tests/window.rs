@@ -1,11 +1,11 @@
 //! The per-connection message window: completed messages retire, so a
 //! connection holds only its live messages however many it carries, and
-//! what retirement keeps (the latency histogram, the exactly-once ledger)
-//! matches what an app observes.
+//! what the transport reports at retirement (each completion's latency,
+//! the exactly-once ledger) matches what an app observes.
 
 use stellar_net::{ClosConfig, ClosTopology, Fabric, Network, NetworkConfig};
 use stellar_sim::stats::Histogram;
-use stellar_sim::{SimRng, SimTime};
+use stellar_sim::{SimDuration, SimRng, SimTime};
 use stellar_transport::{
     App, CompletionLog, ConnId, MsgId, PathAlgo, TransportConfig, TransportSim,
 };
@@ -49,6 +49,10 @@ struct Closed {
     /// A message completed while an older one was still incomplete.
     out_of_order: bool,
     max_live: usize,
+    /// Latency samples the transport reported, in report order.
+    latency: Histogram,
+    /// Message of the latest latency report, awaiting its completion.
+    reported: Option<MsgId>,
 }
 
 impl Closed {
@@ -62,6 +66,8 @@ impl Closed {
             oldest_incomplete: 0,
             out_of_order: false,
             max_live: 0,
+            latency: Histogram::new(),
+            reported: None,
         }
     }
 
@@ -83,8 +89,29 @@ impl Closed {
 }
 
 impl App for Closed {
+    fn on_message_latency(
+        &mut self,
+        _sim: &mut TransportSim,
+        conn: ConnId,
+        msg: MsgId,
+        latency: SimDuration,
+    ) {
+        assert_eq!(conn, self.conn);
+        assert_eq!(
+            self.reported.replace(msg),
+            None,
+            "two reports, one completion"
+        );
+        self.latency.record_duration(latency);
+    }
+
     fn on_message_complete(&mut self, sim: &mut TransportSim, conn: ConnId, msg: MsgId) {
         assert_eq!(conn, self.conn);
+        assert_eq!(
+            self.reported.take(),
+            Some(msg),
+            "the latency report comes just before its completion"
+        );
         let i = msg.0 as usize;
         assert!(self.done[i].is_none(), "message {i} completed twice");
         self.done[i] = Some(sim.now());
@@ -174,19 +201,19 @@ fn out_of_order_completions_retire_the_completed_prefix() {
     assert_eq!(sim.live_message_count(conn), 0);
 }
 
-/// The latency histogram the transport keeps (recorded at completion,
-/// in completion order) holds exactly the samples an app computes from
-/// its own post and completion times.
+/// The latencies the transport reports (one per completion, in
+/// completion order) are exactly the samples an app computes from its
+/// own post and completion times.
 #[test]
 fn latency_histogram_matches_app_observed_latencies() {
-    let (sim, app) = out_of_order_run();
+    let (_, app) = out_of_order_run();
     let mut expect = Histogram::new();
     for (posted, done) in app.posted.iter().zip(&app.done) {
         let done = done.expect("every message completed");
         expect.record_duration(done.duration_since(*posted));
     }
     let expect = expect.percentiles();
-    let got = sim.message_latency_histogram(app.conn).percentiles();
+    let got = app.latency.percentiles();
     assert_eq!(got.count(), expect.count());
     assert_eq!(got.count(), 2_000);
     assert_eq!(got.sum(), expect.sum());
@@ -195,9 +222,9 @@ fn latency_histogram_matches_app_observed_latencies() {
     }
 }
 
-/// `CompletionLog` records every completion, its times agree with the
-/// transport's latency histogram, and running under it instead of a
-/// no-op app changes nothing else.
+/// `CompletionLog` records every completion, its latencies agree with
+/// its completion times, and running under it instead of a no-op app
+/// changes nothing else.
 #[test]
 fn completion_log_matches_the_latency_histogram() {
     fn run<A: App>(app: &mut A) -> (TransportSim, ConnId, Vec<MsgId>) {
@@ -213,22 +240,55 @@ fn completion_log_matches_the_latency_histogram() {
     }
     let mut log = CompletionLog::new();
     let (sim, conn, msgs) = run(&mut log);
-    let mut lat = Histogram::new();
+    let (mut from_times, mut logged) = (Histogram::new(), Histogram::new());
     for &m in &msgs {
         assert!(sim.message_done(conn, m));
         let done = log.completed_at(conn, m).expect("logged");
-        lat.record_duration(done.duration_since(SimTime::ZERO));
+        let latency = log.latency(conn, m).expect("logged");
+        // Every message was posted at time zero.
+        assert_eq!(latency, done.duration_since(SimTime::ZERO));
+        from_times.record_duration(done.duration_since(SimTime::ZERO));
+        logged.record_duration(latency);
     }
-    let (a, b) = (
-        lat.percentiles(),
-        sim.message_latency_histogram(conn).percentiles(),
-    );
+    let (a, b) = (from_times.percentiles(), logged.percentiles());
     assert_eq!((a.count(), a.sum()), (b.count(), b.sum()));
+    assert_eq!(b.count(), 8);
     assert!(log.completed_at(conn, MsgId(8)).is_none());
+    assert!(log.latency(conn, MsgId(8)).is_none());
     assert!(log.completed_at(ConnId(1), msgs[0]).is_none());
 
     let (noop, _, _) = run(&mut stellar_transport::NoopApp);
     assert_eq!(noop.total_stats(), sim.total_stats());
     assert_eq!(noop.events_scheduled(), sim.events_scheduled());
     assert_eq!(noop.now(), sim.now());
+}
+
+/// A run cut into many short `run` calls reports every completion's
+/// latency before each call returns: none is left recorded but
+/// undispatched at a return, so slicing the run loses no sample.
+#[test]
+fn sliced_runs_report_every_latency_before_returning() {
+    let (whole, whole_app) = out_of_order_run();
+    let mut sim = make_sim(PathAlgo::Obs, 64, 2);
+    let src = sim.network().topology().nic(0, 0);
+    let dst = sim.network().topology().nic(4, 0);
+    let lossy = sim.network().topology().route(src, dst, 0, 0)[1];
+    sim.network_mut().set_loss(lossy, 0.05);
+    let conn = sim.add_connection(src, dst);
+    let mut app = Closed::new(conn, 16, 2_000);
+    app.start(&mut sim);
+    let mut until = SimTime::ZERO;
+    while !sim.all_idle() {
+        until += SimDuration::from_micros(7);
+        sim.run(&mut app, until);
+        assert_eq!(
+            app.latency.count() as u64,
+            sim.conn_stats(conn).completed_messages,
+            "at {until:?}"
+        );
+        assert!(app.reported.is_none());
+    }
+    assert_eq!(sim.conn_stats(conn), whole.conn_stats(whole_app.conn));
+    let (a, b) = (app.latency.percentiles(), whole_app.latency.percentiles());
+    assert_eq!((a.count(), a.sum()), (b.count(), b.sum()));
 }

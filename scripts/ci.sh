@@ -59,10 +59,13 @@ cargo run --release --offline -p stellar-bench --bin reproduce -- chaos --quick 
 # test suite above; the experiment's events/sec lands in
 # BENCH_reproduce.json via the --perf pass below, which covers the
 # whole registry.) The single-worker run doubles as a memory gate:
-# completed messages retire from their connections (DESIGN.md §11), so
-# the run peaks near 265 MB; it peaked at 673 MB when every message
-# stayed live to the end.
-scale_one="$(STELLAR_THREADS=1 run_capped "scale --quick" 400 scale --quick --json)"
+# completed messages retire from their connections (DESIGN.md §11) and
+# per-connection transport state is sized to what each connection uses
+# (DESIGN.md §14), so the run peaks near 63 MB. It peaked at 673 MB when
+# every message stayed live to the end, and at 254 MB when every
+# connection carried a full 128-path table, a 64-slot in-flight ring
+# and a latency sample per message.
+scale_one="$(STELLAR_THREADS=1 run_capped "scale --quick" 120 scale --quick --json)"
 scale_many="$(STELLAR_THREADS=8 cargo run --release --offline -p stellar-bench --bin reproduce -- scale --quick --json)"
 if [ "$scale_one" != "$scale_many" ]; then
     echo "scale gate: reproduce scale --json differs between 1 and 8 workers" >&2
@@ -141,9 +144,10 @@ cargo run --release --offline -p stellar-bench --bin reproduce -- chaos --quick 
 # transport.recovery_exactly_once and net.blacklist_readmit — and must
 # be byte-identical on one worker and eight. (Its events/sec lands in
 # BENCH_reproduce.json via the --perf pass below, like every experiment.)
-# Like scale, the single-worker run is memory-gated: about 128 MB with
-# bounded message state, 818 MB without.
-rec_one="$(STELLAR_THREADS=1 run_capped "recovery --quick --check" 250 recovery --quick --json --check)"
+# Like scale, the single-worker run is memory-gated: about 30 MB with
+# bounded message and per-connection state, 122 MB with full-size
+# per-connection tables, 818 MB with unbounded message state.
+rec_one="$(STELLAR_THREADS=1 run_capped "recovery --quick --check" 60 recovery --quick --json --check)"
 rec_many="$(STELLAR_THREADS=8 cargo run --release --offline -p stellar-bench --bin reproduce -- recovery --quick --json)"
 if [ "$rec_one" != "$rec_many" ]; then
     echo "recovery gate: reproduce recovery --json differs between 1 and 8 workers" >&2
