@@ -15,6 +15,7 @@ use std::hint::black_box;
 use stellar_sim::bench_timer::Harness;
 
 use stellar_core::perftest::{perftest_point, StackKind};
+use stellar_net::fixture::packet_fabric;
 use stellar_net::{ClosConfig, ClosTopology, Fabric, Network, NetworkConfig};
 use stellar_pcie::addr::{Gpa, Hpa, PAGE_2M, PAGE_4K};
 use stellar_pcie::iommu::{Iommu, IommuConfig};
@@ -22,7 +23,7 @@ use stellar_sim::{SimRng, SimTime};
 use stellar_transport::{CompletionLog, PathAlgo, TransportConfig, TransportSim};
 use stellar_virt::hypervisor::{Hypervisor, HypervisorConfig};
 use stellar_virt::pvdma::{Pvdma, PvdmaConfig};
-use stellar_workloads::permutation::{run_permutation, PermutationConfig};
+use stellar_workloads::permutation::{run_permutation_with, PermutationConfig};
 
 /// eMTT vs ATS/ATC vs RC-bound GDR, 8 MB messages.
 fn ablation_emtt_vs_atc(h: &Harness) {
@@ -105,25 +106,28 @@ fn ablation_per_path_cc(h: &Harness) {
 fn ablation_advanced_spray(h: &Harness) {
     for (name, algo) in [("obs", PathAlgo::Obs), ("path_aware", PathAlgo::PathAware)] {
         h.bench(&format!("ablation_advanced_spray/{name}"), || {
-            let rep = run_permutation(&PermutationConfig {
-                topology: ClosConfig {
-                    segments: 2,
-                    hosts_per_segment: 4,
-                    rails: 1,
-                    planes: 2,
-                    aggs_per_plane: 8,
+            let rep = run_permutation_with(
+                &PermutationConfig {
+                    topology: ClosConfig {
+                        segments: 2,
+                        hosts_per_segment: 4,
+                        rails: 1,
+                        planes: 2,
+                        aggs_per_plane: 8,
+                    },
+                    transport: TransportConfig {
+                        algo,
+                        num_paths: 128,
+                        ..TransportConfig::default()
+                    },
+                    message_bytes: 256 * 1024,
+                    offered_gbps: 150.0,
+                    duration: stellar_sim::SimDuration::from_millis(2),
+                    seed: 13,
+                    ..PermutationConfig::default()
                 },
-                transport: TransportConfig {
-                    algo,
-                    num_paths: 128,
-                    ..TransportConfig::default()
-                },
-                message_bytes: 256 * 1024,
-                offered_gbps: 150.0,
-                duration: stellar_sim::SimDuration::from_millis(2),
-                seed: 13,
-                ..PermutationConfig::default()
-            });
+                packet_fabric,
+            );
             black_box(rep.total_goodput_gbps);
         });
     }

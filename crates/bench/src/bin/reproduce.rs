@@ -11,7 +11,7 @@
 //! minutes); `--json` emits machine-readable rows (used to build
 //! EXPERIMENTS.md); `--list` prints the experiment names and exits;
 //! `--perf` additionally re-runs everything on one thread and writes a
-//! `BENCH_reproduce.json` wall-clock/event report next to the working
+//! `BENCH_reproduce.json` wall-clock/event report in the working
 //! directory; `--trace` runs each experiment under the
 //! `stellar-telemetry` flight recorder and writes one
 //! `TRACE_<experiment>.json` per selected experiment (stage latency

@@ -9,11 +9,12 @@
 
 use std::fmt::Write as _;
 
+use stellar_net::fixture::packet_fabric;
 use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 use stellar_sim::SimDuration;
 use stellar_transport::{PathAlgo, ScoreboardPolicy};
-use stellar_workloads::chaos::{run_chaos, ChaosConfig, ChaosScenario};
+use stellar_workloads::chaos::{run_chaos_with, ChaosConfig, ChaosScenario};
 
 json_row! {
     /// One chaos-scenario row.
@@ -51,7 +52,7 @@ fn rel(window: Option<f64>, healthy: f64) -> f64 {
 }
 
 fn row_for(config: &ChaosConfig, transport: &'static str) -> Row {
-    let r = run_chaos(config);
+    let r = run_chaos_with(config, &packet_fabric);
     let fault_drops: u64 = r
         .drops_by_reason
         .iter()

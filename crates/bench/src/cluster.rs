@@ -27,9 +27,9 @@
 use std::fmt::Write as _;
 
 use stellar_cluster::{
-    run_cluster, run_cluster_with, ClusterConfig, ClusterReport, PlacementPolicy, TenantSpec,
+    run_cluster_with, ClusterConfig, ClusterReport, PlacementPolicy, TenantSpec,
 };
-use stellar_net::fixture::hybrid_fabric;
+use stellar_net::fixture::{hybrid_fabric, packet_fabric};
 use stellar_net::{ClosConfig, HybridConfig};
 use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
@@ -151,7 +151,7 @@ fn solo_p99(quick: bool) -> f64 {
         ..mix(quick).remove(0)
     }];
     let config = ClusterConfig::new(shared_topo(), PlacementPolicy::TopoAware, solo);
-    run_cluster(&config).worst_p99_us()
+    run_cluster_with(&config, packet_fabric).worst_p99_us()
 }
 
 fn x_solo(shared_p99: f64, solo: f64) -> f64 {
@@ -169,16 +169,14 @@ fn contention_rows(quick: bool) -> Vec<Row> {
     let solo = solo_p99(quick);
     let tenants = mix(quick);
     let ranks = total_ranks(&tenants);
-    let bin = run_cluster(&ClusterConfig::new(
-        shared_topo(),
-        PlacementPolicy::BinPack,
-        tenants.clone(),
-    ));
-    let topo = run_cluster(&ClusterConfig::new(
-        shared_topo(),
-        PlacementPolicy::TopoAware,
-        tenants,
-    ));
+    let bin = run_cluster_with(
+        &ClusterConfig::new(shared_topo(), PlacementPolicy::BinPack, tenants.clone()),
+        packet_fabric,
+    );
+    let topo = run_cluster_with(
+        &ClusterConfig::new(shared_topo(), PlacementPolicy::TopoAware, tenants),
+        packet_fabric,
+    );
     let topo_verdict = if graceful(&topo) != "graceful" {
         graceful(&topo)
     } else if topo.worst_p99_us() < bin.worst_p99_us() {
@@ -231,11 +229,10 @@ fn background_row(quick: bool) -> Row {
         iterations: if quick { 200 } else { 400 },
         ..TenantSpec::plain("probe", 6, SimTime::ZERO)
     };
-    let solo = run_cluster(&ClusterConfig::new(
-        topo.clone(),
-        PlacementPolicy::BinPack,
-        vec![probe.clone()],
-    ))
+    let solo = run_cluster_with(
+        &ClusterConfig::new(topo.clone(), PlacementPolicy::BinPack, vec![probe.clone()]),
+        packet_fabric,
+    )
     .worst_p99_us();
     let mut tenants = vec![probe];
     for i in 0..3 {
@@ -250,7 +247,10 @@ fn background_row(quick: bool) -> Row {
         });
     }
     let ranks = total_ranks(&tenants);
-    let r = run_cluster(&ClusterConfig::new(topo, PlacementPolicy::BinPack, tenants));
+    let r = run_cluster_with(
+        &ClusterConfig::new(topo, PlacementPolicy::BinPack, tenants),
+        packet_fabric,
+    );
     let probe_p99 = r.tenants[0].p99_latency_us;
     report_row(
         "background",
@@ -281,11 +281,10 @@ fn churn_row(quick: bool) -> Row {
         },
     ];
     let ranks = total_ranks(&tenants);
-    let r = run_cluster(&ClusterConfig::new(
-        shared_topo(),
-        PlacementPolicy::TopoAware,
-        tenants,
-    ));
+    let r = run_cluster_with(
+        &ClusterConfig::new(shared_topo(), PlacementPolicy::TopoAware, tenants),
+        packet_fabric,
+    );
     let verdict = if r.all_finished && r.errors == 0 && r.total_recoveries > 0 {
         "zero-loss"
     } else {
@@ -311,11 +310,10 @@ fn admission_row(quick: bool) -> Row {
         })
         .collect();
     let ranks = total_ranks(&tenants);
-    let r = run_cluster(&ClusterConfig::new(
-        shared_topo(),
-        PlacementPolicy::BinPack,
-        tenants,
-    ));
+    let r = run_cluster_with(
+        &ClusterConfig::new(shared_topo(), PlacementPolicy::BinPack, tenants),
+        packet_fabric,
+    );
     let verdict = if r.peak_admitted_ranks <= r.capacity && r.all_finished && r.errors == 0 {
         "bounded"
     } else {
@@ -436,7 +434,10 @@ mod tests {
             })
             .collect();
         for policy in [PlacementPolicy::BinPack, PlacementPolicy::TopoAware] {
-            let r = run_cluster(&ClusterConfig::new(topo.clone(), policy, tenants.clone()));
+            let r = run_cluster_with(
+                &ClusterConfig::new(topo.clone(), policy, tenants.clone()),
+                packet_fabric,
+            );
             assert_eq!(graceful(&r), "graceful");
             assert!(r.worst_p99_us() > 0.0);
         }
@@ -456,11 +457,10 @@ mod tests {
             iterations: 1,
             ..TenantSpec::plain("t", 4, SimTime::ZERO)
         }];
-        let r = run_cluster(&ClusterConfig::new(
-            shared_topo(),
-            PlacementPolicy::BinPack,
-            tenants,
-        ));
+        let r = run_cluster_with(
+            &ClusterConfig::new(shared_topo(), PlacementPolicy::BinPack, tenants),
+            packet_fabric,
+        );
         assert_eq!(graceful(&r), "graceful");
         let mut collapsed = r.clone();
         collapsed.all_finished = false;

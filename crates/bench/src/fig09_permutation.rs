@@ -7,12 +7,13 @@
 
 use std::fmt::Write as _;
 
+use stellar_net::fixture::packet_fabric;
 use stellar_net::ClosConfig;
 use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 use stellar_sim::SimDuration;
 use stellar_transport::{PathAlgo, TransportConfig};
-use stellar_workloads::permutation::{run_permutation, PermutationConfig};
+use stellar_workloads::permutation::{run_permutation_with, PermutationConfig};
 
 json_row! {
     /// One bar of Fig. 9.
@@ -90,7 +91,7 @@ fn config(algo: PathAlgo, paths: u32, quick: bool) -> PermutationConfig {
 pub fn run(quick: bool) -> Vec<Row> {
     let combos = combos();
     par_map(&combos, |&(name, algo, paths)| {
-        let rep = run_permutation(&config(algo, paths, quick));
+        let rep = run_permutation_with(&config(algo, paths, quick), packet_fabric);
         Row {
             algo: name,
             paths,

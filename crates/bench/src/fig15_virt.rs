@@ -11,10 +11,11 @@
 
 use std::fmt::Write as _;
 
+use stellar_net::fixture::packet_fabric;
 use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 use stellar_transport::PathAlgo;
-use stellar_workloads::llm::{simulate_training_step, Placement, TrainingSimConfig};
+use stellar_workloads::llm::{simulate_training_step_with, Placement, TrainingSimConfig};
 
 json_row! {
     /// One bar pair of Fig. 15.
@@ -43,8 +44,9 @@ pub fn run(quick: bool) -> Vec<Row> {
         ]
     };
     par_map(jobs, |&(name, ranks, bytes)| {
-            let step = |seed: u64| {
-                simulate_training_step(&TrainingSimConfig {
+        let step = |seed: u64| {
+            simulate_training_step_with(
+                &TrainingSimConfig {
                     ranks,
                     data_bytes: bytes,
                     placement: Placement::Random,
@@ -52,23 +54,25 @@ pub fn run(quick: bool) -> Vec<Row> {
                     num_paths: 128,
                     seed,
                     ..TrainingSimConfig::default()
-                })
-                .step
-                .as_nanos() as f64
-                    / 1e6
-            };
-            // Same transport, same data path: the secure container differs
-            // only in control-path setup, which is not per-step work. Both
-            // runs use the same seed — the measured step times coincide,
-            // which is precisely the Fig. 15 claim.
-            let regular_ms = step(100);
-            let secure_ms = step(100);
-            Row {
-                job: name,
-                regular_ms,
-                secure_ms,
-                overhead: (secure_ms - regular_ms) / regular_ms,
-            }
+                },
+                packet_fabric,
+            )
+            .step
+            .as_nanos() as f64
+                / 1e6
+        };
+        // Same transport, same data path: the secure container differs
+        // only in control-path setup, which is not per-step work. Both
+        // runs use the same seed — the measured step times coincide,
+        // which is precisely the Fig. 15 claim.
+        let regular_ms = step(100);
+        let secure_ms = step(100);
+        Row {
+            job: name,
+            regular_ms,
+            secure_ms,
+            overhead: (secure_ms - regular_ms) / regular_ms,
+        }
     })
 }
 

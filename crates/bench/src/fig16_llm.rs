@@ -8,10 +8,11 @@
 
 use std::fmt::Write as _;
 
+use stellar_net::fixture::packet_fabric;
 use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 use stellar_transport::PathAlgo;
-use stellar_workloads::llm::{simulate_training_step, Placement, TrainingSimConfig};
+use stellar_workloads::llm::{simulate_training_step_with, Placement, TrainingSimConfig};
 
 json_row! {
     /// One x-position of Fig. 16.
@@ -78,15 +79,18 @@ pub fn run(quick: bool) -> Vec<Row> {
     let pairs = par_map(&jobs, |&(cell, seed)| {
         let (_, ranks, bytes, _, placement) = cells[cell];
         let step = |algo: PathAlgo, paths: u32| {
-            simulate_training_step(&TrainingSimConfig {
-                ranks,
-                data_bytes: bytes,
-                placement,
-                algo,
-                num_paths: paths,
-                seed,
-                ..TrainingSimConfig::default()
-            })
+            simulate_training_step_with(
+                &TrainingSimConfig {
+                    ranks,
+                    data_bytes: bytes,
+                    placement,
+                    algo,
+                    num_paths: paths,
+                    seed,
+                    ..TrainingSimConfig::default()
+                },
+                packet_fabric,
+            )
             .step
             .as_nanos() as f64
                 / 1e6

@@ -26,7 +26,7 @@ use std::fmt::Write as _;
 
 use stellar_core::vstellar::VStellarStack;
 use stellar_core::{RnicId, ServerConfig, StellarServer};
-use stellar_net::fixture::hybrid_fabric;
+use stellar_net::fixture::{hybrid_fabric, packet_fabric};
 use stellar_net::{
     ClosConfig, Fabric, FaultPlan, HybridConfig, HybridFabric, NetworkConfig, NicId,
 };
@@ -41,7 +41,7 @@ use stellar_transport::{
 };
 use stellar_virt::rund::MemoryStrategy;
 use stellar_workloads::allreduce::{AllReduceJob, AllReduceRunner};
-use stellar_workloads::chaos::{run_chaos, ChaosConfig, ChaosScenario};
+use stellar_workloads::chaos::{run_chaos_with, ChaosConfig, ChaosScenario};
 
 json_row! {
     /// One recovery-table row.
@@ -119,7 +119,7 @@ fn unhardened_compound(quick: bool) -> ChaosConfig {
 
 /// Run one chaos config and fold it into a row.
 fn chaos_row(scenario: &'static str, config: &ChaosConfig) -> Row {
-    let r = run_chaos(config);
+    let r = run_chaos_with(config, &packet_fabric);
     let (p50_ms, p99_ms, max_ms) = downtime_ms(&r.recovery_downtimes);
     let exactly_once = if r.errors.is_empty() && r.iterations_completed == config.iterations {
         "ok"

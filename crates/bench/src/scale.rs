@@ -17,17 +17,17 @@
 
 use std::fmt::Write as _;
 
-use stellar_net::fixture::{fluid_fabric, hybrid_fabric};
+use stellar_net::fixture::{fluid_fabric, hybrid_fabric, packet_fabric};
 use stellar_net::{ClosConfig, FluidConfig, HybridConfig};
 use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 use stellar_sim::SimDuration;
 use stellar_transport::{PathAlgo, TransportConfig};
 use stellar_workloads::llm::{
-    simulate_scale_training_step, simulate_training_step, simulate_training_step_with,
-    ScaleTrainingConfig, TrainingSimConfig,
+    simulate_scale_training_step, simulate_training_step_with, ScaleTrainingConfig,
+    TrainingSimConfig,
 };
-use stellar_workloads::permutation::{run_permutation, run_permutation_with, PermutationConfig};
+use stellar_workloads::permutation::{run_permutation_with, PermutationConfig};
 
 json_row! {
     /// One row of the scale table.
@@ -163,7 +163,7 @@ pub fn run(quick: bool) -> Vec<Row> {
     type Job = (&'static str, &'static str, fn(bool) -> (u64, f64, &'static str));
     const JOBS: &[Job] = &[
         ("fig9_shape", "packet", |quick| {
-            let rep = run_permutation(&validation_permutation_config(quick));
+            let rep = run_permutation_with(&validation_permutation_config(quick), packet_fabric);
             (rep.flows as u64, rep.total_goodput_gbps, "Gbps")
         }),
         ("fig9_shape", "hybrid", |quick| {
@@ -174,7 +174,7 @@ pub fn run(quick: bool) -> Vec<Row> {
         }),
         ("fig16_shape", "packet", |quick| {
             let cfg = validation_training_config(quick);
-            let out = simulate_training_step(&cfg);
+            let out = simulate_training_step_with(&cfg, packet_fabric);
             let bw = ring_busbw_gbs(cfg.data_bytes, cfg.ranks, out.comm_network.as_nanos());
             ((cfg.ranks * cfg.rings) as u64, bw, "GB/s")
         }),
@@ -260,7 +260,7 @@ mod tests {
     /// shape so the test stays debug-profile-friendly.
     #[test]
     fn hybrid_tracks_packet_on_fig9_shape() {
-        let packet = run_permutation(&validation_permutation_config(true));
+        let packet = run_permutation_with(&validation_permutation_config(true), packet_fabric);
         let hybrid = run_permutation_with(&validation_permutation_config(true), |t, n, rng| {
             hybrid_fabric(t, n, HybridConfig::default(), rng)
         });
@@ -278,7 +278,7 @@ mod tests {
     #[test]
     fn hybrid_tracks_packet_on_fig16_shape() {
         let cfg = validation_training_config(true);
-        let packet = simulate_training_step(&cfg);
+        let packet = simulate_training_step_with(&cfg, packet_fabric);
         let hybrid = simulate_training_step_with(&cfg, |t, n, rng| {
             hybrid_fabric(t, n, HybridConfig::default(), rng)
         });

@@ -4,8 +4,9 @@
 
 use std::fmt::Write as _;
 
+use stellar_net::fixture::packet_fabric;
 use stellar_transport::PathAlgo;
-use stellar_workloads::failures::{run_failure_timeline, FailureTimelineConfig};
+use stellar_workloads::failures::{run_failure_timeline_with, FailureTimelineConfig};
 use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 
@@ -29,21 +30,24 @@ json_row! {
 /// Run the timeline for single-path and 128-path OBS.
 pub fn run(quick: bool) -> Vec<Row> {
     let mk = |name, algo, paths, seed| {
-        let t = run_failure_timeline(&FailureTimelineConfig {
-            algo,
-            num_paths: paths,
-            // Chunks must outlast the 250 µs RTO for recovery to hide
-            // under transmission (same constraint as Fig. 11), so `quick`
-            // trims iterations but keeps the per-iteration payload: at
-            // 32 MiB the 4 MiB ring chunks transmit in ~80 µs and every
-            // RTO stall costs three chunk-times, deepening the dip well
-            // below what the paper reports.
-            data_bytes: 64 * 1024 * 1024,
-            iterations: if quick { 6 } else { 9 },
-            fail_after_iter: 2,
-            seed,
-            ..FailureTimelineConfig::default()
-        });
+        let t = run_failure_timeline_with(
+            &FailureTimelineConfig {
+                algo,
+                num_paths: paths,
+                // Chunks must outlast the 250 µs RTO for recovery to hide
+                // under transmission (same constraint as Fig. 11), so `quick`
+                // trims iterations but keeps the per-iteration payload: at
+                // 32 MiB the 4 MiB ring chunks transmit in ~80 µs and every
+                // RTO stall costs three chunk-times, deepening the dip well
+                // below what the paper reports.
+                data_bytes: 64 * 1024 * 1024,
+                iterations: if quick { 6 } else { 9 },
+                fail_after_iter: 2,
+                seed,
+                ..FailureTimelineConfig::default()
+            },
+            packet_fabric,
+        );
         Row {
             algo: name,
             before_gbs: t.before.expect("pre-failure window populated"),

@@ -26,8 +26,8 @@
 //! `golden/scale.json` and `golden/recovery.json` (recorded with
 //! `STELLAR_THREADS=1 reproduce <exp> --quick --json`) pin the
 //! flow-level experiments. Those runs take seconds even in release, so
-//! `scripts/ci.sh` compares them against its release runs instead of
-//! this debug test.
+//! `scripts/ci.sh` compares them against its memory-gated single-worker
+//! release runs instead of this debug test.
 
 use stellar_bench::{self as b, json_line};
 use stellar_sim::par::with_thread_override;

@@ -42,5 +42,5 @@ pub mod spec;
 
 pub use placement::{Slot, SlotMap};
 pub use report::{ClusterReport, TenantSlo};
-pub use scheduler::{churn_cost, run_cluster, run_cluster_with, tenant_setup_cost};
+pub use scheduler::{churn_cost, run_cluster_with, tenant_setup_cost};
 pub use spec::{ClusterConfig, PlacementPolicy, TenantSpec};

@@ -23,8 +23,7 @@ use std::collections::{HashMap, VecDeque};
 
 use stellar_core::vstellar::VStellarStack;
 use stellar_core::{RnicId, ServerConfig, StellarServer};
-use stellar_net::fixture::packet_fabric;
-use stellar_net::{ClosConfig, ClosTopology, Fabric, Network, NetworkConfig, NicId};
+use stellar_net::{ClosConfig, ClosTopology, Fabric, NetworkConfig, NicId};
 use stellar_pcie::addr::{Gva, PAGE_4K};
 use stellar_sim::stats::Histogram;
 use stellar_sim::{SimDuration, SimRng, SimTime};
@@ -420,15 +419,11 @@ pub fn run_cluster_with<F: Fabric>(
     }
 }
 
-/// Run the cluster on the packet-level fabric (the default).
-pub fn run_cluster(config: &ClusterConfig) -> ClusterReport {
-    run_cluster_with::<Network>(config, packet_fabric)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::PlacementPolicy;
+    use stellar_net::fixture::packet_fabric;
     use stellar_net::ClosConfig;
 
     fn small_topo() -> ClosConfig {
@@ -459,7 +454,7 @@ mod tests {
     #[test]
     fn tenants_boot_run_and_depart() {
         let config = ClusterConfig::new(small_topo(), PlacementPolicy::TopoAware, two_tenants());
-        let r = stellar_check::strict(|| run_cluster(&config));
+        let r = stellar_check::strict(|| run_cluster_with(&config, packet_fabric));
         assert!(r.all_finished);
         assert_eq!(r.errors, 0);
         assert_eq!(r.peak_admitted_ranks, 8);
@@ -484,7 +479,7 @@ mod tests {
             })
             .collect();
         let config = ClusterConfig::new(small_topo(), PlacementPolicy::BinPack, tenants);
-        let r = stellar_check::strict(|| run_cluster(&config));
+        let r = stellar_check::strict(|| run_cluster_with(&config, packet_fabric));
         assert!(r.all_finished);
         assert_eq!(r.peak_admitted_ranks, 16);
         assert!(r.max_wait() > SimDuration::ZERO, "someone must queue");
@@ -501,7 +496,7 @@ mod tests {
             ..TenantSpec::plain("huge", 17, SimTime::ZERO)
         });
         let config = ClusterConfig::new(small_topo(), PlacementPolicy::BinPack, tenants);
-        let r = stellar_check::strict(|| run_cluster(&config));
+        let r = stellar_check::strict(|| run_cluster_with(&config, packet_fabric));
         assert!(!r.all_finished);
         let huge = &r.tenants[2];
         assert!(huge.slots.is_empty() && !huge.finished);
@@ -514,7 +509,7 @@ mod tests {
         tenants[0].iterations = 6;
         tenants[0].churns = vec![SimDuration::from_micros(50)];
         let config = ClusterConfig::new(small_topo(), PlacementPolicy::TopoAware, tenants);
-        let r = stellar_check::strict(|| run_cluster(&config));
+        let r = stellar_check::strict(|| run_cluster_with(&config, packet_fabric));
         assert!(r.all_finished, "churned tenant must still finish");
         assert_eq!(r.errors, 0, "churn must never be terminal");
         assert!(r.tenants[0].recoveries > 0, "the storm must bite");
@@ -531,6 +526,7 @@ mod tests {
     #[test]
     fn report_is_deterministic() {
         let config = ClusterConfig::new(small_topo(), PlacementPolicy::TopoAware, two_tenants());
-        assert_eq!(run_cluster(&config).render(), run_cluster(&config).render());
+        let run = || run_cluster_with(&config, packet_fabric).render();
+        assert_eq!(run(), run());
     }
 }

@@ -7,7 +7,8 @@
 //! cluster — never oversubscribe capacity or double-book a slot, under
 //! strict invariants end to end.
 
-use stellar_cluster::{run_cluster, ClusterConfig, PlacementPolicy, TenantSpec};
+use stellar_cluster::{run_cluster_with, ClusterConfig, PlacementPolicy, TenantSpec};
+use stellar_net::fixture::packet_fabric;
 use stellar_net::ClosConfig;
 use stellar_sim::par::with_thread_override;
 use stellar_sim::proptest_lite::check;
@@ -40,10 +41,11 @@ fn report_is_byte_identical_across_thread_counts() {
         .collect();
     for policy in [PlacementPolicy::BinPack, PlacementPolicy::TopoAware] {
         let config = ClusterConfig::new(small_topo(), policy, tenants.clone());
-        let one = with_thread_override(1, || run_cluster(&config).render());
-        let eight = with_thread_override(8, || run_cluster(&config).render());
+        let run = || run_cluster_with(&config, packet_fabric).render();
+        let one = with_thread_override(1, run);
+        let eight = with_thread_override(8, run);
         assert_eq!(one, eight, "[{}] report differs across thread counts", policy.name());
-        assert_eq!(one, run_cluster(&config).render(), "[{}] rerun differs", policy.name());
+        assert_eq!(one, run(), "[{}] rerun differs", policy.name());
     }
 }
 
@@ -71,7 +73,7 @@ fn arbitrary_mixes_never_oversubscribe() {
             seed: g.u64(1, 1 << 40),
             ..ClusterConfig::new(small_topo(), policy, tenants)
         };
-        let r = stellar_check::strict(|| run_cluster(&config));
+        let r = stellar_check::strict(|| run_cluster_with(&config, packet_fabric));
         assert!(r.peak_admitted_ranks <= r.capacity);
         assert_eq!(r.errors, 0);
         // Rings are rail-aligned: the widest admissible ring is one

@@ -5,8 +5,9 @@
 //! a realistic timing-wheel defect — runs a workload built to trigger
 //! it, and asserts the wheel now *disagrees* with the reference heap. A
 //! drill that stops failing means the differential suite has lost its
-//! teeth; `scripts/ci.sh` runs this alongside the clean differential
-//! suite.
+//! teeth. `scripts/ci.sh` runs this drill with the feature on; the clean
+//! differential suite (`tests/queue_diff.rs`) needs no feature and runs
+//! with the workspace tests.
 //!
 //! The four injected defects:
 //!

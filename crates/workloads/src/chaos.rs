@@ -1,7 +1,7 @@
 //! Chaos scenarios: AllReduce under multi-fault [`FaultPlan`]s (§7.2's
 //! availability story pushed past the single-link case).
 //!
-//! [`run_chaos`] runs the same seeded AllReduce twice: once healthy
+//! [`run_chaos_with`] runs the same seeded AllReduce twice: once healthy
 //! (calibration — measures the fault-free bus bandwidth and the mean
 //! iteration time used to anchor the fault schedule on the simulation
 //! clock), once with the scenario's fault plan installed. Iterations are
@@ -275,10 +275,6 @@ pub fn build_sim_with<F: Fabric>(
     (sim, nics)
 }
 
-fn build_sim(config: &ChaosConfig) -> (TransportSim, Vec<NicId>) {
-    build_sim_with(config, &|clos, net, rng| packet_fabric(clos, net, rng))
-}
-
 /// The distinct fabric links the ring's first connection can cross at its
 /// ToR→Agg hop — the storm's target set (faults that no path crosses
 /// would be theater, not chaos).
@@ -406,16 +402,11 @@ fn calibrate_with<F: Fabric>(
     (report.mean_bus_bandwidth_gbs(), mean_iter, sim)
 }
 
-/// Run one chaos scenario (calibration + chaos pass) on the packet-level
-/// [`Network`].
-pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
-    run_chaos_with(config, &|clos, net, rng| packet_fabric(clos, net, rng))
-}
-
 /// Run one chaos scenario on any [`Fabric`] — the hybrid packet/fluid
-/// fabric included, which is how chaos reaches 4k+-rank jobs. The
-/// builder is invoked twice (calibration fabric, then chaos fabric) with
-/// identical arguments, so both passes see the same seeded network.
+/// fabric included, which is how chaos reaches 4k+-rank jobs; pass
+/// `&packet_fabric` for the packet-level model. The builder is invoked
+/// twice (calibration fabric, then chaos fabric) with identical
+/// arguments, so both passes see the same seeded network.
 pub fn run_chaos_with<F: Fabric>(
     config: &ChaosConfig,
     build: &impl Fn(ClosConfig, NetworkConfig, &SimRng) -> F,
@@ -532,7 +523,7 @@ pub fn run_chaos_with<F: Fabric>(
 /// its iterations. This is the shrinker's oracle; it is a pure function
 /// of the (seeded) config.
 pub fn chaos_fails(config: &ChaosConfig) -> bool {
-    let r = run_chaos(config);
+    let r = run_chaos_with(config, &packet_fabric);
     matches!(r.verdict, Verdict::TransportError | Verdict::Collapsed)
         || r.iterations_completed < config.iterations
 }
@@ -540,7 +531,7 @@ pub fn chaos_fails(config: &ChaosConfig) -> bool {
 /// A minimal reproducer derived by [`shrink_failing_chaos`].
 #[derive(Debug, Clone)]
 pub struct ShrunkChaos {
-    /// The minimized failing configuration (replay with [`run_chaos`] or
+    /// The minimized failing configuration (replay with [`run_chaos_with`] or
     /// [`chaos_fails`]).
     pub config: ChaosConfig,
     /// Fault events in the scenario's full plan.
@@ -651,7 +642,7 @@ impl ShrunkChaos {
 /// the scenario's fault plan down to the events the failure actually
 /// needs. Returns `None` if `config` does not fail in the first place.
 ///
-/// Deterministic end to end — every probe is a seeded [`run_chaos`] —
+/// Deterministic end to end — every probe is a seeded [`run_chaos_with`] —
 /// so the same input always shrinks to the same reproducer, and
 /// [`ShrunkChaos::test_source`] prints it as a paste-ready test.
 pub fn shrink_failing_chaos(config: &ChaosConfig) -> Option<ShrunkChaos> {
@@ -711,7 +702,7 @@ pub fn shrink_failing_chaos(config: &ChaosConfig) -> Option<ShrunkChaos> {
     // calibrated iteration time (only the timestamps do), so a
     // placeholder spacing suffices to size the index list.
     let full_len = {
-        let (sim, nics) = build_sim(&best);
+        let (sim, nics) = build_sim_with(&best, &packet_fabric);
         build_plan(&best, &sim, &nics, SimDuration::from_micros(100)).len()
     };
     let all: Vec<usize> = (0..full_len).collect();
@@ -747,7 +738,7 @@ mod tests {
 
     #[test]
     fn flap_storm_obs_rides_through() {
-        let r = run_chaos(&quick(ChaosScenario::FlapStorm));
+        let r = run_chaos_with(&quick(ChaosScenario::FlapStorm), &packet_fabric);
         assert_eq!(r.iterations_completed, 8);
         assert!(r.errors.is_empty());
         assert!(r.healthy_busbw_gbs > 1.0);
@@ -768,7 +759,7 @@ mod tests {
 
     #[test]
     fn slow_optics_drops_are_classified_degraded() {
-        let r = run_chaos(&quick(ChaosScenario::SlowOptics));
+        let r = run_chaos_with(&quick(ChaosScenario::SlowOptics), &packet_fabric);
         assert_eq!(r.iterations_completed, 8);
         let degraded = r
             .drops_by_reason
@@ -788,7 +779,7 @@ mod tests {
 
     #[test]
     fn switch_death_reroutes() {
-        let r = run_chaos(&quick(ChaosScenario::SwitchDeath));
+        let r = run_chaos_with(&quick(ChaosScenario::SwitchDeath), &packet_fabric);
         assert_eq!(r.iterations_completed, 8);
         assert!(r.errors.is_empty());
         assert!(r.after.is_some(), "post-reroute window must be observed");
@@ -806,11 +797,14 @@ mod tests {
         // sized so an iteration dwarfs one RTO — the ≥60% bridging claim
         // is about riding over faults, not about hiding a 250 µs stall
         // inside a 220 µs iteration.
-        let r = run_chaos(&ChaosConfig {
-            data_bytes: 16 * 1024 * 1024,
-            iterations: 8,
-            ..ChaosConfig::default()
-        });
+        let r = run_chaos_with(
+            &ChaosConfig {
+                data_bytes: 16 * 1024 * 1024,
+                iterations: 8,
+                ..ChaosConfig::default()
+            },
+            &packet_fabric,
+        );
         assert_eq!(r.iterations_completed, 8);
         assert!(r.errors.is_empty(), "hardened OBS must not die: {:?}", r.errors);
         let bridged = r.bridged.expect("bridged window populated");
@@ -834,18 +828,21 @@ mod tests {
     fn compound_unhardened_single_path_errors_or_collapses() {
         // The counterfactual: SinglePath, no backoff, tiny retry budget,
         // scoreboard off, and BGP too slow to save it.
-        let r = run_chaos(&ChaosConfig {
-            algo: PathAlgo::SinglePath,
-            num_paths: 1,
-            rto_backoff: 1.0,
-            retry_budget: 8,
-            scoreboard: ScoreboardPolicy {
-                blacklist_after: 0,
-                penalty: SimDuration::ZERO,
+        let r = run_chaos_with(
+            &ChaosConfig {
+                algo: PathAlgo::SinglePath,
+                num_paths: 1,
+                rto_backoff: 1.0,
+                retry_budget: 8,
+                scoreboard: ScoreboardPolicy {
+                    blacklist_after: 0,
+                    penalty: SimDuration::ZERO,
+                },
+                bgp_convergence: SimDuration::from_millis(50),
+                ..quick(ChaosScenario::Compound)
             },
-            bgp_convergence: SimDuration::from_millis(50),
-            ..quick(ChaosScenario::Compound)
-        });
+            &packet_fabric,
+        );
         let errored = !r.errors.is_empty();
         let collapsed = matches!(r.verdict, Verdict::Collapsed | Verdict::TransportError);
         assert!(
@@ -877,19 +874,22 @@ mod tests {
         // replays, so the job completes end-to-end with zero terminal
         // errors and the exactly-once invariant holding throughout.
         let r = stellar_check::strict(|| {
-            run_chaos(&ChaosConfig {
-                algo: PathAlgo::SinglePath,
-                num_paths: 1,
-                rto_backoff: 1.0,
-                retry_budget: 8,
-                scoreboard: ScoreboardPolicy {
-                    blacklist_after: 0,
-                    penalty: SimDuration::ZERO,
+            run_chaos_with(
+                &ChaosConfig {
+                    algo: PathAlgo::SinglePath,
+                    num_paths: 1,
+                    rto_backoff: 1.0,
+                    retry_budget: 8,
+                    scoreboard: ScoreboardPolicy {
+                        blacklist_after: 0,
+                        penalty: SimDuration::ZERO,
+                    },
+                    bgp_convergence: SimDuration::from_millis(50),
+                    recovery: Some(RecoveryPolicy::default()),
+                    ..quick(ChaosScenario::Compound)
                 },
-                bgp_convergence: SimDuration::from_millis(50),
-                recovery: Some(RecoveryPolicy::default()),
-                ..quick(ChaosScenario::Compound)
-            })
+                &packet_fabric,
+            )
         });
         assert!(
             r.errors.is_empty(),
@@ -922,12 +922,15 @@ mod tests {
             plan_keep: Some(Vec::new()),
             ..quick(ChaosScenario::Compound)
         };
-        let base = run_chaos(&empty_plan);
-        let with_recovery = run_chaos(&ChaosConfig {
-            recovery: Some(RecoveryPolicy::default()),
-            plane_failover: Some(PlaneFailover::default()),
-            ..empty_plan
-        });
+        let base = run_chaos_with(&empty_plan, &packet_fabric);
+        let with_recovery = run_chaos_with(
+            &ChaosConfig {
+                recovery: Some(RecoveryPolicy::default()),
+                plane_failover: Some(PlaneFailover::default()),
+                ..empty_plan
+            },
+            &packet_fabric,
+        );
         assert_eq!(base.busbw_gbs, with_recovery.busbw_gbs);
         assert_eq!(base.retransmits, with_recovery.retransmits);
         assert_eq!(base.drops_by_reason, with_recovery.drops_by_reason);
@@ -987,7 +990,7 @@ mod tests {
     #[test]
     fn chaos_is_deterministic() {
         let run = || {
-            let r = run_chaos(&quick(ChaosScenario::Compound));
+            let r = run_chaos_with(&quick(ChaosScenario::Compound), &packet_fabric);
             (r.busbw_gbs.clone(), r.retransmits, r.drops_by_reason.clone())
         };
         let (a_bw, a_rtx, a_drops) = run();
@@ -1062,7 +1065,7 @@ mod tests {
         ];
         let configs = scenarios.into_iter().map(quick).chain([shrunk.config]);
         for config in configs {
-            let (sim, nics) = build_sim(&config);
+            let (sim, nics) = build_sim_with(&config, &packet_fabric);
             let plan = effective_plan(&config, &sim, &nics, SimDuration::from_micros(100));
             assert!(!plan.is_empty());
             assert_eq!(

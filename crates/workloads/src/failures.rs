@@ -7,11 +7,10 @@
 //! the failure and reroutes traffic, and Stellar's CC algorithm then
 //! quickly converges to a new flow-path assignment."
 //!
-//! [`run_failure_timeline`] runs a continuous AllReduce, kills one
+//! [`run_failure_timeline_with`] runs a continuous AllReduce, kills one
 //! aggregation link mid-run, and reports per-iteration bus bandwidth so
 //! the three phases are visible: healthy → RTO-bridged → rerouted.
 
-use stellar_net::fixture::packet_fabric;
 use stellar_net::{ClosConfig, Fabric, LinkId, NetworkConfig, NicId};
 use stellar_sim::{SimDuration, SimRng, SimTime};
 use stellar_transport::{App, ConnId, MsgId, PathAlgo, TransportConfig, TransportSim};
@@ -99,11 +98,6 @@ impl<F: Fabric> App<F> for TimelineApp {
     fn on_timer(&mut self, sim: &mut TransportSim<F>, token: u64) {
         self.runner.on_timer(sim, token);
     }
-}
-
-/// Run the timeline on the packet-level fabric.
-pub fn run_failure_timeline(config: &FailureTimelineConfig) -> FailureTimeline {
-    run_failure_timeline_with(config, packet_fabric)
 }
 
 /// Run the timeline on any [`Fabric`] (builder contract as in
@@ -200,10 +194,11 @@ pub fn run_failure_timeline_with<F: Fabric>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stellar_net::fixture::packet_fabric;
 
     #[test]
     fn spray_timeline_recovers_fully() {
-        let t = run_failure_timeline(&FailureTimelineConfig::default());
+        let t = run_failure_timeline_with(&FailureTimelineConfig::default(), packet_fabric);
         assert_eq!(t.busbw_gbs.len(), 9);
         // All three phase windows must be populated — an empty window
         // would previously masquerade as a 0.0 collapse.
@@ -220,12 +215,15 @@ mod tests {
 
     #[test]
     fn single_path_timeline_needs_the_reroute() {
-        let t = run_failure_timeline(&FailureTimelineConfig {
-            algo: PathAlgo::SinglePath,
-            num_paths: 1,
-            seed: 6,
-            ..FailureTimelineConfig::default()
-        });
+        let t = run_failure_timeline_with(
+            &FailureTimelineConfig {
+                algo: PathAlgo::SinglePath,
+                num_paths: 1,
+                seed: 6,
+                ..FailureTimelineConfig::default()
+            },
+            packet_fabric,
+        );
         let before = t.before.expect("pre-failure window populated");
         let during = t.during.expect("bridged window populated");
         let after = t.after.expect("post-convergence window populated");
@@ -238,8 +236,8 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = run_failure_timeline(&FailureTimelineConfig::default());
-        let b = run_failure_timeline(&FailureTimelineConfig::default());
+        let a = run_failure_timeline_with(&FailureTimelineConfig::default(), packet_fabric);
+        let b = run_failure_timeline_with(&FailureTimelineConfig::default(), packet_fabric);
         assert_eq!(a.busbw_gbs, b.busbw_gbs);
         assert_eq!(a.retransmits, b.retransmits);
     }

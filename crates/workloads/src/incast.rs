@@ -9,7 +9,6 @@
 //! receiver's downlink, and no path-selection algorithm can help; the CC
 //! must absorb it.
 
-use stellar_net::fixture::packet_fabric;
 use stellar_net::{ClosConfig, Fabric, NetworkConfig};
 use stellar_sim::{SimRng, SimTime};
 use stellar_transport::{CompletionLog, ConnId, TransportConfig, TransportSim};
@@ -69,12 +68,6 @@ pub struct IncastReport {
     pub ecn_acks: u64,
     /// Packets dropped in the fabric.
     pub drops: u64,
-}
-
-/// Run an incast on the packet-level fabric: `senders` hosts, all in
-/// the segment opposite the receiver, start transferring at t = 0.
-pub fn run_incast(config: &IncastConfig) -> IncastReport {
-    run_incast_with(config, packet_fabric)
 }
 
 /// Run an incast on any [`Fabric`] (builder contract as in
@@ -144,11 +137,12 @@ pub fn run_incast_with<F: Fabric>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stellar_net::fixture::packet_fabric;
     use stellar_transport::PathAlgo;
 
     #[test]
     fn incast_is_receiver_bound() {
-        let r = run_incast(&IncastConfig::default());
+        let r = run_incast_with(&IncastConfig::default(), packet_fabric);
         // 8 senders into one dual-plane NIC: the receiver's 2×200 Gbps
         // downlinks bound the aggregate.
         assert!(r.goodput_gbps < 410.0, "goodput={}", r.goodput_gbps);
@@ -158,7 +152,7 @@ mod tests {
 
     #[test]
     fn incast_is_fair_across_senders() {
-        let r = run_incast(&IncastConfig::default());
+        let r = run_incast_with(&IncastConfig::default(), packet_fabric);
         assert!(r.fairness > 0.95, "fairness={}", r.fairness);
         assert!(r.p99_latency_ns >= r.p50_latency_ns);
         assert!(r.p50_latency_ns > 0);
@@ -169,11 +163,14 @@ mod tests {
     #[test]
     fn latency_percentiles_are_pinned() {
         let run = |senders, seed| {
-            let r = run_incast(&IncastConfig {
-                senders,
-                seed,
-                ..IncastConfig::default()
-            });
+            let r = run_incast_with(
+                &IncastConfig {
+                    senders,
+                    seed,
+                    ..IncastConfig::default()
+                },
+                packet_fabric,
+            );
             (r.p50_latency_ns, r.p99_latency_ns)
         };
         assert_eq!(
@@ -187,14 +184,17 @@ mod tests {
         // §7.2's point inverted: under incast the bottleneck is the
         // receiver, so path diversity buys little.
         let run = |algo, paths| {
-            run_incast(&IncastConfig {
-                transport: TransportConfig {
-                    algo,
-                    num_paths: paths,
-                    ..TransportConfig::default()
+            run_incast_with(
+                &IncastConfig {
+                    transport: TransportConfig {
+                        algo,
+                        num_paths: paths,
+                        ..TransportConfig::default()
+                    },
+                    ..IncastConfig::default()
                 },
-                ..IncastConfig::default()
-            })
+                packet_fabric,
+            )
             .goodput_gbps
         };
         let single = run(PathAlgo::SinglePath, 1);
@@ -209,10 +209,13 @@ mod tests {
     #[test]
     fn more_senders_stretch_the_tail() {
         let run = |n| {
-            run_incast(&IncastConfig {
-                senders: n,
-                ..IncastConfig::default()
-            })
+            run_incast_with(
+                &IncastConfig {
+                    senders: n,
+                    ..IncastConfig::default()
+                },
+                packet_fabric,
+            )
             .last_done
         };
         assert!(run(8) > run(2));

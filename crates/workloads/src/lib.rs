@@ -33,18 +33,13 @@ pub mod permutation;
 
 pub use allreduce::{AllReduceJob, AllReduceReport, AllReduceRunner, BurstSchedule};
 pub use chaos::{
-    chaos_fails, run_chaos, shrink_failing_chaos, ChaosConfig, ChaosReport, ChaosScenario,
+    chaos_fails, run_chaos_with, shrink_failing_chaos, ChaosConfig, ChaosReport, ChaosScenario,
     ShrunkChaos, Verdict,
 };
-pub use failures::{
-    run_failure_timeline, run_failure_timeline_with, FailureTimeline, FailureTimelineConfig,
-};
-pub use incast::{run_incast, run_incast_with, IncastConfig, IncastReport};
+pub use failures::{run_failure_timeline_with, FailureTimeline, FailureTimelineConfig};
+pub use incast::{run_incast_with, IncastConfig, IncastReport};
 pub use llm::{
-    comm_ratios, simulate_scale_training_step, simulate_training_step,
-    simulate_training_step_with, CommRatios, LlmJobConfig, Placement, ScaleTrainingConfig,
-    TrainingOutcome, TrainingSimConfig,
+    comm_ratios, simulate_scale_training_step, simulate_training_step_with, CommRatios,
+    LlmJobConfig, Placement, ScaleTrainingConfig, TrainingOutcome, TrainingSimConfig,
 };
-pub use permutation::{
-    run_permutation, run_permutation_with, PermutationConfig, PermutationReport,
-};
+pub use permutation::{run_permutation_with, PermutationConfig, PermutationReport};

@@ -28,7 +28,6 @@
 //! baseline vs Stellar's 128-path spray). Step time combines the analytic
 //! compute term with the measured, partially-overlapped communication.
 
-use stellar_net::fixture::packet_fabric;
 use stellar_net::{ClosConfig, Fabric, NetworkConfig, NicId};
 use stellar_sim::{SimDuration, SimRng, SimTime};
 use stellar_transport::{PathAlgo, TransportConfig, TransportSim};
@@ -319,12 +318,6 @@ impl Default for TrainingSimConfig {
     }
 }
 
-/// Run one training step's DP communication on the packet-level fabric
-/// and combine it with the compute model.
-pub fn simulate_training_step(config: &TrainingSimConfig) -> TrainingOutcome {
-    simulate_training_step_with(config, packet_fabric)
-}
-
 /// Run one training step's DP communication on any [`Fabric`] (builder
 /// contract as in [`crate::run_permutation_with`]).
 pub fn simulate_training_step_with<F: Fabric>(
@@ -519,6 +512,7 @@ pub fn simulate_scale_training_step<F: Fabric>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stellar_net::fixture::packet_fabric;
 
     #[test]
     fn table1_llama33b_dp_dominates() {
@@ -568,16 +562,19 @@ mod tests {
     #[test]
     fn fig16_random_placement_magnifies_transport_gap() {
         let step = |placement, algo, paths, seed| {
-            simulate_training_step(&TrainingSimConfig {
-                placement,
-                algo,
-                num_paths: paths,
-                ranks: 8,
-                rings: 4,
-                data_bytes: 4 * 1024 * 1024,
-                seed,
-                ..TrainingSimConfig::default()
-            })
+            simulate_training_step_with(
+                &TrainingSimConfig {
+                    placement,
+                    algo,
+                    num_paths: paths,
+                    ranks: 8,
+                    rings: 4,
+                    data_bytes: 4 * 1024 * 1024,
+                    seed,
+                    ..TrainingSimConfig::default()
+                },
+                packet_fabric,
+            )
         };
         // The claim is statistical — any single shuffle can happen to
         // balance the fabric — so average the spray-vs-single gain over
@@ -606,11 +603,14 @@ mod tests {
 
     #[test]
     fn step_time_includes_compute_and_exposed_comm() {
-        let out = simulate_training_step(&TrainingSimConfig {
-            ranks: 8,
-            seed: 4,
-            ..TrainingSimConfig::default()
-        });
+        let out = simulate_training_step_with(
+            &TrainingSimConfig {
+                ranks: 8,
+                seed: 4,
+                ..TrainingSimConfig::default()
+            },
+            packet_fabric,
+        );
         assert_eq!(out.step, out.compute + out.comm_exposed);
         assert!(out.comm_exposed <= out.comm_network);
         assert!(out.comm_network > SimDuration::ZERO);
@@ -622,8 +622,8 @@ mod tests {
             seed: 77,
             ..TrainingSimConfig::default()
         };
-        let a = simulate_training_step(&cfg);
-        let b = simulate_training_step(&cfg);
+        let a = simulate_training_step_with(&cfg, packet_fabric);
+        let b = simulate_training_step_with(&cfg, packet_fabric);
         assert_eq!(a.step, b.step);
     }
 }

@@ -7,7 +7,6 @@
 //! the run duration; the report captures the ToR-uplink queue statistics
 //! that Fig. 9 plots (average and maximum depth) plus per-flow goodput.
 
-use stellar_net::fixture::packet_fabric;
 use stellar_net::{ClosConfig, Fabric, NetworkConfig};
 use stellar_sim::{SimRng, SimTime};
 use stellar_transport::{App, ConnId, MsgId, TransportConfig, TransportSim};
@@ -92,14 +91,10 @@ impl<F: Fabric> App<F> for PacedInjector {
     }
 }
 
-/// Run the permutation experiment on the packet-level fabric.
-pub fn run_permutation(config: &PermutationConfig) -> PermutationReport {
-    run_permutation_with(config, packet_fabric)
-}
-
 /// Run the permutation experiment on any [`Fabric`]. `build` receives
 /// the configured topology, link model, and root RNG (fork `"net"` for
-/// the fabric's stream — the fixture constructors do).
+/// the fabric's stream — the fixture constructors do). Pass
+/// [`stellar_net::fixture::packet_fabric`] for the packet-level model.
 pub fn run_permutation_with<F: Fabric>(
     config: &PermutationConfig,
     build: impl FnOnce(ClosConfig, NetworkConfig, &SimRng) -> F,
@@ -190,6 +185,7 @@ pub fn run_permutation_with<F: Fabric>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stellar_net::fixture::packet_fabric;
     use stellar_transport::PathAlgo;
 
     fn small_config(algo: PathAlgo, paths: u32) -> PermutationConfig {
@@ -217,15 +213,15 @@ mod tests {
 
     #[test]
     fn creates_one_flow_per_rnic() {
-        let report = run_permutation(&small_config(PathAlgo::Obs, 32));
+        let report = run_permutation_with(&small_config(PathAlgo::Obs, 32), packet_fabric);
         assert_eq!(report.flows, 24); // 12 hosts × 2 rails
         assert!(report.total_goodput_gbps > 0.0);
     }
 
     #[test]
     fn fig9_shape_spray_has_shallower_queues_than_single_path() {
-        let single = run_permutation(&small_config(PathAlgo::SinglePath, 1));
-        let spray = run_permutation(&small_config(PathAlgo::Obs, 128));
+        let single = run_permutation_with(&small_config(PathAlgo::SinglePath, 1), packet_fabric);
+        let spray = run_permutation_with(&small_config(PathAlgo::Obs, 128), packet_fabric);
         assert!(
             spray.max_queue_bytes < single.max_queue_bytes,
             "spray max {} vs single max {}",
@@ -242,8 +238,8 @@ mod tests {
 
     #[test]
     fn fig9_shape_more_paths_reduce_queues_for_rr() {
-        let narrow = run_permutation(&small_config(PathAlgo::RoundRobin, 4));
-        let wide = run_permutation(&small_config(PathAlgo::RoundRobin, 128));
+        let narrow = run_permutation_with(&small_config(PathAlgo::RoundRobin, 4), packet_fabric);
+        let wide = run_permutation_with(&small_config(PathAlgo::RoundRobin, 128), packet_fabric);
         assert!(
             wide.weighted_queue_bytes <= narrow.weighted_queue_bytes * 1.05,
             "wide {} vs narrow {}",
@@ -255,8 +251,8 @@ mod tests {
 
     #[test]
     fn spray_improves_goodput_under_permutation() {
-        let single = run_permutation(&small_config(PathAlgo::SinglePath, 1));
-        let spray = run_permutation(&small_config(PathAlgo::Obs, 128));
+        let single = run_permutation_with(&small_config(PathAlgo::SinglePath, 1), packet_fabric);
+        let spray = run_permutation_with(&small_config(PathAlgo::Obs, 128), packet_fabric);
         assert!(
             spray.total_goodput_gbps >= single.total_goodput_gbps,
             "spray {} vs single {}",
@@ -267,8 +263,8 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = run_permutation(&small_config(PathAlgo::Obs, 64));
-        let b = run_permutation(&small_config(PathAlgo::Obs, 64));
+        let a = run_permutation_with(&small_config(PathAlgo::Obs, 64), packet_fabric);
+        let b = run_permutation_with(&small_config(PathAlgo::Obs, 64), packet_fabric);
         assert_eq!(a.max_queue_bytes, b.max_queue_bytes);
         assert_eq!(a.rto_events, b.rto_events);
         assert!((a.total_goodput_gbps - b.total_goodput_gbps).abs() < 1e-12);

@@ -6,19 +6,23 @@
 //! cargo run --release --example failure_recovery
 //! ```
 
+use stellar::net::fixture::packet_fabric;
 use stellar::transport::PathAlgo;
-use stellar::workloads::failures::{run_failure_timeline, FailureTimelineConfig};
+use stellar::workloads::failures::{run_failure_timeline_with, FailureTimelineConfig};
 
 fn main() {
     for (name, algo, paths) in [
         ("OBS-128 (Stellar)", PathAlgo::Obs, 128),
         ("Single-path ECMP", PathAlgo::SinglePath, 1),
     ] {
-        let t = run_failure_timeline(&FailureTimelineConfig {
-            algo,
-            num_paths: paths,
-            ..FailureTimelineConfig::default()
-        });
+        let t = run_failure_timeline_with(
+            &FailureTimelineConfig {
+                algo,
+                num_paths: paths,
+                ..FailureTimelineConfig::default()
+            },
+            packet_fabric,
+        );
         println!("{name}: link killed at {}", t.failed_at);
         println!("  per-iteration bus bandwidth (GB/s):");
         for (i, bw) in t.busbw_gbs.iter().enumerate() {

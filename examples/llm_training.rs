@@ -5,9 +5,10 @@
 //! cargo run --release --example llm_training
 //! ```
 
+use stellar::net::fixture::packet_fabric;
 use stellar::transport::PathAlgo;
 use stellar::workloads::llm::{
-    comm_ratios, simulate_training_step, LlmJobConfig, Placement, TrainingSimConfig,
+    comm_ratios, simulate_training_step_with, LlmJobConfig, Placement, TrainingSimConfig,
 };
 
 fn main() {
@@ -40,15 +41,18 @@ fn main() {
         ("random", Placement::Random),
     ] {
         let step = |algo: PathAlgo, paths: u32| {
-            simulate_training_step(&TrainingSimConfig {
-                ranks: 24,
-                data_bytes: 8 << 20,
-                placement,
-                algo,
-                num_paths: paths,
-                seed: 7,
-                ..TrainingSimConfig::default()
-            })
+            simulate_training_step_with(
+                &TrainingSimConfig {
+                    ranks: 24,
+                    data_bytes: 8 << 20,
+                    placement,
+                    algo,
+                    num_paths: paths,
+                    seed: 7,
+                    ..TrainingSimConfig::default()
+                },
+                packet_fabric,
+            )
             .step
         };
         let cx7 = step(PathAlgo::SinglePath, 1);

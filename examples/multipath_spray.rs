@@ -5,9 +5,10 @@
 //! cargo run --release --example multipath_spray
 //! ```
 
+use stellar::net::fixture::packet_fabric;
 use stellar::net::ClosConfig;
 use stellar::transport::{PathAlgo, TransportConfig};
-use stellar::workloads::permutation::{run_permutation, PermutationConfig};
+use stellar::workloads::permutation::{run_permutation_with, PermutationConfig};
 use stellar_sim::SimDuration;
 
 fn config(algo: PathAlgo, paths: u32) -> PermutationConfig {
@@ -45,7 +46,7 @@ fn main() {
         ("RR", PathAlgo::RoundRobin, 128),
         ("OBS", PathAlgo::Obs, 128),
     ] {
-        let r = run_permutation(&config(algo, paths));
+        let r = run_permutation_with(&config(algo, paths), packet_fabric);
         println!(
             "{:>12} {:>6} {:>14.1} {:>12.1} {:>14.1} {:>12.1}",
             name,
