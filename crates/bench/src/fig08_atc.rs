@@ -9,8 +9,6 @@
 //! Cache capacities are scaled so the cliffs land at the paper's message
 //! sizes: ATC reach = 16 × 2 MB, IOTLB reach = 16 × 16 MB.
 
-use std::fmt::Write as _;
-
 use stellar_core::{RnicId, ServerConfig, StellarServer};
 use stellar_pcie::addr::Gva;
 use stellar_pcie::ats::AtcConfig;
@@ -20,6 +18,8 @@ use stellar_rnic::dma::{RnicDataPathConfig, TranslationMode};
 use stellar_rnic::verbs::{AccessFlags, MrKey};
 use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
+
+use crate::Table;
 
 const MB: u64 = 1024 * 1024;
 const CONNS: usize = 16;
@@ -185,26 +185,12 @@ pub fn run(quick: bool) -> Vec<Row> {
 
 /// Render the figure as the table `reproduce` prints.
 pub fn render(rows: &[Row]) -> String {
-    let mut out = String::new();
-    writeln!(out, "Fig. 8 — GDR bandwidth vs message size (16 connections, 4 KiB pages)").unwrap();
-    writeln!(
-        out,
-        "{:>10} {:>12} {:>14} {:>12}",
-        "msg", "CX6 (Gbps)", "vStellar(Gbps)", "ATC hit%"
-    )
-    .unwrap();
-    for r in rows {
-        writeln!(
-            out,
-            "{:>9}M {:>12.1} {:>14.1} {:>11.1}%",
-            r.msg_bytes as f64 / MB as f64,
-            r.cx6_gbps,
-            r.vstellar_gbps,
-            r.atc_hit_ratio * 100.0
-        )
-        .unwrap();
-    }
-    out
+    Table::new("Fig. 8 — GDR bandwidth vs message size (16 connections, 4 KiB pages)", rows)
+        .col("msg", 10, |r| format!("{}M", r.msg_bytes as f64 / MB as f64))
+        .col("CX6 (Gbps)", 12, |r| format!("{:.1}", r.cx6_gbps))
+        .col("vStellar(Gbps)", 14, |r| format!("{:.1}", r.vstellar_gbps))
+        .col("ATC hit%", 12, |r| format!("{:.1}%", r.atc_hit_ratio * 100.0))
+        .finish()
 }
 
 #[cfg(test)]
