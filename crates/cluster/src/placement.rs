@@ -60,11 +60,6 @@ impl SlotMap {
         self.free
     }
 
-    /// Currently booked slots.
-    pub fn booked_slots(&self) -> usize {
-        self.capacity() - self.free
-    }
-
     /// The largest admissible ring: rings are rail-aligned, so no ring
     /// can exceed the host count even when total capacity (hosts ×
     /// rails) is larger.
@@ -74,11 +69,6 @@ impl SlotMap {
 
     fn idx(&self, host: usize, rail: usize) -> usize {
         rail * self.hosts + host
-    }
-
-    /// The tenant holding `(host, rail)`, if any.
-    pub fn owner_of(&self, host: usize, rail: usize) -> Option<usize> {
-        self.owner[self.idx(host, rail)]
     }
 
     fn segment_of(&self, host: usize) -> usize {

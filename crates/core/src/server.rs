@@ -243,11 +243,6 @@ impl StellarServer {
         &self.containers[id.0]
     }
 
-    /// A booted container, mutable.
-    pub fn container_mut(&mut self, id: ContainerId) -> &mut RundContainer {
-        &mut self.containers[id.0]
-    }
-
     /// Container and fabric, both mutable (PVDMA needs the IOMMU).
     pub fn container_and_fabric_mut(
         &mut self,

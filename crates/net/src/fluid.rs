@@ -654,11 +654,6 @@ impl FluidFabric {
         }
     }
 
-    /// The fluid-model knobs.
-    pub fn fluid_config(&self) -> &FluidConfig {
-        &self.model.fluid
-    }
-
     /// `(flows opened, flows retired, flows active)` since construction.
     pub fn flow_ledger(&self) -> (u64, u64, usize) {
         self.model.flow_ledger()

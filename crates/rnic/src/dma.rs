@@ -29,7 +29,7 @@
 
 use stellar_pcie::ats::Atc;
 use stellar_pcie::topology::{AtField, DeviceId, Fabric, FabricError, RoutePath, Tlp, TlpKind};
-use stellar_pcie::{Gva, Hpa};
+use stellar_pcie::Gva;
 use stellar_sim::{transmit_time, SimDuration};
 use stellar_telemetry::{count, stage_sample, Stage, Subsystem};
 
@@ -338,20 +338,6 @@ impl DmaEngine {
         }
         Ok(report)
     }
-
-    /// Effective achievable line rate for this configuration in Gbps,
-    /// assuming perfect translation (upper bound used in reports).
-    pub fn line_rate_gbps(&self) -> f64 {
-        self.config.port_gbps
-    }
-
-    /// Convenience for tests: the HPA a translated entry would emit.
-    pub fn resolve_extended(entry: &MttEntry) -> Option<Hpa> {
-        match entry {
-            MttEntry::Extended { hpa, .. } => Some(*hpa),
-            MttEntry::Legacy { .. } => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -362,7 +348,7 @@ mod tests {
     use stellar_pcie::ats::AtcConfig;
     use stellar_pcie::iommu::{Iommu, IommuConfig};
     use stellar_pcie::topology::{DeviceKind, FabricConfig};
-    use stellar_pcie::Iova;
+    use stellar_pcie::{Hpa, Iova};
 
     const MEM_BASE: u64 = 0x1_0000_0000;
     const GPU_BAR: u64 = 0x4000_0000;

@@ -120,8 +120,6 @@ impl std::error::Error for VSwitchError {}
 pub struct VSwitch {
     config: VSwitchConfig,
     rules: Vec<SteeringRule>,
-    lookups: u64,
-    total_positions: u64,
 }
 
 impl VSwitch {
@@ -130,8 +128,6 @@ impl VSwitch {
         VSwitch {
             config,
             rules: Vec::new(),
-            lookups: 0,
-            total_positions: 0,
         }
     }
 
@@ -170,12 +166,10 @@ impl VSwitch {
     }
 
     /// Steer a packet: walk the table in order, first match wins.
-    pub fn steer(&mut self, class: RuleClass, flow_id: u64) -> Result<SteerOutcome, VSwitchError> {
-        self.lookups += 1;
+    pub fn steer(&self, class: RuleClass, flow_id: u64) -> Result<SteerOutcome, VSwitchError> {
         count(Subsystem::Rnic, "vswitch.steer", 1);
         for (position, rule) in self.rules.iter().enumerate() {
             if rule.class == class && rule.flow_id == flow_id {
-                self.total_positions += position as u64;
                 return Ok(SteerOutcome {
                     action: rule.action,
                     latency: self.config.base_latency
@@ -195,15 +189,6 @@ impl VSwitch {
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
-    }
-
-    /// Mean matched-rule position across all successful lookups.
-    pub fn mean_match_position(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.total_positions as f64 / self.lookups as f64
-        }
     }
 }
 
@@ -277,7 +262,7 @@ mod tests {
 
     #[test]
     fn no_match_is_an_error() {
-        let mut s = sw();
+        let s = sw();
         assert_eq!(s.steer(RuleClass::Tcp, 9), Err(VSwitchError::NoMatch));
     }
 

@@ -93,12 +93,6 @@ impl Obj {
         self
     }
 
-    /// Add a signed integer field.
-    pub fn field_i64(mut self, k: &str, v: i64) -> Self {
-        let _ = write!(self.key(k), "{v}");
-        self
-    }
-
     /// Add a float field (see [`number`] for formatting).
     pub fn field_f64(mut self, k: &str, v: f64) -> Self {
         let s = number(v);

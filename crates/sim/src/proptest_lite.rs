@@ -75,11 +75,6 @@ impl Gen {
         self.rng.chance(0.5)
     }
 
-    /// Uniform float in `[0, 1)`.
-    pub fn f64_unit(&mut self) -> f64 {
-        self.rng.f64()
-    }
-
     /// A vector with a uniform length in `[min_len, max_len)` whose
     /// elements come from `f`.
     pub fn vec<T>(

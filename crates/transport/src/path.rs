@@ -240,13 +240,6 @@ impl PathSelector {
         self.failover
     }
 
-    /// The plane path id `path` hashes onto (`path % planes`). Only
-    /// meaningful while plane failover is enabled.
-    pub fn plane_of(&self, path: u32) -> u32 {
-        debug_assert!(self.failover.planes > 0, "plane failover disabled");
-        path % self.failover.planes
-    }
-
     /// Whether `plane` is quarantined at `now`.
     pub fn is_plane_quarantined(&self, plane: u32, now: SimTime) -> bool {
         self.failover.planes > 0 && self.plane_quarantine_until[plane as usize] > now

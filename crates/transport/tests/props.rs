@@ -181,7 +181,7 @@ fn transport_under_faults_is_deterministic() {
             );
             sim.network_mut().install_fault_plan(plan);
             sim.post_message(conn, bytes);
-            sim.run_to_idle(&mut Quiet, SimTime::from_nanos(u64::MAX / 2));
+            sim.run(&mut Quiet, SimTime::from_nanos(u64::MAX / 2));
             (sim.total_stats(), sim.error_count())
         };
         assert_eq!(run(), run());
@@ -261,7 +261,7 @@ fn recovery_under_faults_is_identical_across_thread_counts() {
                     );
                 sim.network_mut().install_fault_plan(plan);
                 sim.post_message(conn, bytes);
-                sim.run_to_idle(&mut Quiet, SimTime::from_nanos(u64::MAX / 2));
+                sim.run(&mut Quiet, SimTime::from_nanos(u64::MAX / 2));
                 let stats = sim.total_stats();
                 assert!(stats.recoveries >= 1, "outage must trigger recovery");
                 assert_eq!(stats.completed_messages, 1);
@@ -310,7 +310,7 @@ fn fault_free_run_ignores_recovery_policy() {
             let dst = sim.network().topology().nic(2, 0);
             let conn = sim.add_connection(src, dst);
             sim.post_message(conn, bytes);
-            sim.run_to_idle(&mut Quiet, SimTime::from_nanos(u64::MAX / 2));
+            sim.run(&mut Quiet, SimTime::from_nanos(u64::MAX / 2));
             (sim.total_stats(), sim.now())
         };
         // Both arms of `hardened` must agree with a fresh unhardened run.
@@ -338,7 +338,7 @@ fn fault_free_run_ignores_recovery_policy() {
             let dst = sim.network().topology().nic(2, 0);
             let conn = sim.add_connection(src, dst);
             sim.post_message(conn, bytes);
-            sim.run_to_idle(&mut Quiet, SimTime::from_nanos(u64::MAX / 2));
+            sim.run(&mut Quiet, SimTime::from_nanos(u64::MAX / 2));
             (sim.total_stats(), sim.now())
         };
         assert_eq!((base_stats, base_now), baseline);

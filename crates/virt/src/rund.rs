@@ -71,7 +71,6 @@ pub struct RundContainer {
     config: RundConfig,
     hypervisor: Hypervisor,
     pvdma: Option<Pvdma>,
-    boot: BootReport,
 }
 
 impl RundContainer {
@@ -116,15 +115,9 @@ impl RundContainer {
                 config,
                 hypervisor,
                 pvdma,
-                boot,
             },
             boot,
         ))
-    }
-
-    /// The boot-time breakdown.
-    pub fn boot_report(&self) -> BootReport {
-        self.boot
     }
 
     /// The container's hypervisor.

@@ -198,11 +198,6 @@ impl AllReduceRunner {
         &self.jobs[j].conns
     }
 
-    /// Number of jobs registered (finished or not).
-    pub fn job_count(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// The report for job `j`.
     pub fn report(&self, j: usize) -> AllReduceReport {
         let st = &self.jobs[j];
