@@ -188,44 +188,18 @@ fn run_selected(
         let events = events_scheduled_here() - ev0;
         let peak = take_queue_depth_peak();
         note_queue_depth(saved.max(peak));
-        PerfSample {
-            out,
+        let rec = PerfRec {
+            name: exp.name,
+            event_driven: exp.event_driven,
             wall_ms,
             events,
             peak_queue_depth: peak,
             ring_high_water,
-            trace_doc,
-            name: exp.name,
-            event_driven: exp.event_driven,
-        }
+        };
+        (out, (rec, trace_doc))
     });
-    let mut outputs = Vec::with_capacity(results.len());
-    let mut perf = Vec::with_capacity(results.len());
-    let mut traces = Vec::with_capacity(results.len());
-    for s in results {
-        outputs.push(s.out);
-        traces.push(s.trace_doc);
-        perf.push(PerfRec {
-            name: s.name,
-            event_driven: s.event_driven,
-            wall_ms: s.wall_ms,
-            events: s.events,
-            peak_queue_depth: s.peak_queue_depth,
-            ring_high_water: s.ring_high_water,
-        });
-    }
+    let (outputs, (perf, traces)) = results.into_iter().unzip();
     (outputs, perf, traces)
-}
-
-struct PerfSample {
-    out: String,
-    wall_ms: f64,
-    events: u64,
-    peak_queue_depth: u64,
-    ring_high_water: Option<u64>,
-    trace_doc: Option<String>,
-    name: &'static str,
-    event_driven: bool,
 }
 
 /// Peak resident set size of this process so far (`VmHWM`), in MB, or
