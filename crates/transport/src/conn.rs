@@ -1,6 +1,11 @@
 //! RC connection state: message segmentation, sender bookkeeping, and the
 //! out-of-order receive path.
 //!
+//! Like the RNIC, the sender cuts a message into packets as it transmits
+//! it: a post only appends the message to the live window, and a send
+//! cursor (message id, packet index) walks the window one packet at a
+//! time, so send-side state does not grow with posted bytes.
+//!
 //! Spraying packets over 128 paths guarantees heavy reordering at the
 //! receiver. Like the paper's RNIC (Direct Packet Placement, paper ref. 19), the
 //! receiver writes each packet straight to its memory slot — modelled by a
@@ -22,7 +27,7 @@ pub struct ConnId(pub u32);
 pub struct MsgId(pub u64);
 
 /// A packet not yet sent.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PendingPacket {
     /// Owning message.
     pub msg: MsgId,
@@ -279,6 +284,17 @@ impl MessageState {
     pub fn received_count(&self) -> u64 {
         self.received_count
     }
+
+    /// Payload bytes of packet `idx` when the message is cut at `mtu`:
+    /// `mtu` for every packet but the last, which carries the remainder.
+    pub(crate) fn packet_bytes(&self, idx: u64, mtu: u64) -> u64 {
+        debug_assert!(idx < self.total_packets, "packet index out of range");
+        if idx + 1 == self.total_packets {
+            self.bytes - idx * mtu
+        } else {
+            mtu
+        }
+    }
 }
 
 /// What retired messages leave behind on their connection: enough for
@@ -366,7 +382,8 @@ pub enum ConnState {
     /// The QP was torn down after a fatal transport error and a
     /// re-establishment is pending (recovery policy is active). The
     /// connection sends nothing until the reconnect fires; unacked
-    /// messages will be replayed from the receiver bitmap.
+    /// messages will be replayed from the receiver bitmap, and messages
+    /// posted meanwhile wait at the send cursor.
     Recovering,
     /// Terminal error — the transport gave up (see
     /// [`Connection::fatal`]); no further packets are sent or accepted.
@@ -444,8 +461,17 @@ pub struct Connection {
     pub src: NicId,
     /// Destination NIC.
     pub dst: NicId,
-    /// Unsent packets, FIFO.
-    pub unsent: VecDeque<PendingPacket>,
+    /// Packets re-queued by [`Connection::replay_unacked`], FIFO. They
+    /// go out before anything at the send cursor. Only a recovery fills
+    /// this, so it stays unallocated on a healthy connection.
+    pub(crate) replay: VecDeque<PendingPacket>,
+    /// Send cursor: the id of the next message to segment. Every message
+    /// from here to `next_msg` still has packets to send for the first
+    /// time; every older one has sent all of its packets (or was torn
+    /// down and is covered by the replay).
+    send_msg: u64,
+    /// Index of the cursor message's next packet.
+    send_idx: u64,
     /// In-flight packets by sequence number (deliver, ack and RTO each
     /// look up here once per packet, so this is a direct-mapped table,
     /// not a hash map).
@@ -488,7 +514,9 @@ impl Connection {
             id,
             src,
             dst,
-            unsent: VecDeque::new(),
+            replay: VecDeque::new(),
+            send_msg: 0,
+            send_idx: 0,
             inflight: InflightTable::default(),
             inflight_bytes: 0,
             messages: VecDeque::new(),
@@ -505,27 +533,15 @@ impl Connection {
         }
     }
 
-    /// Segment a message of `bytes` into MTU-sized packets and queue them.
+    /// Queue a message of `bytes`, to be cut into `mtu`-sized packets as
+    /// it is sent. O(1): only the message's own state is stored.
     pub fn post_message(&mut self, now: SimTime, bytes: u64, mtu: u64) -> MsgId {
         assert!(bytes > 0, "empty message");
         let id = MsgId(self.next_msg);
         self.next_msg += 1;
         debug_assert_eq!(self.msg_front + self.messages.len() as u64, id.0);
-        let total_packets = bytes.div_ceil(mtu);
         self.messages
-            .push_back(MessageState::new(total_packets, bytes, now));
-        for idx in 0..total_packets {
-            let chunk = if idx == total_packets - 1 {
-                bytes - idx * mtu
-            } else {
-                mtu
-            };
-            self.unsent.push_back(PendingPacket {
-                msg: id,
-                idx,
-                bytes: chunk,
-            });
-        }
+            .push_back(MessageState::new(bytes.div_ceil(mtu), bytes, now));
         id
     }
 
@@ -573,7 +589,69 @@ impl Connection {
 
     /// Whether nothing remains to send or await.
     pub fn is_idle(&self) -> bool {
-        self.unsent.is_empty() && self.inflight.is_empty()
+        !self.has_unsent() && self.inflight.is_empty()
+    }
+
+    /// Whether a packet waits to be sent: the replay queue holds one, or
+    /// the send cursor has not passed the newest message.
+    pub(crate) fn has_unsent(&self) -> bool {
+        !self.replay.is_empty() || self.send_msg < self.next_msg
+    }
+
+    /// The packet the connection sends next, cut at `mtu`: the replay
+    /// queue's head, else the packet at the send cursor.
+    pub(crate) fn next_unsent(&self, mtu: u64) -> Option<PendingPacket> {
+        if let Some(&pkt) = self.replay.front() {
+            return Some(pkt);
+        }
+        let msg = MsgId(self.send_msg);
+        let m = self.message(msg)?;
+        Some(PendingPacket {
+            msg,
+            idx: self.send_idx,
+            bytes: m.packet_bytes(self.send_idx, mtu),
+        })
+    }
+
+    /// Take the packet [`Connection::next_unsent`] returns and move past
+    /// it.
+    pub(crate) fn pop_unsent(&mut self, mtu: u64) -> Option<PendingPacket> {
+        let pkt = self.next_unsent(mtu)?;
+        if self.replay.pop_front().is_none() {
+            self.send_idx += 1;
+            let m = self.message(pkt.msg).expect("the cursor message is live");
+            if self.send_idx == m.total_packets {
+                self.send_msg += 1;
+                self.send_idx = 0;
+            }
+        }
+        Some(pkt)
+    }
+
+    /// Every packet still to send, in send order, cut at `mtu`: the
+    /// replay queue, then the rest of the window from the send cursor.
+    pub fn unsent(&self, mtu: u64) -> impl Iterator<Item = PendingPacket> + '_ {
+        let first = (self.send_msg - self.msg_front) as usize;
+        let from_cursor = self.messages.range(first..).enumerate().flat_map(move |(i, m)| {
+            let msg = MsgId(self.send_msg + i as u64);
+            let start = if i == 0 { self.send_idx } else { 0 };
+            (start..m.total_packets).map(move |idx| PendingPacket {
+                msg,
+                idx,
+                bytes: m.packet_bytes(idx, mtu),
+            })
+        });
+        self.replay.iter().copied().chain(from_cursor)
+    }
+
+    /// Discard every queued packet (QP teardown): empty the replay queue
+    /// and move the send cursor past the newest message. Whatever the
+    /// receiver still lacks comes back with
+    /// [`Connection::replay_unacked`].
+    pub(crate) fn drop_unsent(&mut self) {
+        self.replay.clear();
+        self.send_msg = self.next_msg;
+        self.send_idx = 0;
     }
 
     /// The live message `id`; `None` once it has retired (or if it was
@@ -615,14 +693,20 @@ impl Connection {
             self.retired.placements += m.received_count();
             self.msg_front += 1;
         }
+        debug_assert!(
+            self.msg_front <= self.send_msg,
+            "a message completed before the cursor sent all of it"
+        );
         latency
     }
 
     /// Rebuild the send queue from the receiver bitmaps after a QP
-    /// re-establishment: every packet of every incomplete message in the
-    /// live window that has not landed is re-queued, in
+    /// re-establishment: every packet that has not landed, of every
+    /// incomplete message behind the send cursor, is queued for replay in
     /// `(message, index)` order. Retired messages are complete and need
-    /// nothing. Returns the number of packets queued.
+    /// nothing; messages posted during the teardown sit at or past the
+    /// cursor, were never sent, and go out after the replay. Returns the
+    /// number of packets queued.
     ///
     /// This is the exactly-once replay. Indices already set in the
     /// bitmap are skipped — the receiver keeps its partial state across
@@ -632,33 +716,26 @@ impl Connection {
     /// [`MessageState::place_packet`].
     pub fn replay_unacked(&mut self, mtu: u64) -> u64 {
         debug_assert!(
-            self.unsent.is_empty() && self.inflight.is_empty(),
+            self.replay.is_empty() && self.inflight.is_empty(),
             "replay requires a drained connection"
         );
-        let mut queued = 0;
-        for (i, m) in self.messages.iter().enumerate() {
+        let behind = (self.send_msg - self.msg_front) as usize;
+        for (i, m) in self.messages.range(..behind).enumerate() {
             if m.fully_received() {
                 continue;
             }
-            let id = MsgId(self.msg_front + i as u64);
-            for idx in 0..m.total_packets {
-                if m.is_received(idx) {
-                    continue;
-                }
-                let chunk = if idx == m.total_packets - 1 {
-                    m.bytes - idx * mtu
-                } else {
-                    mtu
-                };
-                self.unsent.push_back(PendingPacket {
-                    msg: id,
-                    idx,
-                    bytes: chunk,
-                });
-                queued += 1;
-            }
+            let msg = MsgId(self.msg_front + i as u64);
+            self.replay.extend(
+                (0..m.total_packets)
+                    .filter(|&idx| !m.is_received(idx))
+                    .map(|idx| PendingPacket {
+                        msg,
+                        idx,
+                        bytes: m.packet_bytes(idx, mtu),
+                    }),
+            );
         }
-        queued
+        self.replay.len() as u64
     }
 }
 
@@ -676,7 +753,7 @@ mod tests {
         let id = c.post_message(SimTime::ZERO, 10_000, 4096);
         let m = c.message(id).unwrap();
         assert_eq!(m.total_packets, 3);
-        let sizes: Vec<u64> = c.unsent.iter().map(|p| p.bytes).collect();
+        let sizes: Vec<u64> = c.unsent(4096).map(|p| p.bytes).collect();
         assert_eq!(sizes, vec![4096, 4096, 1808]);
     }
 
@@ -685,7 +762,7 @@ mod tests {
         let mut c = conn();
         let id = c.post_message(SimTime::ZERO, 8, 4096);
         assert_eq!(c.message(id).unwrap().total_packets, 1);
-        assert_eq!(c.unsent[0].bytes, 8);
+        assert_eq!(c.next_unsent(4096).unwrap().bytes, 8);
     }
 
     #[test]
@@ -814,21 +891,21 @@ mod tests {
     fn replay_requeues_exactly_the_missing_indices() {
         let mut c = conn();
         let id = c.post_message(SimTime::ZERO, 10_000, 4096); // 3 packets
-        c.unsent.clear(); // simulate all packets in flight, then drained
+        c.drop_unsent(); // simulate all packets in flight, then drained
         c.message_mut(id).unwrap().place_packet(1);
         let queued = c.replay_unacked(4096);
         assert_eq!(queued, 2);
-        let idxs: Vec<u64> = c.unsent.iter().map(|p| p.idx).collect();
+        let idxs: Vec<u64> = c.unsent(4096).map(|p| p.idx).collect();
         assert_eq!(idxs, vec![0, 2]);
         // Byte sizes match the original segmentation (tail included).
-        let sizes: Vec<u64> = c.unsent.iter().map(|p| p.bytes).collect();
+        let sizes: Vec<u64> = c.unsent(4096).map(|p| p.bytes).collect();
         assert_eq!(sizes, vec![4096, 1808]);
         // A completed message is never replayed.
         let m = c.message_mut(id).unwrap();
         m.place_packet(0);
         m.place_packet(2);
         c.complete_message(id, SimTime::ZERO);
-        c.unsent.clear();
+        c.drop_unsent();
         assert_eq!(c.replay_unacked(4096), 0);
     }
 
@@ -848,7 +925,7 @@ mod tests {
         let ids: Vec<MsgId> = (0..3)
             .map(|_| c.post_message(SimTime::ZERO, 10_000, 4096))
             .collect();
-        c.unsent.clear();
+        c.drop_unsent();
         // Out of order: the middle message completes first and must wait
         // behind message 0.
         let mut latencies = vec![land_all(&mut c, ids[1], SimTime::from_nanos(10))];
@@ -865,8 +942,8 @@ mod tests {
         // Replay numbers the remaining live message by its own id.
         c.message_mut(ids[2]).unwrap().place_packet(0);
         assert_eq!(c.replay_unacked(4096), 2);
-        assert!(c.unsent.iter().all(|p| p.msg == ids[2]));
-        c.unsent.clear();
+        assert!(c.unsent(4096).all(|p| p.msg == ids[2]));
+        c.drop_unsent();
         latencies.push(land_all(&mut c, ids[2], SimTime::from_nanos(40)));
         assert_eq!(c.live_messages().len(), 0);
         assert_eq!(c.retired, RetiredLedger { messages: 3, placements: 9 });
@@ -906,6 +983,144 @@ mod tests {
     fn inline_bitmap_rejects_index_64() {
         let mut m = MessageState::new(64, 64 * 4096, SimTime::ZERO);
         m.place_packet(64);
+    }
+
+    /// A post stores the message and nothing per packet: a 1 GiB message
+    /// (262,144 packets) leaves the send queue unallocated, and the
+    /// cursor still hands out every packet in order.
+    #[test]
+    fn posting_a_huge_message_allocates_no_send_queue() {
+        let mut c = conn();
+        let id = c.post_message(SimTime::ZERO, 1 << 30, 4096);
+        assert_eq!(c.replay.capacity(), 0);
+        assert_eq!(c.message(id).unwrap().total_packets, 1 << 18);
+        let mut sent = 0;
+        while let Some(p) = c.pop_unsent(4096) {
+            assert_eq!((p.msg, p.idx, p.bytes), (id, sent, 4096));
+            sent += 1;
+        }
+        assert_eq!(sent, 1 << 18);
+        assert!(!c.has_unsent());
+        assert_eq!(c.replay.capacity(), 0);
+    }
+
+    /// A message posted between teardown and replay sits at the send
+    /// cursor: the replay covers only the older messages, and the new
+    /// one follows it once.
+    #[test]
+    fn post_during_teardown_is_not_replayed() {
+        let mut c = conn();
+        let old = c.post_message(SimTime::ZERO, 10_000, 4096); // 3 packets
+        assert_eq!(c.pop_unsent(4096).map(|p| p.idx), Some(0));
+        c.message_mut(old).unwrap().place_packet(0);
+        c.drop_unsent();
+        assert!(!c.has_unsent());
+        let new = c.post_message(SimTime::ZERO, 5_000, 4096); // 2 packets
+        assert_eq!(c.replay_unacked(4096), 2);
+        let order: Vec<(MsgId, u64, u64)> =
+            c.unsent(4096).map(|p| (p.msg, p.idx, p.bytes)).collect();
+        assert_eq!(
+            order,
+            [(old, 1, 4096), (old, 2, 1808), (new, 0, 4096), (new, 1, 904)]
+        );
+        let popped: Vec<(MsgId, u64, u64)> =
+            std::iter::from_fn(|| c.pop_unsent(4096).map(|p| (p.msg, p.idx, p.bytes))).collect();
+        assert_eq!(popped, order);
+        assert!(c.is_idle());
+    }
+
+    /// The send cursor and replay queue send exactly what a queue of one
+    /// entry per packet would: checked against such a reference under
+    /// random posts (random sizes and MTU), sends, out-of-order partial
+    /// delivery with retirement, teardown, posts during teardown, and
+    /// replay. At teardown the reference empties; at replay it puts the
+    /// packets the receiver lacks of the messages posted before the
+    /// teardown in front of those posted during it.
+    #[test]
+    fn cursor_sends_what_a_packet_queue_sends() {
+        use stellar_sim::proptest_lite::check;
+        check("cursor_sends_what_a_packet_queue_sends", 256, |g| {
+            let mtu = g.u64(1, 9001);
+            let mut c = conn();
+            let mut reference: VecDeque<PendingPacket> = VecDeque::new();
+            // Per posted message: its size and which packets landed.
+            let mut posted: Vec<(u64, Vec<bool>)> = Vec::new();
+            // The packets of message `msg` that have not landed.
+            let cut = |msg: u64, bytes: u64, landed: &[bool]| -> Vec<PendingPacket> {
+                let last = landed.len() as u64 - 1;
+                (0..=last)
+                    .filter(|&idx| !landed[idx as usize])
+                    .map(|idx| PendingPacket {
+                        msg: MsgId(msg),
+                        idx,
+                        bytes: if idx == last { bytes - idx * mtu } else { mtu },
+                    })
+                    .collect()
+            };
+            let mut sent: Vec<PendingPacket> = Vec::new();
+            // Messages below this id were posted before the teardown.
+            let mut torn_down_below: Option<u64> = None;
+            let mut replayed = false;
+            for step in 0..g.usize(1, 200) {
+                let now = SimTime::from_nanos(step as u64);
+                match g.u32(0, 100) {
+                    0..=29 => {
+                        let bytes = g.u64(1, 24 * mtu);
+                        let id = c.post_message(now, bytes, mtu);
+                        assert_eq!(id.0, posted.len() as u64);
+                        let landed = vec![false; bytes.div_ceil(mtu) as usize];
+                        reference.extend(cut(id.0, bytes, &landed));
+                        posted.push((bytes, landed));
+                    }
+                    30..=59 if torn_down_below.is_none() => {
+                        for _ in 0..g.usize(1, 40) {
+                            assert_eq!(c.next_unsent(mtu), reference.front().copied());
+                            let pkt = c.pop_unsent(mtu);
+                            assert_eq!(pkt, reference.pop_front());
+                            sent.extend(pkt);
+                        }
+                    }
+                    60..=89 if !sent.is_empty() => {
+                        let pkt = sent.swap_remove(g.usize(0, sent.len()));
+                        let landed = &mut posted[pkt.msg.0 as usize].1;
+                        if !std::mem::replace(&mut landed[pkt.idx as usize], true) {
+                            let m = c.message_mut(pkt.msg).expect("an incomplete message is live");
+                            assert!(m.place_packet(pkt.idx));
+                            if m.fully_received() {
+                                c.complete_message(pkt.msg, now);
+                            }
+                        }
+                    }
+                    90..=94 if torn_down_below.is_none() => {
+                        c.drop_unsent();
+                        reference.clear();
+                        sent.clear();
+                        torn_down_below = Some(posted.len() as u64);
+                    }
+                    95..=99 => {
+                        if let Some(below) = torn_down_below.take() {
+                            let missing: Vec<PendingPacket> = (0..below)
+                                .flat_map(|msg| {
+                                    let (bytes, landed) = &posted[msg as usize];
+                                    cut(msg, *bytes, landed)
+                                })
+                                .collect();
+                            assert_eq!(c.replay_unacked(mtu), missing.len() as u64);
+                            for pkt in missing.into_iter().rev() {
+                                reference.push_front(pkt);
+                            }
+                            replayed = true;
+                        }
+                    }
+                    _ => {}
+                }
+                assert!(c.unsent(mtu).eq(reference.iter().copied()), "step {step}");
+                assert_eq!(c.has_unsent(), !reference.is_empty());
+                if !replayed {
+                    assert_eq!(c.replay.capacity(), 0, "only a replay allocates");
+                }
+            }
+        });
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! bursty background jobs) causally inside the simulation.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use stellar_net::{Delivery, Fabric, Network, NicId};
 use stellar_sim::hash::FastMap;
@@ -433,9 +433,9 @@ pub struct TransportSim<F: Fabric = Network> {
     conns: Vec<ConnRuntime>,
     /// Completed messages awaiting their app callbacks, with each one's
     /// post → receipt latency.
-    completions: Vec<(ConnId, MsgId, SimDuration)>,
-    errors: Vec<(ConnId, FatalError)>,
-    recovered: Vec<(ConnId, SimDuration)>,
+    completions: VecDeque<(ConnId, MsgId, SimDuration)>,
+    errors: VecDeque<(ConnId, FatalError)>,
+    recovered: VecDeque<(ConnId, SimDuration)>,
     rng: SimRng,
 }
 
@@ -451,9 +451,9 @@ impl<F: Fabric> TransportSim<F> {
             queue: EventQueue::with_capacity(1024),
             dead_timers: CancelLedger::default(),
             conns: Vec::new(),
-            completions: Vec::new(),
-            errors: Vec::new(),
-            recovered: Vec::new(),
+            completions: VecDeque::new(),
+            errors: VecDeque::new(),
+            recovered: VecDeque::new(),
             rng,
         }
     }
@@ -704,19 +704,18 @@ impl<F: Fabric> TransportSim<F> {
     /// reported as an error.
     fn fail_connection(&mut self, conn_id: ConnId, error: FatalError) {
         let now = self.now();
-        let policy = self.config.recovery.clone();
         let rt = &mut self.conns[conn_id.0 as usize];
         if rt.conn.state != ConnState::Active {
             return;
         }
-        rt.conn.unsent.clear();
+        rt.conn.drop_unsent();
         for (_, pkt) in rt.conn.inflight.iter() {
             self.dead_timers
                 .note(pkt.sent_at + self.config.rto_after(pkt.retx));
         }
         rt.conn.inflight.clear();
         rt.conn.inflight_bytes = 0;
-        if let Some(policy) = policy {
+        if let Some(policy) = &self.config.recovery {
             if rt.conn.recovery_attempts < policy.max_attempts {
                 let attempt = rt.conn.recovery_attempts;
                 rt.conn.recovery_attempts += 1;
@@ -739,7 +738,7 @@ impl<F: Fabric> TransportSim<F> {
         event(now, Subsystem::Transport, Entity::Conn(conn_id.0), "fatal", 0);
         rt.conn.state = ConnState::Error;
         rt.conn.fatal = Some(error);
-        self.errors.push((conn_id, error));
+        self.errors.push_back((conn_id, error));
     }
 
     /// A scheduled reconnect fired: re-establish the QP, rebuild the
@@ -776,20 +775,20 @@ impl<F: Fabric> TransportSim<F> {
             "recovered",
             replayed,
         );
-        self.recovered.push((conn_id, downtime));
+        self.recovered.push_back((conn_id, downtime));
         self.pump(conn_id);
     }
 
-    fn cc_index(&self, conn: ConnId, path: u32) -> usize {
+    fn cc_index(&self, path: u32) -> usize {
         if self.config.per_path_cc {
-            let _ = conn;
             path as usize
         } else {
             0
         }
     }
 
-    /// Pump as many packets as the window allows on `conn`.
+    /// Pump as many packets as the window allows on `conn`, replayed
+    /// packets first, then packets cut from the send cursor's message.
     fn pump(&mut self, conn_id: ConnId) {
         let now = self.now();
         let mtu = self.config.mtu;
@@ -802,7 +801,7 @@ impl<F: Fabric> TransportSim<F> {
             if rt.conn.state != ConnState::Active {
                 break;
             }
-            let Some(&pkt) = rt.conn.unsent.front() else {
+            let Some(pkt) = rt.conn.next_unsent(mtu) else {
                 break;
             };
             // Egress pacing gate: wait for the rate limiter.
@@ -839,7 +838,7 @@ impl<F: Fabric> TransportSim<F> {
             };
             rt.path_sent(path);
 
-            rt.conn.unsent.pop_front();
+            rt.conn.pop_unsent(mtu);
             let seq = rt.conn.next_seq();
             rt.conn.inflight_bytes += pkt.bytes;
             rt.conn.stats.sent_packets += 1;
@@ -911,7 +910,7 @@ impl<F: Fabric> TransportSim<F> {
                 rt.conn.stats.completed_messages += 1;
                 count(Subsystem::Transport, "msg.completed", 1);
                 span_close(now, Stage::TransportMsg, msg_span_key(conn_id, pkt.msg));
-                self.completions.push((conn_id, pkt.msg, latency));
+                self.completions.push_back((conn_id, pkt.msg, latency));
             }
         }
         // ACK travels back on the prioritized control path.
@@ -952,7 +951,7 @@ impl<F: Fabric> TransportSim<F> {
             rt.selector.on_ack(path, rtt, ecn);
             rt.path_released(path);
         }
-        let cc_idx = self.cc_index(conn_id, path);
+        let cc_idx = self.cc_index(path);
         self.conns[conn_id.0 as usize].ccs[cc_idx].on_ack(now, bytes, rtt, ecn);
         self.pump(conn_id);
     }
@@ -1025,7 +1024,7 @@ impl<F: Fabric> TransportSim<F> {
                 });
             }
         }
-        let cc_idx = self.cc_index(conn_id, old_path);
+        let cc_idx = self.cc_index(old_path);
         let share = if self.config.per_path_cc {
             1.0
         } else {
@@ -1087,14 +1086,14 @@ impl<F: Fabric> TransportSim<F> {
                 Ev::AppTimer { token } => app.on_timer(self, token),
                 Ev::Reconnect { conn } => self.handle_reconnect(conn),
             }
-            while let Some((c, m, latency)) = pop_front(&mut self.completions) {
+            while let Some((c, m, latency)) = self.completions.pop_front() {
                 app.on_message_latency(self, c, m, latency);
                 app.on_message_complete(self, c, m);
             }
-            while let Some((c, e)) = pop_front(&mut self.errors) {
+            while let Some((c, e)) = self.errors.pop_front() {
                 app.on_connection_error(self, c, e);
             }
-            while let Some((c, d)) = pop_front(&mut self.recovered) {
+            while let Some((c, d)) = self.recovered.pop_front() {
                 app.on_connection_recovered(self, c, d);
             }
         }
@@ -1214,7 +1213,7 @@ impl<F: Fabric> TransportSim<F> {
                 // a drained queue with a Recovering connection means the
                 // reconnect was lost).
                 if drained {
-                    let at_rest = conn.unsent.is_empty()
+                    let at_rest = !conn.has_unsent()
                         && conn.inflight.is_empty()
                         && conn.state != ConnState::Recovering
                         && (conn.state == ConnState::Active || conn.inflight_bytes == 0);
@@ -1222,7 +1221,7 @@ impl<F: Fabric> TransportSim<F> {
                         format!(
                             "conn {id}: event queue drained but work remains \
                              ({} unsent, {} in flight, state {:?})",
-                            conn.unsent.len(),
+                            conn.unsent(self.config.mtu).count(),
                             conn.inflight.len(),
                             conn.state
                         )
@@ -1250,14 +1249,6 @@ impl<F: Fabric> TransportSim<F> {
             }
         });
         self.network.check_invariants(at);
-    }
-}
-
-fn pop_front<T>(v: &mut Vec<T>) -> Option<T> {
-    if v.is_empty() {
-        None
-    } else {
-        Some(v.remove(0))
     }
 }
 
@@ -2166,45 +2157,80 @@ mod tests {
         });
     }
 
+    /// A sim with a recovery policy whose one connection had its device
+    /// churned 20 µs into a 4 MiB (1,024-packet) message: the connection
+    /// is Recovering and the message is incomplete.
+    fn churned_mid_transfer(seed: u64) -> (TransportSim, ConnId, MsgId) {
+        let topo = ClosTopology::build(ClosConfig {
+            segments: 2,
+            hosts_per_segment: 4,
+            rails: 1,
+            planes: 2,
+            aggs_per_plane: 8,
+        });
+        let rng = SimRng::from_seed(seed);
+        let network = Network::new(topo, NetworkConfig::default(), rng.fork("net"));
+        let mut sim = TransportSim::new(
+            network,
+            TransportConfig {
+                recovery: Some(RecoveryPolicy::default()),
+                ..TransportConfig::default()
+            },
+            rng.fork("t"),
+        );
+        let src = sim.network().topology().nic(0, 0);
+        let dst = sim.network().topology().nic(4, 0);
+        let conn = sim.add_connection(src, dst);
+        let msg = sim.post_message(conn, 4 * 1024 * 1024);
+        sim.run(&mut NoopApp, SimTime::ZERO + SimDuration::from_micros(20));
+        assert!(!sim.message_done(conn, msg), "mid-transfer");
+        sim.device_churn(conn);
+        assert_eq!(sim.recovering_count(), 1);
+        (sim, conn, msg)
+    }
+
+    /// A message posted while its connection is Recovering goes out
+    /// once, after the replay: the replay re-queues only what the
+    /// receiver lacks of the older message, and every packet of both is
+    /// transmitted exactly once.
+    #[test]
+    fn post_during_recovery_is_sent_once() {
+        stellar_check::strict(|| {
+            let (mut sim, conn, old) = churned_mid_transfer(23);
+            let before = sim.conn_stats(conn);
+            let new = sim.post_message(conn, 64 * 1024); // 16 packets
+            assert_eq!(sim.conn_stats(conn), before, "nothing leaves a torn-down QP");
+            sim.run(&mut NoopApp, FOREVER);
+            let after = sim.conn_stats(conn);
+            assert!(sim.message_done(conn, old) && sim.message_done(conn, new));
+            assert_eq!(after.recoveries, 1);
+            assert_eq!(after.retransmits, 0);
+            assert_eq!(after.replayed_packets, 1024 - before.delivered_packets);
+            assert_eq!(
+                after.sent_packets - before.sent_packets,
+                after.replayed_packets + 16,
+                "each missing packet is sent once"
+            );
+            assert_eq!(after.delivered_packets, 1024 + 16);
+            assert!(sim.all_idle());
+        });
+    }
+
     /// `transport.recovery_exactly_once` has teeth: drop one packet from
     /// the replay after a forced recovery and the drained run must report
     /// the lost message.
     #[test]
     fn dropped_replay_packet_trips_recovery_exactly_once() {
         let ((), report) = stellar_check::capture(|| {
-            let topo = ClosTopology::build(ClosConfig {
-                segments: 2,
-                hosts_per_segment: 4,
-                rails: 1,
-                planes: 2,
-                aggs_per_plane: 8,
-            });
-            let rng = SimRng::from_seed(23);
-            let network = Network::new(topo, NetworkConfig::default(), rng.fork("net"));
-            let mut sim = TransportSim::new(
-                network,
-                TransportConfig {
-                    recovery: Some(RecoveryPolicy::default()),
-                    ..TransportConfig::default()
-                },
-                rng.fork("t"),
-            );
-            let src = sim.network().topology().nic(0, 0);
-            let dst = sim.network().topology().nic(4, 0);
-            let conn = sim.add_connection(src, dst);
-            let msg = sim.post_message(conn, 4 * 1024 * 1024);
-            sim.run(&mut NoopApp, SimTime::ZERO + SimDuration::from_micros(20));
-            assert!(!sim.message_done(conn, msg), "mid-transfer");
-            sim.device_churn(conn);
-            assert_eq!(sim.recovering_count(), 1);
+            let (mut sim, conn, msg) = churned_mid_transfer(23);
             let reconnect = sim.now() + RecoveryPolicy::default().reconnect_delay(0);
             sim.run(&mut NoopApp, reconnect);
             assert_eq!(sim.conn_state(conn), ConnState::Active);
             assert!(sim.conn_stats(conn).replayed_packets > 0);
             // The fresh window holds back the tail of the replay; lose
             // its last packet before it is ever sent.
-            let unsent = &mut sim.conns[conn.0 as usize].conn.unsent;
-            assert!(unsent.pop_back().is_some(), "part of the replay is queued");
+            let replay = &mut sim.conns[conn.0 as usize].conn.replay;
+            assert!(replay.pop_back().is_some(), "part of the replay is queued");
             sim.run(&mut NoopApp, FOREVER);
             assert!(sim.all_idle());
             assert!(!sim.message_done(conn, msg));

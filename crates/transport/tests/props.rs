@@ -53,11 +53,11 @@ fn segmentation_conserves_bytes() {
         let mtu = 1u64 << mtu_pow;
         let mut c = Connection::new(ConnId(0), stellar_net::NicId(0), stellar_net::NicId(1));
         c.post_message(SimTime::ZERO, bytes, mtu);
-        let total: u64 = c.unsent.iter().map(|p| p.bytes).sum();
+        let total: u64 = c.unsent(mtu).map(|p| p.bytes).sum();
         assert_eq!(total, bytes);
-        assert!(c.unsent.iter().all(|p| p.bytes <= mtu && p.bytes > 0));
+        assert!(c.unsent(mtu).all(|p| p.bytes <= mtu && p.bytes > 0));
         // Indices are 0..n contiguous.
-        for (i, p) in c.unsent.iter().enumerate() {
+        for (i, p) in c.unsent(mtu).enumerate() {
             assert_eq!(p.idx, i as u64);
         }
     });

@@ -18,21 +18,30 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 # Run `reproduce` (built above) with the given arguments, passing its
 # stdout through, and fail if its peak RSS exceeds a ceiling in MB. The
-# box has no /usr/bin/time; python3's getrusage reports the child's
-# high-water mark. Usage: run_capped LABEL CEILING_MB ARGS...
+# box has no /usr/bin/time, so perl forks the run and reads the child's
+# high-water mark with getrusage. A child's reading starts at its
+# parent's RSS when it forked or execed, so perl forks before it loads
+# anything: the floor is about 2 MB (a python3 parent's is about 14 MB,
+# above the smallest run gated here). Usage: run_capped LABEL
+# CEILING_MB ARGS...
 run_capped() {
-    python3 - "$@" <<'PY'
-import resource, subprocess, sys
-label, ceiling, args = sys.argv[1], float(sys.argv[2]), sys.argv[3:]
-rc = subprocess.run(["target/release/reproduce", *args]).returncode
-if rc:
-    sys.exit(rc)
-mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-status = "ok" if mb <= ceiling else "REGRESSION"
-print(f"memory gate: {label} peak RSS {mb:.1f} MB (ceiling {ceiling:.0f} MB) {status}",
-      file=sys.stderr)
-sys.exit(0 if mb <= ceiling else 1)
-PY
+    perl - "$@" <<'PL'
+my ($label, $ceiling, @args) = @ARGV;
+my $pid = fork() // die "fork: $!";
+if (!$pid) {
+    exec("target/release/reproduce", @args) or die "exec: $!";
+}
+waitpid($pid, 0);
+exit(($? >> 8) || 1) if $?;
+require "syscall.ph";
+my $usage = "\0" x 144;  # struct rusage: 18 longs on 64-bit Linux
+syscall(&SYS_getrusage, -1, $usage) == 0 or die "getrusage: $!";  # RUSAGE_CHILDREN
+my $mb = (unpack "q18", $usage)[4] / 1024;  # ru_maxrss, KB
+my $ok = $mb <= $ceiling;
+printf STDERR "memory gate: %s peak RSS %.1f MB (ceiling %g MB) %s\n",
+    $label, $mb, $ceiling, $ok ? "ok" : "REGRESSION";
+exit($ok ? 0 : 1);
+PL
 }
 
 # Fail unless stdout captured from `reproduce` matches a recorded golden
@@ -78,6 +87,12 @@ scale_out="$(STELLAR_THREADS=1 run_capped "scale --quick" 120 scale --quick --js
 match_golden scale crates/bench/tests/golden/scale.json "$scale_out"
 rec_out="$(STELLAR_THREADS=1 run_capped "recovery --quick --check" 60 recovery --quick --json --check)"
 match_golden recovery crates/bench/tests/golden/recovery.json "$rec_out"
+# The packet-level fig9 sweep posts 1 MiB per flow per period, open loop,
+# so lagging flows build a backlog. Messages are cut into packets as they
+# are sent (DESIGN.md §14), so a backlog costs its messages, not one
+# queue entry per packet: fig9 peaks near 3.5 MB (6.5 MB with the
+# per-packet queue).
+STELLAR_THREADS=1 run_capped "fig9 --quick" 5.5 fig9 --quick --json >/dev/null
 
 # Queue gate, part 2, read from the suite's report:
 # - perf floor: event throughput on the packet-level poles (fig9, fig16)
