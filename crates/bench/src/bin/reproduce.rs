@@ -12,10 +12,11 @@
 //! EXPERIMENTS.md); `--list` prints the experiment names and exits;
 //! `--perf` additionally re-runs everything on one thread and writes a
 //! `BENCH_reproduce.json` wall-clock/event report in the working
-//! directory; `--trace` runs each experiment under the
-//! `stellar-telemetry` flight recorder and writes one
-//! `TRACE_<experiment>.json` per selected experiment (stage latency
-//! breakdowns, per-subsystem counters, and the tail of the event ring);
+//! directory; `--trace` runs each experiment under a
+//! `stellar-telemetry` capture and writes one `TRACE_<experiment>.json`
+//! per selected experiment (per-stage histograms of the latencies each
+//! layer measures, per-subsystem counters, flight-recorder occupancy,
+//! and the tail of its 4,096-event ring);
 //! `--check` runs the selected experiments under the `stellar-check`
 //! cross-layer invariant engine: stdout is byte-identical to an
 //! unchecked run, a sim-time-stamped violation report goes to stderr,
@@ -35,7 +36,6 @@ use stellar_sim::par::{
     configured_threads, events_scheduled_here, note_queue_depth, par_map, take_queue_depth_peak,
     with_thread_override,
 };
-use stellar_telemetry::TelemetryConfig;
 
 /// One reproducible experiment: a stable name plus a runner that returns
 /// the fully rendered stdout bytes for the chosen mode.
@@ -177,8 +177,7 @@ fn run_selected(
         let t0 = Instant::now();
         let ev0 = events_scheduled_here();
         let (out, trace_doc, ring_high_water) = if trace {
-            let (out, tel) =
-                stellar_telemetry::capture(TelemetryConfig::default(), || (exp.run)(quick, json));
+            let (out, tel) = stellar_telemetry::capture(|| (exp.run)(quick, json));
             let high_water = tel.recorder.high_water() as u64;
             (out, Some(tel.to_json(exp.name)), Some(high_water))
         } else {

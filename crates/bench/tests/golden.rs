@@ -37,7 +37,6 @@
 use stellar_bench::{self as b, json_line};
 use stellar_sim::json::ToJsonRow;
 use stellar_sim::par::with_thread_override;
-use stellar_telemetry::TelemetryConfig;
 
 /// Render `run` at 1 and at 8 workers and compare both against `golden`.
 fn assert_golden(what: &str, golden: &str, run: impl Fn() -> String) {
@@ -112,7 +111,7 @@ fn fig11_trace_matches_golden_at_1_and_8_threads() {
         "fig11 --trace document",
         include_str!("golden/TRACE_fig11.json"),
         || {
-            let (_, tel) = stellar_telemetry::capture(TelemetryConfig::default(), || {
+            let (_, tel) = stellar_telemetry::capture(|| {
                 json_line("fig11", &b::fig11_failures::run(true))
             });
             tel.to_json("fig11")

@@ -11,7 +11,7 @@
 use stellar_bench as b;
 use stellar_sim::json::rows_to_json;
 use stellar_sim::par::with_thread_override;
-use stellar_telemetry::{capture, Stage, Subsystem, TelemetryConfig};
+use stellar_telemetry::{capture, Stage, Subsystem};
 
 #[test]
 fn fig11_and_fig16_bytes_are_thread_count_invariant() {
@@ -36,7 +36,7 @@ fn fig11_and_fig16_bytes_are_thread_count_invariant() {
 }
 
 /// The `--trace` determinism gate: the fully rendered telemetry document
-/// of a traced experiment (ring events, span histograms, counters) must
+/// of a traced experiment (ring events, stage histograms, counters) must
 /// be byte-identical at every worker count, exactly like the experiment's
 /// own output. fig11 exercises the transport/net event paths, where
 /// per-job recorder folding is the only thing standing between the ring
@@ -44,7 +44,7 @@ fn fig11_and_fig16_bytes_are_thread_count_invariant() {
 #[test]
 fn fig11_trace_bytes_are_thread_count_invariant() {
     let render_trace = || {
-        let (_, tel) = capture(TelemetryConfig::default(), || b::fig11_failures::run(true));
+        let (_, tel) = capture(|| b::fig11_failures::run(true));
         tel.to_json("fig11")
     };
     let one = with_thread_override(1, render_trace);
@@ -56,29 +56,41 @@ fn fig11_trace_bytes_are_thread_count_invariant() {
 
 /// The fig8 trace must tell the same story as the figure itself: every
 /// ATC lookup is either a hit or a walk, every DMA'd page contributes one
-/// TLP-completion sample, and the hub's cache counters equal the span
-/// tracker's per-stage sample counts — the cross-layer attribution is
+/// TLP-completion sample, and the hub's cache counters equal the
+/// per-stage sample counts — the cross-layer attribution is
 /// bookkeeping-exact, not approximate.
 #[test]
 fn fig8_trace_is_consistent_with_the_figure() {
-    let (_, tel) = capture(TelemetryConfig::default(), || b::fig08_atc::run(true));
+    let (_, tel) = capture(|| b::fig08_atc::run(true));
     let hub = &tel.hub;
     let hits = hub.get(Subsystem::Pcie, "atc.hit");
     let misses = hub.get(Subsystem::Pcie, "atc.miss");
     assert!(hits > 0 && misses > 0, "fig8 must exercise both ATC outcomes");
-    assert_eq!(tel.spans.stage(Stage::AtcHit).count() as u64, hits);
-    assert_eq!(tel.spans.stage(Stage::AtsWalk).count() as u64, misses);
+    assert_eq!(tel.stage(Stage::AtcHit).count() as u64, hits);
+    assert_eq!(tel.stage(Stage::AtsWalk).count() as u64, misses);
     let pages = hub.get(Subsystem::Rnic, "dma.pages_rc") + hub.get(Subsystem::Rnic, "dma.pages_p2p");
     assert_eq!(
-        tel.spans.stage(Stage::DmaTlpCompletion).count() as u64,
+        tel.stage(Stage::DmaTlpCompletion).count() as u64,
         pages
     );
     assert_eq!(
-        tel.spans.stage(Stage::DoorbellDmaFetch).count() as u64,
+        tel.stage(Stage::DoorbellDmaFetch).count() as u64,
         hub.get(Subsystem::Rnic, "dma.ops")
     );
     // ATS walks are the slow path: their mean must dominate the hit path.
-    let walk = tel.spans.stage(Stage::AtsWalk).percentiles().mean().unwrap();
-    let hit = tel.spans.stage(Stage::AtcHit).percentiles().mean().unwrap();
+    let walk = tel.stage(Stage::AtsWalk).percentiles().mean().unwrap();
+    let hit = tel.stage(Stage::AtcHit).percentiles().mean().unwrap();
     assert!(walk > hit * 10.0, "walks ({walk}) must dwarf hits ({hit})");
+}
+
+/// The chaos trace accounts for every message: fault scenarios leave 8
+/// messages incomplete on dead connections, and each completed message
+/// contributes exactly one message-latency sample.
+#[test]
+fn chaos_trace_accounts_for_incomplete_messages() {
+    let (_, tel) = capture(|| b::chaos::run(true));
+    let posted = tel.hub.get(Subsystem::Transport, "msg.posted");
+    let completed = tel.hub.get(Subsystem::Transport, "msg.completed");
+    assert_eq!(posted - completed, 8, "messages left incomplete");
+    assert_eq!(tel.stage(Stage::TransportMsg).count() as u64, completed);
 }

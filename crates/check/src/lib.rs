@@ -8,9 +8,8 @@
 //! every figure's shape while the unit tests stay green. This crate turns
 //! that redundancy into *checked* invariants: each layer registers its
 //! conservation laws in [`INVARIANTS`] and evaluates them at simulation
-//! quiesce points (end of a transport run, end of a DMA operation, end of
-//! a telemetry capture), reporting violations as structured,
-//! sim-time-stamped [`Violation`]s.
+//! quiesce points (end of a transport run, end of a DMA operation),
+//! reporting violations as structured, sim-time-stamped [`Violation`]s.
 //!
 //! ## Gating (identical discipline to `stellar-telemetry`)
 //!
@@ -52,8 +51,6 @@ pub enum Layer {
     Rnic,
     /// Multipath transport: windows, retries, scoreboard.
     Transport,
-    /// Telemetry: span open/close balance.
-    Telemetry,
     /// Virtualisation: PVDMA pinning.
     Virt,
     /// Cluster scheduler: slot booking, admission, tenant lifecycle.
@@ -68,7 +65,6 @@ impl Layer {
             Layer::Pcie => "pcie",
             Layer::Rnic => "rnic",
             Layer::Transport => "transport",
-            Layer::Telemetry => "telemetry",
             Layer::Virt => "virt",
             Layer::Cluster => "cluster",
         }
@@ -175,11 +171,6 @@ pub const INVARIANTS: &[InvariantSpec] = &[
         layer: Layer::Transport,
         name: "transport.rto_armed",
         description: "a connection with packets in flight has an RTO timer queued at or before its earliest in-flight (deadline, seq) key",
-    },
-    InvariantSpec {
-        layer: Layer::Telemetry,
-        name: "telemetry.span_balance",
-        description: "spans opened == spans closed + leaked + still open",
     },
     InvariantSpec {
         layer: Layer::Virt,
@@ -508,8 +499,8 @@ mod tests {
     #[test]
     fn strict_passes_clean_scopes() {
         let v = strict(|| {
-            at_quiesce(t(1), Layer::Telemetry, |c| {
-                c.check("telemetry.span_balance", true, || unreachable!());
+            at_quiesce(t(1), Layer::Net, |c| {
+                c.check("net.packet_conservation", true, || unreachable!());
             });
             7u32
         });

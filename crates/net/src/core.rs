@@ -546,7 +546,7 @@ mod tests {
     use crate::topology::ClosConfig;
     use crate::{FluidConfig, FluidFabric, HybridConfig, HybridFabric, Network};
     use stellar_sim::SimRng;
-    use stellar_telemetry::{capture, TelemetryConfig};
+    use stellar_telemetry::capture;
 
     fn topo() -> ClosTopology {
         ClosTopology::build(ClosConfig {
@@ -576,7 +576,7 @@ mod tests {
                 .degrade(us(4), link, 0.0, 0.5, SimDuration::from_micros(5))
                 .switch_down(us(5), topo.agg_node(0, 1))
                 .nic_port_down(us(6), topo.nic(2, 0), 1);
-            let ((), tel) = capture(TelemetryConfig::default(), || {
+            let ((), tel) = capture(|| {
                 fabric.install_fault_plan(plan);
                 fabric.advance(us(3));
                 fabric.send(us(10), topo.nic(0, 0), topo.nic(4, 0), 1, 0, 4096);

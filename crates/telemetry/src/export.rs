@@ -7,7 +7,7 @@ use crate::{Stage, Telemetry};
 impl Telemetry {
     /// Render the capture as the `TRACE_<scenario>.json` document: the
     /// per-stage latency breakdown, every hub counter, recorder health,
-    /// and (at [`crate::TraceLevel::Events`]) the retained event ring.
+    /// and the retained event ring.
     ///
     /// Rendering is fully deterministic: stages in [`Stage::ALL`] order
     /// (empty ones omitted), counters in `(subsystem, name)` order,
@@ -15,7 +15,7 @@ impl Telemetry {
     pub fn to_json(&self, scenario: &str) -> String {
         let mut stages = Arr::new();
         for &stage in &Stage::ALL {
-            let h = self.spans.stage(stage);
+            let h = self.stage(stage);
             if h.count() == 0 {
                 continue;
             }
@@ -50,9 +50,6 @@ impl Telemetry {
             .field_u64("retained", self.recorder.len() as u64)
             .field_u64("dropped", self.recorder.dropped())
             .field_u64("high_water", self.recorder.high_water() as u64)
-            .field_u64("open_spans", self.spans.open_count() as u64)
-            .field_u64("leaked_spans", self.spans.leaked())
-            .field_u64("unmatched_closes", self.spans.unmatched_closes())
             .finish();
 
         let mut events = Arr::new();
@@ -70,7 +67,6 @@ impl Telemetry {
 
         Obj::new()
             .field_str("scenario", scenario)
-            .field_str("level", self.config.level.name())
             .field_raw("stages", &stages.finish())
             .field_raw("counters", &counters.finish())
             .field_raw("recorder", &recorder)
@@ -82,15 +78,14 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{capture, count, event, span_close, span_open, Entity, Subsystem, TelemetryConfig};
+    use crate::{capture, count, event, stage_sample, Entity, Subsystem};
     use stellar_sim::json::{parse, Value};
-    use stellar_sim::SimTime;
+    use stellar_sim::{SimDuration, SimTime};
 
     #[test]
     fn to_json_parses_and_carries_the_breakdown() {
-        let ((), tel) = capture(TelemetryConfig::default(), || {
-            span_open(SimTime::from_nanos(0), Stage::TransportMsg, 1);
-            span_close(SimTime::from_nanos(500), Stage::TransportMsg, 1);
+        let ((), tel) = capture(|| {
+            stage_sample(Stage::TransportMsg, SimDuration::from_nanos(500));
             count(Subsystem::Net, "drop.random_loss", 4);
             event(
                 SimTime::from_nanos(10),

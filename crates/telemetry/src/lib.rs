@@ -1,16 +1,16 @@
 //! # stellar-telemetry — deterministic flight recorder + latency attribution
 //!
-//! A unified observability layer for the Stellar reproduction (ISSUE 4).
-//! Three pieces, all fed through one thread-local recording context:
+//! A unified observability layer for the Stellar reproduction. Three
+//! pieces, all fed through one thread-local recording context:
 //!
-//! * a **flight recorder** ([`FlightRecorder`]) — a bounded ring of
-//!   typed, *sim-time-stamped* [`TraceEvent`]s tagged with a
-//!   [`Subsystem`] and an [`Entity`] (QP, connection, link, page …);
-//! * **span-based latency attribution** ([`SpanTracker`]) — open/close
-//!   spans keyed by `(stage, id)` plus direct duration samples, producing
-//!   a per-[`Stage`] latency histogram (doorbell→DMA fetch, DMA→TLP
-//!   completion, IOMMU/ATS walk vs ATC hit, fabric queueing, transport
-//!   RTT …);
+//! * a **flight recorder** ([`FlightRecorder`]) — a bounded ring of the
+//!   [`RING_CAPACITY`] most recent typed, *sim-time-stamped*
+//!   [`TraceEvent`]s tagged with a [`Subsystem`] and an [`Entity`] (QP,
+//!   connection, link, page …);
+//! * **stage samples** — one latency histogram per [`Stage`] (doorbell →
+//!   DMA fetch, DMA → TLP completion, IOMMU/ATS walk vs ATC hit, fabric
+//!   queueing, transport RTT and message latency …), fed durations the
+//!   instrumented layer has already measured;
 //! * a **metrics hub** ([`MetricsHub`]) — named per-subsystem counters
 //!   (the `DropReason` taxonomy, scoreboard blacklists, cache hit/miss,
 //!   retry budgets) exported via the in-tree json writer.
@@ -18,12 +18,12 @@
 //! ## Usage
 //!
 //! Instrumented crates call the free functions ([`count`], [`event`],
-//! [`stage_sample`], [`span_open`], [`span_close`]) unconditionally;
-//! each is a thread-local level check followed by an early return when
-//! recording is off (the default), so the disabled cost is one TLS read
-//! and a branch. Recording is scoped: [`capture`] installs a context,
-//! runs a closure, and returns the closure's result together with the
-//! collected [`Telemetry`].
+//! [`stage_sample`]) unconditionally; each is a thread-local on/off
+//! check followed by an early return when recording is off (the
+//! default), so the disabled cost is one TLS read and a branch.
+//! Recording is scoped: [`capture`] installs a context, runs a closure,
+//! and returns the closure's result together with the collected
+//! [`Telemetry`].
 //!
 //! ## Determinism (non-negotiable, see DESIGN.md §6)
 //!
@@ -41,17 +41,20 @@
 mod export;
 mod hub;
 mod recorder;
-mod spans;
 
 pub use hub::MetricsHub;
 pub use recorder::{FlightRecorder, TraceEvent};
-pub use spans::SpanTracker;
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 
 use stellar_sim::par::{set_job_context_hooks, JobContextHooks};
+use stellar_sim::stats::Histogram;
 use stellar_sim::{SimDuration, SimTime};
+
+/// Flight-recorder ring capacity: a capture keeps this many most recent
+/// events.
+pub const RING_CAPACITY: usize = 4096;
 
 /// The subsystem that recorded an event or counter. Ordered (and
 /// rendered) in rough dataflow order: host bus → NIC → fabric →
@@ -145,7 +148,8 @@ pub enum Stage {
     FabricQueueing,
     /// Transport-measured packet round-trip time (send → ACK).
     TransportRtt,
-    /// Whole-message transport latency (post → completion), span-based.
+    /// Whole-message transport latency (post → completion), as the
+    /// transport measures it when a message completes.
     TransportMsg,
     /// Memory-pinning cost (VFIO full pin or PVDMA on-demand blocks).
     VirtPin,
@@ -182,84 +186,48 @@ impl Stage {
         }
     }
 
-    /// Index into [`Stage::ALL`] (used as the span-key stage discriminant).
+    /// Index into [`Stage::ALL`].
     pub fn index(self) -> usize {
         Stage::ALL.iter().position(|&s| s == self).expect("stage in ALL")
-    }
-}
-
-/// How much the context records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum TraceLevel {
-    /// Record nothing (the process-wide default; near-zero cost).
-    Off,
-    /// Counters, stage samples and spans — no event ring.
-    Stats,
-    /// Everything, including the bounded flight-recorder ring.
-    Events,
-}
-
-impl TraceLevel {
-    /// Stable lowercase name used in JSON output.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceLevel::Off => "off",
-            TraceLevel::Stats => "stats",
-            TraceLevel::Events => "events",
-        }
-    }
-}
-
-/// Configuration for a [`capture`] scope.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Recording level.
-    pub level: TraceLevel,
-    /// Flight-recorder ring capacity (most recent events are kept).
-    pub ring_capacity: usize,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            level: TraceLevel::Events,
-            ring_capacity: 4096,
-        }
     }
 }
 
 /// Everything one [`capture`] scope collected.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
-    /// The configuration the scope ran with.
-    pub config: TelemetryConfig,
-    /// The bounded event ring (empty below [`TraceLevel::Events`]).
+    /// The bounded event ring.
     pub recorder: FlightRecorder,
-    /// Per-stage latency attribution.
-    pub spans: SpanTracker,
+    /// Per-stage latency histograms, indexed by [`Stage::index`].
+    stages: [Histogram; Stage::ALL.len()],
     /// Named per-subsystem counters.
     pub hub: MetricsHub,
 }
 
-impl Telemetry {
-    /// An empty telemetry context for `config` (nothing recorded yet).
-    pub fn new(config: TelemetryConfig) -> Self {
+impl Default for Telemetry {
+    /// An empty telemetry context (nothing recorded yet).
+    fn default() -> Self {
         Telemetry {
-            config,
-            recorder: FlightRecorder::new(config.ring_capacity),
-            spans: SpanTracker::new(),
+            recorder: FlightRecorder::new(RING_CAPACITY),
+            stages: Default::default(),
             hub: MetricsHub::new(),
         }
+    }
+}
+
+impl Telemetry {
+    /// The latency histogram accumulated for `stage`.
+    pub fn stage(&self, stage: Stage) -> &Histogram {
+        &self.stages[stage.index()]
     }
 
     /// Fold `other` (a child job's context) into `self`, in job order:
     /// ring events append (re-bounded), histograms take the multiset
-    /// union, counters add. Open spans never migrate across jobs — a
-    /// span must close in the job that opened it; survivors count as
-    /// leaked.
+    /// union, counters add.
     pub fn merge(&mut self, other: Telemetry) {
         self.recorder.merge(other.recorder);
-        self.spans.merge(other.spans);
+        for (mine, theirs) in self.stages.iter_mut().zip(&other.stages) {
+            mine.merge(theirs);
+        }
         self.hub.merge(&other.hub);
     }
 }
@@ -270,174 +238,99 @@ thread_local! {
     /// enclosing scope on the same thread.
     static STACK: RefCell<Vec<Telemetry>> = const { RefCell::new(Vec::new()) };
 
-    /// Mirror of the innermost scope's level for the hot-path gate:
-    /// 0 = off, 1 = stats, 2 = events. One TLS read + compare when
-    /// tracing is disabled.
-    static LEVEL: Cell<u8> = const { Cell::new(0) };
-}
-
-fn level_of(cfg: TelemetryConfig) -> u8 {
-    match cfg.level {
-        TraceLevel::Off => 0,
-        TraceLevel::Stats => 1,
-        TraceLevel::Events => 2,
-    }
+    /// Whether [`STACK`] is non-empty, mirrored for the hot-path gate:
+    /// one TLS read when tracing is off.
+    static ACTIVE: Cell<bool> = const { Cell::new(false) };
 }
 
 fn push_context(t: Telemetry) {
-    LEVEL.with(|l| l.set(level_of(t.config)));
+    ACTIVE.with(|a| a.set(true));
     STACK.with(|s| s.borrow_mut().push(t));
 }
 
 fn pop_context() -> Option<Telemetry> {
-    let t = STACK.with(|s| {
+    STACK.with(|s| {
         let mut stack = s.borrow_mut();
         let t = stack.pop();
-        let level = stack.last().map_or(0, |t| level_of(t.config));
-        LEVEL.with(|l| l.set(level));
+        ACTIVE.with(|a| a.set(!stack.is_empty()));
         t
-    });
-    t
+    })
 }
 
-/// Whether any recording (counters/spans or events) is active on this
-/// thread. Call sites use this to skip argument construction entirely.
+/// Whether a [`capture`] scope is recording on this thread. Call sites
+/// use this to skip argument construction entirely.
 #[inline]
 pub fn enabled() -> bool {
-    LEVEL.with(|l| l.get()) >= 1
+    ACTIVE.with(|a| a.get())
 }
 
-/// Whether flight-recorder events are active on this thread.
+/// Apply `f` to the innermost active context. No-op when disabled.
 #[inline]
-pub fn events_enabled() -> bool {
-    LEVEL.with(|l| l.get()) >= 2
-}
-
-/// Add `n` to the counter `name` under `sub`. No-op when disabled.
-#[inline]
-pub fn count(sub: Subsystem, name: &'static str, n: u64) {
+fn with_context(f: impl FnOnce(&mut Telemetry)) {
     if !enabled() {
         return;
     }
     STACK.with(|s| {
         if let Some(t) = s.borrow_mut().last_mut() {
-            t.hub.add(sub, name, n);
+            f(t);
         }
     });
 }
 
-/// Record a flight-recorder event at sim time `at`. No-op below
-/// [`TraceLevel::Events`].
+/// Add `n` to the counter `name` under `sub`. No-op when disabled.
+#[inline]
+pub fn count(sub: Subsystem, name: &'static str, n: u64) {
+    with_context(|t| t.hub.add(sub, name, n));
+}
+
+/// Record a flight-recorder event at sim time `at`. No-op when disabled.
 ///
 /// Event-loop subsystems stamp absolute sim time; synchronous latency
 /// models (the DMA engine, IOMMU, ATC) have no global clock and stamp
 /// operation-relative offsets instead — the taxonomy documents which.
 #[inline]
 pub fn event(at: SimTime, sub: Subsystem, entity: Entity, kind: &'static str, value: u64) {
-    if !events_enabled() {
-        return;
-    }
-    STACK.with(|s| {
-        if let Some(t) = s.borrow_mut().last_mut() {
-            t.recorder.record(TraceEvent {
-                at,
-                subsystem: sub,
-                entity,
-                kind,
-                value,
-            });
-        }
+    with_context(|t| {
+        t.recorder.record(TraceEvent {
+            at,
+            subsystem: sub,
+            entity,
+            kind,
+            value,
+        })
     });
 }
 
-/// Attribute a measured duration to `stage` directly (for synchronous
-/// code that already knows the latency). No-op when disabled.
+/// Attribute a measured duration to `stage`. No-op when disabled.
 #[inline]
 pub fn stage_sample(stage: Stage, d: SimDuration) {
-    if !enabled() {
-        return;
-    }
-    STACK.with(|s| {
-        if let Some(t) = s.borrow_mut().last_mut() {
-            t.spans.sample(stage, d);
-        }
-    });
-}
-
-/// Open a span for `stage` keyed by `key` at sim time `at`. No-op when
-/// disabled. Re-opening a live key overwrites it (the earlier open
-/// counts as leaked at render time if never closed).
-#[inline]
-pub fn span_open(at: SimTime, stage: Stage, key: u64) {
-    if !enabled() {
-        return;
-    }
-    STACK.with(|s| {
-        if let Some(t) = s.borrow_mut().last_mut() {
-            t.spans.open(stage, key, at);
-        }
-    });
-}
-
-/// Close the span for `(stage, key)` at sim time `at`, attributing the
-/// elapsed sim time to the stage's histogram. A close without a matching
-/// open is counted (never a panic) — fault paths may tear down entities
-/// that never finished opening. No-op when disabled.
-#[inline]
-pub fn span_close(at: SimTime, stage: Stage, key: u64) {
-    if !enabled() {
-        return;
-    }
-    STACK.with(|s| {
-        if let Some(t) = s.borrow_mut().last_mut() {
-            t.spans.close(stage, key, at);
-        }
-    });
+    with_context(|t| t.stages[stage.index()].record_duration(d));
 }
 
 fn hooks() -> JobContextHooks {
     JobContextHooks {
-        // Seed jobs with the caller's innermost config; None (no active
-        // scope) keeps the pool on its no-hooks fast path.
-        snapshot: || {
-            STACK.with(|s| {
-                s.borrow()
-                    .last()
-                    .map(|t| Box::new(t.config) as Box<dyn Any + Send + Sync>)
-            })
-        },
-        install: |snap| {
-            let cfg = snap
-                .downcast_ref::<TelemetryConfig>()
-                .expect("telemetry snapshot is a TelemetryConfig");
-            push_context(Telemetry::new(*cfg));
-        },
+        // Jobs record only under an active scope; None (tracing off)
+        // keeps the pool on its no-hooks fast path.
+        snapshot: || enabled().then(|| Box::new(()) as Box<dyn Any + Send + Sync>),
+        install: |_| push_context(Telemetry::default()),
         extract: || pop_context().map(|t| Box::new(t) as Box<dyn Any + Send>),
         fold: |ctx| {
             let child = *ctx.downcast::<Telemetry>().expect("telemetry job context");
-            STACK.with(|s| {
-                if let Some(t) = s.borrow_mut().last_mut() {
-                    t.merge(child);
-                }
-            });
+            with_context(|t| t.merge(child));
         },
     }
 }
 
-/// Run `f` with recording active at `config`, returning its result and
-/// the collected [`Telemetry`]. Nested `stellar_sim::par` pools inside
-/// `f` fold their jobs' recordings back in job order (this function
-/// registers the pool hooks), so the result is byte-identical at every
-/// thread count. Captures may nest; the innermost wins.
-pub fn capture<R>(config: TelemetryConfig, f: impl FnOnce() -> R) -> (R, Telemetry) {
+/// Run `f` with recording on, returning its result and the collected
+/// [`Telemetry`]. Nested `stellar_sim::par` pools inside `f` fold their
+/// jobs' recordings back in job order (this function registers the pool
+/// hooks), so the result is byte-identical at every thread count.
+/// Captures may nest; the innermost wins.
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Telemetry) {
     set_job_context_hooks(hooks());
-    push_context(Telemetry::new(config));
+    push_context(Telemetry::default());
     let out = f();
-    let t = pop_context().expect("capture context still on the stack");
-    // The end of a capture is a quiesce point for the span ledger: every
-    // span ever opened must be closed, leaked, or still open.
-    t.spans.check_invariants(SimTime::ZERO);
-    (out, t)
+    (out, pop_context().expect("capture context still on the stack"))
 }
 
 #[cfg(test)]
@@ -457,50 +350,35 @@ mod tests {
         stage_sample(Stage::TransportRtt, SimDuration::from_nanos(10));
         // Nothing to observe — the point is it does not panic and a
         // subsequent capture starts clean.
-        let ((), tel) = capture(TelemetryConfig::default(), || {});
+        let ((), tel) = capture(|| {});
         assert_eq!(tel.hub.total(), 0);
         assert_eq!(tel.recorder.len(), 0);
     }
 
     #[test]
-    fn capture_collects_counters_events_and_spans() {
-        let ((), tel) = capture(TelemetryConfig::default(), || {
+    fn capture_collects_counters_events_and_samples() {
+        let ((), tel) = capture(|| {
+            assert!(enabled());
             count(Subsystem::Transport, "rto", 2);
             count(Subsystem::Transport, "rto", 1);
             event(t(10), Subsystem::Transport, Entity::Conn(0), "rto", 1);
-            span_open(t(0), Stage::TransportMsg, 7);
-            span_close(t(100), Stage::TransportMsg, 7);
+            stage_sample(Stage::TransportMsg, SimDuration::from_nanos(100));
             stage_sample(Stage::AtcHit, SimDuration::from_nanos(10));
         });
+        assert!(!enabled());
         assert_eq!(tel.hub.get(Subsystem::Transport, "rto"), 3);
         assert_eq!(tel.recorder.len(), 1);
-        let h = tel.spans.stage(Stage::TransportMsg);
+        let h = tel.stage(Stage::TransportMsg);
         assert_eq!(h.count(), 1);
         assert_eq!(h.percentiles().max(), Some(100));
-        assert_eq!(tel.spans.stage(Stage::AtcHit).count(), 1);
-        assert_eq!(tel.spans.open_count(), 0);
-    }
-
-    #[test]
-    fn stats_level_suppresses_events_only() {
-        let cfg = TelemetryConfig {
-            level: TraceLevel::Stats,
-            ring_capacity: 16,
-        };
-        let ((), tel) = capture(cfg, || {
-            assert!(enabled() && !events_enabled());
-            count(Subsystem::Pcie, "atc.hit", 1);
-            event(t(1), Subsystem::Pcie, Entity::Page(0x1000), "walk", 1);
-        });
-        assert_eq!(tel.hub.get(Subsystem::Pcie, "atc.hit"), 1);
-        assert_eq!(tel.recorder.len(), 0, "events gated out at Stats");
+        assert_eq!(tel.stage(Stage::AtcHit).count(), 1);
     }
 
     #[test]
     fn captures_nest_innermost_wins() {
-        let ((), outer) = capture(TelemetryConfig::default(), || {
+        let ((), outer) = capture(|| {
             count(Subsystem::Net, "outer", 1);
-            let ((), inner) = capture(TelemetryConfig::default(), || {
+            let ((), inner) = capture(|| {
                 count(Subsystem::Net, "inner", 1);
             });
             assert_eq!(inner.hub.get(Subsystem::Net, "inner"), 1);
@@ -515,13 +393,13 @@ mod tests {
     fn par_jobs_fold_in_job_order_at_any_thread_count() {
         let run = |threads: usize| {
             with_thread_override(threads, || {
-                capture(TelemetryConfig { level: TraceLevel::Events, ring_capacity: 8 }, || {
+                capture(|| {
                     let items: Vec<u64> = (0..6).collect();
                     par_map(&items, |&i| {
                         count(Subsystem::Rnic, "job", 1);
-                        for k in 0..3 {
+                        for k in 0..700 {
                             event(
-                                t(i * 10 + k),
+                                t(i * 1_000 + k),
                                 Subsystem::Rnic,
                                 Entity::Qp(i as u32),
                                 "op",
@@ -538,8 +416,8 @@ mod tests {
         let b = run(4);
         assert_eq!(a.hub.get(Subsystem::Rnic, "job"), 6);
         assert_eq!(b.hub.get(Subsystem::Rnic, "job"), 6);
-        // 18 events recorded into an 8-slot ring: both thread counts must
-        // keep the *same* most-recent window, in the same order.
+        // 4,200 events recorded into the 4,096-slot ring: both thread
+        // counts must keep the *same* most-recent window, in the same order.
         let ev_a: Vec<String> = a
             .recorder
             .events()
@@ -551,11 +429,11 @@ mod tests {
             .map(|e| format!("{}:{}:{}", e.at.as_nanos(), e.entity.render(), e.value))
             .collect();
         assert_eq!(ev_a, ev_b);
-        assert_eq!(a.recorder.recorded(), 18);
-        assert_eq!(a.recorder.dropped(), 10);
+        assert_eq!(a.recorder.recorded(), 4_200);
+        assert_eq!(a.recorder.dropped(), 104);
         assert_eq!(
-            a.spans.stage(Stage::DmaTlpCompletion).percentiles().sum(),
-            b.spans.stage(Stage::DmaTlpCompletion).percentiles().sum()
+            a.stage(Stage::DmaTlpCompletion).percentiles().sum(),
+            b.stage(Stage::DmaTlpCompletion).percentiles().sum()
         );
     }
 

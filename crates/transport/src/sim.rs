@@ -13,20 +13,13 @@ use std::collections::{BinaryHeap, VecDeque};
 use stellar_net::{Delivery, Fabric, Network, NicId};
 use stellar_sim::hash::FastMap;
 use stellar_sim::{EventQueue, SimDuration, SimRng, SimTime};
-use stellar_telemetry::{count, event, span_close, span_open, stage_sample, Entity, Stage, Subsystem};
+use stellar_telemetry::{count, event, stage_sample, Entity, Stage, Subsystem};
 
 use crate::cc::{CcConfig, CongestionControl};
 use crate::conn::{
     ConnId, ConnState, ConnStats, Connection, FatalError, InflightPacket, MsgId, SendError,
 };
 use crate::path::{PathAlgo, PathSelector};
-
-/// Span key for the whole-message latency stage: connection id in the
-/// high bits, per-connection message id below. Message ids are
-/// per-connection sequence numbers, far below 2^40 in any run.
-fn msg_span_key(conn: ConnId, msg: MsgId) -> u64 {
-    (u64::from(conn.0) << 40) | msg.0
-}
 
 /// Transport parameters (§7.2's three key knobs plus the CC profile).
 #[derive(Debug, Clone)]
@@ -556,9 +549,7 @@ impl<F: Fabric> TransportSim<F> {
         let id = self.conns[conn.0 as usize]
             .conn
             .post_message(now, bytes, mtu);
-        count(Subsystem::Transport, "msg.posted", 1);
-        span_open(now, Stage::TransportMsg, msg_span_key(conn, id));
-        self.pump(conn);
+        self.posted(conn);
         id
     }
 
@@ -575,8 +566,15 @@ impl<F: Fabric> TransportSim<F> {
         let id = self.conns[conn.0 as usize]
             .conn
             .post_send(now, bytes, mtu)?;
-        self.pump(conn);
+        self.posted(conn);
         Ok(id)
+    }
+
+    /// A message was just queued on `conn` (one-sided or two-sided):
+    /// count it and start transmission as the window allows.
+    fn posted(&mut self, conn: ConnId) {
+        count(Subsystem::Transport, "msg.posted", 1);
+        self.pump(conn);
     }
 
     /// Statistics of one connection.
@@ -625,12 +623,6 @@ impl<F: Fabric> TransportSim<F> {
             .iter()
             .filter(|c| c.conn.state == ConnState::Recovering)
             .count()
-    }
-
-    /// Number of connections in the terminal error state (alias of
-    /// [`TransportSim::failed_connections`]).
-    pub fn error_count(&self) -> usize {
-        self.failed_connections()
     }
 
     /// The path selector of a connection (distribution inspection).
@@ -909,7 +901,7 @@ impl<F: Fabric> TransportSim<F> {
                 let latency = rt.conn.complete_message(pkt.msg, now);
                 rt.conn.stats.completed_messages += 1;
                 count(Subsystem::Transport, "msg.completed", 1);
-                span_close(now, Stage::TransportMsg, msg_span_key(conn_id, pkt.msg));
+                stage_sample(Stage::TransportMsg, latency);
                 self.completions.push_back((conn_id, pkt.msg, latency));
             }
         }
@@ -1537,6 +1529,28 @@ mod tests {
         assert_eq!(sim.conn_stats(conn).delivered_bytes, 768 * 1024);
     }
 
+    /// Two-sided sends reach telemetry like writes: each counts as
+    /// posted, and each completion samples the message-latency stage.
+    #[test]
+    fn two_sided_sends_are_counted_and_timed() {
+        use stellar_telemetry::{capture, Stage, Subsystem};
+
+        let ((), tel) = capture(|| {
+            let mut sim = make_sim(PathAlgo::Obs, 32, 11);
+            let src = sim.network().topology().nic(0, 0);
+            let dst = sim.network().topology().nic(4, 0);
+            let conn = sim.add_connection(src, dst);
+            sim.post_recv(conn, 1 << 20);
+            sim.post_recv(conn, 1 << 20);
+            sim.post_send(conn, 256 * 1024).unwrap();
+            sim.post_send(conn, 512 * 1024).unwrap();
+            sim.run(&mut NoopApp, FOREVER);
+        });
+        assert_eq!(tel.hub.get(Subsystem::Transport, "msg.posted"), 2);
+        assert_eq!(tel.hub.get(Subsystem::Transport, "msg.completed"), 2);
+        assert_eq!(tel.stage(Stage::TransportMsg).count(), 2);
+    }
+
     #[test]
     fn pacing_stretches_transmission_to_the_configured_rate() {
         let run = |pace: Option<f64>| -> u64 {
@@ -1699,7 +1713,7 @@ mod tests {
         let mut app = Watch { errors: Vec::new() };
         sim.run(&mut app, FOREVER);
         assert_eq!(sim.conn_state(conn), ConnState::Error);
-        assert_eq!(sim.error_count(), 1);
+        assert_eq!(sim.failed_connections(), 1);
         assert_eq!(app.errors.len(), 1);
         let (c, e) = app.errors[0];
         assert_eq!(c, conn);
@@ -2253,9 +2267,9 @@ mod tests {
     #[test]
     fn telemetry_hub_matches_native_statistics() {
         use stellar_net::DropReason;
-        use stellar_telemetry::{capture, Subsystem, TelemetryConfig};
+        use stellar_telemetry::{capture, Stage, Subsystem};
 
-        let ((stats, drops), tel) = capture(TelemetryConfig::default(), || {
+        let ((stats, drops), tel) = capture(|| {
             let mut sim = make_sim(PathAlgo::Obs, 128, 4);
             let src = sim.network().topology().nic(0, 0);
             let dst = sim.network().topology().nic(4, 0);
@@ -2292,12 +2306,10 @@ mod tests {
                 "fabric drop counter '{name}' disagrees with the hub"
             );
         }
-        // Every posted message completed, so every TransportMsg span
-        // closed: the stage histogram holds exactly the completions.
-        assert_eq!(tel.spans.open_count(), 0);
-        assert_eq!(tel.spans.leaked(), 0);
+        // Every completion samples its latency once: the message-latency
+        // histogram holds exactly the completions.
         assert_eq!(
-            tel.spans.stage(stellar_telemetry::Stage::TransportMsg).count() as u64,
+            tel.stage(Stage::TransportMsg).count() as u64,
             stats.completed_messages
         );
     }

@@ -182,7 +182,7 @@ fn transport_under_faults_is_deterministic() {
             sim.network_mut().install_fault_plan(plan);
             sim.post_message(conn, bytes);
             sim.run(&mut Quiet, SimTime::from_nanos(u64::MAX / 2));
-            (sim.total_stats(), sim.error_count())
+            (sim.total_stats(), sim.failed_connections())
         };
         assert_eq!(run(), run());
     });

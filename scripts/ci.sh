@@ -94,6 +94,16 @@ match_golden recovery crates/bench/tests/golden/recovery.json "$rec_out"
 # per-packet queue).
 STELLAR_THREADS=1 run_capped "fig9 --quick" 5.5 fig9 --quick --json >/dev/null
 
+# Trace gate on incomplete messages: chaos faults leave messages
+# unfinished on dead connections, which fig11 (the traced golden file)
+# never does. `--perf --trace` byte-compares the 8-worker TRACE_chaos.json
+# with a 1-worker re-run. Its own scratch directory, so the suite's
+# BENCH_reproduce.json read below stays the suite's.
+chaos_dir="$(mktemp -d)"
+trap 'rm -rf "$suite_dir" "$chaos_dir"' EXIT
+(cd "$chaos_dir" && STELLAR_THREADS=8 "$OLDPWD"/target/release/reproduce \
+    chaos --quick --trace --perf >/dev/null)
+
 # Queue gate, part 2, read from the suite's report:
 # - perf floor: event throughput on the packet-level poles (fig9, fig16)
 #   must not collapse back toward the binary-heap era. Both sides are
