@@ -30,8 +30,9 @@
 //!
 //! `golden/scale.json` and `golden/recovery.json` (recorded with
 //! `STELLAR_THREADS=1 reproduce <exp> --quick --json`) pin the
-//! flow-level experiments. Those runs take seconds even in release, so
-//! `scripts/ci.sh` compares them against its memory-gated single-worker
+//! flow-level experiments, and `golden/fig9.json` and `golden/fig10.json`
+//! the packet-level path-count sweeps. Those runs take seconds even in
+//! release, so `scripts/ci.sh` compares them against its single-worker
 //! release runs instead of this debug test.
 
 use stellar_bench::{self as b, json_line};

@@ -50,13 +50,15 @@ impl DegradeRamp {
 /// the model's business (port calendars or per-flow calendars).
 ///
 /// Every hop of every packet reads and writes one `Link`; the rare
-/// degrade ramp is boxed to keep it at 64 bytes.
+/// degrade ramp is boxed to keep it at 64 bytes. The fault state is
+/// private to this module: [`Core`] writes it and keeps its count of
+/// faulty links current.
 #[derive(Debug, Clone)]
 pub struct Link {
-    pub up: bool,
-    pub down_since: SimTime,
-    pub loss_prob: f64,
-    pub degrade: Option<Box<DegradeRamp>>,
+    up: bool,
+    down_since: SimTime,
+    loss_prob: f64,
+    degrade: Option<Box<DegradeRamp>>,
     pub tx_bytes: u64,
     pub tx_packets: u64,
     pub drops: u64,
@@ -64,6 +66,32 @@ pub struct Link {
 }
 
 impl Link {
+    /// Whether the link forwards at all.
+    #[inline]
+    pub fn up(&self) -> bool {
+        self.up
+    }
+
+    /// Flat random-loss probability.
+    #[inline]
+    pub fn loss_prob(&self) -> f64 {
+        self.loss_prob
+    }
+
+    /// The installed optical-degradation ramp, if any.
+    #[inline]
+    pub fn degrade(&self) -> Option<&DegradeRamp> {
+        self.degrade.as_deref()
+    }
+
+    /// Whether the link carries any fault state at all — down, lossy, or
+    /// with a ramp installed — whatever the ramp's loss at the moment.
+    /// [`Link::faulty`] is false at every instant for a link that is not
+    /// this.
+    fn has_fault_state(&self) -> bool {
+        !self.up || self.loss_prob > 0.0 || self.degrade.is_some()
+    }
+
     /// Whether the link is down, lossy, or degrading at `now`.
     pub fn faulty(&self, now: SimTime) -> bool {
         !self.up
@@ -153,6 +181,10 @@ pub struct Core {
     pub topo: ClosTopology,
     pub config: NetworkConfig,
     pub links: Vec<Link>,
+    /// Links with fault state ([`Link::has_fault_state`]). While it is
+    /// zero every link is up and lossless, so the reroute and the models'
+    /// per-link fault screens are skipped.
+    faulty_links: usize,
     /// Installed fault schedule, sorted by time; `plan_cursor` is the
     /// first not-yet-applied event.
     plan: Vec<(SimTime, FaultEvent)>,
@@ -180,6 +212,7 @@ impl Core {
             topo,
             config,
             links,
+            faulty_links: 0,
             plan: Vec::new(),
             plan_cursor: 0,
             trace: None,
@@ -231,9 +264,10 @@ impl Core {
                 (vec![up, down], true)
             }
             FaultEvent::SetLoss { link, p } => {
-                let l = &mut self.links[link.0 as usize];
-                l.loss_prob = p;
-                l.degrade = None;
+                self.update_link(link, |l| {
+                    l.loss_prob = p;
+                    l.degrade = None;
+                });
                 return;
             }
             FaultEvent::DegradeRamp {
@@ -242,12 +276,13 @@ impl Core {
                 to,
                 over,
             } => {
-                self.links[link.0 as usize].degrade = Some(Box::new(DegradeRamp {
+                let ramp = DegradeRamp {
                     t0: at,
                     from,
                     to,
                     over,
-                }));
+                };
+                self.update_link(link, |l| l.degrade = Some(Box::new(ramp)));
                 return;
             }
         };
@@ -257,11 +292,36 @@ impl Core {
     }
 
     fn set_link_state_at(&mut self, now: SimTime, link: LinkId, up: bool) {
+        self.update_link(link, |l| {
+            if l.up && !up {
+                l.down_since = now;
+            }
+            l.up = up;
+        });
+    }
+
+    fn set_loss(&mut self, link: LinkId, p: f64) {
+        self.update_link(link, |l| l.loss_prob = p);
+    }
+
+    /// Change `link`'s fault state, keeping `faulty_links` current. Every
+    /// write to a link's fault state goes through here.
+    fn update_link(&mut self, link: LinkId, change: impl FnOnce(&mut Link)) {
         let l = &mut self.links[link.0 as usize];
-        if l.up && !up {
-            l.down_since = now;
+        let was = l.has_fault_state();
+        change(l);
+        match (was, l.has_fault_state()) {
+            (false, true) => self.faulty_links += 1,
+            (true, false) => self.faulty_links -= 1,
+            _ => {}
         }
-        l.up = up;
+    }
+
+    /// Whether no link carries fault state: every route is up and
+    /// lossless, whatever the time.
+    #[inline]
+    pub fn fault_free(&self) -> bool {
+        self.faulty_links == 0
     }
 
     fn route_is_up(&self, route: &[LinkId]) -> bool {
@@ -284,7 +344,7 @@ impl Core {
     /// `route` stands, dead links and all.
     #[inline]
     pub fn reroute(&self, p: &Packet, route: Route) -> Route {
-        if self.route_is_up(&route) || !self.converged_around(p.now, &route) {
+        if self.fault_free() || self.route_is_up(&route) || !self.converged_around(p.now, &route) {
             return route;
         }
         let slots = (self.topo.config().planes * self.topo.config().aggs_per_plane) as u32;
@@ -474,7 +534,7 @@ impl<M: Model> Fabric for ModelFabric<M> {
 
     fn set_loss(&mut self, link: LinkId, p: f64) {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
-        self.core.links[link.0 as usize].loss_prob = p;
+        self.core.set_loss(link, p);
     }
 
     /// Real RNICs prioritize ACKs (CNP-class traffic); modelling them
@@ -560,6 +620,79 @@ mod tests {
 
     fn us(n: u64) -> SimTime {
         SimTime::from_nanos(n * 1000)
+    }
+
+    /// The faulty-link count follows every kind of fault event and both
+    /// direct setters, matches a full recount after each step, and falls
+    /// back to zero once the faults clear.
+    #[test]
+    fn faulty_link_count_matches_a_recount_after_every_change() {
+        fn recount(core: &Core) -> usize {
+            core.links.iter().filter(|l| l.has_fault_state()).count()
+        }
+        let mut net = Network::new(topo(), NetworkConfig::default(), SimRng::from_seed(3));
+        let topo = net.topology().clone();
+        let (link, other) = (LinkId(3), LinkId(7));
+        let (agg, nic) = (topo.agg_node(0, 1), topo.nic(2, 0));
+        let ramp = FaultEvent::DegradeRamp {
+            link: other,
+            from: 0.0,
+            to: 0.2,
+            over: SimDuration::from_micros(5),
+        };
+        // Each event, and whether the fabric is fault-free after it.
+        let steps = [
+            (FaultEvent::LinkDown(link), false),
+            (FaultEvent::LinkUp(link), true),
+            (FaultEvent::SetLoss { link, p: 0.1 }, false),
+            (FaultEvent::SetLoss { link, p: 0.0 }, true),
+            (ramp, false),
+            (
+                FaultEvent::SetLoss {
+                    link: other,
+                    p: 0.0,
+                },
+                true,
+            ),
+            (FaultEvent::SwitchDown(agg), false),
+            (FaultEvent::SwitchUp(agg), true),
+            (FaultEvent::NicPortDown { nic, plane: 1 }, false),
+            (FaultEvent::NicPortUp { nic, plane: 1 }, true),
+            // Two faults on one link count it once, until both clear.
+            (FaultEvent::LinkDown(link), false),
+            (FaultEvent::SetLoss { link, p: 0.2 }, false),
+            (FaultEvent::LinkUp(link), false),
+            (FaultEvent::SetLoss { link, p: 0.0 }, true),
+        ];
+        let plan = FaultPlan::from_events(
+            1,
+            (1..).zip(steps).map(|(t, (ev, _))| (us(t), ev)).collect(),
+        );
+        net.install_fault_plan(plan);
+        assert!(net.core.fault_free());
+        for (t, (ev, clear)) in (1..).zip(steps) {
+            net.advance(us(t));
+            let core = &net.core;
+            assert_eq!(core.faulty_links, recount(core), "after {ev:?}");
+            assert_eq!(core.fault_free(), clear, "after {ev:?}");
+        }
+        assert_eq!(net.pending_fault_events(), 0);
+        let check = |net: &Network, faulty: usize| {
+            assert_eq!(net.core.faulty_links, recount(&net.core));
+            assert_eq!(net.core.faulty_links, faulty);
+        };
+        net.set_loss(link, 0.3);
+        check(&net, 1);
+        net.set_link_up(other, false);
+        check(&net, 2);
+        net.set_loss(other, 0.1);
+        check(&net, 2);
+        net.set_link_up(other, true);
+        check(&net, 2);
+        net.set_loss(other, 0.0);
+        check(&net, 1);
+        net.set_loss(link, 0.0);
+        check(&net, 0);
     }
 
     /// Every fabric kind applies each fault event exactly once, and says

@@ -492,20 +492,23 @@ impl Model for FluidModel {
             // Fault surface: dead links blackhole until convergence;
             // degrade ramps and flat loss draw per link, keeping the
             // DropReason taxonomy and draw structure of the packet
-            // model.
-            for &link in &route {
-                let state = &core.links[link.0 as usize];
-                if !state.up {
-                    break 'fate dropped(link, DropReason::LinkDown);
-                }
-                if let Some(ramp) = &state.degrade {
-                    let loss = ramp.loss_at(now);
-                    if loss > 0.0 && self.rng.chance(loss) {
-                        break 'fate dropped(link, DropReason::DegradedLink);
+            // model. A fault-free fabric has nothing to screen.
+            if !core.fault_free() {
+                for &link in &route {
+                    let state = &core.links[link.0 as usize];
+                    if !state.up() {
+                        break 'fate dropped(link, DropReason::LinkDown);
                     }
-                }
-                if state.loss_prob > 0.0 && self.rng.chance(state.loss_prob) {
-                    break 'fate dropped(link, DropReason::RandomLoss);
+                    if let Some(ramp) = state.degrade() {
+                        let loss = ramp.loss_at(now);
+                        if loss > 0.0 && self.rng.chance(loss) {
+                            break 'fate dropped(link, DropReason::DegradedLink);
+                        }
+                    }
+                    let loss = state.loss_prob();
+                    if loss > 0.0 && self.rng.chance(loss) {
+                        break 'fate dropped(link, DropReason::RandomLoss);
+                    }
                 }
             }
 

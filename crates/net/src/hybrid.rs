@@ -113,11 +113,13 @@ impl HybridModel {
     }
 
     /// Whether the route touches a link that is down, lossy, degrading,
-    /// or queued past the ECN threshold on the packet side.
+    /// or queued past the ECN threshold on the packet side. On a
+    /// fault-free fabric only the backlog test can say yes.
     fn route_contested(packet: &PacketModel, core: &Core, now: SimTime, route: &[LinkId]) -> bool {
         let ecn_threshold = core.config.ecn_threshold_bytes;
+        let faults = !core.fault_free();
         route.iter().any(|&l| {
-            core.links[l.0 as usize].faulty(now)
+            (faults && core.links[l.0 as usize].faulty(now))
                 || packet.backlog_bytes(&core.config, l, now) > ecn_threshold
         })
     }

@@ -246,20 +246,21 @@ impl PacketModel {
                 at: t,
             };
             let state = &mut core.links[link.0 as usize];
-            if !state.up {
+            if !state.up() {
                 return dropped(DropReason::LinkDown);
             }
             // Degrading-optics loss first (time-dependent), then flat
             // random loss — separate draws keep the two distinguishable
             // in the DropReason taxonomy and leave the RNG stream of
             // ramp-free runs untouched.
-            if let Some(ramp) = &state.degrade {
+            if let Some(ramp) = state.degrade() {
                 let loss = ramp.loss_at(t);
                 if loss > 0.0 && self.rng.chance(loss) {
                     return dropped(DropReason::DegradedLink);
                 }
             }
-            if state.loss_prob > 0.0 && self.rng.chance(state.loss_prob) {
+            let loss = state.loss_prob();
+            if loss > 0.0 && self.rng.chance(loss) {
                 return dropped(DropReason::RandomLoss);
             }
             // Backlog ahead of us on this port, in bytes.
@@ -614,7 +615,7 @@ mod tests {
         assert!(late > early + 20, "early={early} late={late}");
         assert!(n.drops_by_reason(DropReason::DegradedLink) > 0);
         assert_eq!(n.drops_by_reason(DropReason::RandomLoss), 0);
-        let ramp = n.core.links[link.0 as usize].degrade.clone().unwrap();
+        let ramp = *n.core.links[link.0 as usize].degrade().unwrap();
         assert!((ramp.loss_at(t(2000)) - 0.5).abs() < 1e-9);
         assert!(ramp.loss_at(t(500)) < 0.3);
     }

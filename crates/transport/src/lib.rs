@@ -28,4 +28,7 @@ pub mod sim;
 pub use cc::{CcConfig, CongestionControl};
 pub use conn::{ConnId, ConnState, ConnStats, FatalError, MsgId, SendError};
 pub use path::{PathAlgo, PathSelector, PlaneFailover, ScoreboardPolicy};
-pub use sim::{App, CompletionLog, NoopApp, RecoveryPolicy, TransportConfig, TransportSim};
+pub use sim::{
+    App, CompletionLog, NoopApp, RecoveryPolicy, TransportConfig, TransportConfigError,
+    TransportSim,
+};

@@ -139,8 +139,14 @@ struct Score {
 /// Per-path state lives in one vector per field, each allocated only
 /// for the algorithms or features that read it: `sent` always (the
 /// distribution readers), `rtt_ewma` for BestRtt and Dwrr, `ecn_ewma`
-/// for MpRdma, `dwrr_deficit` for Dwrr, and `scores` from the first loss
-/// the scoreboard counts. An empty vector means "not tracked".
+/// for MpRdma, `dwrr_deficit` and `dwrr_weights` for Dwrr, `rtt_tree`
+/// for BestRtt, and `scores` from the first loss the scoreboard counts.
+/// An empty vector means "not tracked".
+///
+/// The state a pick reads is kept current by `on_ack`, so no algorithm
+/// scans every path to choose one: Dwrr's weights and their maximum, and
+/// BestRtt's min-tree over the RTT EWMAs, change only when an ACK moves
+/// an EWMA.
 #[derive(Debug)]
 pub struct PathSelector {
     algo: PathAlgo,
@@ -171,9 +177,32 @@ pub struct PathSelector {
     /// Latest quarantine deadline ever set — same fast-path trick as
     /// `max_blacklist_until`, so healthy runs never scan the planes.
     max_quarantine_until: SimTime,
-    /// Scratch for DWRR's per-call weight vector (the select path must
-    /// not allocate per packet).
+    /// DWRR weight per path: `1.0e4 / rtt_ewma` in ns, `1.0` while the
+    /// path is unprobed.
     dwrr_weights: Vec<f64>,
+    /// The largest of `dwrr_weights`.
+    dwrr_wmax: f64,
+    /// BestRtt's tournament tree over `(rtt_ewma, path)`: node `k` holds
+    /// the lower-keyed path of its children `2k` and `2k + 1`, the leaves
+    /// `size..2 * size` hold the paths themselves (`NO_PATH` past
+    /// `num_paths`), and the root `rtt_tree[1]` is the path with the
+    /// lowest EWMA, lowest index first among equals.
+    rtt_tree: Vec<u16>,
+}
+
+/// A padding leaf of the BestRtt tree; loses to every path.
+const NO_PATH: u16 = u16::MAX;
+
+/// The lower-keyed by `(rtt_ewma, path)` of two sibling entries of the
+/// BestRtt tree. Every path under `left` has a lower index than every
+/// path under `right`, so a tie goes left.
+fn rtt_winner(rtt_ewma: &[SimDuration], left: u16, right: u16) -> u16 {
+    if left == NO_PATH || (right != NO_PATH && rtt_ewma[right as usize] < rtt_ewma[left as usize])
+    {
+        right
+    } else {
+        left
+    }
 }
 
 impl PathSelector {
@@ -185,7 +214,7 @@ impl PathSelector {
         let tracks_rtt = matches!(algo, PathAlgo::BestRtt | PathAlgo::Dwrr);
         let tracks_ecn = algo == PathAlgo::MpRdma;
         let tracks_deficit = algo == PathAlgo::Dwrr;
-        PathSelector {
+        let mut s = PathSelector {
             algo,
             sent: vec![0; n],
             rtt_ewma: if tracks_rtt {
@@ -213,8 +242,26 @@ impl PathSelector {
             },
             plane_quarantine_until: Vec::new(),
             max_quarantine_until: SimTime::ZERO,
-            dwrr_weights: Vec::new(),
+            dwrr_weights: if tracks_deficit {
+                vec![1.0; n]
+            } else {
+                Vec::new()
+            },
+            dwrr_wmax: 1.0,
+            rtt_tree: Vec::new(),
+        };
+        if algo == PathAlgo::BestRtt {
+            let size = n.next_power_of_two();
+            let tree = &mut s.rtt_tree;
+            tree.resize(2 * size, NO_PATH);
+            for p in 0..n {
+                tree[size + p] = p as u16;
+            }
+            for k in (1..size).rev() {
+                tree[k] = rtt_winner(&s.rtt_ewma, tree[2 * k], tree[2 * k + 1]);
+            }
         }
+        s
     }
 
     /// Replace the loss-scoreboard policy.
@@ -463,9 +510,18 @@ impl PathSelector {
                     })
                     .or_else(|| (0..n).find(|&p| ok(p)))
             }
-            PathAlgo::BestRtt => (0..n)
-                .filter(|&p| ok(p))
-                .min_by_key(|&p| self.rtt_ewma[p as usize]),
+            PathAlgo::BestRtt => {
+                // The root is the lowest `(rtt_ewma, path)` overall, so
+                // when it may be used it is also the filtered minimum.
+                let root = u32::from(self.rtt_tree[1]);
+                if ok(root) {
+                    Some(root)
+                } else {
+                    (0..n)
+                        .filter(|&p| ok(p))
+                        .min_by_key(|&p| self.rtt_ewma[p as usize])
+                }
+            }
             PathAlgo::MpRdma => {
                 // Power-of-two-choices on ECN fraction.
                 let a = self.rng.below(n as u64) as u32;
@@ -505,17 +561,7 @@ impl PathSelector {
         }
         // Weight ∝ 1/RTT (unprobed paths get the best weight so they are
         // explored); accumulate deficits until a permitted path qualifies.
-        let mut weights = std::mem::take(&mut self.dwrr_weights);
-        weights.clear();
-        weights.extend(self.rtt_ewma.iter().map(|ewma| {
-            let rtt = ewma.as_nanos();
-            if rtt == 0 {
-                1.0
-            } else {
-                1.0e4 / rtt as f64
-            }
-        }));
-        let wmax = weights.iter().copied().fold(f64::MIN, f64::max);
+        let (weights, wmax) = (&self.dwrr_weights, self.dwrr_wmax);
         let mut choice = None;
         'rounds: for _round in 0..64 {
             for i in 0..n {
@@ -530,7 +576,6 @@ impl PathSelector {
                 }
             }
         }
-        self.dwrr_weights = weights;
         // Deficits tilted heavily to a blocked path: fall back linearly.
         choice.or_else(|| (0..n).find(|&p| ok(p)))
     }
@@ -560,9 +605,41 @@ impl PathSelector {
                 // EWMA with alpha = 1/8 (RFC 6298 flavour).
                 SimDuration::from_nanos((ewma.as_nanos() * 7 + rtt.as_nanos()) / 8)
             };
+            let ewma = *ewma;
+            if !self.dwrr_weights.is_empty() {
+                self.set_dwrr_weight(i, ewma);
+            }
+            if !self.rtt_tree.is_empty() {
+                self.sift_rtt_tree(i);
+            }
         }
         if let Some(ewma) = self.ecn_ewma.get_mut(i) {
             *ewma = *ewma * 0.875 + if ecn { 0.125 } else { 0.0 };
+        }
+    }
+
+    /// Re-derive path `i`'s DWRR weight from its RTT EWMA and keep the
+    /// maximum current. Only the path holding the maximum losing weight
+    /// forces a rescan; the result is the full `f64::max` fold's either way.
+    fn set_dwrr_weight(&mut self, i: usize, ewma: SimDuration) {
+        let rtt = ewma.as_nanos();
+        let w = if rtt == 0 { 1.0 } else { 1.0e4 / rtt as f64 };
+        let old = std::mem::replace(&mut self.dwrr_weights[i], w);
+        if w >= self.dwrr_wmax {
+            self.dwrr_wmax = w;
+        } else if old == self.dwrr_wmax {
+            self.dwrr_wmax = self.dwrr_weights.iter().copied().fold(f64::MIN, f64::max);
+        }
+    }
+
+    /// Replay the matches on path `i`'s way to the root of the BestRtt
+    /// tree after its EWMA changed.
+    fn sift_rtt_tree(&mut self, i: usize) {
+        let tree = &mut self.rtt_tree;
+        let mut k = (tree.len() / 2 + i) / 2;
+        while k >= 1 {
+            tree[k] = rtt_winner(&self.rtt_ewma, tree[2 * k], tree[2 * k + 1]);
+            k /= 2;
         }
     }
 
@@ -744,6 +821,34 @@ mod tests {
         assert!((2.5..6.0).contains(&ratio), "h={h:?}");
     }
 
+    /// Dwrr's weights and their maximum, and BestRtt's tree root, always
+    /// equal what a full scan of the RTT EWMAs computes — ties included:
+    /// the RTT samples span a narrow range, so EWMAs often coincide.
+    #[test]
+    fn incremental_selection_state_matches_a_full_scan() {
+        let weight = |ewma: &SimDuration| match ewma.as_nanos() {
+            0 => 1.0,
+            rtt => 1.0e4 / rtt as f64,
+        };
+        for n in [2u32, 3, 100, 128, 256] {
+            let mut dwrr = selector(PathAlgo::Dwrr, n);
+            let mut best = selector(PathAlgo::BestRtt, n);
+            let mut ops = SimRng::from_seed(u64::from(n));
+            for _ in 0..3_000 {
+                let p = ops.below(u64::from(n)) as u32;
+                let rtt = SimDuration::from_nanos(ops.range(1_000, 1_040));
+                dwrr.on_ack(p, rtt, false);
+                best.on_ack(p, rtt, false);
+                let weights: Vec<f64> = dwrr.rtt_ewma.iter().map(weight).collect();
+                assert_eq!(dwrr.dwrr_weights, weights, "n={n}");
+                let wmax = weights.iter().copied().fold(f64::MIN, f64::max);
+                assert_eq!(dwrr.dwrr_wmax.to_bits(), wmax.to_bits(), "n={n}");
+                let scan = (0..n).min_by_key(|&p| best.rtt_ewma[p as usize]);
+                assert_eq!(Some(u32::from(best.rtt_tree[1])), scan, "n={n}");
+            }
+        }
+    }
+
     #[test]
     fn mp_rdma_avoids_congested_paths() {
         let mut s = selector(PathAlgo::MpRdma, 8);
@@ -841,6 +946,9 @@ mod tests {
                 ),
                 "{algo:?}"
             );
+            assert_eq!(s.dwrr_weights.len(), s.dwrr_deficit.len(), "{algo:?}");
+            let tree = if algo == PathAlgo::BestRtt { 256 } else { 0 };
+            assert_eq!(s.rtt_tree.len(), tree, "{algo:?}");
             assert!(s.scores.is_empty(), "{algo:?}: no loss counted yet");
             s.on_loss_at(SimTime::from_nanos(10), 4);
             assert_eq!(s.scores.len(), 128);

@@ -74,7 +74,87 @@ pub struct TransportConfig {
     pub recovery: Option<RecoveryPolicy>,
 }
 
+/// Why a [`TransportConfig`] cannot run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TransportConfigError {
+    /// `num_paths` is 0 or above 256 (the paper's sweep ceiling).
+    NumPaths(u32),
+    /// `mtu` is 0: a message cannot be cut into packets.
+    ZeroMtu,
+    /// `pace_gbps` is not a finite, positive rate.
+    PaceRate(f64),
+    /// `rto` is 0: a retransmission timer would fire at once.
+    ZeroRto,
+    /// `rto_max` caps the backed-off RTO below the base `rto`.
+    RtoMaxBelowRto {
+        /// The base timeout.
+        rto: SimDuration,
+        /// The cap.
+        rto_max: SimDuration,
+    },
+    /// `rto_backoff` is below 1 (a shrinking RTO) or NaN.
+    RtoBackoff(f64),
+}
+
+impl std::fmt::Display for TransportConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TransportConfigError::NumPaths(n) => {
+                write!(f, "transport config: num_paths {n} is outside 1..=256")
+            }
+            TransportConfigError::ZeroMtu => write!(f, "transport config: mtu is 0"),
+            TransportConfigError::PaceRate(r) => write!(
+                f,
+                "transport config: pace_gbps {r} is not a finite positive rate"
+            ),
+            TransportConfigError::ZeroRto => write!(f, "transport config: rto is 0"),
+            TransportConfigError::RtoMaxBelowRto { rto, rto_max } => write!(
+                f,
+                "transport config: rto_max {} ns is below rto {} ns",
+                rto_max.as_nanos(),
+                rto.as_nanos()
+            ),
+            TransportConfigError::RtoBackoff(b) => {
+                write!(f, "transport config: rto_backoff {b} is below 1 or NaN")
+            }
+        }
+    }
+}
+
+impl std::error::Error for TransportConfigError {}
+
 impl TransportConfig {
+    /// Check the fields that would otherwise panic deep inside a run: at
+    /// the first connection (`num_paths`), the first post (`mtu`), the
+    /// first paced send (`pace_gbps`) or the first RTO (`rto`,
+    /// `rto_max`, `rto_backoff`).
+    pub fn validate(&self) -> Result<(), TransportConfigError> {
+        if !(1..=256).contains(&self.num_paths) {
+            return Err(TransportConfigError::NumPaths(self.num_paths));
+        }
+        if self.mtu == 0 {
+            return Err(TransportConfigError::ZeroMtu);
+        }
+        if let Some(rate) = self.pace_gbps {
+            if !(rate.is_finite() && rate > 0.0) {
+                return Err(TransportConfigError::PaceRate(rate));
+            }
+        }
+        if self.rto == SimDuration::ZERO {
+            return Err(TransportConfigError::ZeroRto);
+        }
+        if self.rto_max < self.rto {
+            return Err(TransportConfigError::RtoMaxBelowRto {
+                rto: self.rto,
+                rto_max: self.rto_max,
+            });
+        }
+        if self.rto_backoff.is_nan() || self.rto_backoff < 1.0 {
+            return Err(TransportConfigError::RtoBackoff(self.rto_backoff));
+        }
+        Ok(())
+    }
+
     /// The RTO for retransmit epoch `epoch`:
     /// `min(rto × rto_backoff^epoch, rto_max)`.
     fn rto_after(&self, epoch: u32) -> SimDuration {
@@ -434,7 +514,15 @@ pub struct TransportSim<F: Fabric = Network> {
 
 impl<F: Fabric> TransportSim<F> {
     /// Build a simulation over `network`.
+    ///
+    /// # Panics
+    ///
+    /// If `config` fails [`TransportConfig::validate`], with the error's
+    /// message.
     pub fn new(network: F, config: TransportConfig, rng: SimRng) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         TransportSim {
             config,
             network,
@@ -1271,6 +1359,94 @@ mod tests {
     }
 
     const FOREVER: SimTime = SimTime::from_nanos(u64::MAX / 2);
+
+    /// `validate` on the default config with one field changed.
+    fn validate_with(
+        change: impl FnOnce(&mut TransportConfig),
+    ) -> Result<(), TransportConfigError> {
+        let mut config = TransportConfig::default();
+        change(&mut config);
+        config.validate()
+    }
+
+    #[test]
+    fn validate_accepts_the_default_and_the_edges() {
+        assert_eq!(validate_with(|_| {}), Ok(()));
+        assert_eq!(validate_with(|c| c.num_paths = 1), Ok(()));
+        assert_eq!(validate_with(|c| c.num_paths = 256), Ok(()));
+        assert_eq!(validate_with(|c| c.rto_max = c.rto), Ok(()));
+        assert_eq!(validate_with(|c| c.rto_backoff = 1.0), Ok(()));
+        assert_eq!(validate_with(|c| c.pace_gbps = Some(0.5)), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_a_path_count_outside_1_to_256() {
+        for n in [0, 257] {
+            assert_eq!(
+                validate_with(|c| c.num_paths = n),
+                Err(TransportConfigError::NumPaths(n))
+            );
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_mtu() {
+        assert_eq!(
+            validate_with(|c| c.mtu = 0),
+            Err(TransportConfigError::ZeroMtu)
+        );
+    }
+
+    #[test]
+    fn validate_rejects_a_pace_rate_that_is_not_finite_and_positive() {
+        for rate in [0.0, -1.0, f64::INFINITY] {
+            assert_eq!(
+                validate_with(|c| c.pace_gbps = Some(rate)),
+                Err(TransportConfigError::PaceRate(rate))
+            );
+        }
+        let nan = validate_with(|c| c.pace_gbps = Some(f64::NAN));
+        assert!(matches!(nan, Err(TransportConfigError::PaceRate(r)) if r.is_nan()));
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_rto() {
+        assert_eq!(
+            validate_with(|c| c.rto = SimDuration::ZERO),
+            Err(TransportConfigError::ZeroRto)
+        );
+    }
+
+    #[test]
+    fn validate_rejects_an_rto_cap_below_the_rto() {
+        let err = validate_with(|c| c.rto_max = SimDuration::from_micros(100));
+        assert_eq!(
+            err,
+            Err(TransportConfigError::RtoMaxBelowRto {
+                rto: SimDuration::from_micros(250),
+                rto_max: SimDuration::from_micros(100),
+            })
+        );
+    }
+
+    #[test]
+    fn validate_rejects_an_rto_backoff_below_1_or_nan() {
+        assert_eq!(
+            validate_with(|c| c.rto_backoff = 0.5),
+            Err(TransportConfigError::RtoBackoff(0.5))
+        );
+        let nan = validate_with(|c| c.rto_backoff = f64::NAN);
+        assert!(matches!(nan, Err(TransportConfigError::RtoBackoff(b)) if b.is_nan()));
+    }
+
+    /// An invalid config stops at the constructor, with the error's
+    /// message, not at the first connection.
+    #[test]
+    #[should_panic(expected = "transport config: num_paths 0 is outside 1..=256")]
+    fn constructor_rejects_an_invalid_config() {
+        make_sim(PathAlgo::Obs, 0, 1);
+    }
+
 
     #[test]
     fn single_message_completes() {

@@ -18,8 +18,13 @@
 //! and fall (a send, an RTO retransmission, an ACK, a loss) decides
 //! which paths may send, and so every later byte of the run.
 //!
-//! The hashes were recorded before the selector's per-path state was
-//! split by field; they must never change.
+//! Dwrr and BestRtt, the two algorithms that read every path's RTT
+//! EWMA, are driven again at 128 and 256 paths — the widths of the
+//! Fig. 9/10 sweeps — where `allowed` masks span four 64-bit words.
+//!
+//! The 16-path hashes were recorded before the selector's per-path state
+//! was split by field, the wide ones before BestRtt and Dwrr kept their
+//! selection state incrementally; they must never change.
 
 use stellar_net::{ClosConfig, ClosTopology, Fabric, Network, NetworkConfig};
 use stellar_sim::{SimDuration, SimRng, SimTime};
@@ -79,8 +84,23 @@ struct Drive {
     max_quarantined: usize,
 }
 
-fn drive(algo: PathAlgo, failover: bool, seed: u64) -> Drive {
-    let mut s = PathSelector::new(algo, PATHS, SimRng::from_seed(seed));
+/// An `allowed` mask over `paths` paths: one draw below `2^paths` up to
+/// 32 paths (the 16-path stream the original hashes were recorded
+/// with), one full word per 64 paths beyond.
+fn draw_mask(ops: &mut SimRng, paths: u32) -> [u64; 4] {
+    let mut mask = [0; 4];
+    if paths <= 32 {
+        mask[0] = ops.below(1 << paths);
+    } else {
+        for w in &mut mask[..paths.div_ceil(64) as usize] {
+            *w = ops.next_u64();
+        }
+    }
+    mask
+}
+
+fn drive(algo: PathAlgo, paths: u32, failover: bool, seed: u64) -> Drive {
+    let mut s = PathSelector::new(algo, paths, SimRng::from_seed(seed));
     if failover {
         s.set_plane_failover(PlaneFailover::default());
     }
@@ -95,18 +115,20 @@ fn drive(algo: PathAlgo, failover: bool, seed: u64) -> Drive {
         now += SimDuration::from_nanos(ops.below(4_000));
         match ops.below(10) {
             0..=4 => {
-                let exclude = ops.chance(0.2).then(|| ops.below(PATHS as u64) as u32);
+                let exclude = ops.chance(0.2).then(|| ops.below(paths as u64) as u32);
                 let mask = if ops.chance(0.3) {
-                    ops.below(1 << PATHS) as u32
+                    draw_mask(&mut ops, paths)
                 } else {
-                    u32::MAX
+                    [u64::MAX; 4]
                 };
-                let p = s.select_at(now, exclude, &|p| mask & (1 << p) != 0);
+                let p = s.select_at(now, exclude, &|p| {
+                    mask[(p / 64) as usize] & (1 << (p % 64)) != 0
+                });
                 fnv(&mut h, p.map_or(u64::MAX, u64::from));
             }
             5..=7 => {
                 // Plane 1 (odd ids) rarely ACKs, so its losses pile up.
-                let mut p = ops.below(PATHS as u64) as u32;
+                let mut p = ops.below(paths as u64) as u32;
                 if p % 2 == 1 && ops.chance(0.8) {
                     p -= 1;
                 }
@@ -114,7 +136,7 @@ fn drive(algo: PathAlgo, failover: bool, seed: u64) -> Drive {
                 s.on_ack(p, rtt, ops.chance(0.3));
             }
             _ => {
-                let mut p = ops.below(PATHS as u64) as u32;
+                let mut p = ops.below(paths as u64) as u32;
                 if ops.chance(0.85) {
                     p |= 1;
                 }
@@ -129,7 +151,7 @@ fn drive(algo: PathAlgo, failover: bool, seed: u64) -> Drive {
         fnv(&mut h, quarantined as u64);
         fnv(
             &mut h,
-            u64::from(s.is_blacklisted(ops.below(PATHS as u64) as u32, now)),
+            u64::from(s.is_blacklisted(ops.below(paths as u64) as u32, now)),
         );
         fnv(&mut h, u64::from(s.readmission_bounded(now)));
     }
@@ -150,7 +172,7 @@ fn every_algorithm_selects_as_recorded() {
     let mut hashes = Vec::new();
     for (i, &algo) in ALGOS.iter().enumerate() {
         for failover in [false, true] {
-            let d = drive(algo, failover, 100 + i as u64);
+            let d = drive(algo, PATHS, failover, 100 + i as u64);
             assert!(
                 d.max_blacklisted > 1,
                 "{algo:?}: the scoreboard never fired"
@@ -182,6 +204,42 @@ fn every_algorithm_selects_as_recorded() {
         1_160_496_518_987_189_126,
     ];
     assert_eq!(hashes, expect, "selector hashes, (algo, failover) in order");
+}
+
+#[test]
+fn wide_rtt_selectors_select_as_recorded() {
+    let mut hashes = Vec::new();
+    for (i, paths) in [128u32, 256].into_iter().enumerate() {
+        for (j, algo) in [PathAlgo::Dwrr, PathAlgo::BestRtt].into_iter().enumerate() {
+            for failover in [false, true] {
+                let d = drive(algo, paths, failover, 200 + (i * 2 + j) as u64);
+                assert!(
+                    d.max_blacklisted > 1,
+                    "{algo:?}/{paths}: the scoreboard never fired"
+                );
+                assert_eq!(
+                    d.max_quarantined > 0,
+                    failover,
+                    "{algo:?}/{paths}: a plane quarantines exactly when failover is on"
+                );
+                hashes.push(d.hash);
+            }
+        }
+    }
+    let expect: [u64; 8] = [
+        5_977_905_549_568_301_269,
+        16_516_264_436_439_980_944,
+        9_592_205_387_074_691_589,
+        6_291_812_904_391_021_577,
+        12_079_897_270_530_789_130,
+        17_768_355_332_992_377_213,
+        596_172_270_884_674_043,
+        17_584_428_794_582_712_547,
+    ];
+    assert_eq!(
+        hashes, expect,
+        "selector hashes, (paths, algo, failover) in order"
+    );
 }
 
 /// A per-path-CC incast over a lossy uplink: ACKs and RTOs both

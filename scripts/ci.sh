@@ -92,7 +92,14 @@ match_golden recovery crates/bench/tests/golden/recovery.json "$rec_out"
 # are sent (DESIGN.md §14), so a backlog costs its messages, not one
 # queue entry per packet: fig9 peaks near 3.5 MB (6.5 MB with the
 # per-packet queue).
-STELLAR_THREADS=1 run_capped "fig9 --quick" 5.5 fig9 --quick --json >/dev/null
+#
+# fig9 and fig10 are the experiments that run BestRTT and DWRR over 128
+# paths, whose selectors keep their state incrementally (DESIGN.md §14):
+# their tables must match the golden files recorded from full scans.
+fig9_out="$(STELLAR_THREADS=1 run_capped "fig9 --quick" 5.5 fig9 --quick --json)"
+match_golden fig9 crates/bench/tests/golden/fig9.json "$fig9_out"
+fig10_out="$(STELLAR_THREADS=1 target/release/reproduce fig10 --quick --json)"
+match_golden fig10 crates/bench/tests/golden/fig10.json "$fig10_out"
 
 # Trace gate on incomplete messages: chaos faults leave messages
 # unfinished on dead connections, which fig11 (the traced golden file)
