@@ -622,6 +622,13 @@ mod tests {
         SimTime::from_nanos(n * 1000)
     }
 
+    /// Every hop of every packet touches one `Link`: it stays one cache
+    /// line.
+    #[test]
+    fn link_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Link>(), 64);
+    }
+
     /// The faulty-link count follows every kind of fault event and both
     /// direct setters, matches a full recount after each step, and falls
     /// back to zero once the faults clear.

@@ -71,6 +71,12 @@ pub trait Fabric {
     /// Forward one packet of `bytes` from `src` to `dst` along the
     /// route selected by `(flow, path_id)`, starting at `now`.
     /// `now` must be non-decreasing across calls.
+    ///
+    /// Flow ids should be dense: small integers, each used by one
+    /// `(src, dst)` pair, as the transport's connection ids are. The
+    /// flow-level models index per-flow state by the id and check the
+    /// pair on every lookup; an id that is large or shared by several
+    /// pairs still works, through a hash map, at hash-map cost.
     fn send(
         &mut self,
         now: SimTime,

@@ -33,14 +33,12 @@
 //! at any moment and link counters need no merging. Each model keeps
 //! its own conservation ledger, checked separately.
 
-use std::collections::hash_map::Entry;
-
-use stellar_sim::hash::FastMap;
 use stellar_sim::{SimDuration, SimRng, SimTime};
 use stellar_telemetry::{count, Subsystem};
 
 use crate::core::{Core, Ledger, Model, ModelFabric, Packet};
 use crate::fabric::FabricKind;
+use crate::flow_map::FlowMap;
 use crate::fluid::{FluidConfig, FluidModel};
 use crate::network::{Delivery, NetworkConfig, PacketModel};
 use crate::topology::{ClosTopology, LinkId, Route};
@@ -82,10 +80,10 @@ pub struct HybridModel {
     packet: PacketModel,
     fluid: FluidModel,
     hybrid: HybridConfig,
-    /// Active-flow metadata by `(src, dst, flow)`. Nothing iterates it
-    /// in an order that reaches an output: expiry only decrements
-    /// integer counts.
-    meta: FastMap<(u32, u32, u64), FlowMeta>,
+    /// Active-flow metadata by `(src, dst, flow)`, indexed by flow id.
+    /// Nothing iterates it in an order that reaches an output: expiry
+    /// only decrements integer counts.
+    meta: FlowMap<FlowMeta>,
     /// Distinct active flows per destination NIC (incast detector).
     dst_flows: Vec<u32>,
     next_expiry_scan: SimTime,
@@ -129,16 +127,15 @@ impl Model for HybridModel {
     const KIND: FabricKind = FabricKind::Hybrid;
 
     fn send(&mut self, core: &mut Core, p: &Packet, route: Route) -> Delivery {
-        let meta = match self.meta.entry((p.src.0, p.dst.0, p.flow)) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                self.dst_flows[p.dst.0 as usize] += 1;
-                e.insert(FlowMeta {
-                    last_active: p.now,
-                    escalated: false,
-                })
-            }
-        };
+        let (meta, opened) = self
+            .meta
+            .get_or_insert_with((p.src.0, p.dst.0, p.flow), || FlowMeta {
+                last_active: p.now,
+                escalated: false,
+            });
+        if opened {
+            self.dst_flows[p.dst.0 as usize] += 1;
+        }
         meta.last_active = p.now;
         // Cheap per-flow state first (stickiness, incast), then the
         // route's fault and queue state.
@@ -207,7 +204,7 @@ impl HybridFabric {
             packet: PacketModel::new(topo.total_links(), rng.fork("packet")),
             fluid: FluidModel::new(&topo, &config, hybrid.fluid.clone(), rng.fork("fluid")),
             hybrid,
-            meta: FastMap::default(),
+            meta: FlowMap::default(),
             dst_flows: vec![0; topo.total_nics()],
             next_expiry_scan: SimTime::ZERO,
             escalations: 0,

@@ -38,6 +38,7 @@ mod core;
 pub mod fabric;
 pub mod fault;
 pub mod fixture;
+mod flow_map;
 pub mod fluid;
 pub mod hybrid;
 pub mod network;

@@ -184,31 +184,25 @@ pub struct TraceRecord {
     pub delivery: Delivery,
 }
 
-/// Per-port calendar state: when the egress port next falls idle, and
-/// its queue-depth gauge.
-#[derive(Debug, Clone)]
-struct Port {
-    next_free: SimTime,
-    queue: Gauge,
-}
-
 /// The packet-level calendar model: per-port calendars and queue gauges
 /// over the shared link table. See the module docs.
 #[derive(Debug)]
 pub struct PacketModel {
-    ports: Vec<Port>,
+    /// When each egress port next falls idle, by link id. Apart from the
+    /// gauges, because the hybrid classifier reads only this, on every
+    /// send, for every hop.
+    next_free: Vec<SimTime>,
+    /// Each port's queue-depth gauge, by link id.
+    queues: Vec<Gauge>,
     rng: SimRng,
     ledger: Ledger,
 }
 
 impl PacketModel {
     pub(crate) fn new(links: usize, rng: SimRng) -> Self {
-        let port = Port {
-            next_free: SimTime::ZERO,
-            queue: Gauge::new(SimTime::ZERO),
-        };
         PacketModel {
-            ports: vec![port; links],
+            next_free: vec![SimTime::ZERO; links],
+            queues: vec![Gauge::new(SimTime::ZERO); links],
             rng,
             ledger: Ledger::default(),
         }
@@ -216,9 +210,7 @@ impl PacketModel {
 
     /// Current backlog of a port in bytes at time `now`.
     pub(crate) fn backlog_bytes(&self, config: &NetworkConfig, link: LinkId, now: SimTime) -> u64 {
-        let wait = self.ports[link.0 as usize]
-            .next_free
-            .saturating_duration_since(now);
+        let wait = self.next_free[link.0 as usize].saturating_duration_since(now);
         (wait.as_nanos() as f64 * config.link_gbps / 8.0) as u64
     }
 
@@ -264,11 +256,14 @@ impl PacketModel {
                 return dropped(DropReason::RandomLoss);
             }
             // Backlog ahead of us on this port, in bytes.
-            let port = &mut self.ports[link.0 as usize];
-            let wait = port.next_free.saturating_duration_since(t);
+            let (next_free, queue) = (
+                &mut self.next_free[link.0 as usize],
+                &mut self.queues[link.0 as usize],
+            );
+            let wait = next_free.saturating_duration_since(t);
             let backlog = (wait.as_nanos() as f64 * bytes_per_ns) as u64;
             if backlog + bytes > config.buffer_bytes {
-                port.queue.set(t, backlog);
+                queue.set(t, backlog);
                 return dropped(DropReason::BufferOverflow);
             }
             let marked = backlog > config.ecn_threshold_bytes;
@@ -280,10 +275,10 @@ impl PacketModel {
                 // Time this packet spends queued behind the port backlog.
                 stage_sample(Stage::FabricQueueing, wait);
             }
-            let start = if port.next_free > t { port.next_free } else { t };
+            let start = if *next_free > t { *next_free } else { t };
             let depart = start + serialize;
-            port.queue.set(t, backlog + bytes);
-            port.next_free = depart;
+            queue.set(t, backlog + bytes);
+            *next_free = depart;
             state.transmit(bytes, marked);
             t = depart + config.hop_delay;
         }
@@ -311,7 +306,7 @@ impl Model for PacketModel {
     }
 
     fn port_queue(&self, link: LinkId, now: SimTime) -> (u64, f64) {
-        let queue = &self.ports[link.0 as usize].queue;
+        let queue = &self.queues[link.0 as usize];
         (queue.max(), queue.time_avg(now))
     }
 

@@ -91,20 +91,21 @@ impl Default for ClosConfig {
 }
 
 /// A built topology with dense node/link id spaces.
+///
+/// Link ids follow one arithmetic layout, so a route is computed, not
+/// looked up. Each link comes with its reverse at the next id:
+///
+/// * NIC port `(nic, plane)`: uplink `2·(nic·planes + plane)`, the ToR's
+///   downlink to it one above;
+/// * ToR `t` (dense `(segment·rails + rail)·planes + plane`) to agg `a`
+///   of its plane: uplink `2·nics·planes + 2·(t·aggs_per_plane + a)`,
+///   the agg's downlink to it one above.
 #[derive(Debug, Clone)]
 pub struct ClosTopology {
     config: ClosConfig,
     nodes: Vec<NodeKind>,
     /// `links[i] = (from, to)`.
     links: Vec<(NodeId, NodeId)>,
-    /// NIC port p -> uplink LinkId, indexed `[nic][plane]`.
-    nic_up: Vec<Vec<LinkId>>,
-    /// ToR-downlink LinkId to a NIC on a plane, indexed `[nic][plane]`.
-    nic_down: Vec<Vec<LinkId>>,
-    /// ToR uplink to agg, indexed `[tor][agg]` (tor is a dense tor index).
-    tor_up: Vec<Vec<LinkId>>,
-    /// Agg downlink to tor, indexed `[tor][agg]`.
-    tor_down: Vec<Vec<LinkId>>,
 }
 
 impl ClosTopology {
@@ -164,52 +165,67 @@ impl ClosTopology {
             NodeId((agg_base + plane * config.aggs_per_plane + index) as u32)
         };
 
-        let mut nic_up = vec![Vec::new(); nic_count];
-        let mut nic_down = vec![Vec::new(); nic_count];
-        // NIC <-> ToR links.
+        // NIC <-> ToR links, in the order `nic_link` numbers them.
         for host in 0..total_hosts {
             let segment = host / config.hosts_per_segment;
             for rail in 0..config.rails {
                 let nic = NodeId((host * config.rails + rail) as u32);
-                let nic_idx = host * config.rails + rail;
                 for plane in 0..config.planes {
                     let tor = tor_node(segment, rail, plane);
-                    nic_up[nic_idx].push(LinkId(links.len() as u32));
                     links.push((nic, tor));
-                    nic_down[nic_idx].push(LinkId(links.len() as u32));
                     links.push((tor, nic));
                 }
             }
         }
+        debug_assert_eq!(links.len(), 2 * nic_count * config.planes);
 
-        // ToR <-> Agg links (full mesh within a plane).
-        let mut tor_up = vec![Vec::new(); tor_count];
-        let mut tor_down = vec![Vec::new(); tor_count];
+        // ToR <-> Agg links (full mesh within a plane), in the order
+        // `tor_link` numbers them.
         for segment in 0..config.segments {
             for rail in 0..config.rails {
                 for plane in 0..config.planes {
-                    let dense = (segment * config.rails + rail) * config.planes + plane;
                     let tor = tor_node(segment, rail, plane);
                     for agg in 0..config.aggs_per_plane {
                         let a = agg_node(plane, agg);
-                        tor_up[dense].push(LinkId(links.len() as u32));
                         links.push((tor, a));
-                        tor_down[dense].push(LinkId(links.len() as u32));
                         links.push((a, tor));
                     }
                 }
             }
         }
+        debug_assert_eq!(
+            links.len(),
+            2 * (nic_count * config.planes + tor_count * config.aggs_per_plane)
+        );
 
         ClosTopology {
             config,
             nodes,
             links,
-            nic_up,
-            nic_down,
-            tor_up,
-            tor_down,
         }
+    }
+
+    /// The uplink of NIC port `(nic, plane)`; its downlink is the next
+    /// id.
+    #[inline]
+    fn nic_link(&self, nic: usize, plane: usize) -> u32 {
+        (2 * (nic * self.config.planes + plane)) as u32
+    }
+
+    /// The plane of NIC port link `link` (an uplink or a downlink): the
+    /// plane a route whose first hop is `link` rides.
+    #[inline]
+    pub(crate) fn nic_link_plane(&self, link: LinkId) -> usize {
+        debug_assert!((link.0 as usize) < 2 * self.total_nics() * self.config.planes);
+        (link.0 as usize / 2) % self.config.planes
+    }
+
+    /// The uplink from dense ToR `tor` to agg `agg` of its plane; the
+    /// agg's downlink to the ToR is the next id.
+    #[inline]
+    fn tor_link(&self, tor: usize, agg: usize) -> u32 {
+        let nic_links = 2 * self.total_nics() * self.config.planes;
+        (nic_links + 2 * (tor * self.config.aggs_per_plane + agg)) as u32
     }
 
     /// The configuration this topology was built from.
@@ -277,8 +293,8 @@ impl ClosTopology {
     /// takes both down.
     pub fn nic_port_links(&self, nic: NicId, plane: usize) -> (LinkId, LinkId) {
         assert!(plane < self.config.planes, "plane out of range");
-        let idx = nic.0 as usize;
-        (self.nic_up[idx][plane], self.nic_down[idx][plane])
+        let up = self.nic_link(nic.0 as usize, plane);
+        (LinkId(up), LinkId(up + 1))
     }
 
     /// The ToR node for `(segment, rail, plane)`.
@@ -307,7 +323,10 @@ impl ClosTopology {
     /// Every ToR→Agg uplink (the ports whose balance Fig. 12 measures and
     /// whose queues Fig. 9 plots).
     pub fn tor_uplinks(&self) -> Vec<LinkId> {
-        self.tor_up.iter().flatten().copied().collect()
+        let c = &self.config;
+        let first = self.tor_link(0, 0);
+        let count = (c.segments * c.rails * c.planes * c.aggs_per_plane) as u32;
+        (0..count).map(|k| LinkId(first + 2 * k)).collect()
     }
 
     fn dense_tor(&self, segment: usize, rail: usize, plane: usize) -> usize {
@@ -353,8 +372,8 @@ impl ClosTopology {
         // Same segment + same rail: turn around at the shared ToR.
         if src_seg == dst_seg && src_rail == dst_rail {
             return Route::two(
-                self.nic_up[src_nic_idx][plane],
-                self.nic_down[dst_nic_idx][plane],
+                LinkId(self.nic_link(src_nic_idx, plane)),
+                LinkId(self.nic_link(dst_nic_idx, plane) + 1),
             );
         }
 
@@ -370,10 +389,10 @@ impl ClosTopology {
         let src_tor = self.dense_tor(src_seg, src_rail, plane);
         let dst_tor = self.dense_tor(dst_seg, dst_rail, plane);
         Route::four(
-            self.nic_up[src_nic_idx][plane],
-            self.tor_up[src_tor][agg],
-            self.tor_down[dst_tor][agg],
-            self.nic_down[dst_nic_idx][plane],
+            LinkId(self.nic_link(src_nic_idx, plane)),
+            LinkId(self.tor_link(src_tor, agg)),
+            LinkId(self.tor_link(dst_tor, agg) + 1),
+            LinkId(self.nic_link(dst_nic_idx, plane) + 1),
         )
     }
 }
@@ -534,6 +553,90 @@ mod tests {
         let distinct: std::collections::HashSet<_> =
             (0..64u64).map(|f| t.route(src, dst, f, 0)[1]).collect();
         assert!(distinct.len() > 8);
+    }
+
+    /// The computed link ids are the links `build` laid out: on small,
+    /// asymmetric shapes, every hop of every route, for every rail-aligned
+    /// NIC pair and enough path ids to hit every (plane, agg) slot, is
+    /// the link between that hop's two nodes.
+    #[test]
+    fn arithmetic_routes_match_the_built_links() {
+        for config in [
+            ClosConfig {
+                segments: 3,
+                hosts_per_segment: 5,
+                rails: 3,
+                planes: 2,
+                aggs_per_plane: 7,
+            },
+            ClosConfig {
+                segments: 2,
+                hosts_per_segment: 3,
+                rails: 2,
+                planes: 3,
+                aggs_per_plane: 5,
+            },
+        ] {
+            let t = ClosTopology::build(config.clone());
+            let slots = (config.planes * config.aggs_per_plane) as u64;
+            let nics = t.total_nics() as u32;
+            let mut hops = 0;
+            for (src, dst) in (0..nics).flat_map(|s| (0..nics).map(move |d| (NicId(s), NicId(d)))) {
+                let ((src_host, rail), (dst_host, dst_rail)) =
+                    (t.nic_location(src), t.nic_location(dst));
+                if src == dst || rail != dst_rail {
+                    continue;
+                }
+                let flow = u64::from(src.0) * 31 + u64::from(dst.0);
+                for path in 0..slots as u32 + 3 {
+                    let slot =
+                        ClosTopology::ecmp_hash(flow, 0, 1).wrapping_add(u64::from(path)) % slots;
+                    let plane = (slot % config.planes as u64) as usize;
+                    let agg = (slot / config.planes as u64) as usize;
+                    let (src_seg, dst_seg) =
+                        (t.segment_of_host(src_host), t.segment_of_host(dst_host));
+                    let src_tor = t.tor_node(src_seg, rail, plane);
+                    let dst_tor = t.tor_node(dst_seg, rail, plane);
+                    let nodes = if src_seg == dst_seg {
+                        vec![NodeId(src.0), src_tor, NodeId(dst.0)]
+                    } else {
+                        let a = t.agg_node(plane, agg);
+                        vec![NodeId(src.0), src_tor, a, dst_tor, NodeId(dst.0)]
+                    };
+                    let route = t.route(src, dst, flow, path);
+                    assert_eq!(
+                        route.len(),
+                        nodes.len() - 1,
+                        "{src:?} -> {dst:?} path {path}"
+                    );
+                    for (link, hop) in route.iter().zip(nodes.windows(2)) {
+                        assert_eq!(t.link_endpoints(*link), (hop[0], hop[1]));
+                        hops += 1;
+                    }
+                }
+            }
+            assert!(hops > 1000, "{hops} hops checked");
+            // NIC ports and the ToR uplink list use the same layout.
+            for nic in 0..nics {
+                for plane in 0..config.planes {
+                    let (up, down) = t.nic_port_links(NicId(nic), plane);
+                    let (host, rail) = t.nic_location(NicId(nic));
+                    let tor = t.tor_node(t.segment_of_host(host), rail, plane);
+                    assert_eq!(t.link_endpoints(up), (NodeId(nic), tor));
+                    assert_eq!(t.link_endpoints(down), (tor, NodeId(nic)));
+                }
+            }
+            let uplinks = t.tor_uplinks();
+            assert_eq!(
+                uplinks.len(),
+                config.segments * config.rails * config.planes * config.aggs_per_plane
+            );
+            for l in uplinks {
+                let (from, to) = t.link_endpoints(l);
+                assert!(matches!(t.node_kind(from), NodeKind::Tor { .. }));
+                assert!(matches!(t.node_kind(to), NodeKind::Agg { .. }));
+            }
+        }
     }
 
     #[test]

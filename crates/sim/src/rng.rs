@@ -65,13 +65,18 @@ fn chacha8_block(key: &[u32; 8], counter: u64) -> [u32; 16] {
 }
 
 /// A deterministic random stream.
+///
+/// Laid out in draw order: a draw reads `next_word` and one or two words
+/// of `buf`, which share the first 72 bytes; only a refill, once per 16
+/// words, reads `counter` and `key`.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct SimRng {
-    key: [u32; 8],
-    counter: u64,
-    buf: [u32; 16],
     /// Next unread word in `buf`; 16 means the buffer is exhausted.
     next_word: usize,
+    buf: [u32; 16],
+    counter: u64,
+    key: [u32; 8],
 }
 
 impl SimRng {

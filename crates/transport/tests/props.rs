@@ -376,10 +376,10 @@ fn inflight_table_matches_a_map() {
         let mut model: BTreeMap<u64, InflightPacket> = BTreeMap::new();
         let mut next = 0u64;
         let packet = |seq: u64| InflightPacket {
-            msg: MsgId(seq / 3),
-            idx: seq % 3,
+            msg: (seq / 3) as u32,
+            idx: (seq % 3) as u32,
             bytes: 4096,
-            path: (seq % 128) as u32,
+            path: (seq % 128) as u16,
             sent_at: SimTime::from_nanos(seq),
             retx: 0,
             rto_seq: seq,
@@ -409,7 +409,7 @@ fn inflight_table_matches_a_map() {
                 }
                 85..=98 => {
                     let seq = g.u64(oldest.saturating_sub(4), next + 4);
-                    let path = g.u32(0, 128);
+                    let path = g.u32(0, 128) as u16;
                     let t = table.get_mut(seq).map(|p| {
                         p.retx += 1;
                         p.path = path;

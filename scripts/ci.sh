@@ -16,6 +16,11 @@ cargo clippy --offline --workspace -- -D warnings
 # first in a benchmark run.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
+# The per-connection scaling probe (DESIGN.md §14, "Hot and cold
+# layout"): its smallest point of each sweep, so the example keeps
+# building and running. The full sweep is a manual measurement.
+cargo run -q --release --offline -p stellar-bench --example conn_scaling -- --smallest
+
 # Run `reproduce` (built above) with the given arguments, passing its
 # stdout through, and fail if its peak RSS exceeds a ceiling in MB. The
 # box has no /usr/bin/time, so perl forks the run and reads the child's
