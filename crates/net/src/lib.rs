@@ -50,4 +50,4 @@ pub use fault::{FaultEvent, FaultPlan, FaultPlanError};
 pub use fluid::{FluidConfig, FluidFabric};
 pub use hybrid::{HybridConfig, HybridFabric};
 pub use network::{Delivery, DropReason, LinkStats, Network, NetworkConfig, TraceRecord};
-pub use topology::{ClosConfig, ClosTopology, LinkId, NicId, NodeId, NodeKind};
+pub use topology::{ClosConfig, ClosConfigError, ClosTopology, LinkId, NicId, NodeId, NodeKind};

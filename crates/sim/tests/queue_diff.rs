@@ -11,8 +11,13 @@
 //! outliers (overflow migration), interleaved schedule/pop/clear
 //! (ready-run merges), and events queued under numbers reserved earlier,
 //! at the current nanosecond included (ready-run merges by `(at, seq)`).
+//! A lane-heavy generator (`support/mod.rs`) repeats a few exact delays,
+//! so the wheel's fixed-delay lanes bind and meet wheel events at the
+//! same nanosecond.
 
 use std::collections::HashMap;
+
+mod support;
 
 use stellar_sim::proptest_lite::{check, Gen};
 use stellar_sim::{ReferenceQueue, SimDuration, SimTime, TimingWheelQueue};
@@ -354,6 +359,15 @@ fn reserved_keys_rearm_at_the_current_nanosecond() {
             }
         }
         pair.drain();
+    });
+}
+
+#[test]
+fn lane_heavy_ops_match_reference() {
+    check("lane_heavy_ops_match_reference", 128, |g| {
+        if let Err(e) = support::lane_heavy_run(g) {
+            panic!("wheel diverged from the reference: {e}");
+        }
     });
 }
 

@@ -9,7 +9,7 @@
 //! differential suite (`tests/queue_diff.rs`) needs no feature and runs
 //! with the workspace tests.
 //!
-//! The four injected defects:
+//! The five injected defects:
 //!
 //! * **WrongTier** — cascading a coarse slot truncates timestamps to the
 //!   next-finer slot width, firing events early on tier boundaries.
@@ -20,7 +20,12 @@
 //! * **IgnoreReservedSeq** — `schedule_reserved` takes a fresh number
 //!   instead of the reserved one, so the event pops behind everything
 //!   scheduled since its reservation.
+//! * **AppendLanes** — fixed-delay lane events join a ready run after the
+//!   wheel's events at the same nanosecond instead of merging by seq.
 
+mod support;
+
+use stellar_sim::proptest_lite::Gen;
 use stellar_sim::queue_drill::{set, Mode};
 use stellar_sim::{ReferenceQueue, SimDuration, SimTime, TimingWheelQueue};
 
@@ -125,6 +130,29 @@ fn clean_wheel_matches_on_drill_workloads() {
         first_reserved_divergence(&reserved_workload()),
         None,
         "un-sabotaged wheel must match the reference on the reserved-key workload"
+    );
+    for seed in 0..LANE_CASES {
+        assert_eq!(
+            support::lane_heavy_run(&mut Gen::from_seed(seed)),
+            Ok(()),
+            "un-sabotaged wheel must match the reference on lane-heavy case {seed}"
+        );
+    }
+}
+
+/// Lane-heavy cases the drill runs (the differential suite's generator).
+const LANE_CASES: u64 = 32;
+
+#[test]
+fn appended_lane_events_are_caught() {
+    let _guard = Disarm;
+    set(Mode::AppendLanes);
+    let caught = (0..LANE_CASES)
+        .filter(|&seed| support::lane_heavy_run(&mut Gen::from_seed(seed)).is_err())
+        .count();
+    assert!(
+        caught > 0,
+        "appending lane events behind same-nanosecond wheel events must change the pop stream"
     );
 }
 

@@ -117,8 +117,6 @@ pub struct PathState {
     pub rtt_ewma: Option<SimDuration>,
     /// EWMA of the ECN-marked fraction of ACKs (0..1). Tracked by MpRdma.
     pub ecn_ewma: Option<f64>,
-    /// Packets ever sent on this path (for distribution tests).
-    pub sent_packets: u64,
     /// Losses since the last ACK on this path (scoreboard input).
     pub consecutive_losses: u32,
     /// The path is blacklisted until this time (ZERO = not blacklisted).
@@ -137,8 +135,8 @@ struct Score {
 /// Per-connection path selector.
 ///
 /// Per-path state lives in one vector per field, each allocated only
-/// for the algorithms or features that read it: `sent` always (the
-/// distribution readers), `rtt_ewma` for BestRtt and Dwrr, `ecn_ewma`
+/// for the algorithms or features that read it: `rtt_ewma` for BestRtt
+/// and Dwrr, `ecn_ewma`
 /// for MpRdma, `dwrr_deficit` and `dwrr_weights` for Dwrr, `rtt_tree`
 /// for BestRtt, and `scores` from the first loss the scoreboard counts.
 /// An empty vector means "not tracked".
@@ -152,7 +150,8 @@ struct Score {
 /// them: what every pick and every ACK reads, then the RNG a pick draws
 /// from, then everything else. The selector is 128-byte aligned and a
 /// draw's words end within its first 128 bytes, so a pick reads one
-/// adjacent-line pair (and one line of `sent`).
+/// adjacent-line pair. A pick writes nothing per path: who needs a
+/// per-path distribution counts the picks (or the fabric's sends).
 #[derive(Debug)]
 #[repr(C, align(128))]
 pub struct PathSelector {
@@ -162,8 +161,8 @@ pub struct PathSelector {
     /// entirely. It only grows: a stale deadline costs a scan that finds
     /// nothing exiled and picks as the fast path would.
     max_exile_until: SimTime,
-    /// Packets ever sent per path.
-    sent: SentCounts,
+    /// Configured paths.
+    num_paths: u32,
     /// Whether [`PathSelector::on_ack`] has anything to update: the
     /// algorithm reads feedback, the scoreboard is allocated, or plane
     /// failover is on.
@@ -201,52 +200,6 @@ pub struct PathSelector {
     rtt_tree: Vec<u16>,
 }
 
-/// Packets ever sent per path. A pick writes one count, at a random path
-/// for OBS, so the counts are 16-bit until one would pass `u16::MAX` and
-/// 64-bit from then on: 128 paths cost 256 bytes, and a count is never
-/// lost.
-#[derive(Debug)]
-enum SentCounts {
-    Narrow(Box<[u16]>),
-    Wide(Box<[u64]>),
-}
-
-impl SentCounts {
-    fn len(&self) -> usize {
-        match self {
-            SentCounts::Narrow(n) => n.len(),
-            SentCounts::Wide(w) => w.len(),
-        }
-    }
-
-    fn get(&self, path: usize) -> u64 {
-        match self {
-            SentCounts::Narrow(n) => u64::from(n[path]),
-            SentCounts::Wide(w) => w[path],
-        }
-    }
-
-    /// Count one more packet on `path`.
-    #[inline]
-    fn bump(&mut self, path: usize) {
-        match self {
-            SentCounts::Narrow(n) => match n[path].checked_add(1) {
-                Some(c) => n[path] = c,
-                None => {
-                    let mut wide: Box<[u64]> = n.iter().map(|&c| u64::from(c)).collect();
-                    wide[path] += 1;
-                    *self = SentCounts::Wide(wide);
-                }
-            },
-            SentCounts::Wide(w) => w[path] += 1,
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.len()).map(|p| self.get(p))
-    }
-}
-
 /// A padding leaf of the BestRtt tree; loses to every path.
 const NO_PATH: u16 = u16::MAX;
 
@@ -274,7 +227,7 @@ impl PathSelector {
         let mut s = PathSelector {
             algo,
             max_exile_until: SimTime::ZERO,
-            sent: SentCounts::Narrow(vec![0; n].into_boxed_slice()),
+            num_paths,
             wants_ack: !matches!(
                 algo,
                 PathAlgo::SinglePath
@@ -407,7 +360,7 @@ impl PathSelector {
 
     /// Number of configured paths.
     pub fn num_paths(&self) -> u32 {
-        self.sent.len() as u32
+        self.num_paths
     }
 
     /// The algorithm in use.
@@ -422,7 +375,6 @@ impl PathSelector {
         PathState {
             rtt_ewma: self.rtt_ewma.get(i).copied(),
             ecn_ewma: self.ecn_ewma.get(i).copied(),
-            sent_packets: self.sent.get(i),
             consecutive_losses: score.losses,
             blacklisted_until: score.blacklisted_until,
         }
@@ -460,7 +412,7 @@ impl PathSelector {
         // RNG draws — keeps fault-free runs byte-identical to the
         // unhardened selector. A quarantine follows a blacklist, so an
         // active deadline means the scoreboard is allocated.
-        if self.max_exile_until > now && self.sent.len() > 1 {
+        if self.max_exile_until > now && self.num_paths > 1 {
             let mut mask = [0u64; 4];
             let mut any = false;
             for (i, sc) in self.scores.iter().enumerate() {
@@ -497,7 +449,7 @@ impl PathSelector {
         if n == 1 {
             return if allowed(0) { Some(0) } else { None };
         }
-        let choice = match self.algo {
+        match self.algo {
             PathAlgo::SinglePath => {
                 // Single-path may still fail over on exclusion (RTO moves
                 // the flow), mirroring ECMP rehash after timeout.
@@ -611,11 +563,7 @@ impl PathSelector {
                 };
                 pick(a, b).or_else(|| (0..n).find(|&p| ok(p)))
             }
-        };
-        if let Some(p) = choice {
-            self.sent.bump(p as usize);
         }
-        choice
     }
 
     fn select_dwrr<F: Fn(u32) -> bool>(
@@ -730,7 +678,7 @@ impl PathSelector {
             return;
         }
         if self.scores.is_empty() {
-            self.scores = vec![Score::default(); self.sent.len()];
+            self.scores = vec![Score::default(); self.num_paths as usize];
             self.wants_ack = true;
         }
         let st = &mut self.scores[path as usize];
@@ -796,16 +744,6 @@ impl PathSelector {
             );
         }
     }
-
-    /// Count of paths that ever carried a packet.
-    pub fn active_paths(&self) -> usize {
-        self.sent.iter().filter(|&n| n > 0).count()
-    }
-
-    /// Per-path sent-packet histogram.
-    pub fn sent_histogram(&self) -> Vec<u64> {
-        self.sent.iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -818,13 +756,21 @@ mod tests {
 
     const ALL: fn(u32) -> bool = |_| true;
 
+    /// Pick `picks` paths and count how often each was chosen.
+    fn histogram(s: &mut PathSelector, picks: usize) -> Vec<u64> {
+        let mut h = vec![0; s.num_paths() as usize];
+        for _ in 0..picks {
+            h[s.select(None, &ALL).unwrap() as usize] += 1;
+        }
+        h
+    }
+
     #[test]
     fn single_path_sticks_to_zero() {
         let mut s = selector(PathAlgo::SinglePath, 8);
         for _ in 0..100 {
             assert_eq!(s.select(None, &ALL), Some(0));
         }
-        assert_eq!(s.active_paths(), 1);
     }
 
     #[test]
@@ -836,22 +782,15 @@ mod tests {
     #[test]
     fn round_robin_is_uniform() {
         let mut s = selector(PathAlgo::RoundRobin, 4);
-        for _ in 0..400 {
-            s.select(None, &ALL);
-        }
-        assert_eq!(s.sent_histogram(), vec![100, 100, 100, 100]);
+        assert_eq!(histogram(&mut s, 400), vec![100, 100, 100, 100]);
     }
 
     #[test]
     fn obs_is_roughly_uniform() {
         let mut s = selector(PathAlgo::Obs, 128);
-        for _ in 0..128 * 100 {
-            s.select(None, &ALL);
-        }
-        let h = s.sent_histogram();
+        let h = histogram(&mut s, 128 * 100);
         let (min, max) = (h.iter().min().unwrap(), h.iter().max().unwrap());
         assert!(*min > 50 && *max < 180, "min={min} max={max}");
-        assert_eq!(s.active_paths(), 128);
     }
 
     #[test]
@@ -866,13 +805,12 @@ mod tests {
                 false,
             );
         }
-        // Now path 0 (10 µs) wins consistently.
+        // Now path 0 (10 µs) wins consistently: "BestRTT tended to
+        // activate only a small number of paths."
         for _ in 0..50 {
             assert_eq!(s.select(None, &ALL), Some(0));
             s.on_ack(0, SimDuration::from_micros(10), false);
         }
-        // "BestRTT tended to activate only a small number of paths."
-        assert!(s.path(0).sent_packets > 50);
     }
 
     #[test]
@@ -881,29 +819,16 @@ mod tests {
         // Path 0 fast (10 µs), path 1 slow (40 µs).
         s.on_ack(0, SimDuration::from_micros(10), false);
         s.on_ack(1, SimDuration::from_micros(40), false);
-        // The on_ack calls decrement inflight; reset by sending.
-        for _ in 0..500 {
-            s.select(None, &ALL);
-        }
-        let h = s.sent_histogram();
+        let h = histogram(&mut s, 500);
         // Expect roughly 4:1 in favour of the fast path.
         let ratio = h[0] as f64 / h[1] as f64;
         assert!((2.5..6.0).contains(&ratio), "h={h:?}");
     }
 
-    /// Per-path counts widen from 16 to 64 bits at the first overflow
-    /// and lose nothing; what a pick and an ACK read shares the
-    /// selector's first cache line, with the RNG in the second.
+    /// What a pick and an ACK read shares the selector's first cache
+    /// line, with the RNG in the second.
     #[test]
-    fn sent_counts_widen_without_loss_and_hot_fields_lead() {
-        let mut s = selector(PathAlgo::SinglePath, 2);
-        for _ in 0..70_000 {
-            s.select(None, &ALL);
-        }
-        assert!(matches!(s.sent, SentCounts::Wide(_)));
-        assert_eq!(s.sent_histogram(), vec![70_000, 0]);
-        assert_eq!(s.path(0).sent_packets, 70_000);
-        assert_eq!(s.active_paths(), 1);
+    fn hot_fields_lead() {
         // A draw reads the RNG's word index and buffer: within the first
         // 128 bytes, one adjacent-line pair with the fields every pick
         // reads.
@@ -948,10 +873,7 @@ mod tests {
                 s.ecn_ewma[p] = s.ecn_ewma[p] * 0.875 + 0.125;
             }
         }
-        for _ in 0..800 {
-            s.select(None, &ALL);
-        }
-        let h = s.sent_histogram();
+        let h = histogram(&mut s, 800);
         let hot: u64 = h[..4].iter().sum();
         let cool: u64 = h[4..].iter().sum();
         assert!(cool > hot, "cool={cool} hot={hot}");
@@ -1087,11 +1009,12 @@ mod tests {
         // After a long pause, a new flowlet starts; over many flowlets,
         // multiple paths get used.
         let mut t = SimTime::from_nanos(1_000_000);
+        let mut used = std::collections::BTreeSet::new();
         for _ in 0..50 {
             t += SimDuration::from_micros(100); // > gap
-            s.select_at(t, None, &ALL);
+            used.insert(s.select_at(t, None, &ALL));
         }
-        assert!(s.active_paths() > 4, "flowlets must diversify paths");
+        assert!(used.len() > 4, "flowlets must diversify paths");
     }
 
     #[test]

@@ -1370,6 +1370,18 @@ mod tests {
     use super::*;
     use stellar_net::{ClosConfig, ClosTopology, NetworkConfig};
 
+    /// Distinct path ids `conn`'s packets took, from the fabric's packet
+    /// trace (enable it before the run).
+    fn paths_used(sim: &mut TransportSim, conn: ConnId) -> usize {
+        let trace = sim.network_mut().take_trace();
+        let used: std::collections::BTreeSet<u32> = trace
+            .iter()
+            .filter(|r| r.flow == conn.0 as u64)
+            .map(|r| r.path_id)
+            .collect();
+        used.len()
+    }
+
     fn make_sim(algo: PathAlgo, num_paths: u32, seed: u64) -> TransportSim {
         let topo = ClosTopology::build(ClosConfig {
             segments: 2,
@@ -1622,15 +1634,17 @@ mod tests {
         let src = spray.network().topology().nic(0, 0);
         let dst = spray.network().topology().nic(4, 0);
         let c = spray.add_connection(src, dst);
+        spray.network_mut().enable_trace(1 << 16);
         spray.post_message(c, 8 * 1024 * 1024);
         spray.run(&mut NoopApp, FOREVER);
-        assert!(spray.selector(c).active_paths() > 64);
+        assert!(paths_used(&mut spray, c) > 64);
 
         let mut single = make_sim(PathAlgo::SinglePath, 128, 3);
         let c2 = single.add_connection(src, dst);
+        single.network_mut().enable_trace(1 << 16);
         single.post_message(c2, 8 * 1024 * 1024);
         single.run(&mut NoopApp, FOREVER);
-        assert_eq!(single.selector(c2).active_paths(), 1);
+        assert_eq!(paths_used(&mut single, c2), 1);
     }
 
     #[test]
@@ -1857,11 +1871,12 @@ mod tests {
                 sim.post_message(ConnId(0), 256 * 1024);
             }
         }
+        sim.network_mut().enable_trace(1 << 16);
         sim.post_message(conn, 256 * 1024);
         let mut app = Gapped { remaining: 12 };
         sim.run(&mut app, FOREVER);
         assert_eq!(sim.conn_stats(conn).completed_messages, 13);
-        let active = sim.selector(conn).active_paths();
+        let active = paths_used(&mut sim, conn);
         assert!(active > 3, "flowlets must spread: {active}");
     }
 

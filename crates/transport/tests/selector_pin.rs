@@ -8,12 +8,13 @@
 //! choice and every `blacklisted_count` / `quarantined_planes` /
 //! `is_blacklisted` / `readmission_bounded` reading, every path's
 //! EWMAs (as raw bits, for the algorithms that track them) and
-//! scoreboard entry at regular intervals, then the sent histogram, pins
-//! the selector bit for bit. The DWRR deficits are pinned through Dwrr's
+//! scoreboard entry at regular intervals, then the histogram of the
+//! choices, pins the selector bit for bit. The DWRR deficits are pinned through Dwrr's
 //! choices.
 //!
-//! A per-path-CC transport run pins the per-path in-flight counts that
-//! gate each path's window: the windows are one or two packets wide and
+//! A per-path-CC transport run, hashed with each connection's sends per
+//! path read from the fabric's packet trace, pins the per-path in-flight
+//! counts that gate each path's window: the windows are one or two packets wide and
 //! the RTO short enough to fire mid-transfer, so where the counts rise
 //! and fall (a send, an RTO retransmission, an ACK, a loss) decides
 //! which paths may send, and so every later byte of the run.
@@ -108,6 +109,8 @@ fn drive(algo: PathAlgo, paths: u32, failover: bool, seed: u64) -> Drive {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut now = SimTime::ZERO;
     let (mut max_blacklisted, mut max_quarantined) = (0, 0);
+    // Picks per path.
+    let mut picks = vec![0u64; paths as usize];
     for step in 0..4_000 {
         if step % 50 == 0 {
             hash_paths(&mut h, &s);
@@ -125,6 +128,9 @@ fn drive(algo: PathAlgo, paths: u32, failover: bool, seed: u64) -> Drive {
                     mask[(p / 64) as usize] & (1 << (p % 64)) != 0
                 });
                 fnv(&mut h, p.map_or(u64::MAX, u64::from));
+                if let Some(p) = p {
+                    picks[p as usize] += 1;
+                }
             }
             5..=7 => {
                 // Plane 1 (odd ids) rarely ACKs, so its losses pile up.
@@ -156,10 +162,10 @@ fn drive(algo: PathAlgo, paths: u32, failover: bool, seed: u64) -> Drive {
         fnv(&mut h, u64::from(s.readmission_bounded(now)));
     }
     hash_paths(&mut h, &s);
-    for n in s.sent_histogram() {
+    for &n in &picks {
         fnv(&mut h, n);
     }
-    fnv(&mut h, s.active_paths() as u64);
+    fnv(&mut h, picks.iter().filter(|&&n| n > 0).count() as u64);
     Drive {
         hash: h,
         max_blacklisted,
@@ -278,6 +284,7 @@ fn per_path_cc_run(algo: PathAlgo) -> u64 {
         sim.network().topology().route(src, dst, 0, 0)[1]
     };
     sim.network_mut().set_loss(lossy, 0.03);
+    sim.network_mut().enable_trace(1 << 16);
     let conns: Vec<_> = (0..3)
         .map(|h| {
             let src = sim.network().topology().nic(h, 0);
@@ -300,8 +307,13 @@ fn per_path_cc_run(algo: PathAlgo) -> u64 {
     }
     fnv(&mut h, sim.now().as_nanos());
     fnv(&mut h, sim.events_scheduled());
+    let trace = sim.network_mut().take_trace();
     for &c in &conns {
-        for n in sim.selector(c).sent_histogram() {
+        let mut sends = [0u64; 8];
+        for r in trace.iter().filter(|r| r.flow == c.0 as u64) {
+            sends[r.path_id as usize] += 1;
+        }
+        for n in sends {
             fnv(&mut h, n);
         }
     }
