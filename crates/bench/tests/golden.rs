@@ -100,6 +100,7 @@ golden_rows! {
     claims_matches_golden_at_1_and_8_threads: "claims" => claims,
     chaos_matches_golden_at_1_and_8_threads: "chaos" => chaos,
     cluster_matches_golden_at_1_and_8_threads: "cluster" => cluster,
+    timeline_matches_golden_at_1_and_8_threads: "timeline" => timeline,
 }
 
 /// The fig11 flight-recorder document, rendered exactly as
