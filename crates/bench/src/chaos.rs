@@ -14,7 +14,7 @@ use stellar_sim::SimDuration;
 use stellar_transport::{PathAlgo, ScoreboardPolicy};
 use stellar_workloads::chaos::{run_chaos_with, ChaosConfig, ChaosScenario};
 
-use crate::{or_na, Table};
+use crate::{or_na, rel, Table};
 
 json_row! {
     /// One chaos-scenario row.
@@ -41,13 +41,6 @@ json_row! {
         pub conn_errors: u64,
         /// Graceful-degradation verdict.
         pub verdict: &'static str,
-    }
-}
-
-fn rel(window: Option<f64>, healthy: f64) -> f64 {
-    match window {
-        Some(bw) if healthy > 0.0 => bw / healthy,
-        _ => -1.0,
     }
 }
 

@@ -6,12 +6,15 @@
 //! under static background; under bursty background 128 paths mitigate
 //! the interference, with OBS the most resilient.
 
-use stellar_net::{ClosConfig, ClosTopology, Fabric, Network, NetworkConfig, NicId};
+use stellar_net::fixture::packet_fabric_default;
+use stellar_net::{ClosConfig, Fabric};
 use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 use stellar_sim::{SimDuration, SimRng, SimTime};
 use stellar_transport::{PathAlgo, TransportConfig, TransportSim};
-use stellar_workloads::allreduce::{AllReduceJob, AllReduceRunner, BurstSchedule};
+use stellar_workloads::allreduce::{
+    AllReduceJob, AllReduceRunner, BurstSchedule, InterleavedRings,
+};
 
 use crate::Table;
 
@@ -36,17 +39,15 @@ fn run_one(
     bursty: bool,
     quick: bool,
 ) -> f64 {
-    let ranks = if quick { 8 } else { 16 };
-    let hosts_per_segment = ranks * 3 / 2;
-    let topo = ClosTopology::build(ClosConfig {
-        segments: 2,
-        hosts_per_segment,
-        rails: 1,
-        planes: 2,
+    // Three interleaved jobs, ranks alternating across both segments so
+    // every ring stresses the aggregation layer.
+    let layout = InterleavedRings::new(3, if quick { 8 } else { 16 }).expect("even rings");
+    let clos = ClosConfig {
         aggs_per_plane: if quick { 8 } else { 16 },
-    });
+        ..layout.clos()
+    };
     let rng = SimRng::from_seed(31);
-    let network = Network::new(topo, NetworkConfig::default(), rng.fork("net"));
+    let network = packet_fabric_default(clos, &rng);
     let mut sim = TransportSim::new(
         network,
         TransportConfig {
@@ -57,17 +58,7 @@ fn run_one(
         rng.fork("transport"),
     );
 
-    // Three interleaved jobs, ranks alternating across both segments so
-    // every ring stresses the aggregation layer.
-    let ring = |job: usize| -> Vec<NicId> {
-        (0..ranks)
-            .map(|r| {
-                let host = (r / 2) + (r % 2) * hosts_per_segment + job * (ranks / 2);
-                sim.network().topology().nic(host, 0)
-            })
-            .collect()
-    };
-    let rings: Vec<Vec<NicId>> = (0..3).map(ring).collect();
+    let rings = layout.nics(sim.network().topology());
     let data = if quick { 2 * 1024 * 1024 } else { 8 * 1024 * 1024 };
     let burst = bursty.then_some(BurstSchedule {
         run_iters: 2,

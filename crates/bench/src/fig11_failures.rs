@@ -6,12 +6,15 @@
 //! perceived packet loss rate ... by a factor of 128"), while single-path
 //! flows pinned to the lossy link suffer repeated RTOs.
 
-use stellar_net::{ClosConfig, ClosTopology, Fabric, Network, NetworkConfig, NicId};
+use stellar_net::fixture::packet_fabric_default;
+use stellar_net::Fabric;
 use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 use stellar_sim::{SimRng, SimTime};
 use stellar_transport::{PathAlgo, TransportConfig, TransportSim};
-use stellar_workloads::allreduce::{AllReduceJob, AllReduceRunner};
+use stellar_workloads::allreduce::{
+    first_edge_uplink, AllReduceJob, AllReduceRunner, InterleavedRings,
+};
 
 use crate::Table;
 
@@ -33,19 +36,13 @@ json_row! {
 }
 
 fn run_one(algo: PathAlgo, paths: u32, loss: f64, quick: bool) -> (f64, u64) {
-    let ranks = if quick { 4 } else { 8 };
-    let topo = ClosTopology::build(ClosConfig {
-        segments: 2,
-        hosts_per_segment: ranks / 2,
-        rails: 1,
-        planes: 2,
-        // The production aggregation width: sprayed traffic crosses the
-        // poisoned link with probability ~1/120, the paper's "reduces the
-        // perceived packet loss rate ... by a factor of 128".
-        aggs_per_plane: 60,
-    });
+    // One ring alternating across segments so traffic crosses the agg
+    // layer, on the production aggregation width: sprayed traffic
+    // crosses the poisoned link with probability ~1/120, the paper's
+    // "reduces the perceived packet loss rate ... by a factor of 128".
+    let layout = InterleavedRings::new(1, if quick { 4 } else { 8 }).expect("an even ring");
     let rng = SimRng::from_seed(77);
-    let network = Network::new(topo, NetworkConfig::default(), rng.fork("net"));
+    let network = packet_fabric_default(layout.clos(), &rng);
     let mut sim = TransportSim::new(
         network,
         TransportConfig {
@@ -55,18 +52,10 @@ fn run_one(algo: PathAlgo, paths: u32, loss: f64, quick: bool) -> (f64, u64) {
         },
         rng.fork("transport"),
     );
-    // Ring alternating across segments so traffic crosses the agg layer.
-    let nics: Vec<NicId> = (0..ranks)
-        .map(|r| {
-            let host = (r / 2) + (r % 2) * (ranks / 2);
-            sim.network().topology().nic(host, 0)
-        })
-        .collect();
+    let nics = layout.nics(sim.network().topology()).remove(0);
     if loss > 0.0 {
         // Poison one agg uplink used by the first ring edge.
-        let src = nics[0];
-        let dst = nics[1];
-        let link = sim.network().topology().route(src, dst, 0, 0)[1];
+        let link = first_edge_uplink(sim.network().topology(), &nics, 0);
         sim.network_mut().set_loss(link, loss);
     }
     let mut runner = AllReduceRunner::new(

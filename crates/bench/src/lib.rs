@@ -97,6 +97,14 @@ impl<'r, R> Table<'r, R> {
     }
 }
 
+/// A fault window's busbw relative to healthy, or `-1` if undefined.
+fn rel(window: Option<f64>, healthy: f64) -> f64 {
+    match window {
+        Some(bw) if healthy > 0.0 => bw / healthy,
+        _ => -1.0,
+    }
+}
+
 /// `n/a` for the negative sentinel an undefined ratio or time carries,
 /// else `value` formatted by `fmt`.
 fn or_na(value: f64, fmt: impl FnOnce(f64) -> String) -> String {

@@ -25,23 +25,22 @@
 use stellar_core::vstellar::VStellarStack;
 use stellar_core::{RnicId, ServerConfig, StellarServer};
 use stellar_net::fixture::{hybrid_fabric, packet_fabric};
-use stellar_net::{
-    ClosConfig, Fabric, FaultPlan, HybridConfig, HybridFabric, NetworkConfig, NicId,
-};
+use stellar_net::{Fabric, FaultPlan, HybridConfig, HybridFabric, NetworkConfig, NicId};
 use stellar_pcie::addr::Gva;
 use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 use stellar_sim::stats::Histogram;
 use stellar_sim::{SimDuration, SimRng, SimTime};
 use stellar_transport::{
-    App, ConnId, FatalError, MsgId, PathAlgo, PlaneFailover, RecoveryPolicy, ScoreboardPolicy,
-    TransportConfig, TransportSim,
+    PathAlgo, PlaneFailover, RecoveryPolicy, ScoreboardPolicy, TransportConfig, TransportSim,
 };
 use stellar_virt::rund::MemoryStrategy;
-use stellar_workloads::allreduce::{AllReduceJob, AllReduceRunner};
+use stellar_workloads::allreduce::{
+    calibrate, first_edge_uplink, AllReduceJob, AllReduceRunner, FaultWindows, InterleavedRings,
+};
 use stellar_workloads::chaos::{run_chaos_with, ChaosConfig, ChaosScenario};
 
-use crate::{or_na, Table};
+use crate::{or_na, rel, Table};
 
 json_row! {
     /// One recovery-table row.
@@ -74,13 +73,6 @@ json_row! {
         pub exactly_once: &'static str,
         /// Graceful-degradation verdict.
         pub verdict: &'static str,
-    }
-}
-
-fn rel(window: Option<f64>, healthy: f64) -> f64 {
-    match window {
-        Some(bw) if healthy > 0.0 => bw / healthy,
-        _ => -1.0,
     }
 }
 
@@ -220,48 +212,19 @@ pub struct FleetReport {
     pub all_finished: bool,
 }
 
-/// The fleet app: drives the rings and records terminal errors and
-/// recovery downtimes.
-struct FleetWatch {
-    runner: AllReduceRunner,
-    errors: Vec<(ConnId, FatalError)>,
-    downtimes: Vec<SimDuration>,
+/// The fleet's placement: `rings` [`InterleavedRings`] of `ring_ranks`
+/// each. Panics with the layout error's message if the fleet has an odd
+/// rank total or rings below 2 ranks.
+fn fleet_layout(config: &FleetConfig) -> InterleavedRings {
+    InterleavedRings::new(config.rings, config.ring_ranks).unwrap_or_else(|e| panic!("{e}"))
 }
 
-impl<F: Fabric> App<F> for FleetWatch {
-    fn on_message_complete(&mut self, sim: &mut TransportSim<F>, conn: ConnId, msg: MsgId) {
-        self.runner.on_message_complete(sim, conn, msg);
-    }
-    fn on_timer(&mut self, sim: &mut TransportSim<F>, token: u64) {
-        self.runner.on_timer(sim, token);
-    }
-    fn on_connection_error(&mut self, _sim: &mut TransportSim<F>, conn: ConnId, error: FatalError) {
-        self.errors.push((conn, error));
-    }
-    fn on_connection_recovered(
-        &mut self,
-        _sim: &mut TransportSim<F>,
-        _conn: ConnId,
-        downtime: SimDuration,
-    ) {
-        self.downtimes.push(downtime);
-    }
-}
-
-/// Build the fleet simulator: single-path transport (so a dead route
-/// must re-establish rather than spray around the fault) with recovery
-/// enabled, on the hybrid fabric.
-fn fleet_sim(config: &FleetConfig) -> (TransportSim<HybridFabric>, Vec<Vec<NicId>>) {
-    let total = config.rings * config.ring_ranks;
+/// The fleet fabric, hybrid, on the layout's Clos, and the transport's
+/// seeded stream.
+fn fleet_fabric(config: &FleetConfig) -> (HybridFabric, SimRng) {
     let rng = SimRng::from_seed(config.seed);
     let fabric = hybrid_fabric(
-        ClosConfig {
-            segments: 2,
-            hosts_per_segment: total / 2,
-            rails: 1,
-            planes: 2,
-            aggs_per_plane: 60,
-        },
+        fleet_layout(config).clos(),
         NetworkConfig {
             // Longer than the outage: the recovery ladder, not a BGP
             // reroute, must bridge the dark window.
@@ -271,6 +234,14 @@ fn fleet_sim(config: &FleetConfig) -> (TransportSim<HybridFabric>, Vec<Vec<NicId
         HybridConfig::default(),
         &rng,
     );
+    (fabric, rng.fork("transport"))
+}
+
+/// Build the fleet simulator: single-path transport (so a dead route
+/// must re-establish rather than spray around the fault) with recovery
+/// enabled, on the hybrid fabric.
+fn fleet_sim(config: &FleetConfig) -> (TransportSim<HybridFabric>, Vec<Vec<NicId>>) {
+    let (fabric, rng) = fleet_fabric(config);
     let sim = TransportSim::new(
         fabric,
         TransportConfig {
@@ -288,21 +259,9 @@ fn fleet_sim(config: &FleetConfig) -> (TransportSim<HybridFabric>, Vec<Vec<NicId
             recovery: Some(RecoveryPolicy::default()),
             ..TransportConfig::default()
         },
-        rng.fork("transport"),
+        rng,
     );
-    // Ring j owns global ranks j·ring_ranks .. (j+1)·ring_ranks,
-    // alternating across segments so every edge crosses the agg layer.
-    let nics = (0..config.rings)
-        .map(|j| {
-            (0..config.ring_ranks)
-                .map(|r| {
-                    let g = j * config.ring_ranks + r;
-                    let host = (g / 2) + (g % 2) * (total / 2);
-                    sim.network().topology().nic(host, 0)
-                })
-                .collect()
-        })
-        .collect();
+    let nics = fleet_layout(config).nics(sim.network().topology());
     (sim, nics)
 }
 
@@ -321,84 +280,48 @@ fn fleet_jobs(config: &FleetConfig, nics: &[Vec<NicId>]) -> Vec<AllReduceJob> {
 /// mean iteration time that anchors the outage), then the chaos pass
 /// with the victim uplinks dark for [`FleetConfig::outage`].
 pub fn run_fleet(config: &FleetConfig) -> FleetReport {
-    // Calibration.
     let (mut sim, nics) = fleet_sim(config);
-    let mut runner = AllReduceRunner::new(&mut sim, fleet_jobs(config, &nics));
-    runner.start(&mut sim);
-    sim.run(&mut runner, SimTime::from_nanos(u64::MAX / 2));
-    assert!(runner.all_finished(), "fleet calibration must finish");
-    let mut iter_total = SimDuration::ZERO;
-    let mut iter_count = 0u64;
-    let mut busbw_sum = 0.0;
-    let mut busbw_n = 0u64;
-    for j in 0..config.rings {
-        let rep = runner.report(j);
-        for (i, rec) in rep.iterations.iter().enumerate() {
-            iter_total += rec.duration();
-            iter_count += 1;
-            busbw_sum += rep.bus_bandwidth_gbs(i);
-            busbw_n += 1;
-        }
-    }
-    let healthy = busbw_sum / busbw_n.max(1) as f64;
-    let iter_time = SimDuration::from_nanos((iter_total.as_nanos() / iter_count.max(1)).max(1));
+    let healthy = calibrate(&mut sim, fleet_jobs(config, &nics));
 
-    // Chaos pass: fresh fabric, same seed; the first iteration runs
-    // clean, then the victim rings' first-edge uplinks go dark.
-    let (mut sim, nics) = fleet_sim(config);
-    let t0 = SimTime::ZERO + iter_time;
+    // Chaos pass: the calibration sim reset onto a fresh fabric, same
+    // seed; the first iteration runs clean, then the victim rings'
+    // first-edge uplinks go dark.
+    let (fabric, rng) = fleet_fabric(config);
+    sim.reset(fabric, rng);
+    let fault_start = SimTime::ZERO + healthy.iter_time;
+    let topo = sim.network().topology();
     let mut victims: Vec<_> = nics
         .iter()
         .take(config.victims)
-        .map(|ring| sim.network().topology().route(ring[0], ring[1], 0, 0)[1])
+        .map(|ring| first_edge_uplink(topo, ring, 0))
         .collect();
     victims.sort_by_key(|l| l.0);
     victims.dedup();
     let mut plan = FaultPlan::new(config.seed);
     for &link in &victims {
-        plan = plan.flap(link, t0, config.outage, SimDuration::from_millis(1), 1);
+        plan = plan.flap(link, fault_start, config.outage, SimDuration::from_millis(1), 1);
     }
-    let fault_start = t0;
     let recovered_at = plan
         .recovery_time(SimDuration::from_millis(50))
         .unwrap_or(SimTime::ZERO);
     sim.network_mut().install_fault_plan(plan);
 
-    let runner = AllReduceRunner::new(&mut sim, fleet_jobs(config, &nics));
-    let mut app = FleetWatch {
-        runner,
-        errors: Vec::new(),
-        downtimes: Vec::new(),
-    };
-    app.runner.start(&mut sim);
-    sim.run(&mut app, SimTime::from_nanos(u64::MAX / 2));
+    let mut runner = AllReduceRunner::new(&mut sim, fleet_jobs(config, &nics));
+    runner.start(&mut sim);
+    sim.run(&mut runner, SimTime::from_nanos(u64::MAX / 2));
 
-    let all_finished = app.runner.all_finished();
-    // Terminal errors and recoveries are disjoint by construction.
-    debug_assert_eq!(app.errors.len(), sim.failed_connections());
-    let mut bridged: Vec<f64> = Vec::new();
-    let mut after: Vec<f64> = Vec::new();
-    for j in 0..config.rings {
-        let rep = app.runner.report(j);
-        for (i, rec) in rep.iterations.iter().enumerate() {
-            if rec.started >= recovered_at {
-                after.push(rep.bus_bandwidth_gbs(i));
-            } else if rec.started < recovered_at && rec.finished > fault_start {
-                bridged.push(rep.bus_bandwidth_gbs(i));
-            }
-        }
-    }
+    let windows = FaultWindows::split(&runner.busbw_samples(), fault_start, recovered_at);
     let total = sim.total_stats();
     FleetReport {
         ranks: (config.rings * config.ring_ranks) as u64,
-        healthy_busbw_gbs: healthy,
-        bridged: stellar_sim::stats::mean(&bridged),
-        after: stellar_sim::stats::mean(&after),
+        healthy_busbw_gbs: healthy.busbw_gbs,
+        bridged: windows.bridged,
+        after: windows.after,
         recoveries: total.recoveries,
         replayed: total.replayed_packets,
-        downtimes: app.downtimes,
-        errors: app.errors.len(),
-        all_finished,
+        downtimes: runner.downtimes().to_vec(),
+        errors: runner.errors().len(),
+        all_finished: runner.all_finished(),
     }
 }
 

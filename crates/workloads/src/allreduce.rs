@@ -11,10 +11,85 @@
 //! Multiple jobs can share the fabric (the Fig. 10 background jobs), and
 //! a job can run bursty — `run_iters` AllReduces, then an off period —
 //! reproducing the paper's 5 s-on/5 s-off background.
+//!
+//! The closed-loop fault experiments share the rest: [`InterleavedRings`],
+//! [`first_edge_uplink`], [`calibrate`], the runner's error and downtime
+//! record, and [`FaultWindows`].
 
-use stellar_net::{Fabric, NicId};
-use stellar_sim::{SimDuration, SimTime};
-use stellar_transport::{App, ConnId, MsgId, TransportSim};
+use stellar_net::{ClosConfig, ClosTopology, Fabric, LinkId, NicId};
+use stellar_sim::{stats, SimDuration, SimTime};
+use stellar_transport::{App, ConnId, FatalError, MsgId, TransportSim};
+
+/// Why [`InterleavedRings`] cannot place a layout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RingLayoutError {
+    /// A ring below 2 ranks; carries the ring size.
+    TooFewRanks(usize),
+    /// An odd rank total, which would put two ranks on one NIC.
+    OddTotal(usize),
+}
+
+impl std::fmt::Display for RingLayoutError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::TooFewRanks(n) => write!(f, "ring layout: {n} ranks per ring, need 2"),
+            Self::OddTotal(n) => write!(f, "ring layout: {n} ranks in total is odd"),
+        }
+    }
+}
+
+impl std::error::Error for RingLayoutError {}
+
+/// `rings` rings of `ranks` ranks, interleaved over the two segments of
+/// the Clos sized for them: global rank `g = j·ranks + r` (rank `r` of
+/// ring `j`) goes to host `g/2 + (g%2)·(total/2)`, so every edge of an
+/// even ring crosses the aggregation layer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InterleavedRings {
+    rings: usize,
+    ranks: usize,
+}
+
+impl InterleavedRings {
+    /// The layout, or why it cannot be placed.
+    pub fn new(rings: usize, ranks: usize) -> Result<Self, RingLayoutError> {
+        if ranks < 2 {
+            return Err(RingLayoutError::TooFewRanks(ranks));
+        }
+        let total = rings * ranks;
+        if !total.is_multiple_of(2) {
+            return Err(RingLayoutError::OddTotal(total));
+        }
+        Ok(InterleavedRings { rings, ranks })
+    }
+
+    /// 2 segments of `total / 2` hosts, one rail, 2 planes × 60 aggs:
+    /// the production 120-way fan-out, which survives losing a few
+    /// paths by construction (§7.2).
+    pub fn clos(&self) -> ClosConfig {
+        ClosConfig {
+            segments: 2,
+            hosts_per_segment: self.rings * self.ranks / 2,
+            rails: 1,
+            planes: 2,
+            aggs_per_plane: 60,
+        }
+    }
+
+    /// Every ring's NICs, ring by ring, each in ring order.
+    pub fn nics(&self, topo: &ClosTopology) -> Vec<Vec<NicId>> {
+        let half = self.rings * self.ranks / 2;
+        let nic = |g: usize| topo.nic(g / 2 + (g % 2) * half, 0);
+        let ring = |j: usize| (j * self.ranks..(j + 1) * self.ranks).map(nic).collect();
+        (0..self.rings).map(ring).collect()
+    }
+}
+
+/// The ToR→Agg uplink on path `path` of a ring's first edge: the link
+/// the fault experiments poison, flap or kill.
+pub fn first_edge_uplink(topo: &ClosTopology, ring: &[NicId], path: u32) -> LinkId {
+    topo.route(ring[0], ring[1], 0, path)[1]
+}
 
 /// On/off schedule for a bursty job.
 #[derive(Debug, Clone, Copy)]
@@ -79,13 +154,10 @@ impl AllReduceReport {
 
     /// Mean bus bandwidth over all completed iterations, GB/s.
     pub fn mean_bus_bandwidth_gbs(&self) -> f64 {
-        if self.iterations.is_empty() {
-            return 0.0;
-        }
-        (0..self.iterations.len())
+        let busbw: Vec<f64> = (0..self.iterations.len())
             .map(|i| self.bus_bandwidth_gbs(i))
-            .sum::<f64>()
-            / self.iterations.len() as f64
+            .collect();
+        stats::mean(&busbw).unwrap_or(0.0)
     }
 }
 
@@ -104,12 +176,15 @@ struct JobState {
     finished: bool,
 }
 
-/// Drives one or more AllReduce jobs as a transport [`App`].
+/// Drives one or more AllReduce jobs as a transport [`App`]. Run as the
+/// sim's app, it also records connection errors and recovery downtimes.
 pub struct AllReduceRunner {
     jobs: Vec<JobState>,
     /// `by_conn[c]`: `(job, receiver rank)` of ring connection `c`;
     /// `None` for connections other apps opened in the same sim.
     by_conn: Vec<Option<(usize, usize)>>,
+    errors: Vec<(ConnId, FatalError)>,
+    downtimes: Vec<SimDuration>,
 }
 
 impl AllReduceRunner {
@@ -118,6 +193,8 @@ impl AllReduceRunner {
         let mut runner = AllReduceRunner {
             jobs: Vec::new(),
             by_conn: Vec::new(),
+            errors: Vec::new(),
+            downtimes: Vec::new(),
         };
         for job in jobs {
             runner.add_job(sim, job);
@@ -133,6 +210,7 @@ impl AllReduceRunner {
         let n = job.nics.len();
         assert!(n >= 2, "a ring needs at least two ranks");
         assert!(job.data_bytes >= n as u64, "data too small for the ring");
+        assert!(job.iterations >= 1, "a job needs at least one iteration");
         let mut conns = Vec::with_capacity(n);
         for i in 0..n {
             let src = job.nics[i];
@@ -207,6 +285,82 @@ impl AllReduceRunner {
             data_bytes: st.job.data_bytes,
         }
     }
+
+    /// Every completed iteration and its busbw (GB/s), ring by ring.
+    pub fn busbw_samples(&self) -> Vec<(IterationRecord, f64)> {
+        let reports = (0..self.jobs.len()).map(|j| self.report(j));
+        let samples = |rep: AllReduceReport| {
+            (0..rep.iterations.len()).map(move |i| (rep.iterations[i], rep.bus_bandwidth_gbs(i)))
+        };
+        reports.flat_map(samples).collect()
+    }
+
+    /// Connections that died terminally, in callback order.
+    pub fn errors(&self) -> &[(ConnId, FatalError)] {
+        &self.errors
+    }
+
+    /// The downtime of each completed recovery cycle, in callback order.
+    pub fn downtimes(&self) -> &[SimDuration] {
+        &self.downtimes
+    }
+}
+
+/// A fault-free pass: the baseline a fault run is judged against and
+/// the clock its faults are scheduled by.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Calibration {
+    /// Mean busbw over every job's iterations, ring by ring, GB/s.
+    pub busbw_gbs: f64,
+    /// Mean iteration time over the same iterations.
+    pub iter_time: SimDuration,
+}
+
+/// Run `jobs` fault-free to completion on `sim` and calibrate on them.
+pub fn calibrate<F: Fabric>(sim: &mut TransportSim<F>, jobs: Vec<AllReduceJob>) -> Calibration {
+    let mut runner = AllReduceRunner::new(sim, jobs);
+    runner.start(sim);
+    sim.run(&mut runner, SimTime::from_nanos(u64::MAX / 2));
+    assert!(runner.all_finished(), "calibration run must finish");
+    let samples = runner.busbw_samples();
+    let busbw: Vec<f64> = samples.iter().map(|&(_, bw)| bw).collect();
+    let ns: u64 = samples.iter().map(|(rec, _)| rec.duration().as_nanos()).sum();
+    Calibration {
+        busbw_gbs: stats::mean(&busbw).expect("a finished job ran an iteration"),
+        iter_time: SimDuration::from_nanos((ns / samples.len() as u64).max(1)),
+    }
+}
+
+/// Mean busbw of the iterations in each §7.2 phase around a fault; an
+/// empty window is `None`, not a zero-bandwidth window.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FaultWindows {
+    /// Iterations with `finished ≤ fault_start`.
+    pub before: Option<f64>,
+    /// Iterations with `started < recovered_at && finished > fault_start`.
+    pub bridged: Option<f64>,
+    /// Iterations with `started ≥ recovered_at`.
+    pub after: Option<f64>,
+}
+
+impl FaultWindows {
+    /// Split `(iteration, busbw)` samples; each mean sums in the order
+    /// given.
+    pub fn split(
+        samples: &[(IterationRecord, f64)],
+        fault_start: SimTime,
+        recovered_at: SimTime,
+    ) -> Self {
+        let mean = |keep: &dyn Fn(&IterationRecord) -> bool| {
+            let busbw: Vec<f64> = samples.iter().filter(|(r, _)| keep(r)).map(|s| s.1).collect();
+            stats::mean(&busbw)
+        };
+        FaultWindows {
+            before: mean(&|r| r.finished <= fault_start),
+            bridged: mean(&|r| r.started < recovered_at && r.finished > fault_start),
+            after: mean(&|r| r.started >= recovered_at),
+        }
+    }
 }
 
 impl<F: Fabric> App<F> for AllReduceRunner {
@@ -257,6 +411,19 @@ impl<F: Fabric> App<F> for AllReduceRunner {
         if j < self.jobs.len() && !self.jobs[j].finished {
             self.start_iteration(sim, j);
         }
+    }
+
+    fn on_connection_error(&mut self, _sim: &mut TransportSim<F>, conn: ConnId, error: FatalError) {
+        self.errors.push((conn, error));
+    }
+
+    fn on_connection_recovered(
+        &mut self,
+        _sim: &mut TransportSim<F>,
+        _conn: ConnId,
+        downtime: SimDuration,
+    ) {
+        self.downtimes.push(downtime);
     }
 }
 
@@ -456,6 +623,113 @@ mod tests {
             .started
             .duration_since(rep.iterations[0].finished);
         assert!(gap01 < pause);
+    }
+
+    #[test]
+    #[should_panic(expected = "a job needs at least one iteration")]
+    fn add_job_rejects_zero_iterations() {
+        let mut s = sim(PathAlgo::Obs, 128, 1);
+        let nics = ring(&s, &[0, 8]);
+        AllReduceRunner::new(
+            &mut s,
+            vec![AllReduceJob {
+                nics,
+                data_bytes: 1024,
+                iterations: 0,
+                burst: None,
+            }],
+        );
+    }
+
+    #[test]
+    fn interleaved_rings_give_every_rank_its_own_host() {
+        for (rings, ranks) in [(1, 2), (1, 8), (2, 3), (3, 8), (4, 16)] {
+            let layout = InterleavedRings::new(rings, ranks).unwrap();
+            let topo = ClosTopology::build(layout.clos());
+            let mut hosts: Vec<u32> = layout.nics(&topo).concat().iter().map(|n| n.0).collect();
+            hosts.sort_unstable();
+            let all: Vec<u32> = (0..(rings * ranks) as u32).collect();
+            assert_eq!(hosts, all, "{rings} × {ranks}");
+        }
+        // Fig. 10's three 8-rank jobs: rank r of job j on host
+        // r/2 + (r%2)·12 + j·4.
+        let layout = InterleavedRings::new(3, 8).unwrap();
+        let topo = ClosTopology::build(layout.clos());
+        for (j, ring) in layout.nics(&topo).iter().enumerate() {
+            for (r, nic) in ring.iter().enumerate() {
+                assert_eq!(nic.0 as usize, r / 2 + (r % 2) * 12 + j * 4);
+            }
+        }
+    }
+
+    #[test]
+    fn interleaved_rings_reject_short_rings_and_odd_totals() {
+        assert_eq!(InterleavedRings::new(1, 0), Err(RingLayoutError::TooFewRanks(0)));
+        assert_eq!(InterleavedRings::new(4, 1), Err(RingLayoutError::TooFewRanks(1)));
+        assert_eq!(InterleavedRings::new(1, 3), Err(RingLayoutError::OddTotal(3)));
+        assert_eq!(InterleavedRings::new(3, 5), Err(RingLayoutError::OddTotal(15)));
+    }
+
+    fn rec(started: u64, finished: u64) -> IterationRecord {
+        IterationRecord {
+            iter: 0,
+            started: SimTime::from_nanos(started),
+            finished: SimTime::from_nanos(finished),
+        }
+    }
+
+    /// An iteration finishing exactly at the fault counts as before it,
+    /// and one starting exactly at recovery counts as after it; neither
+    /// is bridged.
+    #[test]
+    fn fault_windows_split_at_the_boundaries() {
+        let (fault_start, recovered_at) = (SimTime::from_nanos(100), SimTime::from_nanos(200));
+        let w = FaultWindows::split(
+            &[
+                (rec(0, 100), 1.0),
+                (rec(100, 200), 2.0),
+                (rec(200, 300), 5.0),
+                (rec(50, 250), 4.0),
+            ],
+            fault_start,
+            recovered_at,
+        );
+        assert_eq!(w.before, Some(1.0));
+        assert_eq!(w.bridged, Some(3.0));
+        assert_eq!(w.after, Some(5.0));
+        // One iteration past either boundary moves it into the bridge.
+        let w = FaultWindows::split(
+            &[(rec(0, 101), 1.0), (rec(199, 300), 2.0)],
+            fault_start,
+            recovered_at,
+        );
+        assert_eq!((w.before, w.bridged, w.after), (None, Some(1.5), None));
+    }
+
+    /// Calibration averages every iteration of every ring.
+    #[test]
+    fn calibration_covers_every_ring() {
+        let mut s = sim(PathAlgo::Obs, 128, 3);
+        let job = |nics| AllReduceJob {
+            nics,
+            data_bytes: 2 * 1024 * 1024,
+            iterations: 2,
+            burst: None,
+        };
+        let jobs = vec![job(ring(&s, &[0, 8])), job(ring(&s, &[1, 9]))];
+        let c = calibrate(&mut s, jobs.clone());
+        let mut s = sim(PathAlgo::Obs, 128, 3);
+        let mut runner = AllReduceRunner::new(&mut s, jobs);
+        runner.start(&mut s);
+        s.run(&mut runner, FOREVER);
+        let bw: Vec<f64> = runner.busbw_samples().iter().map(|s| s.1).collect();
+        assert_eq!(bw.len(), 4);
+        assert_eq!(c.busbw_gbs, stats::mean(&bw).unwrap());
+        let ns: u64 = (0..2)
+            .flat_map(|j| runner.report(j).iterations)
+            .map(|r| r.duration().as_nanos())
+            .sum();
+        assert_eq!(c.iter_time.as_nanos(), ns / 4);
     }
 
     #[test]

@@ -14,11 +14,14 @@ use stellar_net::fixture::packet_fabric;
 use stellar_net::{ClosConfig, DropReason, Fabric, FaultPlan, LinkId, NetworkConfig, NicId};
 use stellar_sim::{SimDuration, SimRng, SimTime};
 use stellar_transport::{
-    App, ConnId, FatalError, MsgId, PathAlgo, PlaneFailover, RecoveryPolicy, ScoreboardPolicy,
+    ConnId, FatalError, PathAlgo, PlaneFailover, RecoveryPolicy, ScoreboardPolicy,
     TransportConfig, TransportSim,
 };
 
-use crate::allreduce::{AllReduceJob, AllReduceRunner};
+use crate::allreduce::{
+    calibrate, first_edge_uplink, AllReduceJob, AllReduceRunner, Calibration, FaultWindows,
+    InterleavedRings, RingLayoutError,
+};
 
 /// The fault scenario to inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,6 +123,60 @@ impl Default for ChaosConfig {
     }
 }
 
+/// Why a [`ChaosConfig`] cannot run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChaosConfigError {
+    /// `ranks` is not one [`InterleavedRings`] ring.
+    Ring(RingLayoutError),
+    /// `iterations` is 0.
+    ZeroIterations,
+    /// `data_bytes` is below one byte per rank; carries it.
+    DataTooSmall(u64),
+}
+
+impl std::fmt::Display for ChaosConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Ring(e) => write!(f, "chaos config: {e}"),
+            Self::ZeroIterations => write!(f, "chaos config: iterations is 0"),
+            Self::DataTooSmall(n) => write!(f, "chaos config: data_bytes {n} is below ranks"),
+        }
+    }
+}
+
+impl std::error::Error for ChaosConfigError {}
+
+impl ChaosConfig {
+    /// Check the ring and its job; [`TransportSim::new`] checks the
+    /// transport settings.
+    pub fn validate(&self) -> Result<(), ChaosConfigError> {
+        InterleavedRings::new(1, self.ranks).map_err(ChaosConfigError::Ring)?;
+        if self.iterations == 0 {
+            return Err(ChaosConfigError::ZeroIterations);
+        }
+        if self.data_bytes < self.ranks as u64 {
+            return Err(ChaosConfigError::DataTooSmall(self.data_bytes));
+        }
+        Ok(())
+    }
+
+    /// The ring layout; panics with the [`validate`](Self::validate)
+    /// error's message.
+    fn layout(&self) -> InterleavedRings {
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
+        InterleavedRings::new(1, self.ranks).expect("validated")
+    }
+
+    fn job(&self, nics: Vec<NicId>) -> AllReduceJob {
+        AllReduceJob {
+            nics,
+            data_bytes: self.data_bytes,
+            iterations: self.iterations,
+            burst: None,
+        }
+    }
+}
+
 /// Graceful-degradation verdict for one chaos run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
@@ -190,62 +247,6 @@ pub struct ChaosReport {
     pub verdict: Verdict,
 }
 
-struct ErrorWatch {
-    runner: AllReduceRunner,
-    errors: Vec<(ConnId, FatalError)>,
-    recovered: Vec<(ConnId, SimDuration)>,
-}
-
-impl<F: Fabric> App<F> for ErrorWatch {
-    fn on_message_complete(&mut self, sim: &mut TransportSim<F>, conn: ConnId, msg: MsgId) {
-        self.runner.on_message_complete(sim, conn, msg);
-    }
-    fn on_timer(&mut self, sim: &mut TransportSim<F>, token: u64) {
-        self.runner.on_timer(sim, token);
-    }
-    fn on_connection_error(&mut self, _sim: &mut TransportSim<F>, conn: ConnId, error: FatalError) {
-        self.errors.push((conn, error));
-    }
-    fn on_connection_recovered(
-        &mut self,
-        _sim: &mut TransportSim<F>,
-        conn: ConnId,
-        downtime: SimDuration,
-    ) {
-        self.recovered.push((conn, downtime));
-    }
-}
-
-/// The chaos topology: 2 planes × 60 aggs = the production 120-way path
-/// fan-out; losing a few slots to faults is survivable by construction
-/// (§7.2).
-fn chaos_clos(config: &ChaosConfig) -> ClosConfig {
-    ClosConfig {
-        segments: 2,
-        hosts_per_segment: config.ranks / 2,
-        rails: 1,
-        planes: 2,
-        aggs_per_plane: 60,
-    }
-}
-
-fn chaos_net(config: &ChaosConfig) -> NetworkConfig {
-    NetworkConfig {
-        bgp_convergence: config.bgp_convergence,
-        ..NetworkConfig::default()
-    }
-}
-
-/// Ring alternating across segments so every edge crosses the agg layer.
-fn ring_nics<F: Fabric>(config: &ChaosConfig, sim: &TransportSim<F>) -> Vec<NicId> {
-    (0..config.ranks)
-        .map(|r| {
-            let host = (r / 2) + (r % 2) * (config.ranks / 2);
-            sim.network().topology().nic(host, 0)
-        })
-        .collect()
-}
-
 fn chaos_transport(config: &ChaosConfig) -> TransportConfig {
     TransportConfig {
         algo: config.algo,
@@ -259,6 +260,22 @@ fn chaos_transport(config: &ChaosConfig) -> TransportConfig {
     }
 }
 
+/// The chaos fabric, on the [`InterleavedRings`] Clos of one ring, and
+/// the transport's seeded stream. Panics if `config` does not
+/// [`validate`](ChaosConfig::validate).
+fn chaos_fabric<F: Fabric>(
+    config: &ChaosConfig,
+    build: &impl Fn(ClosConfig, NetworkConfig, &SimRng) -> F,
+) -> (F, SimRng) {
+    let rng = SimRng::from_seed(config.seed);
+    let net = NetworkConfig {
+        bgp_convergence: config.bgp_convergence,
+        ..NetworkConfig::default()
+    };
+    let network = build(config.layout().clos(), net, &rng);
+    (network, rng.fork("transport"))
+}
+
 /// Build the chaos simulator on any [`Fabric`]. The builder closure is
 /// the same shape the failure-timeline and scale experiments use
 /// (`|clos, net, rng| hybrid_fabric(clos, net, HybridConfig::default(),
@@ -268,28 +285,10 @@ pub fn build_sim_with<F: Fabric>(
     config: &ChaosConfig,
     build: &impl Fn(ClosConfig, NetworkConfig, &SimRng) -> F,
 ) -> (TransportSim<F>, Vec<NicId>) {
-    let rng = SimRng::from_seed(config.seed);
-    let network = build(chaos_clos(config), chaos_net(config), &rng);
-    let sim = TransportSim::new(network, chaos_transport(config), rng.fork("transport"));
-    let nics = ring_nics(config, &sim);
+    let (network, rng) = chaos_fabric(config, build);
+    let sim = TransportSim::new(network, chaos_transport(config), rng);
+    let nics = config.layout().nics(sim.network().topology()).remove(0);
     (sim, nics)
-}
-
-/// The distinct fabric links the ring's first connection can cross at its
-/// ToR→Agg hop — the storm's target set (faults that no path crosses
-/// would be theater, not chaos).
-fn uplinks_of_first_conn<F: Fabric>(
-    sim: &TransportSim<F>,
-    nics: &[NicId],
-    num_paths: u32,
-) -> Vec<LinkId> {
-    let topo = sim.network().topology();
-    let mut links: Vec<LinkId> = (0..num_paths)
-        .map(|p| topo.route(nics[0], nics[1], 0, p)[1])
-        .collect();
-    links.sort_by_key(|l| l.0);
-    links.dedup();
-    links
 }
 
 /// `d × k` (SimDuration deliberately has no Mul to keep unit mistakes
@@ -310,14 +309,20 @@ fn build_plan<F: Fabric>(
     // overlapping the storm degrades bounded-ly — not that bandwidth is
     // magically conjured while links are down.
     let window = iter_time;
-    let uplinks = uplinks_of_first_conn(sim, nics, config.num_paths);
-    // Spread the storm over ~8 distinct uplinks of the fan-out.
+    let topo = sim.network().topology();
+    // The storm's targets: the distinct uplinks the first connection's
+    // paths cross (faults that no path crosses would be theater, not
+    // chaos), ~8 of them spread over the fan-out.
+    let mut uplinks: Vec<LinkId> = (0..config.num_paths)
+        .map(|p| first_edge_uplink(topo, nics, p))
+        .collect();
+    uplinks.sort_by_key(|l| l.0);
+    uplinks.dedup();
     let stride = (uplinks.len() / 8).max(1);
     let storm_links: Vec<LinkId> = uplinks.iter().copied().step_by(stride).take(8).collect();
-    let topo = sim.network().topology();
     // The agg switch carrying the first connection's path 0 — for
     // SinglePath that is the one route the whole job hinges on.
-    let victim_link = topo.route(nics[0], nics[1], 0, 0)[1];
+    let victim_link = first_edge_uplink(topo, nics, 0);
     let (_, victim_agg) = topo.link_endpoints(victim_link);
     let plan = FaultPlan::new(config.seed);
     match config.scenario {
@@ -331,7 +336,7 @@ fn build_plan<F: Fabric>(
         ),
         ChaosScenario::SwitchDeath => {
             // Two aggs die back to back; ensure the second is distinct.
-            let second = topo.route(nics[0], nics[1], 0, 1)[1];
+            let second = first_edge_uplink(topo, nics, 1);
             let (_, agg2) = topo.link_endpoints(second);
             let victims = if agg2 != victim_agg {
                 vec![victim_agg, agg2]
@@ -370,58 +375,28 @@ fn effective_plan<F: Fabric>(
     FaultPlan::from_events(config.seed, events)
 }
 
-/// Run the calibration pass: fault-free, same seed. Returns the mean
-/// busbw (GB/s) and mean iteration time, plus the spent simulator so the
-/// chaos pass can [`TransportSim::reset`] it instead of reallocating.
-fn calibrate_with<F: Fabric>(
-    config: &ChaosConfig,
-    build: &impl Fn(ClosConfig, NetworkConfig, &SimRng) -> F,
-) -> (f64, SimDuration, TransportSim<F>) {
-    let (mut sim, nics) = build_sim_with(config, build);
-    let mut runner = AllReduceRunner::new(
-        &mut sim,
-        vec![AllReduceJob {
-            nics,
-            data_bytes: config.data_bytes,
-            iterations: config.iterations,
-            burst: None,
-        }],
-    );
-    runner.start(&mut sim);
-    sim.run(&mut runner, SimTime::from_nanos(u64::MAX / 2));
-    assert!(runner.all_finished(), "calibration run must finish");
-    let report = runner.report(0);
-    let total: SimDuration = report
-        .iterations
-        .iter()
-        .map(|r| r.duration())
-        .fold(SimDuration::ZERO, |a, d| a + d);
-    let mean_iter = SimDuration::from_nanos(
-        (total.as_nanos() / report.iterations.len() as u64).max(1),
-    );
-    (report.mean_bus_bandwidth_gbs(), mean_iter, sim)
-}
-
 /// Run one chaos scenario on any [`Fabric`] — the hybrid packet/fluid
 /// fabric included, which is how chaos reaches 4k+-rank jobs; pass
 /// `&packet_fabric` for the packet-level model. The builder is invoked
 /// twice (calibration fabric, then chaos fabric) with identical
-/// arguments, so both passes see the same seeded network.
+/// arguments, so both passes see the same seeded network. Panics with
+/// the [`ChaosConfig::validate`] error's message if `config` is invalid.
 pub fn run_chaos_with<F: Fabric>(
     config: &ChaosConfig,
     build: &impl Fn(ClosConfig, NetworkConfig, &SimRng) -> F,
 ) -> ChaosReport {
-    let (healthy_busbw, iter_time, mut sim) = calibrate_with(config, build);
+    // Calibration: fault-free, same seed.
+    let (mut sim, nics) = build_sim_with(config, build);
+    let Calibration {
+        busbw_gbs: healthy_busbw,
+        iter_time,
+    } = calibrate(&mut sim, vec![config.job(nics.clone())]);
 
     // Same seed as calibration, fresh fabric; the spent calibration sim
     // is reset in place so the chaos pass reuses its event-queue and
     // connection-table allocations.
-    let rng = SimRng::from_seed(config.seed);
-    sim.reset(
-        build(chaos_clos(config), chaos_net(config), &rng),
-        rng.fork("transport"),
-    );
-    let nics = ring_nics(config, &sim);
+    let (network, rng) = chaos_fabric(config, build);
+    sim.reset(network, rng);
     let plan = effective_plan(config, &sim, &nics, iter_time);
     // A shrunk plan may be empty (the shrinker probes the no-fault
     // candidate); such a run is simply the healthy workload again.
@@ -438,59 +413,27 @@ pub fn run_chaos_with<F: Fabric>(
         sim.network_mut().install_fault_plan(plan);
     }
 
-    let runner = AllReduceRunner::new(
-        &mut sim,
-        vec![AllReduceJob {
-            nics,
-            data_bytes: config.data_bytes,
-            iterations: config.iterations,
-            burst: None,
-        }],
-    );
-    let mut app = ErrorWatch {
-        runner,
-        errors: Vec::new(),
-        recovered: Vec::new(),
-    };
-    app.runner.start(&mut sim);
-    sim.run(&mut app, SimTime::from_nanos(u64::MAX / 2));
+    let mut runner = AllReduceRunner::new(&mut sim, vec![config.job(nics)]);
+    runner.start(&mut sim);
+    sim.run(&mut runner, SimTime::from_nanos(u64::MAX / 2));
 
-    let report = app.runner.report(0);
-    let busbw: Vec<f64> = (0..report.iterations.len())
-        .map(|i| report.bus_bandwidth_gbs(i))
-        .collect();
-    let phase = |pred: &dyn Fn(&crate::allreduce::IterationRecord) -> bool| -> Option<f64> {
-        let vals: Vec<f64> = report
-            .iterations
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| pred(r))
-            .map(|(i, _)| busbw[i])
-            .collect();
-        stellar_sim::stats::mean(&vals)
-    };
-    let before = phase(&|r| r.finished <= fault_start);
-    let bridged = phase(&|r| r.started < recovered_at && r.finished > fault_start);
-    let after = phase(&|r| r.started >= recovered_at);
-
+    let samples = runner.busbw_samples();
+    let busbw: Vec<f64> = samples.iter().map(|s| s.1).collect();
+    let windows = FaultWindows::split(&samples, fault_start, recovered_at);
     let drops_by_reason: Vec<(DropReason, u64)> = DropReason::ALL
         .iter()
         .map(|&r| (r, sim.network().drops_by_reason(r)))
         .collect();
     let total = sim.total_stats();
-    let errors = app.errors;
-    // Only *terminal* failures surface as errors; a connection that is
-    // still recovering (or recovered) must not be counted dead.
-    debug_assert_eq!(errors.len(), sim.failed_connections());
-    debug_assert_eq!(app.recovered.len() as u64, total.recoveries);
+    let errors = runner.errors().to_vec();
 
     let verdict = if !errors.is_empty() {
         Verdict::TransportError
     } else {
         // A phase window nobody's iteration overlapped carries no
         // evidence of degradation; judge only the windows we observed.
-        let bridged_ok = bridged.map(|b| b >= healthy_busbw * 0.6).unwrap_or(true);
-        let after_ok = after.map(|a| a >= healthy_busbw * 0.9).unwrap_or(false);
+        let bridged_ok = windows.bridged.map(|b| b >= healthy_busbw * 0.6).unwrap_or(true);
+        let after_ok = windows.after.map(|a| a >= healthy_busbw * 0.9).unwrap_or(false);
         match (bridged_ok, after_ok) {
             (true, true) => Verdict::Graceful,
             (false, true) => Verdict::Degraded,
@@ -501,18 +444,18 @@ pub fn run_chaos_with<F: Fabric>(
     ChaosReport {
         scenario: config.scenario,
         healthy_busbw_gbs: healthy_busbw,
-        iterations_completed: report.iterations.len() as u32,
+        iterations_completed: busbw.len() as u32,
         busbw_gbs: busbw,
-        before,
-        bridged,
-        after,
+        before: windows.before,
+        bridged: windows.bridged,
+        after: windows.after,
         fault_start,
         recovered_at,
         drops_by_reason,
         retransmits: total.retransmits,
         recoveries: total.recoveries,
         replayed_packets: total.replayed_packets,
-        recovery_downtimes: app.recovered.iter().map(|&(_, d)| d).collect(),
+        recovery_downtimes: runner.downtimes().to_vec(),
         errors,
         verdict,
     }
@@ -677,8 +620,8 @@ pub fn shrink_failing_chaos(config: &ChaosConfig) -> Option<ShrunkChaos> {
         best.data_bytes = bytes;
     }
 
-    // Ring size, in segment-pairs (the topology places ranks/2 hosts per
-    // segment, so only even ring sizes are constructible).
+    // Ring size, in segment-pairs (`ChaosConfig::validate` rejects an
+    // odd ring: the interleave would put two ranks on one NIC).
     if best.ranks > 4 {
         let half = shrink_scalar(2, (best.ranks / 2) as u64, &mut |v| {
             probes += 1;
@@ -734,6 +677,128 @@ mod tests {
             iterations: 8,
             ..ChaosConfig::default()
         }
+    }
+
+    /// The chaos pass of `config` on a fresh sim, with its plan
+    /// installed: the spent sim and the runner that drove it.
+    fn chaos_pass<F: Fabric>(
+        config: &ChaosConfig,
+        build: &impl Fn(ClosConfig, NetworkConfig, &SimRng) -> F,
+    ) -> (TransportSim<F>, AllReduceRunner) {
+        let iter_time = {
+            let (mut sim, nics) = build_sim_with(config, build);
+            calibrate(&mut sim, vec![config.job(nics)]).iter_time
+        };
+        let (mut sim, nics) = build_sim_with(config, build);
+        let plan = effective_plan(config, &sim, &nics, iter_time);
+        sim.network_mut().install_fault_plan(plan);
+        let mut runner = AllReduceRunner::new(&mut sim, vec![config.job(nics)]);
+        runner.start(&mut sim);
+        sim.run(&mut runner, SimTime::from_nanos(u64::MAX / 2));
+        (sim, runner)
+    }
+
+    /// The runner records exactly the terminal errors and completed
+    /// recoveries the transport counts: the unhardened compound plan
+    /// kills a connection without a recovery policy and recovers it
+    /// with one.
+    #[test]
+    fn runner_records_match_the_transport_counts() {
+        let unhardened = ChaosConfig {
+            algo: PathAlgo::SinglePath,
+            num_paths: 1,
+            rto_backoff: 1.0,
+            retry_budget: 8,
+            scoreboard: ScoreboardPolicy {
+                blacklist_after: 0,
+                penalty: SimDuration::ZERO,
+            },
+            bgp_convergence: SimDuration::from_millis(50),
+            ..quick(ChaosScenario::Compound)
+        };
+        let recovering = ChaosConfig {
+            recovery: Some(RecoveryPolicy::default()),
+            ..unhardened.clone()
+        };
+        for (config, dies) in [(unhardened, true), (recovering, false)] {
+            let (sim, runner) = chaos_pass(&config, &packet_fabric);
+            assert_eq!(runner.errors().len(), sim.failed_connections());
+            assert_eq!(runner.downtimes().len() as u64, sim.total_stats().recoveries);
+            if dies {
+                assert!(!runner.errors().is_empty(), "no connection died");
+            } else {
+                assert!(!runner.downtimes().is_empty(), "no connection recovered");
+            }
+        }
+    }
+
+    #[test]
+    fn validate_accepts_the_defaults_and_every_quick_scenario() {
+        assert_eq!(ChaosConfig::default().validate(), Ok(()));
+        for scenario in ChaosScenario::ALL {
+            assert_eq!(quick(scenario).validate(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_an_odd_ring() {
+        for ranks in [3, 5] {
+            let config = ChaosConfig {
+                ranks,
+                ..ChaosConfig::default()
+            };
+            assert_eq!(
+                config.validate(),
+                Err(ChaosConfigError::Ring(RingLayoutError::OddTotal(ranks)))
+            );
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_ring_below_two_ranks() {
+        for ranks in [0, 1] {
+            let config = ChaosConfig {
+                ranks,
+                ..ChaosConfig::default()
+            };
+            assert_eq!(
+                config.validate(),
+                Err(ChaosConfigError::Ring(RingLayoutError::TooFewRanks(ranks)))
+            );
+        }
+    }
+
+    #[test]
+    fn validate_rejects_zero_iterations() {
+        let config = ChaosConfig {
+            iterations: 0,
+            ..ChaosConfig::default()
+        };
+        assert_eq!(config.validate(), Err(ChaosConfigError::ZeroIterations));
+    }
+
+    #[test]
+    fn validate_rejects_less_than_a_byte_per_rank() {
+        let config = ChaosConfig {
+            data_bytes: 7,
+            ..ChaosConfig::default()
+        };
+        assert_eq!(
+            config.validate(),
+            Err(ChaosConfigError::DataTooSmall(7))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "chaos config: ring layout: 5 ranks in total is odd")]
+    fn run_chaos_panics_on_an_invalid_config() {
+        run_chaos_with(
+            &ChaosConfig {
+                ranks: 5,
+                ..quick(ChaosScenario::FlapStorm)
+            },
+            &packet_fabric,
+        );
     }
 
     #[test]
@@ -951,28 +1016,9 @@ mod tests {
             hybrid_fabric(clos, net, HybridConfig::default(), rng)
         };
         let run = || {
-            let (_, iter_time, _) = calibrate_with(&config, &build);
-            let (mut sim, nics) = build_sim_with(&config, &build);
-            let plan = effective_plan(&config, &sim, &nics, iter_time);
-            sim.network_mut().install_fault_plan(plan);
-            let runner = AllReduceRunner::new(
-                &mut sim,
-                vec![AllReduceJob {
-                    nics,
-                    data_bytes: config.data_bytes,
-                    iterations: config.iterations,
-                    burst: None,
-                }],
-            );
-            let mut app = ErrorWatch {
-                runner,
-                errors: Vec::new(),
-                recovered: Vec::new(),
-            };
-            app.runner.start(&mut sim);
-            sim.run(&mut app, SimTime::from_nanos(u64::MAX / 2));
-            assert!(app.runner.all_finished(), "hybrid chaos run must finish");
-            assert!(app.errors.is_empty(), "errors: {:?}", app.errors);
+            let (sim, runner) = chaos_pass(&config, &build);
+            assert!(runner.all_finished(), "hybrid chaos run must finish");
+            assert!(runner.errors().is_empty(), "errors: {:?}", runner.errors());
             sim.network().send_split()
         };
         let (packet_sends, fluid_sends, escalations) = run();

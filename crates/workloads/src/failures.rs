@@ -11,11 +11,13 @@
 //! aggregation link mid-run, and reports per-iteration bus bandwidth so
 //! the three phases are visible: healthy → RTO-bridged → rerouted.
 
-use stellar_net::{ClosConfig, Fabric, LinkId, NetworkConfig, NicId};
+use stellar_net::{ClosConfig, Fabric, LinkId, NetworkConfig};
 use stellar_sim::{SimDuration, SimRng, SimTime};
 use stellar_transport::{App, ConnId, MsgId, PathAlgo, TransportConfig, TransportSim};
 
-use crate::allreduce::{AllReduceJob, AllReduceRunner};
+use crate::allreduce::{
+    first_edge_uplink, AllReduceJob, AllReduceRunner, FaultWindows, InterleavedRings,
+};
 
 /// Failure-timeline parameters.
 #[derive(Debug, Clone)]
@@ -101,20 +103,17 @@ impl<F: Fabric> App<F> for TimelineApp {
 }
 
 /// Run the timeline on any [`Fabric`] (builder contract as in
-/// [`crate::run_permutation_with`]).
+/// [`crate::run_permutation_with`]). The ring is one
+/// [`InterleavedRings`] ring; panics with the layout error's message if
+/// `ranks` is odd or below 2.
 pub fn run_failure_timeline_with<F: Fabric>(
     config: &FailureTimelineConfig,
     build: impl FnOnce(ClosConfig, NetworkConfig, &SimRng) -> F,
 ) -> FailureTimeline {
+    let layout = InterleavedRings::new(1, config.ranks).unwrap_or_else(|e| panic!("{e}"));
     let rng = SimRng::from_seed(config.seed);
     let network = build(
-        ClosConfig {
-            segments: 2,
-            hosts_per_segment: config.ranks / 2,
-            rails: 1,
-            planes: 2,
-            aggs_per_plane: 60,
-        },
+        layout.clos(),
         NetworkConfig {
             bgp_convergence: config.bgp_convergence,
             ..NetworkConfig::default()
@@ -130,13 +129,8 @@ pub fn run_failure_timeline_with<F: Fabric>(
         },
         rng.fork("transport"),
     );
-    let nics: Vec<NicId> = (0..config.ranks)
-        .map(|r| {
-            let host = (r / 2) + (r % 2) * (config.ranks / 2);
-            sim.network().topology().nic(host, 0)
-        })
-        .collect();
-    let fail_link = sim.network().topology().route(nics[0], nics[1], 0, 0)[1];
+    let nics = layout.nics(sim.network().topology()).remove(0);
+    let fail_link = first_edge_uplink(sim.network().topology(), &nics, 0);
 
     let mut runner = AllReduceRunner::new(
         &mut sim,
@@ -164,30 +158,16 @@ pub fn run_failure_timeline_with<F: Fabric>(
     debug_assert_eq!(sim.recovering_count(), 0);
     let fail_at = app.failed_at.expect("failure was injected");
 
-    let report = app.runner.report(0);
-    let busbw: Vec<f64> = (0..report.iterations.len())
-        .map(|i| report.bus_bandwidth_gbs(i))
-        .collect();
     let converged_at = fail_at + config.bgp_convergence;
-    let phase = |pred: &dyn Fn(&crate::allreduce::IterationRecord) -> bool| -> Option<f64> {
-        let vals: Vec<f64> = report
-            .iterations
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| pred(r))
-            .map(|(i, _)| busbw[i])
-            .collect();
-        stellar_sim::stats::mean(&vals)
-    };
-    let retransmits = sim.total_stats().retransmits;
-
+    let samples = app.runner.busbw_samples();
+    let windows = FaultWindows::split(&samples, fail_at, converged_at);
     FailureTimeline {
-        before: phase(&|r| r.finished <= fail_at),
-        during: phase(&|r| r.started < converged_at && r.finished > fail_at),
-        after: phase(&|r| r.started >= converged_at),
-        busbw_gbs: busbw,
+        before: windows.before,
+        during: windows.bridged,
+        after: windows.after,
+        busbw_gbs: samples.iter().map(|s| s.1).collect(),
         failed_at: fail_at,
-        retransmits,
+        retransmits: sim.total_stats().retransmits,
     }
 }
 

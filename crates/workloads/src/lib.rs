@@ -33,8 +33,8 @@ pub mod permutation;
 
 pub use allreduce::{AllReduceJob, AllReduceReport, AllReduceRunner, BurstSchedule};
 pub use chaos::{
-    chaos_fails, run_chaos_with, shrink_failing_chaos, ChaosConfig, ChaosReport, ChaosScenario,
-    ShrunkChaos, Verdict,
+    chaos_fails, run_chaos_with, shrink_failing_chaos, ChaosConfig, ChaosConfigError,
+    ChaosReport, ChaosScenario, ShrunkChaos, Verdict,
 };
 pub use failures::{run_failure_timeline_with, FailureTimeline, FailureTimelineConfig};
 pub use incast::{run_incast_with, IncastConfig, IncastReport};

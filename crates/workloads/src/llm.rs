@@ -366,13 +366,25 @@ pub fn simulate_training_step_with<F: Fabric>(
             }
         })
         .collect();
-    let mut runner = AllReduceRunner::new(&mut sim, jobs);
-    runner.start(&mut sim);
+    run_dp_step(&mut sim, jobs, config.compute, config.overlap)
+}
+
+/// Run `jobs`, one single-iteration DP ring each, to completion and
+/// fold them into a step: communication ends when the slowest ring
+/// finishes, and `overlap` of it hides under `compute`.
+fn run_dp_step<F: Fabric>(
+    sim: &mut TransportSim<F>,
+    jobs: Vec<AllReduceJob>,
+    compute: SimDuration,
+    overlap: f64,
+) -> TrainingOutcome {
+    let rings = jobs.len();
+    let mut runner = AllReduceRunner::new(sim, jobs);
+    runner.start(sim);
     sim.run(&mut runner, SimTime::from_nanos(u64::MAX / 2));
     // No connection may end the run dead or mid-recovery.
     debug_assert_eq!(sim.failed_connections() + sim.recovering_count(), 0);
-    // The step's communication phase ends when the slowest ring finishes.
-    let comm = (0..config.rings)
+    let comm = (0..rings)
         .map(|j| {
             let rep = runner.report(j);
             assert_eq!(rep.iterations.len(), 1, "all-reduce must complete");
@@ -381,13 +393,13 @@ pub fn simulate_training_step_with<F: Fabric>(
         .max()
         .expect("at least one ring");
 
-    let hidden = comm.mul_f64(config.overlap);
+    let hidden = comm.mul_f64(overlap);
     let exposed = comm - hidden.min(comm);
     TrainingOutcome {
-        compute: config.compute,
+        compute,
         comm_network: comm,
         comm_exposed: exposed,
-        step: config.compute + exposed,
+        step: compute + exposed,
     }
 }
 
@@ -485,28 +497,7 @@ pub fn simulate_scale_training_step<F: Fabric>(
             }
         })
         .collect();
-    let mut runner = AllReduceRunner::new(&mut sim, jobs);
-    runner.start(&mut sim);
-    sim.run(&mut runner, SimTime::from_nanos(u64::MAX / 2));
-    // No connection may end the run dead or mid-recovery.
-    debug_assert_eq!(sim.failed_connections() + sim.recovering_count(), 0);
-    let comm = (0..rings)
-        .map(|j| {
-            let rep = runner.report(j);
-            assert_eq!(rep.iterations.len(), 1, "all-reduce must complete");
-            rep.iterations[0].duration()
-        })
-        .max()
-        .expect("at least one ring");
-
-    let hidden = comm.mul_f64(config.overlap);
-    let exposed = comm - hidden.min(comm);
-    TrainingOutcome {
-        compute: config.compute,
-        comm_network: comm,
-        comm_exposed: exposed,
-        step: config.compute + exposed,
-    }
+    run_dp_step(&mut sim, jobs, config.compute, config.overlap)
 }
 
 #[cfg(test)]
