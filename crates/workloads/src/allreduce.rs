@@ -32,7 +32,7 @@ pub enum RingLayoutError {
 impl std::fmt::Display for RingLayoutError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::TooFewRanks(n) => write!(f, "ring layout: {n} ranks per ring, need 2"),
+            Self::TooFewRanks(n) => write!(f, "ring layout: {n} ranks per ring, need at least 2"),
             Self::OddTotal(n) => write!(f, "ring layout: {n} ranks in total is odd"),
         }
     }

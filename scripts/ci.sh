@@ -86,8 +86,10 @@ trap 'rm -rf "$suite_dir"' EXIT
 # fresh process, since peak RSS is a per-process high-water mark. With
 # bounded message state (DESIGN.md §11) and per-connection state sized
 # to use (§14), `scale` peaks near 63 MB (673 MB with every message live,
-# 254 MB with full-size per-connection tables) and `recovery` near 30 MB
-# (818 and 122 MB). Both tables must match their golden files: they are
+# 254 MB with full-size per-connection tables) and `recovery` near 16 MB
+# (818 and 122 MB; 26 MB while the fleet built a second sim for its
+# fault pass instead of resetting the calibration sim). Both tables must
+# match their golden files: they are
 # too slow for the debug golden test (crates/bench/tests/golden.rs).
 scale_out="$(STELLAR_THREADS=1 run_capped "scale --quick" 120 scale --quick --json)"
 match_golden scale crates/bench/tests/golden/scale.json "$scale_out"
