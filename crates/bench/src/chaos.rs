@@ -136,36 +136,3 @@ pub fn render(rows: &[Row]) -> String {
         .col("errs", 5, |r| r.conn_errors)
         .verdict(|r| r.verdict)
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn chaos_table_shape() {
-        let rows = run(true);
-        // 4 hardened scenarios + 1 unhardened counterfactual.
-        assert_eq!(rows.len(), 5);
-        for r in &rows {
-            assert!(r.healthy_gbs > 0.0, "{}: calibration ran", r.scenario);
-            assert!(r.fault_drops > 0, "{}: faults actually bit", r.scenario);
-        }
-        let compound = rows
-            .iter()
-            .find(|r| r.scenario == "compound" && r.transport == "hardened-obs")
-            .unwrap();
-        assert_eq!(compound.verdict, "graceful");
-        assert_eq!(compound.conn_errors, 0);
-        assert!(compound.bridged_rel >= 0.6 && compound.after_rel >= 0.9);
-        let unhardened = rows
-            .iter()
-            .find(|r| r.transport == "unhardened-single")
-            .unwrap();
-        assert!(
-            unhardened.conn_errors > 0
-                || unhardened.verdict == "collapsed"
-                || unhardened.verdict == "transport_error",
-            "counterfactual must fail: {unhardened:?}"
-        );
-    }
-}

@@ -67,21 +67,3 @@ pub fn render(rows: &[Row]) -> String {
         .col("speedup", 9, |r| format!("{:.1}x", r.speedup))
         .finish()
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig6_shape() {
-        let rows = run(true);
-        assert_eq!(rows.len(), 4);
-        // PVDMA stays under 20 s everywhere.
-        assert!(rows.iter().all(|r| r.pvdma_s < 20.0));
-        // Full pin grows monotonically and hits minutes at 1.6 TB.
-        assert!(rows.windows(2).all(|w| w[1].full_pin_s > w[0].full_pin_s));
-        let last = rows.last().unwrap();
-        assert!(last.full_pin_s > 300.0);
-        assert!(last.speedup >= 15.0, "speedup={}", last.speedup);
-    }
-}

@@ -192,33 +192,3 @@ pub fn render(rows: &[Row]) -> String {
         .col("ATC hit%", 12, |r| format!("{:.1}%", r.atc_hit_ratio * 100.0))
         .finish()
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig8_shape() {
-        let rows = run(true);
-        let small = rows.iter().find(|r| r.msg_bytes == MB).unwrap();
-        let mid = rows.iter().find(|r| r.msg_bytes == 8 * MB).unwrap();
-        let large = rows.iter().find(|r| r.msg_bytes == 32 * MB).unwrap();
-        // CX6 starts near line rate, declines past the ATC cliff, and
-        // declines further once the IOTLB also misses.
-        assert!(small.cx6_gbps > 180.0, "small={}", small.cx6_gbps);
-        assert!(mid.cx6_gbps < small.cx6_gbps - 5.0, "mid={}", mid.cx6_gbps);
-        assert!(large.cx6_gbps < mid.cx6_gbps + 1.0, "large={}", large.cx6_gbps);
-        assert!(large.cx6_gbps < 175.0, "large={}", large.cx6_gbps);
-        // vStellar stays flat near its 400 Gbps line rate for the sizes
-        // the figure plots (per-message overhead matters below ~1 MB).
-        let vs: Vec<f64> = rows
-            .iter()
-            .filter(|r| r.msg_bytes >= MB)
-            .map(|r| r.vstellar_gbps)
-            .collect();
-        let vs_min = vs.iter().copied().fold(f64::MAX, f64::min);
-        let vs_max = vs.iter().copied().fold(f64::MIN, f64::max);
-        assert!(vs_min > 350.0, "vs_min={vs_min}");
-        assert!(vs_max - vs_min < 30.0, "vStellar not flat: {vs_min}..{vs_max}");
-    }
-}

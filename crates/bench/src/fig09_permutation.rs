@@ -112,40 +112,3 @@ pub fn render(rows: &[Row]) -> String {
         .col("goodput Gbps", 12, |r| format!("{:.1}", r.goodput_gbps))
         .finish()
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig9_shape() {
-        let rows = run(true);
-        let find = |algo: &str, paths: u32| {
-            rows.iter()
-                .find(|r| r.algo == algo && r.paths == paths)
-                .unwrap()
-        };
-        let obs128 = find("OBS", 128);
-        let rr128 = find("RR", 128);
-        let obs4 = find("OBS", 4);
-        let best128 = find("BestRTT", 128);
-        let single = find("SinglePath", 4);
-        // 128 paths beat 4 paths on worst-case queues for spraying.
-        assert!(
-            obs128.max_queue_kb < obs4.max_queue_kb,
-            "obs128 max {} vs obs4 max {}",
-            obs128.max_queue_kb,
-            obs4.max_queue_kb
-        );
-        // Spray never loses goodput to single-path ECMP, and wins when
-        // the hash collides.
-        assert!(obs128.goodput_gbps >= single.goodput_gbps * 0.99);
-        // BestRTT concentrates load: the worst maximum queue of the
-        // 128-path family (the paper's Fig. 9 outlier).
-        assert!(best128.max_queue_kb > obs128.max_queue_kb);
-        // RR and OBS are close at 128 (paper: "performance of most
-        // algorithms was similar").
-        let rel = (rr128.goodput_gbps - obs128.goodput_gbps).abs() / obs128.goodput_gbps;
-        assert!(rel < 0.10, "rr vs obs diverge: {rel}");
-    }
-}

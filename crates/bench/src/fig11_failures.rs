@@ -121,40 +121,3 @@ pub fn render(rows: &[Row]) -> String {
         .col("RTOs", 8, |r| r.rto_events)
         .finish()
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig11_shape() {
-        let rows = run(true);
-        let get = |algo: &str, loss: f64| {
-            rows.iter()
-                .find(|r| r.algo == algo && (r.loss - loss).abs() < 1e-9)
-                .unwrap()
-        };
-        // 128-path algorithms tolerate 1% and 3% loss with almost no
-        // degradation (paper: "almost no observable performance
-        // degradation").
-        for algo in ["OBS-128", "RR-128", "DWRR-128", "MPRDMA-128"] {
-            for loss in [0.01, 0.03] {
-                let r = get(algo, loss);
-                assert!(
-                    r.relative_busbw > 0.85,
-                    "{algo} at {loss}: degraded to {}",
-                    r.relative_busbw
-                );
-            }
-        }
-        // Single path on the lossy route collapses.
-        let single = get("SinglePath", 0.03);
-        let obs = get("OBS-128", 0.03);
-        assert!(
-            single.relative_busbw < 0.5 && single.relative_busbw < obs.relative_busbw,
-            "single {} vs obs {}",
-            single.relative_busbw,
-            obs.relative_busbw
-        );
-    }
-}

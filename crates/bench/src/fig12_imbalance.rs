@@ -74,20 +74,3 @@ pub fn render(rows: &[Row]) -> String {
         .col("max-min delta %", 16, |r| format!("{:.1}", r.imbalance_pct))
         .finish()
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig12_shape() {
-        let rows = run(true);
-        let get = |p: u32| rows.iter().find(|r| r.paths == p).unwrap().imbalance_pct;
-        // Few paths leave most of the 60 aggs idle: near-total imbalance.
-        assert!(get(4) > 80.0, "4 paths: {}", get(4));
-        assert!(get(16) > 60.0, "16 paths: {}", get(16));
-        // Balance improves monotonically-ish and is best at 128+.
-        assert!(get(128) < get(16), "128: {} vs 16: {}", get(128), get(16));
-        assert!(get(256) <= get(64), "256: {} vs 64: {}", get(256), get(64));
-    }
-}

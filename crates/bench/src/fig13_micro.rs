@@ -65,32 +65,3 @@ pub fn render(rows: &[Row]) -> String {
         .col("Gbps", 10, |r| format!("{:.1}", r.gbps))
         .finish()
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig13_shape() {
-        let rows = run(true);
-        let get = |stack: &str, size: u64| {
-            rows.iter()
-                .find(|r| r.stack == stack && r.msg_bytes == size)
-                .unwrap()
-        };
-        // vStellar ≈ bare metal at every size.
-        for &s in &sizes(true) {
-            let a = get("bare-metal", s);
-            let b = get("vStellar", s);
-            assert!((a.latency_us - b.latency_us).abs() / a.latency_us < 0.01);
-        }
-        // VF+VxLAN pays a small-message latency tax and a large-message
-        // bandwidth tax.
-        let vf8 = get("VF+VxLAN", 8);
-        let vs8 = get("vStellar", 8);
-        assert!(vf8.latency_us > vs8.latency_us);
-        let vf8m = get("VF+VxLAN", 8 << 20);
-        let vs8m = get("vStellar", 8 << 20);
-        assert!(vf8m.gbps < vs8m.gbps * 0.97);
-    }
-}

@@ -61,28 +61,3 @@ pub fn render(rows: &[Row]) -> String {
         .col("Gbps", 10, |r| format!("{:.1}", r.gbps))
         .finish()
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig14_shape() {
-        let rows = run(true);
-        let max_of = |stack: &str| {
-            rows.iter()
-                .filter(|r| r.stack == stack)
-                .map(|r| r.gbps)
-                .fold(f64::MIN, f64::max)
-        };
-        let vs = max_of("vStellar");
-        let bare = max_of("bare-metal");
-        let hyv = max_of("HyV/MasQ");
-        // vStellar ≈ bare metal near 393 Gbps.
-        assert!((vs - bare).abs() / bare < 0.02);
-        assert!(vs > 350.0, "vStellar={vs}");
-        // HyV/MasQ around 1/3 of vStellar (paper: 141 vs 393 ≈ 36%).
-        let ratio = hyv / vs;
-        assert!((0.25..0.48).contains(&ratio), "ratio={ratio}");
-    }
-}

@@ -88,16 +88,3 @@ pub fn render(rows: &[Row]) -> String {
     .col("overhead", 10, |r| format!("{:.2}%", r.overhead * 100.0))
     .finish()
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig15_shape() {
-        for r in run(true) {
-            assert!(r.overhead.abs() < 0.01, "{}: overhead {}", r.job, r.overhead);
-            assert!(r.regular_ms > 0.0);
-        }
-    }
-}

@@ -150,33 +150,3 @@ pub fn render(rows: &[Row]) -> String {
     }
     out
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig16_shape() {
-        let rows = run(true);
-        let mean = |pname: &str| {
-            let g: Vec<f64> = rows
-                .iter()
-                .filter(|r| r.placement == pname)
-                .map(|r| r.speedup)
-                .collect();
-            g.iter().sum::<f64>() / g.len() as f64
-        };
-        let reranked = mean("reranked");
-        let random = mean("random");
-        // Random placement exposes the transport: the gap must widen.
-        assert!(
-            random > reranked,
-            "random {random} should exceed reranked {reranked}"
-        );
-        // Stellar never loses under random placement.
-        assert!(rows
-            .iter()
-            .filter(|r| r.placement == "random")
-            .all(|r| r.speedup > -0.01));
-    }
-}

@@ -80,43 +80,3 @@ pub fn render(rows: &[Row]) -> String {
         .col("PP", 15, |r| pair(r.pp_pct, r.paper.2))
         .finish()
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table1_orderings_match_paper() {
-        let rows = run(true);
-        // Llama-33B: DP dominates.
-        let llama = &rows[0];
-        assert!(llama.dp_pct > llama.tp_pct.unwrap());
-        assert!(llama.dp_pct > llama.pp_pct.unwrap());
-        // GPT-200B: PP > TP > DP.
-        let gpt = &rows[1];
-        assert!(gpt.pp_pct.unwrap() > gpt.tp_pct.unwrap());
-        assert!(gpt.tp_pct.unwrap() > gpt.dp_pct);
-        // DeepSpeed rows: DP only.
-        assert!(rows[2].tp_pct.is_none() && rows[2].pp_pct.is_none());
-        assert!(rows[3].tp_pct.is_none() && rows[3].pp_pct.is_none());
-    }
-
-    #[test]
-    fn table1_values_within_2x_of_paper() {
-        for r in run(true) {
-            let close = |measured: f64, paper: f64| {
-                measured / paper < 2.5 && paper / measured < 2.5
-            };
-            assert!(
-                close(r.dp_pct, r.paper.1),
-                "{}: DP {} vs paper {}",
-                r.name,
-                r.dp_pct,
-                r.paper.1
-            );
-            if let (Some(m), Some(p)) = (r.tp_pct, r.paper.0) {
-                assert!(close(m, p), "{}: TP {m} vs paper {p}", r.name);
-            }
-        }
-    }
-}

@@ -73,19 +73,3 @@ pub fn render(rows: &[Row]) -> String {
         .col("retx", 8, |r| r.retransmits)
         .finish()
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn timeline_shape() {
-        let rows = run(true);
-        let single = &rows[0];
-        let obs = &rows[1];
-        // Spray barely notices; single path dips then recovers.
-        assert!(obs.during_gbs > obs.before_gbs * 0.6);
-        assert!(single.during_gbs < single.before_gbs);
-        assert!(single.after_gbs > single.during_gbs);
-    }
-}

@@ -15,7 +15,10 @@
 //! Thread count resolution, in priority order:
 //!
 //! 1. a scoped programmatic override ([`with_thread_override`], used by
-//!    the `--perf` baseline pass and the byte-identity tests),
+//!    the `--perf` baseline pass and the byte-identity tests). It belongs
+//!    to the calling thread, and `par_map` hands it to its workers, so
+//!    concurrent callers each run at their own count and nested pools
+//!    inherit it,
 //! 2. the `STELLAR_THREADS` environment variable,
 //! 3. [`std::thread::available_parallelism`].
 //!
@@ -63,13 +66,13 @@ thread_local! {
     ///
     /// [`EventQueue`]: crate::EventQueue
     static QUEUE_DEPTH_PEAK: Cell<u64> = const { Cell::new(0) };
-}
 
-/// Programmatic thread-count override; 0 means "not set". Process-global:
-/// the byte-identity guarantee makes racing overrides harmless for
-/// correctness (results never depend on the thread count), so a plain
-/// atomic beats threading a handle through every call site.
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+    /// This thread's programmatic worker-count override; 0 means "not
+    /// set". Per thread, so two callers holding different counts at once
+    /// (tests in one binary) each run at their own; [`par_map`] installs
+    /// the caller's value on its workers, so nested pools see it too.
+    static THREAD_OVERRIDE: Cell<usize> = const { Cell::new(0) };
+}
 
 /// Total simulation events scheduled on this thread, inclusive of any
 /// [`par_map`] pools this thread has drained. Take a snapshot before and
@@ -148,31 +151,33 @@ pub fn set_job_context_hooks(hooks: JobContextHooks) {
     let _ = JOB_CTX_HOOKS.set(hooks);
 }
 
-/// Run `f` with the worker count pinned to `threads`, restoring the
-/// previous override afterwards. Used by the `--perf` baseline pass
+/// Run `f` with the calling thread's worker count pinned to `threads`
+/// (and that of every pool `f` starts, nested ones included), restoring
+/// the previous override afterwards. Used by the `--perf` baseline pass
 /// (`threads = 1`) and by tests asserting byte-identity across thread
 /// counts.
 pub fn with_thread_override<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     assert!(threads >= 1, "thread override must be at least 1");
-    let prev = THREAD_OVERRIDE.swap(threads, Ordering::SeqCst);
+    let prev = THREAD_OVERRIDE.with(|c| c.replace(threads));
     struct Restore(usize);
     impl Drop for Restore {
         fn drop(&mut self) {
-            THREAD_OVERRIDE.store(self.0, Ordering::SeqCst);
+            THREAD_OVERRIDE.with(|c| c.set(self.0));
         }
     }
     let _restore = Restore(prev);
     f()
 }
 
-/// The configured worker count: the programmatic override if set, else
-/// `STELLAR_THREADS`, else [`std::thread::available_parallelism`].
+/// The configured worker count: the calling thread's programmatic
+/// override if set, else `STELLAR_THREADS`, else
+/// [`std::thread::available_parallelism`].
 ///
 /// # Panics
 /// Panics if `STELLAR_THREADS` is set but not a positive integer —
 /// a silently ignored misconfiguration would be worse than a loud one.
 pub fn configured_threads() -> usize {
-    let over = THREAD_OVERRIDE.load(Ordering::SeqCst);
+    let over = THREAD_OVERRIDE.with(Cell::get);
     if over > 0 {
         return over;
     }
@@ -203,6 +208,7 @@ pub fn configured_threads() -> usize {
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     let n = items.len();
     let threads = configured_threads().min(n);
+    let over = THREAD_OVERRIDE.with(Cell::get);
     let hooks = JOB_CTX_HOOKS.get();
     let snap = hooks.and_then(|h| (h.snapshot)());
 
@@ -240,6 +246,8 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| {
+                // A job's own pools run at the caller's override.
+                THREAD_OVERRIDE.with(|c| c.set(over));
                 // Workers are fresh threads, so their counters start at 0
                 // (the snapshots below are just defensive).
                 let before = events_scheduled_here();
@@ -390,6 +398,37 @@ mod tests {
         });
         let delta = events_scheduled_here() - before;
         assert_eq!(delta, (1..=8).sum::<u64>());
+    }
+
+    #[test]
+    fn concurrent_overrides_stay_on_their_own_threads() {
+        use std::sync::Barrier;
+        let unset = configured_threads();
+        let barrier = Barrier::new(2);
+        std::thread::scope(|s| {
+            for threads in [1usize, 8] {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    let seen = with_thread_override(threads, || {
+                        // Both overrides are held from here...
+                        barrier.wait();
+                        let seen = configured_threads();
+                        // ...until both threads have read their count.
+                        barrier.wait();
+                        seen
+                    });
+                    assert_eq!(seen, threads, "another thread's override leaked in");
+                    assert_eq!(configured_threads(), unset, "override left set");
+                });
+            }
+        });
+        assert_eq!(configured_threads(), unset, "override left set");
+    }
+
+    #[test]
+    fn pool_workers_inherit_the_override() {
+        let seen = with_thread_override(3, || par_map(&[0u8; 6], |_| configured_threads()));
+        assert_eq!(seen, vec![3; 6]);
     }
 
     #[test]

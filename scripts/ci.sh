@@ -66,7 +66,7 @@ match_golden() {
 # differential suite still has teeth), and the golden corpus replayed
 # with `EventQueue` aliased back to the reference heap.
 cargo test -q --offline -p stellar-sim --features queue-drill --test queue_drill
-cargo test -q --offline -p stellar-bench --features stellar-sim/reference-queue --test golden
+cargo test -q --offline -p stellar-bench --features stellar-sim/reference-queue --test conformance matches_golden
 
 # Suite gate: the whole quick suite runs on 8 workers under the
 # stellar-check invariant engine (`--check`: any violation prints a
@@ -90,7 +90,7 @@ trap 'rm -rf "$suite_dir"' EXIT
 # (818 and 122 MB; 26 MB while the fleet built a second sim for its
 # fault pass instead of resetting the calibration sim). Both tables must
 # match their golden files: they are
-# too slow for the debug golden test (crates/bench/tests/golden.rs).
+# too slow for the debug conformance test (crates/bench/tests/conformance.rs).
 scale_out="$(STELLAR_THREADS=1 run_capped "scale --quick" 120 scale --quick --json)"
 match_golden scale crates/bench/tests/golden/scale.json "$scale_out"
 rec_out="$(STELLAR_THREADS=1 run_capped "recovery --quick --check" 60 recovery --quick --json --check)"
