@@ -19,6 +19,9 @@
 //!   draws from its own `SimRng` seed and lands in its input-order slot.
 //! - **Trace consistency.** The fig8 and chaos traces account for every
 //!   ATC lookup, DMA'd page and message the figures report.
+//! - **Trace counters.** Every traced experiment's hub counters, as its
+//!   `--trace` document renders them, match `golden/trace_counters.json`
+//!   at 1 and 8 workers.
 //! - **Strict invariants.** The 1-worker fig8 (pcie + rnic) and fig11
 //!   (net + transport, every multipath algorithm) runs happen inside
 //!   `stellar_check::strict`. Its gate and collector are process-wide:
@@ -27,7 +30,8 @@
 //!   first, so it always fails some test, not always the one that made it.
 //! - **Figure shapes.** Each figure keeps the paper's qualitative result.
 //!
-//! fig8, fig11 and chaos run under `stellar_telemetry::capture`, which
+//! fig8, fig11, chaos, cluster and fig14 run under
+//! `stellar_telemetry::capture`, which
 //! records without perturbing rows, so one run serves traced and
 //! untraced gates. The worker count is a per-thread override, so tests
 //! running side by side each simulate at the count they name.
@@ -44,6 +48,10 @@
 //! mv TRACE_fig11.json crates/bench/tests/golden/
 //! ```
 //!
+//! `golden/trace_counters.json` holds one line per [`TRACED`]
+//! experiment: its name and the `counters` array of its
+//! `reproduce <exp> --quick --json --trace` document.
+//!
 //! `golden/{scale,recovery,fig9,fig10}.json` take seconds even in
 //! release, so `scripts/ci.sh` compares them against its release runs
 //! instead of this debug test.
@@ -58,7 +66,7 @@ use stellar_telemetry::{capture, Stage, Subsystem, Telemetry};
 /// The worker counts a run can be cached at.
 const WORKERS: [usize; 3] = [1, 2, 8];
 /// Experiments whose runs are captured: their traces are gated.
-const TRACED: [&str; 3] = ["fig8", "fig11", "chaos"];
+const TRACED: [&str; 5] = ["fig8", "fig11", "chaos", "cluster", "fig14"];
 /// Experiments whose 1-worker run is held to every invariant.
 const STRICT: [&str; 2] = ["fig8", "fig11"];
 
@@ -202,6 +210,42 @@ fn fig11_trace_matches_golden_at_1_and_8_threads() {
             fig11(threads).tel().to_json("fig11"),
             golden,
             "fig11 --trace document drifted from the golden corpus at {threads} thread(s)"
+        );
+    }
+}
+
+/// Every traced experiment's `counters` array, cut from its `--trace`
+/// document, matches its line of the golden file at 1 and 8 workers.
+/// Together these traces carry 35 of the 37 counter names a quick
+/// trace can show; the other two appear only in `recovery`, which is
+/// too slow for this debug test.
+#[test]
+fn trace_counters_match_golden_at_1_and_8_threads() {
+    let golden = include_str!("golden/trace_counters.json");
+    let tel = |exp: &str, threads| match exp {
+        "fig8" => fig8(threads).tel(),
+        "fig11" => fig11(threads).tel(),
+        "chaos" => chaos(threads).tel(),
+        "cluster" => cluster(threads).tel(),
+        "fig14" => fig14(threads).tel(),
+        _ => unreachable!("{exp} is not traced"),
+    };
+    for threads in [1usize, 8] {
+        let lines: Vec<String> = TRACED
+            .iter()
+            .map(|exp| {
+                let doc = tel(exp, threads).to_json(exp);
+                let (_, counters) = doc.split_once(r#","counters":"#).expect("a counters field");
+                let (counters, _) = counters
+                    .split_once(r#","recorder":"#)
+                    .expect("a recorder field");
+                format!("\"{exp}\":{counters}")
+            })
+            .collect();
+        assert_eq!(
+            format!("{{\n{}\n}}\n", lines.join(",\n")),
+            golden,
+            "trace counters drifted from the golden corpus at {threads} thread(s)"
         );
     }
 }

@@ -21,9 +21,9 @@
 //! * [`scheduler`] — FIFO admission queueing, the RunD boot + vStellar
 //!   create → PVDMA-pin → QP-bring-up tenant lifecycle costed live on a
 //!   control-plane rig, departure and slot recycling, and vStellar
-//!   device-churn storms riding the transport [`RecoveryPolicy`]
-//!   (`stellar_transport::RecoveryPolicy`) with the measured
-//!   destroy→recreate lifecycle as the re-establishment cost.
+//!   device-churn storms riding the transport
+//!   [`RecoveryPolicy`](stellar_transport::RecoveryPolicy) with the
+//!   measured destroy→recreate lifecycle as the re-establishment cost.
 //! * [`report`] — per-tenant SLOs: admission wait, boot time, goodput,
 //!   p99 message latency, recovery downtime.
 //!

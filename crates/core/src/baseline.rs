@@ -319,7 +319,8 @@ mod tests {
             .write(&mut server, &dev, mr, Gva(1 << 30), 16 * MB)
             .unwrap();
         assert!(rep.p2p_pages > 0);
-        assert!(rep.atc_hits + rep.atc_misses > 0);
+        let (hits, misses, _) = server.rnic(RnicId(0)).atc.stats();
+        assert!(hits + misses > 0);
     }
 
     #[test]

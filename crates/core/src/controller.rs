@@ -143,6 +143,7 @@ impl Controller {
 mod tests {
     use super::*;
     use crate::server::ServerConfig;
+    use stellar_telemetry::{capture, Subsystem};
     use stellar_virt::rund::MemoryStrategy;
 
     fn server() -> StellarServer {
@@ -179,37 +180,42 @@ mod tests {
         );
     }
 
+    /// The server reports both steering lookups to telemetry when it
+    /// drops.
     #[test]
     fn churn_pushes_returning_flows_behind_everyone() {
         // Rule churn: an evicted-then-reinstalled RDMA flow lands at the
         // end of the ordered table, so its lookup latency now includes
         // every other tenant's rules.
-        let mut s = server();
-        let mut ctl = Controller::new(4);
-        for flow in 0..4 {
-            ctl.install_rdma_route(&mut s, RnicId(0), flow, PeerLocation::RemoteServer)
+        let ((), tel) = capture(|| {
+            let mut s = server();
+            let mut ctl = Controller::new(4);
+            for flow in 0..4 {
+                ctl.install_rdma_route(&mut s, RnicId(0), flow, PeerLocation::RemoteServer)
+                    .unwrap();
+            }
+            let early = s
+                .rnic_mut(RnicId(0))
+                .vswitch
+                .steer(RuleClass::Rdma, 0)
                 .unwrap();
-        }
-        let early = s
-            .rnic_mut(RnicId(0))
-            .vswitch
-            .steer(RuleClass::Rdma, 0)
-            .unwrap();
-        // Offload 4 more flows: flow 0 gets evicted, then returns.
-        for flow in 4..8 {
-            ctl.install_rdma_route(&mut s, RnicId(0), flow, PeerLocation::RemoteServer)
+            // Offload 4 more flows: flow 0 gets evicted, then returns.
+            for flow in 4..8 {
+                ctl.install_rdma_route(&mut s, RnicId(0), flow, PeerLocation::RemoteServer)
+                    .unwrap();
+            }
+            ctl.install_rdma_route(&mut s, RnicId(0), 0, PeerLocation::RemoteServer)
                 .unwrap();
-        }
-        ctl.install_rdma_route(&mut s, RnicId(0), 0, PeerLocation::RemoteServer)
-            .unwrap();
-        let late = s
-            .rnic_mut(RnicId(0))
-            .vswitch
-            .steer(RuleClass::Rdma, 0)
-            .unwrap();
-        assert!(late.position > early.position);
-        assert!(late.latency > early.latency);
-        assert_eq!(ctl.evictions(), 5);
+            let late = s
+                .rnic_mut(RnicId(0))
+                .vswitch
+                .steer(RuleClass::Rdma, 0)
+                .unwrap();
+            assert!(late.position > early.position);
+            assert!(late.latency > early.latency);
+            assert_eq!(ctl.evictions(), 5);
+        });
+        assert_eq!(tel.hub.get(Subsystem::Rnic, "vswitch.steer"), 2);
     }
 
     #[test]

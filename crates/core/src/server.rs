@@ -16,6 +16,8 @@ use stellar_rnic::mtt::{Mtt, MttConfig};
 use stellar_rnic::vdev::{VdevManager, VdevManagerConfig};
 use stellar_rnic::verbs::Verbs;
 use stellar_rnic::vswitch::{VSwitch, VSwitchConfig};
+use stellar_telemetry::{fold_counters, Subsystem};
+use stellar_virt::pvdma::Pvdma;
 use stellar_virt::rund::{BootReport, MemoryStrategy, RundConfig, RundContainer};
 
 
@@ -249,6 +251,49 @@ impl StellarServer {
         id: ContainerId,
     ) -> (&mut RundContainer, &mut Fabric) {
         (&mut self.containers[id.0], &mut self.fabric)
+    }
+}
+
+/// A server reports its layers' counters to telemetry when it drops.
+impl Drop for StellarServer {
+    fn drop(&mut self) {
+        let rnics = |f: fn(&RnicInstance) -> u64| self.rnics.iter().map(f).sum::<u64>();
+        let pvdma = self.containers.iter().filter_map(RundContainer::pvdma);
+        let pvdmas = |f: fn(&Pvdma) -> u64| pvdma.clone().map(f).sum::<u64>();
+        let iommu = self.fabric.iommu();
+        let ((iotlb_hits, iotlb_misses, _), faults) = (iommu.iotlb_stats(), iommu.faults());
+        fold_counters(Subsystem::Pcie, || {
+            [
+                ("atc.hit", rnics(|r| r.atc.stats().0)),
+                ("atc.miss", rnics(|r| r.atc.stats().1)),
+                ("iommu.fault", faults),
+                ("iommu.iotlb_hit", iotlb_hits),
+                ("iommu.iotlb_miss", iotlb_misses.saturating_sub(faults)),
+                ("iommu.pinned_pages", iommu.pinned_pages_4k()),
+            ]
+        });
+        // The DMA engines are the only TLP sources on the fabric.
+        let (p2p, rc) = self.fabric.tlp_counters();
+        fold_counters(Subsystem::Rnic, || {
+            [
+                ("dma.ops", rnics(|r| r.dma.ops())),
+                ("dma.pages_p2p", p2p),
+                ("dma.pages_rc", rc),
+                ("doorbell.alloc", rnics(|r| r.doorbells.churn().0)),
+                ("doorbell.release", rnics(|r| r.doorbells.churn().1)),
+                ("vswitch.steer", rnics(|r| r.vswitch.steers())),
+            ]
+        });
+        fold_counters(Subsystem::Virt, || {
+            let full_pin = self.containers.len() as u64 - pvdmas(|_| 1);
+            [
+                ("pvdma.blocks_hit", pvdmas(|p| p.cache_stats().0)),
+                ("pvdma.blocks_pinned", pvdmas(|p| p.cache_stats().1)),
+                ("pvdma.prepare", pvdmas(Pvdma::prepares)),
+                ("rund.boot", self.containers.len() as u64),
+                ("rund.full_pin_boot", full_pin),
+            ]
+        });
     }
 }
 

@@ -14,7 +14,7 @@
 
 use stellar_check::Checker;
 use stellar_sim::{transmit_time, SimDuration, SimTime};
-use stellar_telemetry::{count, event, Entity, Subsystem};
+use stellar_telemetry::{event, fold_counters, Entity, Subsystem};
 
 use crate::fabric::{Fabric, FabricKind};
 use crate::fault::{FaultEvent, FaultPlan};
@@ -127,6 +127,8 @@ pub struct Packet {
 pub struct Ledger {
     /// Drops by [`DropReason::index`].
     pub drops: [u64; 4],
+    /// ECN marks: per marking port (packet model) or packet (fluid).
+    pub ecn_marks: u64,
     pub injected_packets: u64,
     pub injected_bytes: u64,
     pub delivered_packets: u64,
@@ -141,6 +143,7 @@ impl Ledger {
         for (d, o) in self.drops.iter_mut().zip(other.drops) {
             *d += o;
         }
+        self.ecn_marks += other.ecn_marks;
         self.injected_packets += other.injected_packets;
         self.injected_bytes += other.injected_bytes;
         self.delivered_packets += other.delivered_packets;
@@ -189,6 +192,8 @@ pub struct Core {
     /// first not-yet-applied event.
     plan: Vec<(SimTime, FaultEvent)>,
     plan_cursor: usize,
+    /// Fault-plan events applied so far.
+    faults_applied: u64,
     /// Bounded packet trace; `None` = tracing off (the default).
     trace: Option<(Vec<TraceRecord>, usize)>,
 }
@@ -215,6 +220,7 @@ impl Core {
             faulty_links: 0,
             plan: Vec::new(),
             plan_cursor: 0,
+            faults_applied: 0,
             trace: None,
         }
     }
@@ -248,7 +254,7 @@ impl Core {
     /// packet that triggered the catch-up — the control plane's
     /// convergence clock starts at the true fault time).
     fn apply_fault_event(&mut self, at: SimTime, ev: FaultEvent) {
-        count(Subsystem::Net, "fault.applied", 1);
+        self.faults_applied += 1;
         event(at, Subsystem::Net, Entity::None, ev.kind(), 0);
         let (links, up) = match ev {
             FaultEvent::LinkDown(l) => (vec![l], false),
@@ -358,9 +364,7 @@ impl Core {
     }
 
     /// Book the fate of one packet of `bytes` in the carrying model's
-    /// `ledger`, and a drop on the link where it died. The hub mirrors
-    /// the per-reason drop counters at this single site, so hub totals
-    /// equal `drops_by_reason` exactly.
+    /// `ledger`, and a drop on the link where it died.
     #[inline]
     pub fn book(&mut self, ledger: &mut Ledger, bytes: u64, delivery: Delivery) {
         ledger.injected_packets += 1;
@@ -374,7 +378,6 @@ impl Core {
                 self.links[link.0 as usize].drops += 1;
                 ledger.drops[reason.index()] += 1;
                 ledger.dropped_bytes += bytes;
-                count(Subsystem::Net, reason.counter(), 1);
             }
         }
     }
@@ -441,6 +444,9 @@ pub trait Model {
     /// Every packet this model was handed, and its fate.
     fn ledger(&self) -> Ledger;
 
+    /// Report the counters only this model keeps (on the fabric's drop).
+    fn fold_counters(&self) {}
+
     /// This model's invariants at a quiesce point.
     fn check_invariants(&self, at: SimTime);
 }
@@ -450,9 +456,26 @@ pub trait Model {
 /// [`crate::HybridFabric`] are this type over the packet, fluid and
 /// hybrid models.
 #[derive(Debug)]
-pub struct ModelFabric<M> {
+pub struct ModelFabric<M: Model> {
     pub(crate) core: Core,
     pub(crate) model: M,
+}
+
+/// A fabric reports its counters to telemetry when it drops.
+impl<M: Model> Drop for ModelFabric<M> {
+    fn drop(&mut self) {
+        fold_counters(Subsystem::Net, || {
+            let ledger = self.model.ledger();
+            DropReason::ALL
+                .map(|r| (r.counter(), ledger.drops[r.index()]))
+                .into_iter()
+                .chain([
+                    ("ecn_mark", ledger.ecn_marks),
+                    ("fault.applied", self.core.faults_applied),
+                ])
+        });
+        self.model.fold_counters();
+    }
 }
 
 impl<M: Model> Fabric for ModelFabric<M> {
@@ -703,10 +726,10 @@ mod tests {
     }
 
     /// Every fabric kind applies each fault event exactly once, and says
-    /// so once: one `fault.applied` count and one flight-recorder event.
+    /// so once: one applied-fault count and one flight-recorder event.
     #[test]
     fn each_applied_fault_counts_once_on_every_fabric_kind() {
-        fn run<F: Fabric>(mut fabric: F) -> (u64, usize) {
+        fn run<M: Model>(mut fabric: ModelFabric<M>) -> (u64, usize) {
             let topo = fabric.topology().clone();
             let link = LinkId(3);
             let plan = FaultPlan::new(1)
@@ -727,7 +750,7 @@ mod tests {
                 .events()
                 .filter(|e| e.kind.starts_with("fault."))
                 .count();
-            (tel.hub.get(Subsystem::Net, "fault.applied"), events)
+            (fabric.core.faults_applied, events)
         }
         let net = NetworkConfig::default();
         let rng = SimRng::from_seed(3);

@@ -34,7 +34,7 @@
 //! [`crate::HybridFabric`] escalates to the packet model.
 
 use stellar_sim::{transmit_time, SimDuration, SimRng, SimTime};
-use stellar_telemetry::{count, Subsystem};
+use stellar_telemetry::{fold_counters, Subsystem};
 
 use crate::core::{Core, Ledger, Model, ModelFabric, Packet};
 use crate::fabric::FabricKind;
@@ -425,7 +425,6 @@ impl FluidModel {
                 for &r in f.resources() {
                     res_count[r as usize] -= 1;
                 }
-                count(Subsystem::Net, "fabric.fluid.flow.retired", 1);
             }
             idle
         });
@@ -450,7 +449,6 @@ impl Model for FluidModel {
             bytes,
             ..
         } = *p;
-        count(Subsystem::Net, "fabric.fluid.sent", 1);
         let dropped = |link, reason| Delivery::Dropped {
             link,
             reason,
@@ -523,7 +521,6 @@ impl Model for FluidModel {
                     f.rate_gbps = self.provisional_rate(&f);
                     self.flows_opened += 1;
                     self.dirty = true;
-                    count(Subsystem::Net, "fabric.fluid.flow.opened", 1);
                     self.flows.open(f)
                 }
             };
@@ -545,7 +542,7 @@ impl Model for FluidModel {
                 core.links[l.0 as usize].transmit(bytes, ecn);
             }
             if ecn {
-                count(Subsystem::Net, "ecn_mark", 1);
+                self.ledger.ecn_marks += 1;
             }
             Delivery::Delivered { at, ecn }
         };
@@ -564,6 +561,16 @@ impl Model for FluidModel {
 
     fn ledger(&self) -> Ledger {
         self.ledger
+    }
+
+    fn fold_counters(&self) {
+        fold_counters(Subsystem::Net, || {
+            [
+                ("fabric.fluid.sent", self.ledger.injected_packets),
+                ("fabric.fluid.flow.opened", self.flows_opened),
+                ("fabric.fluid.flow.retired", self.flows_retired),
+            ]
+        });
     }
 
     fn check_invariants(&self, at: SimTime) {

@@ -34,7 +34,7 @@
 //! its own conservation ledger, checked separately.
 
 use stellar_sim::{SimDuration, SimRng, SimTime};
-use stellar_telemetry::{count, Subsystem};
+use stellar_telemetry::{fold_counters, Subsystem};
 
 use crate::core::{Core, Ledger, Model, ModelFabric, Packet};
 use crate::fabric::FabricKind;
@@ -88,11 +88,15 @@ pub struct HybridModel {
     dst_flows: Vec<u32>,
     next_expiry_scan: SimTime,
     escalations: u64,
-    packet_sends: u64,
-    fluid_sends: u64,
 }
 
 impl HybridModel {
+    /// Each model counts the sends it was handed.
+    fn split(&self) -> (u64, u64, u64) {
+        let (p, f) = (self.packet.ledger(), self.fluid.ledger());
+        (p.injected_packets, f.injected_packets, self.escalations)
+    }
+
     fn expire_meta(&mut self, now: SimTime) {
         if now < self.next_expiry_scan || self.meta.is_empty() {
             return;
@@ -145,15 +149,10 @@ impl Model for HybridModel {
         if contested && !meta.escalated {
             meta.escalated = true;
             self.escalations += 1;
-            count(Subsystem::Net, "fabric.hybrid.escalation", 1);
         }
         if contested {
-            self.packet_sends += 1;
-            count(Subsystem::Net, "fabric.hybrid.packet_send", 1);
             self.packet.send(core, p, route)
         } else {
-            self.fluid_sends += 1;
-            count(Subsystem::Net, "fabric.hybrid.fluid_send", 1);
             self.fluid.send(core, p, route)
         }
     }
@@ -178,6 +177,18 @@ impl Model for HybridModel {
 
     fn ledger(&self) -> Ledger {
         self.packet.ledger().plus(&self.fluid.ledger())
+    }
+
+    fn fold_counters(&self) {
+        let (packet, fluid, escalations) = self.split();
+        fold_counters(Subsystem::Net, || {
+            [
+                ("fabric.hybrid.escalation", escalations),
+                ("fabric.hybrid.packet_send", packet),
+                ("fabric.hybrid.fluid_send", fluid),
+            ]
+        });
+        self.fluid.fold_counters();
     }
 
     fn check_invariants(&self, at: SimTime) {
@@ -208,8 +219,6 @@ impl HybridFabric {
             dst_flows: vec![0; topo.total_nics()],
             next_expiry_scan: SimTime::ZERO,
             escalations: 0,
-            packet_sends: 0,
-            fluid_sends: 0,
         };
         ModelFabric {
             core: Core::new(topo, config),
@@ -220,8 +229,7 @@ impl HybridFabric {
     /// `(packet sends, fluid sends, escalation events)` so far — the
     /// split that tells you whether the hybrid is earning its keep.
     pub fn send_split(&self) -> (u64, u64, u64) {
-        let m = &self.model;
-        (m.packet_sends, m.fluid_sends, m.escalations)
+        self.model.split()
     }
 
     /// The fluid model (e.g. for its flow ledger).
@@ -236,6 +244,7 @@ mod tests {
     use crate::network::DropReason;
     use crate::topology::ClosConfig;
     use crate::Fabric;
+    use stellar_telemetry::capture;
 
     fn topo() -> ClosTopology {
         ClosTopology::build(ClosConfig {
@@ -277,20 +286,32 @@ mod tests {
 
     #[test]
     fn incast_destination_escalates_to_packet_model() {
-        let mut f = fabric();
-        let dst = f.topology().nic(0, 0);
-        for h in 1..6 {
-            let src = f.topology().nic(h, 0);
-            f.send(t(0), src, dst, h as u64, 0, 4096);
-        }
-        let (pkt, _fluid, esc) = f.send_split();
+        let ((pkt, fluid, esc), tel) = capture(|| {
+            let mut f = fabric();
+            let dst = f.topology().nic(0, 0);
+            for h in 1..6 {
+                let src = f.topology().nic(h, 0);
+                f.send(t(0), src, dst, h as u64, 0, 4096);
+            }
+            // An escalated flow stays on the packet model.
+            let src = f.topology().nic(5, 0);
+            f.send(t(1), src, dst, 5, 0, 4096);
+            f.send_split()
+        });
         // Flows 3..6 arrive after the threshold (3) is reached.
         assert!(
             pkt >= 2,
             "incast fan-in must escalate: split {:?}",
-            f.send_split()
+            (pkt, fluid, esc)
         );
         assert!(esc >= 2);
+        // The fabric reports its split to telemetry when it drops.
+        let hub = |name| tel.hub.get(Subsystem::Net, name);
+        assert_eq!(hub("fabric.hybrid.packet_send"), pkt);
+        assert_eq!(hub("fabric.hybrid.fluid_send"), fluid);
+        assert_eq!(hub("fabric.hybrid.escalation"), esc);
+        assert_eq!(hub("fabric.fluid.sent"), fluid);
+        assert_eq!((pkt, fluid, esc), (4, 2, 3));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use stellar_sim::stats::Gauge;
 use stellar_sim::{transmit_time, SimDuration, SimRng, SimTime};
-use stellar_telemetry::{count, event, stage_sample, Entity, Stage, Subsystem};
+use stellar_telemetry::{event, stage_sample, Entity, Stage, Subsystem};
 
 use crate::core::{Core, Ledger, Model, ModelFabric, Packet};
 use crate::fabric::FabricKind;
@@ -269,7 +269,7 @@ impl PacketModel {
             let marked = backlog > config.ecn_threshold_bytes;
             if marked {
                 ecn = true;
-                count(Subsystem::Net, "ecn_mark", 1);
+                self.ledger.ecn_marks += 1;
             }
             if wait > SimDuration::ZERO {
                 // Time this packet spends queued behind the port backlog.

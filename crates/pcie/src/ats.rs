@@ -13,7 +13,7 @@
 //! entirely.
 
 use stellar_sim::{LruCache, SimDuration};
-use stellar_telemetry::{count, stage_sample, Stage, Subsystem};
+use stellar_telemetry::{stage_sample, Stage};
 
 use crate::addr::{Address, Hpa, Iova};
 use crate::iommu::{Iommu, IommuError};
@@ -63,18 +63,13 @@ pub struct AtcLookup {
 pub struct Atc {
     config: AtcConfig,
     cache: LruCache<u64, u64>, // iova page -> hpa page
-    ats_requests: u64,
 }
 
 impl Atc {
     /// A fresh, empty ATC.
     pub fn new(config: AtcConfig) -> Self {
         let cache = LruCache::new(config.capacity);
-        Atc {
-            config,
-            cache,
-            ats_requests: 0,
-        }
+        Atc { config, cache }
     }
 
     /// The active configuration.
@@ -88,7 +83,6 @@ impl Atc {
         let page = iova.page_base(self.config.page_size).raw();
         let offset = iova.page_offset(self.config.page_size);
         if let Some(&hpa_page) = self.cache.get(&page) {
-            count(Subsystem::Pcie, "atc.hit", 1);
             stage_sample(Stage::AtcHit, self.config.hit_latency);
             return Ok(AtcLookup {
                 hpa: Hpa(hpa_page + offset),
@@ -96,8 +90,6 @@ impl Atc {
                 atc_hit: true,
             });
         }
-        self.ats_requests += 1;
-        count(Subsystem::Pcie, "atc.miss", 1);
         let t = iommu.translate(iova)?;
         self.cache.insert(page, t.hpa.raw() - offset);
         let latency = self.config.ats_round_trip + t.latency;
@@ -121,14 +113,10 @@ impl Atc {
         self.cache.invalidate_all();
     }
 
-    /// `(hits, misses, evictions)` of the cache.
+    /// `(hits, misses, evictions)` of the cache. Every miss issued one
+    /// ATS request to the IOMMU.
     pub fn stats(&self) -> (u64, u64, u64) {
         self.cache.stats()
-    }
-
-    /// Number of ATS requests issued to the IOMMU.
-    pub fn ats_requests(&self) -> u64 {
-        self.ats_requests
     }
 
     /// Resident translations.
@@ -172,7 +160,7 @@ mod tests {
         let l2 = atc.translate(Iova(0x1020), &mut iommu).unwrap();
         assert!(l2.atc_hit);
         assert_eq!(l2.latency, atc.config().hit_latency);
-        assert_eq!(atc.ats_requests(), 1);
+        assert_eq!(atc.stats().1, 1, "one ATS request");
     }
 
     #[test]
@@ -213,7 +201,7 @@ mod tests {
         atc.invalidate(Iova(0x10)); // same page
         let l = atc.translate(Iova(0), &mut iommu).unwrap();
         assert!(!l.atc_hit);
-        assert_eq!(atc.ats_requests(), 2);
+        assert_eq!(atc.stats().1, 2, "two ATS requests");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   IOTLB misses (the paper's pcm-iio observation in Fig. 8).
 
 use stellar_sim::{LruCache, SimDuration};
-use stellar_telemetry::{count, stage_sample, Stage, Subsystem};
+use stellar_telemetry::{stage_sample, Stage};
 
 use crate::addr::{Address, Gpa, Hpa, Iova, PAGE_4K};
 use crate::paging::{PageTable, PagingError};
@@ -114,8 +114,9 @@ pub struct Iommu {
     table: PageTable<Iova, Hpa>,
     iotlb: LruCache<u64, u64>, // iova page -> hpa page
     pinned_bytes: u64,
+    /// 4 KiB pages ever pinned (the unit pin cost is charged in).
+    pinned_pages_4k: u64,
     total_pin_time: SimDuration,
-    translations: u64,
     faults: u64,
 }
 
@@ -129,8 +130,8 @@ impl Iommu {
             table,
             iotlb,
             pinned_bytes: 0,
+            pinned_pages_4k: 0,
             total_pin_time: SimDuration::ZERO,
-            translations: 0,
             faults: 0,
         }
     }
@@ -167,7 +168,6 @@ impl Iommu {
     /// In [`IommuMode::Passthrough`] the IOVA is used as the HPA directly
     /// with zero latency (no table, no IOTLB).
     pub fn translate(&mut self, iova: Iova) -> Result<Translation, IommuError> {
-        self.translations += 1;
         if self.config.mode == IommuMode::Passthrough {
             return Ok(Translation {
                 hpa: Hpa(iova.raw()),
@@ -178,7 +178,6 @@ impl Iommu {
         let page = iova.page_base(self.config.page_size).raw();
         let offset = iova.page_offset(self.config.page_size);
         if let Some(&hpa_page) = self.iotlb.get(&page) {
-            count(Subsystem::Pcie, "iommu.iotlb_hit", 1);
             stage_sample(Stage::IotlbHit, self.config.iotlb_hit_latency);
             return Ok(Translation {
                 hpa: Hpa(hpa_page + offset),
@@ -189,7 +188,6 @@ impl Iommu {
         match self.table.translate(iova) {
             Ok(hpa) => {
                 self.iotlb.insert(page, hpa.raw() - offset);
-                count(Subsystem::Pcie, "iommu.iotlb_miss", 1);
                 stage_sample(Stage::IommuWalk, self.config.walk_latency);
                 Ok(Translation {
                     hpa,
@@ -199,7 +197,6 @@ impl Iommu {
             }
             Err(_) => {
                 self.faults += 1;
-                count(Subsystem::Pcie, "iommu.fault", 1);
                 Err(IommuError::Fault(iova))
             }
         }
@@ -215,8 +212,8 @@ impl Iommu {
         let pages_4k = len.div_ceil(PAGE_4K);
         let cost = self.config.pin_call_overhead + self.config.pin_per_4k_page.mul(pages_4k);
         self.pinned_bytes += len;
+        self.pinned_pages_4k += pages_4k;
         self.total_pin_time += cost;
-        count(Subsystem::Pcie, "iommu.pinned_pages", pages_4k);
         stage_sample(Stage::VirtPin, cost);
         Ok(cost)
     }
@@ -245,9 +242,9 @@ impl Iommu {
             self.config.pin_call_overhead + self.config.pin_per_4k_page.mul(pages_4k)
         };
         self.pinned_bytes += newly_mapped * self.config.page_size;
+        self.pinned_pages_4k += pages_4k;
         self.total_pin_time += cost;
         if newly_mapped > 0 {
-            count(Subsystem::Pcie, "iommu.pinned_pages", pages_4k);
             stage_sample(Stage::VirtPin, cost);
         }
         Ok(cost)
@@ -265,17 +262,23 @@ impl Iommu {
         self.pinned_bytes
     }
 
+    /// 4 KiB pages ever pinned; unpinning does not lower it.
+    pub fn pinned_pages_4k(&self) -> u64 {
+        self.pinned_pages_4k
+    }
+
     /// Cumulative simulated time spent pinning.
     pub fn total_pin_time(&self) -> SimDuration {
         self.total_pin_time
     }
 
-    /// `(translations, faults)` counters.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.translations, self.faults)
+    /// Translations that faulted on an unmapped page.
+    pub fn faults(&self) -> u64 {
+        self.faults
     }
 
-    /// IOTLB `(hits, misses, evictions)`.
+    /// IOTLB `(hits, misses, evictions)`. A miss on an unmapped page is
+    /// a fault, and counts in both.
     pub fn iotlb_stats(&self) -> (u64, u64, u64) {
         self.iotlb.stats()
     }
@@ -321,7 +324,8 @@ mod tests {
             m.translate(Iova(0x5000)),
             Err(IommuError::Fault(Iova(0x5000)))
         );
-        assert_eq!(m.counters(), (1, 1));
+        assert_eq!(m.faults(), 1);
+        assert_eq!(m.iotlb_stats().1, 1, "a fault is an IOTLB miss too");
     }
 
     #[test]

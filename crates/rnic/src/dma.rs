@@ -31,7 +31,7 @@ use stellar_pcie::ats::Atc;
 use stellar_pcie::topology::{AtField, DeviceId, Fabric, FabricError, RoutePath, Tlp, TlpKind};
 use stellar_pcie::Gva;
 use stellar_sim::{transmit_time, SimDuration};
-use stellar_telemetry::{count, stage_sample, Stage, Subsystem};
+use stellar_telemetry::{stage_sample, Stage};
 
 use crate::mtt::{MemOwner, Mtt, MttEntry, MttError};
 use crate::verbs::MrKey;
@@ -120,7 +120,8 @@ impl std::fmt::Display for DmaError {
 
 impl std::error::Error for DmaError {}
 
-/// Accounting for one executed DMA operation.
+/// Accounting for one executed DMA operation. How its pages were
+/// translated is counted once, by the ATC.
 #[derive(Debug, Clone, Default)]
 pub struct DmaReport {
     /// Bytes moved.
@@ -137,27 +138,31 @@ pub struct DmaReport {
     pub p2p_pages: u64,
     /// Pages routed via the Root Complex.
     pub rc_pages: u64,
-    /// ATC hits (AtsAtc mode only).
-    pub atc_hits: u64,
-    /// ATC misses (AtsAtc mode only).
-    pub atc_misses: u64,
 }
 
 /// The DMA engine of one RNIC.
 #[derive(Debug)]
 pub struct DmaEngine {
     config: RnicDataPathConfig,
+    /// Operations executed (one doorbell ring each).
+    ops: u64,
 }
 
 impl DmaEngine {
     /// An engine with the given data-path configuration.
     pub fn new(config: RnicDataPathConfig) -> Self {
-        DmaEngine { config }
+        DmaEngine { config, ops: 0 }
     }
 
     /// The active configuration.
     pub fn config(&self) -> &RnicDataPathConfig {
         &self.config
+    }
+
+    /// Operations started, failed ones included (an empty transfer is
+    /// rejected before it starts).
+    pub fn ops(&self) -> u64 {
+        self.ops
     }
 
     /// Execute a write of `len` bytes at `gva` in region `mr`, issuing TLPs
@@ -166,7 +171,7 @@ impl DmaEngine {
     /// `atc` is consulted only in [`TranslationMode::AtsAtc`].
     #[allow(clippy::too_many_arguments)]
     pub fn write(
-        &self,
+        &mut self,
         mode: TranslationMode,
         mtt: &mut Mtt,
         atc: &mut Atc,
@@ -184,7 +189,7 @@ impl DmaEngine {
     /// round trip twice.
     #[allow(clippy::too_many_arguments)]
     pub fn read(
-        &self,
+        &mut self,
         mode: TranslationMode,
         mtt: &mut Mtt,
         atc: &mut Atc,
@@ -199,7 +204,7 @@ impl DmaEngine {
 
     #[allow(clippy::too_many_arguments)]
     fn execute(
-        &self,
+        &mut self,
         kind: TlpKind,
         mode: TranslationMode,
         mtt: &mut Mtt,
@@ -219,7 +224,7 @@ impl DmaEngine {
         let mut report = DmaReport::default();
         let mut elapsed = self.config.per_message_overhead;
         // Doorbell ring → descriptor fetch: the per-message NIC overhead.
-        count(Subsystem::Rnic, "dma.ops", 1);
+        self.ops += 1;
         stage_sample(Stage::DoorbellDmaFetch, self.config.per_message_overhead);
         let mut remaining = len;
         let mut cursor = gva;
@@ -260,11 +265,6 @@ impl DmaEngine {
                             fabric.iommu_mut(),
                         )
                         .map_err(FabricError::Iommu)?;
-                    if lookup.atc_hit {
-                        report.atc_hits += 1;
-                    } else {
-                        report.atc_misses += 1;
-                    }
                     translation_latency += lookup.latency;
                     Tlp {
                         source,
@@ -294,10 +294,8 @@ impl DmaEngine {
             let via_rc = outcome.path == RoutePath::ViaRootComplex;
             if via_rc {
                 report.rc_pages += 1;
-                count(Subsystem::Rnic, "dma.pages_rc", 1);
             } else {
                 report.p2p_pages += 1;
-                count(Subsystem::Rnic, "dma.pages_p2p", 1);
             }
 
             let mut wire = transmit_time(chunk, self.config.port_gbps);
@@ -417,7 +415,7 @@ mod tests {
                 MemOwner::Gpu(r.gpu),
             )
             .unwrap();
-        let e = engine(400.0);
+        let mut e = engine(400.0);
         let report = e
             .write(
                 TranslationMode::Emtt,
@@ -454,7 +452,7 @@ mod tests {
                 64 * PAGE_4K,
             )
             .unwrap();
-        let e = engine(400.0);
+        let mut e = engine(400.0);
         let report = e
             .write(
                 TranslationMode::Untranslated,
@@ -494,7 +492,7 @@ mod tests {
                     256 * PAGE_4K,
                 )
                 .unwrap();
-            let e = engine(200.0);
+            let mut e = engine(200.0);
             // Warm-up pass, then measured pass (LRU thrash on the 2nd).
             for _ in 0..2 {
                 let rep = e
@@ -534,7 +532,7 @@ mod tests {
                 MemOwner::Gpu(r.gpu),
             )
             .unwrap();
-        let e = engine(400.0);
+        let mut e = engine(400.0);
         let report = e
             .write(
                 TranslationMode::Emtt,
@@ -560,7 +558,7 @@ mod tests {
         r.mtt
             .register_legacy_contiguous(MrKey(1), Gva(0), Iova(0x7000_0000), PAGE_4K)
             .unwrap();
-        let e = engine(200.0);
+        let mut e = engine(200.0);
         let err = e.write(
             TranslationMode::Emtt,
             &mut r.mtt,
@@ -586,7 +584,7 @@ mod tests {
                 MemOwner::Gpu(r.gpu),
             )
             .unwrap();
-        let e = engine(400.0);
+        let mut e = engine(400.0);
         let w = e
             .write(
                 TranslationMode::Emtt,
@@ -620,7 +618,7 @@ mod tests {
     #[test]
     fn zero_length_rejected() {
         let mut r = rig(16);
-        let e = engine(200.0);
+        let mut e = engine(200.0);
         let err = e.write(
             TranslationMode::Emtt,
             &mut r.mtt,
@@ -647,7 +645,7 @@ mod tests {
                     MemOwner::Gpu(r.gpu),
                 )
                 .unwrap();
-            let e = engine(400.0);
+            let mut e = engine(400.0);
             let report = e
                 .write(
                     TranslationMode::Emtt,
@@ -676,7 +674,7 @@ mod tests {
                 MemOwner::Gpu(r.gpu),
             )
             .unwrap();
-        let e = engine(400.0);
+        let mut e = engine(400.0);
         // Start mid-page, length crossing two page boundaries.
         let report = e
             .write(

@@ -8,7 +8,6 @@
 use std::collections::HashMap;
 
 use stellar_pcie::addr::{Hpa, Range, PAGE_4K};
-use stellar_telemetry::{count, Subsystem};
 
 use crate::vdev::VdevId;
 
@@ -79,7 +78,6 @@ impl DoorbellTable {
         let id = DoorbellId(self.next_id);
         self.next_id += 1;
         self.by_vdev.insert(vdev, (id, offset));
-        count(Subsystem::Rnic, "doorbell.alloc", 1);
         Ok((id, Hpa(self.bar.base.0 + offset)))
     }
 
@@ -90,7 +88,6 @@ impl DoorbellTable {
             .remove(&vdev)
             .ok_or(DoorbellError::NotAllocated(vdev))?;
         self.free.push(offset);
-        count(Subsystem::Rnic, "doorbell.release", 1);
         Ok(())
     }
 
@@ -104,6 +101,13 @@ impl DoorbellTable {
     /// Doorbell pages in use.
     pub fn allocated(&self) -> usize {
         self.by_vdev.len()
+    }
+
+    /// `(allocations, releases)` so far: every allocation took the next
+    /// id, and every release freed one page still held.
+    pub fn churn(&self) -> (u64, u64) {
+        let allocs = u64::from(self.next_id);
+        (allocs, allocs - self.by_vdev.len() as u64)
     }
 
     /// Run the doorbell accounting invariant at a quiesce point: every page

@@ -17,7 +17,6 @@
 //! rules for RDMA), which is modelled by simply not installing RDMA rules.
 
 use stellar_sim::SimDuration;
-use stellar_telemetry::{count, Subsystem};
 
 /// Traffic class a rule matches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,6 +119,8 @@ impl std::error::Error for VSwitchError {}
 pub struct VSwitch {
     config: VSwitchConfig,
     rules: Vec<SteeringRule>,
+    /// Packets steered, matched or not.
+    steers: u64,
 }
 
 impl VSwitch {
@@ -128,6 +129,7 @@ impl VSwitch {
         VSwitch {
             config,
             rules: Vec::new(),
+            steers: 0,
         }
     }
 
@@ -166,8 +168,8 @@ impl VSwitch {
     }
 
     /// Steer a packet: walk the table in order, first match wins.
-    pub fn steer(&self, class: RuleClass, flow_id: u64) -> Result<SteerOutcome, VSwitchError> {
-        count(Subsystem::Rnic, "vswitch.steer", 1);
+    pub fn steer(&mut self, class: RuleClass, flow_id: u64) -> Result<SteerOutcome, VSwitchError> {
+        self.steers += 1;
         for (position, rule) in self.rules.iter().enumerate() {
             if rule.class == class && rule.flow_id == flow_id {
                 return Ok(SteerOutcome {
@@ -179,6 +181,11 @@ impl VSwitch {
             }
         }
         Err(VSwitchError::NoMatch)
+    }
+
+    /// Packets steered so far, matched or not.
+    pub fn steers(&self) -> u64 {
+        self.steers
     }
 
     /// Number of installed rules.
@@ -262,8 +269,9 @@ mod tests {
 
     #[test]
     fn no_match_is_an_error() {
-        let s = sw();
+        let mut s = sw();
         assert_eq!(s.steer(RuleClass::Tcp, 9), Err(VSwitchError::NoMatch));
+        assert_eq!(s.steers(), 1, "a miss is still a steered packet");
     }
 
     #[test]

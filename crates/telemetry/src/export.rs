@@ -78,7 +78,7 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{capture, count, event, stage_sample, Entity, Subsystem};
+    use crate::{capture, event, fold_counters, stage_sample, Entity, Subsystem};
     use stellar_sim::json::{parse, Value};
     use stellar_sim::{SimDuration, SimTime};
 
@@ -86,7 +86,9 @@ mod tests {
     fn to_json_parses_and_carries_the_breakdown() {
         let ((), tel) = capture(|| {
             stage_sample(Stage::TransportMsg, SimDuration::from_nanos(500));
-            count(Subsystem::Net, "drop.random_loss", 4);
+            fold_counters(Subsystem::Net, || {
+                [("drop.random_loss", 4), ("drop.link_down", 0)]
+            });
             event(
                 SimTime::from_nanos(10),
                 Subsystem::Net,
@@ -103,7 +105,7 @@ mod tests {
         let Some(Value::Arr(stages)) = get("stages") else { panic!("stages") };
         assert_eq!(stages.len(), 1, "only non-empty stages render");
         let Some(Value::Arr(counters)) = get("counters") else { panic!("counters") };
-        assert_eq!(counters.len(), 1);
+        assert_eq!(counters.len(), 1, "only nonzero counters render");
         let Some(Value::Arr(events)) = get("events") else { panic!("events") };
         assert_eq!(events.len(), 1);
         let Some(Value::Obj(rec)) = get("recorder") else { panic!("recorder") };

@@ -7,34 +7,28 @@ use crate::Subsystem;
 
 /// Named counters keyed by `(subsystem, name)`. Counter names are
 /// `&'static str` tags from the taxonomy in DESIGN.md §6 (e.g.
-/// `drop.random_loss`, `atc.hit`, `scoreboard.blacklist`).
+/// `drop.random_loss`, `atc.hit`, `scoreboard.blacklist`), folded in
+/// from each layer's native counters by [`crate::fold_counters`].
 #[derive(Debug, Clone, Default)]
 pub struct MetricsHub {
     counters: BTreeMap<(Subsystem, &'static str), u64>,
 }
 
 impl MetricsHub {
-    /// An empty hub.
-    pub fn new() -> Self {
-        MetricsHub::default()
-    }
-
-    /// Add `n` to `(sub, name)`, creating the counter at zero first.
+    /// Add `n` to `(sub, name)`. Adding zero creates no counter, so
+    /// every counter the hub holds counted something.
     pub fn add(&mut self, sub: Subsystem, name: &'static str, n: u64) {
-        *self.counters.entry((sub, name)).or_insert(0) += n;
+        if n > 0 {
+            *self.counters.entry((sub, name)).or_insert(0) += n;
+        }
     }
 
     /// Current value of `(sub, name)`; zero if never touched.
     pub fn get(&self, sub: Subsystem, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|((s, k), _)| *s == sub && *k == name)
-            .map_or(0, |(_, v)| *v)
-    }
-
-    /// Sum over every counter (a cheap "did anything record" probe).
-    pub fn total(&self) -> u64 {
-        self.counters.values().sum()
+        // The map is covariant in its key, so it can be read with a key
+        // that borrows `name` for less than `'static`.
+        let counters: &BTreeMap<(Subsystem, &str), u64> = &self.counters;
+        counters.get(&(sub, name)).copied().unwrap_or(0)
     }
 
     /// Number of distinct counters.
@@ -66,22 +60,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn add_get_total() {
-        let mut h = MetricsHub::new();
+    fn add_get_len() {
+        let mut h = MetricsHub::default();
         h.add(Subsystem::Net, "drop.random_loss", 2);
         h.add(Subsystem::Net, "drop.random_loss", 3);
         h.add(Subsystem::Transport, "rto", 1);
+        h.add(Subsystem::Transport, "rtt", 0);
         assert_eq!(h.get(Subsystem::Net, "drop.random_loss"), 5);
         assert_eq!(h.get(Subsystem::Net, "nope"), 0);
-        assert_eq!(h.total(), 6);
         assert_eq!(h.len(), 2);
     }
 
     #[test]
     fn merge_adds_counterwise() {
-        let mut a = MetricsHub::new();
+        let mut a = MetricsHub::default();
         a.add(Subsystem::Pcie, "atc.hit", 10);
-        let mut b = MetricsHub::new();
+        let mut b = MetricsHub::default();
         b.add(Subsystem::Pcie, "atc.hit", 5);
         b.add(Subsystem::Pcie, "atc.miss", 1);
         a.merge(&b);
@@ -91,7 +85,7 @@ mod tests {
 
     #[test]
     fn iteration_is_sorted() {
-        let mut h = MetricsHub::new();
+        let mut h = MetricsHub::default();
         h.add(Subsystem::Virt, "z", 1);
         h.add(Subsystem::Pcie, "a", 1);
         h.add(Subsystem::Pcie, "b", 1);

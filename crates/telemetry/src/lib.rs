@@ -17,13 +17,14 @@
 //!
 //! ## Usage
 //!
-//! Instrumented crates call the free functions ([`count`], [`event`],
-//! [`stage_sample`]) unconditionally; each is a thread-local on/off
-//! check followed by an early return when recording is off (the
-//! default), so the disabled cost is one TLS read and a branch.
-//! Recording is scoped: [`capture`] installs a context, runs a closure,
-//! and returns the closure's result together with the collected
-//! [`Telemetry`].
+//! Instrumented crates call [`event`] and [`stage_sample`]
+//! unconditionally; each is a thread-local on/off check followed by an
+//! early return when recording is off (the default), so the disabled
+//! cost is one TLS read and a branch. Counters have one home, the
+//! layer's own stats: their owners [`fold_counters`] once, when they
+//! drop. Recording is scoped: [`capture`] installs a context, runs a
+//! closure, and returns the closure's result together with the
+//! collected [`Telemetry`].
 //!
 //! ## Determinism (non-negotiable, see DESIGN.md §6)
 //!
@@ -186,9 +187,9 @@ impl Stage {
         }
     }
 
-    /// Index into [`Stage::ALL`].
+    /// Index into [`Stage::ALL`] (declaration order).
     pub fn index(self) -> usize {
-        Stage::ALL.iter().position(|&s| s == self).expect("stage in ALL")
+        self as usize
     }
 }
 
@@ -209,7 +210,7 @@ impl Default for Telemetry {
         Telemetry {
             recorder: FlightRecorder::new(RING_CAPACITY),
             stages: Default::default(),
-            hub: MetricsHub::new(),
+            hub: MetricsHub::default(),
         }
     }
 }
@@ -277,10 +278,20 @@ fn with_context(f: impl FnOnce(&mut Telemetry)) {
     });
 }
 
-/// Add `n` to the counter `name` under `sub`. No-op when disabled.
-#[inline]
-pub fn count(sub: Subsystem, name: &'static str, n: u64) {
-    with_context(|t| t.hub.add(sub, name, n));
+/// Add the `(name, value)` pairs `counters` returns to the counters
+/// under `sub` in the innermost capture; `counters` runs only inside a
+/// capture, and must not record telemetry itself. A layer's owner calls
+/// this once, when it drops, with the totals of its native counters, so
+/// an owner that outlives its capture reports nothing to it.
+pub fn fold_counters<I: IntoIterator<Item = (&'static str, u64)>>(
+    sub: Subsystem,
+    counters: impl FnOnce() -> I,
+) {
+    with_context(|t| {
+        for (name, n) in counters() {
+            t.hub.add(sub, name, n);
+        }
+    });
 }
 
 /// Record a flight-recorder event at sim time `at`. No-op when disabled.
@@ -345,13 +356,13 @@ mod tests {
     #[test]
     fn disabled_by_default_records_nothing() {
         assert!(!enabled());
-        count(Subsystem::Net, "drop.random_loss", 3);
+        fold_counters(Subsystem::Net, || [("drop.random_loss", 3)]);
         event(t(5), Subsystem::Net, Entity::Link(1), "drop", 1);
         stage_sample(Stage::TransportRtt, SimDuration::from_nanos(10));
         // Nothing to observe — the point is it does not panic and a
         // subsequent capture starts clean.
         let ((), tel) = capture(|| {});
-        assert_eq!(tel.hub.total(), 0);
+        assert!(tel.hub.is_empty());
         assert_eq!(tel.recorder.len(), 0);
     }
 
@@ -359,14 +370,15 @@ mod tests {
     fn capture_collects_counters_events_and_samples() {
         let ((), tel) = capture(|| {
             assert!(enabled());
-            count(Subsystem::Transport, "rto", 2);
-            count(Subsystem::Transport, "rto", 1);
+            fold_counters(Subsystem::Transport, || [("rto", 2), ("rtt", 0)]);
+            fold_counters(Subsystem::Transport, || [("rto", 1)]);
             event(t(10), Subsystem::Transport, Entity::Conn(0), "rto", 1);
             stage_sample(Stage::TransportMsg, SimDuration::from_nanos(100));
             stage_sample(Stage::AtcHit, SimDuration::from_nanos(10));
         });
         assert!(!enabled());
         assert_eq!(tel.hub.get(Subsystem::Transport, "rto"), 3);
+        assert_eq!(tel.hub.len(), 1, "a zero total adds no counter");
         assert_eq!(tel.recorder.len(), 1);
         let h = tel.stage(Stage::TransportMsg);
         assert_eq!(h.count(), 1);
@@ -377,13 +389,13 @@ mod tests {
     #[test]
     fn captures_nest_innermost_wins() {
         let ((), outer) = capture(|| {
-            count(Subsystem::Net, "outer", 1);
+            fold_counters(Subsystem::Net, || [("outer", 1)]);
             let ((), inner) = capture(|| {
-                count(Subsystem::Net, "inner", 1);
+                fold_counters(Subsystem::Net, || [("inner", 1)]);
             });
             assert_eq!(inner.hub.get(Subsystem::Net, "inner"), 1);
             assert_eq!(inner.hub.get(Subsystem::Net, "outer"), 0);
-            count(Subsystem::Net, "outer", 1);
+            fold_counters(Subsystem::Net, || [("outer", 1)]);
         });
         assert_eq!(outer.hub.get(Subsystem::Net, "outer"), 2);
         assert_eq!(outer.hub.get(Subsystem::Net, "inner"), 0);
@@ -396,7 +408,7 @@ mod tests {
                 capture(|| {
                     let items: Vec<u64> = (0..6).collect();
                     par_map(&items, |&i| {
-                        count(Subsystem::Rnic, "job", 1);
+                        fold_counters(Subsystem::Rnic, || [("job", 1)]);
                         for k in 0..700 {
                             event(
                                 t(i * 1_000 + k),

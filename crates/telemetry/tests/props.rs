@@ -11,7 +11,7 @@ use stellar_sim::par::{par_map, with_thread_override};
 use stellar_sim::proptest_lite::check;
 use stellar_sim::SimTime;
 use stellar_telemetry::{
-    capture, count, event, stage_sample, Entity, Stage, Subsystem, Telemetry, RING_CAPACITY,
+    capture, event, fold_counters, stage_sample, Entity, Stage, Subsystem, Telemetry, RING_CAPACITY,
 };
 
 /// Determinism contract: the fully rendered trace document of a
@@ -32,7 +32,7 @@ fn trace_json_is_worker_count_invariant() {
                     for e in 0..events_per_job {
                         let t = SimTime::from_nanos(j * 10_000 + e);
                         event(t, Subsystem::Net, Entity::Link(j as u32), "probe", e);
-                        count(Subsystem::Net, "probe", 1);
+                        fold_counters(Subsystem::Net, || [("probe", 1)]);
                         stage_sample(
                             Stage::FabricQueueing,
                             stellar_sim::SimDuration::from_nanos(e + 1),

@@ -667,6 +667,11 @@ impl Connection {
         }
     }
 
+    /// Messages ever posted (one-sided or two-sided).
+    pub(crate) fn posted_messages(&self) -> u64 {
+        self.next_msg
+    }
+
     /// The error that killed the connection, if any.
     pub fn fatal(&self) -> Option<FatalError> {
         self.cold.fatal
@@ -718,7 +723,6 @@ impl Connection {
     ) -> Result<MsgId, SendError> {
         let Some(posted) = self.cold.recv_queue.pop_front() else {
             self.cold.rnr_naks += 1;
-            stellar_telemetry::count(stellar_telemetry::Subsystem::Transport, "rnr_nak", 1);
             return Err(SendError::ReceiverNotReady);
         };
         if posted < bytes {

@@ -198,6 +198,8 @@ pub struct PathSelector {
     /// `num_paths`), and the root `rtt_tree[1]` is the path with the
     /// lowest EWMA, lowest index first among equals.
     rtt_tree: Vec<u16>,
+    /// `(path blacklists, plane quarantines)` so far.
+    exiles: (u64, u64),
 }
 
 /// A padding leaf of the BestRtt tree; loses to every path.
@@ -265,6 +267,7 @@ impl PathSelector {
             },
             dwrr_wmax: 1.0,
             rtt_tree: Vec::new(),
+            exiles: (0, 0),
         };
         if algo == PathAlgo::BestRtt {
             let size = n.next_power_of_two();
@@ -356,6 +359,11 @@ impl PathSelector {
             .iter()
             .filter(|sc| sc.blacklisted_until > now)
             .count()
+    }
+
+    /// `(path blacklists, plane quarantines)` ever imposed.
+    pub(crate) fn exiles(&self) -> (u64, u64) {
+        self.exiles
     }
 
     /// Number of configured paths.
@@ -685,11 +693,7 @@ impl PathSelector {
         st.losses += 1;
         if st.losses >= self.scoreboard.blacklist_after {
             st.blacklisted_until = now + self.scoreboard.penalty;
-            stellar_telemetry::count(
-                stellar_telemetry::Subsystem::Transport,
-                "scoreboard.blacklist",
-                1,
-            );
+            self.exiles.0 += 1;
             stellar_telemetry::event(
                 now,
                 stellar_telemetry::Subsystem::Transport,
@@ -730,11 +734,7 @@ impl PathSelector {
             if until > self.max_exile_until {
                 self.max_exile_until = until;
             }
-            stellar_telemetry::count(
-                stellar_telemetry::Subsystem::Transport,
-                "scoreboard.plane_quarantine",
-                1,
-            );
+            self.exiles.1 += 1;
             stellar_telemetry::event(
                 now,
                 stellar_telemetry::Subsystem::Transport,

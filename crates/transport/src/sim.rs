@@ -13,7 +13,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use stellar_net::{Delivery, Fabric, Network, NicId};
 use stellar_sim::hash::FastMap;
 use stellar_sim::{EventQueue, SimDuration, SimRng, SimTime};
-use stellar_telemetry::{count, event, stage_sample, Entity, Stage, Subsystem};
+use stellar_telemetry::{event, fold_counters, stage_sample, Entity, Stage, Subsystem};
 
 use crate::cc::{CcConfig, CcConfigError, CongestionControl};
 use crate::conn::{
@@ -543,6 +543,12 @@ pub struct TransportSim<F: Fabric = Network> {
     rng: SimRng,
 }
 
+impl<F: Fabric> Drop for TransportSim<F> {
+    fn drop(&mut self) {
+        self.fold_counters();
+    }
+}
+
 impl<F: Fabric> TransportSim<F> {
     /// Build a simulation over `network`.
     ///
@@ -581,6 +587,7 @@ impl<F: Fabric> TransportSim<F> {
     /// are dropped, so a reset sim is observably identical to a fresh
     /// one.
     pub fn reset(&mut self, network: F, rng: SimRng) {
+        self.fold_counters();
         self.network = network;
         self.queue.clear();
         self.dead_timers.clear();
@@ -590,6 +597,35 @@ impl<F: Fabric> TransportSim<F> {
         self.errors.clear();
         self.recovered.clear();
         self.rng = rng;
+    }
+
+    /// Report every connection's counters to telemetry: on drop, and
+    /// before [`reset`](Self::reset) forgets them.
+    fn fold_counters(&self) {
+        fold_counters(Subsystem::Transport, || {
+            let stats = self.total_stats();
+            let exiles = |f: fn((u64, u64)) -> u64| -> u64 {
+                self.cold.iter().map(|c| f(c.selector.exiles())).sum()
+            };
+            // Recovering ends only in a recovery, and Error is terminal.
+            let recovering = stats.recoveries + self.recovering_count() as u64;
+            let posted = self.conns.iter().map(Connection::posted_messages).sum();
+            [
+                ("ack", stats.acks),
+                ("conn.fatal", self.failed_connections() as u64),
+                ("conn.recovering", recovering),
+                ("conn.recovery", stats.recoveries),
+                ("msg.completed", stats.completed_messages),
+                ("msg.posted", posted),
+                ("packet.replayed", stats.replayed_packets),
+                ("packet.sent", stats.sent_packets),
+                ("retransmit", stats.retransmits),
+                ("rnr_nak", stats.rnr_naks),
+                ("rto", stats.rto_events),
+                ("scoreboard.blacklist", exiles(|e| e.0)),
+                ("scoreboard.plane_quarantine", exiles(|e| e.1)),
+            ]
+        });
     }
 
     /// Current simulated time.
@@ -687,9 +723,8 @@ impl<F: Fabric> TransportSim<F> {
     }
 
     /// A message was just queued on `conn` (one-sided or two-sided):
-    /// count it and start transmission as the window allows.
+    /// start transmission as the window allows.
     fn posted(&mut self, conn: ConnId) {
-        count(Subsystem::Transport, "msg.posted", 1);
         self.pump(conn);
     }
 
@@ -826,7 +861,6 @@ impl<F: Fabric> TransportSim<F> {
                 conn.recovery_attempts += 1;
                 conn.state = ConnState::Recovering;
                 conn.cold.recovering_since = Some(now);
-                count(Subsystem::Transport, "conn.recovering", 1);
                 event(
                     now,
                     Subsystem::Transport,
@@ -839,7 +873,6 @@ impl<F: Fabric> TransportSim<F> {
                 return;
             }
         }
-        count(Subsystem::Transport, "conn.fatal", 1);
         event(now, Subsystem::Transport, Entity::Conn(conn_id.0), "fatal", 0);
         conn.state = ConnState::Error;
         conn.cold.fatal = Some(error);
@@ -873,8 +906,6 @@ impl<F: Fabric> TransportSim<F> {
             *ctx = CongestionControl::new(cc);
         }
         conn.pace_until = SimTime::ZERO;
-        count(Subsystem::Transport, "conn.recovery", 1);
-        count(Subsystem::Transport, "packet.replayed", replayed);
         event(
             now,
             Subsystem::Transport,
@@ -944,7 +975,6 @@ impl<F: Fabric> TransportSim<F> {
             let seq = conn.next_seq();
             conn.inflight_bytes += pkt.bytes;
             conn.counts.sent_packets += 1;
-            count(Subsystem::Transport, "packet.sent", 1);
             if let Some(rate) = pace {
                 let start = if conn.pace_until > now { conn.pace_until } else { now };
                 conn.pace_until = start + stellar_sim::transmit_time(pkt.bytes, rate);
@@ -1013,7 +1043,6 @@ impl<F: Fabric> TransportSim<F> {
             if completed {
                 let latency = conn.complete_message(msg, now);
                 conn.counts.completed_messages += 1;
-                count(Subsystem::Transport, "msg.completed", 1);
                 stage_sample(Stage::TransportMsg, latency);
                 self.completions.push_back((conn_id, msg, latency));
             }
@@ -1046,7 +1075,6 @@ impl<F: Fabric> TransportSim<F> {
         // consecutive-recovery backoff ladder.
         conn.recovery_attempts = 0;
         conn.counts.acks += 1;
-        count(Subsystem::Transport, "ack", 1);
         stage_sample(Stage::TransportRtt, rtt);
         if ecn {
             conn.counts.ecn_acks += 1;
@@ -1098,7 +1126,6 @@ impl<F: Fabric> TransportSim<F> {
             src = conn.src;
             dst = conn.dst;
             conn.cold.rto_events += 1;
-            count(Subsystem::Transport, "rto", 1);
             event(now, Subsystem::Transport, Entity::Conn(conn_id.0), "rto", u64::from(epoch));
             // Feed the loss scoreboard: repeated losses blacklist the path.
             let cold = &mut self.cold[i];
@@ -1118,7 +1145,6 @@ impl<F: Fabric> TransportSim<F> {
             pkt.sent_at = now;
             pkt.path = new_path as u16;
             conn.cold.retransmits += 1;
-            count(Subsystem::Transport, "retransmit", 1);
             // The budget gate above must fire before a packet's retx count
             // can pass the budget; checking at the increment (not just at
             // end-of-run quiesce) catches a broken gate in the transient
@@ -1383,6 +1409,22 @@ mod tests {
     }
 
     fn make_sim(algo: PathAlgo, num_paths: u32, seed: u64) -> TransportSim {
+        make_sim_with(algo, num_paths, seed, |_| {})
+    }
+
+    /// [`make_sim`] with `change` applied to its transport config.
+    fn make_sim_with(
+        algo: PathAlgo,
+        num_paths: u32,
+        seed: u64,
+        change: impl FnOnce(&mut TransportConfig),
+    ) -> TransportSim {
+        let mut config = TransportConfig {
+            algo,
+            num_paths,
+            ..TransportConfig::default()
+        };
+        change(&mut config);
         let topo = ClosTopology::build(ClosConfig {
             segments: 2,
             hosts_per_segment: 4,
@@ -1392,15 +1434,7 @@ mod tests {
         });
         let rng = SimRng::from_seed(seed);
         let network = Network::new(topo, NetworkConfig::default(), rng.fork("net"));
-        TransportSim::new(
-            network,
-            TransportConfig {
-                algo,
-                num_paths,
-                ..TransportConfig::default()
-            },
-            rng.fork("transport"),
-        )
+        TransportSim::new(network, config, rng.fork("transport"))
     }
 
     const FOREVER: SimTime = SimTime::from_nanos(u64::MAX / 2);
@@ -1784,7 +1818,8 @@ mod tests {
     }
 
     /// Two-sided sends reach telemetry like writes: each counts as
-    /// posted, and each completion samples the message-latency stage.
+    /// posted, and each completion samples the message-latency stage. A
+    /// send rejected with an RNR NAK posts nothing.
     #[test]
     fn two_sided_sends_are_counted_and_timed() {
         use stellar_telemetry::{capture, Stage, Subsystem};
@@ -1794,6 +1829,7 @@ mod tests {
             let src = sim.network().topology().nic(0, 0);
             let dst = sim.network().topology().nic(4, 0);
             let conn = sim.add_connection(src, dst);
+            assert!(sim.post_send(conn, 4096).is_err(), "no receive posted yet");
             sim.post_recv(conn, 1 << 20);
             sim.post_recv(conn, 1 << 20);
             sim.post_send(conn, 256 * 1024).unwrap();
@@ -1802,6 +1838,7 @@ mod tests {
         });
         assert_eq!(tel.hub.get(Subsystem::Transport, "msg.posted"), 2);
         assert_eq!(tel.hub.get(Subsystem::Transport, "msg.completed"), 2);
+        assert_eq!(tel.hub.get(Subsystem::Transport, "rnr_nak"), 1);
         assert_eq!(tel.stage(Stage::TransportMsg).count(), 2);
     }
 
@@ -1983,28 +2020,49 @@ mod tests {
         assert!(sim.conn_stats(conn).retransmits <= 6 * 17);
     }
 
+    /// With plane failover on, the dead plane's blacklisted majority
+    /// also quarantines the plane. The sim reports both counts to
+    /// telemetry when it drops.
     #[test]
     fn scoreboard_blacklists_paths_crossing_a_dead_link() {
-        let mut sim = make_sim(PathAlgo::Obs, 64, 14);
-        let src = sim.network().topology().nic(0, 0);
-        let dst = sim.network().topology().nic(4, 0);
-        // Kill one NIC uplink (plane 0) with slow BGP: roughly half the
-        // paths cross it and keep losing until blacklisted.
-        let (up, _) = sim.network().topology().nic_port_links(src, 0);
-        sim.network_mut().config_mut().bgp_convergence = SimDuration::from_millis(10_000);
-        sim.network_mut().set_link_up(up, false);
-        let conn = sim.add_connection(src, dst);
-        let msg = sim.post_message(conn, 8 * 1024 * 1024);
-        sim.run(&mut NoopApp, FOREVER);
-        assert!(sim.message_done(conn, msg));
-        // At some point during the run, paths were blacklisted (they may
-        // have expired since; check the scoreboard high-water mark via
-        // consecutive_losses on plane-0 paths).
-        let sel = sim.selector(conn);
-        let poisoned = (0..sel.num_paths())
-            .filter(|&p| sel.path(p).consecutive_losses >= 2 || sel.path(p).blacklisted_until > SimTime::ZERO)
-            .count();
-        assert!(poisoned > 0, "dead-plane paths must hit the scoreboard");
+        use crate::path::PlaneFailover;
+        use stellar_telemetry::{capture, Subsystem};
+
+        for failover in [false, true] {
+            let (exiles, tel) = capture(|| {
+                let mut sim = make_sim_with(PathAlgo::Obs, 64, 14, |c| {
+                    c.plane_failover = failover.then(PlaneFailover::default);
+                });
+                let src = sim.network().topology().nic(0, 0);
+                let dst = sim.network().topology().nic(4, 0);
+                // Kill one NIC uplink (plane 0) with slow BGP: roughly half the
+                // paths cross it and keep losing until blacklisted.
+                let (up, _) = sim.network().topology().nic_port_links(src, 0);
+                sim.network_mut().config_mut().bgp_convergence = SimDuration::from_millis(10_000);
+                sim.network_mut().set_link_up(up, false);
+                let conn = sim.add_connection(src, dst);
+                let msg = sim.post_message(conn, 8 * 1024 * 1024);
+                sim.run(&mut NoopApp, FOREVER);
+                assert!(sim.message_done(conn, msg));
+                // At some point during the run, paths were blacklisted (they may
+                // have expired since; check the scoreboard high-water mark via
+                // consecutive_losses on plane-0 paths).
+                let sel = sim.selector(conn);
+                let poisoned = (0..sel.num_paths())
+                    .filter(|&p| {
+                        sel.path(p).consecutive_losses >= 2
+                            || sel.path(p).blacklisted_until > SimTime::ZERO
+                    })
+                    .count();
+                assert!(poisoned > 0, "dead-plane paths must hit the scoreboard");
+                sel.exiles()
+            });
+            let hub = |name| tel.hub.get(Subsystem::Transport, name);
+            assert_eq!(hub("scoreboard.blacklist"), exiles.0);
+            assert_eq!(hub("scoreboard.plane_quarantine"), exiles.1);
+            assert!(exiles.0 > 0);
+            assert_eq!(exiles.1 > 0, failover, "failover {failover}: {exiles:?}");
+        }
     }
 
     #[test]
@@ -2512,60 +2570,6 @@ mod tests {
                 .all(|v| v.invariant == "transport.recovery_exactly_once"),
             "{}",
             report.render()
-        );
-    }
-
-    /// The telemetry hub is a mirror, not a second bookkeeper: every
-    /// counter it holds must equal the native statistic recorded at the
-    /// same site — no double counting, no missed site. Runs a lossy
-    /// transfer so drops, RTOs and retransmissions all fire.
-    #[test]
-    fn telemetry_hub_matches_native_statistics() {
-        use stellar_net::DropReason;
-        use stellar_telemetry::{capture, Stage, Subsystem};
-
-        let ((stats, drops), tel) = capture(|| {
-            let mut sim = make_sim(PathAlgo::Obs, 128, 4);
-            let src = sim.network().topology().nic(0, 0);
-            let dst = sim.network().topology().nic(4, 0);
-            let link = sim.network().topology().route(src, dst, 0, 0)[1];
-            sim.network_mut().set_loss(link, 0.02);
-            let conn = sim.add_connection(src, dst);
-            sim.post_message(conn, 16 * 1024 * 1024);
-            sim.run(&mut NoopApp, FOREVER);
-            let drops: Vec<(&'static str, u64)> = DropReason::ALL
-                .iter()
-                .map(|&r| (r.name(), sim.network().drops_by_reason(r)))
-                .collect();
-            (sim.total_stats(), drops)
-        });
-
-        let hub = &tel.hub;
-        assert_eq!(hub.get(Subsystem::Transport, "packet.sent"), stats.sent_packets);
-        assert_eq!(hub.get(Subsystem::Transport, "retransmit"), stats.retransmits);
-        assert_eq!(hub.get(Subsystem::Transport, "rto"), stats.rto_events);
-        assert_eq!(hub.get(Subsystem::Transport, "ack"), stats.acks);
-        assert_eq!(
-            hub.get(Subsystem::Transport, "msg.completed"),
-            stats.completed_messages
-        );
-        assert_eq!(hub.get(Subsystem::Transport, "rnr_nak"), stats.rnr_naks);
-        // The lossy link must actually have dropped something for the
-        // per-reason check to be meaningful.
-        let total_drops: u64 = drops.iter().map(|&(_, n)| n).sum();
-        assert!(total_drops > 0, "loss injection produced no drops");
-        for (name, n) in drops {
-            assert_eq!(
-                hub.get(Subsystem::Net, &format!("drop.{name}")),
-                n,
-                "fabric drop counter '{name}' disagrees with the hub"
-            );
-        }
-        // Every completion samples its latency once: the message-latency
-        // histogram holds exactly the completions.
-        assert_eq!(
-            tel.stage(Stage::TransportMsg).count() as u64,
-            stats.completed_messages
         );
     }
 }

@@ -24,7 +24,6 @@
 use stellar_pcie::addr::{Address, Gpa, Hpa, Iova, PAGE_2M, PAGE_4K};
 use stellar_pcie::iommu::{Iommu, IommuError};
 use stellar_sim::SimDuration;
-use stellar_telemetry::{count, Subsystem};
 
 use crate::hypervisor::Hypervisor;
 
@@ -107,6 +106,9 @@ pub struct Pvdma {
     /// Map cache: pinned block base → number of 4 KiB pages copied into
     /// the IOMMU when the block was pinned.
     map_cache: HashMap<u64, u64>,
+    /// Preparations started.
+    prepares: u64,
+    /// Blocks found in the map cache, and blocks pinned on a miss.
     hits: u64,
     misses: u64,
 }
@@ -121,6 +123,7 @@ impl Pvdma {
         Pvdma {
             config,
             map_cache: HashMap::new(),
+            prepares: 0,
             hits: 0,
             misses: 0,
         }
@@ -161,15 +164,13 @@ impl Pvdma {
             blocks_hit: 0,
         };
 
-        count(Subsystem::Virt, "pvdma.prepare", 1);
+        self.prepares += 1;
         let mut block = first;
         loop {
             if self.map_cache.contains_key(&block) {
                 self.hits += 1;
                 outcome.blocks_hit += 1;
-                count(Subsystem::Virt, "pvdma.blocks_hit", 1);
             } else {
-                self.misses += 1;
                 // Collect the block's current guest translations at 4 KiB
                 // granularity — including device registers resident in the
                 // block (this is what captures the vDB in Fig. 5c).
@@ -185,8 +186,8 @@ impl Pvdma {
                 }
                 let pin_cost = iommu.pin_pages(&pages)?;
                 outcome.latency += pin_cost;
+                self.misses += 1;
                 outcome.blocks_pinned += 1;
-                count(Subsystem::Virt, "pvdma.blocks_pinned", 1);
                 self.map_cache.insert(block, pages.len() as u64);
             }
             if block == last {
@@ -279,9 +280,15 @@ impl Pvdma {
         self.map_cache.clear();
     }
 
-    /// Map-cache `(hits, misses)`.
+    /// Map-cache `(hits, misses)`. A miss counts once its block is
+    /// pinned.
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
+    }
+
+    /// Preparations started ([`Pvdma::dma_prepare`] calls).
+    pub fn prepares(&self) -> u64 {
+        self.prepares
     }
 
     /// Number of pinned blocks (map-cache size).

@@ -88,16 +88,10 @@ impl RundContainer {
         hypervisor.add_ram(Gpa(0), hpa_base, config.memory_bytes);
 
         let hypervisor_setup = hypervisor.base_boot_time();
-        stellar_telemetry::count(stellar_telemetry::Subsystem::Virt, "rund.boot", 1);
         let (memory_pin, pvdma) = match config.strategy {
             MemoryStrategy::FullPin => {
                 let mut vfio = Vfio::new();
                 let pin = vfio.pin_all_memory(&hypervisor, iommu)?;
-                stellar_telemetry::count(
-                    stellar_telemetry::Subsystem::Virt,
-                    "rund.full_pin_boot",
-                    1,
-                );
                 (pin, None)
             }
             MemoryStrategy::Pvdma => (
@@ -131,8 +125,8 @@ impl RundContainer {
     }
 
     /// The container's PVDMA engine, if the strategy is PVDMA.
-    pub fn pvdma_mut(&mut self) -> Option<&mut Pvdma> {
-        self.pvdma.as_mut()
+    pub fn pvdma(&self) -> Option<&Pvdma> {
+        self.pvdma.as_ref()
     }
 
     /// Both the hypervisor and PVDMA engine, mutably (DMA preparation
@@ -265,13 +259,13 @@ mod tests {
     #[test]
     fn full_pin_container_has_no_pvdma() {
         let mut iommu = boot_experiment_iommu();
-        let (mut c, _) = RundContainer::boot(
+        let (c, _) = RundContainer::boot(
             RundConfig::new(GIB, MemoryStrategy::FullPin),
             &mut iommu,
             Hpa(1 << 40),
         )
         .unwrap();
-        assert!(c.pvdma_mut().is_none());
+        assert!(c.pvdma().is_none());
         assert_eq!(c.strategy(), MemoryStrategy::FullPin);
         assert_eq!(c.memory_bytes(), GIB);
     }

@@ -9,6 +9,9 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace -- -D warnings
+# Intra-doc links must resolve: a deleted or renamed item fails here,
+# not as a dead link in the rendered docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 # Benchmark harness: benchmark/ is its own package that builds against
 # these crates by path, so an API break of `Fabric`, of the fabric

@@ -5,6 +5,7 @@ use stellar::core::server::{RnicId, ServerConfig, StellarServer};
 use stellar::core::vstellar::VStellarStack;
 use stellar::pcie::addr::{Address, Gpa, PAGE_2M, PAGE_4K};
 use stellar::pcie::Iova;
+use stellar::telemetry::{capture, Subsystem};
 use stellar::virt::rund::MemoryStrategy;
 use stellar::virt::virtio::ShmRegion;
 
@@ -65,33 +66,40 @@ fn buggy_gpa_doorbell_layout_reproduces_the_alias() {
 }
 
 /// The production fix: the doorbell lives in the virtio shm window, which
-/// is not guest RAM, so the same sequence cannot alias.
+/// is not guest RAM, so the same sequence cannot alias. The consistency
+/// scan probes pages PVDMA never pinned, and each probe is an IOMMU fault
+/// the server reports to telemetry when it drops.
 #[test]
 fn shm_doorbell_layout_is_immune() {
-    let mut server = StellarServer::new(ServerConfig::default());
-    let (c, _) = server.boot_container(64 * MB, MemoryStrategy::Pvdma);
-    let stack = VStellarStack::new();
-    let (dev, _) = stack.create_device(&mut server, c, RnicId(0)).unwrap();
+    let (faults, tel) = capture(|| {
+        let mut server = StellarServer::new(ServerConfig::default());
+        let (c, _) = server.boot_container(64 * MB, MemoryStrategy::Pvdma);
+        let stack = VStellarStack::new();
+        let (dev, _) = stack.create_device(&mut server, c, RnicId(0)).unwrap();
 
-    // The vDB goes into the shm region (its own offset namespace).
-    let mut shm = ShmRegion::new(16 * PAGE_4K, PAGE_4K);
-    let offset = shm.map_page(dev.doorbell).unwrap();
-    assert_eq!(shm.translate(offset).unwrap(), dev.doorbell);
+        // The vDB goes into the shm region (its own offset namespace).
+        let mut shm = ShmRegion::new(16 * PAGE_4K, PAGE_4K);
+        let offset = shm.map_page(dev.doorbell).unwrap();
+        assert_eq!(shm.translate(offset).unwrap(), dev.doorbell);
 
-    // GPU command queues come and go in guest RAM; no device-register
-    // mapping exists in GPA space at all.
-    let (container, fabric) = server.container_and_fabric_mut(c);
-    let (hypervisor, pvdma) = container.pvdma_parts().unwrap();
-    for i in 0..8u64 {
-        pvdma
-            .dma_prepare(
-                hypervisor,
-                fabric.iommu_mut(),
-                Gpa(PAGE_2M + i * PAGE_4K),
-                PAGE_4K,
-            )
-            .unwrap();
-    }
-    let bad = pvdma.check_consistency(hypervisor, fabric.iommu_mut(), Gpa(0), 4 * PAGE_2M);
-    assert!(bad.is_empty(), "no stale mappings possible: {bad:?}");
+        // GPU command queues come and go in guest RAM; no device-register
+        // mapping exists in GPA space at all.
+        let (container, fabric) = server.container_and_fabric_mut(c);
+        let (hypervisor, pvdma) = container.pvdma_parts().unwrap();
+        for i in 0..8u64 {
+            pvdma
+                .dma_prepare(
+                    hypervisor,
+                    fabric.iommu_mut(),
+                    Gpa(PAGE_2M + i * PAGE_4K),
+                    PAGE_4K,
+                )
+                .unwrap();
+        }
+        let bad = pvdma.check_consistency(hypervisor, fabric.iommu_mut(), Gpa(0), 4 * PAGE_2M);
+        assert!(bad.is_empty(), "no stale mappings possible: {bad:?}");
+        server.fabric().iommu().faults()
+    });
+    assert!(faults > 0, "the scan must probe unpinned pages");
+    assert_eq!(tel.hub.get(Subsystem::Pcie, "iommu.fault"), faults);
 }
