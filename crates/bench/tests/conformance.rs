@@ -22,12 +22,11 @@
 //! - **Trace counters.** Every traced experiment's hub counters, as its
 //!   `--trace` document renders them, match `golden/trace_counters.json`
 //!   at 1 and 8 workers.
-//! - **Strict invariants.** The 1-worker fig8 (pcie + rnic) and fig11
-//!   (net + transport, every multipath algorithm) runs happen inside
-//!   `stellar_check::strict`. Its gate and collector are process-wide:
-//!   experiments simulated alongside a strict run are checked with it,
-//!   and a violation fails whichever strict run drains the collector
-//!   first, so it always fails some test, not always the one that made it.
+//! - **Strict invariants.** fig8 (pcie + rnic) and fig11 (net +
+//!   transport, every multipath algorithm) run inside a
+//!   `stellar_check` scope at every worker count: a violation fails the
+//!   run that made it, and each run's `checks_run` is identical at 1
+//!   and 8 workers.
 //! - **Figure shapes.** Each figure keeps the paper's qualitative result.
 //!
 //! fig8, fig11, chaos, cluster and fig14 run under
@@ -67,7 +66,7 @@ use stellar_telemetry::{capture, Stage, Subsystem, Telemetry};
 const WORKERS: [usize; 3] = [1, 2, 8];
 /// Experiments whose runs are captured: their traces are gated.
 const TRACED: [&str; 5] = ["fig8", "fig11", "chaos", "cluster", "fig14"];
-/// Experiments whose 1-worker run is held to every invariant.
+/// Experiments held to every invariant at every worker count.
 const STRICT: [&str; 2] = ["fig8", "fig11"];
 
 /// One experiment's quick rows at one worker count.
@@ -75,6 +74,8 @@ struct Run<R> {
     rows: Vec<R>,
     /// What the capture around the run recorded, for a [`TRACED`] one.
     tel: Option<Telemetry>,
+    /// Invariant checks the run evaluated, for a [`STRICT`] one (else 0).
+    checks_run: u64,
 }
 
 impl<R> Run<R> {
@@ -99,18 +100,28 @@ fn cached<R: Send + Sync>(
     runs[slot].get_or_init(|| {
         with_thread_override(threads, || {
             let simulate = || {
-                let (rows, tel) = if TRACED.contains(&exp) {
+                if TRACED.contains(&exp) {
                     let (rows, tel) = capture(|| run(true));
                     (rows, Some(tel))
                 } else {
                     (run(true), None)
-                };
-                Run { rows, tel }
+                }
             };
-            if threads == 1 && STRICT.contains(&exp) {
-                stellar_check::strict(simulate)
+            let ((rows, tel), checks_run) = if STRICT.contains(&exp) {
+                let (out, report) = stellar_check::capture(simulate);
+                assert!(
+                    report.is_clean(),
+                    "{exp} at {threads} worker(s): {}",
+                    report.render()
+                );
+                (out, report.checks_run)
             } else {
-                simulate()
+                (simulate(), 0)
+            };
+            Run {
+                rows,
+                tel,
+                checks_run,
             }
         })
     })
@@ -504,13 +515,32 @@ fn chaos_trace_accounts_for_incomplete_messages() {
     assert_eq!(tel.stage(Stage::TransportMsg).count() as u64, completed);
 }
 
-/// fig8 and fig11's 1-worker runs are simulated inside
-/// `stellar_check::strict` by whichever test asks for them first; a
-/// violation panics with the full report.
+/// fig8 and fig11's runs are checked by whichever test asks for them
+/// first; a violation panics with the full report.
 #[test]
 fn quick_experiments_hold_every_invariant_in_strict_mode() {
-    fig8(1);
-    fig11(1);
+    for threads in [1, 8] {
+        fig8(threads);
+        fig11(threads);
+    }
+}
+
+/// Every job's checks reach its run's scope at any worker count: the
+/// strict runs count the same nonzero number of checks at 1 and 8.
+#[test]
+fn strict_runs_count_the_same_checks_at_1_and_8_workers() {
+    for (exp, checks_at) in [
+        ("fig8", (|t| fig8(t).checks_run) as fn(usize) -> u64),
+        ("fig11", |t| fig11(t).checks_run),
+    ] {
+        let one = checks_at(1);
+        assert!(one > 0, "{exp} ran no invariant checks");
+        assert_eq!(
+            one,
+            checks_at(8),
+            "{exp} checks differ between 1 and 8 workers"
+        );
+    }
 }
 
 #[test]

@@ -14,13 +14,12 @@
 //! ## Gating (identical discipline to `stellar-telemetry`)
 //!
 //! Checks are off by default. Layer code calls [`at_quiesce`]
-//! unconditionally; when no [`capture`] scope is active the call is one
-//! relaxed atomic load and a branch — no closure runs, no event schedule
+//! unconditionally; when no [`capture`] scope is open on the thread the
+//! call is one TLS read and a branch — no closure runs, no event schedule
 //! changes, so default runs are byte-identical with the engine compiled
-//! in. [`capture`] enables collection for a scope (including `par` work
-//! pool jobs on other threads — the gate is process-global, unlike
-//! telemetry's per-thread context, because violations are exceptional
-//! and order-normalized rather than folded); [`strict`] additionally
+//! in. [`capture`] opens a `stellar_sim::par` [`ScopeKind`] scope, as
+//! telemetry does, collecting the checks of this thread and of the `par`
+//! pool jobs it starts; [`strict`] additionally
 //! panics with a rendered report if any check failed, which is how the
 //! engine runs under `cargo test` and `reproduce --check`.
 //!
@@ -28,16 +27,16 @@
 //!
 //! A [`CheckReport`] sorts violations by `(sim time, layer, invariant,
 //! detail)` before rendering, so the report bytes are independent of
-//! worker-thread interleaving. Scopes are process-global: concurrent
-//! captures (e.g. parallel tests) share one collector, so deliberate
-//! violation tests must use [`collect`], which touches no global state.
+//! worker-thread interleaving. Scopes are per thread: concurrent captures
+//! (e.g. parallel tests) each see only their own checks, so a test that
+//! expects violations may run under [`capture`].
 
 #![warn(missing_docs)]
 
+use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
 
+use stellar_sim::par::{Scope, ScopeKind};
 use stellar_sim::SimTime;
 
 /// The layer an invariant belongs to (and the order reports group by).
@@ -255,18 +254,27 @@ impl CheckReport {
     }
 }
 
-/// Process-global count of open capture scopes (the gate).
-static ACTIVE: AtomicU32 = AtomicU32::new(0);
-/// Checks evaluated while any scope was open.
-static CHECKS_RUN: AtomicU64 = AtomicU64::new(0);
-/// Violations collected while any scope was open.
-static VIOLATIONS: Mutex<Vec<Violation>> = Mutex::new(Vec::new());
+impl Scope for CheckReport {
+    fn merge(&mut self, child: Self) {
+        self.checks_run += child.checks_run;
+        self.violations.extend(child.violations);
+    }
+}
 
-/// Whether any capture scope is open. One relaxed load and a branch —
-/// the entire cost of a quiesce point in a default run.
+thread_local! {
+    /// Open capture scopes, innermost last.
+    static STACK: RefCell<Vec<CheckReport>> = const { RefCell::new(Vec::new()) };
+    /// Whether [`STACK`] is non-empty: the quiesce-point gate.
+    static ACTIVE: Cell<bool> = const { Cell::new(false) };
+}
+
+const SCOPES: ScopeKind<CheckReport> = ScopeKind::new(STACK, ACTIVE);
+
+/// Whether a capture scope is open on this thread or the `par` job's
+/// caller. One TLS read and a branch — a default quiesce point's cost.
 #[inline]
 pub fn enabled() -> bool {
-    ACTIVE.load(Ordering::Relaxed) > 0
+    SCOPES.enabled()
 }
 
 /// Evaluates checks at one quiesce point; layer code builds one, runs its
@@ -315,11 +323,6 @@ impl Checker {
         }
     }
 
-    /// Checks evaluated so far.
-    pub fn checks_run(&self) -> u64 {
-        self.checks
-    }
-
     /// Consume the checker, returning its violations.
     pub fn into_violations(self) -> Vec<Violation> {
         self.violations
@@ -327,9 +330,7 @@ impl Checker {
 }
 
 /// Run `f` against a fresh [`Checker`] unconditionally (no gate, no
-/// global state): `(checks_run, violations)`. This is the entry point
-/// for tests that *expect* violations — it cannot contaminate a
-/// concurrently open [`capture`] scope.
+/// scope): `(checks_run, violations)`.
 pub fn collect(
     at: SimTime,
     layer: Layer,
@@ -341,50 +342,32 @@ pub fn collect(
 }
 
 /// A quiesce point: when a scope is open, evaluate `f`'s checks and fold
-/// the outcome into the open scope(s); otherwise return immediately
-/// (one atomic load + branch). Layer code calls this unconditionally.
+/// the outcome into the innermost scope; otherwise return immediately
+/// (one TLS read + branch). Layer code calls this unconditionally.
 #[inline]
 pub fn at_quiesce(at: SimTime, layer: Layer, f: impl FnOnce(&mut Checker)) {
     if !enabled() {
         return;
     }
     let (n, violations) = collect(at, layer, f);
-    CHECKS_RUN.fetch_add(n, Ordering::Relaxed);
-    if !violations.is_empty() {
-        VIOLATIONS
-            .lock()
-            .expect("violation collector lock")
-            .extend(violations);
-    }
+    SCOPES.with_innermost(|r| {
+        r.checks_run += n;
+        r.violations.extend(violations);
+    });
 }
 
 fn sort_key(v: &Violation) -> (SimTime, &'static str, &'static str, &str) {
     (v.at, v.layer.name(), v.invariant, v.detail.as_str())
 }
 
-/// Run `f` with invariant collection enabled, returning its result and
-/// the [`CheckReport`]. The gate is process-global, so checks inside
-/// `stellar_sim::par` jobs on worker threads participate too. Scopes may
-/// nest (the report drains at every scope exit); concurrent scopes share
-/// the collector.
+/// Run `f` with invariant collection enabled on this thread and the
+/// `stellar_sim::par` pools it starts, returning its result and the
+/// [`CheckReport`]. Scopes nest, the innermost collecting, and close
+/// even if `f` panics.
 pub fn capture<R>(f: impl FnOnce() -> R) -> (R, CheckReport) {
-    struct Gate;
-    impl Drop for Gate {
-        fn drop(&mut self) {
-            ACTIVE.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-    ACTIVE.fetch_add(1, Ordering::SeqCst);
-    let gate = Gate;
-    let out = f();
-    drop(gate);
-    let mut violations =
-        std::mem::take(&mut *VIOLATIONS.lock().expect("violation collector lock"));
+    let (out, mut report) = SCOPES.capture(f);
+    let violations = &mut report.violations;
     violations.sort_by(|a, b| sort_key(a).cmp(&sort_key(b)));
-    let report = CheckReport {
-        checks_run: CHECKS_RUN.swap(0, Ordering::Relaxed),
-        violations,
-    };
     (out, report)
 }
 
@@ -470,7 +453,73 @@ mod tests {
         });
         assert!(!enabled());
         assert!(report.is_clean());
-        assert!(report.checks_run >= 1);
+        assert_eq!(report.checks_run, 1);
+    }
+
+    #[test]
+    fn concurrent_scopes_keep_their_own_checks() {
+        use std::sync::Barrier;
+        let barrier = Barrier::new(2);
+        let reports: Vec<CheckReport> = std::thread::scope(|s| {
+            let handles: Vec<_> = [false, true]
+                .into_iter()
+                .map(|broken| {
+                    let barrier = &barrier;
+                    s.spawn(move || {
+                        capture(|| {
+                            // Both scopes are open from here...
+                            barrier.wait();
+                            at_quiesce(t(1), Layer::Net, |c| {
+                                c.check("net.packet_conservation", true, String::new);
+                                if broken {
+                                    c.check("net.byte_conservation", false, || "5 != 4".into());
+                                }
+                            });
+                            // ...until both threads have run their checks.
+                            barrier.wait();
+                        })
+                        .1
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let (clean, broken) = (&reports[0], &reports[1]);
+        assert_eq!((clean.checks_run, clean.violations.len()), (1, 0));
+        assert_eq!((broken.checks_run, broken.violations.len()), (2, 1));
+        assert_eq!(broken.violations[0].invariant, "net.byte_conservation");
+    }
+
+    #[test]
+    fn nested_pools_report_every_check() {
+        use stellar_sim::par::{par_map, with_thread_override};
+        let ((), report) = capture(|| {
+            with_thread_override(4, || {
+                par_map(&[0u64; 4], |_| {
+                    par_map(&[0u64; 3], |_| {
+                        at_quiesce(t(1), Layer::Rnic, |c| {
+                            c.check("rnic.mtt_lookup_accounting", true, String::new);
+                        });
+                    });
+                });
+            });
+        });
+        assert_eq!(report.checks_run, 12);
+    }
+
+    #[test]
+    fn a_panicking_capture_closes_its_scope() {
+        let caught = std::panic::catch_unwind(|| {
+            capture(|| {
+                at_quiesce(t(1), Layer::Net, |c| {
+                    c.check("net.packet_conservation", true, String::new);
+                });
+                panic!("boom");
+            })
+        });
+        assert!(caught.is_err());
+        assert!(!enabled(), "the panicked scope is still open");
+        assert_eq!(capture(|| ()).1.checks_run, 0);
     }
 
     #[test]

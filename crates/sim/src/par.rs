@@ -37,6 +37,12 @@
 //!   and the panic of the *lowest-index* failing job is re-raised after
 //!   the pool drains, so failure reporting is independent of scheduling.
 //!
+//! Per-job state travels in one per-thread *job context*: the worker-count
+//! override and the [`ScopeKind`]s (telemetry, invariant checks) open on
+//! the thread. `par_map` copies it onto each worker, so nested pools
+//! inherit it, and runs every job — inline too — in a fresh scope of each
+//! open kind, folded back into the caller in job order.
+//!
 //! The module also owns the per-thread *scheduled-event* counter that
 //! [`EventQueue::schedule`] ticks. [`events_scheduled_here`] reads the
 //! calling thread's count; `par_map` folds the events its workers
@@ -50,10 +56,11 @@
 //! [`SimRng`]: crate::SimRng
 
 use std::any::Any;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
+use std::thread::LocalKey;
 
 thread_local! {
     /// Events scheduled by this thread (plus events folded in from child
@@ -67,11 +74,126 @@ thread_local! {
     /// [`EventQueue`]: crate::EventQueue
     static QUEUE_DEPTH_PEAK: Cell<u64> = const { Cell::new(0) };
 
-    /// This thread's programmatic worker-count override; 0 means "not
-    /// set". Per thread, so two callers holding different counts at once
-    /// (tests in one binary) each run at their own; [`par_map`] installs
-    /// the caller's value on its workers, so nested pools see it too.
-    static THREAD_OVERRIDE: Cell<usize> = const { Cell::new(0) };
+    /// This thread's job context, copied onto its pools' workers.
+    static CONTEXT: RefCell<JobContext> =
+        const { RefCell::new(JobContext { threads: 0, open: Vec::new() }) };
+}
+
+/// What a pool's jobs inherit from the thread that starts it.
+#[derive(Clone)]
+struct JobContext {
+    /// The worker-count override; 0 means "not set".
+    threads: usize,
+    /// The scope kinds used on this thread; pools pass on the open ones.
+    open: Vec<&'static dyn Kind>,
+}
+
+/// Per-job recording state that [`par_map`] carries into its jobs.
+pub trait Scope: Default + Send + 'static {
+    /// Fold `child`, one job's scope, into `self` (in job order).
+    fn merge(&mut self, child: Self);
+}
+
+/// The one kind of a [`Scope`] type: a per-thread stack of open scopes,
+/// innermost last, and a destructor-free gate that is set while the stack
+/// is not empty. Declare it as a `const` over two `const`-initialised
+/// thread-locals, so the closed path inlines to one TLS read and a branch.
+pub struct ScopeKind<T: 'static> {
+    stack: LocalKey<RefCell<Vec<T>>>,
+    gate: LocalKey<Cell<bool>>,
+}
+
+impl<T: Scope> ScopeKind<T> {
+    /// A kind over its two thread-locals.
+    pub const fn new(stack: LocalKey<RefCell<Vec<T>>>, gate: LocalKey<Cell<bool>>) -> Self {
+        ScopeKind { stack, gate }
+    }
+
+    /// Whether a scope of this kind is open on this thread.
+    #[inline]
+    pub fn enabled(&'static self) -> bool {
+        self.gate.with(Cell::get)
+    }
+
+    /// Apply `f` to this thread's innermost open scope; a no-op when none
+    /// is open. `f` must not open or close a scope of this kind.
+    #[inline]
+    pub fn with_innermost(&'static self, f: impl FnOnce(&mut T)) {
+        if self.enabled() {
+            self.stack.with(|s| s.borrow_mut().last_mut().map(f));
+        }
+    }
+
+    /// Run `f` in a fresh scope and return its result with the scope.
+    /// Scopes nest, the innermost collecting, and close even if `f`
+    /// panics; the pools `f` starts fold their jobs' scopes into it.
+    pub fn capture<R>(&'static self, f: impl FnOnce() -> R) -> (R, T) {
+        let kind: [&'static dyn Kind; 1] = [self];
+        CONTEXT.with(|c| {
+            let open = &mut c.borrow_mut().open;
+            if !open.iter().any(|&k| (k as &dyn Any).is::<Self>()) {
+                open.push(self);
+            }
+        });
+        let mut scopes = Scopes::open(&kind);
+        let out = f();
+        let scope = scopes.close().pop().expect("one scope");
+        (out, *scope.downcast().expect("a scope of this kind"))
+    }
+}
+
+/// A [`ScopeKind`] as the job context lists it, with its scope type erased.
+trait Kind: Any + Sync {
+    fn is_open(&'static self) -> bool;
+    fn open(&'static self);
+    fn close(&'static self) -> Box<dyn Any + Send>;
+    fn fold(&'static self, scope: Box<dyn Any + Send>);
+}
+
+impl<T: Scope> Kind for ScopeKind<T> {
+    fn is_open(&'static self) -> bool {
+        self.enabled()
+    }
+
+    fn open(&'static self) {
+        self.stack.with(|s| s.borrow_mut().push(T::default()));
+        self.gate.with(|g| g.set(true));
+    }
+
+    fn close(&'static self) -> Box<dyn Any + Send> {
+        self.stack.with(|s| {
+            let mut stack = s.borrow_mut();
+            self.gate.with(|g| g.set(stack.len() > 1));
+            Box::new(stack.pop().expect("an open scope"))
+        })
+    }
+
+    fn fold(&'static self, scope: Box<dyn Any + Send>) {
+        let child = *scope.downcast::<T>().expect("a scope of this kind");
+        self.with_innermost(|t| t.merge(child));
+    }
+}
+
+/// One open scope of each of `kinds`, closed by [`Scopes::close`] or, if
+/// a panic unwinds first, on drop.
+struct Scopes<'a>(&'a [&'static dyn Kind]);
+
+impl<'a> Scopes<'a> {
+    fn open(kinds: &'a [&'static dyn Kind]) -> Self {
+        kinds.iter().for_each(|k| k.open());
+        Scopes(kinds)
+    }
+
+    fn close(&mut self) -> Vec<Box<dyn Any + Send>> {
+        let kinds = std::mem::take(&mut self.0);
+        kinds.iter().map(|k| k.close()).collect()
+    }
+}
+
+impl Drop for Scopes<'_> {
+    fn drop(&mut self) {
+        self.close();
+    }
 }
 
 /// Total simulation events scheduled on this thread, inclusive of any
@@ -109,48 +231,6 @@ pub fn take_queue_depth_peak() -> u64 {
     QUEUE_DEPTH_PEAK.with(|c| c.replace(0))
 }
 
-/// Type-erased per-job context hooks, registered once per process.
-///
-/// This is the seam that lets a higher layer (the `stellar-telemetry`
-/// crate) give every [`par_map`] job private recording state and fold it
-/// back *in job order* without `stellar-sim` depending on that layer.
-/// All four hooks are plain `fn` pointers over `Any`, so the pool stays
-/// ignorant of the payload type:
-///
-/// * `snapshot` runs on the pool's calling thread before any job; `None`
-///   means "nothing to propagate" and the pool behaves exactly as if no
-///   hooks were registered (the common, zero-cost case).
-/// * `install` runs on the executing thread immediately before *each*
-///   job, receiving the snapshot — it sets up fresh per-job state.
-/// * `extract` runs on the executing thread immediately after the job,
-///   tearing down and returning that job's state.
-/// * `fold` runs on the calling thread after the pool drains, once per
-///   job *in input order*, merging each job's state back.
-///
-/// `install`/`extract` bracket every job even on the inline
-/// (single-thread) path: per-job state must be identical at every thread
-/// count or folded output would not be byte-identical.
-pub struct JobContextHooks {
-    /// Capture the calling thread's context to seed jobs with.
-    pub snapshot: fn() -> Option<Box<dyn Any + Send + Sync>>,
-    /// Install fresh per-job state from the snapshot (executing thread).
-    pub install: fn(&(dyn Any + Send + Sync)),
-    /// Remove and return the per-job state (executing thread).
-    pub extract: fn() -> Option<Box<dyn Any + Send>>,
-    /// Merge one job's state into the caller's context (calling thread,
-    /// invoked in job order).
-    pub fold: fn(Box<dyn Any + Send>),
-}
-
-static JOB_CTX_HOOKS: OnceLock<JobContextHooks> = OnceLock::new();
-
-/// Register the process-wide [`JobContextHooks`]. First registration
-/// wins; later calls are ignored (idempotent by design — the telemetry
-/// layer calls this on every capture).
-pub fn set_job_context_hooks(hooks: JobContextHooks) {
-    let _ = JOB_CTX_HOOKS.set(hooks);
-}
-
 /// Run `f` with the calling thread's worker count pinned to `threads`
 /// (and that of every pool `f` starts, nested ones included), restoring
 /// the previous override afterwards. Used by the `--perf` baseline pass
@@ -158,11 +238,11 @@ pub fn set_job_context_hooks(hooks: JobContextHooks) {
 /// counts.
 pub fn with_thread_override<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     assert!(threads >= 1, "thread override must be at least 1");
-    let prev = THREAD_OVERRIDE.with(|c| c.replace(threads));
+    let prev = CONTEXT.with(|c| std::mem::replace(&mut c.borrow_mut().threads, threads));
     struct Restore(usize);
     impl Drop for Restore {
         fn drop(&mut self) {
-            THREAD_OVERRIDE.with(|c| c.set(self.0));
+            CONTEXT.with(|c| c.borrow_mut().threads = self.0);
         }
     }
     let _restore = Restore(prev);
@@ -177,7 +257,7 @@ pub fn with_thread_override<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 /// Panics if `STELLAR_THREADS` is set but not a positive integer —
 /// a silently ignored misconfiguration would be worse than a loud one.
 pub fn configured_threads() -> usize {
-    let over = THREAD_OVERRIDE.with(Cell::get);
+    let over = CONTEXT.with(|c| c.borrow().threads);
     if over > 0 {
         return over;
     }
@@ -208,46 +288,39 @@ pub fn configured_threads() -> usize {
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     let n = items.len();
     let threads = configured_threads().min(n);
-    let over = THREAD_OVERRIDE.with(Cell::get);
-    let hooks = JOB_CTX_HOOKS.get();
-    let snap = hooks.and_then(|h| (h.snapshot)());
+    let mut ctx = CONTEXT.with(|c| c.borrow().clone());
+    ctx.open.retain(|k| k.is_open());
+    // Jobs run in fresh scopes folded back in job order, inline too, so
+    // per-job state (a bounded ring) is the same at every thread count.
+    let fold = |scopes: Vec<Box<dyn Any + Send>>| {
+        ctx.open.iter().zip(scopes).for_each(|(k, s)| k.fold(s));
+    };
 
     if threads <= 1 {
         // In-place fast path: nothing spawned, counters tick on the
-        // caller's thread directly. Per-job context is still installed
-        // and folded around *each* job — per-job state (e.g. a bounded
-        // flight-recorder ring) must evolve identically at every thread
-        // count, so the inline path cannot let jobs share the caller's
-        // context directly.
-        if let (Some(h), Some(s)) = (hooks, &snap) {
-            return items
-                .iter()
-                .map(|item| {
-                    (h.install)(s.as_ref());
-                    let r = f(item);
-                    if let Some(ctx) = (h.extract)() {
-                        (h.fold)(ctx);
-                    }
-                    r
-                })
-                .collect();
-        }
-        return items.iter().map(f).collect();
+        // caller's thread directly.
+        return items
+            .iter()
+            .map(|item| {
+                let mut scopes = Scopes::open(&ctx.open);
+                let r = f(item);
+                fold(scopes.close());
+                r
+            })
+            .collect();
     }
 
-    type JobResult<R> = Result<R, Box<dyn std::any::Any + Send>>;
+    type JobResult<R> = Result<(R, Vec<Box<dyn Any + Send>>), Box<dyn Any + Send>>;
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<JobResult<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let ctx_slots: Vec<Mutex<Option<Box<dyn Any + Send>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
     let child_events = AtomicU64::new(0);
     let child_peak = AtomicU64::new(0);
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| {
-                // A job's own pools run at the caller's override.
-                THREAD_OVERRIDE.with(|c| c.set(over));
+                // A job's own pools inherit the caller's context.
+                CONTEXT.with(|c| *c.borrow_mut() = ctx.clone());
                 // Workers are fresh threads, so their counters start at 0
                 // (the snapshots below are just defensive).
                 let before = events_scheduled_here();
@@ -257,16 +330,10 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
                         break;
                     }
                     let result = catch_unwind(AssertUnwindSafe(|| {
-                        if let (Some(h), Some(s)) = (hooks, &snap) {
-                            (h.install)(s.as_ref());
-                        }
-                        f(&items[i])
+                        let mut scopes = Scopes::open(&ctx.open);
+                        let r = f(&items[i]);
+                        (r, scopes.close())
                     }));
-                    if let (Some(h), Some(_)) = (hooks, &snap) {
-                        if let Some(ctx) = (h.extract)() {
-                            *ctx_slots[i].lock().expect("ctx slot lock") = Some(ctx);
-                        }
-                    }
                     *slots[i].lock().expect("job slot lock") = Some(result);
                 }
                 // Fold this worker's events into the pool total; the
@@ -283,26 +350,19 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
     });
     add_events(child_events.load(Ordering::Relaxed));
     note_queue_depth(child_peak.load(Ordering::Relaxed));
-    if let (Some(h), Some(_)) = (hooks, &snap) {
-        // Per-job contexts merge back strictly in input order — the same
-        // order the inline path folds them in — so the caller's merged
-        // state is thread-count-invariant.
-        for slot in &ctx_slots {
-            if let Some(ctx) = slot.lock().expect("ctx slot lock").take() {
-                (h.fold)(ctx);
-            }
-        }
-    }
 
     let mut out = Vec::with_capacity(n);
-    let mut first_panic: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
+    let mut first_panic: Option<(usize, Box<dyn Any + Send>)> = None;
     for (i, slot) in slots.into_iter().enumerate() {
         let result = slot
             .into_inner()
             .expect("job slot lock")
             .expect("every job index below n was claimed and ran");
         match result {
-            Ok(r) => out.push(r),
+            Ok((r, scopes)) => {
+                fold(scopes);
+                out.push(r);
+            }
             Err(payload) => {
                 if first_panic.is_none() {
                     first_panic = Some((i, payload));

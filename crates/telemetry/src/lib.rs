@@ -28,14 +28,13 @@
 //!
 //! ## Determinism (non-negotiable, see DESIGN.md §6)
 //!
-//! Events carry **sim time only** — never wall clock. Under the
-//! `stellar_sim::par` work pool every job records into a *fresh* private
-//! context (installed via the pool's job-context hooks, which this crate
-//! registers), and the pool folds job contexts back into the caller
-//! **in job order** at every thread count — including the inline
-//! single-thread path, which brackets each job identically so bounded
-//! ring-drop behaviour cannot differ. The rendered JSON is therefore
-//! byte-identical at every `STELLAR_THREADS` value.
+//! Events carry **sim time only** — never wall clock. A capture is a
+//! `stellar_sim::par` [`ScopeKind`] scope: under the work pool every job
+//! records into a *fresh* private context, and the pool folds job
+//! contexts back into the caller **in job order** at every thread count
+//! — including the inline single-thread path, which brackets each job
+//! identically so bounded ring-drop behaviour cannot differ. The rendered
+//! JSON is therefore byte-identical at every `STELLAR_THREADS` value.
 
 #![warn(missing_docs)]
 
@@ -46,10 +45,9 @@ mod recorder;
 pub use hub::MetricsHub;
 pub use recorder::{FlightRecorder, TraceEvent};
 
-use std::any::Any;
 use std::cell::{Cell, RefCell};
 
-use stellar_sim::par::{set_job_context_hooks, JobContextHooks};
+use stellar_sim::par::{Scope, ScopeKind};
 use stellar_sim::stats::Histogram;
 use stellar_sim::{SimDuration, SimTime};
 
@@ -220,11 +218,13 @@ impl Telemetry {
     pub fn stage(&self, stage: Stage) -> &Histogram {
         &self.stages[stage.index()]
     }
+}
 
+impl Scope for Telemetry {
     /// Fold `other` (a child job's context) into `self`, in job order:
     /// ring events append (re-bounded), histograms take the multiset
     /// union, counters add.
-    pub fn merge(&mut self, other: Telemetry) {
+    fn merge(&mut self, other: Telemetry) {
         self.recorder.merge(other.recorder);
         for (mine, theirs) in self.stages.iter_mut().zip(&other.stages) {
             mine.merge(theirs);
@@ -234,48 +234,19 @@ impl Telemetry {
 }
 
 thread_local! {
-    /// Stack of active capture scopes (innermost last). A stack — not a
-    /// slot — so captures nest and par-pool job installs layer over an
-    /// enclosing scope on the same thread.
+    /// Open capture scopes, innermost last.
     static STACK: RefCell<Vec<Telemetry>> = const { RefCell::new(Vec::new()) };
-
-    /// Whether [`STACK`] is non-empty, mirrored for the hot-path gate:
-    /// one TLS read when tracing is off.
+    /// Whether [`STACK`] is non-empty: the hot-path gate.
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
 }
 
-fn push_context(t: Telemetry) {
-    ACTIVE.with(|a| a.set(true));
-    STACK.with(|s| s.borrow_mut().push(t));
-}
-
-fn pop_context() -> Option<Telemetry> {
-    STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        let t = stack.pop();
-        ACTIVE.with(|a| a.set(!stack.is_empty()));
-        t
-    })
-}
+const SCOPES: ScopeKind<Telemetry> = ScopeKind::new(STACK, ACTIVE);
 
 /// Whether a [`capture`] scope is recording on this thread. Call sites
 /// use this to skip argument construction entirely.
 #[inline]
 pub fn enabled() -> bool {
-    ACTIVE.with(|a| a.get())
-}
-
-/// Apply `f` to the innermost active context. No-op when disabled.
-#[inline]
-fn with_context(f: impl FnOnce(&mut Telemetry)) {
-    if !enabled() {
-        return;
-    }
-    STACK.with(|s| {
-        if let Some(t) = s.borrow_mut().last_mut() {
-            f(t);
-        }
-    });
+    SCOPES.enabled()
 }
 
 /// Add the `(name, value)` pairs `counters` returns to the counters
@@ -287,7 +258,7 @@ pub fn fold_counters<I: IntoIterator<Item = (&'static str, u64)>>(
     sub: Subsystem,
     counters: impl FnOnce() -> I,
 ) {
-    with_context(|t| {
+    SCOPES.with_innermost(|t| {
         for (name, n) in counters() {
             t.hub.add(sub, name, n);
         }
@@ -301,7 +272,7 @@ pub fn fold_counters<I: IntoIterator<Item = (&'static str, u64)>>(
 /// operation-relative offsets instead — the taxonomy documents which.
 #[inline]
 pub fn event(at: SimTime, sub: Subsystem, entity: Entity, kind: &'static str, value: u64) {
-    with_context(|t| {
+    SCOPES.with_innermost(|t| {
         t.recorder.record(TraceEvent {
             at,
             subsystem: sub,
@@ -315,33 +286,16 @@ pub fn event(at: SimTime, sub: Subsystem, entity: Entity, kind: &'static str, va
 /// Attribute a measured duration to `stage`. No-op when disabled.
 #[inline]
 pub fn stage_sample(stage: Stage, d: SimDuration) {
-    with_context(|t| t.stages[stage.index()].record_duration(d));
-}
-
-fn hooks() -> JobContextHooks {
-    JobContextHooks {
-        // Jobs record only under an active scope; None (tracing off)
-        // keeps the pool on its no-hooks fast path.
-        snapshot: || enabled().then(|| Box::new(()) as Box<dyn Any + Send + Sync>),
-        install: |_| push_context(Telemetry::default()),
-        extract: || pop_context().map(|t| Box::new(t) as Box<dyn Any + Send>),
-        fold: |ctx| {
-            let child = *ctx.downcast::<Telemetry>().expect("telemetry job context");
-            with_context(|t| t.merge(child));
-        },
-    }
+    SCOPES.with_innermost(|t| t.stages[stage.index()].record_duration(d));
 }
 
 /// Run `f` with recording on, returning its result and the collected
 /// [`Telemetry`]. Nested `stellar_sim::par` pools inside `f` fold their
-/// jobs' recordings back in job order (this function registers the pool
-/// hooks), so the result is byte-identical at every thread count.
-/// Captures may nest; the innermost wins.
+/// jobs' recordings back in job order, so the result is byte-identical
+/// at every thread count. Captures may nest; the innermost wins. The
+/// scope closes even if `f` panics.
 pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Telemetry) {
-    set_job_context_hooks(hooks());
-    push_context(Telemetry::default());
-    let out = f();
-    (out, pop_context().expect("capture context still on the stack"))
+    SCOPES.capture(f)
 }
 
 #[cfg(test)]
@@ -447,6 +401,27 @@ mod tests {
             a.stage(Stage::DmaTlpCompletion).percentiles().sum(),
             b.stage(Stage::DmaTlpCompletion).percentiles().sum()
         );
+    }
+
+    #[test]
+    fn a_panicking_capture_closes_its_scope() {
+        let caught = std::panic::catch_unwind(|| capture(|| panic!("boom")));
+        assert!(caught.is_err());
+        assert!(!enabled(), "the panicked scope is still open");
+    }
+
+    #[test]
+    fn a_panicking_inline_job_closes_its_scope() {
+        let ((), tel) = capture(|| {
+            let caught = std::panic::catch_unwind(|| {
+                with_thread_override(1, || par_map(&[0u8], |_| panic!("boom")))
+            });
+            assert!(caught.is_err());
+            // Lands in the job's scope if the panic left it open.
+            fold_counters(Subsystem::Net, || [("after", 1)]);
+        });
+        assert_eq!(tel.hub.get(Subsystem::Net, "after"), 1);
+        assert!(!enabled());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use stellar_sim::par::{par_map, with_thread_override};
+use stellar_sim::par::{par_map, with_thread_override, Scope};
 use stellar_sim::proptest_lite::check;
 use stellar_sim::SimTime;
 use stellar_telemetry::{

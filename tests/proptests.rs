@@ -146,7 +146,7 @@ fn allreduce_always_converges() {
 
 /// The fluid and hybrid fabrics are deterministic across worker-thread
 /// counts: a permutation run produces a bit-identical report whether
-/// the process-wide work pool is pinned to 1 or 8 threads (the fabric
+/// the work pool is pinned to 1 or 8 threads (the fabric
 /// itself is single-threaded state, so pool size must be invisible).
 #[test]
 fn fluid_and_hybrid_reports_ignore_thread_count() {
