@@ -19,6 +19,13 @@
 //! every row of a sweep, so a rise in ns/event is the cost of the state
 //! each event touches outgrowing the caches. `--smallest` runs the first
 //! row of each sweep only (a smoke test).
+//!
+//! Each row also prints the process's peak RSS during the row (`VmHWM`,
+//! read after it) and that peak per connection. The high-water mark is
+//! reset to the current RSS before each row where Linux allows it
+//! (`/proc/self/clear_refs`); otherwise it is the peak so far, which the
+//! smallest-first order keeps close to the row's own. Off Linux the two
+//! columns read `-`.
 
 use std::time::Instant;
 
@@ -29,15 +36,32 @@ use stellar_sim::par::{events_scheduled_here, with_thread_override};
 use stellar_workloads::llm::simulate_scale_training_step;
 use stellar_workloads::permutation::run_permutation_with;
 
+/// The process's peak resident set so far, in KB.
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
 /// Run `f` once; print one row of the sweep.
 fn row(label: &str, connections: usize, f: impl FnOnce()) {
+    // "5" resets the high-water mark to the current RSS (Linux 4.0+).
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
     let events = events_scheduled_here();
     let start = Instant::now();
     f();
     let wall = start.elapsed().as_secs_f64();
     let events = events_scheduled_here() - events;
+    let footprint = match peak_rss_kb() {
+        Some(kb) => format!(
+            "{:>7.1} MB  {:>6.2} KB/conn",
+            kb as f64 / 1024.0,
+            kb as f64 / connections as f64
+        ),
+        None => format!("{:>7} MB  {:>6} KB/conn", "-", "-"),
+    };
     println!(
-        "{label:<12} {connections:>7} conns  {wall:>8.3} s  {events:>10} events  {:>7.1} ns/event",
+        "{label:<12} {connections:>7} conns  {wall:>8.3} s  {events:>10} events  {:>7.1} ns/event  {footprint}",
         wall * 1e9 / events.max(1) as f64
     );
 }

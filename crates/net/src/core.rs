@@ -46,24 +46,28 @@ impl DegradeRamp {
     }
 }
 
-/// One directed link: fault state plus transmit counters. Queueing is
-/// the model's business (port calendars or per-flow calendars).
+/// One directed link's fault state. Queueing is the model's business
+/// (port calendars or per-flow calendars), and the transmit counters
+/// live in [`Core`]'s counter table.
 ///
-/// Every hop of every packet reads and writes one `Link`; the rare
-/// degrade ramp is boxed to keep it at 64 bytes. The fault state is
-/// private to this module: [`Core`] writes it and keeps its count of
-/// faulty links current.
+/// The rare degrade ramp is boxed. The state is private to this module:
+/// [`Core`] writes it and keeps its count of faulty links current.
 #[derive(Debug, Clone)]
 pub struct Link {
     up: bool,
     down_since: SimTime,
     loss_prob: f64,
     degrade: Option<Box<DegradeRamp>>,
-    pub tx_bytes: u64,
-    pub tx_packets: u64,
-    pub drops: u64,
-    pub ecn_marks: u64,
 }
+
+/// What every link reads until the first fault write allocates the
+/// table: up, lossless, no ramp.
+static HEALTHY: Link = Link {
+    up: true,
+    down_since: SimTime::ZERO,
+    loss_prob: 0.0,
+    degrade: None,
+};
 
 impl Link {
     /// Whether the link forwards at all.
@@ -98,17 +102,22 @@ impl Link {
             || self.loss_prob > 0.0
             || self.degrade.as_ref().map_or(0.0, |r| r.loss_at(now)) > 0.0
     }
-
-    /// Count one packet of `bytes` transmitted, ECN-marked or not.
-    #[inline]
-    pub fn transmit(&mut self, bytes: u64, ecn: bool) {
-        self.tx_bytes += bytes;
-        self.tx_packets += 1;
-        if ecn {
-            self.ecn_marks += 1;
-        }
-    }
 }
+
+/// One link's transmit counters, indexed by [`TX_BYTES`],
+/// [`TX_PACKETS`], [`DROPS`] and [`ECN_MARKS`]. A plain `u64` array, so
+/// the table of them is allocated zeroed and a link no packet crosses
+/// costs no resident memory.
+pub type LinkCounters = [u64; 4];
+
+/// Bytes transmitted.
+pub const TX_BYTES: usize = 0;
+/// Packets transmitted.
+pub const TX_PACKETS: usize = 1;
+/// Packets dropped at this port.
+pub const DROPS: usize = 2;
+/// Packets ECN-marked at this port.
+pub const ECN_MARKS: usize = 3;
 
 /// The arguments of one [`Fabric::send`].
 #[derive(Debug, Clone, Copy)]
@@ -183,7 +192,11 @@ impl Ledger {
 pub struct Core {
     pub topo: ClosTopology,
     pub config: NetworkConfig,
-    pub links: Vec<Link>,
+    /// Transmit counters by link id.
+    counters: Vec<LinkCounters>,
+    /// Fault state by link id; empty until the first fault write, and
+    /// every link reads [`HEALTHY`] until then.
+    faults: Vec<Link>,
     /// Links with fault state ([`Link::has_fault_state`]). While it is
     /// zero every link is up and lossless, so the reroute and the models'
     /// per-link fault screens are skipped.
@@ -200,23 +213,17 @@ pub struct Core {
 
 impl Core {
     pub fn new(topo: ClosTopology, config: NetworkConfig) -> Self {
-        let links = vec![
-            Link {
-                up: true,
-                down_since: SimTime::ZERO,
-                loss_prob: 0.0,
-                degrade: None,
-                tx_bytes: 0,
-                tx_packets: 0,
-                drops: 0,
-                ecn_marks: 0,
-            };
-            topo.total_links()
-        ];
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
+        // `[0u64; 4]` takes the zeroed-allocation path: the pages of links
+        // that never transmit are never written.
+        let counters = vec![[0u64; 4]; topo.total_links()];
         Core {
             topo,
             config,
-            links,
+            counters,
+            faults: Vec::new(),
             faulty_links: 0,
             plan: Vec::new(),
             plan_cursor: 0,
@@ -311,9 +318,13 @@ impl Core {
     }
 
     /// Change `link`'s fault state, keeping `faulty_links` current. Every
-    /// write to a link's fault state goes through here.
+    /// write to a link's fault state goes through here; the first one
+    /// allocates the fault table.
     fn update_link(&mut self, link: LinkId, change: impl FnOnce(&mut Link)) {
-        let l = &mut self.links[link.0 as usize];
+        if self.faults.is_empty() {
+            self.faults = vec![HEALTHY.clone(); self.topo.total_links()];
+        }
+        let l = &mut self.faults[link.0 as usize];
         let was = l.has_fault_state();
         change(l);
         match (was, l.has_fault_state()) {
@@ -330,15 +341,37 @@ impl Core {
         self.faulty_links == 0
     }
 
+    /// `link`'s fault state.
+    #[inline]
+    pub fn link(&self, link: LinkId) -> &Link {
+        self.faults.get(link.0 as usize).unwrap_or(&HEALTHY)
+    }
+
+    /// `link`'s transmit counters.
+    #[inline]
+    pub fn counters(&self, link: LinkId) -> &LinkCounters {
+        &self.counters[link.0 as usize]
+    }
+
+    /// Count one packet of `bytes` transmitted on `link`, ECN-marked or
+    /// not.
+    #[inline]
+    pub fn transmit(&mut self, link: LinkId, bytes: u64, ecn: bool) {
+        let c = &mut self.counters[link.0 as usize];
+        c[TX_BYTES] += bytes;
+        c[TX_PACKETS] += 1;
+        c[ECN_MARKS] += u64::from(ecn);
+    }
+
     fn route_is_up(&self, route: &[LinkId]) -> bool {
-        route.iter().all(|l| self.links[l.0 as usize].up)
+        route.iter().all(|&l| self.link(l).up)
     }
 
     /// Whether the control plane has converged around every down link on
     /// `route` by `now`.
     fn converged_around(&self, now: SimTime, route: &[LinkId]) -> bool {
-        route.iter().all(|l| {
-            let link = &self.links[l.0 as usize];
+        route.iter().all(|&l| {
+            let link = self.link(l);
             link.up || now.saturating_duration_since(link.down_since) >= self.config.bgp_convergence
         })
     }
@@ -375,7 +408,7 @@ impl Core {
                 ledger.delivered_bytes += bytes;
             }
             Delivery::Dropped { link, reason, .. } => {
-                self.links[link.0 as usize].drops += 1;
+                self.counters[link.0 as usize][DROPS] += 1;
                 ledger.drops[reason.index()] += 1;
                 ledger.dropped_bytes += bytes;
             }
@@ -396,7 +429,7 @@ impl Core {
             by_tor
                 .entry(from)
                 .or_default()
-                .push(self.links[l.0 as usize].tx_bytes as f64);
+                .push(self.counters(l)[TX_BYTES] as f64);
         }
         let loads: Vec<f64> = by_tor
             .values()
@@ -588,13 +621,13 @@ impl<M: Model> Fabric for ModelFabric<M> {
     }
 
     fn link_stats(&self, link: LinkId, now: SimTime) -> LinkStats {
-        let l = &self.core.links[link.0 as usize];
+        let c = self.core.counters(link);
         let (max_queue_bytes, avg_queue_bytes) = self.model.port_queue(link, now);
         LinkStats {
-            tx_bytes: l.tx_bytes,
-            tx_packets: l.tx_packets,
-            drops: l.drops,
-            ecn_marks: l.ecn_marks,
+            tx_bytes: c[TX_BYTES],
+            tx_packets: c[TX_PACKETS],
+            drops: c[DROPS],
+            ecn_marks: c[ECN_MARKS],
             max_queue_bytes,
             avg_queue_bytes,
         }
@@ -627,7 +660,7 @@ impl<M: Model> Fabric for ModelFabric<M> {
 mod tests {
     use super::*;
     use crate::topology::ClosConfig;
-    use crate::{FluidConfig, FluidFabric, HybridConfig, HybridFabric, Network};
+    use crate::{FabricConfigError, FluidConfig, FluidFabric, HybridConfig, HybridFabric, Network};
     use stellar_sim::SimRng;
     use stellar_telemetry::capture;
 
@@ -645,11 +678,11 @@ mod tests {
         SimTime::from_nanos(n * 1000)
     }
 
-    /// Every hop of every packet touches one `Link`: it stays one cache
-    /// line.
+    /// Every hop of every packet writes one link's counters: two to a
+    /// cache line.
     #[test]
-    fn link_is_one_cache_line() {
-        assert_eq!(std::mem::size_of::<Link>(), 64);
+    fn link_counters_are_32_bytes() {
+        assert_eq!(std::mem::size_of::<LinkCounters>(), 32);
     }
 
     /// The faulty-link count follows every kind of fault event and both
@@ -658,7 +691,7 @@ mod tests {
     #[test]
     fn faulty_link_count_matches_a_recount_after_every_change() {
         fn recount(core: &Core) -> usize {
-            core.links.iter().filter(|l| l.has_fault_state()).count()
+            core.faults.iter().filter(|l| l.has_fault_state()).count()
         }
         let mut net = Network::new(topo(), NetworkConfig::default(), SimRng::from_seed(3));
         let topo = net.topology().clone();
@@ -700,9 +733,11 @@ mod tests {
         );
         net.install_fault_plan(plan);
         assert!(net.core.fault_free());
+        assert!(net.core.faults.is_empty(), "no fault written yet");
         for (t, (ev, clear)) in (1..).zip(steps) {
             net.advance(us(t));
             let core = &net.core;
+            assert_eq!(core.faults.len(), topo.total_links(), "after {ev:?}");
             assert_eq!(core.faulty_links, recount(core), "after {ev:?}");
             assert_eq!(core.fault_free(), clear, "after {ev:?}");
         }
@@ -723,6 +758,156 @@ mod tests {
         check(&net, 1);
         net.set_loss(link, 0.0);
         check(&net, 0);
+    }
+
+    /// State a run never touches is never allocated: a fault-free fabric
+    /// keeps no fault table, a hybrid that never escalates no port
+    /// calendars or gauges, and a packet fabric allocates its own at its
+    /// first send.
+    #[test]
+    fn untouched_state_is_not_allocated() {
+        let rng = SimRng::from_seed(3);
+        let mut hybrid = HybridFabric::new(
+            topo(),
+            NetworkConfig::default(),
+            HybridConfig::default(),
+            rng.clone(),
+        );
+        let (src, dst) = (hybrid.topology().nic(0, 0), hybrid.topology().nic(4, 0));
+        for i in 0..8 {
+            hybrid.send(us(i), src, dst, 1, i as u32, 4096);
+        }
+        assert_eq!(hybrid.send_split().0, 0, "nothing escalated");
+        assert!(!hybrid.model.packet().allocated());
+        assert!(hybrid.core.faults.is_empty());
+
+        let mut net = Network::new(topo(), NetworkConfig::default(), rng);
+        assert!(!net.model.allocated());
+        net.send(us(0), src, dst, 1, 0, 4096);
+        assert!(net.model.allocated(), "the first send allocates");
+        assert!(net.core.faults.is_empty());
+    }
+
+    /// A link no packet crossed reads zero — counters and port queue —
+    /// on every fabric kind, whether or not its model's arrays exist.
+    #[test]
+    fn an_untouched_link_reads_zero_on_every_fabric_kind() {
+        fn check<M: Model>(mut fabric: ModelFabric<M>, kind: &str) {
+            let topo = fabric.topology().clone();
+            let (src, dst) = (topo.nic(0, 0), topo.nic(4, 0));
+            let idle = LinkId(topo.total_links() as u32 - 1);
+            let zero = |fabric: &ModelFabric<M>| {
+                let s = fabric.link_stats(idle, us(50));
+                assert_eq!(
+                    (s.tx_bytes, s.tx_packets, s.drops, s.ecn_marks),
+                    (0, 0, 0, 0),
+                    "{kind}"
+                );
+                assert_eq!((s.max_queue_bytes, s.avg_queue_bytes), (0, 0.0), "{kind}");
+                assert_eq!(fabric.model.port_queue(idle, us(50)), (0, 0.0), "{kind}");
+            };
+            zero(&fabric);
+            fabric.send(us(1), src, dst, 1, 0, 4096);
+            assert!(!topo.route(src, dst, 1, 0).contains(&idle));
+            zero(&fabric);
+        }
+        let net = NetworkConfig::default();
+        let rng = SimRng::from_seed(3);
+        let fluid = FluidFabric::new(topo(), net.clone(), FluidConfig::default(), rng.clone());
+        let hybrid = HybridFabric::new(topo(), net.clone(), HybridConfig::default(), rng.clone());
+        check(Network::new(topo(), net, rng), "packet");
+        check(fluid, "fluid");
+        check(hybrid, "hybrid");
+    }
+
+    #[test]
+    fn network_config_rejects_a_zero_or_non_finite_link_rate() {
+        for gbps in [0.0, -1.0, f64::INFINITY] {
+            let config = NetworkConfig {
+                link_gbps: gbps,
+                ..NetworkConfig::default()
+            };
+            assert_eq!(config.validate(), Err(FabricConfigError::LinkRate(gbps)));
+        }
+        let nan = NetworkConfig {
+            link_gbps: f64::NAN,
+            ..NetworkConfig::default()
+        };
+        assert!(matches!(nan.validate(), Err(FabricConfigError::LinkRate(g)) if g.is_nan()));
+        assert_eq!(NetworkConfig::default().validate(), Ok(()));
+    }
+
+    #[test]
+    fn network_config_rejects_a_zero_buffer() {
+        let config = NetworkConfig {
+            buffer_bytes: 0,
+            ..NetworkConfig::default()
+        };
+        assert_eq!(
+            config.validate(),
+            Err(FabricConfigError::Zero("buffer_bytes"))
+        );
+    }
+
+    #[test]
+    fn fluid_config_rejects_a_zero_idle_timeout() {
+        let config = FluidConfig {
+            flow_idle_timeout: SimDuration::ZERO,
+            ..FluidConfig::default()
+        };
+        assert_eq!(
+            config.validate(),
+            Err(FabricConfigError::Zero("fluid.flow_idle_timeout"))
+        );
+        assert_eq!(FluidConfig::default().validate(), Ok(()));
+    }
+
+    #[test]
+    fn hybrid_config_rejects_a_zero_incast_threshold() {
+        let config = HybridConfig {
+            incast_threshold: 0,
+            ..HybridConfig::default()
+        };
+        assert_eq!(
+            config.validate(),
+            Err(FabricConfigError::Zero("incast_threshold"))
+        );
+        assert_eq!(HybridConfig::default().validate(), Ok(()));
+    }
+
+    #[test]
+    fn hybrid_config_rejects_a_zero_idle_timeout() {
+        let config = HybridConfig {
+            flow_idle_timeout: SimDuration::ZERO,
+            ..HybridConfig::default()
+        };
+        assert_eq!(
+            config.validate(),
+            Err(FabricConfigError::Zero("flow_idle_timeout"))
+        );
+        let fluid = HybridConfig {
+            fluid: FluidConfig {
+                flow_idle_timeout: SimDuration::ZERO,
+                ..FluidConfig::default()
+            },
+            ..HybridConfig::default()
+        };
+        assert_eq!(
+            fluid.validate(),
+            Err(FabricConfigError::Zero("fluid.flow_idle_timeout"))
+        );
+    }
+
+    /// The constructors check the configs before building anything, so
+    /// a zero link rate fails there and not mid-run in `transmit_time`.
+    #[test]
+    #[should_panic(expected = "link_gbps 0 is not a finite rate above 0")]
+    fn fabric_constructors_reject_an_invalid_config() {
+        let config = NetworkConfig {
+            link_gbps: 0.0,
+            ..NetworkConfig::default()
+        };
+        Network::new(topo(), config, SimRng::from_seed(3));
     }
 
     /// Every fabric kind applies each fault event exactly once, and says

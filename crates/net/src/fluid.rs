@@ -39,7 +39,7 @@ use stellar_telemetry::{fold_counters, Subsystem};
 use crate::core::{Core, Ledger, Model, ModelFabric, Packet};
 use crate::fabric::FabricKind;
 use crate::flow_map::{FlowKey, FlowMap};
-use crate::network::{Delivery, DropReason, NetworkConfig};
+use crate::network::{Delivery, DropReason, FabricConfigError, NetworkConfig};
 use crate::topology::{ClosTopology, NicId, Route};
 
 /// Fluid-model knobs (the link parameters come from [`NetworkConfig`]).
@@ -53,6 +53,17 @@ pub struct FluidConfig {
     /// `ZERO` recomputes at every event (the reference behaviour the
     /// property tests pin).
     pub recompute_quantum: SimDuration,
+}
+
+impl FluidConfig {
+    /// Check that a flow outlives its own send: a zero idle timeout
+    /// retires every flow at the first expiry scan after it opens.
+    pub fn validate(&self) -> Result<(), FabricConfigError> {
+        if self.flow_idle_timeout == SimDuration::ZERO {
+            return Err(FabricConfigError::Zero("fluid.flow_idle_timeout"));
+        }
+        Ok(())
+    }
 }
 
 impl Default for FluidConfig {
@@ -471,7 +482,7 @@ impl Model for FluidModel {
             // model. A fault-free fabric has nothing to screen.
             if !core.fault_free() {
                 for &link in &route {
-                    let state = &core.links[link.0 as usize];
+                    let state = core.link(link);
                     if !state.up() {
                         break 'fate dropped(link, DropReason::LinkDown);
                     }
@@ -539,7 +550,7 @@ impl Model for FluidModel {
             f.next_free = start + transmit_time(bytes, rate);
             let at = f.next_free + config.hop_delay.mul(route.len() as u64);
             for &l in &route {
-                core.links[l.0 as usize].transmit(bytes, ecn);
+                core.transmit(l, bytes, ecn);
             }
             if ecn {
                 self.ledger.ecn_marks += 1;
@@ -633,11 +644,12 @@ impl FluidFabric {
     /// using `rng` for loss injection (same draw structure as the
     /// packet model: one draw per lossy link per packet).
     pub fn new(topo: ClosTopology, config: NetworkConfig, fluid: FluidConfig, rng: SimRng) -> Self {
-        let model = FluidModel::new(&topo, &config, fluid, rng);
-        ModelFabric {
-            core: Core::new(topo, config),
-            model,
+        if let Err(e) = fluid.validate() {
+            panic!("{e}");
         }
+        let core = Core::new(topo, config);
+        let model = FluidModel::new(&core.topo, &core.config, fluid, rng);
+        ModelFabric { core, model }
     }
 
     /// `(flows opened, flows retired, flows active)` since construction.

@@ -40,7 +40,7 @@ use crate::core::{Core, Ledger, Model, ModelFabric, Packet};
 use crate::fabric::FabricKind;
 use crate::flow_map::FlowMap;
 use crate::fluid::{FluidConfig, FluidModel};
-use crate::network::{Delivery, NetworkConfig, PacketModel};
+use crate::network::{Delivery, FabricConfigError, NetworkConfig, PacketModel};
 use crate::topology::{ClosTopology, LinkId, Route};
 
 /// Escalation knobs for the hybrid classifier.
@@ -55,6 +55,21 @@ pub struct HybridConfig {
     pub flow_idle_timeout: SimDuration,
     /// Fluid-model knobs for the uncontested path.
     pub fluid: FluidConfig,
+}
+
+impl HybridConfig {
+    /// Check the classifier's knobs and the fluid model's: an incast
+    /// threshold of at least 1 (0 would escalate every send) and a
+    /// nonzero idle timeout.
+    pub fn validate(&self) -> Result<(), FabricConfigError> {
+        if self.incast_threshold == 0 {
+            return Err(FabricConfigError::Zero("incast_threshold"));
+        }
+        if self.flow_idle_timeout == SimDuration::ZERO {
+            return Err(FabricConfigError::Zero("flow_idle_timeout"));
+        }
+        self.fluid.validate()
+    }
 }
 
 impl Default for HybridConfig {
@@ -91,6 +106,12 @@ pub struct HybridModel {
 }
 
 impl HybridModel {
+    /// The packet model.
+    #[cfg(test)]
+    pub(crate) fn packet(&self) -> &PacketModel {
+        &self.packet
+    }
+
     /// Each model counts the sends it was handed.
     fn split(&self) -> (u64, u64, u64) {
         let (p, f) = (self.packet.ledger(), self.fluid.ledger());
@@ -121,7 +142,7 @@ impl HybridModel {
         let ecn_threshold = core.config.ecn_threshold_bytes;
         let faults = !core.fault_free();
         route.iter().any(|&l| {
-            (faults && core.links[l.0 as usize].faulty(now))
+            (faults && core.link(l).faulty(now))
                 || packet.backlog_bytes(&core.config, l, now) > ecn_threshold
         })
     }
@@ -211,19 +232,25 @@ impl HybridFabric {
         hybrid: HybridConfig,
         rng: SimRng,
     ) -> Self {
+        if let Err(e) = hybrid.validate() {
+            panic!("{e}");
+        }
+        let core = Core::new(topo, config);
         let model = HybridModel {
-            packet: PacketModel::new(topo.total_links(), rng.fork("packet")),
-            fluid: FluidModel::new(&topo, &config, hybrid.fluid.clone(), rng.fork("fluid")),
+            packet: PacketModel::new(rng.fork("packet")),
+            fluid: FluidModel::new(
+                &core.topo,
+                &core.config,
+                hybrid.fluid.clone(),
+                rng.fork("fluid"),
+            ),
+            dst_flows: vec![0; core.topo.total_nics()],
             hybrid,
             meta: FlowMap::default(),
-            dst_flows: vec![0; topo.total_nics()],
             next_expiry_scan: SimTime::ZERO,
             escalations: 0,
         };
-        ModelFabric {
-            core: Core::new(topo, config),
-            model,
-        }
+        ModelFabric { core, model }
     }
 
     /// `(packet sends, fluid sends, escalation events)` so far — the

@@ -55,6 +55,46 @@ impl Default for NetworkConfig {
     }
 }
 
+/// Why a fabric config cannot drive a run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FabricConfigError {
+    /// [`NetworkConfig::link_gbps`] is not a finite rate above 0.
+    LinkRate(f64),
+    /// A size, count or timeout that must be nonzero is 0; names the
+    /// field.
+    Zero(&'static str),
+}
+
+impl std::fmt::Display for FabricConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FabricConfigError::LinkRate(gbps) => {
+                write!(
+                    f,
+                    "fabric config: link_gbps {gbps} is not a finite rate above 0"
+                )
+            }
+            FabricConfigError::Zero(field) => write!(f, "fabric config: {field} is 0"),
+        }
+    }
+}
+
+impl std::error::Error for FabricConfigError {}
+
+impl NetworkConfig {
+    /// Check that every port can carry a packet: a finite link rate
+    /// above 0 (every serialization divides by it) and a buffer above 0.
+    pub fn validate(&self) -> Result<(), FabricConfigError> {
+        if !(self.link_gbps.is_finite() && self.link_gbps > 0.0) {
+            return Err(FabricConfigError::LinkRate(self.link_gbps));
+        }
+        if self.buffer_bytes == 0 {
+            return Err(FabricConfigError::Zero("buffer_bytes"));
+        }
+        Ok(())
+    }
+}
+
 /// Why a packet was lost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropReason {
@@ -190,19 +230,21 @@ pub struct TraceRecord {
 pub struct PacketModel {
     /// When each egress port next falls idle, by link id. Apart from the
     /// gauges, because the hybrid classifier reads only this, on every
-    /// send, for every hop.
+    /// send, for every hop. Empty until the first forwarded packet (for
+    /// the hybrid, its first escalation); every port is idle until then.
     next_free: Vec<SimTime>,
-    /// Each port's queue-depth gauge, by link id.
+    /// Each port's queue-depth gauge, by link id; allocated with
+    /// `next_free`, and every gauge reads zero until then.
     queues: Vec<Gauge>,
     rng: SimRng,
     ledger: Ledger,
 }
 
 impl PacketModel {
-    pub(crate) fn new(links: usize, rng: SimRng) -> Self {
+    pub(crate) fn new(rng: SimRng) -> Self {
         PacketModel {
-            next_free: vec![SimTime::ZERO; links],
-            queues: vec![Gauge::new(SimTime::ZERO); links],
+            next_free: Vec::new(),
+            queues: Vec::new(),
             rng,
             ledger: Ledger::default(),
         }
@@ -210,8 +252,17 @@ impl PacketModel {
 
     /// Current backlog of a port in bytes at time `now`.
     pub(crate) fn backlog_bytes(&self, config: &NetworkConfig, link: LinkId, now: SimTime) -> u64 {
-        let wait = self.next_free[link.0 as usize].saturating_duration_since(now);
+        let Some(next_free) = self.next_free.get(link.0 as usize) else {
+            return 0;
+        };
+        let wait = next_free.saturating_duration_since(now);
         (wait.as_nanos() as f64 * config.link_gbps / 8.0) as u64
+    }
+
+    /// Whether the port calendars and gauges exist yet.
+    #[cfg(test)]
+    pub(crate) fn allocated(&self) -> bool {
+        !self.next_free.is_empty() || !self.queues.is_empty()
     }
 
     fn forward(&mut self, core: &mut Core, p: &Packet, route: Route) -> Delivery {
@@ -225,6 +276,12 @@ impl PacketModel {
             };
         }
         let route = core.reroute(p, route);
+        if self.next_free.is_empty() {
+            let links = core.topo.total_links();
+            self.next_free = vec![SimTime::ZERO; links];
+            self.queues = vec![Gauge::new(SimTime::ZERO); links];
+        }
+        let fault_free = core.fault_free();
         let mut t = now;
         let mut ecn = false;
         let bytes_per_ns = config.link_gbps / 8.0;
@@ -237,23 +294,27 @@ impl PacketModel {
                 reason,
                 at: t,
             };
-            let state = &mut core.links[link.0 as usize];
-            if !state.up() {
-                return dropped(DropReason::LinkDown);
-            }
-            // Degrading-optics loss first (time-dependent), then flat
-            // random loss — separate draws keep the two distinguishable
-            // in the DropReason taxonomy and leave the RNG stream of
-            // ramp-free runs untouched.
-            if let Some(ramp) = state.degrade() {
-                let loss = ramp.loss_at(t);
-                if loss > 0.0 && self.rng.chance(loss) {
-                    return dropped(DropReason::DegradedLink);
+            // A fault-free fabric has nothing to screen, and no draw to
+            // make: only a lossy or degrading link draws.
+            if !fault_free {
+                let state = core.link(link);
+                if !state.up() {
+                    return dropped(DropReason::LinkDown);
                 }
-            }
-            let loss = state.loss_prob();
-            if loss > 0.0 && self.rng.chance(loss) {
-                return dropped(DropReason::RandomLoss);
+                // Degrading-optics loss first (time-dependent), then flat
+                // random loss — separate draws keep the two
+                // distinguishable in the DropReason taxonomy and leave the
+                // RNG stream of ramp-free runs untouched.
+                if let Some(ramp) = state.degrade() {
+                    let loss = ramp.loss_at(t);
+                    if loss > 0.0 && self.rng.chance(loss) {
+                        return dropped(DropReason::DegradedLink);
+                    }
+                }
+                let loss = state.loss_prob();
+                if loss > 0.0 && self.rng.chance(loss) {
+                    return dropped(DropReason::RandomLoss);
+                }
             }
             // Backlog ahead of us on this port, in bytes.
             let (next_free, queue) = (
@@ -279,7 +340,7 @@ impl PacketModel {
             let depart = start + serialize;
             queue.set(t, backlog + bytes);
             *next_free = depart;
-            state.transmit(bytes, marked);
+            core.transmit(link, bytes, marked);
             t = depart + config.hop_delay;
         }
         Delivery::Delivered { at: t, ecn }
@@ -306,8 +367,10 @@ impl Model for PacketModel {
     }
 
     fn port_queue(&self, link: LinkId, now: SimTime) -> (u64, f64) {
-        let queue = &self.queues[link.0 as usize];
-        (queue.max(), queue.time_avg(now))
+        match self.queues.get(link.0 as usize) {
+            Some(queue) => (queue.max(), queue.time_avg(now)),
+            None => (0, 0.0),
+        }
     }
 
     fn tor_uplink_queue_stats(&self, topo: &ClosTopology, now: SimTime) -> (f64, u64) {
@@ -338,10 +401,9 @@ impl Network {
     /// A fabric over `topo` with uniform `config`, using `rng` for loss
     /// injection.
     pub fn new(topo: ClosTopology, config: NetworkConfig, rng: SimRng) -> Self {
-        let model = PacketModel::new(topo.total_links(), rng);
         ModelFabric {
             core: Core::new(topo, config),
-            model,
+            model: PacketModel::new(rng),
         }
     }
 
@@ -610,7 +672,7 @@ mod tests {
         assert!(late > early + 20, "early={early} late={late}");
         assert!(n.drops_by_reason(DropReason::DegradedLink) > 0);
         assert_eq!(n.drops_by_reason(DropReason::RandomLoss), 0);
-        let ramp = *n.core.links[link.0 as usize].degrade().unwrap();
+        let ramp = *n.core.link(link).degrade().unwrap();
         assert!((ramp.loss_at(t(2000)) - 0.5).abs() < 1e-9);
         assert!(ramp.loss_at(t(500)) < 0.3);
     }

@@ -134,17 +134,13 @@ struct Score {
 
 /// Per-connection path selector.
 ///
-/// Per-path state lives in one vector per field, each allocated only
-/// for the algorithms or features that read it: `rtt_ewma` for BestRtt
-/// and Dwrr, `ecn_ewma`
-/// for MpRdma, `dwrr_deficit` and `dwrr_weights` for Dwrr, `rtt_tree`
-/// for BestRtt, and `scores` from the first loss the scoreboard counts.
-/// An empty vector means "not tracked".
-///
-/// The state a pick reads is kept current by `on_ack`, so no algorithm
-/// scans every path to choose one: Dwrr's weights and their maximum, and
-/// BestRtt's min-tree over the RTT EWMAs, change only when an ACK moves
-/// an EWMA.
+/// The selector keeps inline only what every pick and every ACK reads,
+/// plus the RNG a pick draws from and the small per-algorithm cursors.
+/// Everything else — the per-path feedback EWMAs, the loss scoreboard,
+/// plane failover, and the Dwrr and BestRtt selection state — sits in
+/// one boxed `Feedback`, created when the algorithm reads feedback, at
+/// the first loss the scoreboard counts, or when plane failover is set.
+/// An OBS connection that never loses a packet has none.
 ///
 /// The fields are laid out in the order a healthy OBS connection reads
 /// them: what every pick and every ACK reads, then the RNG a pick draws
@@ -169,6 +165,28 @@ pub struct PathSelector {
     wants_ack: bool,
     /// Ends the first 128 bytes with the words a draw reads.
     rng: SimRng,
+    rr_cursor: u32,
+    flowlet_path: u32,
+    flowlet_last_send: SimTime,
+    scoreboard: ScoreboardPolicy,
+    /// Per-path and failover state; `None` until something needs it.
+    feedback: Option<Box<Feedback>>,
+}
+
+/// The selector state that not every connection needs (see
+/// [`PathSelector`]). Per-path state lives in one vector per field, each
+/// allocated only for the algorithms or features that read it:
+/// `rtt_ewma` for BestRtt and Dwrr, `ecn_ewma` for MpRdma,
+/// `dwrr_deficit` and `dwrr_weights` for Dwrr, `rtt_tree` for BestRtt,
+/// `recycled` for PathAware, and `scores` from the first loss the
+/// scoreboard counts. An empty vector means "not tracked".
+///
+/// The state a pick reads is kept current by `on_ack`, so no algorithm
+/// scans every path to choose one: Dwrr's weights and their maximum, and
+/// BestRtt's min-tree over the RTT EWMAs, change only when an ACK moves
+/// an EWMA.
+#[derive(Debug)]
+struct Feedback {
     /// RTT EWMA per path (ZERO until the first sample).
     rtt_ewma: Vec<SimDuration>,
     /// ECN-fraction EWMA per path.
@@ -177,12 +195,8 @@ pub struct PathSelector {
     dwrr_deficit: Vec<f64>,
     /// Loss scoreboard per path; empty until a loss is counted.
     scores: Vec<Score>,
-    rr_cursor: u32,
-    flowlet_path: u32,
-    flowlet_last_send: SimTime,
     /// REPS-style recycle queue: path ids whose last ACK was clean.
     recycled: Vec<u32>,
-    scoreboard: ScoreboardPolicy,
     /// Plane failover policy; `planes == 0` means disabled (the default).
     failover: PlaneFailover,
     /// Per-plane quarantine deadlines (empty while failover is disabled).
@@ -200,6 +214,30 @@ pub struct PathSelector {
     rtt_tree: Vec<u16>,
     /// `(path blacklists, plane quarantines)` so far.
     exiles: (u64, u64),
+}
+
+/// Plane failover while it is off.
+const NO_FAILOVER: PlaneFailover = PlaneFailover {
+    planes: 0,
+    readmit_after: SimDuration::ZERO,
+};
+
+impl Default for Feedback {
+    fn default() -> Self {
+        Feedback {
+            rtt_ewma: Vec::new(),
+            ecn_ewma: Vec::new(),
+            dwrr_deficit: Vec::new(),
+            scores: Vec::new(),
+            recycled: Vec::new(),
+            failover: NO_FAILOVER,
+            plane_quarantine_until: Vec::new(),
+            dwrr_weights: Vec::new(),
+            dwrr_wmax: 1.0,
+            rtt_tree: Vec::new(),
+            exiles: (0, 0),
+        }
+    }
 }
 
 /// A padding leaf of the BestRtt tree; loses to every path.
@@ -223,64 +261,56 @@ impl PathSelector {
         assert!(num_paths >= 1, "need at least one path");
         assert!(num_paths <= 256, "at most 256 paths (paper's sweep ceiling)");
         let n = num_paths as usize;
-        let tracks_rtt = matches!(algo, PathAlgo::BestRtt | PathAlgo::Dwrr);
-        let tracks_ecn = algo == PathAlgo::MpRdma;
-        let tracks_deficit = algo == PathAlgo::Dwrr;
-        let mut s = PathSelector {
+        let feedback = match algo {
+            PathAlgo::SinglePath
+            | PathAlgo::RoundRobin
+            | PathAlgo::Obs
+            | PathAlgo::Flowlet { .. } => None,
+            PathAlgo::PathAware => Some(Feedback::default()),
+            PathAlgo::MpRdma => Some(Feedback {
+                ecn_ewma: vec![0.0; n],
+                ..Feedback::default()
+            }),
+            PathAlgo::Dwrr => Some(Feedback {
+                rtt_ewma: vec![SimDuration::ZERO; n],
+                dwrr_deficit: vec![0.0; n],
+                dwrr_weights: vec![1.0; n],
+                ..Feedback::default()
+            }),
+            PathAlgo::BestRtt => {
+                let rtt_ewma = vec![SimDuration::ZERO; n];
+                let size = n.next_power_of_two();
+                let mut tree = vec![NO_PATH; 2 * size];
+                for p in 0..n {
+                    tree[size + p] = p as u16;
+                }
+                for k in (1..size).rev() {
+                    tree[k] = rtt_winner(&rtt_ewma, tree[2 * k], tree[2 * k + 1]);
+                }
+                Some(Feedback {
+                    rtt_ewma,
+                    rtt_tree: tree,
+                    ..Feedback::default()
+                })
+            }
+        };
+        PathSelector {
             algo,
             max_exile_until: SimTime::ZERO,
             num_paths,
-            wants_ack: !matches!(
-                algo,
-                PathAlgo::SinglePath
-                    | PathAlgo::RoundRobin
-                    | PathAlgo::Obs
-                    | PathAlgo::Flowlet { .. }
-            ),
+            wants_ack: feedback.is_some(),
             rng,
-            rtt_ewma: if tracks_rtt {
-                vec![SimDuration::ZERO; n]
-            } else {
-                Vec::new()
-            },
-            ecn_ewma: if tracks_ecn { vec![0.0; n] } else { Vec::new() },
-            dwrr_deficit: if tracks_deficit {
-                vec![0.0; n]
-            } else {
-                Vec::new()
-            },
-            scores: Vec::new(),
             rr_cursor: 0,
             flowlet_path: 0,
             flowlet_last_send: SimTime::ZERO,
-            recycled: Vec::new(),
             scoreboard: ScoreboardPolicy::default(),
-            failover: PlaneFailover {
-                planes: 0,
-                readmit_after: SimDuration::ZERO,
-            },
-            plane_quarantine_until: Vec::new(),
-            dwrr_weights: if tracks_deficit {
-                vec![1.0; n]
-            } else {
-                Vec::new()
-            },
-            dwrr_wmax: 1.0,
-            rtt_tree: Vec::new(),
-            exiles: (0, 0),
-        };
-        if algo == PathAlgo::BestRtt {
-            let size = n.next_power_of_two();
-            let tree = &mut s.rtt_tree;
-            tree.resize(2 * size, NO_PATH);
-            for p in 0..n {
-                tree[size + p] = p as u16;
-            }
-            for k in (1..size).rev() {
-                tree[k] = rtt_winner(&s.rtt_ewma, tree[2 * k], tree[2 * k + 1]);
-            }
+            feedback: feedback.map(Box::new),
         }
-        s
+    }
+
+    /// The boxed state, created on first need.
+    fn feedback_mut(&mut self) -> &mut Feedback {
+        self.feedback.get_or_insert_with(Box::default)
     }
 
     /// Replace the loss-scoreboard policy.
@@ -296,8 +326,9 @@ impl PathSelector {
     /// Enable plane-level failover (disabled by default). Resets any
     /// existing quarantine state.
     pub fn set_plane_failover(&mut self, policy: PlaneFailover) {
-        self.plane_quarantine_until = vec![SimTime::ZERO; policy.planes as usize];
-        self.failover = policy;
+        let fb = self.feedback_mut();
+        fb.plane_quarantine_until = vec![SimTime::ZERO; policy.planes as usize];
+        fb.failover = policy;
         self.wants_ack |= policy.planes > 0;
     }
 
@@ -311,20 +342,24 @@ impl PathSelector {
 
     /// The plane-failover policy in use (`planes == 0` ⇒ disabled).
     pub fn plane_failover(&self) -> PlaneFailover {
-        self.failover
+        self.feedback.as_ref().map_or(NO_FAILOVER, |fb| fb.failover)
     }
 
     /// Whether `plane` is quarantined at `now`.
     pub fn is_plane_quarantined(&self, plane: u32, now: SimTime) -> bool {
-        self.failover.planes > 0 && self.plane_quarantine_until[plane as usize] > now
+        self.feedback
+            .as_ref()
+            .is_some_and(|fb| fb.is_plane_quarantined(plane, now))
     }
 
     /// Number of planes quarantined at `now`.
     pub fn quarantined_planes(&self, now: SimTime) -> usize {
-        self.plane_quarantine_until
-            .iter()
-            .filter(|&&q| q > now)
-            .count()
+        self.feedback.as_ref().map_or(0, |fb| {
+            fb.plane_quarantine_until
+                .iter()
+                .filter(|&&q| q > now)
+                .count()
+        })
     }
 
     /// Structural check backing the `net.blacklist_readmit` invariant:
@@ -334,12 +369,15 @@ impl PathSelector {
     /// readmit_after`, so any deadline beyond `at + horizon` means state
     /// was corrupted or a policy changed under live exile state.
     pub fn readmission_bounded(&self, at: SimTime) -> bool {
+        let Some(fb) = &self.feedback else {
+            return true;
+        };
         let blacklist_horizon = at + self.scoreboard.penalty;
-        let quarantine_horizon = at + self.failover.readmit_after;
-        self.scores
+        let quarantine_horizon = at + fb.failover.readmit_after;
+        fb.scores
             .iter()
             .all(|sc| sc.blacklisted_until <= blacklist_horizon)
-            && self
+            && fb
                 .plane_quarantine_until
                 .iter()
                 .all(|&q| q <= quarantine_horizon)
@@ -348,22 +386,22 @@ impl PathSelector {
     /// Whether `path` is blacklisted at `now`.
     pub fn is_blacklisted(&self, path: u32, now: SimTime) -> bool {
         assert!(path < self.num_paths(), "path {path} out of range");
-        self.scores
-            .get(path as usize)
-            .is_some_and(|sc| sc.blacklisted_until > now)
+        self.score(path).blacklisted_until > now
     }
 
     /// Number of paths blacklisted at `now`.
     pub fn blacklisted_count(&self, now: SimTime) -> usize {
-        self.scores
-            .iter()
-            .filter(|sc| sc.blacklisted_until > now)
-            .count()
+        self.feedback.as_ref().map_or(0, |fb| {
+            fb.scores
+                .iter()
+                .filter(|sc| sc.blacklisted_until > now)
+                .count()
+        })
     }
 
     /// `(path blacklists, plane quarantines)` ever imposed.
     pub(crate) fn exiles(&self) -> (u64, u64) {
-        self.exiles
+        self.feedback.as_ref().map_or((0, 0), |fb| fb.exiles)
     }
 
     /// Number of configured paths.
@@ -376,13 +414,22 @@ impl PathSelector {
         self.algo
     }
 
+    /// Path `id`'s scoreboard entry (clean while none is kept).
+    fn score(&self, id: u32) -> Score {
+        self.feedback
+            .as_ref()
+            .and_then(|fb| fb.scores.get(id as usize).copied())
+            .unwrap_or_default()
+    }
+
     /// State of one path.
     pub fn path(&self, id: u32) -> PathState {
         let i = id as usize;
-        let score = self.scores.get(i).copied().unwrap_or_default();
+        let score = self.score(id);
+        let fb = self.feedback.as_deref();
         PathState {
-            rtt_ewma: self.rtt_ewma.get(i).copied(),
-            ecn_ewma: self.ecn_ewma.get(i).copied(),
+            rtt_ewma: fb.and_then(|fb| fb.rtt_ewma.get(i).copied()),
+            ecn_ewma: fb.and_then(|fb| fb.ecn_ewma.get(i).copied()),
             consecutive_losses: score.losses,
             blacklisted_until: score.blacklisted_until,
         }
@@ -421,13 +468,15 @@ impl PathSelector {
         // unhardened selector. A quarantine follows a blacklist, so an
         // active deadline means the scoreboard is allocated.
         if self.max_exile_until > now && self.num_paths > 1 {
+            let fb = self
+                .feedback
+                .as_deref()
+                .expect("an exile deadline means the scoreboard exists");
             let mut mask = [0u64; 4];
             let mut any = false;
-            for (i, sc) in self.scores.iter().enumerate() {
-                let quarantined = self.failover.planes > 0
-                    && self.plane_quarantine_until
-                        [(i as u32 % self.failover.planes) as usize]
-                        > now;
+            for (i, sc) in fb.scores.iter().enumerate() {
+                let quarantined = fb.failover.planes > 0
+                    && fb.is_plane_quarantined(i as u32 % fb.failover.planes, now);
                 if sc.blacklisted_until > now || quarantined {
                     mask[i / 64] |= 1 << (i % 64);
                     any = true;
@@ -520,8 +569,9 @@ impl PathSelector {
             PathAlgo::PathAware => {
                 // Drain the recycle queue first (freshly-confirmed good
                 // paths); otherwise explore uniformly like OBS.
+                let recycled = &mut self.feedback_mut().recycled;
                 let mut from_recycle = None;
-                while let Some(p) = self.recycled.pop() {
+                while let Some(p) = recycled.pop() {
                     if ok(p) {
                         from_recycle = Some(p);
                         break;
@@ -542,23 +592,25 @@ impl PathSelector {
             PathAlgo::BestRtt => {
                 // The root is the lowest `(rtt_ewma, path)` overall, so
                 // when it may be used it is also the filtered minimum.
-                let root = u32::from(self.rtt_tree[1]);
+                let fb = self.feedback_mut();
+                let root = u32::from(fb.rtt_tree[1]);
                 if ok(root) {
                     Some(root)
                 } else {
                     (0..n)
                         .filter(|&p| ok(p))
-                        .min_by_key(|&p| self.rtt_ewma[p as usize])
+                        .min_by_key(|&p| fb.rtt_ewma[p as usize])
                 }
             }
             PathAlgo::MpRdma => {
                 // Power-of-two-choices on ECN fraction.
                 let a = self.rng.below(n as u64) as u32;
                 let b = self.rng.below(n as u64) as u32;
+                let ecn_ewma = &self.feedback_mut().ecn_ewma;
                 let pick = |x: u32, y: u32| -> Option<u32> {
                     match (ok(x), ok(y)) {
                         (true, true) => {
-                            if self.ecn_ewma[x as usize] <= self.ecn_ewma[y as usize] {
+                            if ecn_ewma[x as usize] <= ecn_ewma[y as usize] {
                                 Some(x)
                             } else {
                                 Some(y)
@@ -586,16 +638,21 @@ impl PathSelector {
         }
         // Weight ∝ 1/RTT (unprobed paths get the best weight so they are
         // explored); accumulate deficits until a permitted path qualifies.
-        let (weights, wmax) = (&self.dwrr_weights, self.dwrr_wmax);
+        let rr_cursor = &mut self.rr_cursor;
+        let fb = self
+            .feedback
+            .as_deref_mut()
+            .expect("Dwrr allocates its state");
+        let (weights, wmax) = (&fb.dwrr_weights, fb.dwrr_wmax);
         let mut choice = None;
         'rounds: for _round in 0..64 {
             for i in 0..n {
-                let p = (self.rr_cursor + i) % n;
-                let deficit = &mut self.dwrr_deficit[p as usize];
+                let p = (*rr_cursor + i) % n;
+                let deficit = &mut fb.dwrr_deficit[p as usize];
                 *deficit += weights[p as usize] / wmax;
                 if ok(p) && *deficit >= 1.0 {
                     *deficit -= 1.0;
-                    self.rr_cursor = p + 1;
+                    *rr_cursor = p + 1;
                     choice = Some(p);
                     break 'rounds;
                 }
@@ -607,23 +664,27 @@ impl PathSelector {
 
     /// Feed back an ACK observation for `path`.
     pub fn on_ack(&mut self, path: u32, rtt: SimDuration, ecn: bool) {
+        assert!(path < self.num_paths(), "path {path} out of range");
+        let algo = self.algo;
+        // Every selector `on_ack` has work for keeps the box.
+        let Some(fb) = self.feedback.as_deref_mut() else {
+            return;
+        };
         // REPS recycling: clean ACKs re-arm their path id; marked ones
         // drop it (bounded queue so state stays O(window)).
-        if self.algo == PathAlgo::PathAware && !ecn && self.recycled.len() < 256 {
-            self.recycled.push(path);
+        if algo == PathAlgo::PathAware && !ecn && fb.recycled.len() < 256 {
+            fb.recycled.push(path);
         }
         // An ACK proves the plane forwards again: readmit it early.
-        if self.failover.planes > 0 {
-            self.plane_quarantine_until[(path % self.failover.planes) as usize] =
-                SimTime::ZERO;
+        if fb.failover.planes > 0 {
+            fb.plane_quarantine_until[(path % fb.failover.planes) as usize] = SimTime::ZERO;
         }
-        assert!(path < self.num_paths(), "path {path} out of range");
         let i = path as usize;
         // An ACK proves the path forwards again: clear the scoreboard.
-        if let Some(sc) = self.scores.get_mut(i) {
+        if let Some(sc) = fb.scores.get_mut(i) {
             *sc = Score::default();
         }
-        if let Some(ewma) = self.rtt_ewma.get_mut(i) {
+        if let Some(ewma) = fb.rtt_ewma.get_mut(i) {
             *ewma = if *ewma == SimDuration::ZERO {
                 rtt
             } else {
@@ -631,16 +692,74 @@ impl PathSelector {
                 SimDuration::from_nanos((ewma.as_nanos() * 7 + rtt.as_nanos()) / 8)
             };
             let ewma = *ewma;
-            if !self.dwrr_weights.is_empty() {
-                self.set_dwrr_weight(i, ewma);
+            if !fb.dwrr_weights.is_empty() {
+                fb.set_dwrr_weight(i, ewma);
             }
-            if !self.rtt_tree.is_empty() {
-                self.sift_rtt_tree(i);
+            if !fb.rtt_tree.is_empty() {
+                fb.sift_rtt_tree(i);
             }
         }
-        if let Some(ewma) = self.ecn_ewma.get_mut(i) {
+        if let Some(ewma) = fb.ecn_ewma.get_mut(i) {
             *ewma = *ewma * 0.875 + if ecn { 0.125 } else { 0.0 };
         }
+    }
+
+    /// Note a loss (RTO fired) on `path`.
+    pub fn on_loss(&mut self, path: u32) {
+        assert!(path < self.num_paths(), "path {path} out of range");
+        // A loss is worse than an ECN mark; poison the EWMA.
+        let ewma = self
+            .feedback
+            .as_deref_mut()
+            .and_then(|fb| fb.ecn_ewma.get_mut(path as usize));
+        if let Some(ewma) = ewma {
+            *ewma = *ewma * 0.5 + 0.5;
+        }
+    }
+
+    /// Note a loss at `now`, feeding the scoreboard: after
+    /// [`ScoreboardPolicy::blacklist_after`] consecutive losses the path
+    /// is blacklisted for [`ScoreboardPolicy::penalty`].
+    pub fn on_loss_at(&mut self, now: SimTime, path: u32) {
+        self.on_loss(path);
+        let policy = self.scoreboard;
+        if policy.blacklist_after == 0 {
+            return;
+        }
+        let n = self.num_paths as usize;
+        self.wants_ack = true;
+        let fb = self.feedback_mut();
+        if fb.scores.is_empty() {
+            fb.scores = vec![Score::default(); n];
+        }
+        let st = &mut fb.scores[path as usize];
+        st.losses += 1;
+        if st.losses >= policy.blacklist_after {
+            st.blacklisted_until = now + policy.penalty;
+            let (losses, until) = (st.losses, st.blacklisted_until);
+            fb.exiles.0 += 1;
+            stellar_telemetry::event(
+                now,
+                stellar_telemetry::Subsystem::Transport,
+                stellar_telemetry::Entity::Path(path),
+                "blacklist",
+                u64::from(losses),
+            );
+            let quarantined = if fb.failover.planes > 0 {
+                fb.maybe_quarantine_plane(now, path)
+            } else {
+                None
+            };
+            let latest = quarantined.map_or(until, |q| q.max(until));
+            self.max_exile_until = self.max_exile_until.max(latest);
+        }
+    }
+}
+
+impl Feedback {
+    /// Whether `plane` is quarantined at `now`.
+    fn is_plane_quarantined(&self, plane: u32, now: SimTime) -> bool {
+        self.failover.planes > 0 && self.plane_quarantine_until[plane as usize] > now
     }
 
     /// Re-derive path `i`'s DWRR weight from its RTT EWMA and keep the
@@ -668,55 +787,14 @@ impl PathSelector {
         }
     }
 
-    /// Note a loss (RTO fired) on `path`.
-    pub fn on_loss(&mut self, path: u32) {
-        assert!(path < self.num_paths(), "path {path} out of range");
-        // A loss is worse than an ECN mark; poison the EWMA.
-        if let Some(ewma) = self.ecn_ewma.get_mut(path as usize) {
-            *ewma = *ewma * 0.5 + 0.5;
-        }
-    }
-
-    /// Note a loss at `now`, feeding the scoreboard: after
-    /// [`ScoreboardPolicy::blacklist_after`] consecutive losses the path
-    /// is blacklisted for [`ScoreboardPolicy::penalty`].
-    pub fn on_loss_at(&mut self, now: SimTime, path: u32) {
-        self.on_loss(path);
-        if self.scoreboard.blacklist_after == 0 {
-            return;
-        }
-        if self.scores.is_empty() {
-            self.scores = vec![Score::default(); self.num_paths as usize];
-            self.wants_ack = true;
-        }
-        let st = &mut self.scores[path as usize];
-        st.losses += 1;
-        if st.losses >= self.scoreboard.blacklist_after {
-            st.blacklisted_until = now + self.scoreboard.penalty;
-            self.exiles.0 += 1;
-            stellar_telemetry::event(
-                now,
-                stellar_telemetry::Subsystem::Transport,
-                stellar_telemetry::Entity::Path(path),
-                "blacklist",
-                u64::from(st.losses),
-            );
-            if st.blacklisted_until > self.max_exile_until {
-                self.max_exile_until = st.blacklisted_until;
-            }
-            if self.failover.planes > 0 {
-                self.maybe_quarantine_plane(now, path);
-            }
-        }
-    }
-
     /// Escalate a path blacklist to a plane quarantine once a majority of
-    /// the plane's paths are simultaneously blacklisted.
-    fn maybe_quarantine_plane(&mut self, now: SimTime, path: u32) {
+    /// the plane's paths are simultaneously blacklisted. Returns the new
+    /// quarantine deadline, if one was set.
+    fn maybe_quarantine_plane(&mut self, now: SimTime, path: u32) -> Option<SimTime> {
         let planes = self.failover.planes;
         let plane = path % planes;
         if self.plane_quarantine_until[plane as usize] > now {
-            return; // already quarantined
+            return None; // already quarantined
         }
         let mut total = 0u32;
         let mut blacklisted = 0u32;
@@ -728,21 +806,20 @@ impl PathSelector {
                 }
             }
         }
-        if u64::from(blacklisted) * 2 > u64::from(total) {
-            let until = now + self.failover.readmit_after;
-            self.plane_quarantine_until[plane as usize] = until;
-            if until > self.max_exile_until {
-                self.max_exile_until = until;
-            }
-            self.exiles.1 += 1;
-            stellar_telemetry::event(
-                now,
-                stellar_telemetry::Subsystem::Transport,
-                stellar_telemetry::Entity::Path(plane),
-                "plane_quarantine",
-                u64::from(blacklisted),
-            );
+        if u64::from(blacklisted) * 2 <= u64::from(total) {
+            return None;
         }
+        let until = now + self.failover.readmit_after;
+        self.plane_quarantine_until[plane as usize] = until;
+        self.exiles.1 += 1;
+        stellar_telemetry::event(
+            now,
+            stellar_telemetry::Subsystem::Transport,
+            stellar_telemetry::Entity::Path(plane),
+            "plane_quarantine",
+            u64::from(blacklisted),
+        );
+        Some(until)
     }
 }
 
@@ -752,6 +829,11 @@ mod tests {
 
     fn selector(algo: PathAlgo, n: u32) -> PathSelector {
         PathSelector::new(algo, n, SimRng::from_seed(7))
+    }
+
+    /// The boxed state, which the test expects to exist.
+    fn fb(s: &PathSelector) -> &Feedback {
+        s.feedback.as_deref().expect("feedback state allocated")
     }
 
     const ALL: fn(u32) -> bool = |_| true;
@@ -836,6 +918,12 @@ mod tests {
         assert!(std::mem::offset_of!(PathSelector, rng) + 8 + 64 <= 128);
     }
 
+    /// Everything past the hot words is boxed: two 128-byte blocks.
+    #[test]
+    fn selector_is_at_most_256_bytes() {
+        assert!(std::mem::size_of::<PathSelector>() <= 256);
+    }
+
     /// Dwrr's weights and their maximum, and BestRtt's tree root, always
     /// equal what a full scan of the RTT EWMAs computes — ties included:
     /// the RTT samples span a narrow range, so EWMAs often coincide.
@@ -854,6 +942,7 @@ mod tests {
                 let rtt = SimDuration::from_nanos(ops.range(1_000, 1_040));
                 dwrr.on_ack(p, rtt, false);
                 best.on_ack(p, rtt, false);
+                let (dwrr, best) = (fb(&dwrr), fb(&best));
                 let weights: Vec<f64> = dwrr.rtt_ewma.iter().map(weight).collect();
                 assert_eq!(dwrr.dwrr_weights, weights, "n={n}");
                 let wmax = weights.iter().copied().fold(f64::MIN, f64::max);
@@ -868,9 +957,9 @@ mod tests {
     fn mp_rdma_avoids_congested_paths() {
         let mut s = selector(PathAlgo::MpRdma, 8);
         // Mark paths 0..4 as heavily ECN-marked.
-        for p in 0..4 {
+        for ewma in &mut s.feedback_mut().ecn_ewma[..4] {
             for _ in 0..20 {
-                s.ecn_ewma[p] = s.ecn_ewma[p] * 0.875 + 0.125;
+                *ewma = *ewma * 0.875 + 0.125;
             }
         }
         let h = histogram(&mut s, 800);
@@ -926,7 +1015,9 @@ mod tests {
     }
 
     /// Each EWMA exists only for the algorithms that read it, and the
-    /// scoreboard only once it has counted a loss.
+    /// scoreboard only once it has counted a loss. The box exists only
+    /// for an algorithm that reads feedback, until the first counted
+    /// loss.
     #[test]
     fn untracked_state_reads_none_and_allocates_nothing() {
         let flowlet = PathAlgo::Flowlet {
@@ -949,8 +1040,16 @@ mod tests {
             let st = s.path(3);
             assert_eq!(st.rtt_ewma.is_some(), rtt, "{algo:?}");
             assert_eq!(st.ecn_ewma.is_some(), ecn, "{algo:?}");
+            let boxed = rtt || ecn || algo == PathAlgo::PathAware;
+            assert_eq!(s.feedback.is_some(), boxed, "{algo:?}");
+            assert_eq!(s.wants_ack(), boxed, "{algo:?}");
+            let scores = s.feedback.as_ref().map_or(0, |fb| fb.scores.len());
+            assert_eq!(scores, 0, "{algo:?}: no loss counted yet");
+            s.on_loss_at(SimTime::from_nanos(10), 4);
+            assert!(s.wants_ack(), "{algo:?}: a counted loss wants ACKs");
+            let fb = fb(&s);
             assert_eq!(
-                (s.rtt_ewma.len(), s.ecn_ewma.len(), s.dwrr_deficit.len()),
+                (fb.rtt_ewma.len(), fb.ecn_ewma.len(), fb.dwrr_deficit.len()),
                 (
                     if rtt { 128 } else { 0 },
                     if ecn { 128 } else { 0 },
@@ -958,12 +1057,10 @@ mod tests {
                 ),
                 "{algo:?}"
             );
-            assert_eq!(s.dwrr_weights.len(), s.dwrr_deficit.len(), "{algo:?}");
+            assert_eq!(fb.dwrr_weights.len(), fb.dwrr_deficit.len(), "{algo:?}");
             let tree = if algo == PathAlgo::BestRtt { 256 } else { 0 };
-            assert_eq!(s.rtt_tree.len(), tree, "{algo:?}");
-            assert!(s.scores.is_empty(), "{algo:?}: no loss counted yet");
-            s.on_loss_at(SimTime::from_nanos(10), 4);
-            assert_eq!(s.scores.len(), 128);
+            assert_eq!(fb.rtt_tree.len(), tree, "{algo:?}");
+            assert_eq!(fb.scores.len(), 128);
             assert_eq!(s.path(4).consecutive_losses, 1);
         }
     }

@@ -381,8 +381,9 @@ enum Ev {
     /// ACK landed back at the sender.
     Ack { conn: ConnId, seq: u64, ecn: bool },
     /// The connection's RTO timer, armed at the key of packet `seq`'s
-    /// transmission at retransmit epoch `epoch`.
-    Rto { conn: ConnId, seq: u64, epoch: u32 },
+    /// transmission at retransmit epoch `epoch` (a packet's `retx`,
+    /// which [`TransportConfig::validate`] caps at 65,535).
+    Rto { conn: ConnId, seq: u64, epoch: u16 },
     /// Pacing gate opened: resume pumping the connection.
     Pace { conn: ConnId },
     /// Application-scheduled timer.
@@ -419,7 +420,7 @@ fn arm(
     id: ConnId,
     key: RtoKey,
     seq: u64,
-    epoch: u32,
+    epoch: u16,
 ) {
     // No queued timer reads NO_TIMER, later than every real key.
     if conn.armed <= key {
@@ -450,13 +451,12 @@ impl Cold {
 
 /// The earliest RTO key among `conn`'s in-flight packets, with that
 /// packet's sequence number and retransmit epoch.
-fn earliest_rto(config: &TransportConfig, conn: &Connection) -> Option<(RtoKey, u64, u32)> {
+fn earliest_rto(config: &TransportConfig, conn: &Connection) -> Option<(RtoKey, u64, u16)> {
     conn.inflight
         .iter()
         .map(|(seq, p)| {
-            let retx = u32::from(p.retx);
-            let deadline = p.sent_at + config.rto_after(retx);
-            ((deadline, p.rto_seq), seq, retx)
+            let deadline = p.sent_at + config.rto_after(u32::from(p.retx));
+            ((deadline, p.rto_seq), seq, p.retx)
         })
         .min_by_key(|&(key, _, _)| key)
 }
@@ -1096,7 +1096,7 @@ impl<F: Fabric> TransportSim<F> {
         self.pump(conn_id);
     }
 
-    fn handle_rto(&mut self, conn_id: ConnId, seq: u64, epoch: u32) {
+    fn handle_rto(&mut self, conn_id: ConnId, seq: u64, epoch: u16) {
         let now = self.now();
         let i = conn_id.0 as usize;
 
@@ -1107,10 +1107,10 @@ impl<F: Fabric> TransportSim<F> {
             let Some(pkt) = conn.inflight.get(seq) else {
                 return; // ACKed in the meantime (or the connection died)
             };
-            let retx = u32::from(pkt.retx);
-            if retx != epoch {
+            if pkt.retx != epoch {
                 return; // a newer transmission owns the timer
             }
+            let retx = u32::from(pkt.retx);
             // Retry budget: a packet that times out this many times in a
             // row means the peer is unreachable on every path tried — a
             // terminal QP error, not another retransmission.
@@ -1438,6 +1438,15 @@ mod tests {
     }
 
     const FOREVER: SimTime = SimTime::from_nanos(u64::MAX / 2);
+
+    /// An event is two words: an RTO's epoch fits the `u16` retry
+    /// budget, so every queue node and ready entry carries 16 bytes of
+    /// payload. The cold side table is three 128-byte blocks.
+    #[test]
+    fn event_and_cold_sizes_are_pinned() {
+        assert_eq!(std::mem::size_of::<Ev>(), 16);
+        assert!(std::mem::size_of::<Cold>() <= 384);
+    }
 
     /// `validate` on the default config with one field changed.
     fn validate_with(
