@@ -1,54 +1,16 @@
-//! Wall-clock benches: one entry per paper table/figure.
-//!
-//! Each bench runs the corresponding experiment in `quick` mode and
-//! reports its wall-clock cost as a JSON line (min/median/mean ns); the
-//! *results* (the figure's rows) come from the `reproduce` binary, which
-//! shares the same runners. Together they satisfy "a bench target per
-//! table and figure" while keeping timing meaningful (stable, seeded
-//! workloads). Pass a substring argument to run a subset, e.g.
-//! `cargo bench --bench figures -- fig09`.
+//! Wall-clock benches: each experiment of `stellar_bench::EXPERIMENTS`,
+//! under its `reproduce` name, run in `quick` mode and reported as a JSON
+//! line (min/median/mean ns). A substring argument runs a subset, e.g.
+//! `cargo bench -p stellar-bench --bench figures -- fig9`.
 
 use std::hint::black_box;
 use stellar_sim::bench_timer::Harness;
 
-use stellar_bench as b;
-
 fn main() {
     let h = Harness::from_args();
-    h.bench("fig06_startup", || {
-        black_box(b::fig06_startup::run(true));
-    });
-    h.bench("fig08_atc_miss", || {
-        black_box(b::fig08_atc::run(true));
-    });
-    h.bench("fig09_permutation", || {
-        black_box(b::fig09_permutation::run(true));
-    });
-    h.bench("fig10_background", || {
-        black_box(b::fig10_background::run(true));
-    });
-    h.bench("fig11_failures", || {
-        black_box(b::fig11_failures::run(true));
-    });
-    h.bench("fig12_imbalance", || {
-        black_box(b::fig12_imbalance::run(true));
-    });
-    h.bench("fig13_micro", || {
-        black_box(b::fig13_micro::run(true));
-    });
-    h.bench("fig14_gdr", || {
-        black_box(b::fig14_gdr::run(true));
-    });
-    h.bench("fig15_virt_e2e", || {
-        black_box(b::fig15_virt::run(true));
-    });
-    h.bench("fig16_llm_training", || {
-        black_box(b::fig16_llm::run(true));
-    });
-    h.bench("table1_comm_ratio", || {
-        black_box(b::table1_comm::run(true));
-    });
-    h.bench("section4_claims", || {
-        black_box(b::claims::run(true));
-    });
+    for exp in stellar_bench::EXPERIMENTS {
+        h.bench(exp.name, || {
+            black_box((exp.run)(true));
+        });
+    }
 }

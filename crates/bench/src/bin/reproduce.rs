@@ -2,14 +2,12 @@
 //!
 //! ```text
 //! reproduce [<experiment>] [--quick] [--json] [--perf] [--trace] [--check] [--list]
-//!   experiments: fig6 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15
-//!                fig16 table1 claims timeline chaos scale recovery
-//!                cluster all
 //! ```
 //!
-//! `--quick` runs scaled-down configurations (seconds instead of
-//! minutes); `--json` emits machine-readable rows (used to build
-//! EXPERIMENTS.md); `--list` prints the experiment names and exits;
+//! `<experiment>` is a name from `stellar_bench::EXPERIMENTS` (what
+//! `--list` prints) or `all`, the default. `--quick` runs scaled-down
+//! configurations (seconds instead of minutes); `--json` emits
+//! machine-readable rows (used to build EXPERIMENTS.md); `--list` prints the experiment names and exits;
 //! `--perf` additionally re-runs everything on one thread and writes a
 //! `BENCH_reproduce.json` wall-clock/event report in the working
 //! directory; `--trace` runs each experiment under a
@@ -30,71 +28,15 @@
 
 use std::time::Instant;
 
-use stellar_bench as b;
+use stellar_bench::{Experiment, EXPERIMENTS};
 use stellar_sim::json::{Arr, Obj};
 use stellar_sim::par::{
     configured_threads, events_scheduled_here, note_queue_depth, par_map, take_queue_depth_peak,
     with_thread_override,
 };
 
-/// One reproducible experiment: a stable name plus a runner that returns
-/// the fully rendered stdout bytes for the chosen mode.
-///
-/// `event_driven` says whether the experiment runs the discrete-event
-/// simulator. Analytic experiments (closed-form models, no event queue)
-/// report `null` for `events`/`events_per_sec`/`peak_queue_depth` in
-/// the `--perf` report instead of a misleading `0`; an event-driven
-/// experiment reporting zero events is treated as a harness bug and
-/// fails the run.
-struct Experiment {
-    name: &'static str,
-    event_driven: bool,
-    run: fn(quick: bool, json: bool) -> String,
-}
-
-macro_rules! experiments {
-    ($(($name:literal, $module:ident, $event_driven:literal)),* $(,)?) => {
-        const EXPERIMENTS: &[Experiment] = &[
-            $(Experiment {
-                name: $name,
-                event_driven: $event_driven,
-                run: |quick, json| {
-                    let rows = b::$module::run(quick);
-                    if json {
-                        b::json_line($name, &rows)
-                    } else {
-                        let mut out = b::$module::render(&rows);
-                        out.push('\n');
-                        out
-                    }
-                },
-            },)*
-        ];
-    };
-}
-
-experiments![
-    ("fig6", fig06_startup, false),
-    ("fig8", fig08_atc, false),
-    ("fig9", fig09_permutation, true),
-    ("fig10", fig10_background, true),
-    ("fig11", fig11_failures, true),
-    ("fig12", fig12_imbalance, true),
-    ("fig13", fig13_micro, false),
-    ("fig14", fig14_gdr, false),
-    ("fig15", fig15_virt, true),
-    ("fig16", fig16_llm, true),
-    ("table1", table1_comm, false),
-    ("claims", claims, false),
-    ("timeline", timeline, true),
-    ("chaos", chaos, true),
-    ("scale", scale, true),
-    ("recovery", recovery, true),
-    ("cluster", cluster, true),
-];
-
 /// Parsed command line.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 struct Args {
     quick: bool,
     json: bool,
@@ -108,15 +50,7 @@ struct Args {
 /// Strict parser: only the documented flags are accepted, and at most one
 /// experiment name. Anything else is an error (exit code 2 in `main`).
 fn parse_args(args: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut parsed = Args {
-        quick: false,
-        json: false,
-        perf: false,
-        trace: false,
-        check: false,
-        list: false,
-        which: String::new(),
-    };
+    let mut parsed = Args::default();
     for arg in args {
         match arg.as_str() {
             "--quick" => parsed.quick = true,
@@ -148,8 +82,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Args, String> {
 
 /// Per-experiment perf sample from one pass.
 struct PerfRec {
-    name: &'static str,
-    event_driven: bool,
+    exp: &'static Experiment,
     wall_ms: f64,
     events: u64,
     peak_queue_depth: u64,
@@ -164,32 +97,39 @@ struct PerfRec {
 /// telemetry capture and its rendered `TRACE_*.json` document rides along
 /// in the third element (declaration order, `None` when tracing is off).
 fn run_selected(
-    selected: &[&Experiment],
+    selected: &[&'static Experiment],
     quick: bool,
     json: bool,
     trace: bool,
 ) -> (Vec<String>, Vec<PerfRec>, Vec<Option<String>>) {
-    let results = par_map(selected, |exp| {
+    let results = par_map(selected, |&exp| {
         // Bracket the job with the queue-depth accumulator so `peak` is
         // this experiment's own high-water mark, then restore the running
         // maximum so the pool still folds the overall peak to the caller.
         let saved = take_queue_depth_peak();
         let t0 = Instant::now();
         let ev0 = events_scheduled_here();
+        let output = || {
+            let rows = (exp.run)(quick);
+            if json {
+                rows.json(exp.name)
+            } else {
+                rows.table()
+            }
+        };
         let (out, trace_doc, ring_high_water) = if trace {
-            let (out, tel) = stellar_telemetry::capture(|| (exp.run)(quick, json));
+            let (out, tel) = stellar_telemetry::capture(output);
             let high_water = tel.recorder.high_water() as u64;
             (out, Some(tel.to_json(exp.name)), Some(high_water))
         } else {
-            ((exp.run)(quick, json), None, None)
+            (output(), None, None)
         };
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         let events = events_scheduled_here() - ev0;
         let peak = take_queue_depth_peak();
         note_queue_depth(saved.max(peak));
         let rec = PerfRec {
-            name: exp.name,
-            event_driven: exp.event_driven,
+            exp,
             wall_ms,
             events,
             peak_queue_depth: peak,
@@ -239,10 +179,10 @@ fn perf_report(
         // counters are structurally zero, not measured, so the report
         // says `null` instead of a misleading `0`.
         let obj = Obj::new()
-            .field_str("name", p.name)
-            .field_bool("event_driven", p.event_driven)
+            .field_str("name", p.exp.name)
+            .field_bool("event_driven", p.exp.event_driven)
             .field_f64("wall_ms", p.wall_ms);
-        let obj = if p.event_driven {
+        let obj = if p.exp.event_driven {
             obj.field_u64("events", p.events)
                 .field_f64(
                     "events_per_sec",
@@ -296,18 +236,18 @@ fn perf_report(
 /// misclassified in the registry.
 fn validate_perf(perf: &[PerfRec]) -> Result<(), String> {
     for p in perf {
-        if p.event_driven && p.events == 0 {
+        if p.exp.event_driven && p.events == 0 {
             return Err(format!(
                 "perf: event-driven experiment '{}' reported 0 events; \
                  scheduling instrumentation is broken",
-                p.name
+                p.exp.name
             ));
         }
-        if !p.event_driven && p.events != 0 {
+        if !p.exp.event_driven && p.events != 0 {
             return Err(format!(
                 "perf: analytic experiment '{}' scheduled {} event(s); \
                  mark it event-driven in the registry",
-                p.name, p.events
+                p.exp.name, p.events
             ));
         }
     }
@@ -323,10 +263,9 @@ fn main() {
         }
     };
 
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|exp| exp.name).collect();
     if args.list {
-        for exp in EXPERIMENTS {
-            println!("{}", exp.name);
-        }
+        println!("{}", names.join("\n"));
         return;
     }
 
@@ -336,10 +275,9 @@ fn main() {
         .collect();
     if selected.is_empty() {
         eprintln!(
-            "unknown experiment '{}'; expected one of: fig6 fig8 fig9 fig10 \
-             fig11 fig12 fig13 fig14 fig15 fig16 table1 claims timeline chaos \
-             scale recovery cluster all",
-            args.which
+            "unknown experiment '{}'; expected one of: {} all",
+            args.which,
+            names.join(" ")
         );
         std::process::exit(2);
     }
@@ -470,10 +408,9 @@ mod tests {
         assert!(parse(&["--list"]).unwrap().list);
     }
 
-    fn rec(name: &'static str, event_driven: bool, events: u64) -> PerfRec {
+    fn rec(name: &str, events: u64) -> PerfRec {
         PerfRec {
-            name,
-            event_driven,
+            exp: EXPERIMENTS.iter().find(|e| e.name == name).unwrap(),
             wall_ms: 10.0,
             events,
             peak_queue_depth: if events > 0 { 7 } else { 0 },
@@ -485,8 +422,8 @@ mod tests {
     fn analytic_experiments_report_null_not_zero() {
         // The six closed-form experiments must not pretend to have
         // measured zero events — their rows carry JSON nulls.
-        let perf = [rec("fig6", false, 0), rec("fig9", true, 1000)];
-        let base = [rec("fig6", false, 0), rec("fig9", true, 1000)];
+        let perf = [rec("fig6", 0), rec("fig9", 1000)];
+        let base = [rec("fig6", 0), rec("fig9", 1000)];
         let report = perf_report(true, 8, 20.0, 40.0, Some(64.0), &perf, &base);
         assert!(
             report.contains(
@@ -508,8 +445,8 @@ mod tests {
 
     #[test]
     fn ring_high_water_is_null_unless_traced() {
-        let untraced = [rec("fig9", true, 900)];
-        let mut traced = [rec("fig9", true, 900)];
+        let untraced = [rec("fig9", 900)];
+        let mut traced = [rec("fig9", 900)];
         traced[0].ring_high_water = Some(4096);
         let report = perf_report(true, 1, 10.0, 10.0, None, &untraced, &untraced);
         assert!(
@@ -528,7 +465,7 @@ mod tests {
     /// `peak_rss_mb` is `null` only when it could not be read.
     #[test]
     fn speedup_is_null_on_one_worker_and_rss_is_reported() {
-        let perf = [rec("fig9", true, 900)];
+        let perf = [rec("fig9", 900)];
         let one = perf_report(true, 1, 10.0, 10.0, None, &perf, &perf);
         assert!(
             one.contains(
@@ -537,7 +474,7 @@ mod tests {
             ),
             "{one}"
         );
-        let mut slow = [rec("fig9", true, 900)];
+        let mut slow = [rec("fig9", 900)];
         slow[0].wall_ms = 20.0;
         let two = perf_report(true, 2, 10.0, 20.0, Some(129.5), &perf, &slow);
         assert!(
@@ -558,45 +495,18 @@ mod tests {
 
     #[test]
     fn zero_events_on_an_event_driven_row_is_an_error() {
-        let err = validate_perf(&[rec("fig9", true, 0)]).unwrap_err();
+        let err = validate_perf(&[rec("fig9", 0)]).unwrap_err();
         assert!(err.contains("fig9") && err.contains("0 events"), "{err}");
     }
 
     #[test]
     fn events_on_an_analytic_row_is_an_error() {
-        let err = validate_perf(&[rec("fig6", false, 3)]).unwrap_err();
+        let err = validate_perf(&[rec("fig6", 3)]).unwrap_err();
         assert!(err.contains("fig6") && err.contains("3 event"), "{err}");
     }
 
     #[test]
     fn mixed_valid_rows_pass_validation() {
-        validate_perf(&[rec("fig6", false, 0), rec("fig9", true, 14_470_309)]).unwrap();
-    }
-
-    #[test]
-    fn registry_marks_exactly_the_analytic_experiments() {
-        let analytic: Vec<&str> = EXPERIMENTS
-            .iter()
-            .filter(|e| !e.event_driven)
-            .map(|e| e.name)
-            .collect();
-        assert_eq!(
-            analytic,
-            ["fig6", "fig8", "fig13", "fig14", "table1", "claims"],
-            "registry event_driven flags drifted from the bench modules"
-        );
-    }
-
-    #[test]
-    fn registry_has_every_documented_experiment() {
-        let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
-        assert_eq!(
-            names,
-            [
-                "fig6", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
-                "fig15", "fig16", "table1", "claims", "timeline", "chaos", "scale",
-                "recovery", "cluster"
-            ]
-        );
+        validate_perf(&[rec("fig6", 0), rec("fig9", 14_470_309)]).unwrap();
     }
 }

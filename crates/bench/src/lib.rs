@@ -5,9 +5,9 @@
 //! plus a `render` function producing the text table of the rows/series
 //! the paper reports. Every `render` hands its title and columns (header,
 //! width, cell formatter) to one private table builder in this module,
-//! which owns the table format. The `reproduce` binary dispatches on
-//! experiment id and prints either `render` or [`json_line`]; the benches
-//! reuse the same runners with `quick = true`.
+//! which owns the table format. [`EXPERIMENTS`] declares each experiment
+//! and its module once; the `reproduce` binary, the conformance test and
+//! the figure benches all read it.
 //!
 //! `quick` trades statistical smoothness for speed (smaller fabrics,
 //! shorter runs); the *relative* results — who wins, roughly by how much,
@@ -15,36 +15,86 @@
 
 #![warn(missing_docs)]
 
+use std::any::Any;
 use std::fmt::{Display, Write as _};
 
 use stellar_sim::json::{rows_to_json, ToJsonRow};
 
-pub mod chaos;
-pub mod claims;
-pub mod cluster;
-pub mod fig06_startup;
-pub mod fig08_atc;
-pub mod fig09_permutation;
-pub mod fig10_background;
-pub mod fig11_failures;
-pub mod fig12_imbalance;
-pub mod fig13_micro;
-pub mod fig14_gdr;
-pub mod fig15_virt;
-pub mod fig16_llm;
-pub mod recovery;
-pub mod scale;
-pub mod table1_comm;
-pub mod timeline;
-
-/// Render one experiment's rows as the line `reproduce --json` prints:
-/// `{"experiment":"<name>","rows":[...]}` and a newline.
-pub fn json_line<T: ToJsonRow>(experiment: &str, rows: &[T]) -> String {
-    format!(
-        "{{\"experiment\":\"{experiment}\",\"rows\":{}}}\n",
-        rows_to_json(rows)
-    )
+/// One reproducible experiment of [`EXPERIMENTS`].
+pub struct Experiment {
+    /// The name `reproduce` selects it by and labels its JSON line with.
+    pub name: &'static str,
+    /// Whether it runs the discrete-event simulator; `reproduce --perf`
+    /// reports `null` events for an analytic (closed-form) one.
+    pub event_driven: bool,
+    /// Simulate it; `quick` picks the scaled-down configuration.
+    pub run: fn(quick: bool) -> Box<dyn Rows>,
 }
+
+/// An experiment's rows, rendered the two ways `reproduce` prints them.
+pub trait Rows: Any + Send + Sync {
+    /// The `--json` line: `{"experiment":"<name>","rows":[...]}` and `\n`.
+    fn json(&self, name: &str) -> String;
+    /// The text table, followed by the blank line `reproduce` prints.
+    fn table(&self) -> String;
+}
+
+impl dyn Rows {
+    /// The typed rows, if they are `R`s.
+    pub fn rows<R: 'static>(&self) -> Option<&[R]> {
+        (self as &dyn Any).downcast_ref::<Rendered<R>>().map(|r| &r.rows[..])
+    }
+}
+
+/// One module's rows and its `render`.
+struct Rendered<R> {
+    rows: Vec<R>,
+    render: fn(&[R]) -> String,
+}
+
+impl<R: ToJsonRow + Send + Sync + 'static> Rows for Rendered<R> {
+    fn json(&self, name: &str) -> String {
+        format!("{{\"experiment\":\"{name}\",\"rows\":{}}}\n", rows_to_json(&self.rows))
+    }
+
+    fn table(&self) -> String {
+        (self.render)(&self.rows) + "\n"
+    }
+}
+
+/// Declare each experiment's module and its [`EXPERIMENTS`] entry.
+macro_rules! experiments {
+    ($(($name:literal, $module:ident, $event_driven:literal)),* $(,)?) => {
+        $(pub mod $module;)*
+
+        /// Every experiment, in the order `reproduce all` prints them.
+        pub const EXPERIMENTS: &[Experiment] = &[$(Experiment {
+            name: $name,
+            event_driven: $event_driven,
+            run: |quick| Box::new(Rendered { rows: $module::run(quick), render: $module::render }),
+        }),*];
+    };
+}
+
+experiments![
+    ("fig6", fig06_startup, false),
+    ("fig8", fig08_atc, false),
+    ("fig9", fig09_permutation, true),
+    ("fig10", fig10_background, true),
+    ("fig11", fig11_failures, true),
+    ("fig12", fig12_imbalance, true),
+    ("fig13", fig13_micro, false),
+    ("fig14", fig14_gdr, false),
+    ("fig15", fig15_virt, true),
+    ("fig16", fig16_llm, true),
+    ("table1", table1_comm, false),
+    ("claims", claims, false),
+    ("timeline", timeline, true),
+    ("chaos", chaos, true),
+    ("scale", scale, true),
+    ("recovery", recovery, true),
+    ("cluster", cluster, true),
+];
 
 /// A text table built one column at a time: a title line, a header line,
 /// then one line per row. Each column right-aligns its header and every
@@ -112,5 +162,24 @@ fn or_na(value: f64, fmt: impl FnOnce(f64) -> String) -> String {
         "n/a".to_string()
     } else {
         fmt(value)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn registry_marks_exactly_the_analytic_experiments() {
+        let analytic: Vec<&str> = EXPERIMENTS
+            .iter()
+            .filter(|e| !e.event_driven)
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(
+            analytic,
+            ["fig6", "fig8", "fig13", "fig14", "table1", "claims"],
+            "registry event_driven flags drifted from the bench modules"
+        );
     }
 }

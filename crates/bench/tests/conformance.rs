@@ -1,39 +1,41 @@
-//! Conformance pass for the quick experiments: each experiment's
-//! `run(true)` rows are simulated once per worker count they are gated
-//! at, cached for the process, and read by every gate below.
+//! Conformance pass for the quick experiments. [`GATES`] lists every
+//! experiment of `stellar_bench::EXPERIMENTS`, in registry order, with
+//! the worker counts its `run(true)` is simulated at and whether that
+//! run is traced or strict. Each run is simulated once, cached for the
+//! process, and read by every gate below:
 //!
-//! - **Golden corpus.** `reproduce --quick --json`, `reproduce --quick`
-//!   and `--trace` outputs, compared byte-for-byte at 1 and 8 workers
-//!   and rendered by the functions the binary prints with
-//!   (`stellar_bench::json_line`, each module's `render`). It pins the
-//!   *rendered bytes*: a change to an RNG stream, an event schedule, a
-//!   JSON field order, a table column or a float format is a corpus
-//!   diff, at either worker count. The analytic experiments (`fig6`,
-//!   `fig13`, `fig14`, `table1`, `claims`) pin every field type a row
-//!   can carry, `null`s and arrays included; `cluster` pins the
-//!   scheduler's per-tenant tail latencies.
-//! - **JSON round trip.** Rows serialize with the expected fields and
-//!   parse → render → parse to the identical `Value` tree.
-//! - **Thread identity.** fig11's table, JSON and `--trace` document and
-//!   fig16's JSON are byte-identical at 1, 2 and 8 workers: every job
-//!   draws from its own `SimRng` seed and lands in its input-order slot.
-//! - **Trace consistency.** The fig8 and chaos traces account for every
-//!   ATC lookup, DMA'd page and message the figures report.
-//! - **Trace counters.** Every traced experiment's hub counters, as its
-//!   `--trace` document renders them, match `golden/trace_counters.json`
-//!   at 1 and 8 workers.
-//! - **Strict invariants.** fig8 (pcie + rnic) and fig11 (net +
-//!   transport, every multipath algorithm) run inside a
-//!   `stellar_check` scope at every worker count: a violation fails the
-//!   run that made it, and each run's `checks_run` is identical at 1
-//!   and 8 workers.
+//! - **Golden corpus.** At every worker count in the table, the
+//!   experiment's `reproduce --quick --json` line and `reproduce --quick`
+//!   table match `golden/<exp>.json` and `golden/<exp>.txt` byte for
+//!   byte, rendered by the registry entry the binary prints with. A
+//!   change to an RNG stream, an event schedule, a JSON field order, a
+//!   table column or a float format is a corpus diff, and an experiment
+//!   gated at several worker counts (fig11 and fig16 at 1, 2 and 8)
+//!   prints the same bytes at each. The analytic experiments pin every
+//!   field type a row can carry, `null`s and arrays included.
+//! - **JSON round trip.** Each of those lines parses → renders → parses
+//!   to the identical `Value` tree.
+//! - **Traces.** fig11's `--trace` document matches
+//!   `golden/TRACE_fig11.json`, and every traced experiment's hub
+//!   counters match its line of `golden/trace_counters.json`, at each of
+//!   its worker counts. The fig8 and chaos traces account for every ATC
+//!   lookup, DMA'd page and message the figures report.
+//! - **Strict invariants.** A strict experiment runs inside a
+//!   `stellar_check` scope: a violation fails the run that made it, and
+//!   its `checks_run` is the same at each of its worker counts.
 //! - **Figure shapes.** Each figure keeps the paper's qualitative result.
+//! - **Completeness.** The table names every registry entry exactly
+//!   once, so a new experiment cannot land unpinned.
 //!
-//! fig8, fig11, chaos, cluster and fig14 run under
-//! `stellar_telemetry::capture`, which
-//! records without perturbing rows, so one run serves traced and
-//! untraced gates. The worker count is a per-thread override, so tests
-//! running side by side each simulate at the count they name.
+//! `scale` and `recovery` are [`CI_GATED`]: they drive fleets of
+//! thousands of ranks, too slow for this debug test, so `scripts/ci.sh`
+//! compares their single-worker release runs with
+//! `golden/{scale,recovery}.json`.
+//!
+//! A traced run records under `stellar_telemetry::capture` without
+//! perturbing rows, so one run serves traced and untraced gates. The
+//! worker count is a per-thread override, so runs simulated side by side
+//! each use the count they name.
 //!
 //! Regenerate a golden file only for an intentional behavior change,
 //! with:
@@ -47,67 +49,124 @@
 //! mv TRACE_fig11.json crates/bench/tests/golden/
 //! ```
 //!
-//! `golden/trace_counters.json` holds one line per [`TRACED`]
-//! experiment: its name and the `counters` array of its
+//! `golden/trace_counters.json` holds one line per traced experiment:
+//! its name and the `counters` array of its
 //! `reproduce <exp> --quick --json --trace` document.
-//!
-//! `golden/{scale,recovery,fig9,fig10}.json` take seconds even in
-//! release, so `scripts/ci.sh` compares them against its release runs
-//! instead of this debug test.
 
+use std::path::Path;
 use std::sync::OnceLock;
 
-use stellar_bench::{self as b, json_line};
-use stellar_sim::json::{self, rows_to_json, ToJsonRow, Value};
-use stellar_sim::par::with_thread_override;
+use stellar_bench::{self as b, Rows, EXPERIMENTS};
+use stellar_sim::json::{self, Value};
+use stellar_sim::par::{par_map, with_thread_override};
 use stellar_telemetry::{capture, Stage, Subsystem, Telemetry};
+
+/// How this test gates one experiment of the registry.
+struct Gate {
+    /// Its name in `stellar_bench::EXPERIMENTS`.
+    name: &'static str,
+    /// The worker counts its quick run is simulated and compared at.
+    workers: &'static [usize],
+    /// Runs under a telemetry capture: its traces are gated.
+    traced: bool,
+    /// Held to every invariant at each of its worker counts.
+    strict: bool,
+}
+
+/// The worker counts of an experiment this test does not simulate:
+/// `scripts/ci.sh` compares its single-worker release run with its
+/// golden file instead.
+const CI_GATED: &[usize] = &[];
+
+const fn gate(name: &'static str, workers: &'static [usize]) -> Gate {
+    Gate {
+        name,
+        workers,
+        traced: false,
+        strict: false,
+    }
+}
+
+/// Every experiment, in registry order.
+const GATES: &[Gate] = &[
+    gate("fig6", &[1, 8]),
+    Gate { traced: true, strict: true, ..gate("fig8", &[1, 8]) },
+    gate("fig9", &[8]),
+    gate("fig10", &[8]),
+    Gate { traced: true, strict: true, ..gate("fig11", &[1, 2, 8]) },
+    gate("fig12", &[8]),
+    gate("fig13", &[1, 8]),
+    Gate { traced: true, ..gate("fig14", &[1, 8]) },
+    gate("fig15", &[8]),
+    gate("fig16", &[1, 2, 8]),
+    gate("table1", &[1, 8]),
+    gate("claims", &[1, 8]),
+    gate("timeline", &[1, 8]),
+    Gate { traced: true, ..gate("chaos", &[1, 8]) },
+    gate("scale", CI_GATED),
+    gate("recovery", CI_GATED),
+    Gate { traced: true, ..gate("cluster", &[1, 8]) },
+];
+
+/// `exp`'s row of [`GATES`].
+fn gate_of(exp: &str) -> &'static Gate {
+    GATES
+        .iter()
+        .find(|g| g.name == exp)
+        .unwrap_or_else(|| panic!("{exp} has no gate"))
+}
 
 /// The worker counts a run can be cached at.
 const WORKERS: [usize; 3] = [1, 2, 8];
-/// Experiments whose runs are captured: their traces are gated.
-const TRACED: [&str; 5] = ["fig8", "fig11", "chaos", "cluster", "fig14"];
-/// Experiments held to every invariant at every worker count.
-const STRICT: [&str; 2] = ["fig8", "fig11"];
 
-/// One experiment's quick rows at one worker count.
-struct Run<R> {
-    rows: Vec<R>,
-    /// What the capture around the run recorded, for a [`TRACED`] one.
+/// One experiment's quick run at one worker count.
+struct Run {
+    rows: Box<dyn Rows>,
+    /// What the capture around the run recorded, for a traced one.
     tel: Option<Telemetry>,
-    /// Invariant checks the run evaluated, for a [`STRICT`] one (else 0).
+    /// Invariant checks the run evaluated, for a strict one (else 0).
     checks_run: u64,
 }
 
-impl<R> Run<R> {
+impl Run {
     fn tel(&self) -> &Telemetry {
         self.tel.as_ref().expect("a traced experiment")
     }
 }
 
-/// `exp`'s rows at `threads` workers from `runs`, simulating them on
-/// first use. A run that panics leaves its slot empty, so the next test
-/// to ask re-runs it and fails the same way.
-fn cached<R: Send + Sync>(
-    runs: &'static [OnceLock<Run<R>>; WORKERS.len()],
-    exp: &str,
-    threads: usize,
-    run: fn(bool) -> Vec<R>,
-) -> &'static Run<R> {
+/// The cache, indexed by registry position and [`WORKERS`] slot.
+static RUNS: [[OnceLock<Run>; WORKERS.len()]; EXPERIMENTS.len()] =
+    [const { [const { OnceLock::new() }; WORKERS.len()] }; EXPERIMENTS.len()];
+
+/// `exp`'s run at `threads` workers, simulating it on first use. A run
+/// that panics leaves its slot empty, so the next test to ask re-runs it
+/// and fails the same way.
+fn run(exp: &str, threads: usize) -> &'static Run {
+    let gate = gate_of(exp);
+    assert!(
+        gate.workers.contains(&threads),
+        "{exp} is not gated at {threads} worker(s)"
+    );
+    let index = EXPERIMENTS
+        .iter()
+        .position(|e| e.name == exp)
+        .expect("a registered experiment");
     let slot = WORKERS
         .iter()
         .position(|&w| w == threads)
         .expect("a cached worker count");
-    runs[slot].get_or_init(|| {
+    let exp_run = EXPERIMENTS[index].run;
+    RUNS[index][slot].get_or_init(|| {
         with_thread_override(threads, || {
             let simulate = || {
-                if TRACED.contains(&exp) {
-                    let (rows, tel) = capture(|| run(true));
+                if gate.traced {
+                    let (rows, tel) = capture(|| exp_run(true));
                     (rows, Some(tel))
                 } else {
-                    (run(true), None)
+                    (exp_run(true), None)
                 }
             };
-            let ((rows, tel), checks_run) = if STRICT.contains(&exp) {
+            let ((rows, tel), checks_run) = if gate.strict {
                 let (out, report) = stellar_check::capture(simulate);
                 assert!(
                     report.is_clean(),
@@ -127,145 +186,111 @@ fn cached<R: Send + Sync>(
     })
 }
 
-/// One accessor per experiment: `fig11(8)` is fig11's 8-worker run.
-macro_rules! experiments {
-    ($($name:ident => $module:ident),* $(,)?) => {$(
-        fn $name(threads: usize) -> &'static Run<b::$module::Row> {
-            static RUNS: [OnceLock<Run<b::$module::Row>>; WORKERS.len()] =
-                [const { OnceLock::new() }; WORKERS.len()];
-            cached(&RUNS, stringify!($name), threads, b::$module::run)
-        }
-    )*};
+/// `exp`'s typed rows at `threads` workers.
+fn rows<R: 'static>(exp: &str, threads: usize) -> &'static [R] {
+    run(exp, threads)
+        .rows
+        .rows()
+        .unwrap_or_else(|| panic!("{exp} has another row type"))
 }
 
-experiments! {
-    fig6 => fig06_startup,
-    fig8 => fig08_atc,
-    fig9 => fig09_permutation,
-    fig10 => fig10_background,
-    fig11 => fig11_failures,
-    fig12 => fig12_imbalance,
-    fig13 => fig13_micro,
-    fig14 => fig14_gdr,
-    fig15 => fig15_virt,
-    fig16 => fig16_llm,
-    table1 => table1_comm,
-    claims => claims,
-    chaos => chaos,
-    cluster => cluster,
-    timeline => timeline,
+/// `golden/<exp>.<ext>`.
+fn golden(exp: &str, ext: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/{exp}.{ext}"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// Compare experiment `exp`'s 1- and 8-worker rows, rendered both ways,
-/// against the recorded `.json` and `.txt`.
-fn assert_golden_rows<R: ToJsonRow>(
-    exp: &str,
-    json: &str,
-    text: &str,
-    rows_at: fn(usize) -> &'static Run<R>,
-    render: fn(&[R]) -> String,
-) {
-    for threads in [1usize, 8] {
-        let rows = &rows_at(threads).rows;
+/// The table names every registry entry once, in registry order.
+#[test]
+fn every_registered_experiment_has_exactly_one_gate() {
+    let gated: Vec<&str> = GATES.iter().map(|g| g.name).collect();
+    let registered: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    assert_eq!(gated, registered, "the gate table drifted from the registry");
+}
+
+/// Every experiment the table simulates prints its golden `--json` line
+/// and text table at each of its worker counts, and its JSON line round
+/// trips. The runs are warmed concurrently first.
+#[test]
+fn every_experiment_matches_golden_at_each_of_its_worker_counts() {
+    let runs: Vec<(&str, usize)> = GATES
+        .iter()
+        .flat_map(|g| g.workers.iter().map(move |&w| (g.name, w)))
+        .collect();
+    par_map(&runs, |&(exp, threads)| {
+        run(exp, threads);
+    });
+    for &(exp, threads) in &runs {
+        let rows = &run(exp, threads).rows;
+        let line = rows.json(exp);
         assert_eq!(
-            json_line(exp, rows),
-            json,
-            "{exp} --quick --json drifted from the golden corpus at {threads} thread(s)"
+            line,
+            golden(exp, "json"),
+            "{exp} --quick --json drifted from the golden corpus at {threads} worker(s)"
         );
-        // The binary follows every table with a blank line.
         assert_eq!(
-            render(rows) + "\n",
-            text,
-            "{exp} --quick table drifted from the golden corpus at {threads} thread(s)"
+            rows.table(),
+            golden(exp, "txt"),
+            "{exp} --quick table drifted from the golden corpus at {threads} worker(s)"
         );
+        assert_roundtrip(exp, &line);
     }
 }
 
-macro_rules! golden_rows {
-    ($($test:ident: $name:ident, $module:ident),* $(,)?) => {$(
-        #[test]
-        fn $test() {
-            assert_golden_rows(
-                stringify!($name),
-                include_str!(concat!("golden/", stringify!($name), ".json")),
-                include_str!(concat!("golden/", stringify!($name), ".txt")),
-                $name,
-                b::$module::render,
-            );
-        }
-    )*};
-}
-
-golden_rows! {
-    fig6_matches_golden_at_1_and_8_threads: fig6, fig06_startup,
-    fig8_matches_golden_at_1_and_8_threads: fig8, fig08_atc,
-    fig11_matches_golden_at_1_and_8_threads: fig11, fig11_failures,
-    fig13_matches_golden_at_1_and_8_threads: fig13, fig13_micro,
-    fig14_matches_golden_at_1_and_8_threads: fig14, fig14_gdr,
-    table1_matches_golden_at_1_and_8_threads: table1, table1_comm,
-    claims_matches_golden_at_1_and_8_threads: claims, claims,
-    chaos_matches_golden_at_1_and_8_threads: chaos, chaos,
-    cluster_matches_golden_at_1_and_8_threads: cluster, cluster,
-    timeline_matches_golden_at_1_and_8_threads: timeline, timeline,
-}
-
 /// The fig11 flight-recorder document, as
-/// `reproduce fig11 --quick --json --trace` writes `TRACE_fig11.json`.
-/// The binary's capture also brackets the JSON rendering, which records
-/// nothing: it only formats row fields.
+/// `reproduce fig11 --quick --json --trace` writes `TRACE_fig11.json`,
+/// at each of fig11's worker counts. The binary's capture also brackets
+/// the JSON rendering, which records nothing: it only formats row fields.
+/// fig11 exercises the transport/net event paths, where per-job recorder
+/// folding is the only thing standing between the ring and
+/// completion-order nondeterminism.
 #[test]
-fn fig11_trace_matches_golden_at_1_and_8_threads() {
+fn fig11_trace_matches_golden_at_each_of_its_worker_counts() {
     let golden = include_str!("golden/TRACE_fig11.json");
-    for threads in [1usize, 8] {
+    for &threads in gate_of("fig11").workers {
         assert_eq!(
-            fig11(threads).tel().to_json("fig11"),
+            run("fig11", threads).tel().to_json("fig11"),
             golden,
-            "fig11 --trace document drifted from the golden corpus at {threads} thread(s)"
+            "fig11 --trace document drifted from the golden corpus at {threads} worker(s)"
         );
     }
 }
 
 /// Every traced experiment's `counters` array, cut from its `--trace`
-/// document, matches its line of the golden file at 1 and 8 workers.
-/// Together these traces carry 35 of the 37 counter names a quick
-/// trace can show; the other two appear only in `recovery`, which is
-/// too slow for this debug test.
+/// document, matches its line of the golden file at each of its worker
+/// counts. Together these traces carry 35 of the 37 counter names a
+/// quick trace can show; the other two appear only in `recovery`, which
+/// is CI-gated.
 #[test]
-fn trace_counters_match_golden_at_1_and_8_threads() {
-    let golden = include_str!("golden/trace_counters.json");
-    let tel = |exp: &str, threads| match exp {
-        "fig8" => fig8(threads).tel(),
-        "fig11" => fig11(threads).tel(),
-        "chaos" => chaos(threads).tel(),
-        "cluster" => cluster(threads).tel(),
-        "fig14" => fig14(threads).tel(),
-        _ => unreachable!("{exp} is not traced"),
-    };
-    for threads in [1usize, 8] {
-        let lines: Vec<String> = TRACED
-            .iter()
-            .map(|exp| {
-                let doc = tel(exp, threads).to_json(exp);
-                let (_, counters) = doc.split_once(r#","counters":"#).expect("a counters field");
-                let (counters, _) = counters
-                    .split_once(r#","recorder":"#)
-                    .expect("a recorder field");
-                format!("\"{exp}\":{counters}")
-            })
-            .collect();
-        assert_eq!(
-            format!("{{\n{}\n}}\n", lines.join(",\n")),
-            golden,
-            "trace counters drifted from the golden corpus at {threads} thread(s)"
-        );
-    }
-}
-
-fn to_json<T: ToJsonRow>(rows: &[T]) -> Vec<Value> {
-    let rendered = json::rows_to_json(rows);
-    match json::parse(&rendered).expect("valid JSON array") {
-        Value::Arr(vals) => vals,
-        other => panic!("expected a JSON array, got {other:?}"),
+fn trace_counters_match_golden_at_each_worker_count() {
+    let golden: Vec<(&str, &str)> = include_str!("golden/trace_counters.json")
+        .lines()
+        .filter_map(|line| {
+            let (name, _) = line.strip_prefix('"')?.split_once('"')?;
+            Some((name, line.trim_end_matches(',')))
+        })
+        .collect();
+    let traced = GATES.iter().filter(|g| g.traced);
+    let mut names: Vec<&str> = traced.clone().map(|g| g.name).collect();
+    let mut golden_names: Vec<&str> = golden.iter().map(|&(name, _)| name).collect();
+    names.sort_unstable();
+    golden_names.sort_unstable();
+    assert_eq!(names, golden_names, "golden/trace_counters.json names the traced experiments");
+    for g in traced {
+        let (_, want) = golden.iter().find(|&&(name, _)| name == g.name).unwrap();
+        for &threads in g.workers {
+            let doc = run(g.name, threads).tel().to_json(g.name);
+            let (_, counters) = doc.split_once(r#","counters":"#).expect("a counters field");
+            let (counters, _) = counters
+                .split_once(r#","recorder":"#)
+                .expect("a recorder field");
+            assert_eq!(
+                format!("\"{}\":{counters}", g.name),
+                *want,
+                "{} trace counters drifted from the golden corpus at {threads} worker(s)",
+                g.name
+            );
+        }
     }
 }
 
@@ -295,46 +320,19 @@ fn render(v: &Value) -> String {
 /// in-tree writer emits nothing the in-tree parser loses or reshapes.
 /// (Byte-level identity is pinned separately by the golden corpus;
 /// integer-valued floats legitimately re-render as `1.0` vs `1`.)
-fn assert_roundtrip<T: ToJsonRow>(name: &str, rows: &[T]) {
-    assert!(!rows.is_empty(), "{name} must produce rows");
-    let first = json::parse(&json::rows_to_json(rows)).expect("valid JSON array");
+fn assert_roundtrip(name: &str, rendered: &str) {
+    let first = json::parse(rendered).expect("valid JSON");
     let second = json::parse(&render(&first))
         .unwrap_or_else(|e| panic!("{name} re-render must stay parseable: {e}"));
     assert_eq!(first, second, "{name} rows must round-trip through parse/render");
-    assert_eq!(first.as_array().map(<[Value]>::len), Some(rows.len()));
 }
 
-/// Every experiment's row struct round-trips, read from its 8-worker
-/// run, and its first row carries each listed field.
-macro_rules! roundtrip_tests {
-    ($($test:ident => $name:ident $([$($field:literal),*])?),* $(,)?) => {
-        $(#[test]
-        fn $test() {
-            let rows = &$name(8).rows;
-            assert_roundtrip(stringify!($name), rows);
-            $(let vals = to_json(rows);
-            $(assert!(vals[0].get($field).is_some(), "missing field {}", $field);)*)?
-        })*
-    };
+fn to_json<T: json::ToJsonRow>(rows: &[T]) -> Vec<Value> {
+    match json::parse(&json::rows_to_json(rows)).expect("valid JSON array") {
+        Value::Arr(vals) => vals,
+        other => panic!("expected a JSON array, got {other:?}"),
+    }
 }
-
-roundtrip_tests![
-    fig6_rows_roundtrip => fig6 ["memory_gib", "speedup"],
-    fig8_rows_roundtrip => fig8,
-    fig9_rows_roundtrip => fig9,
-    fig10_rows_roundtrip => fig10,
-    fig11_rows_roundtrip => fig11,
-    fig12_rows_roundtrip => fig12,
-    fig13_rows_roundtrip => fig13 ["latency_us", "gbps"],
-    fig14_rows_roundtrip => fig14,
-    fig15_rows_roundtrip => fig15,
-    fig16_rows_roundtrip => fig16,
-    table1_rows_roundtrip => table1,
-    claims_rows_roundtrip => claims ["measured", "paper"],
-    timeline_rows_roundtrip => timeline,
-    chaos_rows_roundtrip => chaos ["scenario", "bridged_rel", "verdict"],
-    cluster_rows_roundtrip => cluster,
-];
 
 /// `recovery::run(true)` drives a 4 096-rank fleet — debug-profile
 /// tests pin the row schema on a hand-built row instead (the run itself
@@ -363,7 +361,7 @@ fn recovery_rows_serialize_with_fields() {
     ] {
         assert!(vals[0].get(field).is_some(), "missing field {field}");
     }
-    assert_roundtrip("recovery", &[b::recovery::Row {
+    let other = b::recovery::Row {
         scenario: "no-recovery",
         fabric: "packet",
         ranks: 8,
@@ -376,7 +374,8 @@ fn recovery_rows_serialize_with_fields() {
         restore_rel: -1.0,
         exactly_once: "violated",
         verdict: "transport_error",
-    }]);
+    };
+    assert_roundtrip("recovery", &json::rows_to_json(&[other]));
 }
 
 /// The row schema and its `-1` sentinel, on hand-built rows (the
@@ -407,7 +406,7 @@ fn cluster_rows_serialize_with_fields() {
     ] {
         assert!(vals[0].get(field).is_some(), "missing field {field}");
     }
-    assert_roundtrip("cluster", &[row, b::cluster::Row {
+    let other = b::cluster::Row {
         scenario: "churn-storm",
         policy: "topo",
         fabric: "packet",
@@ -422,56 +421,17 @@ fn cluster_rows_serialize_with_fields() {
         recoveries: 10,
         errors: 0,
         verdict: "zero-loss",
-    }]);
+    };
+    assert_roundtrip("cluster", &json::rows_to_json(&[row, other]));
 }
 
 #[test]
 fn table1_rows_serialize_with_fields() {
-    let rows = &table1(8).rows;
+    let rows: &[b::table1_comm::Row] = rows("table1", 8);
     let vals = to_json(rows);
     assert_eq!(vals.len(), 4);
     assert!(vals[0].get("dp_pct").is_some());
     assert!(vals[0].get("paper").is_some());
-}
-
-/// fig11 (a parallel multi-combo experiment with per-job RNGs) renders
-/// the same table and JSON, and the seed-averaged fig16 the same JSON,
-/// at 1, 2 and 8 workers.
-#[test]
-fn fig11_and_fig16_bytes_are_thread_count_invariant() {
-    let render_all = |threads| {
-        let fig11 = &fig11(threads).rows;
-        (
-            b::fig11_failures::render(fig11),
-            rows_to_json(fig11),
-            rows_to_json(&fig16(threads).rows),
-        )
-    };
-    let one = render_all(1);
-    let two = render_all(2);
-    let eight = render_all(8);
-    assert_eq!(one.0, two.0, "fig11 table differs between 1 and 2 workers");
-    assert_eq!(one.0, eight.0, "fig11 table differs between 1 and 8 workers");
-    assert_eq!(one.1, two.1, "fig11 JSON differs between 1 and 2 workers");
-    assert_eq!(one.1, eight.1, "fig11 JSON differs between 1 and 8 workers");
-    assert_eq!(one.2, two.2, "fig16 JSON differs between 1 and 2 workers");
-    assert_eq!(one.2, eight.2, "fig16 JSON differs between 1 and 8 workers");
-}
-
-/// The `--trace` determinism gate: the fully rendered telemetry document
-/// of a traced experiment (ring events, stage histograms, counters) must
-/// be byte-identical at every worker count, exactly like the experiment's
-/// own output. fig11 exercises the transport/net event paths, where
-/// per-job recorder folding is the only thing standing between the ring
-/// and completion-order nondeterminism.
-#[test]
-fn fig11_trace_bytes_are_thread_count_invariant() {
-    let render_trace = |threads| fig11(threads).tel().to_json("fig11");
-    let one = render_trace(1);
-    let two = render_trace(2);
-    let eight = render_trace(8);
-    assert_eq!(one, two, "fig11 trace differs between 1 and 2 workers");
-    assert_eq!(one, eight, "fig11 trace differs between 1 and 8 workers");
 }
 
 /// The fig8 trace must tell the same story as the figure itself: every
@@ -481,7 +441,7 @@ fn fig11_trace_bytes_are_thread_count_invariant() {
 /// bookkeeping-exact, not approximate.
 #[test]
 fn fig8_trace_is_consistent_with_the_figure() {
-    let tel = fig8(1).tel();
+    let tel = run("fig8", 1).tel();
     let hub = &tel.hub;
     let hits = hub.get(Subsystem::Pcie, "atc.hit");
     let misses = hub.get(Subsystem::Pcie, "atc.miss");
@@ -508,44 +468,44 @@ fn fig8_trace_is_consistent_with_the_figure() {
 /// contributes exactly one message-latency sample.
 #[test]
 fn chaos_trace_accounts_for_incomplete_messages() {
-    let tel = chaos(1).tel();
+    let tel = run("chaos", 1).tel();
     let posted = tel.hub.get(Subsystem::Transport, "msg.posted");
     let completed = tel.hub.get(Subsystem::Transport, "msg.completed");
     assert_eq!(posted - completed, 8, "messages left incomplete");
     assert_eq!(tel.stage(Stage::TransportMsg).count() as u64, completed);
 }
 
-/// fig8 and fig11's runs are checked by whichever test asks for them
-/// first; a violation panics with the full report.
+/// Every strict run is checked by whichever test asks for it first; a
+/// violation panics with the full report.
 #[test]
 fn quick_experiments_hold_every_invariant_in_strict_mode() {
-    for threads in [1, 8] {
-        fig8(threads);
-        fig11(threads);
+    for g in GATES.iter().filter(|g| g.strict) {
+        for &threads in g.workers {
+            run(g.name, threads);
+        }
     }
 }
 
-/// Every job's checks reach its run's scope at any worker count: the
-/// strict runs count the same nonzero number of checks at 1 and 8.
+/// Every job's checks reach its run's scope at any worker count: each
+/// strict run counts the same nonzero number of checks at each of its
+/// worker counts.
 #[test]
-fn strict_runs_count_the_same_checks_at_1_and_8_workers() {
-    for (exp, checks_at) in [
-        ("fig8", (|t| fig8(t).checks_run) as fn(usize) -> u64),
-        ("fig11", |t| fig11(t).checks_run),
-    ] {
-        let one = checks_at(1);
-        assert!(one > 0, "{exp} ran no invariant checks");
-        assert_eq!(
-            one,
-            checks_at(8),
-            "{exp} checks differ between 1 and 8 workers"
+fn strict_runs_count_the_same_checks_at_each_worker_count() {
+    for g in GATES.iter().filter(|g| g.strict) {
+        let checks: Vec<u64> = g.workers.iter().map(|&t| run(g.name, t).checks_run).collect();
+        assert!(checks[0] > 0, "{} ran no invariant checks", g.name);
+        assert!(
+            checks.iter().all(|&c| c == checks[0]),
+            "{} checks differ across {:?} workers: {checks:?}",
+            g.name,
+            g.workers
         );
     }
 }
 
 #[test]
 fn fig6_shape() {
-    let rows = &fig6(8).rows;
+    let rows: &[b::fig06_startup::Row] = rows("fig6", 8);
     assert_eq!(rows.len(), 4);
     // PVDMA stays under 20 s everywhere.
     assert!(rows.iter().all(|r| r.pvdma_s < 20.0));
@@ -559,7 +519,7 @@ fn fig6_shape() {
 #[test]
 fn fig8_shape() {
     const MB: u64 = 1024 * 1024;
-    let rows = &fig8(8).rows;
+    let rows: &[b::fig08_atc::Row] = rows("fig8", 8);
     let small = rows.iter().find(|r| r.msg_bytes == MB).unwrap();
     let mid = rows.iter().find(|r| r.msg_bytes == 8 * MB).unwrap();
     let large = rows.iter().find(|r| r.msg_bytes == 32 * MB).unwrap();
@@ -584,7 +544,7 @@ fn fig8_shape() {
 
 #[test]
 fn fig9_shape() {
-    let rows = &fig9(8).rows;
+    let rows: &[b::fig09_permutation::Row] = rows("fig9", 8);
     let find = |algo: &str, paths: u32| {
         rows.iter()
             .find(|r| r.algo == algo && r.paths == paths)
@@ -616,7 +576,7 @@ fn fig9_shape() {
 
 #[test]
 fn fig10_shape() {
-    let rows = &fig10(8).rows;
+    let rows: &[b::fig10_background::Row] = rows("fig10", 8);
     let get = |algo: &str, bg: &str| {
         rows.iter()
             .find(|r| r.algo == algo && r.background == bg)
@@ -633,7 +593,7 @@ fn fig10_shape() {
 
 #[test]
 fn fig11_shape() {
-    let rows = &fig11(8).rows;
+    let rows: &[b::fig11_failures::Row] = rows("fig11", 8);
     let get = |algo: &str, loss: f64| {
         rows.iter()
             .find(|r| r.algo == algo && (r.loss - loss).abs() < 1e-9)
@@ -665,7 +625,7 @@ fn fig11_shape() {
 
 #[test]
 fn fig12_shape() {
-    let rows = &fig12(8).rows;
+    let rows: &[b::fig12_imbalance::Row] = rows("fig12", 8);
     let get = |p: u32| rows.iter().find(|r| r.paths == p).unwrap().imbalance_pct;
     // Few paths leave most of the 60 aggs idle: near-total imbalance.
     assert!(get(4) > 80.0, "4 paths: {}", get(4));
@@ -678,7 +638,7 @@ fn fig12_shape() {
 #[test]
 fn fig13_shape() {
     use b::fig13_micro::sizes;
-    let rows = &fig13(8).rows;
+    let rows: &[b::fig13_micro::Row] = rows("fig13", 8);
     let get = |stack: &str, size: u64| {
         rows.iter()
             .find(|r| r.stack == stack && r.msg_bytes == size)
@@ -702,7 +662,7 @@ fn fig13_shape() {
 
 #[test]
 fn fig14_shape() {
-    let rows = &fig14(8).rows;
+    let rows: &[b::fig14_gdr::Row] = rows("fig14", 8);
     let max_of = |stack: &str| {
         rows.iter()
             .filter(|r| r.stack == stack)
@@ -722,7 +682,7 @@ fn fig14_shape() {
 
 #[test]
 fn fig15_shape() {
-    for r in &fig15(8).rows {
+    for r in rows::<b::fig15_virt::Row>("fig15", 8) {
         assert!(r.overhead.abs() < 0.01, "{}: overhead {}", r.job, r.overhead);
         assert!(r.regular_ms > 0.0);
     }
@@ -730,7 +690,7 @@ fn fig15_shape() {
 
 #[test]
 fn fig16_shape() {
-    let rows = &fig16(8).rows;
+    let rows: &[b::fig16_llm::Row] = rows("fig16", 8);
     let mean = |pname: &str| {
         let g: Vec<f64> = rows
             .iter()
@@ -755,7 +715,7 @@ fn fig16_shape() {
 
 #[test]
 fn table1_orderings_match_paper() {
-    let rows = &table1(8).rows;
+    let rows: &[b::table1_comm::Row] = rows("table1", 8);
     // Llama-33B: DP dominates.
     let llama = &rows[0];
     assert!(llama.dp_pct > llama.tp_pct.unwrap());
@@ -771,7 +731,7 @@ fn table1_orderings_match_paper() {
 
 #[test]
 fn table1_values_within_2x_of_paper() {
-    for r in &table1(8).rows {
+    for r in rows::<b::table1_comm::Row>("table1", 8) {
         let close = |measured: f64, paper: f64| {
             measured / paper < 2.5 && paper / measured < 2.5
         };
@@ -790,7 +750,7 @@ fn table1_values_within_2x_of_paper() {
 
 #[test]
 fn timeline_shape() {
-    let rows = &timeline(8).rows;
+    let rows: &[b::timeline::Row] = rows("timeline", 8);
     let single = &rows[0];
     let obs = &rows[1];
     // Spray barely notices; single path dips then recovers.
@@ -801,7 +761,7 @@ fn timeline_shape() {
 
 #[test]
 fn claims_hold() {
-    let rows = &claims(8).rows;
+    let rows: &[b::claims::Row] = rows("claims", 8);
     let get = |claim: &str| rows.iter().find(|r| r.claim.contains(claim)).unwrap();
     let t = get("creation time");
     assert!((1.4..2.0).contains(&t.measured), "t={}", t.measured);
@@ -812,7 +772,7 @@ fn claims_hold() {
 
 #[test]
 fn chaos_table_shape() {
-    let rows = &chaos(8).rows;
+    let rows: &[b::chaos::Row] = rows("chaos", 8);
     // 4 hardened scenarios + 1 unhardened counterfactual.
     assert_eq!(rows.len(), 5);
     for r in rows {

@@ -29,6 +29,6 @@ pub use cc::{CcConfig, CongestionControl};
 pub use conn::{ConnId, ConnState, ConnStats, FatalError, MsgId, SendError};
 pub use path::{PathAlgo, PathSelector, PlaneFailover, ScoreboardPolicy};
 pub use sim::{
-    App, CompletionLog, NoopApp, RecoveryPolicy, TransportConfig, TransportConfigError,
-    TransportSim,
+    App, CompletionLog, NoopApp, RecoveryPolicy, RecoveryPolicyError, TransportConfig,
+    TransportConfigError, TransportSim,
 };

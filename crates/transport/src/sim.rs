@@ -102,6 +102,8 @@ pub enum TransportConfigError {
     RetryBudget(u32),
     /// The congestion-control parameters are invalid.
     Cc(CcConfigError),
+    /// The recovery policy is invalid.
+    Recovery(RecoveryPolicyError),
 }
 
 impl std::fmt::Display for TransportConfigError {
@@ -132,6 +134,7 @@ impl std::fmt::Display for TransportConfigError {
                 write!(f, "transport config: retry_budget {n} is above 65535")
             }
             TransportConfigError::Cc(e) => write!(f, "transport {e}"),
+            TransportConfigError::Recovery(e) => write!(f, "transport {e}"),
         }
     }
 }
@@ -143,8 +146,8 @@ impl TransportConfig {
     /// the first connection (`num_paths`), the first post (`mtu`), the
     /// first paced send (`pace_gbps`) or the first RTO (`rto`,
     /// `rto_max`, `rto_backoff`); the bounds of the 32-byte in-flight
-    /// record (`mtu`, `retry_budget`); and the congestion control's own
-    /// parameters ([`CcConfig::validate`]).
+    /// record (`mtu`, `retry_budget`); and the parameters of the congestion
+    /// control and recovery ([`CcConfig::validate`], [`RecoveryPolicy::validate`]).
     pub fn validate(&self) -> Result<(), TransportConfigError> {
         if !(1..=256).contains(&self.num_paths) {
             return Err(TransportConfigError::NumPaths(self.num_paths));
@@ -175,7 +178,9 @@ impl TransportConfig {
         if self.retry_budget > u32::from(u16::MAX) {
             return Err(TransportConfigError::RetryBudget(self.retry_budget));
         }
-        self.cc.validate().map_err(TransportConfigError::Cc)
+        self.cc.validate().map_err(TransportConfigError::Cc)?;
+        let recovery = self.recovery.as_ref().map_or(Ok(()), RecoveryPolicy::validate);
+        recovery.map_err(TransportConfigError::Recovery)
     }
 
     /// The RTO for retransmit epoch `epoch`:
@@ -252,7 +257,54 @@ impl Default for RecoveryPolicy {
     }
 }
 
+/// Why a [`RecoveryPolicy`] cannot run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RecoveryPolicyError {
+    /// `backoff_mult` is below 1 (a shrinking delay) or NaN.
+    BackoffMult(f64),
+    /// `backoff_max` caps the backed-off delay below the base `backoff`.
+    BackoffMaxBelowBackoff {
+        /// The base reconnect delay.
+        backoff: SimDuration,
+        /// The cap.
+        backoff_max: SimDuration,
+    },
+}
+
+impl std::fmt::Display for RecoveryPolicyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RecoveryPolicyError::BackoffMult(m) => {
+                write!(f, "recovery policy: backoff_mult {m} is below 1 or NaN")
+            }
+            RecoveryPolicyError::BackoffMaxBelowBackoff { backoff, backoff_max } => write!(
+                f,
+                "recovery policy: backoff_max {} ns is below backoff {} ns",
+                backoff_max.as_nanos(),
+                backoff.as_nanos()
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RecoveryPolicyError {}
+
 impl RecoveryPolicy {
+    /// Check the backoff ladder as [`TransportConfig::validate`] checks
+    /// the RTO's: the multiplier is at least 1, the cap at least the base.
+    pub fn validate(&self) -> Result<(), RecoveryPolicyError> {
+        if self.backoff_mult.is_nan() || self.backoff_mult < 1.0 {
+            return Err(RecoveryPolicyError::BackoffMult(self.backoff_mult));
+        }
+        if self.backoff_max < self.backoff {
+            return Err(RecoveryPolicyError::BackoffMaxBelowBackoff {
+                backoff: self.backoff,
+                backoff_max: self.backoff_max,
+            });
+        }
+        Ok(())
+    }
+
     /// Total teardown→re-establish delay for consecutive attempt
     /// `attempt` (0-based): `min(backoff × backoff_mult^attempt,
     /// backoff_max) + reestablish`.
@@ -1554,6 +1606,50 @@ mod tests {
         assert_eq!(
             err.to_string(),
             "transport cc config: ecn_gain 2 is outside (0, 1] or NaN"
+        );
+    }
+
+    /// `validate` with the default recovery policy, one field changed.
+    fn validate_recovery_with(
+        change: impl FnOnce(&mut RecoveryPolicy),
+    ) -> Result<(), TransportConfigError> {
+        let mut policy = RecoveryPolicy::default();
+        change(&mut policy);
+        validate_with(|c| c.recovery = Some(policy))
+    }
+
+    #[test]
+    fn validate_rejects_a_recovery_backoff_mult_below_1_or_nan() {
+        assert_eq!(validate_recovery_with(|_| {}), Ok(()));
+        assert_eq!(validate_recovery_with(|p| p.backoff_mult = 1.0), Ok(()));
+        let err = validate_recovery_with(|p| p.backoff_mult = 0.5).unwrap_err();
+        assert_eq!(
+            err,
+            TransportConfigError::Recovery(RecoveryPolicyError::BackoffMult(0.5))
+        );
+        assert_eq!(
+            err.to_string(),
+            "transport recovery policy: backoff_mult 0.5 is below 1 or NaN"
+        );
+        let nan = validate_recovery_with(|p| p.backoff_mult = f64::NAN);
+        assert!(matches!(
+            nan,
+            Err(TransportConfigError::Recovery(RecoveryPolicyError::BackoffMult(m))) if m.is_nan()
+        ));
+    }
+
+    #[test]
+    fn validate_rejects_a_recovery_backoff_cap_below_the_backoff() {
+        assert_eq!(validate_recovery_with(|p| p.backoff_max = p.backoff), Ok(()));
+        let err = validate_recovery_with(|p| p.backoff_max = SimDuration::from_micros(500));
+        assert_eq!(
+            err,
+            Err(TransportConfigError::Recovery(
+                RecoveryPolicyError::BackoffMaxBelowBackoff {
+                    backoff: SimDuration::from_millis(1),
+                    backoff_max: SimDuration::from_micros(500),
+                }
+            ))
         );
     }
 
