@@ -46,7 +46,7 @@ pub fn run(quick: bool) -> Vec<Row> {
             .create_device(&mut server, c, RnicId(1))
             .expect("create many");
     }
-    let created = server.rnic(RnicId(1)).vdevs.counts().2 as f64;
+    let created = server.rnic(RnicId(1)).vdevs.counts().1 as f64;
     let max_devices = server.rnic(RnicId(1)).vdevs.config().max_vstellar as f64;
     let extra_bdfs = server.rnic(RnicId(1)).vdevs.extra_bdfs() as f64;
     let vf_mem_gb = server.rnic(RnicId(0)).vdevs.config().vf_memory_bytes as f64 / 1e9;

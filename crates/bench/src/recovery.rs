@@ -22,11 +22,9 @@
 //! bitmaps guarantee no packet was delivered twice, and completion
 //! guarantees none was lost.
 
-use stellar_core::vstellar::VStellarStack;
-use stellar_core::{RnicId, ServerConfig, StellarServer};
+use stellar_cluster::churn_cost;
 use stellar_net::fixture::{hybrid_fabric, packet_fabric};
 use stellar_net::{Fabric, FaultPlan, HybridConfig, HybridFabric, NetworkConfig, NicId};
-use stellar_pcie::addr::Gva;
 use stellar_sim::json::json_row;
 use stellar_sim::par::par_map;
 use stellar_sim::stats::Histogram;
@@ -34,7 +32,6 @@ use stellar_sim::{SimDuration, SimRng, SimTime};
 use stellar_transport::{
     PathAlgo, PlaneFailover, RecoveryPolicy, ScoreboardPolicy, TransportConfig, TransportSim,
 };
-use stellar_virt::rund::MemoryStrategy;
 use stellar_workloads::allreduce::{
     calibrate, first_edge_uplink, AllReduceJob, AllReduceRunner, FaultWindows, InterleavedRings,
 };
@@ -132,26 +129,6 @@ fn chaos_row(scenario: &'static str, config: &ChaosConfig) -> Row {
         exactly_once,
         verdict: r.verdict.name(),
     }
-}
-
-/// The PVDMA re-pin cost of a full vStellar device destroy→recreate
-/// cycle, measured live on the control-plane model: destroy round trip,
-/// ~1.5 s device creation, host-MR re-registration, QP bring-up.
-pub fn vstellar_churn_cost() -> SimDuration {
-    const MB: u64 = 1 << 20;
-    let mut server = StellarServer::new(ServerConfig::default());
-    let (container, _) = server.boot_container(256 * MB, MemoryStrategy::Pvdma);
-    let stack = VStellarStack::new();
-    let (device, _) = stack
-        .create_device(&mut server, container, RnicId(0))
-        .expect("vStellar device creation");
-    stack
-        .register_mr_host(&mut server, &device, Gva(4 * MB), 4 * MB)
-        .expect("host MR registration");
-    stack
-        .churn_device(&mut server, device, &[(Gva(4 * MB), 4 * MB)])
-        .expect("device churn")
-        .elapsed
 }
 
 /// Fleet shape: many 128-rank rings on the hybrid fabric.
@@ -378,7 +355,7 @@ pub fn run(quick: bool) -> Vec<Row> {
                 "churn-replay",
                 &ChaosConfig {
                     recovery: Some(RecoveryPolicy {
-                        reestablish: vstellar_churn_cost(),
+                        reestablish: churn_cost(),
                         ..RecoveryPolicy::default()
                     }),
                     ..unhardened_compound(quick)
@@ -479,7 +456,7 @@ mod tests {
 
     #[test]
     fn churn_cost_is_a_device_lifecycle() {
-        let t = vstellar_churn_cost();
+        let t = churn_cost();
         assert!(
             (1.4..3.0).contains(&t.as_secs_f64()),
             "churn cost {t} out of the device-lifecycle range"

@@ -29,8 +29,9 @@
 //!
 //! `scale` and `recovery` are [`CI_GATED`]: they drive fleets of
 //! thousands of ranks, too slow for this debug test, so `scripts/ci.sh`
-//! compares their single-worker release runs with
-//! `golden/{scale,recovery}.json`.
+//! compares the `--json` lines of its 8-worker release suite with
+//! `golden/{scale,recovery}.json` and their single-worker text tables
+//! with `golden/{scale,recovery}.txt`.
 //!
 //! A traced run records under `stellar_telemetry::capture` without
 //! perturbing rows, so one run serves traced and untraced gates. The
@@ -74,8 +75,8 @@ struct Gate {
 }
 
 /// The worker counts of an experiment this test does not simulate:
-/// `scripts/ci.sh` compares its single-worker release run with its
-/// golden file instead.
+/// `scripts/ci.sh` compares its release runs with its golden files
+/// instead.
 const CI_GATED: &[usize] = &[];
 
 const fn gate(name: &'static str, workers: &'static [usize]) -> Gate {

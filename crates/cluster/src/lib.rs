@@ -11,7 +11,7 @@
 //! The pieces:
 //!
 //! * [`spec`] — [`TenantSpec`] (ring size, arrival, payload, container
-//!   memory, churn storm) and [`ClusterConfig`].
+//!   memory, churn storm) and [`ClusterConfig`], with its validator.
 //! * [`placement`] — the [`SlotMap`] NIC-slot ledger and the two
 //!   policies: greedy first-fit **bin-packing** versus
 //!   **topology/rail-aware** placement that keeps each ring inside one
@@ -43,4 +43,4 @@ pub mod spec;
 pub use placement::{Slot, SlotMap};
 pub use report::{ClusterReport, TenantSlo};
 pub use scheduler::{churn_cost, run_cluster_with, tenant_setup_cost};
-pub use spec::{ClusterConfig, PlacementPolicy, TenantSpec};
+pub use spec::{ClusterConfig, ClusterConfigError, PlacementPolicy, TenantSpec};

@@ -7,9 +7,9 @@
 //! starvation impossible). An admitted tenant pays its full lifecycle
 //! before the first byte flows: RunD container boot (PVDMA, so boot
 //! time is memory-independent to first order), vStellar device create
-//! (~1.5 s by default), PVDMA MR pin sized to the AllReduce payload,
+//! (~1.5 s), PVDMA MR pin sized to the AllReduce payload,
 //! and QP bring-up — all costed live on a control-plane rig
-//! ([`StellarServer`]) with the run's [`VStellarStack`] timing. Then
+//! ([`StellarServer`]) with [`VStellarStack`]'s timing. Then
 //! its ring joins the shared [`AllReduceRunner`] and contends with
 //! every other admitted tenant on the one fabric.
 //!
@@ -80,9 +80,9 @@ struct TenantState {
 }
 
 /// The measured per-tenant setup cost: RunD boot + vStellar create +
-/// PVDMA MR pin + QP bring-up, costed on a fresh control-plane rig with
-/// the given stack timing.
-pub fn tenant_setup_cost(stack: &VStellarStack, spec: &TenantSpec) -> SimDuration {
+/// PVDMA MR pin + QP bring-up, costed on a fresh control-plane rig.
+pub fn tenant_setup_cost(spec: &TenantSpec) -> SimDuration {
+    let stack = VStellarStack::new();
     let mut server = StellarServer::new(ServerConfig::default());
     let (container, boot) = server.boot_container(spec.memory_bytes, MemoryStrategy::Pvdma);
     let (device, create_t) = stack
@@ -99,10 +99,11 @@ pub fn tenant_setup_cost(stack: &VStellarStack, spec: &TenantSpec) -> SimDuratio
     boot.total + create_t + pin_t + qp_t
 }
 
-/// The device destroy→recreate lifecycle cost under `stack`'s timing —
-/// what a churned connection's recovery `reestablish` must charge.
-pub fn churn_cost(stack: &VStellarStack) -> SimDuration {
+/// The device destroy→recreate lifecycle cost — what a churned
+/// connection's recovery `reestablish` must charge.
+pub fn churn_cost() -> SimDuration {
     const MB: u64 = 1 << 20;
+    let stack = VStellarStack::new();
     let mut server = StellarServer::new(ServerConfig::default());
     let (container, _) = server.boot_container(256 * MB, MemoryStrategy::Pvdma);
     let (device, _) = stack
@@ -314,10 +315,14 @@ impl<F: Fabric> App<F> for Scheduler<'_> {
 
 /// Run the cluster on a caller-built fabric (same builder contract as
 /// the workload helpers: the fixture owns the canonical `"net"` fork).
+///
+/// # Panics
+/// Panics with the [`ClusterConfig::validate`] error's message.
 pub fn run_cluster_with<F: Fabric>(
     config: &ClusterConfig,
     build: impl FnOnce(ClosConfig, NetworkConfig, &SimRng) -> F,
 ) -> ClusterReport {
+    config.validate().unwrap_or_else(|e| panic!("{e}"));
     let rng = SimRng::from_seed(config.seed);
     let fabric = build(config.topology.clone(), NetworkConfig::default(), &rng);
     let mut sim = TransportSim::new(
@@ -326,7 +331,7 @@ pub fn run_cluster_with<F: Fabric>(
             recovery: Some(RecoveryPolicy {
                 // Recovery after device churn pays the full measured
                 // create→re-pin→bring-up lifecycle.
-                reestablish: churn_cost(&config.vstellar),
+                reestablish: churn_cost(),
                 ..config.recovery.clone()
             }),
             ..TransportConfig::default()
@@ -334,11 +339,7 @@ pub fn run_cluster_with<F: Fabric>(
         rng.fork("transport"),
     );
 
-    let setup: Vec<SimDuration> = config
-        .tenants
-        .iter()
-        .map(|spec| tenant_setup_cost(&config.vstellar, spec))
-        .collect();
+    let setup: Vec<SimDuration> = config.tenants.iter().map(tenant_setup_cost).collect();
     let mut app = Scheduler {
         topology: ClosTopology::build(config.topology.clone()),
         runner: AllReduceRunner::new(&mut sim, Vec::new()),
@@ -515,7 +516,7 @@ mod tests {
         assert!(r.tenants[0].recoveries > 0, "the storm must bite");
         assert_eq!(r.tenants[1].recoveries, 0);
         // Downtime per recovery covers at least the churn lifecycle.
-        let floor = churn_cost(&config.vstellar);
+        let floor = churn_cost();
         assert!(
             r.tenants[0].downtime >= floor,
             "downtime {} < churn cost {floor}",

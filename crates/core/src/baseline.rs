@@ -5,8 +5,7 @@
 //!
 //! * **VF + VFIO**: each VF burns a BDF and a switch-LUT slot (Problem ③),
 //!   the VF count is static (Problem ①), all container memory is pinned at
-//!   boot (Problem ②), RDMA shares the vSwitch steering pipeline with TCP
-//!   (Problem ⑤), and GDR translations go through PCIe ATS/ATC (the
+//!   boot (Problem ②), and GDR translations go through PCIe ATS/ATC (the
 //!   Fig. 8 capacity cliff). VxLAN encap adds per-packet latency and
 //!   header bytes (the 7% / 9% overheads of Fig. 13).
 //! * **HyV/MasQ**: para-virtual control path like vStellar, but no eMTT —
@@ -19,7 +18,6 @@ use stellar_rnic::dma::{DmaError, DmaReport, TranslationMode};
 use stellar_rnic::mtt::MttError;
 use stellar_rnic::vdev::VdevError;
 use stellar_rnic::verbs::{AccessFlags, MrKey, PdId, VerbsError};
-use stellar_rnic::vswitch::{RuleAction, RuleClass, SteeringRule};
 use stellar_sim::SimDuration;
 
 use crate::server::{ContainerId, RnicId, StellarServer};
@@ -159,20 +157,6 @@ impl BaselineStack {
         let pd = server.rnic_mut(rnic).verbs.alloc_pd();
         let iova_base = self.next_iova;
         self.next_iova += 1 << 36;
-        // In the legacy framework, every connection needs steering rules
-        // in the shared vSwitch pipeline.
-        server
-            .rnic_mut(rnic)
-            .vswitch
-            .append_rule(SteeringRule {
-                class: RuleClass::Rdma,
-                flow_id: iova_base >> 36,
-                action: RuleAction::VxlanEncap {
-                    src_mac: 0xaa,
-                    dst_mac: 0xbb,
-                },
-            })
-            .expect("steering table has room in tests");
         Ok(BaselineDevice {
             rnic,
             container,
@@ -388,16 +372,5 @@ mod tests {
             .unwrap();
         let rep = vx.write(&mut server, &dev, mr, Gva(1 << 30), 4 * MB).unwrap();
         assert!(rep.first_page_latency >= vx.vxlan_latency);
-    }
-
-    #[test]
-    fn steering_rules_accumulate_per_device() {
-        let (mut server, c) = server_fullpin();
-        server.rnic_mut(RnicId(0)).vdevs.set_vf_count(8).unwrap();
-        let mut stack = BaselineStack::new(BaselineKind::VfVxlan);
-        for _ in 0..5 {
-            stack.attach_device(&mut server, c, RnicId(0)).unwrap();
-        }
-        assert_eq!(server.rnic(RnicId(0)).vswitch.len(), 5);
     }
 }

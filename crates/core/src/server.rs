@@ -15,7 +15,6 @@ use stellar_rnic::doorbell::DoorbellTable;
 use stellar_rnic::mtt::{Mtt, MttConfig};
 use stellar_rnic::vdev::{VdevManager, VdevManagerConfig};
 use stellar_rnic::verbs::Verbs;
-use stellar_rnic::vswitch::{VSwitch, VSwitchConfig};
 use stellar_telemetry::{fold_counters, Subsystem};
 use stellar_virt::pvdma::Pvdma;
 use stellar_virt::rund::{BootReport, MemoryStrategy, RundConfig, RundContainer};
@@ -87,8 +86,6 @@ pub struct RnicInstance {
     pub vdevs: VdevManager,
     /// Doorbell allocation in the BAR.
     pub doorbells: DoorbellTable,
-    /// Hardware flow steering (baseline TCP/RDMA shared pipeline).
-    pub vswitch: VSwitch,
     /// Verbs object registry.
     pub verbs: Verbs,
 }
@@ -143,7 +140,6 @@ impl StellarServer {
                 dma: DmaEngine::new(config.datapath.clone()),
                 vdevs: VdevManager::new(config.vdev.clone()),
                 doorbells: DoorbellTable::new(bar),
-                vswitch: VSwitch::new(VSwitchConfig::default()),
                 verbs: Verbs::new(),
             });
             for g in 0..config.gpus_per_switch {
@@ -281,7 +277,6 @@ impl Drop for StellarServer {
                 ("dma.pages_rc", rc),
                 ("doorbell.alloc", rnics(|r| r.doorbells.churn().0)),
                 ("doorbell.release", rnics(|r| r.doorbells.churn().1)),
-                ("vswitch.steer", rnics(|r| r.vswitch.steers())),
             ]
         });
         fold_counters(Subsystem::Virt, || {

@@ -91,50 +91,24 @@ pub struct VStellarDevice {
     pub doorbell: Hpa,
 }
 
+/// One guest↔host control round trip (vmexit, host-side handling).
+const CONTROL_LATENCY: SimDuration = SimDuration::from_micros(30);
+/// Control verbs charged per QP bring-up (create + state modifies), one
+/// virtio round trip each.
+const QP_CONTROL_VERBS: u64 = 4;
+
 /// The host-side vStellar driver: stateless operations over a server.
 ///
-/// The virtio control round-trip cost is charged on every control-path
-/// operation; data-path operations carry no virtualization cost (direct
-/// mapping), which is what makes Fig. 13/15 overhead-free.
-#[derive(Debug, Clone)]
-pub struct VStellarStack {
-    /// One guest↔host control round trip (vmexit, host driver work).
-    pub control_latency: SimDuration,
-    /// Override of the device-reported creation time (the ~1.5 s cycle
-    /// from `VdevManagerConfig::vstellar_create_time`). `None` keeps the
-    /// device's own figure, so default stacks are byte-identical to the
-    /// pre-override model; churn-storm sweeps set it to explore
-    /// create/pin/bring-up budgets.
-    pub create_override: Option<SimDuration>,
-    /// Control verbs charged per QP bring-up (create + state modifies),
-    /// one virtio round trip each. Default 4.
-    pub qp_control_verbs: u64,
-}
-
-impl Default for VStellarStack {
-    fn default() -> Self {
-        VStellarStack {
-            control_latency: SimDuration::from_micros(30),
-            create_override: None,
-            qp_control_verbs: 4,
-        }
-    }
-}
+/// The virtio control round-trip cost (30 µs) is charged on every
+/// control-path operation; data-path operations carry no virtualization
+/// cost (direct mapping), which is what makes Fig. 13/15 overhead-free.
+#[derive(Debug, Clone, Default)]
+pub struct VStellarStack;
 
 impl VStellarStack {
-    /// A stack with default control-path timing.
+    /// A stack with the default control-path timing.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A stack whose device creation takes `create` instead of the
-    /// device-reported ~1.5 s (all other timing at defaults) — the knob
-    /// churn-storm sweeps turn.
-    pub fn with_create_time(create: SimDuration) -> Self {
-        VStellarStack {
-            create_override: Some(create),
-            ..Self::default()
-        }
+        VStellarStack
     }
 
     /// Create a vStellar device for `container` on `rnic`.
@@ -160,7 +134,6 @@ impl VStellarStack {
 
         let r = server.rnic_mut(rnic);
         let (vdev, device_create_time) = r.vdevs.create_vstellar()?;
-        let create_time = self.create_override.unwrap_or(device_create_time);
         r.vdevs.set_attached(vdev, true)?;
         let (_, doorbell) = r
             .doorbells
@@ -177,7 +150,7 @@ impl VStellarStack {
                 cq,
                 doorbell,
             },
-            create_time + self.control_latency,
+            device_create_time + CONTROL_LATENCY,
         ))
     }
 
@@ -232,7 +205,7 @@ impl VStellarStack {
             .verbs
             .register_mr(device.pd, gva, len, AccessFlags::all())?;
         r.mtt.register(key, gva, entries)?;
-        Ok((key, self.control_latency + prep.latency))
+        Ok((key, CONTROL_LATENCY + prep.latency))
     }
 
     /// Register a GPU-memory MR: `len` bytes at offset `gpu_offset` of
@@ -264,7 +237,7 @@ impl VStellarStack {
             .register_mr(device.pd, gva, len, AccessFlags::all())?;
         r.mtt
             .register_extended_contiguous(key, gva, hpa_base, len, MemOwner::Gpu(gpu))?;
-        Ok((key, self.control_latency))
+        Ok((key, CONTROL_LATENCY))
     }
 
     /// Execute an RDMA/GDR write of `len` bytes at `gva` within `mr`
@@ -365,9 +338,8 @@ impl VStellarStack {
         r.verbs.modify_qp(qp, QpState::Init)?;
         r.verbs.modify_qp(qp, QpState::ReadyToReceive)?;
         r.verbs.modify_qp(qp, QpState::ReadyToSend)?;
-        // Control verbs (create + 3 modifies by default), one round trip
-        // each.
-        Ok((qp, self.control_latency.mul(self.qp_control_verbs)))
+        // Control verbs (create + 3 modifies), one round trip each.
+        Ok((qp, CONTROL_LATENCY.mul(QP_CONTROL_VERBS)))
     }
 
     /// Destroy `device` and bring up its replacement on the same RNIC —
@@ -392,7 +364,7 @@ impl VStellarStack {
         let rnic = device.rnic;
         self.destroy_device(server, device)?;
         // Destroy is itself one control round trip.
-        let mut elapsed = self.control_latency;
+        let mut elapsed = CONTROL_LATENCY;
         let (new_device, create_time) = self.create_device(server, container, rnic)?;
         elapsed += create_time;
         let mut keys = Vec::with_capacity(mrs.len());
@@ -464,7 +436,7 @@ mod tests {
             .unwrap();
         // Pinned only the touched blocks (2 × 2 MiB), not the container.
         assert_eq!(server.fabric().iommu().pinned_bytes(), 4 * MB);
-        assert!(t > stack.control_latency);
+        assert!(t > CONTROL_LATENCY);
         // A write through the region reaches main memory via the RC.
         let (qp, _) = stack.create_qp(&mut server, &dev).unwrap();
         let rep = stack
@@ -558,7 +530,7 @@ mod tests {
             stack.create_device(&mut server, c, RnicId(1)).unwrap();
         }
         let r = server.rnic(RnicId(1));
-        assert_eq!(r.vdevs.counts().2, 200);
+        assert_eq!(r.vdevs.counts().1, 200);
         assert_eq!(r.vdevs.extra_bdfs(), 0);
         // Only the PF's single LUT entry, regardless of device count.
         assert_eq!(server.fabric().lut_len(r.switch), 1);
@@ -570,7 +542,7 @@ mod tests {
         let (dev, _) = stack.create_device(&mut server, c, RnicId(0)).unwrap();
         stack.destroy_device(&mut server, dev).unwrap();
         assert_eq!(server.rnic(RnicId(0)).doorbells.allocated(), 0);
-        assert_eq!(server.rnic(RnicId(0)).vdevs.counts().2, 0);
+        assert_eq!(server.rnic(RnicId(0)).vdevs.counts().1, 0);
     }
 
     #[test]
@@ -609,7 +581,7 @@ mod tests {
         );
         // Exactly one live device remains, and it serves traffic through
         // the re-registered MR.
-        assert_eq!(server.rnic(RnicId(0)).vdevs.counts().2, 1);
+        assert_eq!(server.rnic(RnicId(0)).vdevs.counts().1, 1);
         let rep = stack
             .write(&mut server, &churn.device, churn.qp, churn.mrs[0], Gva(4 * MB), MB)
             .unwrap();
@@ -617,37 +589,14 @@ mod tests {
     }
 
     #[test]
-    fn churn_timing_is_configurable_and_defaults_unchanged() {
-        // Default stack: device-reported ~1.5 s creation dominates.
+    fn default_churn_timing() {
+        // The device-reported ~1.5 s creation dominates.
         let (mut server, stack, c) = rig();
-        let (dev, t_default) = stack.create_device(&mut server, c, RnicId(0)).unwrap();
-        stack.destroy_device(&mut server, dev).unwrap();
-        assert!((1.4..2.0).contains(&t_default.as_secs_f64()), "t={t_default}");
-
-        // Overridden stack: a 100 ms create budget shrinks the whole
-        // churn cycle accordingly, and extra QP verbs charge linearly.
-        let fast = VStellarStack {
-            qp_control_verbs: 8,
-            ..VStellarStack::with_create_time(SimDuration::from_millis(100))
-        };
-        let (dev, t_fast) = fast.create_device(&mut server, c, RnicId(0)).unwrap();
-        assert_eq!(
-            t_fast,
-            SimDuration::from_millis(100) + fast.control_latency
-        );
-        let (_, qp_t) = fast.create_qp(&mut server, &dev).unwrap();
-        assert_eq!(qp_t, fast.control_latency.mul(8));
-        stack
-            .register_mr_host(&mut server, &dev, Gva(4 * MB), 4 * MB)
-            .unwrap();
-        let churn = fast
-            .churn_device(&mut server, dev, &[(Gva(4 * MB), 4 * MB)])
-            .unwrap();
-        assert!(
-            (0.1..0.5).contains(&churn.elapsed.as_secs_f64()),
-            "churn={}",
-            churn.elapsed
-        );
+        let (dev, t_create) = stack.create_device(&mut server, c, RnicId(0)).unwrap();
+        assert!((1.4..2.0).contains(&t_create.as_secs_f64()), "t={t_create}");
+        // QP bring-up charges one control round trip per verb.
+        let (_, qp_t) = stack.create_qp(&mut server, &dev).unwrap();
+        assert_eq!(qp_t, SimDuration::from_micros(30).mul(4));
     }
 
     #[test]

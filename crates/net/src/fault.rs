@@ -324,19 +324,6 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// The timestamp of the last scheduled transition, if any. For a
-    /// [`FaultEvent::DegradeRamp`] this is the *end* of the ramp — the
-    /// time after which no further fault state changes occur.
-    pub fn last_transition(&self) -> Option<SimTime> {
-        self.events
-            .iter()
-            .map(|&(t, ev)| match ev {
-                FaultEvent::DegradeRamp { over, .. } => t + over,
-                _ => t,
-            })
-            .max()
-    }
-
     /// When the fabric has recovered its steady state, given the control
     /// plane's `bgp_convergence`. Per event class:
     ///
@@ -451,14 +438,6 @@ mod tests {
         };
         assert_eq!(mk(42), mk(42));
         assert_ne!(mk(42), mk(43));
-    }
-
-    #[test]
-    fn last_transition_extends_past_ramp_window() {
-        let plan = FaultPlan::new(0)
-            .link_down(us(10), LinkId(0))
-            .degrade(us(5), LinkId(1), 0.0, 0.2, SimDuration::from_micros(100));
-        assert_eq!(plan.last_transition(), Some(us(105)));
     }
 
     #[test]

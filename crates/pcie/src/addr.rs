@@ -110,20 +110,12 @@ address_type!(
     "IOVA"
 );
 
-impl Gpa {
-    /// The host interprets a GPA as an HVA (Section 2: "The host operating
-    /// system then interprets GPAs as Host Virtual Addresses").
-    pub fn as_hva(self) -> Hva {
-        Hva(self.0)
-    }
-}
-
 /// A PCIe Bus/Device/Function identifier.
 ///
 /// Each physical or SR-IOV virtual function occupies one BDF; the PCIe
-/// switch LUT (Problem ③) holds a bounded number of them. Stellar's SFs and
-/// vStellar devices *share* their parent's BDF, which is exactly how they
-/// sidestep the LUT limit.
+/// switch LUT (Problem ③) holds a bounded number of them. vStellar
+/// devices *share* their parent's BDF, which is exactly how they sidestep
+/// the LUT limit.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Bdf {
     /// Bus number.
@@ -201,11 +193,6 @@ mod tests {
         assert!(!a.is_aligned(PAGE_4K));
         assert!(Gva(0x20_0000).is_aligned(PAGE_2M));
         assert_eq!(a.add(0x10), Gva(0x20_1244));
-    }
-
-    #[test]
-    fn gpa_is_hva_to_the_host() {
-        assert_eq!(Gpa(0xdead_b000).as_hva(), Hva(0xdead_b000));
     }
 
     #[test]

@@ -17,24 +17,9 @@ use stellar_telemetry::{stage_sample, Stage};
 use crate::addr::{Address, Gpa, Hpa, Iova, PAGE_4K};
 use crate::paging::{PageTable, PagingError};
 
-/// Host kernel IOMMU operating mode (the `iommu=pt` / `nopt` boot flag from
-/// Problem ④).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IommuMode {
-    /// `pt` (passthrough): device addresses are used as physical addresses
-    /// for host-owned devices; no translation overhead, but incompatible
-    /// with ATS on the paper's troubled server model.
-    Passthrough,
-    /// `nopt`: all device DMA is translated (required in production to
-    /// guarantee GDR correctness in RunD containers).
-    NoPassthrough,
-}
-
 /// IOMMU configuration and latency model.
 #[derive(Debug, Clone)]
 pub struct IommuConfig {
-    /// Operating mode.
-    pub mode: IommuMode,
     /// Mapping granularity in bytes (the unit of `map`/`pin`).
     pub page_size: u64,
     /// IOTLB capacity in entries.
@@ -55,7 +40,6 @@ pub struct IommuConfig {
 impl Default for IommuConfig {
     fn default() -> Self {
         IommuConfig {
-            mode: IommuMode::NoPassthrough,
             page_size: PAGE_4K,
             // "an ATC can only cache mappings for tens of thousands of
             // memory pages" — give the IOTLB a similar order of magnitude.
@@ -164,17 +148,7 @@ impl Iommu {
     }
 
     /// Translate a device address, consulting the IOTLB.
-    ///
-    /// In [`IommuMode::Passthrough`] the IOVA is used as the HPA directly
-    /// with zero latency (no table, no IOTLB).
     pub fn translate(&mut self, iova: Iova) -> Result<Translation, IommuError> {
-        if self.config.mode == IommuMode::Passthrough {
-            return Ok(Translation {
-                hpa: Hpa(iova.raw()),
-                latency: SimDuration::ZERO,
-                iotlb_hit: false,
-            });
-        }
         let page = iova.page_base(self.config.page_size).raw();
         let offset = iova.page_offset(self.config.page_size);
         if let Some(&hpa_page) = self.iotlb.get(&page) {
@@ -350,17 +324,6 @@ mod tests {
         let t = m.translate(Iova(0)).unwrap();
         assert!(!t.iotlb_hit);
         assert_eq!(m.iotlb_stats().2, 3); // 2 during fill + 1 re-insert
-    }
-
-    #[test]
-    fn passthrough_mode_is_identity_and_free() {
-        let mut m = Iommu::new(IommuConfig {
-            mode: IommuMode::Passthrough,
-            ..IommuConfig::default()
-        });
-        let t = m.translate(Iova(0xabc0_0000)).unwrap();
-        assert_eq!(t.hpa, Hpa(0xabc0_0000));
-        assert_eq!(t.latency, SimDuration::ZERO);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! * [`paging`] — page tables: guest PTs, host PTs, and the EPT.
 //! * [`iommu`] — the IOMMU in the Root Complex: translation table, IOTLB,
 //!   page pinning with a cost model (the source of the Fig. 6 start-up
-//!   delay), and `pt`/`nopt` operating modes.
+//!   delay).
 //! * [`ats`] — PCIe Address Translation Services and the device-side
 //!   Address Translation Cache whose capacity misses produce the Fig. 8
 //!   bandwidth cliff.
@@ -30,7 +30,7 @@ pub mod topology;
 
 pub use addr::{Bdf, Gpa, Gva, Hpa, Hva, Iova, PAGE_2M, PAGE_4K};
 pub use ats::{Atc, AtcConfig};
-pub use iommu::{Iommu, IommuConfig, IommuMode};
+pub use iommu::{Iommu, IommuConfig};
 pub use paging::{Ept, GuestPageTable, HostPageTable, PageTable, PagingError};
 pub use topology::{
     AtField, DeviceKind, Fabric, FabricError, PcieDevice, RouteOutcome, SwitchId, Tlp, TlpKind,

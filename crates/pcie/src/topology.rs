@@ -287,13 +287,6 @@ impl Fabric {
         Ok(())
     }
 
-    /// Remove `bdf` from `switch`'s LUT.
-    pub fn unregister_lut(&mut self, switch: SwitchId, bdf: Bdf) {
-        if let Some(sw) = self.switches.get_mut(switch.0 as usize) {
-            sw.lut.retain(|b| *b != bdf);
-        }
-    }
-
     /// Number of LUT entries in use on `switch`.
     pub fn lut_len(&self, switch: SwitchId) -> usize {
         self.switches
@@ -565,8 +558,6 @@ mod tests {
         f.register_lut(sw, Bdf::new(1, 0, 0)).unwrap();
         let err = f.register_lut(sw, Bdf::new(3, 0, 0));
         assert!(matches!(err, Err(FabricError::LutFull { capacity: 2, .. })));
-        f.unregister_lut(sw, Bdf::new(1, 0, 0));
-        f.register_lut(sw, Bdf::new(3, 0, 0)).unwrap();
         assert_eq!(f.lut_len(sw), 2);
     }
 

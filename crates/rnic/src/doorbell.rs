@@ -91,13 +91,6 @@ impl DoorbellTable {
         Ok(())
     }
 
-    /// The doorbell HPA of `vdev`, if allocated.
-    pub fn hpa_of(&self, vdev: VdevId) -> Option<Hpa> {
-        self.by_vdev
-            .get(&vdev)
-            .map(|&(_, off)| Hpa(self.bar.base.0 + off))
-    }
-
     /// Doorbell pages in use.
     pub fn allocated(&self) -> usize {
         self.by_vdev.len()
@@ -173,14 +166,6 @@ mod tests {
             t.release(VdevId(5)),
             Err(DoorbellError::NotAllocated(VdevId(5)))
         );
-    }
-
-    #[test]
-    fn hpa_lookup() {
-        let mut t = table(2);
-        t.allocate(VdevId(3)).unwrap();
-        assert_eq!(t.hpa_of(VdevId(3)), Some(Hpa(0x2000_0000)));
-        assert_eq!(t.hpa_of(VdevId(4)), None);
     }
 
     #[test]

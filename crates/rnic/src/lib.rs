@@ -7,10 +7,8 @@
 //! * [`mtt`] — the Memory Translation Table and Stellar's **eMTT**
 //!   extension that records each page's owner (host memory vs. GPU) and a
 //!   pre-translated HPA, letting the RX pipeline skip the PCIe ATC (§6).
-//! * [`vswitch`] — the ordered hardware flow-steering table whose shared
-//!   TCP/RDMA pipeline causes the Problem-⑤ interference.
-//! * [`vdev`] — virtual device management: static SR-IOV VFs (Problem ①),
-//!   dynamic SFs, and lightweight vStellar devices (up to 64 k, §4).
+//! * [`vdev`] — virtual device management: static SR-IOV VFs (Problem ①)
+//!   and lightweight vStellar devices (up to 64 k, §4).
 //! * [`doorbell`] — doorbell register allocation in the RNIC BAR.
 //! * [`dma`] — the DMA engine: turns memory-region accesses into TLPs
 //!   routed through the `stellar-pcie` fabric, with a pipelined
@@ -24,7 +22,6 @@ pub mod doorbell;
 pub mod mtt;
 pub mod vdev;
 pub mod verbs;
-pub mod vswitch;
 
 pub use dma::{DmaEngine, DmaError, DmaReport, RnicDataPathConfig, TranslationMode};
 pub use doorbell::{DoorbellId, DoorbellTable};
@@ -33,4 +30,3 @@ pub use vdev::{VdevError, VdevId, VdevKind, VdevManager, VdevManagerConfig};
 pub use verbs::{
     AccessFlags, CqId, MrKey, PdId, QpId, QpState, Verbs, VerbsError, WcStatus, WorkCompletion,
 };
-pub use vswitch::{RuleAction, RuleClass, SteeringRule, VSwitch, VSwitchConfig};

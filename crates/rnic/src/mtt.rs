@@ -213,16 +213,6 @@ impl Mtt {
         Ok((0..len / ps).map(move |i| i * ps))
     }
 
-    /// Remove a region, releasing its entry budget.
-    pub fn deregister(&mut self, mr: MrKey) -> bool {
-        if let Some(region) = self.regions.remove(&mr) {
-            self.used_entries -= region.entries.len();
-            true
-        } else {
-            false
-        }
-    }
-
     /// Translate `gva` within region `mr`. Returns the entry and the byte
     /// offset within its page.
     pub fn lookup(&mut self, mr: MrKey, gva: Gva) -> Result<(MttEntry, u64), MttError> {
@@ -340,10 +330,7 @@ mod tests {
         let err =
             t.register_legacy_contiguous(MrKey(2), Gva(0x100000), Iova(0), 2 * PAGE_4K);
         assert_eq!(err, Err(MttError::CapacityExceeded { capacity: 3 }));
-        // Deregistering releases budget.
-        assert!(t.deregister(MrKey(1)));
-        t.register_legacy_contiguous(MrKey(2), Gva(0x100000), Iova(0), 2 * PAGE_4K)
-            .unwrap();
+        // The rejected region consumed nothing.
         assert_eq!(t.used_entries(), 2);
     }
 
@@ -392,13 +379,7 @@ mod tests {
     }
 
     #[test]
-    fn deregister_unknown_is_false() {
-        let mut t = mtt(10);
-        assert!(!t.deregister(MrKey(9)));
-    }
-
-    #[test]
-    fn accounting_invariants_hold_across_register_and_deregister() {
+    fn accounting_invariants_hold_across_register_and_lookup() {
         // The strict scope closes (reporting any violation) before the
         // counter asserts below, so a broken ledger fails with the
         // invariant's own report.
@@ -416,11 +397,10 @@ mod tests {
             .unwrap();
             t.lookup(MrKey(1), Gva(0)).unwrap();
             assert!(t.lookup(MrKey(9), Gva(0)).is_err());
-            assert!(t.deregister(MrKey(1)));
             t.check_invariants(stellar_sim::SimTime::ZERO);
             t
         });
-        assert_eq!(t.used_entries(), 1);
+        assert_eq!(t.used_entries(), 3);
         assert_eq!(t.counters(), (2, 1));
     }
 }

@@ -1,15 +1,12 @@
-//! Virtual device management: SR-IOV VFs, Scalable Functions, and vStellar
-//! devices.
+//! Virtual device management: SR-IOV VFs and vStellar devices.
 //!
-//! Three generations of virtualization coexist in the paper:
+//! Two generations of RDMA virtualization coexist in the paper:
 //!
 //! * **SR-IOV VFs** (the legacy path). The count is static: it can only be
 //!   toggled between zero and a target value with a full reset (Problem ①),
 //!   each VF burns its own PCIe BDF (stressing switch LUTs, Problem ③) and
 //!   claims "63 virtual queues of 5000 MTU messages each, consuming 2.4 GB
 //!   of memory in total".
-//! * **SFs** — dynamically created/destroyed, lightweight, used by Stellar
-//!   for non-RDMA (TCP) traffic.
 //! * **vStellar devices** — the paper's contribution: created in ~1.5 s,
 //!   destroyed in seconds, share the parent's BDF, minimal memory, up to
 //!   64 k per RNIC.
@@ -21,8 +18,6 @@ use stellar_sim::SimDuration;
 pub enum VdevKind {
     /// SR-IOV Virtual Function.
     Vf,
-    /// PCIe Scalable Function.
-    Sf,
     /// vStellar para-virtual RDMA device.
     VStellar,
 }
@@ -36,22 +31,16 @@ pub struct VdevId(pub u32);
 pub struct VdevManagerConfig {
     /// Maximum SR-IOV VFs the silicon supports.
     pub max_vfs: usize,
-    /// Maximum SFs.
-    pub max_sfs: usize,
     /// Maximum vStellar devices ("up to 64k virtual devices").
     pub max_vstellar: usize,
     /// Host memory consumed per enabled VF (63 queues × 5000-MTU messages
     /// ≈ 2.4 GB).
     pub vf_memory_bytes: u64,
-    /// Host memory per SF (lightweight).
-    pub sf_memory_bytes: u64,
     /// Host memory per vStellar device (standalone registers only).
     pub vstellar_memory_bytes: u64,
     /// Full-reset time required to change the VF count (driver unload,
     /// firmware reconfiguration, driver reload).
     pub vf_reconfigure_time: SimDuration,
-    /// Creation time of one SF.
-    pub sf_create_time: SimDuration,
     /// Creation time of one vStellar device ("1.5 seconds, matching the
     /// performance of MasQ").
     pub vstellar_create_time: SimDuration,
@@ -61,13 +50,10 @@ impl Default for VdevManagerConfig {
     fn default() -> Self {
         VdevManagerConfig {
             max_vfs: 63,
-            max_sfs: 512,
             max_vstellar: 65_536,
             vf_memory_bytes: 2_400_000_000,
-            sf_memory_bytes: 64 * 1024 * 1024,
             vstellar_memory_bytes: 1024 * 1024,
             vf_reconfigure_time: SimDuration::from_secs(45),
-            sf_create_time: SimDuration::from_millis(800),
             vstellar_create_time: SimDuration::from_millis(1_500),
         }
     }
@@ -127,7 +113,6 @@ pub struct VdevManager {
     config: VdevManagerConfig,
     next_id: u32,
     vfs: Vec<Vdev>,
-    sfs: Vec<Vdev>,
     vstellar: Vec<Vdev>,
 }
 
@@ -138,7 +123,6 @@ impl VdevManager {
             config,
             next_id: 0,
             vfs: Vec::new(),
-            sfs: Vec::new(),
             vstellar: Vec::new(),
         }
     }
@@ -182,22 +166,6 @@ impl VdevManager {
         Ok(self.config.vf_reconfigure_time)
     }
 
-    /// Create one SF dynamically. Returns `(id, creation_time)`.
-    pub fn create_sf(&mut self) -> Result<(VdevId, SimDuration), VdevError> {
-        if self.sfs.len() >= self.config.max_sfs {
-            return Err(VdevError::LimitExceeded {
-                limit: self.config.max_sfs,
-            });
-        }
-        let id = self.fresh_id();
-        self.sfs.push(Vdev {
-            id,
-            kind: VdevKind::Sf,
-            attached: false,
-        });
-        Ok((id, self.config.sf_create_time))
-    }
-
     /// Create one vStellar device. Returns `(id, creation_time)`.
     pub fn create_vstellar(&mut self) -> Result<(VdevId, SimDuration), VdevError> {
         if self.vstellar.len() >= self.config.max_vstellar {
@@ -214,21 +182,17 @@ impl VdevManager {
         Ok((id, self.config.vstellar_create_time))
     }
 
-    /// Destroy an SF or vStellar device (VFs can only be removed in bulk
-    /// via [`VdevManager::set_vf_count`]).
+    /// Destroy a vStellar device (VFs can only be removed in bulk via
+    /// [`VdevManager::set_vf_count`]).
     pub fn destroy(&mut self, id: VdevId) -> Result<(), VdevError> {
-        for list in [&mut self.sfs, &mut self.vstellar] {
-            if let Some(pos) = list.iter().position(|v| v.id == id) {
-                list.remove(pos);
-                return Ok(());
-            }
-        }
-        Err(VdevError::Unknown(id))
+        let pos = self.vstellar.iter().position(|v| v.id == id);
+        self.vstellar.remove(pos.ok_or(VdevError::Unknown(id))?);
+        Ok(())
     }
 
     /// Mark a device attached to / detached from a container.
     pub fn set_attached(&mut self, id: VdevId, attached: bool) -> Result<(), VdevError> {
-        for list in [&mut self.vfs, &mut self.sfs, &mut self.vstellar] {
+        for list in [&mut self.vfs, &mut self.vstellar] {
             if let Some(v) = list.iter_mut().find(|v| v.id == id) {
                 v.attached = attached;
                 return Ok(());
@@ -239,27 +203,26 @@ impl VdevManager {
 
     /// Look up a device.
     pub fn get(&self, id: VdevId) -> Option<Vdev> {
-        [&self.vfs, &self.sfs, &self.vstellar]
+        [&self.vfs, &self.vstellar]
             .into_iter()
             .flatten()
             .find(|v| v.id == id)
             .copied()
     }
 
-    /// Count of live devices of each kind `(vfs, sfs, vstellar)`.
-    pub fn counts(&self) -> (usize, usize, usize) {
-        (self.vfs.len(), self.sfs.len(), self.vstellar.len())
+    /// Count of live devices of each kind `(vfs, vstellar)`.
+    pub fn counts(&self) -> (usize, usize) {
+        (self.vfs.len(), self.vstellar.len())
     }
 
     /// Total host memory consumed by virtual device state.
     pub fn memory_bytes(&self) -> u64 {
         self.vfs.len() as u64 * self.config.vf_memory_bytes
-            + self.sfs.len() as u64 * self.config.sf_memory_bytes
             + self.vstellar.len() as u64 * self.config.vstellar_memory_bytes
     }
 
-    /// PCIe BDFs consumed beyond the PF: one per VF; SFs and vStellar
-    /// devices share the parent's BDF (the property that sidesteps the
+    /// PCIe BDFs consumed beyond the PF: one per VF; vStellar devices
+    /// share the parent's BDF (the property that sidesteps the
     /// switch LUT limit).
     pub fn extra_bdfs(&self) -> usize {
         self.vfs.len()
@@ -310,25 +273,12 @@ mod tests {
     }
 
     #[test]
-    fn sfs_are_dynamic() {
-        let mut m = mgr();
-        let (a, t) = m.create_sf().unwrap();
-        assert!(t < SimDuration::from_secs(2));
-        let (b, _) = m.create_sf().unwrap();
-        m.destroy(a).unwrap();
-        assert_eq!(m.counts().1, 1);
-        assert!(m.get(b).is_some());
-        // SFs consume no extra BDFs.
-        assert_eq!(m.extra_bdfs(), 0);
-    }
-
-    #[test]
     fn vstellar_scales_to_64k() {
         let mut m = mgr();
         for _ in 0..1000 {
             m.create_vstellar().unwrap();
         }
-        assert_eq!(m.counts().2, 1000);
+        assert_eq!(m.counts().1, 1000);
         // 1000 devices ≈ 1 GB, vs 2.4 TB for 1000 VFs.
         assert_eq!(m.memory_bytes(), 1000 * 1024 * 1024);
         assert_eq!(m.extra_bdfs(), 0);
@@ -346,13 +296,10 @@ mod tests {
     fn limits_are_enforced() {
         let mut m = VdevManager::new(VdevManagerConfig {
             max_vfs: 2,
-            max_sfs: 1,
             max_vstellar: 1,
             ..VdevManagerConfig::default()
         });
         assert_eq!(m.set_vf_count(3), Err(VdevError::LimitExceeded { limit: 2 }));
-        m.create_sf().unwrap();
-        assert_eq!(m.create_sf(), Err(VdevError::LimitExceeded { limit: 1 }));
         m.create_vstellar().unwrap();
         assert_eq!(
             m.create_vstellar(),

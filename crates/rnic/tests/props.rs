@@ -2,7 +2,7 @@
 
 use stellar_pcie::addr::{Gva, Hpa, Iova, PAGE_4K};
 use stellar_pcie::topology::DeviceId;
-use stellar_rnic::mtt::{MemOwner, Mtt, MttConfig, MttEntry};
+use stellar_rnic::mtt::{MemOwner, Mtt, MttConfig, MttEntry, MttError};
 use stellar_rnic::verbs::{AccessFlags, QpState, Verbs};
 use stellar_rnic::MrKey;
 use stellar_sim::proptest_lite::check;
@@ -46,8 +46,9 @@ fn emtt_lookup_consistency() {
     });
 }
 
-/// Capacity accounting: used entries always equal the sum of live
-/// regions' pages, across arbitrary register/deregister sequences.
+/// Capacity accounting: used entries always equal the sum of registered
+/// regions' pages, across arbitrary registration sequences; registering
+/// a live key again is rejected and consumes nothing.
 #[test]
 fn mtt_capacity_accounting() {
     check("mtt_capacity_accounting", 256, |g| {
@@ -58,18 +59,17 @@ fn mtt_capacity_accounting() {
         });
         let mut live: std::collections::HashMap<u32, u64> = Default::default();
         for (key, pages) in ops {
+            let r = mtt.register_legacy_contiguous(
+                MrKey(key),
+                Gva((key as u64) << 32),
+                Iova(0),
+                pages * PAGE_4K,
+            );
             if let std::collections::hash_map::Entry::Vacant(e) = live.entry(key) {
-                mtt.register_legacy_contiguous(
-                    MrKey(key),
-                    Gva((key as u64) << 32),
-                    Iova(0),
-                    pages * PAGE_4K,
-                )
-                .unwrap();
+                r.unwrap();
                 e.insert(pages);
             } else {
-                mtt.deregister(MrKey(key));
-                live.remove(&key);
+                assert_eq!(r, Err(MttError::AlreadyRegistered(MrKey(key))));
             }
             assert_eq!(mtt.used_entries() as u64, live.values().sum::<u64>());
         }

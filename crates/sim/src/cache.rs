@@ -186,16 +186,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     pub fn stats(&self) -> (u64, u64, u64) {
         (self.hits, self.misses, self.evictions)
     }
-
-    /// Hit ratio over all `get`s so far (0 if never queried).
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -209,7 +199,6 @@ mod tests {
         assert_eq!(c.get(&1), Some(&"a"));
         assert_eq!(c.get(&2), None);
         assert_eq!(c.stats(), (1, 1, 0));
-        assert!((c.hit_ratio() - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -148,14 +148,6 @@ impl SimRng {
         lo | (hi << 32)
     }
 
-    /// Fill `dest` with keystream bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(4) {
-            let w = self.next_u32().to_le_bytes();
-            chunk.copy_from_slice(&w[..chunk.len()]);
-        }
-    }
-
     /// Uniform draw in `[0, n)`, unbiased (Lemire's multiply-shift with
     /// rejection).
     ///
@@ -341,17 +333,6 @@ mod tests {
             let v = r.f64();
             assert!((0.0..1.0).contains(&v), "v={v}");
         }
-    }
-
-    #[test]
-    fn fill_bytes_partial_chunks() {
-        // The same stream read as bytes or words must agree on a prefix.
-        let mut a = SimRng::from_seed(6);
-        let mut b = SimRng::from_seed(6);
-        let mut bytes = [0u8; 7];
-        a.fill_bytes(&mut bytes);
-        let w = b.next_u32().to_le_bytes();
-        assert_eq!(&bytes[..4], &w);
     }
 
     #[test]

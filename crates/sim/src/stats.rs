@@ -312,21 +312,6 @@ impl TimeSeries {
         }
         Some(self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64)
     }
-
-    /// Mean of the values sampled within `[from, to)`.
-    pub fn mean_in(&self, from: SimTime, to: SimTime) -> Option<f64> {
-        let vals: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|&&(t, _)| t >= from && t < to)
-            .map(|&(_, v)| v)
-            .collect();
-        if vals.is_empty() {
-            None
-        } else {
-            Some(vals.iter().sum::<f64>() / vals.len() as f64)
-        }
-    }
 }
 
 /// The Fig. 12 load-imbalance metric: `(max(load) - min(load)) / capacity`,
@@ -480,14 +465,12 @@ mod tests {
     }
 
     #[test]
-    fn time_series_window_mean() {
+    fn time_series_mean() {
         let mut s = TimeSeries::new();
         s.push(t(0), 1.0);
         s.push(t(10), 3.0);
         s.push(t(20), 5.0);
         assert!((s.mean().unwrap() - 3.0).abs() < 1e-9);
-        assert!((s.mean_in(t(5), t(25)).unwrap() - 4.0).abs() < 1e-9);
-        assert_eq!(s.mean_in(t(100), t(200)), None);
     }
 
     #[test]

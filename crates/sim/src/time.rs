@@ -89,12 +89,6 @@ impl SimDuration {
         SimDuration(secs * 1_000_000_000)
     }
 
-    /// A span of `secs` seconds given as a float (rounded to nanoseconds).
-    pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(secs >= 0.0 && secs.is_finite(), "negative or non-finite duration");
-        SimDuration((secs * 1e9).round() as u64)
-    }
-
     /// Length in nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -267,6 +261,5 @@ mod tests {
         assert_eq!(SimDuration::from_nanos(10).mul(3).as_nanos(), 30);
         assert_eq!(SimDuration::from_nanos(10).div(3).as_nanos(), 3);
         assert_eq!(SimDuration::from_nanos(10).mul_f64(2.5).as_nanos(), 25);
-        assert_eq!(SimDuration::from_secs_f64(1.5).as_nanos(), 1_500_000_000);
     }
 }

@@ -62,7 +62,7 @@ pub const RING_CAPACITY: usize = 4096;
 pub enum Subsystem {
     /// PCIe: IOMMU/IOTLB walks, ATS/ATC, TLP routing.
     Pcie,
-    /// RNIC: doorbells, DMA engine, vSwitch steering.
+    /// RNIC: doorbells, DMA engine.
     Rnic,
     /// Fabric: links, drops, ECN, fault plans.
     Net,

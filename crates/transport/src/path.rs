@@ -28,15 +28,6 @@ pub enum PathAlgo {
     /// MP-RDMA-style congestion-aware choice: power-of-two sampling by
     /// recent ECN fraction.
     MpRdma,
-    /// Flowlet switching (§7.1): stick to the current path while packets
-    /// are back-to-back; re-pick randomly after an inter-packet gap longer
-    /// than the flowlet timeout. The paper plans this for its older GPU
-    /// clusters ("we appreciate the simplicity and compatibility of this
-    /// approach").
-    Flowlet {
-        /// Inter-packet gap beyond which a new flowlet (and path) starts.
-        gap: SimDuration,
-    },
     /// Path-aware spraying in the spirit of SMaRTT-REPS/STrack (§9): path
     /// ids whose packets return clean (unmarked) ACKs are *recycled* for
     /// subsequent packets; marked or unprobed ids fall back to a random
@@ -166,8 +157,6 @@ pub struct PathSelector {
     /// Ends the first 128 bytes with the words a draw reads.
     rng: SimRng,
     rr_cursor: u32,
-    flowlet_path: u32,
-    flowlet_last_send: SimTime,
     scoreboard: ScoreboardPolicy,
     /// Per-path and failover state; `None` until something needs it.
     feedback: Option<Box<Feedback>>,
@@ -262,10 +251,7 @@ impl PathSelector {
         assert!(num_paths <= 256, "at most 256 paths (paper's sweep ceiling)");
         let n = num_paths as usize;
         let feedback = match algo {
-            PathAlgo::SinglePath
-            | PathAlgo::RoundRobin
-            | PathAlgo::Obs
-            | PathAlgo::Flowlet { .. } => None,
+            PathAlgo::SinglePath | PathAlgo::RoundRobin | PathAlgo::Obs => None,
             PathAlgo::PathAware => Some(Feedback::default()),
             PathAlgo::MpRdma => Some(Feedback {
                 ecn_ewma: vec![0.0; n],
@@ -301,8 +287,6 @@ impl PathSelector {
             wants_ack: feedback.is_some(),
             rng,
             rr_cursor: 0,
-            flowlet_path: 0,
-            flowlet_last_send: SimTime::ZERO,
             scoreboard: ScoreboardPolicy::default(),
             feedback: feedback.map(Box::new),
         }
@@ -449,8 +433,7 @@ impl PathSelector {
     }
 
     /// Like [`PathSelector::select`], with the current simulation time —
-    /// required by time-sensitive algorithms (flowlet switching) and the
-    /// loss scoreboard (blacklist expiry).
+    /// required by the loss scoreboard (blacklist expiry).
     ///
     /// Blacklisted paths are filtered out first; if that leaves no viable
     /// path (every path blacklisted, or the constraints too tight), the
@@ -486,17 +469,16 @@ impl PathSelector {
                 let filtered = |p: u32| -> bool {
                     mask[(p / 64) as usize] & (1 << (p % 64)) == 0 && allowed(p)
                 };
-                if let Some(p) = self.select_inner(now, exclude, &filtered) {
+                if let Some(p) = self.select_inner(exclude, &filtered) {
                     return Some(p);
                 }
             }
         }
-        self.select_inner(now, exclude, allowed)
+        self.select_inner(exclude, allowed)
     }
 
     fn select_inner<F: Fn(u32) -> bool>(
         &mut self,
-        now: SimTime,
         exclude: Option<u32>,
         allowed: &F,
     ) -> Option<u32> {
@@ -544,28 +526,6 @@ impl PathSelector {
                 found.or_else(|| (0..n).find(|&p| ok(p)))
             }
             PathAlgo::Dwrr => self.select_dwrr(exclude, allowed),
-            PathAlgo::Flowlet { gap } => {
-                let gap_elapsed =
-                    now.saturating_duration_since(self.flowlet_last_send) > gap;
-                if gap_elapsed || !ok(self.flowlet_path) {
-                    // New flowlet: re-hash (uniform random pick).
-                    let mut found = None;
-                    for _ in 0..8 {
-                        let p = self.rng.below(n as u64) as u32;
-                        if ok(p) {
-                            found = Some(p);
-                            break;
-                        }
-                    }
-                    if let Some(p) = found.or_else(|| (0..n).find(|&p| ok(p))) {
-                        self.flowlet_path = p;
-                    } else {
-                        return None;
-                    }
-                }
-                self.flowlet_last_send = now;
-                Some(self.flowlet_path)
-            }
             PathAlgo::PathAware => {
                 // Drain the recycle queue first (freshly-confirmed good
                 // paths); otherwise explore uniformly like OBS.
@@ -1020,9 +980,6 @@ mod tests {
     /// loss.
     #[test]
     fn untracked_state_reads_none_and_allocates_nothing() {
-        let flowlet = PathAlgo::Flowlet {
-            gap: SimDuration::from_micros(5),
-        };
         for (algo, rtt, ecn, deficit) in [
             (PathAlgo::SinglePath, false, false, false),
             (PathAlgo::RoundRobin, false, false, false),
@@ -1030,7 +987,6 @@ mod tests {
             (PathAlgo::Dwrr, true, false, true),
             (PathAlgo::BestRtt, true, false, false),
             (PathAlgo::MpRdma, false, true, false),
-            (flowlet, false, false, false),
             (PathAlgo::PathAware, false, false, false),
         ] {
             let mut s = selector(algo, 128);
@@ -1090,40 +1046,6 @@ mod tests {
         s.on_ack(0, SimDuration::from_micros(5), false); // recycle path 0
         let p = s.select(None, &|p| p >= 4).unwrap();
         assert!(p >= 4, "recycled-but-disallowed path must be skipped");
-    }
-
-    #[test]
-    fn flowlet_sticks_within_gap_and_switches_after() {
-        let gap = SimDuration::from_micros(50);
-        let mut s = selector(PathAlgo::Flowlet { gap }, 64);
-        // Back-to-back packets: one path.
-        let t0 = SimTime::from_nanos(0);
-        let first = s.select_at(t0, None, &ALL).unwrap();
-        for i in 1..50u64 {
-            let t = SimTime::from_nanos(i * 1_000); // 1 µs apart < gap
-            assert_eq!(s.select_at(t, None, &ALL), Some(first));
-        }
-        // After a long pause, a new flowlet starts; over many flowlets,
-        // multiple paths get used.
-        let mut t = SimTime::from_nanos(1_000_000);
-        let mut used = std::collections::BTreeSet::new();
-        for _ in 0..50 {
-            t += SimDuration::from_micros(100); // > gap
-            used.insert(s.select_at(t, None, &ALL));
-        }
-        assert!(used.len() > 4, "flowlets must diversify paths");
-    }
-
-    #[test]
-    fn flowlet_respects_allowed() {
-        let gap = SimDuration::from_micros(10);
-        let mut s = selector(PathAlgo::Flowlet { gap }, 8);
-        for i in 0..50u64 {
-            let t = SimTime::from_nanos(i * 100_000);
-            let p = s.select_at(t, None, &|p| p >= 6).unwrap();
-            assert!(p >= 6);
-        }
-        assert_eq!(s.select_at(SimTime::from_nanos(9_000_000), None, &|_| false), None);
     }
 
     #[test]

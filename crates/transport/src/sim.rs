@@ -1986,43 +1986,6 @@ mod tests {
     }
 
     #[test]
-    fn flowlet_transport_completes_and_uses_multiple_paths() {
-        let mut sim = make_sim(
-            PathAlgo::Flowlet {
-                gap: SimDuration::from_micros(20),
-            },
-            64,
-            12,
-        );
-        let src = sim.network().topology().nic(0, 0);
-        let dst = sim.network().topology().nic(4, 0);
-        let conn = sim.add_connection(src, dst);
-        // Several messages with idle gaps between them -> several flowlets.
-        struct Gapped {
-            remaining: u32,
-        }
-        impl App for Gapped {
-            fn on_message_complete(&mut self, sim: &mut TransportSim, _c: ConnId, _m: MsgId) {
-                if self.remaining > 0 {
-                    self.remaining -= 1;
-                    let at = sim.now() + SimDuration::from_micros(100);
-                    sim.schedule_timer(at, 0);
-                }
-            }
-            fn on_timer(&mut self, sim: &mut TransportSim, _t: u64) {
-                sim.post_message(ConnId(0), 256 * 1024);
-            }
-        }
-        sim.network_mut().enable_trace(1 << 16);
-        sim.post_message(conn, 256 * 1024);
-        let mut app = Gapped { remaining: 12 };
-        sim.run(&mut app, FOREVER);
-        assert_eq!(sim.conn_stats(conn).completed_messages, 13);
-        let active = paths_used(&mut sim, conn);
-        assert!(active > 3, "flowlets must spread: {active}");
-    }
-
-    #[test]
     fn latency_histogram_reflects_message_sizes() {
         let mut sim = make_sim(PathAlgo::Obs, 32, 13);
         let src = sim.network().topology().nic(0, 0);

@@ -35,17 +35,15 @@ use stellar_transport::{
 
 const PATHS: u32 = 16;
 
-const ALGOS: [PathAlgo; 8] = [
-    PathAlgo::SinglePath,
-    PathAlgo::RoundRobin,
-    PathAlgo::Obs,
-    PathAlgo::Dwrr,
-    PathAlgo::BestRtt,
-    PathAlgo::MpRdma,
-    PathAlgo::Flowlet {
-        gap: SimDuration::from_micros(20),
-    },
-    PathAlgo::PathAware,
+/// Each algorithm with the seed its hashes were recorded at.
+const ALGOS: [(PathAlgo, u64); 7] = [
+    (PathAlgo::SinglePath, 100),
+    (PathAlgo::RoundRobin, 101),
+    (PathAlgo::Obs, 102),
+    (PathAlgo::Dwrr, 103),
+    (PathAlgo::BestRtt, 104),
+    (PathAlgo::MpRdma, 105),
+    (PathAlgo::PathAware, 107),
 ];
 
 fn fnv(h: &mut u64, x: u64) {
@@ -176,9 +174,9 @@ fn drive(algo: PathAlgo, paths: u32, failover: bool, seed: u64) -> Drive {
 #[test]
 fn every_algorithm_selects_as_recorded() {
     let mut hashes = Vec::new();
-    for (i, &algo) in ALGOS.iter().enumerate() {
+    for (algo, seed) in ALGOS {
         for failover in [false, true] {
-            let d = drive(algo, PATHS, failover, 100 + i as u64);
+            let d = drive(algo, PATHS, failover, seed);
             assert!(
                 d.max_blacklisted > 1,
                 "{algo:?}: the scoreboard never fired"
@@ -191,7 +189,7 @@ fn every_algorithm_selects_as_recorded() {
             hashes.push(d.hash);
         }
     }
-    let expect: [u64; 16] = [
+    let expect: [u64; 14] = [
         2_013_674_303_868_878_545,
         9_032_699_536_209_340_888,
         8_799_634_084_379_299_787,
@@ -204,8 +202,6 @@ fn every_algorithm_selects_as_recorded() {
         3_957_195_737_653_833_729,
         11_151_819_241_782_914_046,
         3_375_347_924_465_329_126,
-        14_457_164_773_341_254_839,
-        3_380_559_159_398_149_536,
         405_369_992_556_588_842,
         1_160_496_518_987_189_126,
     ];

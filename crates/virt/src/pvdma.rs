@@ -245,24 +245,6 @@ impl Pvdma {
         out
     }
 
-    /// Explicitly register a doorbell page living in the virtio shm I/O
-    /// space so a *GPU* can ring it via DMA (GPUDirect Async, §5).
-    ///
-    /// The shm window is not guest RAM, so ordinary PVDMA interception
-    /// never maps it; this is the paper's "mechanism similar to PVDMA
-    /// that explicitly registers the doorbell's I/O memory in the GPU's
-    /// IOMMU page table when needed". The chosen IOVA lives outside the
-    /// guest-physical range, so it can never collide with a PVDMA block.
-    pub fn register_shm_doorbell(
-        &mut self,
-        iommu: &mut Iommu,
-        shm_iova: Iova,
-        doorbell_hpa: Hpa,
-    ) -> Result<SimDuration, PvdmaError> {
-        let cost = iommu.pin_pages(&[(shm_iova, doorbell_hpa)])?;
-        Ok(cost)
-    }
-
     /// Release every pinned block: unmap its pages from the IOMMU and
     /// empty the map cache. Called on container teardown — without it a
     /// destroyed guest would leak pinned host memory.
@@ -486,23 +468,6 @@ mod tests {
         // The engine is reusable afterwards.
         let o = p.dma_prepare(&h, &mut iommu, Gpa(0), PAGE_4K).unwrap();
         assert_eq!(o.blocks_pinned, 1);
-    }
-
-    #[test]
-    fn gpudirect_async_shm_doorbell_registration() {
-        // The GPU rings the vDB via DMA: the shm doorbell gets an explicit
-        // IOMMU entry at an IOVA disjoint from guest RAM.
-        let (h, mut iommu, mut p) = setup(4 * PAGE_2M);
-        let shm_iova = Iova(1 << 45); // outside any guest-physical range
-        let cost = p
-            .register_shm_doorbell(&mut iommu, shm_iova, Hpa(RNIC_DB_HPA))
-            .unwrap();
-        assert!(cost > SimDuration::ZERO);
-        assert_eq!(iommu.translate(shm_iova).unwrap().hpa, Hpa(RNIC_DB_HPA));
-        // Normal PVDMA traffic in guest RAM cannot alias it.
-        p.dma_prepare(&h, &mut iommu, Gpa(0), PAGE_2M).unwrap();
-        let bad = p.check_consistency(&h, &mut iommu, Gpa(0), 4 * PAGE_2M);
-        assert!(bad.is_empty());
     }
 
     #[test]

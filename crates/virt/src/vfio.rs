@@ -1,14 +1,13 @@
 //! The legacy VFIO path (Problem ②).
 //!
-//! VFIO hands a whole PCIe function to the guest: it maps the device's BAR
-//! into the guest GPA space and programs the IOMMU so the device can DMA
-//! into guest memory. Because the GPA→HPA mapping must never change under
+//! VFIO hands a whole PCIe function to the guest and programs the IOMMU
+//! so the device can DMA into guest memory. Because the GPA→HPA mapping must never change under
 //! the device (a swapped-out page would redirect DMA), the hypervisor must
 //! **pin every page the device might touch** — for RDMA workloads, all of
 //! guest memory — before the container is usable. That full pin is the
 //! minute-scale start-up cost in Fig. 6.
 
-use stellar_pcie::addr::{Gpa, Hpa, Iova};
+use stellar_pcie::addr::Iova;
 use stellar_pcie::iommu::{Iommu, IommuError};
 use stellar_sim::SimDuration;
 
@@ -67,24 +66,6 @@ impl Vfio {
         Ok(total)
     }
 
-    /// Map a device BAR into the guest at `gpa` (device-register EPT
-    /// entries at 4 KiB granularity).
-    pub fn map_bar(
-        &mut self,
-        hypervisor: &mut Hypervisor,
-        gpa: Gpa,
-        bar_hpa: Hpa,
-        len: u64,
-    ) {
-        let pages = len.div_ceil(stellar_pcie::PAGE_4K);
-        for i in 0..pages {
-            hypervisor.map_device_register(
-                Gpa(gpa.0 + i * stellar_pcie::PAGE_4K),
-                Hpa(bar_hpa.0 + i * stellar_pcie::PAGE_4K),
-            );
-        }
-    }
-
     /// Regions pinned so far.
     pub fn pinned_regions(&self) -> u64 {
         self.pinned_regions
@@ -94,8 +75,8 @@ impl Vfio {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hypervisor::{HypervisorConfig, TranslateKind};
-    use stellar_pcie::addr::PAGE_2M;
+    use crate::hypervisor::HypervisorConfig;
+    use stellar_pcie::addr::{Gpa, Hpa, PAGE_2M};
     use stellar_pcie::iommu::IommuConfig;
 
     #[test]
@@ -136,21 +117,5 @@ mod tests {
         assert_eq!(t.hpa, Hpa(0x1_0000_2000));
         assert_eq!(iommu.pinned_bytes(), 4 * PAGE_2M);
         assert_eq!(vfio.pinned_regions(), 1);
-    }
-
-    #[test]
-    fn map_bar_creates_device_register_pages() {
-        let mut h = Hypervisor::new(HypervisorConfig::default());
-        h.add_ram(Gpa(0), Hpa(0x1_0000_0000), PAGE_2M);
-        let mut vfio = Vfio::new();
-        vfio.map_bar(
-            &mut h,
-            Gpa(0x8000_0000),
-            Hpa(0x2000_0000),
-            2 * stellar_pcie::PAGE_4K,
-        );
-        let (hpa, kind) = h.translate(Gpa(0x8000_1004)).unwrap();
-        assert_eq!(hpa, Hpa(0x2000_1004));
-        assert_eq!(kind, TranslateKind::DeviceRegister);
     }
 }

@@ -1,11 +1,8 @@
-//! A minimal virtio device framework: control-path queues and the
-//! shared-memory (shm) region.
+//! The virtio shared-memory (shm) region.
 //!
 //! vStellar's control path runs over virtio: the guest posts control
-//! requests (QP creation, MR registration, ...) on a virtqueue; the host
-//! driver intercepts them, applies security and virtualization policy, and
-//! posts completions back. [`VirtioQueue`] models that request/response
-//! ring with bounded capacity.
+//! requests (QP creation, MR registration, ...) that the host intercepts;
+//! `stellar-core` charges their round trips as latency.
 //!
 //! [`ShmRegion`] models the virtio shared-memory region feature the paper
 //! uses to fix the Fig. 5 bug: an I/O window **disjoint from guest RAM**
@@ -13,21 +10,11 @@
 //! are not GPAs, PVDMA's 2 MiB RAM blocks can never swallow a doorbell
 //! mapped here.
 
-use std::collections::VecDeque;
-
 use stellar_pcie::addr::Hpa;
-use stellar_sim::SimDuration;
 
 /// Virtio framework errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VirtioError {
-    /// The virtqueue is full.
-    QueueFull {
-        /// Ring capacity.
-        capacity: usize,
-    },
-    /// No completed request to collect.
-    NoCompletion,
     /// The shm window is exhausted or the offset is out of bounds.
     ShmOutOfSpace,
     /// Shm offset not mapped.
@@ -37,8 +24,6 @@ pub enum VirtioError {
 impl std::fmt::Display for VirtioError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            VirtioError::QueueFull { capacity } => write!(f, "virtqueue full ({capacity})"),
-            VirtioError::NoCompletion => write!(f, "no completion available"),
             VirtioError::ShmOutOfSpace => write!(f, "shm region exhausted"),
             VirtioError::ShmUnmapped(off) => write!(f, "shm offset {off:#x} unmapped"),
         }
@@ -46,65 +31,6 @@ impl std::fmt::Display for VirtioError {
 }
 
 impl std::error::Error for VirtioError {}
-
-/// A bounded request/response virtqueue carrying opaque request payloads.
-#[derive(Debug)]
-pub struct VirtioQueue<Req, Resp> {
-    capacity: usize,
-    pending: VecDeque<Req>,
-    completed: VecDeque<Resp>,
-    submitted: u64,
-}
-
-impl<Req, Resp> VirtioQueue<Req, Resp> {
-    /// A queue with the given ring capacity.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "virtqueue capacity must be positive");
-        VirtioQueue {
-            capacity,
-            pending: VecDeque::new(),
-            completed: VecDeque::new(),
-            submitted: 0,
-        }
-    }
-
-    /// Guest side: post a request descriptor.
-    pub fn post(&mut self, req: Req) -> Result<(), VirtioError> {
-        if self.pending.len() + self.completed.len() >= self.capacity {
-            return Err(VirtioError::QueueFull {
-                capacity: self.capacity,
-            });
-        }
-        self.pending.push_back(req);
-        self.submitted += 1;
-        Ok(())
-    }
-
-    /// Host side: take the next pending request to process.
-    pub fn take_pending(&mut self) -> Option<Req> {
-        self.pending.pop_front()
-    }
-
-    /// Host side: post a completion back to the guest.
-    pub fn complete(&mut self, resp: Resp) {
-        self.completed.push_back(resp);
-    }
-
-    /// Guest side: collect a completion.
-    pub fn collect(&mut self) -> Result<Resp, VirtioError> {
-        self.completed.pop_front().ok_or(VirtioError::NoCompletion)
-    }
-
-    /// `(pending, completed)` depths.
-    pub fn depths(&self) -> (usize, usize) {
-        (self.pending.len(), self.completed.len())
-    }
-
-    /// Total requests ever submitted.
-    pub fn submitted(&self) -> u64 {
-        self.submitted
-    }
-}
 
 /// A virtio shared-memory region: a window of device-visible offsets,
 /// disjoint from guest RAM, into which the host maps device pages.
@@ -126,27 +52,14 @@ impl ShmRegion {
         }
     }
 
-    /// Map one device page at the first free offset; returns the offset.
+    /// Map one device page at the next free offset; returns the offset.
     pub fn map_page(&mut self, hpa: Hpa) -> Result<u64, VirtioError> {
-        let mut offset = 0;
-        while self.maps.iter().any(|&(o, _)| o == offset) {
-            offset += self.page_size;
-        }
+        let offset = self.maps.len() as u64 * self.page_size;
         if offset + self.page_size > self.len {
             return Err(VirtioError::ShmOutOfSpace);
         }
         self.maps.push((offset, hpa));
         Ok(offset)
-    }
-
-    /// Unmap the page at `offset`.
-    pub fn unmap_page(&mut self, offset: u64) -> Result<(), VirtioError> {
-        let before = self.maps.len();
-        self.maps.retain(|&(o, _)| o != offset);
-        if self.maps.len() == before {
-            return Err(VirtioError::ShmUnmapped(offset));
-        }
-        Ok(())
     }
 
     /// Resolve an shm offset to the backing device page.
@@ -158,37 +71,6 @@ impl ShmRegion {
             .map(|&(_, hpa)| Hpa(hpa.0 + (offset - base)))
             .ok_or(VirtioError::ShmUnmapped(offset))
     }
-
-    /// Mapped pages.
-    pub fn mapped_pages(&self) -> usize {
-        self.maps.len()
-    }
-}
-
-/// A virtio device: a control queue plus an optional shm region.
-///
-/// `Req`/`Resp` are defined by the device class (vStellar's control
-/// messages live in `stellar-core`).
-#[derive(Debug)]
-pub struct VirtioDevice<Req, Resp> {
-    /// Control virtqueue.
-    pub control: VirtioQueue<Req, Resp>,
-    /// Shared-memory window (e.g. for the vDB).
-    pub shm: ShmRegion,
-    /// Latency of one guest↔host control round trip (vmexit + host work).
-    pub control_latency: SimDuration,
-}
-
-impl<Req, Resp> VirtioDevice<Req, Resp> {
-    /// A device with a control ring of `queue_depth` and an shm window of
-    /// `shm_len` bytes.
-    pub fn new(queue_depth: usize, shm_len: u64, shm_page: u64) -> Self {
-        VirtioDevice {
-            control: VirtioQueue::new(queue_depth),
-            shm: ShmRegion::new(shm_len, shm_page),
-            control_latency: SimDuration::from_micros(30),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -197,45 +79,18 @@ mod tests {
     use stellar_pcie::addr::PAGE_4K;
 
     #[test]
-    fn queue_round_trip() {
-        let mut q: VirtioQueue<&str, u32> = VirtioQueue::new(4);
-        q.post("create qp").unwrap();
-        q.post("reg mr").unwrap();
-        assert_eq!(q.depths(), (2, 0));
-        let r = q.take_pending().unwrap();
-        assert_eq!(r, "create qp");
-        q.complete(7);
-        assert_eq!(q.collect().unwrap(), 7);
-        assert_eq!(q.collect(), Err(VirtioError::NoCompletion));
-        assert_eq!(q.submitted(), 2);
-    }
-
-    #[test]
-    fn queue_capacity_counts_inflight_and_uncollected() {
-        let mut q: VirtioQueue<u8, u8> = VirtioQueue::new(2);
-        q.post(1).unwrap();
-        q.post(2).unwrap();
-        assert_eq!(q.post(3), Err(VirtioError::QueueFull { capacity: 2 }));
-        let r = q.take_pending().unwrap();
-        q.complete(r);
-        // Completion still occupies the ring until collected.
-        assert_eq!(q.post(3), Err(VirtioError::QueueFull { capacity: 2 }));
-        q.collect().unwrap();
-        q.post(3).unwrap();
-    }
-
-    #[test]
-    fn shm_map_translate_unmap() {
+    fn shm_map_translate() {
         let mut shm = ShmRegion::new(4 * PAGE_4K, PAGE_4K);
         let off = shm.map_page(Hpa(0x2000_0000)).unwrap();
         assert_eq!(off, 0);
         assert_eq!(shm.translate(off + 0x10).unwrap(), Hpa(0x2000_0010));
         let off2 = shm.map_page(Hpa(0x2000_1000)).unwrap();
         assert_eq!(off2, PAGE_4K);
-        shm.unmap_page(off).unwrap();
-        assert_eq!(shm.translate(0x10), Err(VirtioError::ShmUnmapped(0x10)));
-        // Freed offset is reused.
-        assert_eq!(shm.map_page(Hpa(0x3000_0000)).unwrap(), 0);
+        assert_eq!(shm.translate(off2).unwrap(), Hpa(0x2000_1000));
+        assert_eq!(
+            shm.translate(2 * PAGE_4K),
+            Err(VirtioError::ShmUnmapped(2 * PAGE_4K))
+        );
     }
 
     #[test]
@@ -243,12 +98,5 @@ mod tests {
         let mut shm = ShmRegion::new(PAGE_4K, PAGE_4K);
         shm.map_page(Hpa(0x1000)).unwrap();
         assert_eq!(shm.map_page(Hpa(0x2000)), Err(VirtioError::ShmOutOfSpace));
-    }
-
-    #[test]
-    fn device_composition() {
-        let dev: VirtioDevice<u8, u8> = VirtioDevice::new(64, 16 * PAGE_4K, PAGE_4K);
-        assert_eq!(dev.shm.mapped_pages(), 0);
-        assert!(dev.control_latency > SimDuration::ZERO);
     }
 }

@@ -490,9 +490,7 @@ impl ShrunkChaos {
     ///
     /// The emitted source reconstructs the exact [`ChaosConfig`]
     /// (including the seed and the bisected `plan_keep` subset) and
-    /// asserts the failure still reproduces. Flowlet path algorithms
-    /// carry a payload that `Debug` does not render as valid source;
-    /// every unit-variant algorithm round-trips verbatim.
+    /// asserts the failure still reproduces.
     pub fn test_source(&self) -> String {
         let c = &self.config;
         let plan_keep = match &c.plan_keep {
@@ -1095,6 +1093,8 @@ mod tests {
             "missing bisected plan subset:\n{src}"
         );
         assert!(src.contains("chaos_fails(&config)"), "missing oracle:\n{src}");
+        let algo = format!("algo: PathAlgo::{:?},", shrunk.config.algo);
+        assert!(src.contains(&algo), "missing `{algo}`:\n{src}");
     }
 
     /// Every scenario's plan — flap storms, switch cascades, the compound

@@ -85,10 +85,17 @@ grep -Eq '^running [1-9][0-9]* tests?$' <<<"$ref_log" ||
 # randomness would diverge), the thread-count gate (DESIGN.md §5) and
 # the check gate (checks may observe, never perturb). It runs in a
 # scratch directory so the committed BENCH_reproduce.json stays as is.
+# The `scale` and `recovery` lines of its stdout must match their golden
+# files: they are the CI-gated rows of the conformance test's gate
+# table, too slow for that debug test.
 suite_dir="$(mktemp -d)"
 trap 'rm -rf "$suite_dir"' EXIT
 (cd "$suite_dir" && STELLAR_THREADS=8 "$OLDPWD"/target/release/reproduce \
-    all --quick --json --check --perf >/dev/null)
+    all --quick --json --check --perf >suite.json)
+for exp in scale recovery; do
+    match_golden "suite $exp" "crates/bench/tests/golden/$exp.json" \
+        "$(grep "^{\"experiment\":\"$exp\"," "$suite_dir/suite.json")"
+done
 
 # Memory gates: the two flow-level experiments on one worker, each in a
 # fresh process, since peak RSS is a per-process high-water mark. With
@@ -99,12 +106,12 @@ trap 'rm -rf "$suite_dir"' EXIT
 # and 122 MB with full-size per-connection tables, 41.9 and 15.8 MB with
 # eagerly allocated link tables and a 512-byte path selector). Each
 # ceiling is 1.5x its measured peak, rounded up to a whole MB. Both
-# tables must match their golden files: they are the CI-gated rows of
-# the conformance test's gate table, too slow for that debug test.
-scale_out="$(STELLAR_THREADS=1 run_capped "scale --quick" 47 scale --quick --json)"
-match_golden scale crates/bench/tests/golden/scale.json "$scale_out"
-rec_out="$(STELLAR_THREADS=1 run_capped "recovery --quick --check" 22 recovery --quick --json --check)"
-match_golden recovery crates/bench/tests/golden/recovery.json "$rec_out"
+# text tables must match their golden files, as the suite's JSON lines
+# did above.
+scale_out="$(STELLAR_THREADS=1 run_capped "scale --quick" 47 scale --quick)"
+match_golden scale crates/bench/tests/golden/scale.txt "$scale_out"
+rec_out="$(STELLAR_THREADS=1 run_capped "recovery --quick --check" 22 recovery --quick --check)"
+match_golden recovery crates/bench/tests/golden/recovery.txt "$rec_out"
 # The packet-level fig9 sweep posts 1 MiB per flow per period, open loop,
 # so lagging flows build a backlog. Messages are cut into packets as they
 # are sent (DESIGN.md §14), so a backlog costs its messages, not one

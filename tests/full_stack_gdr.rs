@@ -107,7 +107,7 @@ fn vstellar_devices_scale_where_vfs_cannot() {
     for _ in 0..128 {
         stack.create_device(&mut server, c, RnicId(0)).unwrap();
     }
-    assert_eq!(server.rnic(RnicId(0)).vdevs.counts().2, 128);
+    assert_eq!(server.rnic(RnicId(0)).vdevs.counts().1, 128);
     assert_eq!(server.rnic(RnicId(0)).vdevs.extra_bdfs(), 0);
 
     // SR-IOV: silicon caps the VF count far below that.
