@@ -21,7 +21,7 @@ use stellar_pcie::addr::{Gpa, Hpa, PAGE_2M, PAGE_4K};
 use stellar_pcie::iommu::{Iommu, IommuConfig};
 use stellar_sim::{SimRng, SimTime};
 use stellar_transport::{CompletionLog, PathAlgo, TransportConfig, TransportSim};
-use stellar_virt::hypervisor::{Hypervisor, HypervisorConfig};
+use stellar_virt::hypervisor::Hypervisor;
 use stellar_virt::pvdma::{Pvdma, PvdmaConfig};
 use stellar_workloads::permutation::{run_permutation_with, PermutationConfig};
 
@@ -43,12 +43,11 @@ fn ablation_emtt_vs_atc(h: &Harness) {
 fn ablation_pvdma_granularity(h: &Harness) {
     for block in [PAGE_4K, PAGE_2M, 16 * PAGE_2M] {
         h.bench(&format!("ablation_pvdma_granularity/{}KiB", block / 1024), || {
-            let mut hv = Hypervisor::new(HypervisorConfig::default());
+            let mut hv = Hypervisor::new();
             hv.add_ram(Gpa(0), Hpa(1 << 40), 256 * PAGE_2M);
             let mut iommu = Iommu::new(IommuConfig::default());
             let mut pvdma = Pvdma::new(PvdmaConfig {
                 block_size: block,
-                ..PvdmaConfig::default()
             });
             let mut total_ns = 0u64;
             for i in 0..32u64 {

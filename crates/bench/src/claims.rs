@@ -8,6 +8,7 @@
 
 use stellar_core::vstellar::VStellarStack;
 use stellar_core::{RnicId, ServerConfig, StellarServer};
+use stellar_rnic::vdev::{MAX_VSTELLAR, VF_MEMORY_BYTES};
 use stellar_virt::rund::MemoryStrategy;
 use stellar_sim::json::json_row;
 
@@ -47,9 +48,9 @@ pub fn run(quick: bool) -> Vec<Row> {
             .expect("create many");
     }
     let created = server.rnic(RnicId(1)).vdevs.counts().1 as f64;
-    let max_devices = server.rnic(RnicId(1)).vdevs.config().max_vstellar as f64;
+    let max_devices = MAX_VSTELLAR as f64;
     let extra_bdfs = server.rnic(RnicId(1)).vdevs.extra_bdfs() as f64;
-    let vf_mem_gb = server.rnic(RnicId(0)).vdevs.config().vf_memory_bytes as f64 / 1e9;
+    let vf_mem_gb = VF_MEMORY_BYTES as f64 / 1e9;
 
     vec![
         Row {

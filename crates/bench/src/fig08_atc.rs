@@ -12,7 +12,6 @@
 use stellar_core::{RnicId, ServerConfig, StellarServer};
 use stellar_pcie::addr::Gva;
 use stellar_pcie::ats::AtcConfig;
-use stellar_pcie::iommu::IommuConfig;
 use stellar_pcie::{Hpa, Iova};
 use stellar_rnic::dma::{RnicDataPathConfig, TranslationMode};
 use stellar_rnic::verbs::{AccessFlags, MrKey};
@@ -41,20 +40,11 @@ json_row! {
 
 fn atc_rig(port_gbps: f64) -> StellarServer {
     StellarServer::new(ServerConfig {
-        datapath: RnicDataPathConfig {
-            port_gbps,
-            ..RnicDataPathConfig::default()
-        },
+        datapath: RnicDataPathConfig { port_gbps },
         atc: AtcConfig {
             // 16 conns × 2 MB / 4 KiB pages = 8192 entries: the first
             // cliff sits at 2 MB per connection, as measured on the CX6.
             capacity: 8 * 1024,
-            ..AtcConfig::default()
-        },
-        iommu: IommuConfig {
-            // 16 × 16 MB reach: the second cliff (pcm-iio's IOTLB misses).
-            iotlb_capacity: 64 * 1024,
-            ..IommuConfig::default()
         },
         ..ServerConfig::default()
     })

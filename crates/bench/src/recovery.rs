@@ -206,7 +206,6 @@ fn fleet_fabric(config: &FleetConfig) -> (HybridFabric, SimRng) {
             // Longer than the outage: the recovery ladder, not a BGP
             // reroute, must bridge the dark window.
             bgp_convergence: SimDuration::from_millis(50),
-            ..NetworkConfig::default()
         },
         HybridConfig::default(),
         &rng,
@@ -356,7 +355,6 @@ pub fn run(quick: bool) -> Vec<Row> {
                 &ChaosConfig {
                     recovery: Some(RecoveryPolicy {
                         reestablish: churn_cost(),
-                        ..RecoveryPolicy::default()
                     }),
                     ..unhardened_compound(quick)
                 },
@@ -374,7 +372,7 @@ pub fn run(quick: bool) -> Vec<Row> {
                 &ChaosConfig {
                     scenario: ChaosScenario::Compound,
                     recovery: Some(RecoveryPolicy::default()),
-                    plane_failover: Some(PlaneFailover::default()),
+                    plane_failover: Some(PlaneFailover),
                     data_bytes: 16 << 20,
                     iterations: 8,
                     ..ChaosConfig::default()

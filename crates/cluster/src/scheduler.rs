@@ -328,11 +328,10 @@ pub fn run_cluster_with<F: Fabric>(
     let mut sim = TransportSim::new(
         fabric,
         TransportConfig {
+            // Recovery is armed on every connection. After device churn
+            // it pays the full measured create→re-pin→bring-up lifecycle.
             recovery: Some(RecoveryPolicy {
-                // Recovery after device churn pays the full measured
-                // create→re-pin→bring-up lifecycle.
                 reestablish: churn_cost(),
-                ..config.recovery.clone()
             }),
             ..TransportConfig::default()
         },

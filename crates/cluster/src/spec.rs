@@ -4,7 +4,6 @@ use std::collections::BTreeSet;
 
 use stellar_net::ClosConfig;
 use stellar_sim::{SimDuration, SimTime};
-use stellar_transport::RecoveryPolicy;
 use stellar_workloads::allreduce::BurstSchedule;
 
 /// One tenant job submitted to the cluster.
@@ -85,23 +84,17 @@ pub struct ClusterConfig {
     pub tenants: Vec<TenantSpec>,
     /// Seed for every stream in the run.
     pub seed: u64,
-    /// Recovery policy armed on every connection; its `reestablish`
-    /// cost is overwritten with the live-measured device-churn
-    /// lifecycle, so churned connections pay the real
-    /// create→re-pin→bring-up price.
-    pub recovery: RecoveryPolicy,
 }
 
 impl ClusterConfig {
-    /// A config over `topology` with the given policy and tenants, the
-    /// default recovery policy, and seed 42.
+    /// A config over `topology` with the given policy and tenants, and
+    /// seed 42.
     pub fn new(topology: ClosConfig, policy: PlacementPolicy, tenants: Vec<TenantSpec>) -> Self {
         ClusterConfig {
             topology,
             policy,
             tenants,
             seed: 42,
-            recovery: RecoveryPolicy::default(),
         }
     }
 

@@ -14,7 +14,7 @@
 
 use stellar_pcie::addr::{Address, Bdf, Gva, Hpa, Iova};
 use stellar_pcie::topology::{DeviceId, FabricError};
-use stellar_rnic::dma::{DmaError, DmaReport, TranslationMode};
+use stellar_rnic::dma::{DmaError, DmaReport, TranslationMode, TRANSLATION_PARALLELISM};
 use stellar_rnic::mtt::MttError;
 use stellar_rnic::vdev::VdevError;
 use stellar_rnic::verbs::{AccessFlags, MrKey, PdId, VerbsError};
@@ -258,7 +258,7 @@ impl BaselineStack {
             let encap = self.vxlan_latency.mul(report.pages);
             let header_tax = 1.0 + (50.0 / r.dma.config().port_gbps.max(1.0)).min(0.09);
             let extra_wire = report.elapsed.mul_f64(0.09);
-            report.elapsed += extra_wire + encap.div(r.dma.config().translation_parallelism.max(1) as u64);
+            report.elapsed += extra_wire + encap.div(u64::from(TRANSLATION_PARALLELISM));
             report.first_page_latency += self.vxlan_latency;
             report.gbps = stellar_sim::stats::gbps(report.bytes, report.elapsed);
             let _ = header_tax;

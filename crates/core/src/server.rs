@@ -9,11 +9,11 @@
 use stellar_pcie::addr::{Bdf, Hpa, Range};
 use stellar_pcie::ats::{Atc, AtcConfig};
 use stellar_pcie::iommu::{Iommu, IommuConfig};
-use stellar_pcie::topology::{DeviceId, DeviceKind, Fabric, FabricConfig, SwitchId};
+use stellar_pcie::topology::{DeviceId, DeviceKind, Fabric, SwitchId};
 use stellar_rnic::dma::{DmaEngine, RnicDataPathConfig};
 use stellar_rnic::doorbell::DoorbellTable;
 use stellar_rnic::mtt::{Mtt, MttConfig};
-use stellar_rnic::vdev::{VdevManager, VdevManagerConfig};
+use stellar_rnic::vdev::VdevManager;
 use stellar_rnic::verbs::Verbs;
 use stellar_telemetry::{fold_counters, Subsystem};
 use stellar_virt::pvdma::Pvdma;
@@ -28,13 +28,14 @@ pub struct RnicId(pub usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ContainerId(pub usize);
 
-/// Server composition and data-path parameters.
+/// PCIe switches (one RNIC per switch).
+const SWITCHES: usize = 4;
+/// GPUs per switch.
+const GPUS_PER_SWITCH: usize = 2;
+
+/// Data-path parameters of the server's four RNICs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// PCIe switches (one RNIC per switch).
-    pub switches: usize,
-    /// GPUs per switch.
-    pub gpus_per_switch: usize,
     /// RNIC data path (port rate, translation pipeline).
     pub datapath: RnicDataPathConfig,
     /// ATC on each RNIC.
@@ -43,27 +44,18 @@ pub struct ServerConfig {
     pub mtt: MttConfig,
     /// IOMMU model.
     pub iommu: IommuConfig,
-    /// PCIe fabric latency/LUT model.
-    pub fabric: FabricConfig,
-    /// Virtual device management per RNIC.
-    pub vdev: VdevManagerConfig,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            switches: 4,
-            gpus_per_switch: 2,
             datapath: RnicDataPathConfig {
                 // Stellar's RNIC: 400 Gbps (2×200G ports bonded).
                 port_gbps: 400.0,
-                ..RnicDataPathConfig::default()
             },
             atc: AtcConfig::default(),
             mtt: MttConfig::default(),
             iommu: IommuConfig::default(),
-            fabric: FabricConfig::default(),
-            vdev: VdevManagerConfig::default(),
         }
     }
 }
@@ -117,14 +109,10 @@ impl StellarServer {
     /// Build a server per `config`.
     pub fn new(config: ServerConfig) -> Self {
         let iommu = Iommu::new(config.iommu.clone());
-        let mut fabric = Fabric::new(
-            config.fabric.clone(),
-            iommu,
-            Range::new(Hpa(MAIN_MEMORY_BASE), 1 << 42),
-        );
+        let mut fabric = Fabric::new(iommu, Range::new(Hpa(MAIN_MEMORY_BASE), 1 << 42));
         let mut rnics = Vec::new();
         let mut gpus = Vec::new();
-        for s in 0..config.switches {
+        for s in 0..SWITCHES {
             let switch = fabric.add_switch();
             let bdf = Bdf::new(0x30 + s as u8, 0, 0);
             let bar = Range::new(Hpa(RNIC_BAR_BASE + s as u64 * RNIC_BAR_SIZE), RNIC_BAR_SIZE);
@@ -138,12 +126,12 @@ impl StellarServer {
                 mtt: Mtt::new(config.mtt.clone()),
                 atc: Atc::new(config.atc.clone()),
                 dma: DmaEngine::new(config.datapath.clone()),
-                vdevs: VdevManager::new(config.vdev.clone()),
+                vdevs: VdevManager::new(),
                 doorbells: DoorbellTable::new(bar),
                 verbs: Verbs::new(),
             });
-            for g in 0..config.gpus_per_switch {
-                let idx = (s * config.gpus_per_switch + g) as u64;
+            for g in 0..GPUS_PER_SWITCH {
+                let idx = (s * GPUS_PER_SWITCH + g) as u64;
                 let gbar = Range::new(Hpa(GPU_BAR_BASE + idx * GPU_BAR_SIZE), GPU_BAR_SIZE);
                 let gbdf = Bdf::new(0x50 + s as u8, g as u8, 0);
                 let gpu = fabric

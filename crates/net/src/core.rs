@@ -18,7 +18,9 @@ use stellar_telemetry::{event, fold_counters, Entity, Subsystem};
 
 use crate::fabric::{Fabric, FabricKind};
 use crate::fault::{FaultEvent, FaultPlan};
-use crate::network::{Delivery, DropReason, LinkStats, NetworkConfig, TraceRecord};
+use crate::network::{
+    Delivery, DropReason, LinkStats, NetworkConfig, TraceRecord, HOP_DELAY, LINK_GBPS,
+};
 use crate::topology::{ClosTopology, LinkId, NicId, Route};
 
 /// An active optical-degradation ramp on one link.
@@ -213,9 +215,6 @@ pub struct Core {
 
 impl Core {
     pub fn new(topo: ClosTopology, config: NetworkConfig) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("{e}");
-        }
         // `[0u64; 4]` takes the zeroed-allocation path: the pages of links
         // that never transmit are never written.
         let counters = vec![[0u64; 4]; topo.total_links()];
@@ -602,8 +601,7 @@ impl<M: Model> Fabric for ModelFabric<M> {
         } else {
             self.core.topo.route(src, dst, 0, 0).len() as u64
         };
-        let config = &self.core.config;
-        config.hop_delay.mul(hops) + transmit_time(64, config.link_gbps).mul(hops)
+        HOP_DELAY.mul(hops) + transmit_time(64, LINK_GBPS).mul(hops)
     }
 
     fn drops_by_reason(&self, reason: DropReason) -> u64 {
@@ -660,7 +658,7 @@ impl<M: Model> Fabric for ModelFabric<M> {
 mod tests {
     use super::*;
     use crate::topology::ClosConfig;
-    use crate::{FabricConfigError, FluidConfig, FluidFabric, HybridConfig, HybridFabric, Network};
+    use crate::{FluidConfig, FluidFabric, HybridConfig, HybridFabric, Network};
     use stellar_sim::SimRng;
     use stellar_telemetry::capture;
 
@@ -818,96 +816,6 @@ mod tests {
         check(Network::new(topo(), net, rng), "packet");
         check(fluid, "fluid");
         check(hybrid, "hybrid");
-    }
-
-    #[test]
-    fn network_config_rejects_a_zero_or_non_finite_link_rate() {
-        for gbps in [0.0, -1.0, f64::INFINITY] {
-            let config = NetworkConfig {
-                link_gbps: gbps,
-                ..NetworkConfig::default()
-            };
-            assert_eq!(config.validate(), Err(FabricConfigError::LinkRate(gbps)));
-        }
-        let nan = NetworkConfig {
-            link_gbps: f64::NAN,
-            ..NetworkConfig::default()
-        };
-        assert!(matches!(nan.validate(), Err(FabricConfigError::LinkRate(g)) if g.is_nan()));
-        assert_eq!(NetworkConfig::default().validate(), Ok(()));
-    }
-
-    #[test]
-    fn network_config_rejects_a_zero_buffer() {
-        let config = NetworkConfig {
-            buffer_bytes: 0,
-            ..NetworkConfig::default()
-        };
-        assert_eq!(
-            config.validate(),
-            Err(FabricConfigError::Zero("buffer_bytes"))
-        );
-    }
-
-    #[test]
-    fn fluid_config_rejects_a_zero_idle_timeout() {
-        let config = FluidConfig {
-            flow_idle_timeout: SimDuration::ZERO,
-            ..FluidConfig::default()
-        };
-        assert_eq!(
-            config.validate(),
-            Err(FabricConfigError::Zero("fluid.flow_idle_timeout"))
-        );
-        assert_eq!(FluidConfig::default().validate(), Ok(()));
-    }
-
-    #[test]
-    fn hybrid_config_rejects_a_zero_incast_threshold() {
-        let config = HybridConfig {
-            incast_threshold: 0,
-            ..HybridConfig::default()
-        };
-        assert_eq!(
-            config.validate(),
-            Err(FabricConfigError::Zero("incast_threshold"))
-        );
-        assert_eq!(HybridConfig::default().validate(), Ok(()));
-    }
-
-    #[test]
-    fn hybrid_config_rejects_a_zero_idle_timeout() {
-        let config = HybridConfig {
-            flow_idle_timeout: SimDuration::ZERO,
-            ..HybridConfig::default()
-        };
-        assert_eq!(
-            config.validate(),
-            Err(FabricConfigError::Zero("flow_idle_timeout"))
-        );
-        let fluid = HybridConfig {
-            fluid: FluidConfig {
-                flow_idle_timeout: SimDuration::ZERO,
-                ..FluidConfig::default()
-            },
-            ..HybridConfig::default()
-        };
-        assert_eq!(
-            fluid.validate(),
-            Err(FabricConfigError::Zero("fluid.flow_idle_timeout"))
-        );
-    }
-
-    /// The constructors check the configs before building anything, so
-    /// a zero link rate fails there and not mid-run in `transmit_time`.
-    #[test]
-    #[should_panic(expected = "link_gbps 0 is not a finite rate above 0")]
-    fn fabric_constructors_reject_an_invalid_config() {
-        let config = NetworkConfig {
-            link_gbps: 0.0,
-            ..NetworkConfig::default()
-        };
-        Network::new(topo(), config, SimRng::from_seed(3));
     }
 
     /// Every fabric kind applies each fault event exactly once, and says

@@ -8,21 +8,21 @@
 //! ```text
 //! start      = max(now, flow.next_free)
 //! next_free  = start + bytes / fair_rate
-//! arrival    = next_free + hops × hop_delay
+//! arrival    = next_free + hops × HOP_DELAY
 //! ```
 //!
 //! The backlog `(next_free − now) × fair_rate` plays the role the port
-//! queue plays in the packet model: it ECN-marks above the configured
+//! queue plays in the packet model: it ECN-marks above the ECN
 //! threshold and tail-drops above the buffer size, so window-based
 //! congestion control reaches the same equilibrium (window ≈
 //! fair_rate × RTT) it reaches against real queues.
 //!
 //! The constraint set is the Clos reduced to aggregate resources — each
-//! NIC's egress and ingress capacity (`planes × link_gbps`, both ports,
+//! NIC's egress and ingress capacity (`planes × LINK_GBPS`, both ports,
 //! assuming path spray) and each segment×rail uplink/downlink pool
-//! (`planes × aggs_per_plane × link_gbps`). A flow that has only been
+//! (`planes × aggs_per_plane × LINK_GBPS`). A flow that has only been
 //! observed on a subset of planes (single-path transports) is
-//! additionally capped at `planes_seen × link_gbps`. Fair shares are
+//! additionally capped at `planes_seen × LINK_GBPS`. Fair shares are
 //! recomputed on flow arrival, departure and fault events; recomputes
 //! within [`FluidConfig::recompute_quantum`] of the last one coalesce
 //! (arriving flows carry a conservative provisional rate until the next
@@ -39,15 +39,19 @@ use stellar_telemetry::{fold_counters, Subsystem};
 use crate::core::{Core, Ledger, Model, ModelFabric, Packet};
 use crate::fabric::FabricKind;
 use crate::flow_map::{FlowKey, FlowMap};
-use crate::network::{Delivery, DropReason, FabricConfigError, NetworkConfig};
+use crate::network::{
+    Delivery, DropReason, NetworkConfig, BUFFER_BYTES, ECN_THRESHOLD_BYTES, HOP_DELAY, LINK_GBPS,
+};
 use crate::topology::{ClosTopology, NicId, Route};
 
-/// Fluid-model knobs (the link parameters come from [`NetworkConfig`]).
+/// A flow with no traffic for this long is retired (its share returns
+/// to the pool; the next packet re-registers it). The hybrid fabric
+/// demotes an idle escalated pair after the same time.
+pub(crate) const FLOW_IDLE_TIMEOUT: SimDuration = SimDuration::from_micros(200);
+
+/// Fluid-model knobs (the link parameters are the packet model's).
 #[derive(Debug, Clone)]
 pub struct FluidConfig {
-    /// A flow with no traffic for this long is retired (its share
-    /// returns to the pool; the next packet re-registers it).
-    pub flow_idle_timeout: SimDuration,
     /// Coalescing window for fair-share recomputes: arrival/departure/
     /// fault events within this window of the last recompute share one.
     /// `ZERO` recomputes at every event (the reference behaviour the
@@ -55,21 +59,9 @@ pub struct FluidConfig {
     pub recompute_quantum: SimDuration,
 }
 
-impl FluidConfig {
-    /// Check that a flow outlives its own send: a zero idle timeout
-    /// retires every flow at the first expiry scan after it opens.
-    pub fn validate(&self) -> Result<(), FabricConfigError> {
-        if self.flow_idle_timeout == SimDuration::ZERO {
-            return Err(FabricConfigError::Zero("fluid.flow_idle_timeout"));
-        }
-        Ok(())
-    }
-}
-
 impl Default for FluidConfig {
     fn default() -> Self {
         FluidConfig {
-            flow_idle_timeout: SimDuration::from_micros(200),
             recompute_quantum: SimDuration::from_micros(2),
         }
     }
@@ -253,20 +245,15 @@ impl FluidModel {
     /// A fluid model over `topo` with link rates from `config`, using
     /// `rng` for loss injection (same draw structure as the packet
     /// model: one draw per lossy link per packet).
-    pub(crate) fn new(
-        topo: &ClosTopology,
-        config: &NetworkConfig,
-        fluid: FluidConfig,
-        rng: SimRng,
-    ) -> Self {
+    pub(crate) fn new(topo: &ClosTopology, fluid: FluidConfig, rng: SimRng) -> Self {
         let t = topo.config().clone();
         let nics = topo.total_nics();
         let pools = t.segments * t.rails;
         // Resources: [0, nics) NIC egress, [nics, 2·nics) NIC ingress,
         // [2·nics, 2·nics + pools) segment×rail uplink pools,
         // [2·nics + pools, 2·nics + 2·pools) downlink pools.
-        let mut res_capacity = vec![t.planes as f64 * config.link_gbps; 2 * nics];
-        let pool_cap = (t.planes * t.aggs_per_plane) as f64 * config.link_gbps;
+        let mut res_capacity = vec![t.planes as f64 * LINK_GBPS; 2 * nics];
+        let pool_cap = (t.planes * t.aggs_per_plane) as f64 * LINK_GBPS;
         res_capacity.extend(std::iter::repeat_n(pool_cap, 2 * pools));
         let res_count = vec![0u32; res_capacity.len()];
         FluidModel {
@@ -424,10 +411,9 @@ impl FluidModel {
         if now < self.next_expiry_scan || self.flows.is_empty() {
             return;
         }
-        self.next_expiry_scan = now + SimDuration::from_nanos(
-            (self.fluid.flow_idle_timeout.as_nanos() / 2).max(1),
-        );
-        let timeout = self.fluid.flow_idle_timeout;
+        self.next_expiry_scan =
+            now + SimDuration::from_nanos((FLOW_IDLE_TIMEOUT.as_nanos() / 2).max(1));
+        let timeout = FLOW_IDLE_TIMEOUT;
         let before = self.flows.len();
         let res_count = &mut self.res_count;
         self.flows.retire(|f| {
@@ -467,11 +453,10 @@ impl Model for FluidModel {
         };
 
         let delivery = 'fate: {
-            let config = &core.config;
             if route.is_empty() {
                 // Host-local: PCIe/NVLink latency only, same as packet.
                 break 'fate Delivery::Delivered {
-                    at: now + config.hop_delay,
+                    at: now + HOP_DELAY,
                     ecn: false,
                 };
             }
@@ -509,7 +494,7 @@ impl Model for FluidModel {
                     if f.planes_mask & (1 << plane) == 0 {
                         // A new plane widens the flow's cap: re-derive shares.
                         f.planes_mask |= 1 << plane;
-                        f.cap_gbps = config.link_gbps * f.planes_mask.count_ones() as f64;
+                        f.cap_gbps = LINK_GBPS * f.planes_mask.count_ones() as f64;
                         self.dirty = true;
                     }
                     slot
@@ -523,7 +508,7 @@ impl Model for FluidModel {
                         key,
                         resources,
                         n_resources,
-                        cap_gbps: config.link_gbps,
+                        cap_gbps: LINK_GBPS,
                         planes_mask: 1 << plane,
                         rate_gbps: 0.0,
                         next_free: now,
@@ -542,13 +527,13 @@ impl Model for FluidModel {
             let rate = f.rate_gbps.max(1e-6);
             let wait = f.next_free.saturating_duration_since(now);
             let backlog = (wait.as_nanos() as f64 * rate / 8.0) as u64;
-            if backlog + bytes > config.buffer_bytes {
+            if backlog + bytes > BUFFER_BYTES {
                 break 'fate dropped(route[0], DropReason::BufferOverflow);
             }
-            let ecn = backlog > config.ecn_threshold_bytes;
+            let ecn = backlog > ECN_THRESHOLD_BYTES;
             let start = if f.next_free > now { f.next_free } else { now };
             f.next_free = start + transmit_time(bytes, rate);
-            let at = f.next_free + config.hop_delay.mul(route.len() as u64);
+            let at = f.next_free + HOP_DELAY.mul(route.len() as u64);
             for &l in &route {
                 core.transmit(l, bytes, ecn);
             }
@@ -644,11 +629,8 @@ impl FluidFabric {
     /// using `rng` for loss injection (same draw structure as the
     /// packet model: one draw per lossy link per packet).
     pub fn new(topo: ClosTopology, config: NetworkConfig, fluid: FluidConfig, rng: SimRng) -> Self {
-        if let Err(e) = fluid.validate() {
-            panic!("{e}");
-        }
         let core = Core::new(topo, config);
-        let model = FluidModel::new(&core.topo, &core.config, fluid, rng);
+        let model = FluidModel::new(&core.topo, fluid, rng);
         ModelFabric { core, model }
     }
 
@@ -680,7 +662,6 @@ mod tests {
             NetworkConfig::default(),
             FluidConfig {
                 recompute_quantum: SimDuration::ZERO,
-                ..FluidConfig::default()
             },
             SimRng::from_seed(1),
         )

@@ -16,8 +16,8 @@
 //!    ECN threshold (a queue hot enough to mark is a queue worth
 //!    modelling), or
 //! 3. the destination NIC is an incast port — at least
-//!    [`HybridConfig::incast_threshold`] distinct flows are actively
-//!    sending to it, or
+//!    `INCAST_THRESHOLD` (3) distinct flows are actively sending to it,
+//!    or
 //! 4. the flow was escalated before and is still active (stickiness:
 //!    a flow's packets do not ping-pong between models, which would
 //!    scramble its FIFO delivery order).
@@ -39,47 +39,22 @@ use stellar_telemetry::{fold_counters, Subsystem};
 use crate::core::{Core, Ledger, Model, ModelFabric, Packet};
 use crate::fabric::FabricKind;
 use crate::flow_map::FlowMap;
-use crate::fluid::{FluidConfig, FluidModel};
-use crate::network::{Delivery, FabricConfigError, NetworkConfig, PacketModel};
+use crate::fluid::{FluidConfig, FluidModel, FLOW_IDLE_TIMEOUT};
+use crate::network::{Delivery, NetworkConfig, PacketModel, ECN_THRESHOLD_BYTES};
 use crate::topology::{ClosTopology, LinkId, Route};
 
-/// Escalation knobs for the hybrid classifier.
-#[derive(Debug, Clone)]
+/// Distinct active flows into one destination NIC before it counts as
+/// an incast port (3 keeps 1:1 permutations and ring neighbours on the
+/// fluid path while catching real N:1 fan-in).
+const INCAST_THRESHOLD: usize = 3;
+
+/// Hybrid-fabric knobs. The classifier's are fixed: `INCAST_THRESHOLD`,
+/// and a flow with no traffic for the fluid model's idle timeout sheds
+/// its escalation mark and its incast accounting.
+#[derive(Debug, Clone, Default)]
 pub struct HybridConfig {
-    /// Distinct active flows into one destination NIC before it counts
-    /// as an incast port (3 keeps 1:1 permutations and ring neighbours
-    /// on the fluid path while catching real N:1 fan-in).
-    pub incast_threshold: usize,
-    /// A flow with no traffic for this long sheds its escalation mark
-    /// and its incast accounting.
-    pub flow_idle_timeout: SimDuration,
     /// Fluid-model knobs for the uncontested path.
     pub fluid: FluidConfig,
-}
-
-impl HybridConfig {
-    /// Check the classifier's knobs and the fluid model's: an incast
-    /// threshold of at least 1 (0 would escalate every send) and a
-    /// nonzero idle timeout.
-    pub fn validate(&self) -> Result<(), FabricConfigError> {
-        if self.incast_threshold == 0 {
-            return Err(FabricConfigError::Zero("incast_threshold"));
-        }
-        if self.flow_idle_timeout == SimDuration::ZERO {
-            return Err(FabricConfigError::Zero("flow_idle_timeout"));
-        }
-        self.fluid.validate()
-    }
-}
-
-impl Default for HybridConfig {
-    fn default() -> Self {
-        HybridConfig {
-            incast_threshold: 3,
-            flow_idle_timeout: SimDuration::from_micros(200),
-            fluid: FluidConfig::default(),
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -94,7 +69,6 @@ struct FlowMeta {
 pub struct HybridModel {
     packet: PacketModel,
     fluid: FluidModel,
-    hybrid: HybridConfig,
     /// Active-flow metadata by `(src, dst, flow)`, indexed by flow id.
     /// Nothing iterates it in an order that reaches an output: expiry
     /// only decrements integer counts.
@@ -122,9 +96,9 @@ impl HybridModel {
         if now < self.next_expiry_scan || self.meta.is_empty() {
             return;
         }
-        self.next_expiry_scan = now
-            + SimDuration::from_nanos((self.hybrid.flow_idle_timeout.as_nanos() / 2).max(1));
-        let timeout = self.hybrid.flow_idle_timeout;
+        self.next_expiry_scan =
+            now + SimDuration::from_nanos((FLOW_IDLE_TIMEOUT.as_nanos() / 2).max(1));
+        let timeout = FLOW_IDLE_TIMEOUT;
         let dst_flows = &mut self.dst_flows;
         self.meta.retain(|&(_, dst, _), m| {
             let idle = now.saturating_duration_since(m.last_active) >= timeout;
@@ -139,11 +113,10 @@ impl HybridModel {
     /// or queued past the ECN threshold on the packet side. On a
     /// fault-free fabric only the backlog test can say yes.
     fn route_contested(packet: &PacketModel, core: &Core, now: SimTime, route: &[LinkId]) -> bool {
-        let ecn_threshold = core.config.ecn_threshold_bytes;
         let faults = !core.fault_free();
         route.iter().any(|&l| {
             (faults && core.link(l).faulty(now))
-                || packet.backlog_bytes(&core.config, l, now) > ecn_threshold
+                || packet.backlog_bytes(l, now) > ECN_THRESHOLD_BYTES
         })
     }
 }
@@ -165,7 +138,7 @@ impl Model for HybridModel {
         // Cheap per-flow state first (stickiness, incast), then the
         // route's fault and queue state.
         let contested = meta.escalated
-            || self.dst_flows[p.dst.0 as usize] as usize >= self.hybrid.incast_threshold
+            || self.dst_flows[p.dst.0 as usize] as usize >= INCAST_THRESHOLD
             || Self::route_contested(&self.packet, core, p.now, &route);
         if contested && !meta.escalated {
             meta.escalated = true;
@@ -232,20 +205,11 @@ impl HybridFabric {
         hybrid: HybridConfig,
         rng: SimRng,
     ) -> Self {
-        if let Err(e) = hybrid.validate() {
-            panic!("{e}");
-        }
         let core = Core::new(topo, config);
         let model = HybridModel {
             packet: PacketModel::new(rng.fork("packet")),
-            fluid: FluidModel::new(
-                &core.topo,
-                &core.config,
-                hybrid.fluid.clone(),
-                rng.fork("fluid"),
-            ),
+            fluid: FluidModel::new(&core.topo, hybrid.fluid, rng.fork("fluid")),
             dst_flows: vec![0; core.topo.total_nics()],
-            hybrid,
             meta: FlowMap::default(),
             next_expiry_scan: SimTime::ZERO,
             escalations: 0,
@@ -399,39 +363,17 @@ mod tests {
         assert!(f.take_trace().is_empty(), "taking the trace disables it");
     }
 
-    /// The fluid model reads the one shared `NetworkConfig`, so a
-    /// `config_mut` change shows in the very next fluid-carried send.
+    /// A fresh healthy 1:1 cross-segment flow rides the fluid model at
+    /// the link rate: its first packet takes the wire time plus 4 hops.
     #[test]
-    fn config_changes_reach_the_next_fluid_send() {
+    fn a_fluid_send_takes_the_wire_time_plus_its_hops() {
         let bytes = 4096;
-        // A fresh healthy 1:1 cross-segment flow: 4 hops, one plane, so
-        // it rides the fluid model at the link rate.
-        let latency = |f: &mut HybridFabric, now: SimTime, h: usize, flow: u64| {
-            let (src, dst) = (f.topology().nic(h, 0), f.topology().nic(h + 4, 0));
-            let fluid_before = f.send_split().1;
-            let at = f.send(now, src, dst, flow, 0, bytes).arrival().unwrap();
-            assert_eq!(
-                f.send_split().1,
-                fluid_before + 1,
-                "must ride the fluid model"
-            );
-            at.duration_since(now)
-        };
-        let expect =
-            |gbps: f64, hop: SimDuration| stellar_sim::transmit_time(bytes, gbps) + hop.mul(4);
-
-        let mut f = fabric();
-        let hop = NetworkConfig::default().hop_delay;
-        assert_eq!(latency(&mut f, t(0), 0, 1), expect(200.0, hop));
-        let slower_hop = SimDuration::from_micros(3);
-        f.config_mut().hop_delay = slower_hop;
-        assert_eq!(latency(&mut f, t(10), 1, 2), expect(200.0, slower_hop));
-
         let mut f = fabric();
         let (src, dst) = (f.topology().nic(0, 0), f.topology().nic(4, 0));
-        f.send(t(0), src, dst, 1, 0, bytes);
-        f.config_mut().link_gbps = 100.0;
-        assert_eq!(latency(&mut f, t(10), 1, 2), expect(100.0, hop));
+        let at = f.send(t(0), src, dst, 1, 0, bytes).arrival().unwrap();
+        assert_eq!(f.send_split(), (0, 1, 0), "must ride the fluid model");
+        let expect = stellar_sim::transmit_time(bytes, 200.0) + SimDuration::from_micros(1).mul(4);
+        assert_eq!(at.duration_since(t(0)), expect);
     }
 
     #[test]

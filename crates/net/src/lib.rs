@@ -49,7 +49,5 @@ pub use fabric::{Fabric, FabricKind};
 pub use fault::{FaultEvent, FaultPlan, FaultPlanError};
 pub use fluid::{FluidConfig, FluidFabric};
 pub use hybrid::{HybridConfig, HybridFabric};
-pub use network::{
-    Delivery, DropReason, FabricConfigError, LinkStats, Network, NetworkConfig, TraceRecord,
-};
+pub use network::{Delivery, DropReason, LinkStats, Network, NetworkConfig, TraceRecord};
 pub use topology::{ClosConfig, ClosConfigError, ClosTopology, LinkId, NicId, NodeId, NodeKind};

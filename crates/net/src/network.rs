@@ -23,17 +23,20 @@ use crate::core::{Core, Ledger, Model, ModelFabric, Packet};
 use crate::fabric::FabricKind;
 use crate::topology::{ClosTopology, LinkId, NicId, Route};
 
-/// Fabric-wide link parameters.
+/// Link rate in Gbps (every port; HPN links are uniform).
+pub(crate) const LINK_GBPS: f64 = 200.0;
+/// Per-link propagation + switch pipeline delay.
+pub(crate) const HOP_DELAY: SimDuration = SimDuration::from_micros(1);
+/// ECN marking threshold per port, in bytes of backlog (~100 KB).
+pub(crate) const ECN_THRESHOLD_BYTES: u64 = 100 * 1024;
+/// Port buffer size in bytes (2 MB deep-buffer ports; tail drop beyond
+/// this backlog).
+pub(crate) const BUFFER_BYTES: u64 = 2 * 1024 * 1024;
+
+/// Fabric-wide control-plane parameters. The link parameters are fixed
+/// (`LINK_GBPS`, `HOP_DELAY`, `ECN_THRESHOLD_BYTES`, `BUFFER_BYTES`).
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
-    /// Link rate in Gbps (every port; HPN links are uniform).
-    pub link_gbps: f64,
-    /// Per-link propagation + switch pipeline delay.
-    pub hop_delay: SimDuration,
-    /// ECN marking threshold per port, in bytes of backlog.
-    pub ecn_threshold_bytes: u64,
-    /// Port buffer size in bytes (tail drop beyond this backlog).
-    pub buffer_bytes: u64,
     /// Control-plane (BGP) convergence delay: how long after a link goes
     /// down the fabric starts routing around it (§7.2: "Over the long
     /// term, the control plane (e.g., BGP) detects the failure and
@@ -45,53 +48,8 @@ pub struct NetworkConfig {
 impl Default for NetworkConfig {
     fn default() -> Self {
         NetworkConfig {
-            link_gbps: 200.0,
-            hop_delay: SimDuration::from_micros(1),
-            // ~100 KB ECN threshold, 2 MB deep-buffer ports.
-            ecn_threshold_bytes: 100 * 1024,
-            buffer_bytes: 2 * 1024 * 1024,
             bgp_convergence: SimDuration::from_millis(200),
         }
-    }
-}
-
-/// Why a fabric config cannot drive a run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FabricConfigError {
-    /// [`NetworkConfig::link_gbps`] is not a finite rate above 0.
-    LinkRate(f64),
-    /// A size, count or timeout that must be nonzero is 0; names the
-    /// field.
-    Zero(&'static str),
-}
-
-impl std::fmt::Display for FabricConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FabricConfigError::LinkRate(gbps) => {
-                write!(
-                    f,
-                    "fabric config: link_gbps {gbps} is not a finite rate above 0"
-                )
-            }
-            FabricConfigError::Zero(field) => write!(f, "fabric config: {field} is 0"),
-        }
-    }
-}
-
-impl std::error::Error for FabricConfigError {}
-
-impl NetworkConfig {
-    /// Check that every port can carry a packet: a finite link rate
-    /// above 0 (every serialization divides by it) and a buffer above 0.
-    pub fn validate(&self) -> Result<(), FabricConfigError> {
-        if !(self.link_gbps.is_finite() && self.link_gbps > 0.0) {
-            return Err(FabricConfigError::LinkRate(self.link_gbps));
-        }
-        if self.buffer_bytes == 0 {
-            return Err(FabricConfigError::Zero("buffer_bytes"));
-        }
-        Ok(())
     }
 }
 
@@ -251,12 +209,12 @@ impl PacketModel {
     }
 
     /// Current backlog of a port in bytes at time `now`.
-    pub(crate) fn backlog_bytes(&self, config: &NetworkConfig, link: LinkId, now: SimTime) -> u64 {
+    pub(crate) fn backlog_bytes(&self, link: LinkId, now: SimTime) -> u64 {
         let Some(next_free) = self.next_free.get(link.0 as usize) else {
             return 0;
         };
         let wait = next_free.saturating_duration_since(now);
-        (wait.as_nanos() as f64 * config.link_gbps / 8.0) as u64
+        (wait.as_nanos() as f64 * LINK_GBPS / 8.0) as u64
     }
 
     /// Whether the port calendars and gauges exist yet.
@@ -267,11 +225,10 @@ impl PacketModel {
 
     fn forward(&mut self, core: &mut Core, p: &Packet, route: Route) -> Delivery {
         let Packet { now, bytes, .. } = *p;
-        let config = core.config.clone();
         if route.is_empty() {
             // Host-local: PCIe/NVLink latency only.
             return Delivery::Delivered {
-                at: now + config.hop_delay,
+                at: now + HOP_DELAY,
                 ecn: false,
             };
         }
@@ -284,10 +241,10 @@ impl PacketModel {
         let fault_free = core.fault_free();
         let mut t = now;
         let mut ecn = false;
-        let bytes_per_ns = config.link_gbps / 8.0;
+        let bytes_per_ns = LINK_GBPS / 8.0;
         // Every hop serializes the same payload at the same line rate, so
         // the f64 division runs once per packet, not once per link.
-        let serialize = transmit_time(bytes, config.link_gbps);
+        let serialize = transmit_time(bytes, LINK_GBPS);
         for &link in &route {
             let dropped = move |reason| Delivery::Dropped {
                 link,
@@ -323,11 +280,11 @@ impl PacketModel {
             );
             let wait = next_free.saturating_duration_since(t);
             let backlog = (wait.as_nanos() as f64 * bytes_per_ns) as u64;
-            if backlog + bytes > config.buffer_bytes {
+            if backlog + bytes > BUFFER_BYTES {
                 queue.set(t, backlog);
                 return dropped(DropReason::BufferOverflow);
             }
-            let marked = backlog > config.ecn_threshold_bytes;
+            let marked = backlog > ECN_THRESHOLD_BYTES;
             if marked {
                 ecn = true;
                 self.ledger.ecn_marks += 1;
@@ -341,7 +298,7 @@ impl PacketModel {
             queue.set(t, backlog + bytes);
             *next_free = depart;
             core.transmit(link, bytes, marked);
-            t = depart + config.hop_delay;
+            t = depart + HOP_DELAY;
         }
         Delivery::Delivered { at: t, ecn }
     }
@@ -409,7 +366,7 @@ impl Network {
 
     /// Current backlog of a link in bytes at time `now`.
     pub fn backlog_bytes(&self, link: LinkId, now: SimTime) -> u64 {
-        self.model.backlog_bytes(&self.core.config, link, now)
+        self.model.backlog_bytes(link, now)
     }
 }
 
@@ -456,7 +413,7 @@ mod tests {
         let mut n = net();
         let src = n.topology().nic(0, 0);
         let dst = n.topology().nic(1, 0); // same ToR
-        // Blast 4 KB packets at t=0: they serialize on the NIC uplink.
+                                          // Blast 4 KB packets at t=0: they serialize on the NIC uplink.
         let mut ecn_seen = false;
         for _ in 0..100 {
             let d = n.send(t(0), src, dst, 7, 0, 4096);
@@ -512,8 +469,7 @@ mod tests {
         let mut drops = 0;
         for i in 0..200 {
             // Spread in time to avoid buffer effects.
-            if let Delivery::Dropped { reason, link, .. } =
-                n.send(t(i * 10), src, dst, 1, 0, 1024)
+            if let Delivery::Dropped { reason, link, .. } = n.send(t(i * 10), src, dst, 1, 0, 1024)
             {
                 assert_eq!(reason, DropReason::RandomLoss);
                 assert_eq!(link, lossy);
@@ -549,7 +505,8 @@ mod tests {
         assert!(d2.arrival().is_some(), "converged reroute must deliver");
         // Flapping back up restores the original route.
         n.set_link_state_at(after, link, true);
-        assert!(n.send(after + SimDuration::from_micros(1), src, dst, 1, 0, 1024)
+        assert!(n
+            .send(after + SimDuration::from_micros(1), src, dst, 1, 0, 1024)
             .arrival()
             .is_some());
     }

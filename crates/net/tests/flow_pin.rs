@@ -258,7 +258,6 @@ fn fluid_hash(quantum: SimDuration, seed: u64) -> (u64, u64) {
         NetworkConfig::default(),
         FluidConfig {
             recompute_quantum: quantum,
-            ..FluidConfig::default()
         },
         SimRng::from_seed(seed),
     );

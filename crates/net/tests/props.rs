@@ -193,7 +193,6 @@ fn planned_flap_up_restores_forwarding() {
             topo,
             NetworkConfig {
                 bgp_convergence: SimDuration::from_millis(500),
-                ..NetworkConfig::default()
             },
             SimRng::from_seed(seed),
         );

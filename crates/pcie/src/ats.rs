@@ -18,18 +18,20 @@ use stellar_telemetry::{stage_sample, Stage};
 use crate::addr::{Address, Hpa, Iova};
 use crate::iommu::{Iommu, IommuError};
 
-/// ATC configuration and latency model.
+/// Page size of cached translations.
+const PAGE_SIZE: u64 = crate::addr::PAGE_4K;
+/// Latency of a lookup served from the ATC.
+const HIT_LATENCY: SimDuration = SimDuration::from_nanos(10);
+/// PCIe round-trip latency of an ATS translation request to the RC
+/// (added on top of the IOMMU's own walk latency).
+const ATS_ROUND_TRIP: SimDuration = SimDuration::from_nanos(600);
+
+/// ATC configuration. The ATC caches 4 KiB pages; a hit costs 10 ns and
+/// a miss a 600 ns ATS round trip on top of the IOMMU's own work.
 #[derive(Debug, Clone)]
 pub struct AtcConfig {
     /// Capacity in page translations.
     pub capacity: usize,
-    /// Page size of cached translations.
-    pub page_size: u64,
-    /// Latency of a lookup served from the ATC.
-    pub hit_latency: SimDuration,
-    /// PCIe round-trip latency of an ATS translation request to the RC
-    /// (added on top of the IOMMU's own walk latency).
-    pub ats_round_trip: SimDuration,
 }
 
 impl Default for AtcConfig {
@@ -40,9 +42,6 @@ impl Default for AtcConfig {
             // (degradation grows past ~2 MB/conn × 16 conns and worsens
             // beyond 32 MB/conn).
             capacity: 32_768,
-            page_size: crate::addr::PAGE_4K,
-            hit_latency: SimDuration::from_nanos(10),
-            ats_round_trip: SimDuration::from_nanos(600),
         }
     }
 }
@@ -61,38 +60,33 @@ pub struct AtcLookup {
 /// A device's Address Translation Cache.
 #[derive(Debug)]
 pub struct Atc {
-    config: AtcConfig,
     cache: LruCache<u64, u64>, // iova page -> hpa page
 }
 
 impl Atc {
     /// A fresh, empty ATC.
     pub fn new(config: AtcConfig) -> Self {
-        let cache = LruCache::new(config.capacity);
-        Atc { config, cache }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &AtcConfig {
-        &self.config
+        Atc {
+            cache: LruCache::new(config.capacity),
+        }
     }
 
     /// Translate `iova`, consulting the local cache first and falling back
     /// to an ATS request against `iommu` on a miss.
     pub fn translate(&mut self, iova: Iova, iommu: &mut Iommu) -> Result<AtcLookup, IommuError> {
-        let page = iova.page_base(self.config.page_size).raw();
-        let offset = iova.page_offset(self.config.page_size);
+        let page = iova.page_base(PAGE_SIZE).raw();
+        let offset = iova.page_offset(PAGE_SIZE);
         if let Some(&hpa_page) = self.cache.get(&page) {
-            stage_sample(Stage::AtcHit, self.config.hit_latency);
+            stage_sample(Stage::AtcHit, HIT_LATENCY);
             return Ok(AtcLookup {
                 hpa: Hpa(hpa_page + offset),
-                latency: self.config.hit_latency,
+                latency: HIT_LATENCY,
                 atc_hit: true,
             });
         }
         let t = iommu.translate(iova)?;
         self.cache.insert(page, t.hpa.raw() - offset);
-        let latency = self.config.ats_round_trip + t.latency;
+        let latency = ATS_ROUND_TRIP + t.latency;
         stage_sample(Stage::AtsWalk, latency);
         Ok(AtcLookup {
             hpa: t.hpa,
@@ -104,7 +98,7 @@ impl Atc {
     /// Invalidate any cached translation covering `iova` (the RC sends
     /// these when the IOMMU mapping changes).
     pub fn invalidate(&mut self, iova: Iova) {
-        let page = iova.page_base(self.config.page_size).raw();
+        let page = iova.page_base(PAGE_SIZE).raw();
         self.cache.remove(&page);
     }
 
@@ -139,7 +133,6 @@ mod tests {
     fn setup(atc_capacity: usize) -> (Atc, Iommu) {
         let atc = Atc::new(AtcConfig {
             capacity: atc_capacity,
-            ..AtcConfig::default()
         });
         let mut iommu = Iommu::new(IommuConfig::default());
         for i in 0..64u64 {
@@ -156,10 +149,10 @@ mod tests {
         let l1 = atc.translate(Iova(0x1010), &mut iommu).unwrap();
         assert!(!l1.atc_hit);
         assert_eq!(l1.hpa, Hpa(0x100_1010));
-        assert!(l1.latency >= atc.config().ats_round_trip);
+        assert!(l1.latency >= ATS_ROUND_TRIP);
         let l2 = atc.translate(Iova(0x1020), &mut iommu).unwrap();
         assert!(l2.atc_hit);
-        assert_eq!(l2.latency, atc.config().hit_latency);
+        assert_eq!(l2.latency, HIT_LATENCY);
         assert_eq!(atc.stats().1, 1, "one ATS request");
     }
 

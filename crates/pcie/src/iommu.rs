@@ -17,24 +17,27 @@ use stellar_telemetry::{stage_sample, Stage};
 use crate::addr::{Address, Gpa, Hpa, Iova, PAGE_4K};
 use crate::paging::{PageTable, PagingError};
 
-/// IOMMU configuration and latency model.
+/// Latency of a translation served from the IOTLB.
+const IOTLB_HIT_LATENCY: SimDuration = SimDuration::from_nanos(20);
+/// Latency of a page-table walk on an IOTLB miss.
+const WALK_LATENCY: SimDuration = SimDuration::from_nanos(350);
+/// Cost to register and pin one 4 KiB page of guest memory.
+///
+/// Calibrated from Fig. 6: 1.6 TB pinned in ~390 s ⇒ ≈0.93 µs per 4 KiB
+/// page.
+const PIN_PER_4K_PAGE: SimDuration = SimDuration::from_nanos(930);
+/// Fixed overhead per pin call (hypervisor/ioctl round trip).
+const PIN_CALL_OVERHEAD: SimDuration = SimDuration::from_micros(2);
+
+/// IOMMU configuration. The latency model is fixed: an IOTLB hit costs
+/// 20 ns, a table walk 350 ns, and pinning 2 µs per call plus 0.93 µs
+/// per 4 KiB page (calibrated to Fig. 6).
 #[derive(Debug, Clone)]
 pub struct IommuConfig {
     /// Mapping granularity in bytes (the unit of `map`/`pin`).
     pub page_size: u64,
     /// IOTLB capacity in entries.
     pub iotlb_capacity: usize,
-    /// Latency of a translation served from the IOTLB.
-    pub iotlb_hit_latency: SimDuration,
-    /// Latency of a page-table walk on an IOTLB miss.
-    pub walk_latency: SimDuration,
-    /// Cost to register and pin one 4 KiB page of guest memory.
-    ///
-    /// Calibrated from Fig. 6: 1.6 TB pinned in ~390 s ⇒ ≈0.93 µs per 4 KiB
-    /// page.
-    pub pin_per_4k_page: SimDuration,
-    /// Fixed overhead per pin call (hypervisor/ioctl round trip).
-    pub pin_call_overhead: SimDuration,
 }
 
 impl Default for IommuConfig {
@@ -43,11 +46,9 @@ impl Default for IommuConfig {
             page_size: PAGE_4K,
             // "an ATC can only cache mappings for tens of thousands of
             // memory pages" — give the IOTLB a similar order of magnitude.
-            iotlb_capacity: 65_536,
-            iotlb_hit_latency: SimDuration::from_nanos(20),
-            walk_latency: SimDuration::from_nanos(350),
-            pin_per_4k_page: SimDuration::from_nanos(930),
-            pin_call_overhead: SimDuration::from_micros(2),
+            // 64 Ki entries × 4 KiB is 16 × 16 MB of reach: Fig. 8's
+            // second cliff (pcm-iio's IOTLB misses) at 16 connections.
+            iotlb_capacity: 64 * 1024,
         }
     }
 }
@@ -152,20 +153,20 @@ impl Iommu {
         let page = iova.page_base(self.config.page_size).raw();
         let offset = iova.page_offset(self.config.page_size);
         if let Some(&hpa_page) = self.iotlb.get(&page) {
-            stage_sample(Stage::IotlbHit, self.config.iotlb_hit_latency);
+            stage_sample(Stage::IotlbHit, IOTLB_HIT_LATENCY);
             return Ok(Translation {
                 hpa: Hpa(hpa_page + offset),
-                latency: self.config.iotlb_hit_latency,
+                latency: IOTLB_HIT_LATENCY,
                 iotlb_hit: true,
             });
         }
         match self.table.translate(iova) {
             Ok(hpa) => {
                 self.iotlb.insert(page, hpa.raw() - offset);
-                stage_sample(Stage::IommuWalk, self.config.walk_latency);
+                stage_sample(Stage::IommuWalk, WALK_LATENCY);
                 Ok(Translation {
                     hpa,
-                    latency: self.config.walk_latency,
+                    latency: WALK_LATENCY,
                     iotlb_hit: false,
                 })
             }
@@ -184,7 +185,7 @@ impl Iommu {
     pub fn pin(&mut self, iova: Iova, hpa: Hpa, len: u64) -> Result<SimDuration, IommuError> {
         self.map(iova, hpa, len)?;
         let pages_4k = len.div_ceil(PAGE_4K);
-        let cost = self.config.pin_call_overhead + self.config.pin_per_4k_page.mul(pages_4k);
+        let cost = PIN_CALL_OVERHEAD + PIN_PER_4K_PAGE.mul(pages_4k);
         self.pinned_bytes += len;
         self.pinned_pages_4k += pages_4k;
         self.total_pin_time += cost;
@@ -213,7 +214,7 @@ impl Iommu {
         let cost = if newly_mapped == 0 {
             SimDuration::ZERO
         } else {
-            self.config.pin_call_overhead + self.config.pin_per_4k_page.mul(pages_4k)
+            PIN_CALL_OVERHEAD + PIN_PER_4K_PAGE.mul(pages_4k)
         };
         self.pinned_bytes += newly_mapped * self.config.page_size;
         self.pinned_pages_4k += pages_4k;
@@ -284,11 +285,11 @@ mod tests {
         let t1 = m.translate(Iova(0x1010)).unwrap();
         assert_eq!(t1.hpa, Hpa(0x9010));
         assert!(!t1.iotlb_hit);
-        assert_eq!(t1.latency, m.config().walk_latency);
+        assert_eq!(t1.latency, WALK_LATENCY);
         let t2 = m.translate(Iova(0x1020)).unwrap();
         assert!(t2.iotlb_hit);
         assert_eq!(t2.hpa, Hpa(0x9020));
-        assert_eq!(t2.latency, m.config().iotlb_hit_latency);
+        assert_eq!(t2.latency, IOTLB_HIT_LATENCY);
     }
 
     #[test]

@@ -93,7 +93,6 @@ pub struct PcieDevice {
 #[derive(Debug)]
 struct Switch {
     lut: Vec<Bdf>,
-    lut_capacity: usize,
 }
 
 /// Where a routed TLP ended up.
@@ -167,33 +166,18 @@ impl std::fmt::Display for FabricError {
 
 impl std::error::Error for FabricError {}
 
-/// Fabric latency model.
-#[derive(Debug, Clone)]
-pub struct FabricConfig {
-    /// One switch traversal.
-    pub switch_hop: SimDuration,
-    /// Switch → RC (or RC → switch) traversal.
-    pub rc_hop: SimDuration,
-    /// Per-switch LUT capacity ("each PCIe switch can only accommodate 32
-    /// BDFs" on the troubled server model).
-    pub lut_capacity: usize,
-}
-
-impl Default for FabricConfig {
-    fn default() -> Self {
-        FabricConfig {
-            switch_hop: SimDuration::from_nanos(120),
-            rc_hop: SimDuration::from_nanos(300),
-            lut_capacity: 32,
-        }
-    }
-}
+/// One switch traversal.
+const SWITCH_HOP: SimDuration = SimDuration::from_nanos(120);
+/// Switch → RC (or RC → switch) traversal.
+const RC_HOP: SimDuration = SimDuration::from_nanos(300);
+/// Per-switch LUT capacity ("each PCIe switch can only accommodate 32
+/// BDFs" on the troubled server model).
+const LUT_CAPACITY: usize = 32;
 
 /// The PCIe fabric: one Root Complex (owning the [`Iommu`]), switches, and
 /// endpoints.
 #[derive(Debug)]
 pub struct Fabric {
-    config: FabricConfig,
     iommu: Iommu,
     switches: Vec<Switch>,
     devices: Vec<PcieDevice>,
@@ -212,10 +196,10 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// A fabric with the given latency model, IOMMU, and main-memory window.
-    pub fn new(config: FabricConfig, iommu: Iommu, main_memory: Range<Hpa>) -> Self {
+    /// A fabric with the given IOMMU and main-memory window. A switch
+    /// traversal costs 120 ns and a switch↔RC traversal 300 ns.
+    pub fn new(iommu: Iommu, main_memory: Range<Hpa>) -> Self {
         Fabric {
-            config,
             iommu,
             switches: Vec::new(),
             devices: Vec::new(),
@@ -232,10 +216,7 @@ impl Fabric {
     /// Add a switch; returns its id.
     pub fn add_switch(&mut self) -> SwitchId {
         let id = SwitchId(self.switches.len() as u32);
-        self.switches.push(Switch {
-            lut: Vec::new(),
-            lut_capacity: self.config.lut_capacity,
-        });
+        self.switches.push(Switch { lut: Vec::new() });
         id
     }
 
@@ -277,10 +258,10 @@ impl Fabric {
         if sw.lut.contains(&bdf) {
             return Ok(());
         }
-        if sw.lut.len() >= sw.lut_capacity {
+        if sw.lut.len() >= LUT_CAPACITY {
             return Err(FabricError::LutFull {
                 switch,
-                capacity: sw.lut_capacity,
+                capacity: LUT_CAPACITY,
             });
         }
         sw.lut.push(bdf);
@@ -363,7 +344,7 @@ impl Fabric {
                         return Ok(RouteOutcome {
                             target,
                             path: RoutePath::PeerToPeer,
-                            latency: self.config.switch_hop,
+                            latency: SWITCH_HOP,
                         });
                     }
                 }
@@ -373,7 +354,7 @@ impl Fabric {
                 Ok(RouteOutcome {
                     target,
                     path: RoutePath::ViaRootComplex,
-                    latency: self.config.switch_hop + self.config.rc_hop.mul(2),
+                    latency: SWITCH_HOP + RC_HOP.mul(2),
                 })
             }
             AtField::Untranslated => {
@@ -385,13 +366,13 @@ impl Fabric {
                 let target = self.claim_hpa(t.hpa)?;
                 self.rc_tlps += 1;
                 let down = match target {
-                    RouteTarget::MainMemory(_) => self.config.rc_hop,
-                    RouteTarget::Device(..) => self.config.rc_hop + self.config.switch_hop,
+                    RouteTarget::MainMemory(_) => RC_HOP,
+                    RouteTarget::Device(..) => RC_HOP + SWITCH_HOP,
                 };
                 Ok(RouteOutcome {
                     target,
                     path: RoutePath::ViaRootComplex,
-                    latency: self.config.switch_hop + self.config.rc_hop + t.latency + down,
+                    latency: SWITCH_HOP + RC_HOP + t.latency + down,
                 })
             }
         }
@@ -446,11 +427,7 @@ mod tests {
 
     fn fabric() -> (Fabric, SwitchId, DeviceId, DeviceId) {
         let iommu = Iommu::new(IommuConfig::default());
-        let mut f = Fabric::new(
-            FabricConfig::default(),
-            iommu,
-            Range::new(Hpa(MEM_BASE), 1 << 32),
-        );
+        let mut f = Fabric::new(iommu, Range::new(Hpa(MEM_BASE), 1 << 32));
         let sw = f.add_switch();
         let rnic = f
             .add_device(
@@ -486,7 +463,7 @@ mod tests {
             .unwrap();
         assert_eq!(out.path, RoutePath::PeerToPeer);
         assert_eq!(out.target, RouteTarget::Device(gpu, Hpa(0x4000_0100)));
-        assert_eq!(out.latency, f.config.switch_hop);
+        assert_eq!(out.latency, SWITCH_HOP);
         assert_eq!(f.tlp_counters(), (1, 0));
     }
 
@@ -504,7 +481,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(out.path, RoutePath::ViaRootComplex);
-        assert!(out.latency > f.config.switch_hop);
+        assert!(out.latency > SWITCH_HOP);
     }
 
     #[test]
@@ -543,22 +520,19 @@ mod tests {
     #[test]
     fn lut_capacity_limits_gdr_enablement() {
         let iommu = Iommu::new(IommuConfig::default());
-        let mut f = Fabric::new(
-            FabricConfig {
-                lut_capacity: 2,
-                ..FabricConfig::default()
-            },
-            iommu,
-            Range::new(Hpa(MEM_BASE), 1 << 32),
-        );
+        let mut f = Fabric::new(iommu, Range::new(Hpa(MEM_BASE), 1 << 32));
         let sw = f.add_switch();
-        f.register_lut(sw, Bdf::new(1, 0, 0)).unwrap();
-        f.register_lut(sw, Bdf::new(2, 0, 0)).unwrap();
+        for bus in 1..=32 {
+            f.register_lut(sw, Bdf::new(bus, 0, 0)).unwrap();
+        }
         // Idempotent re-registration is fine even when full.
         f.register_lut(sw, Bdf::new(1, 0, 0)).unwrap();
-        let err = f.register_lut(sw, Bdf::new(3, 0, 0));
-        assert!(matches!(err, Err(FabricError::LutFull { capacity: 2, .. })));
-        assert_eq!(f.lut_len(sw), 2);
+        let err = f.register_lut(sw, Bdf::new(33, 0, 0));
+        assert!(matches!(
+            err,
+            Err(FabricError::LutFull { capacity: 32, .. })
+        ));
+        assert_eq!(f.lut_len(sw), 32);
     }
 
     #[test]
@@ -590,11 +564,7 @@ mod tests {
     #[test]
     fn cross_switch_p2p_takes_rc_path() {
         let iommu = Iommu::new(IommuConfig::default());
-        let mut f = Fabric::new(
-            FabricConfig::default(),
-            iommu,
-            Range::new(Hpa(MEM_BASE), 1 << 32),
-        );
+        let mut f = Fabric::new(iommu, Range::new(Hpa(MEM_BASE), 1 << 32));
         let sw0 = f.add_switch();
         let sw1 = f.add_switch();
         let rnic = f

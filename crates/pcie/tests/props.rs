@@ -83,10 +83,7 @@ fn atc_is_coherent_with_iommu() {
         let queries = g.vec(1, 200, |g| g.u64(0, 16));
         let mut iommu = Iommu::new(IommuConfig::default());
         iommu.map(Iova(0), Hpa(0x90_0000), 16 * PAGE_4K).unwrap();
-        let mut atc = Atc::new(AtcConfig {
-            capacity,
-            ..AtcConfig::default()
-        });
+        let mut atc = Atc::new(AtcConfig { capacity });
         for &q in &queries {
             let iova = Iova(q * PAGE_4K + (q % 7) * 8);
             let via_atc = atc.translate(iova, &mut iommu).unwrap().hpa;

@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! page_time = max(wire_time(port), wire_time(rc_path if routed via RC))
-//!           + (translation_latency + fabric_latency) / translation_parallelism
+//!           + (translation_latency + fabric_latency) / TRANSLATION_PARALLELISM
 //! ```
 //!
 //! * `wire_time(port)` — serialization at the port line rate; the floor.
@@ -16,7 +16,7 @@
 //!   capped by the RC's P2P forwarding bandwidth. This is why HyV/MasQ GDR
 //!   tops out at ~141 Gbps while Stellar's eMTT path reaches ~393 Gbps
 //!   (Fig. 14).
-//! * `translation_parallelism` — the RX pipeline keeps many address
+//! * [`TRANSLATION_PARALLELISM`] — the RX pipeline keeps many address
 //!   translations in flight, so a translation's latency is amortized, not
 //!   serialized. With an ATC hit the overhead is negligible; when the GDR
 //!   working set exceeds the ATC (and then the IOTLB), the amortized miss
@@ -50,32 +50,30 @@ pub enum TranslationMode {
     Untranslated,
 }
 
-/// Data-path configuration of one RNIC.
+/// Bandwidth cap, in Gbps, of peer-to-peer traffic that detours through
+/// the Root Complex.
+const RC_PATH_GBPS: f64 = 150.0;
+/// Outstanding translations the pipeline sustains (amortizes translation
+/// latency).
+pub const TRANSLATION_PARALLELISM: u32 = 32;
+/// On-NIC MTT/eMTT SRAM lookup latency.
+const MTT_LOOKUP_LATENCY: SimDuration = SimDuration::from_nanos(5);
+/// Fixed per-message overhead (WQE fetch, doorbell, completion).
+const PER_MESSAGE_OVERHEAD: SimDuration = SimDuration::from_nanos(900);
+
+/// Data-path configuration of one RNIC. The rest of the timing model is
+/// fixed: [`TRANSLATION_PARALLELISM`], a 150 Gbps cap on P2P traffic
+/// through the Root Complex, a 5 ns MTT lookup and a 900 ns per-message
+/// overhead.
 #[derive(Debug, Clone)]
 pub struct RnicDataPathConfig {
     /// Port line rate in Gbps (one port).
     pub port_gbps: f64,
-    /// Bandwidth cap of peer-to-peer traffic that detours through the Root
-    /// Complex.
-    pub rc_path_gbps: f64,
-    /// Outstanding translations the pipeline sustains (amortizes
-    /// translation latency).
-    pub translation_parallelism: u32,
-    /// On-NIC MTT/eMTT SRAM lookup latency.
-    pub mtt_lookup_latency: SimDuration,
-    /// Fixed per-message overhead (WQE fetch, doorbell, completion).
-    pub per_message_overhead: SimDuration,
 }
 
 impl Default for RnicDataPathConfig {
     fn default() -> Self {
-        RnicDataPathConfig {
-            port_gbps: 200.0,
-            rc_path_gbps: 150.0,
-            translation_parallelism: 32,
-            mtt_lookup_latency: SimDuration::from_nanos(5),
-            per_message_overhead: SimDuration::from_nanos(900),
-        }
+        RnicDataPathConfig { port_gbps: 200.0 }
     }
 }
 
@@ -218,14 +216,14 @@ impl DmaEngine {
         if len == 0 {
             return Err(DmaError::EmptyTransfer);
         }
-        let page_size = mtt.config().page_size;
-        let parallelism = self.config.translation_parallelism.max(1) as u64;
+        let page_size = crate::mtt::PAGE_SIZE;
+        let parallelism = u64::from(TRANSLATION_PARALLELISM);
 
         let mut report = DmaReport::default();
-        let mut elapsed = self.config.per_message_overhead;
+        let mut elapsed = PER_MESSAGE_OVERHEAD;
         // Doorbell ring → descriptor fetch: the per-message NIC overhead.
         self.ops += 1;
-        stage_sample(Stage::DoorbellDmaFetch, self.config.per_message_overhead);
+        stage_sample(Stage::DoorbellDmaFetch, PER_MESSAGE_OVERHEAD);
         let mut remaining = len;
         let mut cursor = gva;
         let mut first = true;
@@ -235,7 +233,7 @@ impl DmaEngine {
             let chunk = remaining.min(page_size - in_page_off);
 
             let (entry, _) = mtt.lookup(mr, cursor)?;
-            let mut translation_latency = self.config.mtt_lookup_latency;
+            let mut translation_latency = MTT_LOOKUP_LATENCY;
 
             // Resolve the TLP to emit.
             let tlp = match (mode, entry) {
@@ -300,16 +298,14 @@ impl DmaEngine {
 
             let mut wire = transmit_time(chunk, self.config.port_gbps);
             if via_rc {
-                wire = wire.max(transmit_time(chunk, self.config.rc_path_gbps));
+                wire = wire.max(transmit_time(chunk, RC_PATH_GBPS));
             }
             let overhead = (translation_latency + outcome.latency).div(parallelism);
             let page_time = wire + overhead;
 
             if first {
-                report.first_page_latency = self.config.per_message_overhead
-                    + translation_latency
-                    + outcome.latency
-                    + wire;
+                report.first_page_latency =
+                    PER_MESSAGE_OVERHEAD + translation_latency + outcome.latency + wire;
                 first = false;
             }
 
@@ -345,7 +341,7 @@ mod tests {
     use stellar_pcie::addr::{Bdf, Range, PAGE_4K};
     use stellar_pcie::ats::AtcConfig;
     use stellar_pcie::iommu::{Iommu, IommuConfig};
-    use stellar_pcie::topology::{DeviceKind, FabricConfig};
+    use stellar_pcie::topology::DeviceKind;
     use stellar_pcie::{Hpa, Iova};
 
     const MEM_BASE: u64 = 0x1_0000_0000;
@@ -361,11 +357,7 @@ mod tests {
 
     fn rig(atc_capacity: usize) -> Rig {
         let iommu = Iommu::new(IommuConfig::default());
-        let mut fabric = Fabric::new(
-            FabricConfig::default(),
-            iommu,
-            Range::new(Hpa(MEM_BASE), 1 << 33),
-        );
+        let mut fabric = Fabric::new(iommu, Range::new(Hpa(MEM_BASE), 1 << 33));
         let sw = fabric.add_switch();
         let rnic = fabric
             .add_device(
@@ -389,7 +381,6 @@ mod tests {
             mtt: Mtt::new(MttConfig::default()),
             atc: Atc::new(AtcConfig {
                 capacity: atc_capacity,
-                ..AtcConfig::default()
             }),
             rnic,
             gpu,
@@ -397,10 +388,7 @@ mod tests {
     }
 
     fn engine(port_gbps: f64) -> DmaEngine {
-        DmaEngine::new(RnicDataPathConfig {
-            port_gbps,
-            ..RnicDataPathConfig::default()
-        })
+        DmaEngine::new(RnicDataPathConfig { port_gbps })
     }
 
     #[test]
@@ -437,7 +425,7 @@ mod tests {
 
     #[test]
     fn untranslated_gdr_is_rc_bottlenecked() {
-        // HyV/MasQ: GDR traffic through the RC caps near rc_path_gbps.
+        // HyV/MasQ: GDR traffic through the RC caps near RC_PATH_GBPS.
         let mut r = rig(1024);
         // Legacy entries whose IOVAs map to the GPU BAR via the IOMMU.
         r.fabric
@@ -548,7 +536,7 @@ mod tests {
         assert_eq!(report.bytes, 8);
         assert_eq!(report.pages, 1);
         // Dominated by the per-message overhead, microsecond scale.
-        assert!(report.first_page_latency >= e.config().per_message_overhead);
+        assert!(report.first_page_latency >= PER_MESSAGE_OVERHEAD);
         assert!(report.first_page_latency < SimDuration::from_micros(3));
     }
 

@@ -26,7 +26,7 @@ pub mod verbs;
 pub use dma::{DmaEngine, DmaError, DmaReport, RnicDataPathConfig, TranslationMode};
 pub use doorbell::{DoorbellId, DoorbellTable};
 pub use mtt::{MemOwner, Mtt, MttConfig, MttEntry, MttError};
-pub use vdev::{VdevError, VdevId, VdevKind, VdevManager, VdevManagerConfig};
+pub use vdev::{VdevError, VdevId, VdevKind, VdevManager};
 pub use verbs::{
     AccessFlags, CqId, MrKey, PdId, QpId, QpState, Verbs, VerbsError, WcStatus, WorkCompletion,
 };

@@ -52,11 +52,12 @@ pub enum MttEntry {
     },
 }
 
+/// Translation granularity: one entry per 4 KiB page.
+pub(crate) const PAGE_SIZE: u64 = PAGE_4K;
+
 /// MTT configuration.
 #[derive(Debug, Clone)]
 pub struct MttConfig {
-    /// Translation granularity.
-    pub page_size: u64,
     /// Total entry budget across all memory regions.
     pub capacity_entries: usize,
 }
@@ -64,7 +65,6 @@ pub struct MttConfig {
 impl Default for MttConfig {
     fn default() -> Self {
         MttConfig {
-            page_size: PAGE_4K,
             // Orders of magnitude beyond the ATC's ~32k: 8M entries
             // (32 GiB of 4 KiB pages per RNIC).
             capacity_entries: 8 * 1024 * 1024,
@@ -136,11 +136,6 @@ impl Mtt {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &MttConfig {
-        &self.config
-    }
-
     /// Register a region's per-page entries. `entries[i]` translates the
     /// page at `base + i * page_size`.
     pub fn register(
@@ -152,7 +147,7 @@ impl Mtt {
         if self.regions.contains_key(&mr) {
             return Err(MttError::AlreadyRegistered(mr));
         }
-        if !base.is_aligned(self.config.page_size) {
+        if !base.is_aligned(PAGE_SIZE) {
             return Err(MttError::Misaligned);
         }
         if self.used_entries + entries.len() > self.config.capacity_entries {
@@ -206,10 +201,10 @@ impl Mtt {
         &self,
         len: u64,
     ) -> Result<impl Iterator<Item = u64> + '_, MttError> {
-        if !len.is_multiple_of(self.config.page_size) {
+        if !len.is_multiple_of(PAGE_SIZE) {
             return Err(MttError::Misaligned);
         }
-        let ps = self.config.page_size;
+        let ps = PAGE_SIZE;
         Ok((0..len / ps).map(move |i| i * ps))
     }
 
@@ -227,8 +222,8 @@ impl Mtt {
             return Err(miss);
         }
         let offset = gva.raw() - region.base.raw();
-        let page_idx = (offset / self.config.page_size) as usize;
-        let in_page = offset % self.config.page_size;
+        let page_idx = (offset / PAGE_SIZE) as usize;
+        let in_page = offset % PAGE_SIZE;
         match region.entries.get(page_idx) {
             Some(&entry) => Ok((entry, in_page)),
             None => {
@@ -280,7 +275,6 @@ mod tests {
     fn mtt(capacity: usize) -> Mtt {
         Mtt::new(MttConfig {
             capacity_entries: capacity,
-            ..MttConfig::default()
         })
     }
 

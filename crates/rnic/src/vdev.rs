@@ -26,38 +26,21 @@ pub enum VdevKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VdevId(pub u32);
 
-/// Resource and timing model for virtual device management.
-#[derive(Debug, Clone)]
-pub struct VdevManagerConfig {
-    /// Maximum SR-IOV VFs the silicon supports.
-    pub max_vfs: usize,
-    /// Maximum vStellar devices ("up to 64k virtual devices").
-    pub max_vstellar: usize,
-    /// Host memory consumed per enabled VF (63 queues × 5000-MTU messages
-    /// ≈ 2.4 GB).
-    pub vf_memory_bytes: u64,
-    /// Host memory per vStellar device (standalone registers only).
-    pub vstellar_memory_bytes: u64,
-    /// Full-reset time required to change the VF count (driver unload,
-    /// firmware reconfiguration, driver reload).
-    pub vf_reconfigure_time: SimDuration,
-    /// Creation time of one vStellar device ("1.5 seconds, matching the
-    /// performance of MasQ").
-    pub vstellar_create_time: SimDuration,
-}
-
-impl Default for VdevManagerConfig {
-    fn default() -> Self {
-        VdevManagerConfig {
-            max_vfs: 63,
-            max_vstellar: 65_536,
-            vf_memory_bytes: 2_400_000_000,
-            vstellar_memory_bytes: 1024 * 1024,
-            vf_reconfigure_time: SimDuration::from_secs(45),
-            vstellar_create_time: SimDuration::from_millis(1_500),
-        }
-    }
-}
+/// Maximum SR-IOV VFs the silicon supports.
+const MAX_VFS: usize = 63;
+/// Maximum vStellar devices ("up to 64k virtual devices").
+pub const MAX_VSTELLAR: usize = 65_536;
+/// Host memory consumed per enabled VF (63 queues × 5000-MTU messages
+/// ≈ 2.4 GB).
+pub const VF_MEMORY_BYTES: u64 = 2_400_000_000;
+/// Host memory per vStellar device (standalone registers only).
+const VSTELLAR_MEMORY_BYTES: u64 = 1024 * 1024;
+/// Full-reset time required to change the VF count (driver unload,
+/// firmware reconfiguration, driver reload).
+const VF_RECONFIGURE_TIME: SimDuration = SimDuration::from_secs(45);
+/// Creation time of one vStellar device ("1.5 seconds, matching the
+/// performance of MasQ").
+const VSTELLAR_CREATE_TIME: SimDuration = SimDuration::from_millis(1_500);
 
 /// Virtual device management errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,9 +91,8 @@ pub struct Vdev {
 }
 
 /// Manages the virtual devices of one RNIC.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct VdevManager {
-    config: VdevManagerConfig,
     next_id: u32,
     vfs: Vec<Vdev>,
     vstellar: Vec<Vdev>,
@@ -118,18 +100,8 @@ pub struct VdevManager {
 
 impl VdevManager {
     /// A manager with no devices enabled.
-    pub fn new(config: VdevManagerConfig) -> Self {
-        VdevManager {
-            config,
-            next_id: 0,
-            vfs: Vec::new(),
-            vstellar: Vec::new(),
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &VdevManagerConfig {
-        &self.config
+    pub fn new() -> Self {
+        VdevManager::default()
     }
 
     fn fresh_id(&mut self) -> VdevId {
@@ -141,10 +113,8 @@ impl VdevManager {
     /// Set the SR-IOV VF count. Only `0 → n` and `n → 0` transitions are
     /// legal, and both cost a full reset. Returns the reset time.
     pub fn set_vf_count(&mut self, count: usize) -> Result<SimDuration, VdevError> {
-        if count > self.config.max_vfs {
-            return Err(VdevError::LimitExceeded {
-                limit: self.config.max_vfs,
-            });
+        if count > MAX_VFS {
+            return Err(VdevError::LimitExceeded { limit: MAX_VFS });
         }
         if !self.vfs.is_empty() && count != 0 {
             return Err(VdevError::VfCountLocked {
@@ -163,14 +133,14 @@ impl VdevManager {
                 attached: false,
             });
         }
-        Ok(self.config.vf_reconfigure_time)
+        Ok(VF_RECONFIGURE_TIME)
     }
 
     /// Create one vStellar device. Returns `(id, creation_time)`.
     pub fn create_vstellar(&mut self) -> Result<(VdevId, SimDuration), VdevError> {
-        if self.vstellar.len() >= self.config.max_vstellar {
+        if self.vstellar.len() >= MAX_VSTELLAR {
             return Err(VdevError::LimitExceeded {
-                limit: self.config.max_vstellar,
+                limit: MAX_VSTELLAR,
             });
         }
         let id = self.fresh_id();
@@ -179,7 +149,7 @@ impl VdevManager {
             kind: VdevKind::VStellar,
             attached: false,
         });
-        Ok((id, self.config.vstellar_create_time))
+        Ok((id, VSTELLAR_CREATE_TIME))
     }
 
     /// Destroy a vStellar device (VFs can only be removed in bulk via
@@ -217,8 +187,7 @@ impl VdevManager {
 
     /// Total host memory consumed by virtual device state.
     pub fn memory_bytes(&self) -> u64 {
-        self.vfs.len() as u64 * self.config.vf_memory_bytes
-            + self.vstellar.len() as u64 * self.config.vstellar_memory_bytes
+        self.vfs.len() as u64 * VF_MEMORY_BYTES + self.vstellar.len() as u64 * VSTELLAR_MEMORY_BYTES
     }
 
     /// PCIe BDFs consumed beyond the PF: one per VF; vStellar devices
@@ -234,7 +203,7 @@ mod tests {
     use super::*;
 
     fn mgr() -> VdevManager {
-        VdevManager::new(VdevManagerConfig::default())
+        VdevManager::new()
     }
 
     #[test]
@@ -282,7 +251,7 @@ mod tests {
         // 1000 devices ≈ 1 GB, vs 2.4 TB for 1000 VFs.
         assert_eq!(m.memory_bytes(), 1000 * 1024 * 1024);
         assert_eq!(m.extra_bdfs(), 0);
-        assert_eq!(m.config().max_vstellar, 65_536);
+        assert_eq!(MAX_VSTELLAR, 65_536);
     }
 
     #[test]
@@ -294,16 +263,18 @@ mod tests {
 
     #[test]
     fn limits_are_enforced() {
-        let mut m = VdevManager::new(VdevManagerConfig {
-            max_vfs: 2,
-            max_vstellar: 1,
-            ..VdevManagerConfig::default()
-        });
-        assert_eq!(m.set_vf_count(3), Err(VdevError::LimitExceeded { limit: 2 }));
-        m.create_vstellar().unwrap();
+        let mut m = mgr();
+        assert_eq!(
+            m.set_vf_count(64),
+            Err(VdevError::LimitExceeded { limit: 63 })
+        );
+        m.set_vf_count(63).unwrap();
+        for _ in 0..65_536 {
+            m.create_vstellar().unwrap();
+        }
         assert_eq!(
             m.create_vstellar(),
-            Err(VdevError::LimitExceeded { limit: 1 })
+            Err(VdevError::LimitExceeded { limit: 65_536 })
         );
     }
 

@@ -55,7 +55,6 @@ fn mtt_capacity_accounting() {
         let ops = g.vec(1, 50, |g| (g.u32(0, 8), g.u64(1, 32)));
         let mut mtt = Mtt::new(MttConfig {
             capacity_entries: 10_000,
-            ..MttConfig::default()
         });
         let mut live: std::collections::HashMap<u32, u64> = Default::default();
         for (key, pages) in ops {

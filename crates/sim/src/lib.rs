@@ -62,6 +62,7 @@ pub use queue::ReferenceQueue;
 /// The timing wheel under its explicit name, so the differential suite can
 /// name both implementations regardless of which one `EventQueue` aliases.
 pub use wheel::EventQueue as TimingWheelQueue;
+pub use wheel::WHEEL_HORIZON;
 
 #[cfg(not(feature = "reference-queue"))]
 pub use wheel::EventQueue;

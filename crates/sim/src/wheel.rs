@@ -73,7 +73,7 @@
 //! [`EventQueue::clear`] keeps the slab allocation so repeated seed runs
 //! reuse it.
 
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 
 /// Bits per wheel level: 1024 slots each. Wide levels keep cascade counts
 /// low — a 1 ms RTO timer sits one level above the ns-resolution level and
@@ -86,6 +86,10 @@ const SLOTS: usize = 1 << SLOT_BITS;
 const LEVELS: usize = 4;
 /// Bits covered by the whole wheel; `at ^ cursor >= 2^40` goes to overflow.
 const HORIZON_BITS: u32 = SLOT_BITS * LEVELS as u32;
+/// The span of the wheel's levels, 2^40 ns ≈ 18.3 min. An event further
+/// ahead waits in the overflow list, so a config delay that a run adds
+/// to the clock is bounded by it.
+pub const WHEEL_HORIZON: SimDuration = SimDuration::from_nanos(1 << HORIZON_BITS);
 /// Words of the per-level occupancy bitmap (one bit per slot).
 const OCC_WORDS: usize = SLOTS / 64;
 /// Null node index (slab sentinel).

@@ -11,8 +11,8 @@
 //! state, the send cursor, the in-flight table, the live message window,
 //! the per-packet counters and the event loop's window, pacing and timer
 //! state, in four cache lines. Everything the healthy path never reads —
-//! the replay queue, the retired ledger, posted receives, recovery
-//! bookkeeping and the slow-path counters — sits behind one pointer.
+//! the replay queue, the retired ledger, recovery bookkeeping and the
+//! slow-path counters — sits behind one pointer.
 //!
 //! Spraying packets over 128 paths guarantees heavy reordering at the
 //! receiver. Like the paper's RNIC (Direct Packet Placement, paper ref. 19), the
@@ -348,33 +348,6 @@ pub(crate) struct RetiredLedger {
     pub(crate) placements: u64,
 }
 
-/// Why a two-sided send could not be accepted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendError {
-    /// No receive buffer posted (the RC "receiver not ready" NAK).
-    ReceiverNotReady,
-    /// The matched receive buffer is smaller than the message.
-    RecvBufferTooSmall {
-        /// Posted buffer size.
-        posted: u64,
-        /// Message size.
-        message: u64,
-    },
-}
-
-impl std::fmt::Display for SendError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SendError::ReceiverNotReady => write!(f, "RNR NAK: no receive posted"),
-            SendError::RecvBufferTooSmall { posted, message } => {
-                write!(f, "recv buffer {posted} B < message {message} B")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SendError {}
-
 /// Why a connection entered the terminal [`ConnState::Error`] state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FatalError {
@@ -446,8 +419,6 @@ pub struct ConnStats {
     pub ecn_acks: u64,
     /// Total ACKs.
     pub acks: u64,
-    /// Two-sided sends rejected with RNR (no receive posted).
-    pub rnr_naks: u64,
     /// Completed connection recoveries (teardown → re-establish).
     pub recoveries: u64,
     /// Packets re-queued from incomplete receiver bitmaps at
@@ -466,7 +437,6 @@ impl ConnStats {
         self.completed_messages += other.completed_messages;
         self.ecn_acks += other.ecn_acks;
         self.acks += other.acks;
-        self.rnr_naks += other.rnr_naks;
         self.recoveries += other.recoveries;
         self.replayed_packets += other.replayed_packets;
     }
@@ -500,8 +470,7 @@ pub(crate) struct PacketCounts {
 }
 
 /// What a healthy connection never reads: the replay queue, the retired
-/// ledger, posted receives, recovery bookkeeping and the slow-path
-/// counters.
+/// ledger, recovery bookkeeping and the slow-path counters.
 #[derive(Debug)]
 pub(crate) struct ConnCold {
     /// Identifier.
@@ -512,15 +481,12 @@ pub(crate) struct ConnCold {
     pub(crate) replay: VecDeque<PendingPacket>,
     /// Running totals of the retired messages.
     pub(crate) retired: RetiredLedger,
-    /// Posted receive buffers (two-sided verbs), FIFO-matched.
-    pub(crate) recv_queue: VecDeque<u64>,
     /// The error that killed the connection, if any.
     pub(crate) fatal: Option<FatalError>,
     /// When the in-progress recovery began (teardown time), if any.
     pub(crate) recovering_since: Option<SimTime>,
     pub(crate) retransmits: u64,
     pub(crate) rto_events: u64,
-    pub(crate) rnr_naks: u64,
     pub(crate) recoveries: u64,
     pub(crate) replayed_packets: u64,
 }
@@ -632,12 +598,10 @@ impl Connection {
                 id,
                 replay: VecDeque::new(),
                 retired: RetiredLedger::default(),
-                recv_queue: VecDeque::new(),
                 fatal: None,
                 recovering_since: None,
                 retransmits: 0,
                 rto_events: 0,
-                rnr_naks: 0,
                 recoveries: 0,
                 replayed_packets: 0,
             }),
@@ -661,13 +625,12 @@ impl Connection {
             completed_messages: hot.completed_messages,
             ecn_acks: hot.ecn_acks,
             acks: hot.acks,
-            rnr_naks: cold.rnr_naks,
             recoveries: cold.recoveries,
             replayed_packets: cold.replayed_packets,
         }
     }
 
-    /// Messages ever posted (one-sided or two-sided).
+    /// Messages ever posted.
     pub(crate) fn posted_messages(&self) -> u64 {
         self.next_msg
     }
@@ -675,11 +638,6 @@ impl Connection {
     /// The error that killed the connection, if any.
     pub fn fatal(&self) -> Option<FatalError> {
         self.cold.fatal
-    }
-
-    /// Posted receive buffers not yet matched, oldest first.
-    pub fn recv_queue(&self) -> &VecDeque<u64> {
-        &self.cold.recv_queue
     }
 
     /// Queue a message of `bytes`, to be cut into `mtu`-sized packets as
@@ -698,40 +656,6 @@ impl Connection {
         self.messages
             .push_back(MessageState::new(packets, bytes, now));
         id
-    }
-
-    /// Post a receive buffer of `bytes` (two-sided verbs, IBTA ordering:
-    /// buffers match incoming sends in FIFO order).
-    pub fn post_recv(&mut self, bytes: u64) {
-        assert!(bytes > 0, "empty receive buffer");
-        self.cold.recv_queue.push_back(bytes);
-    }
-
-    /// Two-sided send: consume the head receive buffer, then queue the
-    /// message like a write.
-    ///
-    /// Returns [`SendError::ReceiverNotReady`] (and counts an RNR NAK) if
-    /// no receive is posted, or [`SendError::RecvBufferTooSmall`] if the
-    /// matched buffer cannot hold the message (a fatal RC completion
-    /// error on real hardware — the buffer is consumed either way, per
-    /// the IBTA spec).
-    pub fn post_send(
-        &mut self,
-        now: SimTime,
-        bytes: u64,
-        mtu: u64,
-    ) -> Result<MsgId, SendError> {
-        let Some(posted) = self.cold.recv_queue.pop_front() else {
-            self.cold.rnr_naks += 1;
-            return Err(SendError::ReceiverNotReady);
-        };
-        if posted < bytes {
-            return Err(SendError::RecvBufferTooSmall {
-                posted,
-                message: bytes,
-            });
-        }
-        Ok(self.post_message(now, bytes, mtu))
     }
 
     /// Allocate the next sequence number.
@@ -965,52 +889,6 @@ mod tests {
     }
 
     #[test]
-    fn send_requires_posted_recv() {
-        let mut c = conn();
-        assert_eq!(
-            c.post_send(SimTime::ZERO, 100, 4096),
-            Err(SendError::ReceiverNotReady)
-        );
-        assert_eq!(c.stats().rnr_naks, 1);
-        c.post_recv(4096);
-        assert!(c.post_send(SimTime::ZERO, 100, 4096).is_ok());
-        // The buffer was consumed.
-        assert_eq!(
-            c.post_send(SimTime::ZERO, 100, 4096),
-            Err(SendError::ReceiverNotReady)
-        );
-    }
-
-    #[test]
-    fn send_larger_than_recv_fails_and_consumes() {
-        let mut c = conn();
-        c.post_recv(64);
-        assert_eq!(
-            c.post_send(SimTime::ZERO, 100, 4096),
-            Err(SendError::RecvBufferTooSmall {
-                posted: 64,
-                message: 100
-            })
-        );
-        // Per IBTA, the mismatched buffer is gone.
-        assert!(c.recv_queue().is_empty());
-    }
-
-    #[test]
-    fn recvs_match_fifo() {
-        let mut c = conn();
-        c.post_recv(100);
-        c.post_recv(10_000);
-        // First send matches the 100-byte buffer even though the second
-        // would fit better (no reordering, per spec).
-        assert!(matches!(
-            c.post_send(SimTime::ZERO, 5_000, 4096),
-            Err(SendError::RecvBufferTooSmall { posted: 100, .. })
-        ));
-        assert!(c.post_send(SimTime::ZERO, 5_000, 4096).is_ok());
-    }
-
-    #[test]
     fn sequence_numbers_are_unique() {
         let mut c = conn();
         let a = c.next_seq();
@@ -1037,9 +915,8 @@ mod tests {
             completed_messages: 6,
             ecn_acks: 7,
             acks: 8,
-            rnr_naks: 9,
-            recoveries: 10,
-            replayed_packets: 11,
+            recoveries: 9,
+            replayed_packets: 10,
         };
         let total: ConnStats = [a, a, a].into_iter().sum();
         assert_eq!(total.sent_packets, 3);
@@ -1050,9 +927,8 @@ mod tests {
         assert_eq!(total.completed_messages, 18);
         assert_eq!(total.ecn_acks, 21);
         assert_eq!(total.acks, 24);
-        assert_eq!(total.rnr_naks, 27);
-        assert_eq!(total.recoveries, 30);
-        assert_eq!(total.replayed_packets, 33);
+        assert_eq!(total.recoveries, 27);
+        assert_eq!(total.replayed_packets, 30);
     }
 
     #[test]

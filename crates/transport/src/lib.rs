@@ -26,9 +26,9 @@ pub mod path;
 pub mod sim;
 
 pub use cc::{CcConfig, CongestionControl};
-pub use conn::{ConnId, ConnState, ConnStats, FatalError, MsgId, SendError};
+pub use conn::{ConnId, ConnState, ConnStats, FatalError, MsgId};
 pub use path::{PathAlgo, PathSelector, PlaneFailover, ScoreboardPolicy};
 pub use sim::{
-    App, CompletionLog, NoopApp, RecoveryPolicy, RecoveryPolicyError, TransportConfig,
-    TransportConfigError, TransportSim,
+    App, CompletionLog, NoopApp, RecoveryPolicy, TransportConfig, TransportConfigError,
+    TransportSim,
 };

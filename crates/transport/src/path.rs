@@ -65,38 +65,26 @@ impl Default for ScoreboardPolicy {
     }
 }
 
-/// Plane-level failover policy (the dual-plane HPN7.0 shape, §3). A
-/// NIC-port or rail failure kills *every* path hashed onto one plane at
-/// once; per-path blacklists expire after [`ScoreboardPolicy::penalty`] —
-/// long before routing reconverges — so an unaided scoreboard keeps
-/// re-probing the dead plane with live traffic. Plane failover aggregates
-/// the scoreboard: once a majority of a plane's paths are simultaneously
-/// blacklisted, the whole plane is quarantined for `readmit_after`
-/// (sized to the fabric's `recovery_time`), migrating every flow to the
-/// surviving plane. The quarantine expiring *is* the readmission probe:
-/// the next packets hash back onto the plane and either ACK — clearing
-/// all scoreboard state — or blacklist it again. Any ACK on one of the
-/// plane's paths readmits it early.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlaneFailover {
-    /// Number of network planes; path id `p` maps to plane `p % planes`
-    /// (mirroring the fabric's ECMP entropy → plane hash). `0` disables
-    /// plane failover entirely.
-    pub planes: u32,
-    /// Quarantine duration: how long a failed plane sits out before a
-    /// readmission probe. Size this to the fabric's routing
-    /// `recovery_time` (BGP convergence), not the per-path penalty.
-    pub readmit_after: SimDuration,
-}
+/// How long a failed plane sits out before a readmission probe: sized to
+/// the fabric's routing recovery time (BGP convergence), not the
+/// per-path penalty.
+const READMIT_AFTER: SimDuration = SimDuration::from_millis(5);
 
-impl Default for PlaneFailover {
-    fn default() -> Self {
-        PlaneFailover {
-            planes: 2,
-            readmit_after: SimDuration::from_millis(5),
-        }
-    }
-}
+/// Plane-level failover (the dual-plane HPN7.0 shape, §3). A NIC-port or
+/// rail failure kills *every* path hashed onto one plane at once;
+/// per-path blacklists expire after [`ScoreboardPolicy::penalty`] — long
+/// before routing reconverges — so an unaided scoreboard keeps
+/// re-probing the dead plane with live traffic. Plane failover aggregates
+/// the scoreboard: path id `p` maps to plane `p % planes` (mirroring the
+/// fabric's ECMP entropy → plane hash, with the fabric's plane count),
+/// and once a majority of a plane's paths are simultaneously
+/// blacklisted, the whole plane is quarantined for 5 ms, migrating every
+/// flow to the surviving plane. The quarantine expiring *is* the
+/// readmission probe: the next packets hash back onto the plane and
+/// either ACK — clearing all scoreboard state — or blacklist it again.
+/// Any ACK on one of the plane's paths readmits it early.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PlaneFailover;
 
 /// Observed state of one path, read back from a [`PathSelector`].
 ///
@@ -186,8 +174,9 @@ struct Feedback {
     scores: Vec<Score>,
     /// REPS-style recycle queue: path ids whose last ACK was clean.
     recycled: Vec<u32>,
-    /// Plane failover policy; `planes == 0` means disabled (the default).
-    failover: PlaneFailover,
+    /// The plane count plane failover maps paths onto; `0` means
+    /// failover is off (the default).
+    planes: u32,
     /// Per-plane quarantine deadlines (empty while failover is disabled).
     plane_quarantine_until: Vec<SimTime>,
     /// DWRR weight per path: `1.0e4 / rtt_ewma` in ns, `1.0` while the
@@ -205,12 +194,6 @@ struct Feedback {
     exiles: (u64, u64),
 }
 
-/// Plane failover while it is off.
-const NO_FAILOVER: PlaneFailover = PlaneFailover {
-    planes: 0,
-    readmit_after: SimDuration::ZERO,
-};
-
 impl Default for Feedback {
     fn default() -> Self {
         Feedback {
@@ -219,7 +202,7 @@ impl Default for Feedback {
             dwrr_deficit: Vec::new(),
             scores: Vec::new(),
             recycled: Vec::new(),
-            failover: NO_FAILOVER,
+            planes: 0,
             plane_quarantine_until: Vec::new(),
             dwrr_weights: Vec::new(),
             dwrr_wmax: 1.0,
@@ -307,13 +290,13 @@ impl PathSelector {
         self.scoreboard
     }
 
-    /// Enable plane-level failover (disabled by default). Resets any
-    /// existing quarantine state.
-    pub fn set_plane_failover(&mut self, policy: PlaneFailover) {
+    /// Enable [`PlaneFailover`] over the fabric's `planes` (disabled by
+    /// default; `0` keeps it off). Resets any existing quarantine state.
+    pub fn set_plane_failover(&mut self, planes: u32) {
         let fb = self.feedback_mut();
-        fb.plane_quarantine_until = vec![SimTime::ZERO; policy.planes as usize];
-        fb.failover = policy;
-        self.wants_ack |= policy.planes > 0;
+        fb.plane_quarantine_until = vec![SimTime::ZERO; planes as usize];
+        fb.planes = planes;
+        self.wants_ack |= planes > 0;
     }
 
     /// Whether [`PathSelector::on_ack`] would change anything: false for
@@ -322,11 +305,6 @@ impl PathSelector {
     #[inline]
     pub fn wants_ack(&self) -> bool {
         self.wants_ack
-    }
-
-    /// The plane-failover policy in use (`planes == 0` ⇒ disabled).
-    pub fn plane_failover(&self) -> PlaneFailover {
-        self.feedback.as_ref().map_or(NO_FAILOVER, |fb| fb.failover)
     }
 
     /// Whether `plane` is quarantined at `now`.
@@ -350,14 +328,14 @@ impl PathSelector {
     /// every blacklist and quarantine deadline visible at `at` must sit
     /// within its policy horizon — nothing may be exiled forever. The
     /// deadlines are always written as `now + penalty` / `now +
-    /// readmit_after`, so any deadline beyond `at + horizon` means state
+    /// READMIT_AFTER`, so any deadline beyond `at + horizon` means state
     /// was corrupted or a policy changed under live exile state.
     pub fn readmission_bounded(&self, at: SimTime) -> bool {
         let Some(fb) = &self.feedback else {
             return true;
         };
         let blacklist_horizon = at + self.scoreboard.penalty;
-        let quarantine_horizon = at + fb.failover.readmit_after;
+        let quarantine_horizon = at + READMIT_AFTER;
         fb.scores
             .iter()
             .all(|sc| sc.blacklisted_until <= blacklist_horizon)
@@ -458,8 +436,8 @@ impl PathSelector {
             let mut mask = [0u64; 4];
             let mut any = false;
             for (i, sc) in fb.scores.iter().enumerate() {
-                let quarantined = fb.failover.planes > 0
-                    && fb.is_plane_quarantined(i as u32 % fb.failover.planes, now);
+                let quarantined =
+                    fb.planes > 0 && fb.is_plane_quarantined(i as u32 % fb.planes, now);
                 if sc.blacklisted_until > now || quarantined {
                     mask[i / 64] |= 1 << (i % 64);
                     any = true;
@@ -636,8 +614,8 @@ impl PathSelector {
             fb.recycled.push(path);
         }
         // An ACK proves the plane forwards again: readmit it early.
-        if fb.failover.planes > 0 {
-            fb.plane_quarantine_until[(path % fb.failover.planes) as usize] = SimTime::ZERO;
+        if fb.planes > 0 {
+            fb.plane_quarantine_until[(path % fb.planes) as usize] = SimTime::ZERO;
         }
         let i = path as usize;
         // An ACK proves the path forwards again: clear the scoreboard.
@@ -705,7 +683,7 @@ impl PathSelector {
                 "blacklist",
                 u64::from(losses),
             );
-            let quarantined = if fb.failover.planes > 0 {
+            let quarantined = if fb.planes > 0 {
                 fb.maybe_quarantine_plane(now, path)
             } else {
                 None
@@ -719,7 +697,7 @@ impl PathSelector {
 impl Feedback {
     /// Whether `plane` is quarantined at `now`.
     fn is_plane_quarantined(&self, plane: u32, now: SimTime) -> bool {
-        self.failover.planes > 0 && self.plane_quarantine_until[plane as usize] > now
+        self.planes > 0 && self.plane_quarantine_until[plane as usize] > now
     }
 
     /// Re-derive path `i`'s DWRR weight from its RTT EWMA and keep the
@@ -751,7 +729,7 @@ impl Feedback {
     /// the plane's paths are simultaneously blacklisted. Returns the new
     /// quarantine deadline, if one was set.
     fn maybe_quarantine_plane(&mut self, now: SimTime, path: u32) -> Option<SimTime> {
-        let planes = self.failover.planes;
+        let planes = self.planes;
         let plane = path % planes;
         if self.plane_quarantine_until[plane as usize] > now {
             return None; // already quarantined
@@ -769,7 +747,7 @@ impl Feedback {
         if u64::from(blacklisted) * 2 <= u64::from(total) {
             return None;
         }
-        let until = now + self.failover.readmit_after;
+        let until = now + READMIT_AFTER;
         self.plane_quarantine_until[plane as usize] = until;
         self.exiles.1 += 1;
         stellar_telemetry::event(
@@ -1171,10 +1149,7 @@ mod tests {
     #[test]
     fn plane_failover_quarantines_dead_plane_and_steers_to_survivor() {
         let mut s = selector(PathAlgo::Obs, 8);
-        s.set_plane_failover(PlaneFailover {
-            planes: 2,
-            readmit_after: SimDuration::from_millis(5),
-        });
+        s.set_plane_failover(2);
         let now = SimTime::from_nanos(1_000);
         // Plane 1 owns odd path ids. Blacklisting 3 of its 4 paths is a
         // majority: the whole plane quarantines, including path 7 which
@@ -1197,7 +1172,7 @@ mod tests {
         assert_eq!(s.blacklisted_count(after_penalty), 0);
         assert!(s.is_plane_quarantined(1, after_penalty));
         // ...and the quarantine expiring is the readmission probe.
-        let readmitted = now + SimDuration::from_millis(5) + SimDuration::from_nanos(1);
+        let readmitted = now + READMIT_AFTER + SimDuration::from_nanos(1);
         assert!(!s.is_plane_quarantined(1, readmitted));
         assert!(s.readmission_bounded(now));
         assert!(s.readmission_bounded(readmitted));
@@ -1206,7 +1181,7 @@ mod tests {
     #[test]
     fn ack_readmits_quarantined_plane_early() {
         let mut s = selector(PathAlgo::Obs, 8);
-        s.set_plane_failover(PlaneFailover::default());
+        s.set_plane_failover(2);
         let now = SimTime::from_nanos(1_000);
         for p in [1u32, 3, 5] {
             blacklist(&mut s, now, p);
@@ -1221,7 +1196,7 @@ mod tests {
     #[test]
     fn fully_quarantined_selector_falls_back_instead_of_stalling() {
         let mut s = selector(PathAlgo::Obs, 4);
-        s.set_plane_failover(PlaneFailover::default());
+        s.set_plane_failover(2);
         let now = SimTime::from_nanos(1_000);
         for p in 0..4 {
             blacklist(&mut s, now, p);
@@ -1240,7 +1215,7 @@ mod tests {
         // blacklist mask, so selections stay byte-identical.
         let mut a = selector(PathAlgo::Obs, 64);
         let mut b = selector(PathAlgo::Obs, 64);
-        b.set_plane_failover(PlaneFailover::default());
+        b.set_plane_failover(2);
         let now = SimTime::from_nanos(100);
         for i in 0..500u64 {
             let t = now + SimDuration::from_nanos(i);

@@ -12,13 +12,12 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use stellar_net::{Delivery, Fabric, Network, NicId};
 use stellar_sim::hash::FastMap;
-use stellar_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use stellar_sim::{EventQueue, SimDuration, SimRng, SimTime, WHEEL_HORIZON};
 use stellar_telemetry::{event, fold_counters, stage_sample, Entity, Stage, Subsystem};
 
 use crate::cc::{CcConfig, CcConfigError, CongestionControl};
 use crate::conn::{
-    ConnId, ConnState, ConnStats, Connection, FatalError, InflightPacket, MsgId, RtoKey,
-    SendError, NO_TIMER,
+    ConnId, ConnState, ConnStats, Connection, FatalError, InflightPacket, MsgId, RtoKey, NO_TIMER,
 };
 use crate::path::{PathAlgo, PathSelector};
 
@@ -35,13 +34,9 @@ pub struct TransportConfig {
     /// data center topology").
     pub rto: SimDuration,
     /// Exponential RTO backoff factor: the timeout for retransmit epoch
-    /// `k` is `rto × rto_backoff^k`, capped at [`rto_max`]. `1.0`
+    /// `k` is `rto × rto_backoff^k`, capped at [`RTO_MAX`]. `1.0`
     /// disables backoff (the pre-hardening fixed-RTO behaviour).
-    ///
-    /// [`rto_max`]: TransportConfig::rto_max
     pub rto_backoff: f64,
-    /// Upper bound on the backed-off RTO.
-    pub rto_max: SimDuration,
     /// Consecutive retransmissions of a single packet before the
     /// connection gives up and enters the terminal error state (the IB
     /// `retry_cnt` semantics, except unbounded budgets are not offered —
@@ -52,9 +47,9 @@ pub struct TransportConfig {
     pub scoreboard: crate::path::ScoreboardPolicy,
     /// Plane-level failover for the path scoreboard. `None` (the
     /// default) keeps per-path blacklisting only; `Some` quarantines a
-    /// whole plane once a majority of its paths are blacklisted at once,
-    /// migrating flows to the surviving plane until a readmission probe
-    /// after [`PlaneFailover::readmit_after`](crate::path::PlaneFailover).
+    /// whole plane of the fabric once a majority of its paths are
+    /// blacklisted at once, migrating flows to the surviving planes until
+    /// a readmission probe (see [`PlaneFailover`](crate::path::PlaneFailover)).
     pub plane_failover: Option<crate::path::PlaneFailover>,
     /// Congestion-control parameters.
     pub cc: CcConfig,
@@ -75,6 +70,9 @@ pub struct TransportConfig {
     pub recovery: Option<RecoveryPolicy>,
 }
 
+/// Upper bound on the backed-off RTO.
+pub const RTO_MAX: SimDuration = SimDuration::from_millis(4);
+
 /// Why a [`TransportConfig`] cannot run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TransportConfigError {
@@ -88,13 +86,8 @@ pub enum TransportConfigError {
     PaceRate(f64),
     /// `rto` is 0: a retransmission timer would fire at once.
     ZeroRto,
-    /// `rto_max` caps the backed-off RTO below the base `rto`.
-    RtoMaxBelowRto {
-        /// The base timeout.
-        rto: SimDuration,
-        /// The cap.
-        rto_max: SimDuration,
-    },
+    /// `rto` is above [`RTO_MAX`], the cap on the backed-off RTO.
+    RtoAboveMax(SimDuration),
     /// `rto_backoff` is below 1 (a shrinking RTO) or NaN.
     RtoBackoff(f64),
     /// `retry_budget` is above 65,535: a packet's retransmit count is
@@ -102,8 +95,15 @@ pub enum TransportConfigError {
     RetryBudget(u32),
     /// The congestion-control parameters are invalid.
     Cc(CcConfigError),
-    /// The recovery policy is invalid.
-    Recovery(RecoveryPolicyError),
+    /// A delay the transport adds to the clock (`scoreboard.penalty` or
+    /// `recovery.reestablish`) is beyond the timing wheel's horizon,
+    /// [`WHEEL_HORIZON`].
+    BeyondHorizon {
+        /// The field.
+        field: &'static str,
+        /// Its value.
+        value: SimDuration,
+    },
 }
 
 impl std::fmt::Display for TransportConfigError {
@@ -121,11 +121,11 @@ impl std::fmt::Display for TransportConfigError {
                 "transport config: pace_gbps {r} is not a finite positive rate"
             ),
             TransportConfigError::ZeroRto => write!(f, "transport config: rto is 0"),
-            TransportConfigError::RtoMaxBelowRto { rto, rto_max } => write!(
+            TransportConfigError::RtoAboveMax(rto) => write!(
                 f,
-                "transport config: rto_max {} ns is below rto {} ns",
-                rto_max.as_nanos(),
-                rto.as_nanos()
+                "transport config: rto {} ns is above the RTO cap {} ns",
+                rto.as_nanos(),
+                RTO_MAX.as_nanos()
             ),
             TransportConfigError::RtoBackoff(b) => {
                 write!(f, "transport config: rto_backoff {b} is below 1 or NaN")
@@ -134,7 +134,12 @@ impl std::fmt::Display for TransportConfigError {
                 write!(f, "transport config: retry_budget {n} is above 65535")
             }
             TransportConfigError::Cc(e) => write!(f, "transport {e}"),
-            TransportConfigError::Recovery(e) => write!(f, "transport {e}"),
+            TransportConfigError::BeyondHorizon { field, value } => write!(
+                f,
+                "transport config: {field} {} ns is beyond the timing wheel's horizon {} ns",
+                value.as_nanos(),
+                WHEEL_HORIZON.as_nanos()
+            ),
         }
     }
 }
@@ -144,10 +149,12 @@ impl std::error::Error for TransportConfigError {}
 impl TransportConfig {
     /// Check the fields that would otherwise panic deep inside a run: at
     /// the first connection (`num_paths`), the first post (`mtu`), the
-    /// first paced send (`pace_gbps`) or the first RTO (`rto`,
-    /// `rto_max`, `rto_backoff`); the bounds of the 32-byte in-flight
-    /// record (`mtu`, `retry_budget`); and the parameters of the congestion
-    /// control and recovery ([`CcConfig::validate`], [`RecoveryPolicy::validate`]).
+    /// first paced send (`pace_gbps`), the first RTO (`rto`,
+    /// `rto_backoff`) or the first blacklist or reconnect deadline
+    /// (`scoreboard.penalty`, `recovery.reestablish`, which would overflow
+    /// the clock); the bounds of the 32-byte in-flight record (`mtu`,
+    /// `retry_budget`); and the parameters of the congestion control
+    /// ([`CcConfig::validate`]).
     pub fn validate(&self) -> Result<(), TransportConfigError> {
         if !(1..=256).contains(&self.num_paths) {
             return Err(TransportConfigError::NumPaths(self.num_paths));
@@ -166,11 +173,8 @@ impl TransportConfig {
         if self.rto == SimDuration::ZERO {
             return Err(TransportConfigError::ZeroRto);
         }
-        if self.rto_max < self.rto {
-            return Err(TransportConfigError::RtoMaxBelowRto {
-                rto: self.rto,
-                rto_max: self.rto_max,
-            });
+        if self.rto > RTO_MAX {
+            return Err(TransportConfigError::RtoAboveMax(self.rto));
         }
         if self.rto_backoff.is_nan() || self.rto_backoff < 1.0 {
             return Err(TransportConfigError::RtoBackoff(self.rto_backoff));
@@ -179,18 +183,24 @@ impl TransportConfig {
             return Err(TransportConfigError::RetryBudget(self.retry_budget));
         }
         self.cc.validate().map_err(TransportConfigError::Cc)?;
-        let recovery = self.recovery.as_ref().map_or(Ok(()), RecoveryPolicy::validate);
-        recovery.map_err(TransportConfigError::Recovery)
+        let penalty = Some(("scoreboard.penalty", self.scoreboard.penalty));
+        let reestablish = self.recovery.as_ref().map(|r| ("recovery.reestablish", r.reestablish));
+        for (field, value) in penalty.into_iter().chain(reestablish) {
+            if value > WHEEL_HORIZON {
+                return Err(TransportConfigError::BeyondHorizon { field, value });
+            }
+        }
+        Ok(())
     }
 
     /// The RTO for retransmit epoch `epoch`:
-    /// `min(rto × rto_backoff^epoch, rto_max)`.
+    /// `min(rto × rto_backoff^epoch, RTO_MAX)`.
     fn rto_after(&self, epoch: u32) -> SimDuration {
         if self.rto_backoff <= 1.0 || epoch == 0 {
             return self.rto;
         }
         let scaled = self.rto.as_nanos() as f64 * self.rto_backoff.powi(epoch as i32);
-        let capped = scaled.min(self.rto_max.as_nanos() as f64);
+        let capped = scaled.min(RTO_MAX.as_nanos() as f64);
         SimDuration::from_nanos(capped as u64)
     }
 }
@@ -203,7 +213,6 @@ impl Default for TransportConfig {
             mtu: 4096,
             rto: SimDuration::from_micros(250),
             rto_backoff: 2.0,
-            rto_max: SimDuration::from_millis(4),
             retry_budget: 16,
             scoreboard: crate::path::ScoreboardPolicy::default(),
             plane_failover: None,
@@ -215,29 +224,29 @@ impl Default for TransportConfig {
     }
 }
 
+/// Consecutive failed recovery attempts (no successful ACK in between)
+/// before a connection is declared terminally dead.
+const MAX_RECOVERY_ATTEMPTS: u32 = 16;
+/// Base reconnect delay before the first re-establishment.
+const RECONNECT_BACKOFF: SimDuration = SimDuration::from_millis(1);
+/// Exponential multiplier applied to the reconnect delay per consecutive
+/// attempt.
+const RECONNECT_BACKOFF_MULT: f64 = 2.0;
+/// Upper bound on the backed-off reconnect delay.
+const RECONNECT_BACKOFF_MAX: SimDuration = SimDuration::from_millis(100);
+
 /// Failure recovery policy: what the transport does when a connection
 /// hits a fatal error (retry budget exhausted) instead of dying.
 ///
 /// The cycle is: drain in-flight state and tear down the QP, wait an
-/// exponentially backed-off reconnect delay plus the re-establishment
+/// exponentially backed-off reconnect delay (1 ms doubling per
+/// consecutive attempt, capped at 100 ms) plus the re-establishment
 /// cost, then rebuild the send queue from the receiver bitmaps — exactly
 /// the packets that never landed — and resume with a fresh congestion
 /// context. Consecutive failures (no ACK between them) climb the backoff
-/// ladder; [`max_attempts`] consecutive failures make the error terminal.
-///
-/// [`max_attempts`]: RecoveryPolicy::max_attempts
+/// ladder; 16 consecutive failures make the error terminal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryPolicy {
-    /// Consecutive failed recovery attempts (no successful ACK in
-    /// between) before the connection is declared terminally dead.
-    pub max_attempts: u32,
-    /// Base reconnect delay before the first re-establishment.
-    pub backoff: SimDuration,
-    /// Exponential multiplier applied per consecutive attempt; `1.0`
-    /// disables the ladder.
-    pub backoff_mult: f64,
-    /// Upper bound on the backed-off reconnect delay.
-    pub backoff_max: SimDuration,
     /// QP re-establishment cost paid after the backoff delay: four
     /// control verbs (~120 µs) for a bare QP, or the full ~1.5 s+
     /// vStellar device destroy→recreate lifecycle when the virtual
@@ -248,73 +257,22 @@ pub struct RecoveryPolicy {
 impl Default for RecoveryPolicy {
     fn default() -> Self {
         RecoveryPolicy {
-            max_attempts: 16,
-            backoff: SimDuration::from_millis(1),
-            backoff_mult: 2.0,
-            backoff_max: SimDuration::from_millis(100),
             reestablish: SimDuration::from_micros(120),
         }
     }
 }
 
-/// Why a [`RecoveryPolicy`] cannot run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RecoveryPolicyError {
-    /// `backoff_mult` is below 1 (a shrinking delay) or NaN.
-    BackoffMult(f64),
-    /// `backoff_max` caps the backed-off delay below the base `backoff`.
-    BackoffMaxBelowBackoff {
-        /// The base reconnect delay.
-        backoff: SimDuration,
-        /// The cap.
-        backoff_max: SimDuration,
-    },
-}
-
-impl std::fmt::Display for RecoveryPolicyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RecoveryPolicyError::BackoffMult(m) => {
-                write!(f, "recovery policy: backoff_mult {m} is below 1 or NaN")
-            }
-            RecoveryPolicyError::BackoffMaxBelowBackoff { backoff, backoff_max } => write!(
-                f,
-                "recovery policy: backoff_max {} ns is below backoff {} ns",
-                backoff_max.as_nanos(),
-                backoff.as_nanos()
-            ),
-        }
-    }
-}
-
-impl std::error::Error for RecoveryPolicyError {}
-
 impl RecoveryPolicy {
-    /// Check the backoff ladder as [`TransportConfig::validate`] checks
-    /// the RTO's: the multiplier is at least 1, the cap at least the base.
-    pub fn validate(&self) -> Result<(), RecoveryPolicyError> {
-        if self.backoff_mult.is_nan() || self.backoff_mult < 1.0 {
-            return Err(RecoveryPolicyError::BackoffMult(self.backoff_mult));
-        }
-        if self.backoff_max < self.backoff {
-            return Err(RecoveryPolicyError::BackoffMaxBelowBackoff {
-                backoff: self.backoff,
-                backoff_max: self.backoff_max,
-            });
-        }
-        Ok(())
-    }
-
     /// Total teardown→re-establish delay for consecutive attempt
-    /// `attempt` (0-based): `min(backoff × backoff_mult^attempt,
-    /// backoff_max) + reestablish`.
+    /// `attempt` (0-based): `min(1 ms × 2^attempt, 100 ms) +
+    /// reestablish`.
     pub fn reconnect_delay(&self, attempt: u32) -> SimDuration {
-        let base = if self.backoff_mult <= 1.0 || attempt == 0 {
-            self.backoff
+        let base = if attempt == 0 {
+            RECONNECT_BACKOFF
         } else {
             let scaled =
-                self.backoff.as_nanos() as f64 * self.backoff_mult.powi(attempt as i32);
-            SimDuration::from_nanos(scaled.min(self.backoff_max.as_nanos() as f64) as u64)
+                RECONNECT_BACKOFF.as_nanos() as f64 * RECONNECT_BACKOFF_MULT.powi(attempt as i32);
+            SimDuration::from_nanos(scaled.min(RECONNECT_BACKOFF_MAX.as_nanos() as f64) as u64)
         };
         base + self.reestablish
     }
@@ -672,7 +630,6 @@ impl<F: Fabric> TransportSim<F> {
                 ("packet.replayed", stats.replayed_packets),
                 ("packet.sent", stats.sent_packets),
                 ("retransmit", stats.retransmits),
-                ("rnr_nak", stats.rnr_naks),
                 ("rto", stats.rto_events),
                 ("scoreboard.blacklist", exiles(|e| e.0)),
                 ("scoreboard.plane_quarantine", exiles(|e| e.1)),
@@ -730,8 +687,8 @@ impl<F: Fabric> TransportSim<F> {
             self.rng.fork_idx("conn", id.0 as u64),
         );
         selector.set_scoreboard(self.config.scoreboard);
-        if let Some(failover) = self.config.plane_failover {
-            selector.set_plane_failover(failover);
+        if self.config.plane_failover.is_some() {
+            selector.set_plane_failover(self.network.topology().config().planes as u32);
         }
         conn.ack_feedback = selector.wants_ack();
         self.conns.push(conn);
@@ -755,29 +712,8 @@ impl<F: Fabric> TransportSim<F> {
         let now = self.now();
         let mtu = self.config.mtu;
         let id = self.conns[conn.0 as usize].post_message(now, bytes, mtu);
-        self.posted(conn);
-        id
-    }
-
-    /// Post a receive buffer on `conn` (two-sided verbs).
-    pub fn post_recv(&mut self, conn: ConnId, bytes: u64) {
-        self.conns[conn.0 as usize].post_recv(bytes);
-    }
-
-    /// Two-sided send on `conn`: requires a posted receive at the peer
-    /// (RNR NAK otherwise), then transmits like a write.
-    pub fn post_send(&mut self, conn: ConnId, bytes: u64) -> Result<MsgId, SendError> {
-        let now = self.now();
-        let mtu = self.config.mtu;
-        let id = self.conns[conn.0 as usize].post_send(now, bytes, mtu)?;
-        self.posted(conn);
-        Ok(id)
-    }
-
-    /// A message was just queued on `conn` (one-sided or two-sided):
-    /// start transmission as the window allows.
-    fn posted(&mut self, conn: ConnId) {
         self.pump(conn);
+        id
     }
 
     /// Statistics of one connection.
@@ -908,7 +844,7 @@ impl<F: Fabric> TransportSim<F> {
         conn.inflight.clear();
         conn.inflight_bytes = 0;
         if let Some(policy) = &self.config.recovery {
-            if conn.recovery_attempts < policy.max_attempts {
+            if conn.recovery_attempts < MAX_RECOVERY_ATTEMPTS {
                 let attempt = conn.recovery_attempts;
                 conn.recovery_attempts += 1;
                 conn.state = ConnState::Recovering;
@@ -1238,7 +1174,7 @@ impl<F: Fabric> TransportSim<F> {
             );
         }
         // Exponential backoff: each retransmit epoch waits longer (up to
-        // rto_max) before declaring the copy lost. The run loop re-arms
+        // RTO_MAX) before declaring the copy lost. The run loop re-arms
         // the connection's timer once this returns.
         let rto_seq = self.queue.reserve_seq();
         let pkt = self.conns[i]
@@ -1514,7 +1450,7 @@ mod tests {
         assert_eq!(validate_with(|_| {}), Ok(()));
         assert_eq!(validate_with(|c| c.num_paths = 1), Ok(()));
         assert_eq!(validate_with(|c| c.num_paths = 256), Ok(()));
-        assert_eq!(validate_with(|c| c.rto_max = c.rto), Ok(()));
+        assert_eq!(validate_with(|c| c.rto = RTO_MAX), Ok(()));
         assert_eq!(validate_with(|c| c.rto_backoff = 1.0), Ok(()));
         assert_eq!(validate_with(|c| c.pace_gbps = Some(0.5)), Ok(()));
     }
@@ -1558,14 +1494,11 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_an_rto_cap_below_the_rto() {
-        let err = validate_with(|c| c.rto_max = SimDuration::from_micros(100));
+    fn validate_rejects_an_rto_above_the_cap() {
+        let rto = RTO_MAX + SimDuration::from_nanos(1);
         assert_eq!(
-            err,
-            Err(TransportConfigError::RtoMaxBelowRto {
-                rto: SimDuration::from_micros(250),
-                rto_max: SimDuration::from_micros(100),
-            })
+            validate_with(|c| c.rto = rto),
+            Err(TransportConfigError::RtoAboveMax(rto))
         );
     }
 
@@ -1597,59 +1530,48 @@ mod tests {
     /// The congestion-control parameters are checked with the rest.
     #[test]
     fn validate_rejects_an_invalid_cc_config() {
-        assert_eq!(
-            validate_with(|c| c.cc.min_window = 0),
-            Err(TransportConfigError::Cc(CcConfigError::ZeroMinWindow))
-        );
-        let err = validate_with(|c| c.cc.ecn_gain = 2.0).unwrap_err();
-        assert_eq!(err, TransportConfigError::Cc(CcConfigError::EcnGain(2.0)));
-        assert_eq!(
-            err.to_string(),
-            "transport cc config: ecn_gain 2 is outside (0, 1] or NaN"
-        );
+        let err = validate_with(|c| c.cc.min_window = 0).unwrap_err();
+        assert_eq!(err, TransportConfigError::Cc(CcConfigError::ZeroMinWindow));
+        assert_eq!(err.to_string(), "transport cc config: min_window is 0");
     }
 
-    /// `validate` with the default recovery policy, one field changed.
-    fn validate_recovery_with(
-        change: impl FnOnce(&mut RecoveryPolicy),
-    ) -> Result<(), TransportConfigError> {
-        let mut policy = RecoveryPolicy::default();
-        change(&mut policy);
-        validate_with(|c| c.recovery = Some(policy))
-    }
-
+    /// A blacklist deadline `now + penalty` past the wheel's horizon
+    /// would overflow the clock near `u64::MAX` ns.
     #[test]
-    fn validate_rejects_a_recovery_backoff_mult_below_1_or_nan() {
-        assert_eq!(validate_recovery_with(|_| {}), Ok(()));
-        assert_eq!(validate_recovery_with(|p| p.backoff_mult = 1.0), Ok(()));
-        let err = validate_recovery_with(|p| p.backoff_mult = 0.5).unwrap_err();
+    fn validate_rejects_a_scoreboard_penalty_beyond_the_wheel_horizon() {
+        let edge = |c: &mut TransportConfig| c.scoreboard.penalty = WHEEL_HORIZON;
+        assert_eq!(validate_with(edge), Ok(()));
+        let value = SimDuration::from_nanos(u64::MAX);
+        let err = validate_with(|c| c.scoreboard.penalty = value).unwrap_err();
         assert_eq!(
             err,
-            TransportConfigError::Recovery(RecoveryPolicyError::BackoffMult(0.5))
+            TransportConfigError::BeyondHorizon {
+                field: "scoreboard.penalty",
+                value,
+            }
         );
         assert_eq!(
             err.to_string(),
-            "transport recovery policy: backoff_mult 0.5 is below 1 or NaN"
+            "transport config: scoreboard.penalty 18446744073709551615 ns is beyond \
+             the timing wheel's horizon 1099511627776 ns"
         );
-        let nan = validate_recovery_with(|p| p.backoff_mult = f64::NAN);
-        assert!(matches!(
-            nan,
-            Err(TransportConfigError::Recovery(RecoveryPolicyError::BackoffMult(m))) if m.is_nan()
-        ));
     }
 
+    /// A reconnect delay `backoff + reestablish` past the wheel's
+    /// horizon would overflow near `u64::MAX` ns.
     #[test]
-    fn validate_rejects_a_recovery_backoff_cap_below_the_backoff() {
-        assert_eq!(validate_recovery_with(|p| p.backoff_max = p.backoff), Ok(()));
-        let err = validate_recovery_with(|p| p.backoff_max = SimDuration::from_micros(500));
+    fn validate_rejects_a_reestablish_cost_beyond_the_wheel_horizon() {
+        let with = |reestablish| {
+            validate_with(|c| c.recovery = Some(RecoveryPolicy { reestablish }))
+        };
+        assert_eq!(with(WHEEL_HORIZON), Ok(()));
+        let value = WHEEL_HORIZON + SimDuration::from_nanos(1);
         assert_eq!(
-            err,
-            Err(TransportConfigError::Recovery(
-                RecoveryPolicyError::BackoffMaxBelowBackoff {
-                    backoff: SimDuration::from_millis(1),
-                    backoff_max: SimDuration::from_micros(500),
-                }
-            ))
+            with(value),
+            Err(TransportConfigError::BeyondHorizon {
+                field: "recovery.reestablish",
+                value,
+            })
         );
     }
 
@@ -1900,54 +1822,6 @@ mod tests {
     }
 
     #[test]
-    fn two_sided_send_recv_end_to_end() {
-        let mut sim = make_sim(PathAlgo::Obs, 32, 11);
-        let src = sim.network().topology().nic(0, 0);
-        let dst = sim.network().topology().nic(4, 0);
-        let conn = sim.add_connection(src, dst);
-        // RNR before any recv is posted.
-        assert!(matches!(
-            sim.post_send(conn, 4096),
-            Err(crate::conn::SendError::ReceiverNotReady)
-        ));
-        assert_eq!(sim.conn_stats(conn).rnr_naks, 1);
-        // Post receives, then sends flow like writes.
-        sim.post_recv(conn, 1 << 20);
-        sim.post_recv(conn, 1 << 20);
-        let m1 = sim.post_send(conn, 256 * 1024).unwrap();
-        let m2 = sim.post_send(conn, 512 * 1024).unwrap();
-        sim.run(&mut NoopApp, FOREVER);
-        assert!(sim.message_done(conn, m1));
-        assert!(sim.message_done(conn, m2));
-        assert_eq!(sim.conn_stats(conn).delivered_bytes, 768 * 1024);
-    }
-
-    /// Two-sided sends reach telemetry like writes: each counts as
-    /// posted, and each completion samples the message-latency stage. A
-    /// send rejected with an RNR NAK posts nothing.
-    #[test]
-    fn two_sided_sends_are_counted_and_timed() {
-        use stellar_telemetry::{capture, Stage, Subsystem};
-
-        let ((), tel) = capture(|| {
-            let mut sim = make_sim(PathAlgo::Obs, 32, 11);
-            let src = sim.network().topology().nic(0, 0);
-            let dst = sim.network().topology().nic(4, 0);
-            let conn = sim.add_connection(src, dst);
-            assert!(sim.post_send(conn, 4096).is_err(), "no receive posted yet");
-            sim.post_recv(conn, 1 << 20);
-            sim.post_recv(conn, 1 << 20);
-            sim.post_send(conn, 256 * 1024).unwrap();
-            sim.post_send(conn, 512 * 1024).unwrap();
-            sim.run(&mut NoopApp, FOREVER);
-        });
-        assert_eq!(tel.hub.get(Subsystem::Transport, "msg.posted"), 2);
-        assert_eq!(tel.hub.get(Subsystem::Transport, "msg.completed"), 2);
-        assert_eq!(tel.hub.get(Subsystem::Transport, "rnr_nak"), 1);
-        assert_eq!(tel.stage(Stage::TransportMsg).count(), 2);
-    }
-
-    #[test]
     fn pacing_stretches_transmission_to_the_configured_rate() {
         let run = |pace: Option<f64>| -> u64 {
             let topo = ClosTopology::build(ClosConfig {
@@ -2034,7 +1908,6 @@ mod tests {
         let rng = SimRng::from_seed(9);
         let net_cfg = NetworkConfig {
             bgp_convergence: SimDuration::from_millis(10_000),
-            ..NetworkConfig::default()
         };
         let network = Network::new(topo, net_cfg, rng.fork("net"));
         let mut sim = TransportSim::new(
@@ -2099,7 +1972,7 @@ mod tests {
         for failover in [false, true] {
             let (exiles, tel) = capture(|| {
                 let mut sim = make_sim_with(PathAlgo::Obs, 64, 14, |c| {
-                    c.plane_failover = failover.then(PlaneFailover::default);
+                    c.plane_failover = failover.then_some(PlaneFailover);
                 });
                 let src = sim.network().topology().nic(0, 0);
                 let dst = sim.network().topology().nic(4, 0);
@@ -2294,7 +2167,6 @@ mod tests {
             let rng = SimRng::from_seed(9);
             let net_cfg = NetworkConfig {
                 bgp_convergence: SimDuration::from_millis(10_000),
-                ..NetworkConfig::default()
             };
             let network = Network::new(topo, net_cfg, rng.fork("net"));
             let mut sim = TransportSim::new(
@@ -2382,7 +2254,7 @@ mod tests {
         });
     }
 
-    /// Exhausting `max_attempts` consecutive recoveries makes the error
+    /// Exhausting the 16 consecutive recoveries makes the error
     /// terminal: the app sees `on_connection_error`, not an infinite
     /// reconnect loop.
     #[test]
@@ -2397,7 +2269,6 @@ mod tests {
         let rng = SimRng::from_seed(9);
         let net_cfg = NetworkConfig {
             bgp_convergence: SimDuration::from_millis(10_000),
-            ..NetworkConfig::default()
         };
         let network = Network::new(topo, net_cfg, rng.fork("net"));
         let mut sim = TransportSim::new(
@@ -2406,10 +2277,7 @@ mod tests {
                 algo: PathAlgo::Obs,
                 num_paths: 32,
                 retry_budget: 6,
-                recovery: Some(RecoveryPolicy {
-                    max_attempts: 2,
-                    ..RecoveryPolicy::default()
-                }),
+                recovery: Some(RecoveryPolicy::default()),
                 ..TransportConfig::default()
             },
             rng.fork("t"),
@@ -2449,7 +2317,10 @@ mod tests {
         assert_eq!(sim.conn_state(conn), ConnState::Error);
         assert_eq!(sim.failed_connections(), 1);
         assert_eq!(app.errors, 1);
-        assert_eq!(app.recoveries, 2, "both attempts ran before giving up");
+        assert_eq!(
+            app.recoveries, MAX_RECOVERY_ATTEMPTS,
+            "every attempt ran before giving up"
+        );
         assert!(sim.conn_error(conn).is_some());
         assert!(sim.all_idle());
     }

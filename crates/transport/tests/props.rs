@@ -160,7 +160,6 @@ fn transport_under_faults_is_deterministic() {
                 topo,
                 NetworkConfig {
                     bgp_convergence: SimDuration::from_millis(1),
-                    ..NetworkConfig::default()
                 },
                 rng.fork("net"),
             );
@@ -222,7 +221,6 @@ fn recovery_under_faults_is_identical_across_thread_counts() {
                     topo,
                     NetworkConfig {
                         bgp_convergence: SimDuration::from_millis(50),
-                        ..NetworkConfig::default()
                     },
                     rng.fork("net"),
                 );

@@ -29,9 +29,7 @@
 
 use stellar_net::{ClosConfig, ClosTopology, Fabric, Network, NetworkConfig};
 use stellar_sim::{SimDuration, SimRng, SimTime};
-use stellar_transport::{
-    CcConfig, NoopApp, PathAlgo, PathSelector, PlaneFailover, TransportConfig, TransportSim,
-};
+use stellar_transport::{CcConfig, NoopApp, PathAlgo, PathSelector, TransportConfig, TransportSim};
 
 const PATHS: u32 = 16;
 
@@ -101,7 +99,7 @@ fn draw_mask(ops: &mut SimRng, paths: u32) -> [u64; 4] {
 fn drive(algo: PathAlgo, paths: u32, failover: bool, seed: u64) -> Drive {
     let mut s = PathSelector::new(algo, paths, SimRng::from_seed(seed));
     if failover {
-        s.set_plane_failover(PlaneFailover::default());
+        s.set_plane_failover(2);
     }
     let mut ops = SimRng::from_seed(seed ^ 0x5e1e_c70b);
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -268,7 +266,6 @@ fn per_path_cc_run(algo: PathAlgo) -> u64 {
                 init_window: 4096,
                 min_window: 4096,
                 max_window: 2 * 4096,
-                ..CcConfig::default()
             },
             ..TransportConfig::default()
         },
@@ -297,8 +294,11 @@ fn per_path_cc_run(algo: PathAlgo) -> u64 {
         st.retransmits > 0,
         "{algo:?}: the lossy uplink must cost an RTO"
     );
+    // The hashes were recorded while `ConnStats` also printed an
+    // `rnr_naks` counter, always 0 here: the text is hashed as it read.
+    let text = format!("{st:?}").replace(", recoveries:", ", rnr_naks: 0, recoveries:");
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in format!("{st:?}").bytes() {
+    for b in text.bytes() {
         fnv(&mut h, u64::from(b));
     }
     fnv(&mut h, sim.now().as_nanos());

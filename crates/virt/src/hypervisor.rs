@@ -10,26 +10,13 @@ use stellar_pcie::addr::{Gpa, Hpa, PAGE_4K};
 use stellar_pcie::paging::Ept;
 use stellar_sim::SimDuration;
 
-/// Hypervisor timing model.
-#[derive(Debug, Clone)]
-pub struct HypervisorConfig {
-    /// MicroVM creation time excluding memory work (kernel boot, device
-    /// model setup).
-    pub microvm_base_boot: SimDuration,
-    /// General hypervisor overhead per GiB of configured guest memory
-    /// (memory-map setup, balloon init — what makes the PVDMA curve in
-    /// Fig. 6 rise mildly from 160 GB to 1.6 TB).
-    pub per_gib_overhead: SimDuration,
-}
-
-impl Default for HypervisorConfig {
-    fn default() -> Self {
-        HypervisorConfig {
-            microvm_base_boot: SimDuration::from_millis(6_500),
-            per_gib_overhead: SimDuration::from_micros(7_700),
-        }
-    }
-}
+/// MicroVM creation time excluding memory work (kernel boot, device
+/// model setup).
+const MICROVM_BASE_BOOT: SimDuration = SimDuration::from_millis(6_500);
+/// General hypervisor overhead per GiB of configured guest memory
+/// (memory-map setup, balloon init — what makes the PVDMA curve in Fig. 6
+/// rise mildly from 160 GB to 1.6 TB).
+const PER_GIB_OVERHEAD: SimDuration = SimDuration::from_micros(7_700);
 
 /// What kind of mapping backs a translated GPA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,24 +91,17 @@ impl GuestRam {
 /// The per-container hypervisor instance.
 #[derive(Debug)]
 pub struct Hypervisor {
-    config: HypervisorConfig,
     ram: GuestRam,
     dev_ept: Ept,
 }
 
 impl Hypervisor {
     /// A hypervisor with no guest memory configured.
-    pub fn new(config: HypervisorConfig) -> Self {
+    pub fn new() -> Self {
         Hypervisor {
-            config,
             ram: GuestRam::new(),
             dev_ept: Ept::new(PAGE_4K),
         }
-    }
-
-    /// The timing configuration.
-    pub fn config(&self) -> &HypervisorConfig {
-        &self.config
     }
 
     /// Configure `len` bytes of guest RAM at `gpa`, backed by host memory
@@ -167,7 +147,13 @@ impl Hypervisor {
     /// pinning, which depends on the memory strategy).
     pub fn base_boot_time(&self) -> SimDuration {
         let gib = self.ram.total_bytes() / (1024 * 1024 * 1024);
-        self.config.microvm_base_boot + self.config.per_gib_overhead.mul(gib)
+        MICROVM_BASE_BOOT + PER_GIB_OVERHEAD.mul(gib)
+    }
+}
+
+impl Default for Hypervisor {
+    fn default() -> Self {
+        Hypervisor::new()
     }
 }
 
@@ -206,7 +192,7 @@ mod tests {
 
     #[test]
     fn device_register_shadows_and_releases() {
-        let mut h = Hypervisor::new(HypervisorConfig::default());
+        let mut h = Hypervisor::new();
         h.add_ram(Gpa(0), Hpa(0x8000_0000), 0x20_0000);
         h.map_device_register(Gpa(0x10_0000), Hpa(0x2000_0000)); // vDB
         assert_eq!(
@@ -225,9 +211,9 @@ mod tests {
 
     #[test]
     fn base_boot_time_scales_with_ram() {
-        let mut small = Hypervisor::new(HypervisorConfig::default());
+        let mut small = Hypervisor::new();
         small.add_ram(Gpa(0), Hpa(0), 16 * 1024 * 1024 * 1024);
-        let mut large = Hypervisor::new(HypervisorConfig::default());
+        let mut large = Hypervisor::new();
         large.add_ram(Gpa(0), Hpa(0), 1_600 * 1024 * 1024 * 1024);
         let (s, l) = (small.base_boot_time(), large.base_boot_time());
         assert!(l > s);

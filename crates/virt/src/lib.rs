@@ -25,7 +25,7 @@ pub mod rund;
 pub mod vfio;
 pub mod virtio;
 
-pub use hypervisor::{GuestRam, Hypervisor, HypervisorConfig, TranslateKind};
+pub use hypervisor::{GuestRam, Hypervisor, TranslateKind};
 pub use pvdma::{Pvdma, PvdmaConfig, PvdmaError};
 pub use rund::{BootReport, MemoryStrategy, RundConfig, RundContainer};
 pub use vfio::{Vfio, VfioError};

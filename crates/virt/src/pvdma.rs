@@ -29,6 +29,10 @@ use crate::hypervisor::Hypervisor;
 
 use std::collections::HashMap;
 
+/// Map-cache lookup latency on the DMA fast path ("lightweight,
+/// negligible latency").
+const CACHE_LOOKUP_LATENCY: SimDuration = SimDuration::from_nanos(50);
+
 /// PVDMA configuration.
 #[derive(Debug, Clone)]
 pub struct PvdmaConfig {
@@ -36,16 +40,12 @@ pub struct PvdmaConfig {
     /// size and IOMMU pinning overhead" (§5). The `pvdma_granularity`
     /// ablation bench sweeps this.
     pub block_size: u64,
-    /// Map-cache lookup latency on the DMA fast path ("lightweight,
-    /// negligible latency").
-    pub cache_lookup_latency: SimDuration,
 }
 
 impl Default for PvdmaConfig {
     fn default() -> Self {
         PvdmaConfig {
             block_size: PAGE_2M,
-            cache_lookup_latency: SimDuration::from_nanos(50),
         }
     }
 }
@@ -129,11 +129,6 @@ impl Pvdma {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &PvdmaConfig {
-        &self.config
-    }
-
     /// Intercept a DMA targeting `[gpa, gpa+len)` (Fig. 4 stage 1): pin any
     /// uncached covering blocks (stage 2), serve the rest from the map
     /// cache (stage 3).
@@ -159,7 +154,7 @@ impl Pvdma {
         let last = Gpa(gpa.raw() + len - 1).page_base(bs).raw();
 
         let mut outcome = PrepareOutcome {
-            latency: self.config.cache_lookup_latency,
+            latency: CACHE_LOOKUP_LATENCY,
             blocks_pinned: 0,
             blocks_hit: 0,
         };
@@ -316,14 +311,13 @@ impl Pvdma {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hypervisor::HypervisorConfig;
     use stellar_pcie::iommu::IommuConfig;
 
     const RAM_HPA: u64 = 0x1_0000_0000;
     const RNIC_DB_HPA: u64 = 0x2000_0000;
 
     fn setup(ram_bytes: u64) -> (Hypervisor, Iommu, Pvdma) {
-        let mut h = Hypervisor::new(HypervisorConfig::default());
+        let mut h = Hypervisor::new();
         h.add_ram(Gpa(0), Hpa(RAM_HPA), ram_bytes);
         let iommu = Iommu::new(IommuConfig::default());
         let p = Pvdma::new(PvdmaConfig::default());
@@ -340,7 +334,7 @@ mod tests {
         let o2 = p.dma_prepare(&h, &mut iommu, Gpa(0x3000), 0x1000).unwrap();
         assert_eq!(o2.blocks_pinned, 0);
         assert_eq!(o2.blocks_hit, 1);
-        assert_eq!(o2.latency, p.config().cache_lookup_latency);
+        assert_eq!(o2.latency, CACHE_LOOKUP_LATENCY);
         assert_eq!(p.cache_stats(), (1, 1));
     }
 
@@ -442,7 +436,6 @@ mod tests {
         let (mut h, mut iommu4k, _) = setup(16 * PAGE_2M);
         let mut p4k = Pvdma::new(PvdmaConfig {
             block_size: PAGE_4K,
-            ..PvdmaConfig::default()
         });
         let vdb_gpa = Gpa(PAGE_2M + 4 * PAGE_4K);
         h.map_device_register(vdb_gpa, Hpa(RNIC_DB_HPA));

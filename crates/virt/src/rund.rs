@@ -16,7 +16,7 @@ use stellar_pcie::addr::{Gpa, Hpa, PAGE_2M};
 use stellar_pcie::iommu::{Iommu, IommuConfig};
 use stellar_sim::SimDuration;
 
-use crate::hypervisor::{Hypervisor, HypervisorConfig};
+use crate::hypervisor::Hypervisor;
 use crate::pvdma::{Pvdma, PvdmaConfig};
 use crate::vfio::{Vfio, VfioError};
 
@@ -34,12 +34,9 @@ pub enum MemoryStrategy {
 pub struct RundConfig {
     /// Guest memory size in bytes.
     pub memory_bytes: u64,
-    /// Memory strategy.
+    /// Memory strategy. [`MemoryStrategy::Pvdma`] pins in the default
+    /// 2 MiB blocks.
     pub strategy: MemoryStrategy,
-    /// Hypervisor timing model.
-    pub hypervisor: HypervisorConfig,
-    /// PVDMA configuration (used by [`MemoryStrategy::Pvdma`]).
-    pub pvdma: PvdmaConfig,
 }
 
 impl RundConfig {
@@ -48,8 +45,6 @@ impl RundConfig {
         RundConfig {
             memory_bytes,
             strategy,
-            hypervisor: HypervisorConfig::default(),
-            pvdma: PvdmaConfig::default(),
         }
     }
 }
@@ -84,7 +79,7 @@ impl RundContainer {
         iommu: &mut Iommu,
         hpa_base: Hpa,
     ) -> Result<(Self, BootReport), VfioError> {
-        let mut hypervisor = Hypervisor::new(config.hypervisor.clone());
+        let mut hypervisor = Hypervisor::new();
         hypervisor.add_ram(Gpa(0), hpa_base, config.memory_bytes);
 
         let hypervisor_setup = hypervisor.base_boot_time();
@@ -94,10 +89,7 @@ impl RundContainer {
                 let pin = vfio.pin_all_memory(&hypervisor, iommu)?;
                 (pin, None)
             }
-            MemoryStrategy::Pvdma => (
-                SimDuration::ZERO,
-                Some(Pvdma::new(config.pvdma.clone())),
-            ),
+            MemoryStrategy::Pvdma => (SimDuration::ZERO, Some(Pvdma::new(PvdmaConfig::default()))),
         };
         let boot = BootReport {
             total: hypervisor_setup + memory_pin,

@@ -75,7 +75,6 @@ impl Vfio {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hypervisor::HypervisorConfig;
     use stellar_pcie::addr::{Gpa, Hpa, PAGE_2M};
     use stellar_pcie::iommu::IommuConfig;
 
@@ -84,7 +83,7 @@ mod tests {
         // Use a 2 MiB-granular IOMMU so large guests do not materialize
         // millions of table entries in the test.
         let cost_of = |gib: u64| -> SimDuration {
-            let mut h = Hypervisor::new(HypervisorConfig::default());
+            let mut h = Hypervisor::new();
             h.add_ram(Gpa(0), Hpa(0x10_0000_0000), gib * 1024 * 1024 * 1024);
             let mut iommu = Iommu::new(IommuConfig {
                 page_size: PAGE_2M,
@@ -105,7 +104,7 @@ mod tests {
 
     #[test]
     fn pin_all_registers_translations() {
-        let mut h = Hypervisor::new(HypervisorConfig::default());
+        let mut h = Hypervisor::new();
         h.add_ram(Gpa(0), Hpa(0x1_0000_0000), 4 * PAGE_2M);
         let mut iommu = Iommu::new(IommuConfig {
             page_size: PAGE_2M,

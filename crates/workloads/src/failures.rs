@@ -116,7 +116,6 @@ pub fn run_failure_timeline_with<F: Fabric>(
         layout.clos(),
         NetworkConfig {
             bgp_convergence: config.bgp_convergence,
-            ..NetworkConfig::default()
         },
         &rng,
     );

@@ -14,8 +14,6 @@
 //! * [`chaos`] — multi-fault scenarios (flap storms, cascading switch
 //!   death, slow-degrading optics) driven by seeded
 //!   [`stellar_net::FaultPlan`]s, with a graceful-degradation verdict.
-//! * [`incast`] — N-to-1 synchronized incast, the "challenging pattern"
-//!   §7.2 contrasts against LLM traffic.
 //! * [`llm`] — the LLM 3D-parallelism step model: per-step TP/DP/PP/EP
 //!   communication volumes and compute time for Megatron- and
 //!   DeepSpeed-style jobs (Table 1), plus end-to-end step-time
@@ -27,7 +25,6 @@
 pub mod allreduce;
 pub mod chaos;
 pub mod failures;
-pub mod incast;
 pub mod llm;
 pub mod permutation;
 
@@ -37,7 +34,6 @@ pub use chaos::{
     ChaosReport, ChaosScenario, ShrunkChaos, Verdict,
 };
 pub use failures::{run_failure_timeline_with, FailureTimeline, FailureTimelineConfig};
-pub use incast::{run_incast_with, IncastConfig, IncastReport};
 pub use llm::{
     comm_ratios, simulate_scale_training_step, simulate_training_step_with, CommRatios,
     LlmJobConfig, Placement, ScaleTrainingConfig, TrainingOutcome, TrainingSimConfig,

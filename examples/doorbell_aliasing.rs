@@ -8,7 +8,7 @@
 use stellar::pcie::addr::{Gpa, Hpa, PAGE_2M, PAGE_4K};
 use stellar::pcie::iommu::{Iommu, IommuConfig};
 use stellar::pcie::Iova;
-use stellar::virt::hypervisor::{Hypervisor, HypervisorConfig};
+use stellar::virt::hypervisor::Hypervisor;
 use stellar::virt::pvdma::{Pvdma, PvdmaConfig};
 use stellar::virt::virtio::ShmRegion;
 use stellar_pcie::addr::Address;
@@ -18,7 +18,7 @@ const RNIC_DB_HPA: u64 = 0x2000_0000;
 
 fn main() {
     println!("== The buggy layout: vDB mapped into guest RAM GPA space ==");
-    let mut hypervisor = Hypervisor::new(HypervisorConfig::default());
+    let mut hypervisor = Hypervisor::new();
     hypervisor.add_ram(Gpa(0), Hpa(RAM_HPA), 16 * PAGE_2M);
     let mut iommu = Iommu::new(IommuConfig::default());
     let mut pvdma = Pvdma::new(PvdmaConfig::default());
@@ -65,7 +65,7 @@ fn main() {
     println!("        -> invalid doorbell writes, unrecoverable device errors\n");
 
     println!("== The fix: vDB lives in the virtio shared-memory window ==");
-    let mut hypervisor = Hypervisor::new(HypervisorConfig::default());
+    let mut hypervisor = Hypervisor::new();
     hypervisor.add_ram(Gpa(0), Hpa(RAM_HPA), 16 * PAGE_2M);
     let mut iommu = Iommu::new(IommuConfig::default());
     let mut pvdma = Pvdma::new(PvdmaConfig::default());

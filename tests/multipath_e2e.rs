@@ -132,7 +132,6 @@ fn bgp_reroute_takes_over_from_rto_recovery() {
         topo,
         NetworkConfig {
             bgp_convergence: SimDuration::from_millis(1),
-            ..NetworkConfig::default()
         },
         rng.fork("net"),
     );

@@ -9,7 +9,7 @@ use stellar::pcie::addr::{Gpa, Hpa, PAGE_4K};
 use stellar::pcie::iommu::{Iommu, IommuConfig};
 use stellar::pcie::Iova;
 use stellar::transport::{NoopApp, PathAlgo, TransportConfig, TransportSim};
-use stellar::virt::hypervisor::{Hypervisor, HypervisorConfig};
+use stellar::virt::hypervisor::Hypervisor;
 use stellar::virt::pvdma::{Pvdma, PvdmaConfig};
 use stellar::workloads::allreduce::{AllReduceJob, AllReduceRunner};
 use stellar_sim::proptest_lite::check;
@@ -191,7 +191,7 @@ fn fluid_and_hybrid_reports_ignore_thread_count() {
 fn pvdma_is_consistent_without_register_aliasing() {
     check("pvdma_is_consistent_without_register_aliasing", 24, |g| {
         let touches = g.vec(1, 20, |g| (g.u64(0, 64), g.u64(1, 17)));
-        let mut h = Hypervisor::new(HypervisorConfig::default());
+        let mut h = Hypervisor::new();
         h.add_ram(Gpa(0), Hpa(1 << 40), 64 * 2 * 1024 * 1024);
         let mut iommu = Iommu::new(IommuConfig::default());
         let mut pvdma = Pvdma::new(PvdmaConfig::default());
