@@ -12,13 +12,11 @@
 //!   (the "and RTT" part of the paper's description).
 //!
 //! One [`CongestionControl`] instance is a *congestion-control context*
-//! (CCC). Stellar shares a single CCC across all 128 paths; the §9
-//! ablation instantiates one per path over a reduced path count — see
-//! `stellar-transport::sim`'s `per_path_cc` switch.
+//! (CCC). Stellar shares a single CCC across all 128 paths (§9); an RTO
+//! on one path sheds only that path's share of the window.
 //!
-//! A context holds only its window state; the [`CcConfig`] it runs under
-//! is passed in by its owner, so a simulation of many connections keeps
-//! one copy of the parameters, not one per context.
+//! The window's start, floor and ceiling are constants, as are the
+//! increase quantum, ECN gain and RTT target.
 
 use stellar_sim::{SimDuration, SimTime};
 
@@ -26,85 +24,23 @@ use stellar_sim::{SimDuration, SimTime};
 /// `cwnd` by this much, whatever the packet size. It is 4 KiB, the
 /// default MTU, even where a run sends larger packets.
 const AI_QUANTUM: u64 = 4096;
+/// Initial window, bytes: ~BDP of 200 Gbps × 8 µs ≈ 200 KB.
+pub const INIT_WINDOW: u64 = 192 * 1024;
+/// Window floor, bytes: an ECN cut or an RTO never closes the window
+/// below two default packets.
+pub const MIN_WINDOW: u64 = 2 * 4096;
+/// Window ceiling, bytes.
+pub const MAX_WINDOW: u64 = 1024 * 1024;
 /// DCTCP g: EWMA gain for the ECN fraction.
 const ECN_GAIN: f64 = 1.0 / 16.0;
 /// RTT above which growth pauses (latency guard).
 const RTT_TARGET: SimDuration = SimDuration::from_micros(50);
 
-/// CC parameters: the window's start, floor and ceiling. The increase
-/// quantum, ECN gain and RTT target are fixed (`AI_QUANTUM`, `ECN_GAIN`,
-/// `RTT_TARGET`).
-#[derive(Debug, Clone)]
-pub struct CcConfig {
-    /// Initial window, bytes.
-    pub init_window: u64,
-    /// Floor, bytes.
-    pub min_window: u64,
-    /// Ceiling, bytes.
-    pub max_window: u64,
-}
+// A nonzero floor keeps an ECN cut from closing the window, and the
+// start lies between the floor and the ceiling.
+const _: () = assert!(0 < MIN_WINDOW && MIN_WINDOW <= INIT_WINDOW && INIT_WINDOW <= MAX_WINDOW);
 
-/// Why a [`CcConfig`] cannot run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CcConfigError {
-    /// `min_window` is 0: an ECN cut could close the window entirely.
-    ZeroMinWindow,
-    /// `init_window` lies outside `[min_window, max_window]`.
-    InitWindow {
-        /// The initial window.
-        init: u64,
-        /// The floor.
-        min: u64,
-        /// The ceiling.
-        max: u64,
-    },
-}
-
-impl std::fmt::Display for CcConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CcConfigError::ZeroMinWindow => write!(f, "cc config: min_window is 0"),
-            CcConfigError::InitWindow { init, min, max } => write!(
-                f,
-                "cc config: init_window {init} is outside [min_window {min}, max_window {max}]"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CcConfigError {}
-
-impl CcConfig {
-    /// Check the parameters a window needs to stay meaningful: a nonzero
-    /// floor and a start inside the floor and ceiling.
-    pub fn validate(&self) -> Result<(), CcConfigError> {
-        if self.min_window == 0 {
-            return Err(CcConfigError::ZeroMinWindow);
-        }
-        if !(self.min_window..=self.max_window).contains(&self.init_window) {
-            return Err(CcConfigError::InitWindow {
-                init: self.init_window,
-                min: self.min_window,
-                max: self.max_window,
-            });
-        }
-        Ok(())
-    }
-}
-
-impl Default for CcConfig {
-    fn default() -> Self {
-        CcConfig {
-            // ~BDP of 200 Gbps × 8 µs ≈ 200 KB.
-            init_window: 192 * 1024,
-            min_window: 2 * 4096,
-            max_window: 1024 * 1024,
-        }
-    }
-}
-
-/// One congestion-control context: the window state, without the
-/// [`CcConfig`] its owner passes to every update, in 48 bytes (the
+/// One congestion-control context: the window state, in 48 bytes (the
 /// per-RTT ACK tallies and the two event counters are 32-bit; the
 /// counters saturate).
 #[derive(Debug, Clone)]
@@ -119,11 +55,11 @@ pub struct CongestionControl {
     rto_resets: u32,
 }
 
-impl CongestionControl {
-    /// A fresh context under `config`.
-    pub fn new(config: &CcConfig) -> Self {
+impl Default for CongestionControl {
+    /// A fresh context at [`INIT_WINDOW`].
+    fn default() -> Self {
         CongestionControl {
-            cwnd: config.init_window,
+            cwnd: INIT_WINDOW,
             ecn_fraction: 0.0,
             acked_since_rtt: 0,
             marked_since_rtt: 0,
@@ -133,7 +69,9 @@ impl CongestionControl {
             rto_resets: 0,
         }
     }
+}
 
+impl CongestionControl {
     /// Current window in bytes.
     pub fn cwnd(&self) -> u64 {
         self.cwnd
@@ -154,14 +92,7 @@ impl CongestionControl {
 
     /// Process one ACK at `now` for a packet of `bytes` with RTT `rtt`,
     /// ECN-echo `ecn`.
-    pub fn on_ack(
-        &mut self,
-        config: &CcConfig,
-        now: SimTime,
-        bytes: u64,
-        rtt: SimDuration,
-        ecn: bool,
-    ) {
+    pub fn on_ack(&mut self, now: SimTime, bytes: u64, rtt: SimDuration, ecn: bool) {
         self.srtt = if self.srtt == SimDuration::ZERO {
             rtt
         } else {
@@ -180,7 +111,7 @@ impl CongestionControl {
             self.ecn_fraction = (1.0 - ECN_GAIN) * self.ecn_fraction + ECN_GAIN * frac;
             if frac > 0.0 {
                 let cut = (self.cwnd as f64 * self.ecn_fraction / 2.0) as u64;
-                self.cwnd = (self.cwnd - cut).max(config.min_window);
+                self.cwnd = (self.cwnd - cut).max(MIN_WINDOW);
                 self.decreases = self.decreases.saturating_add(1);
             }
             self.acked_since_rtt = 0;
@@ -192,21 +123,21 @@ impl CongestionControl {
         // gated by the RTT target.
         if !ecn && self.srtt <= RTT_TARGET {
             let inc = AI_QUANTUM * bytes.max(1) / self.cwnd.max(1);
-            self.cwnd = (self.cwnd + inc.max(1)).min(config.max_window);
+            self.cwnd = (self.cwnd + inc.max(1)).min(MAX_WINDOW);
         }
     }
 
     /// Process an RTO-detected loss.
     ///
     /// `path_share` is the fraction of this congestion-control context the
-    /// losing path represents: 1.0 for per-path CCCs or single path (the
-    /// classic halving), `1/128` when one of 128 sprayed paths loses a
-    /// packet — a loss on one path says nothing about the other 127, so a
-    /// shared CCC only sheds that path's share (§9's high-fanout design).
-    pub fn on_rto(&mut self, config: &CcConfig, path_share: f64) {
+    /// losing path represents: 1.0 for a single path (the classic
+    /// halving), `1/128` when one of 128 sprayed paths loses a packet — a
+    /// loss on one path says nothing about the other 127, so the shared
+    /// CCC only sheds that path's share (§9's high-fanout design).
+    pub fn on_rto(&mut self, path_share: f64) {
         assert!((0.0..=1.0).contains(&path_share), "share out of range");
         let cut = (self.cwnd as f64 * path_share * 0.5) as u64;
-        self.cwnd = (self.cwnd - cut.min(self.cwnd)).max(config.min_window);
+        self.cwnd = (self.cwnd - cut.min(self.cwnd)).max(MIN_WINDOW);
         self.rto_resets = self.rto_resets.saturating_add(1);
     }
 
@@ -229,24 +160,22 @@ mod tests {
 
     #[test]
     fn clean_acks_grow_window() {
-        let c = CcConfig::default();
-        let mut cc = CongestionControl::new(&c);
+        let mut cc = CongestionControl::default();
         let w0 = cc.cwnd();
         for i in 0..200 {
-            cc.on_ack(&c, t(i * 10), 4096, rtt(8), false);
+            cc.on_ack(t(i * 10), 4096, rtt(8), false);
         }
         assert!(cc.cwnd() > w0);
-        assert!(cc.cwnd() <= c.max_window);
+        assert!(cc.cwnd() <= MAX_WINDOW);
     }
 
     #[test]
     fn growth_caps_at_max_window() {
-        let c = CcConfig::default();
-        let mut cc = CongestionControl::new(&c);
+        let mut cc = CongestionControl::default();
         for i in 0..100_000 {
-            cc.on_ack(&c, t(i), 4096, rtt(8), false);
+            cc.on_ack(t(i), 4096, rtt(8), false);
         }
-        assert_eq!(cc.cwnd(), c.max_window);
+        assert_eq!(cc.cwnd(), MAX_WINDOW);
     }
 
     /// The additive increase is one `AI_QUANTUM` per window of clean
@@ -255,12 +184,11 @@ mod tests {
     /// stops at `max_window`.
     #[test]
     fn a_window_of_large_packets_grows_cwnd_by_one_quantum() {
-        let c = CcConfig::default();
-        let mut cc = CongestionControl::new(&c);
+        let mut cc = CongestionControl::default();
         let packet = 32 * 1024;
         let w0 = cc.cwnd();
         for i in 0..w0 / packet {
-            cc.on_ack(&c, t(i * 10), packet, rtt(8), false);
+            cc.on_ack(t(i * 10), packet, rtt(8), false);
         }
         // Each ACK's share rounds down, and the window grows under it,
         // so the sum falls a little short of one quantum.
@@ -270,22 +198,21 @@ mod tests {
             "grown={grown}"
         );
         for i in 0..10_000 {
-            cc.on_ack(&c, t(100 + i), packet, rtt(8), false);
+            cc.on_ack(t(100 + i), packet, rtt(8), false);
         }
-        assert_eq!(cc.cwnd(), c.max_window);
+        assert_eq!(cc.cwnd(), MAX_WINDOW);
     }
 
     #[test]
     fn ecn_marks_shrink_window() {
-        let c = CcConfig::default();
-        let mut cc = CongestionControl::new(&c);
+        let mut cc = CongestionControl::default();
         // Warm up srtt.
-        cc.on_ack(&c, t(0), 4096, rtt(8), false);
+        cc.on_ack(t(0), 4096, rtt(8), false);
         let w0 = cc.cwnd();
         // One full RTT of fully-marked ACKs, repeated.
         for round in 1..20u64 {
             for i in 0..48 {
-                cc.on_ack(&c, t(round * 100 + i), 4096, rtt(8), true);
+                cc.on_ack(t(round * 100 + i), 4096, rtt(8), true);
             }
         }
         assert!(cc.cwnd() < w0, "cwnd={} w0={w0}", cc.cwnd());
@@ -294,53 +221,49 @@ mod tests {
 
     #[test]
     fn window_never_collapses_below_floor() {
-        let c = CcConfig::default();
-        let mut cc = CongestionControl::new(&c);
-        cc.on_ack(&c, t(0), 4096, rtt(8), false);
+        let mut cc = CongestionControl::default();
+        cc.on_ack(t(0), 4096, rtt(8), false);
         for round in 1..200u64 {
             for i in 0..16 {
-                cc.on_ack(&c, t(round * 100 + i), 4096, rtt(8), true);
+                cc.on_ack(t(round * 100 + i), 4096, rtt(8), true);
             }
-            cc.on_rto(&c, 1.0);
+            cc.on_rto(1.0);
         }
-        assert_eq!(cc.cwnd(), c.min_window);
+        assert_eq!(cc.cwnd(), MIN_WINDOW);
     }
 
     #[test]
     fn rto_halves_window_at_full_share() {
-        let c = CcConfig::default();
-        let mut cc = CongestionControl::new(&c);
+        let mut cc = CongestionControl::default();
         let w0 = cc.cwnd();
-        cc.on_rto(&c, 1.0);
+        cc.on_rto(1.0);
         assert_eq!(cc.cwnd(), w0 / 2);
         assert_eq!(cc.counters().1, 1);
     }
 
     #[test]
     fn rto_with_small_share_barely_moves_window() {
-        let c = CcConfig::default();
-        let mut cc = CongestionControl::new(&c);
+        let mut cc = CongestionControl::default();
         let w0 = cc.cwnd();
-        cc.on_rto(&c, 1.0 / 128.0);
+        cc.on_rto(1.0 / 128.0);
         let cut = w0 - cc.cwnd();
         assert!(cut > 0 && cut < w0 / 64, "cut={cut}");
     }
 
     #[test]
     fn rtt_guard_pauses_growth() {
-        let c = CcConfig::default();
-        let mut cc = CongestionControl::new(&c);
+        let mut cc = CongestionControl::default();
         let w0 = cc.cwnd();
         // Clean ACKs but RTT far above target: no growth.
         for i in 0..100 {
-            cc.on_ack(&c, t(i * 10), 4096, rtt(500), false);
+            cc.on_ack(t(i * 10), 4096, rtt(500), false);
         }
         assert_eq!(cc.cwnd(), w0);
     }
 
     #[test]
     fn can_send_respects_window() {
-        let cc = CongestionControl::new(&CcConfig::default());
+        let cc = CongestionControl::default();
         assert!(cc.can_send(0, 4096));
         assert!(cc.can_send(cc.cwnd() - 4096, 4096));
         assert!(!cc.can_send(cc.cwnd(), 4096));
@@ -350,64 +273,25 @@ mod tests {
     /// one-segment minimum does; the window gates only the next one.
     #[test]
     fn empty_window_admits_one_packet() {
-        let c = CcConfig::default();
-        let mut cc = CongestionControl::new(&c);
+        let mut cc = CongestionControl::default();
         let jumbo = 256 * 1024;
         assert!(jumbo > cc.cwnd());
         assert!(cc.can_send(0, jumbo), "an empty flight must not stall");
         assert!(!cc.can_send(1, jumbo));
         // Also at the floor, where ECN cuts and RTOs leave the window.
         for _ in 0..64 {
-            cc.on_rto(&c, 1.0);
+            cc.on_rto(1.0);
         }
-        assert_eq!(cc.cwnd(), c.min_window);
-        assert!(cc.can_send(0, c.min_window + 1));
-        assert!(!cc.can_send(4096, c.min_window));
-    }
-
-    /// `validate` on the default config with one field changed.
-    fn validate_with(change: impl FnOnce(&mut CcConfig)) -> Result<(), CcConfigError> {
-        let mut config = CcConfig::default();
-        change(&mut config);
-        config.validate()
-    }
-
-    #[test]
-    fn validate_accepts_the_default_and_the_edges() {
-        assert_eq!(validate_with(|_| {}), Ok(()));
-        assert_eq!(validate_with(|c| c.init_window = c.min_window), Ok(()));
-        assert_eq!(validate_with(|c| c.init_window = c.max_window), Ok(()));
-    }
-
-    #[test]
-    fn validate_rejects_a_zero_min_window() {
-        assert_eq!(
-            validate_with(|c| c.min_window = 0),
-            Err(CcConfigError::ZeroMinWindow)
-        );
-    }
-
-    #[test]
-    fn validate_rejects_an_init_window_outside_min_and_max() {
-        let d = CcConfig::default();
-        for init in [d.min_window - 1, d.max_window + 1] {
-            assert_eq!(
-                validate_with(|c| c.init_window = init),
-                Err(CcConfigError::InitWindow {
-                    init,
-                    min: d.min_window,
-                    max: d.max_window,
-                })
-            );
-        }
+        assert_eq!(cc.cwnd(), MIN_WINDOW);
+        assert!(cc.can_send(0, MIN_WINDOW + 1));
+        assert!(!cc.can_send(4096, MIN_WINDOW));
     }
 
     #[test]
     fn srtt_converges() {
-        let c = CcConfig::default();
-        let mut cc = CongestionControl::new(&c);
+        let mut cc = CongestionControl::default();
         for i in 0..100 {
-            cc.on_ack(&c, t(i * 10), 4096, rtt(12), false);
+            cc.on_ack(t(i * 10), 4096, rtt(12), false);
         }
         let srtt_us = cc.srtt().as_micros();
         assert!((11..=12).contains(&srtt_us), "srtt={srtt_us}");

@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 use stellar_net::NicId;
 use stellar_sim::{SimDuration, SimTime};
 
-use crate::cc::{CcConfig, CongestionControl};
+use crate::cc::CongestionControl;
 
 /// Connection identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -561,8 +561,7 @@ pub struct Connection {
     /// Egress pacing: earliest time the next packet may leave.
     pub(crate) pace_until: SimTime,
     // Line 3 — the window and the RTO timer.
-    /// The shared congestion context (unused when each path has its own,
-    /// the §9 ablation).
+    /// The congestion context all the connection's paths share.
     pub(crate) cc: CongestionControl,
     /// Key of the connection's earliest queued RTO timer, or
     /// [`NO_TIMER`]. A key is queued only when it is earlier than every
@@ -592,7 +591,7 @@ impl Connection {
             pace_scheduled: false,
             ack_feedback: false,
             pace_until: SimTime::ZERO,
-            cc: CongestionControl::new(&CcConfig::default()),
+            cc: CongestionControl::default(),
             armed: NO_TIMER,
             cold: Box::new(ConnCold {
                 id,

@@ -9,9 +9,8 @@
 //!   single-path (ECMP baseline), Round-Robin, **Oblivious Packet
 //!   Spraying** (the production choice), Dynamic Weighted Round-Robin,
 //!   BestRTT, and an MP-RDMA-style congestion-aware picker.
-//! * [`cc`] — the window-based CC algorithm (ECN echo + RTT), with the
-//!   §9 ablation switch between one shared congestion-control context
-//!   (CCC) for all 128 paths and per-path CCCs over a reduced path count.
+//! * [`cc`] — the window-based CC algorithm (ECN echo + RTT): one
+//!   congestion-control context (CCC) shared by all 128 paths (§9).
 //! * [`conn`] — RC connections: message segmentation, the out-of-order
 //!   direct-packet-placement receive bitmap, exactly-once completion.
 //! * [`sim`] — the event loop gluing connections to the `stellar-net`
@@ -25,7 +24,7 @@ pub mod conn;
 pub mod path;
 pub mod sim;
 
-pub use cc::{CcConfig, CongestionControl};
+pub use cc::CongestionControl;
 pub use conn::{ConnId, ConnState, ConnStats, FatalError, MsgId};
 pub use path::{PathAlgo, PathSelector, PlaneFailover, ScoreboardPolicy};
 pub use sim::{

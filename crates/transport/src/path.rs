@@ -6,7 +6,9 @@
 //! from ACKs. Per-path state is stored by field and only for the readers
 //! that need it: OBS — the algorithm Stellar deploys over 128 paths —
 //! reads no feedback, so a connection spraying with it keeps nothing per
-//! path beyond its sent-packet counts.
+//! path until the loss scoreboard counts a loss. §9's path-aware
+//! alternative (REPS/STrack-style recycling of clean path ids) showed no
+//! gain over OBS here and is not modelled (DESIGN.md §4).
 
 use stellar_sim::{SimDuration, SimRng, SimTime};
 
@@ -28,14 +30,6 @@ pub enum PathAlgo {
     /// MP-RDMA-style congestion-aware choice: power-of-two sampling by
     /// recent ECN fraction.
     MpRdma,
-    /// Path-aware spraying in the spirit of SMaRTT-REPS/STrack (§9): path
-    /// ids whose packets return clean (unmarked) ACKs are *recycled* for
-    /// subsequent packets; marked or unprobed ids fall back to a random
-    /// pick. The paper implemented "a similar path-aware packet spraying
-    /// algorithm" and measured no significant advantage over OBS on its
-    /// regular, rail-aligned traffic — the `advanced_spray` ablation
-    /// reproduces that comparison.
-    PathAware,
 }
 
 /// Loss-scoreboard policy: how many consecutive losses blacklist a path,
@@ -155,8 +149,8 @@ pub struct PathSelector {
 /// allocated only for the algorithms or features that read it:
 /// `rtt_ewma` for BestRtt and Dwrr, `ecn_ewma` for MpRdma,
 /// `dwrr_deficit` and `dwrr_weights` for Dwrr, `rtt_tree` for BestRtt,
-/// `recycled` for PathAware, and `scores` from the first loss the
-/// scoreboard counts. An empty vector means "not tracked".
+/// and `scores` from the first loss the scoreboard counts. An empty
+/// vector means "not tracked".
 ///
 /// The state a pick reads is kept current by `on_ack`, so no algorithm
 /// scans every path to choose one: Dwrr's weights and their maximum, and
@@ -172,8 +166,6 @@ struct Feedback {
     dwrr_deficit: Vec<f64>,
     /// Loss scoreboard per path; empty until a loss is counted.
     scores: Vec<Score>,
-    /// REPS-style recycle queue: path ids whose last ACK was clean.
-    recycled: Vec<u32>,
     /// The plane count plane failover maps paths onto; `0` means
     /// failover is off (the default).
     planes: u32,
@@ -201,7 +193,6 @@ impl Default for Feedback {
             ecn_ewma: Vec::new(),
             dwrr_deficit: Vec::new(),
             scores: Vec::new(),
-            recycled: Vec::new(),
             planes: 0,
             plane_quarantine_until: Vec::new(),
             dwrr_weights: Vec::new(),
@@ -235,7 +226,6 @@ impl PathSelector {
         let n = num_paths as usize;
         let feedback = match algo {
             PathAlgo::SinglePath | PathAlgo::RoundRobin | PathAlgo::Obs => None,
-            PathAlgo::PathAware => Some(Feedback::default()),
             PathAlgo::MpRdma => Some(Feedback {
                 ecn_ewma: vec![0.0; n],
                 ..Feedback::default()
@@ -398,32 +388,20 @@ impl PathSelector {
     }
 
     /// Select the path for the next packet. `exclude` removes one path
-    /// (RTO retransmissions avoid the path that just lost a packet).
-    /// `allowed` further constrains the choice (per-path CC windows).
-    ///
-    /// Returns `None` if no path satisfies the constraints.
-    pub fn select<F: Fn(u32) -> bool>(
-        &mut self,
-        exclude: Option<u32>,
-        allowed: &F,
-    ) -> Option<u32> {
-        self.select_at(SimTime::ZERO, exclude, allowed)
+    /// (RTO retransmissions avoid the path that just lost a packet); with
+    /// a single path it is ignored, so a pick always finds a path.
+    pub fn select(&mut self, exclude: Option<u32>) -> u32 {
+        self.select_at(SimTime::ZERO, exclude)
     }
 
     /// Like [`PathSelector::select`], with the current simulation time —
     /// required by the loss scoreboard (blacklist expiry).
     ///
     /// Blacklisted paths are filtered out first; if that leaves no viable
-    /// path (every path blacklisted, or the constraints too tight), the
-    /// blacklist is ignored rather than stalling the connection — a
-    /// wrong path beats no path, since there is no wake-up event for a
-    /// blacklist expiring.
-    pub fn select_at<F: Fn(u32) -> bool>(
-        &mut self,
-        now: SimTime,
-        exclude: Option<u32>,
-        allowed: &F,
-    ) -> Option<u32> {
+    /// path (every path but `exclude` blacklisted), the blacklist is
+    /// ignored rather than stalling the connection — a wrong path beats
+    /// no path, since there is no wake-up event for a blacklist expiring.
+    pub fn select_at(&mut self, now: SimTime, exclude: Option<u32>) -> u32 {
         // Healthy fast path: no active blacklist or quarantine, no extra
         // RNG draws — keeps fault-free runs byte-identical to the
         // unhardened selector. A quarantine follows a blacklist, so an
@@ -444,27 +422,30 @@ impl PathSelector {
                 }
             }
             if any {
-                let filtered = |p: u32| -> bool {
-                    mask[(p / 64) as usize] & (1 << (p % 64)) == 0 && allowed(p)
-                };
+                let filtered = |p: u32| -> bool { mask[(p / 64) as usize] & (1 << (p % 64)) == 0 };
                 if let Some(p) = self.select_inner(exclude, &filtered) {
-                    return Some(p);
+                    return p;
                 }
             }
         }
-        self.select_inner(exclude, allowed)
+        // Unfiltered, every algorithm finds a path: at most one is
+        // excluded, and a single path ignores the exclusion.
+        self.select_inner(exclude, &|_| true).expect("an unfiltered pick finds a path")
     }
 
+    /// The algorithm's pick among the paths `viable` keeps (the
+    /// blacklist filter, or every path), other than `exclude`; `None`
+    /// if there is none.
     fn select_inner<F: Fn(u32) -> bool>(
         &mut self,
         exclude: Option<u32>,
-        allowed: &F,
+        viable: &F,
     ) -> Option<u32> {
         let n = self.num_paths();
-        let ok = |p: u32| -> bool { Some(p) != exclude && allowed(p) };
-        // With one path there is nowhere else to go.
+        let ok = |p: u32| -> bool { Some(p) != exclude && viable(p) };
+        // With one path there is nowhere else to go (and no filter).
         if n == 1 {
-            return if allowed(0) { Some(0) } else { None };
+            return Some(0);
         }
         match self.algo {
             PathAlgo::SinglePath => {
@@ -503,30 +484,7 @@ impl PathSelector {
                 }
                 found.or_else(|| (0..n).find(|&p| ok(p)))
             }
-            PathAlgo::Dwrr => self.select_dwrr(exclude, allowed),
-            PathAlgo::PathAware => {
-                // Drain the recycle queue first (freshly-confirmed good
-                // paths); otherwise explore uniformly like OBS.
-                let recycled = &mut self.feedback_mut().recycled;
-                let mut from_recycle = None;
-                while let Some(p) = recycled.pop() {
-                    if ok(p) {
-                        from_recycle = Some(p);
-                        break;
-                    }
-                }
-                from_recycle
-                    .or_else(|| {
-                        for _ in 0..8 {
-                            let p = self.rng.below(n as u64) as u32;
-                            if ok(p) {
-                                return Some(p);
-                            }
-                        }
-                        None
-                    })
-                    .or_else(|| (0..n).find(|&p| ok(p)))
-            }
+            PathAlgo::Dwrr => self.select_dwrr(exclude, viable),
             PathAlgo::BestRtt => {
                 // The root is the lowest `(rtt_ewma, path)` overall, so
                 // when it may be used it is also the filtered minimum.
@@ -567,10 +525,10 @@ impl PathSelector {
     fn select_dwrr<F: Fn(u32) -> bool>(
         &mut self,
         exclude: Option<u32>,
-        allowed: &F,
+        viable: &F,
     ) -> Option<u32> {
         let n = self.num_paths();
-        let ok = |p: u32| -> bool { Some(p) != exclude && allowed(p) };
+        let ok = |p: u32| -> bool { Some(p) != exclude && viable(p) };
         if !(0..n).any(ok) {
             return None;
         }
@@ -603,16 +561,10 @@ impl PathSelector {
     /// Feed back an ACK observation for `path`.
     pub fn on_ack(&mut self, path: u32, rtt: SimDuration, ecn: bool) {
         assert!(path < self.num_paths(), "path {path} out of range");
-        let algo = self.algo;
         // Every selector `on_ack` has work for keeps the box.
         let Some(fb) = self.feedback.as_deref_mut() else {
             return;
         };
-        // REPS recycling: clean ACKs re-arm their path id; marked ones
-        // drop it (bounded queue so state stays O(window)).
-        if algo == PathAlgo::PathAware && !ecn && fb.recycled.len() < 256 {
-            fb.recycled.push(path);
-        }
         // An ACK proves the plane forwards again: readmit it early.
         if fb.planes > 0 {
             fb.plane_quarantine_until[(path % fb.planes) as usize] = SimTime::ZERO;
@@ -774,13 +726,11 @@ mod tests {
         s.feedback.as_deref().expect("feedback state allocated")
     }
 
-    const ALL: fn(u32) -> bool = |_| true;
-
     /// Pick `picks` paths and count how often each was chosen.
     fn histogram(s: &mut PathSelector, picks: usize) -> Vec<u64> {
         let mut h = vec![0; s.num_paths() as usize];
         for _ in 0..picks {
-            h[s.select(None, &ALL).unwrap() as usize] += 1;
+            h[s.select(None) as usize] += 1;
         }
         h
     }
@@ -789,14 +739,14 @@ mod tests {
     fn single_path_sticks_to_zero() {
         let mut s = selector(PathAlgo::SinglePath, 8);
         for _ in 0..100 {
-            assert_eq!(s.select(None, &ALL), Some(0));
+            assert_eq!(s.select(None), 0);
         }
     }
 
     #[test]
     fn single_path_fails_over_on_exclusion() {
         let mut s = selector(PathAlgo::SinglePath, 8);
-        assert_ne!(s.select(Some(0), &ALL), Some(0));
+        assert_ne!(s.select(Some(0)), 0);
     }
 
     #[test]
@@ -818,7 +768,7 @@ mod tests {
         let mut s = selector(PathAlgo::BestRtt, 4);
         // Probe all paths once (unprobed RTT = 0 sorts first).
         for p in 0..4 {
-            assert_eq!(s.select(None, &ALL), Some(p));
+            assert_eq!(s.select(None), p);
             s.on_ack(
                 p,
                 SimDuration::from_micros(10 + p as u64 * 5),
@@ -828,7 +778,7 @@ mod tests {
         // Now path 0 (10 µs) wins consistently: "BestRTT tended to
         // activate only a small number of paths."
         for _ in 0..50 {
-            assert_eq!(s.select(None, &ALL), Some(0));
+            assert_eq!(s.select(None), 0);
             s.on_ack(0, SimDuration::from_micros(10), false);
         }
     }
@@ -907,26 +857,6 @@ mod tests {
     }
 
     #[test]
-    fn allowed_constraint_is_respected() {
-        for algo in [
-            PathAlgo::SinglePath,
-            PathAlgo::RoundRobin,
-            PathAlgo::Obs,
-            PathAlgo::Dwrr,
-            PathAlgo::BestRtt,
-            PathAlgo::MpRdma,
-        ] {
-            let mut s = selector(algo, 8);
-            for _ in 0..100 {
-                let p = s.select(None, &|p| p >= 6);
-                assert!(p.is_some() && p.unwrap() >= 6, "{algo:?} picked {p:?}");
-            }
-            let none = s.select(None, &|_| false);
-            assert_eq!(none, None, "{algo:?} must return None when blocked");
-        }
-    }
-
-    #[test]
     fn ack_updates_rtt_ewma() {
         let mut s = selector(PathAlgo::BestRtt, 2);
         assert_eq!(s.path(0).rtt_ewma, Some(SimDuration::ZERO), "unprobed");
@@ -965,16 +895,15 @@ mod tests {
             (PathAlgo::Dwrr, true, false, true),
             (PathAlgo::BestRtt, true, false, false),
             (PathAlgo::MpRdma, false, true, false),
-            (PathAlgo::PathAware, false, false, false),
         ] {
             let mut s = selector(algo, 128);
-            s.select(None, &ALL);
+            s.select(None);
             s.on_ack(3, SimDuration::from_micros(8), true);
             s.on_loss(4);
             let st = s.path(3);
             assert_eq!(st.rtt_ewma.is_some(), rtt, "{algo:?}");
             assert_eq!(st.ecn_ewma.is_some(), ecn, "{algo:?}");
-            let boxed = rtt || ecn || algo == PathAlgo::PathAware;
+            let boxed = rtt || ecn;
             assert_eq!(s.feedback.is_some(), boxed, "{algo:?}");
             assert_eq!(s.wants_ack(), boxed, "{algo:?}");
             let scores = s.feedback.as_ref().map_or(0, |fb| fb.scores.len());
@@ -1000,37 +929,10 @@ mod tests {
     }
 
     #[test]
-    fn path_aware_recycles_clean_paths() {
-        let mut s = selector(PathAlgo::PathAware, 64);
-        // First sends are exploratory.
-        let p = s.select(None, &ALL).unwrap();
-        // A clean ACK recycles the path: it is preferred next.
-        s.on_ack(p, SimDuration::from_micros(10), false);
-        assert_eq!(s.select(None, &ALL), Some(p));
-        // A marked ACK does not recycle.
-        s.on_ack(p, SimDuration::from_micros(10), true);
-        let mut repicks = 0;
-        for _ in 0..32 {
-            if s.select(None, &ALL) != Some(p) {
-                repicks += 1;
-            }
-        }
-        assert!(repicks > 16, "marked path must not dominate: {repicks}");
-    }
-
-    #[test]
-    fn path_aware_respects_constraints() {
-        let mut s = selector(PathAlgo::PathAware, 8);
-        s.on_ack(0, SimDuration::from_micros(5), false); // recycle path 0
-        let p = s.select(None, &|p| p >= 4).unwrap();
-        assert!(p >= 4, "recycled-but-disallowed path must be skipped");
-    }
-
-    #[test]
     fn exclusion_with_two_paths() {
         let mut s = selector(PathAlgo::Obs, 2);
         for _ in 0..20 {
-            assert_eq!(s.select(Some(1), &ALL), Some(0));
+            assert_eq!(s.select(Some(1)), 0);
         }
     }
 
@@ -1057,7 +959,7 @@ mod tests {
             s.on_loss_at(now, p);
         }
         for _ in 0..50 {
-            assert_eq!(s.select_at(now, None, &ALL), Some(0));
+            assert_eq!(s.select_at(now, None), 0);
         }
     }
 
@@ -1070,10 +972,8 @@ mod tests {
             s.on_loss_at(now, p);
         }
         assert_eq!(s.blacklisted_count(now), 4);
-        assert!(
-            s.select_at(now, None, &ALL).is_some(),
-            "a fully-blacklisted selector must still pick something"
-        );
+        // A fully-blacklisted selector still picks something.
+        assert!(s.select_at(now, None) < 4);
     }
 
     #[test]
@@ -1125,15 +1025,15 @@ mod tests {
         let now = SimTime::from_nanos(100);
         for i in 0..500u64 {
             let t = now + SimDuration::from_nanos(i);
-            let pa = a.select_at(t, None, &ALL);
-            let pb = b.select_at(t, None, &ALL);
+            let pa = a.select_at(t, None);
+            let pb = b.select_at(t, None);
             assert_eq!(pa, pb);
             if i % 7 == 0 {
                 // One loss (below blacklist_after=2), then an ACK.
-                b.on_loss_at(t, pb.unwrap());
-                b.on_ack(pb.unwrap(), SimDuration::from_micros(5), false);
-                a.on_loss(pa.unwrap());
-                a.on_ack(pa.unwrap(), SimDuration::from_micros(5), false);
+                b.on_loss_at(t, pb);
+                b.on_ack(pb, SimDuration::from_micros(5), false);
+                a.on_loss(pa);
+                a.on_ack(pa, SimDuration::from_micros(5), false);
             }
         }
     }
@@ -1162,7 +1062,7 @@ mod tests {
         assert!(!s.is_plane_quarantined(0, now));
         assert_eq!(s.quarantined_planes(now), 1);
         for _ in 0..100 {
-            let p = s.select_at(now, None, &ALL).unwrap();
+            let p = s.select_at(now, None);
             assert_eq!(p % 2, 0, "flow must migrate to the surviving plane");
         }
         // Quarantine outlives the per-path penalty: at penalty expiry the
@@ -1202,10 +1102,8 @@ mod tests {
             blacklist(&mut s, now, p);
         }
         assert_eq!(s.quarantined_planes(now), 2);
-        assert!(
-            s.select_at(now, None, &ALL).is_some(),
-            "both planes dead must still pick something"
-        );
+        // Both planes dead, it still picks something.
+        assert!(s.select_at(now, None) < 4);
     }
 
     #[test]
@@ -1219,7 +1117,7 @@ mod tests {
         let now = SimTime::from_nanos(100);
         for i in 0..500u64 {
             let t = now + SimDuration::from_nanos(i);
-            assert_eq!(a.select_at(t, None, &ALL), b.select_at(t, None, &ALL));
+            assert_eq!(a.select_at(t, None), b.select_at(t, None));
         }
         assert!(b.readmission_bounded(now));
     }

@@ -15,13 +15,16 @@ use stellar_sim::hash::FastMap;
 use stellar_sim::{EventQueue, SimDuration, SimRng, SimTime, WHEEL_HORIZON};
 use stellar_telemetry::{event, fold_counters, stage_sample, Entity, Stage, Subsystem};
 
-use crate::cc::{CcConfig, CcConfigError, CongestionControl};
+use crate::cc::CongestionControl;
 use crate::conn::{
     ConnId, ConnState, ConnStats, Connection, FatalError, InflightPacket, MsgId, RtoKey, NO_TIMER,
 };
 use crate::path::{PathAlgo, PathSelector};
 
-/// Transport parameters (§7.2's three key knobs plus the CC profile).
+/// Transport parameters: §7.2's three key knobs (algorithm, path count,
+/// MTU) plus the hardening, pacing and recovery policies. The RTO and
+/// the congestion window's bounds are constants ([`RTO`],
+/// [`crate::cc::INIT_WINDOW`]).
 #[derive(Debug, Clone)]
 pub struct TransportConfig {
     /// Path-selection algorithm.
@@ -30,11 +33,8 @@ pub struct TransportConfig {
     pub num_paths: u32,
     /// MTU / packet payload size in bytes.
     pub mtu: u64,
-    /// Retransmission timeout ("250 µs ... chosen for our low-latency
-    /// data center topology").
-    pub rto: SimDuration,
     /// Exponential RTO backoff factor: the timeout for retransmit epoch
-    /// `k` is `rto × rto_backoff^k`, capped at [`RTO_MAX`]. `1.0`
+    /// `k` is `RTO × rto_backoff^k`, capped at [`RTO_MAX`]. `1.0`
     /// disables backoff (the pre-hardening fixed-RTO behaviour).
     pub rto_backoff: f64,
     /// Consecutive retransmissions of a single packet before the
@@ -51,11 +51,6 @@ pub struct TransportConfig {
     /// blacklisted at once, migrating flows to the surviving planes until
     /// a readmission probe (see [`PlaneFailover`](crate::path::PlaneFailover)).
     pub plane_failover: Option<crate::path::PlaneFailover>,
-    /// Congestion-control parameters.
-    pub cc: CcConfig,
-    /// §9 ablation: one congestion-control context per path instead of a
-    /// single shared CCC.
-    pub per_path_cc: bool,
     /// Egress pacing rate in Gbps. `None` sends window-limited bursts;
     /// `Some(rate)` spaces packets at the given rate, modelling the
     /// RNIC's hardware rate limiter / DMA feed (application-limited flows
@@ -70,8 +65,14 @@ pub struct TransportConfig {
     pub recovery: Option<RecoveryPolicy>,
 }
 
+/// Retransmission timeout before backoff ("250 µs ... chosen for our
+/// low-latency data center topology").
+pub const RTO: SimDuration = SimDuration::from_micros(250);
 /// Upper bound on the backed-off RTO.
 pub const RTO_MAX: SimDuration = SimDuration::from_millis(4);
+
+// A zero RTO would fire at once, and backoff only grows it toward the cap.
+const _: () = assert!(0 < RTO.as_nanos() && RTO.as_nanos() <= RTO_MAX.as_nanos());
 
 /// Why a [`TransportConfig`] cannot run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,19 +85,14 @@ pub enum TransportConfigError {
     MtuAbove4GiB(u64),
     /// `pace_gbps` is not a finite, positive rate.
     PaceRate(f64),
-    /// `rto` is 0: a retransmission timer would fire at once.
-    ZeroRto,
-    /// `rto` is above [`RTO_MAX`], the cap on the backed-off RTO.
-    RtoAboveMax(SimDuration),
     /// `rto_backoff` is below 1 (a shrinking RTO) or NaN.
     RtoBackoff(f64),
     /// `retry_budget` is above 65,535: a packet's retransmit count is
     /// kept in 16 bits.
     RetryBudget(u32),
-    /// The congestion-control parameters are invalid.
-    Cc(CcConfigError),
-    /// A delay the transport adds to the clock (`scoreboard.penalty` or
-    /// `recovery.reestablish`) is beyond the timing wheel's horizon,
+    /// A delay the transport adds to the clock (`scoreboard.penalty`,
+    /// `recovery.reestablish`, or one `mtu` packet's transmit time at
+    /// `pace_gbps`) is beyond the timing wheel's horizon,
     /// [`WHEEL_HORIZON`].
     BeyondHorizon {
         /// The field.
@@ -120,20 +116,12 @@ impl std::fmt::Display for TransportConfigError {
                 f,
                 "transport config: pace_gbps {r} is not a finite positive rate"
             ),
-            TransportConfigError::ZeroRto => write!(f, "transport config: rto is 0"),
-            TransportConfigError::RtoAboveMax(rto) => write!(
-                f,
-                "transport config: rto {} ns is above the RTO cap {} ns",
-                rto.as_nanos(),
-                RTO_MAX.as_nanos()
-            ),
             TransportConfigError::RtoBackoff(b) => {
                 write!(f, "transport config: rto_backoff {b} is below 1 or NaN")
             }
             TransportConfigError::RetryBudget(n) => {
                 write!(f, "transport config: retry_budget {n} is above 65535")
             }
-            TransportConfigError::Cc(e) => write!(f, "transport {e}"),
             TransportConfigError::BeyondHorizon { field, value } => write!(
                 f,
                 "transport config: {field} {} ns is beyond the timing wheel's horizon {} ns",
@@ -149,12 +137,11 @@ impl std::error::Error for TransportConfigError {}
 impl TransportConfig {
     /// Check the fields that would otherwise panic deep inside a run: at
     /// the first connection (`num_paths`), the first post (`mtu`), the
-    /// first paced send (`pace_gbps`), the first RTO (`rto`,
-    /// `rto_backoff`) or the first blacklist or reconnect deadline
-    /// (`scoreboard.penalty`, `recovery.reestablish`, which would overflow
-    /// the clock); the bounds of the 32-byte in-flight record (`mtu`,
-    /// `retry_budget`); and the parameters of the congestion control
-    /// ([`CcConfig::validate`]).
+    /// first paced send (`pace_gbps`), the first RTO (`rto_backoff`) or
+    /// the first pacing, blacklist or reconnect deadline (`pace_gbps`,
+    /// `scoreboard.penalty`, `recovery.reestablish`, which would pass
+    /// the timing wheel's horizon); and the bounds of the 32-byte
+    /// in-flight record (`mtu`, `retry_budget`).
     pub fn validate(&self) -> Result<(), TransportConfigError> {
         if !(1..=256).contains(&self.num_paths) {
             return Err(TransportConfigError::NumPaths(self.num_paths));
@@ -170,22 +157,19 @@ impl TransportConfig {
                 return Err(TransportConfigError::PaceRate(rate));
             }
         }
-        if self.rto == SimDuration::ZERO {
-            return Err(TransportConfigError::ZeroRto);
-        }
-        if self.rto > RTO_MAX {
-            return Err(TransportConfigError::RtoAboveMax(self.rto));
-        }
         if self.rto_backoff.is_nan() || self.rto_backoff < 1.0 {
             return Err(TransportConfigError::RtoBackoff(self.rto_backoff));
         }
         if self.retry_budget > u32::from(u16::MAX) {
             return Err(TransportConfigError::RetryBudget(self.retry_budget));
         }
-        self.cc.validate().map_err(TransportConfigError::Cc)?;
+        // A paced packet schedules the next send one transmit time ahead.
+        let pace = self
+            .pace_gbps
+            .map(|rate| ("pace_gbps", stellar_sim::transmit_time(self.mtu, rate)));
         let penalty = Some(("scoreboard.penalty", self.scoreboard.penalty));
         let reestablish = self.recovery.as_ref().map(|r| ("recovery.reestablish", r.reestablish));
-        for (field, value) in penalty.into_iter().chain(reestablish) {
+        for (field, value) in pace.into_iter().chain(penalty).chain(reestablish) {
             if value > WHEEL_HORIZON {
                 return Err(TransportConfigError::BeyondHorizon { field, value });
             }
@@ -194,12 +178,12 @@ impl TransportConfig {
     }
 
     /// The RTO for retransmit epoch `epoch`:
-    /// `min(rto × rto_backoff^epoch, RTO_MAX)`.
+    /// `min(RTO × rto_backoff^epoch, RTO_MAX)`.
     fn rto_after(&self, epoch: u32) -> SimDuration {
         if self.rto_backoff <= 1.0 || epoch == 0 {
-            return self.rto;
+            return RTO;
         }
-        let scaled = self.rto.as_nanos() as f64 * self.rto_backoff.powi(epoch as i32);
+        let scaled = RTO.as_nanos() as f64 * self.rto_backoff.powi(epoch as i32);
         let capped = scaled.min(RTO_MAX.as_nanos() as f64);
         SimDuration::from_nanos(capped as u64)
     }
@@ -211,13 +195,10 @@ impl Default for TransportConfig {
             algo: PathAlgo::Obs,
             num_paths: 128,
             mtu: 4096,
-            rto: SimDuration::from_micros(250),
             rto_backoff: 2.0,
             retry_budget: 16,
             scoreboard: crate::path::ScoreboardPolicy::default(),
             plane_failover: None,
-            cc: CcConfig::default(),
-            per_path_cc: false,
             pace_gbps: None,
             recovery: None,
         }
@@ -403,18 +384,11 @@ enum Ev {
     Reconnect { conn: ConnId },
 }
 
-/// Per-connection state that only path selection, the per-path CC
-/// ablation and RTO re-arming read.
+/// Per-connection state that only path selection and RTO re-arming
+/// read.
 #[derive(Debug)]
 struct Cold {
     selector: PathSelector,
-    /// One CCC per path (§9 ablation); empty unless `per_path_cc`.
-    ccs: Vec<CongestionControl>,
-    /// Packets outstanding per path, read by the per-path CCs' window
-    /// gate; empty unless `per_path_cc`. A count rises when the selector
-    /// picks its path and falls (saturating) when a packet on it is
-    /// ACKed or declared lost; teardown leaves the counts as they are.
-    path_inflight: Vec<u64>,
     /// Keys of queued RTO timers later than [`Connection::armed`],
     /// latest first: the queue pops keys in order, so the last entry is
     /// the one armed after the next timer pops.
@@ -440,22 +414,6 @@ fn arm(
     let top = std::mem::replace(&mut conn.armed, key);
     if top != NO_TIMER {
         cold.armed_later.push(top);
-    }
-}
-
-impl Cold {
-    /// A packet left on `path` (the selector chose it).
-    fn path_sent(&mut self, path: u32) {
-        if let Some(n) = self.path_inflight.get_mut(path as usize) {
-            *n += 1;
-        }
-    }
-
-    /// A packet on `path` was ACKed or declared lost.
-    fn path_released(&mut self, path: u32) {
-        if let Some(n) = self.path_inflight.get_mut(path as usize) {
-            *n = n.saturating_sub(1);
-        }
     }
 }
 
@@ -672,15 +630,8 @@ impl<F: Fabric> TransportSim<F> {
     /// Open an RC connection `src → dst`.
     pub fn add_connection(&mut self, src: NicId, dst: NicId) -> ConnId {
         let id = ConnId(self.conns.len() as u32);
-        let per_path = if self.config.per_path_cc {
-            self.config.num_paths as usize
-        } else {
-            0
-        };
-        let cc = &self.config.cc;
         let mut conn = Connection::new(id, src, dst);
         conn.ack_delay = self.network.control_rtt_component(dst, src);
-        conn.cc = CongestionControl::new(cc);
         let mut selector = PathSelector::new(
             self.config.algo,
             self.config.num_paths,
@@ -694,8 +645,6 @@ impl<F: Fabric> TransportSim<F> {
         self.conns.push(conn);
         self.cold.push(Cold {
             selector,
-            ccs: (0..per_path).map(|_| CongestionControl::new(cc)).collect(),
-            path_inflight: vec![0; per_path],
             armed_later: Vec::new(),
         });
         id
@@ -889,10 +838,7 @@ impl<F: Fabric> TransportSim<F> {
         let replayed = conn.replay_unacked(mtu);
         conn.cold.recoveries += 1;
         conn.cold.replayed_packets += replayed;
-        let cc = &self.config.cc;
-        for ctx in std::iter::once(&mut conn.cc).chain(self.cold[i].ccs.iter_mut()) {
-            *ctx = CongestionControl::new(cc);
-        }
+        conn.cc = CongestionControl::default();
         conn.pace_until = SimTime::ZERO;
         event(
             now,
@@ -910,8 +856,6 @@ impl<F: Fabric> TransportSim<F> {
     fn pump(&mut self, conn_id: ConnId) {
         let now = self.now();
         let mtu = self.config.mtu;
-        let per_path = self.config.per_path_cc;
-        let rto = self.config.rto;
         let pace = self.config.pace_gbps;
         let i = conn_id.0 as usize;
         loop {
@@ -931,33 +875,11 @@ impl<F: Fabric> TransportSim<F> {
             // Only now read the packet's message: a paced connection
             // stops at the gate above without it.
             let pkt = conn.next_unsent(mtu).expect("a pending packet");
-            // Shared-CCC window gate.
-            if !per_path && !conn.cc.can_send(conn.inflight_bytes, pkt.bytes) {
+            // Window gate.
+            if !conn.cc.can_send(conn.inflight_bytes, pkt.bytes) {
                 break;
             }
-            // Path choice, gated per path when each path has its own CCC.
-            let cold = &mut self.cold[i];
-            let path = {
-                let Cold {
-                    selector,
-                    ccs,
-                    path_inflight,
-                    ..
-                } = &mut *cold;
-                let allowed = |p: u32| -> bool {
-                    if !per_path {
-                        return true;
-                    }
-                    ccs[p as usize].can_send(path_inflight[p as usize] * mtu, mtu)
-                };
-                match selector.select_at(now, None, &allowed) {
-                    Some(p) => p,
-                    None => break,
-                }
-            };
-            if per_path {
-                cold.path_sent(path);
-            }
+            let path = self.cold[i].selector.select_at(now, None);
 
             conn.pop_unsent(mtu);
             let seq = conn.next_seq();
@@ -997,7 +919,7 @@ impl<F: Fabric> TransportSim<F> {
                     retx: 0,
                 },
             );
-            let key = (now + rto, rto_seq);
+            let key = (now + RTO, rto_seq);
             arm(conn, &mut self.cold[i], &mut self.queue, conn_id, key, seq, 0);
         }
     }
@@ -1067,20 +989,13 @@ impl<F: Fabric> TransportSim<F> {
         if ecn {
             conn.counts.ecn_acks += 1;
         }
-        // Only feedback-driven selectors and the per-path ablation read
-        // the cold entry on an ACK.
-        let cold = &mut self.cold[i];
-        debug_assert_eq!(conn.ack_feedback, cold.selector.wants_ack());
+        // Only feedback-driven selectors read the cold entry on an ACK.
+        let selector = &mut self.cold[i].selector;
+        debug_assert_eq!(conn.ack_feedback, selector.wants_ack());
         if conn.ack_feedback {
-            cold.selector.on_ack(path, rtt, ecn);
+            selector.on_ack(path, rtt, ecn);
         }
-        let ctx = if self.config.per_path_cc {
-            cold.path_released(path);
-            &mut cold.ccs[path as usize]
-        } else {
-            &mut conn.cc
-        };
-        ctx.on_ack(&self.config.cc, now, bytes, rtt, ecn);
+        conn.cc.on_ack(now, bytes, rtt, ecn);
         self.pump(conn_id);
     }
 
@@ -1116,18 +1031,11 @@ impl<F: Fabric> TransportSim<F> {
             conn.cold.rto_events += 1;
             event(now, Subsystem::Transport, Entity::Conn(conn_id.0), "rto", u64::from(epoch));
             // Feed the loss scoreboard: repeated losses blacklist the path.
-            let cold = &mut self.cold[i];
-            cold.selector.on_loss_at(now, old_path);
-            conn.ack_feedback = cold.selector.wants_ack();
-            cold.path_released(old_path);
+            let selector = &mut self.cold[i].selector;
+            selector.on_loss_at(now, old_path);
+            conn.ack_feedback = selector.wants_ack();
             // Retransmit on a different path for instant recovery.
-            new_path = match cold.selector.select_at(now, Some(old_path), &|_| true) {
-                Some(p) => {
-                    cold.path_sent(p);
-                    p
-                }
-                None => old_path,
-            };
+            new_path = selector.select_at(now, Some(old_path));
             let pkt = conn.inflight.get_mut(seq).unwrap();
             pkt.retx += 1;
             pkt.sent_at = now;
@@ -1153,12 +1061,8 @@ impl<F: Fabric> TransportSim<F> {
                 });
             }
         }
-        let (share, ctx) = if self.config.per_path_cc {
-            (1.0, &mut self.cold[i].ccs[old_path as usize])
-        } else {
-            (1.0 / self.config.num_paths as f64, &mut self.conns[i].cc)
-        };
-        ctx.on_rto(&self.config.cc, share);
+        // The lost packet's path is one of `num_paths` sharing the CCC.
+        self.conns[i].cc.on_rto(1.0 / self.config.num_paths as f64);
 
         let delivery = self
             .network
@@ -1429,11 +1333,15 @@ mod tests {
 
     /// An event is two words: an RTO's epoch fits the `u16` retry
     /// budget, so every queue node and ready entry carries 16 bytes of
-    /// payload. The cold side table is three 128-byte blocks.
+    /// payload. A cold entry is the 256-byte selector and the 24-byte
+    /// timer stack, which the selector's 128-byte alignment rounds up to
+    /// three blocks.
     #[test]
     fn event_and_cold_sizes_are_pinned() {
         assert_eq!(std::mem::size_of::<Ev>(), 16);
-        assert!(std::mem::size_of::<Cold>() <= 384);
+        let fields = std::mem::size_of::<PathSelector>() + std::mem::size_of::<Vec<RtoKey>>();
+        assert_eq!(fields, 280);
+        assert_eq!(std::mem::size_of::<Cold>(), 384);
     }
 
     /// `validate` on the default config with one field changed.
@@ -1450,7 +1358,6 @@ mod tests {
         assert_eq!(validate_with(|_| {}), Ok(()));
         assert_eq!(validate_with(|c| c.num_paths = 1), Ok(()));
         assert_eq!(validate_with(|c| c.num_paths = 256), Ok(()));
-        assert_eq!(validate_with(|c| c.rto = RTO_MAX), Ok(()));
         assert_eq!(validate_with(|c| c.rto_backoff = 1.0), Ok(()));
         assert_eq!(validate_with(|c| c.pace_gbps = Some(0.5)), Ok(()));
     }
@@ -1486,23 +1393,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_a_zero_rto() {
-        assert_eq!(
-            validate_with(|c| c.rto = SimDuration::ZERO),
-            Err(TransportConfigError::ZeroRto)
-        );
-    }
-
-    #[test]
-    fn validate_rejects_an_rto_above_the_cap() {
-        let rto = RTO_MAX + SimDuration::from_nanos(1);
-        assert_eq!(
-            validate_with(|c| c.rto = rto),
-            Err(TransportConfigError::RtoAboveMax(rto))
-        );
-    }
-
-    #[test]
     fn validate_rejects_an_rto_backoff_below_1_or_nan() {
         assert_eq!(
             validate_with(|c| c.rto_backoff = 0.5),
@@ -1525,14 +1415,6 @@ mod tests {
             Err(TransportConfigError::RetryBudget(65_536))
         );
         assert_eq!(validate_with(|c| c.retry_budget = 65_535), Ok(()));
-    }
-
-    /// The congestion-control parameters are checked with the rest.
-    #[test]
-    fn validate_rejects_an_invalid_cc_config() {
-        let err = validate_with(|c| c.cc.min_window = 0).unwrap_err();
-        assert_eq!(err, TransportConfigError::Cc(CcConfigError::ZeroMinWindow));
-        assert_eq!(err.to_string(), "transport cc config: min_window is 0");
     }
 
     /// A blacklist deadline `now + penalty` past the wheel's horizon
@@ -1573,6 +1455,36 @@ mod tests {
                 value,
             })
         );
+    }
+
+    /// A paced packet schedules the next send one transmit time ahead:
+    /// at a rate so low that one `mtu` packet takes longer than the
+    /// wheel's horizon, the pacing wake-up would land past it.
+    #[test]
+    fn validate_rejects_a_pace_rate_whose_packet_time_is_beyond_the_wheel_horizon() {
+        // One 4 KiB packet takes 2^15 / rate ns: the horizon at 2^-25 Gbps.
+        let edge = 32_768.0 / WHEEL_HORIZON.as_nanos() as f64;
+        assert_eq!(validate_with(|c| c.pace_gbps = Some(edge)), Ok(()));
+        for rate in [edge / 2.0, 1e-300] {
+            let value = stellar_sim::transmit_time(4096, rate);
+            assert!(value > WHEEL_HORIZON);
+            assert_eq!(
+                validate_with(|c| c.pace_gbps = Some(rate)),
+                Err(TransportConfigError::BeyondHorizon {
+                    field: "pace_gbps",
+                    value,
+                })
+            );
+        }
+    }
+
+    /// The constructor stops the same rate, with the error's message,
+    /// instead of the timing wheel panicking at the first paced send.
+    #[test]
+    #[should_panic(expected = "transport config: pace_gbps 18446744073709551615 ns is beyond \
+                               the timing wheel's horizon 1099511627776 ns")]
+    fn constructor_rejects_a_pace_rate_beyond_the_wheel_horizon() {
+        make_sim_with(PathAlgo::Obs, 128, 1, |c| c.pace_gbps = Some(1e-300));
     }
 
     /// An invalid config stops at the constructor, with the error's
@@ -1786,39 +1698,6 @@ mod tests {
         sim.run(&mut app, FOREVER);
         assert_eq!(app.completions, 10);
         assert_eq!(sim.conn_stats(conn).completed_messages, 10);
-    }
-
-    #[test]
-    fn per_path_cc_also_completes() {
-        let topo_sim = |per_path: bool| -> u64 {
-            let topo = ClosTopology::build(ClosConfig {
-                segments: 2,
-                hosts_per_segment: 2,
-                rails: 1,
-                planes: 2,
-                aggs_per_plane: 2,
-            });
-            let rng = SimRng::from_seed(8);
-            let network = Network::new(topo, NetworkConfig::default(), rng.fork("net"));
-            let mut sim = TransportSim::new(
-                network,
-                TransportConfig {
-                    algo: PathAlgo::Obs,
-                    num_paths: 4,
-                    per_path_cc: per_path,
-                    ..TransportConfig::default()
-                },
-                rng.fork("t"),
-            );
-            let src = sim.network().topology().nic(0, 0);
-            let dst = sim.network().topology().nic(2, 0);
-            let c = sim.add_connection(src, dst);
-            sim.post_message(c, 8 * 1024 * 1024);
-            sim.run(&mut NoopApp, FOREVER);
-            sim.conn_stats(c).delivered_bytes
-        };
-        assert_eq!(topo_sim(false), 8 * 1024 * 1024);
-        assert_eq!(topo_sim(true), 8 * 1024 * 1024);
     }
 
     #[test]
@@ -2048,7 +1927,7 @@ mod tests {
             )
         };
         for epoch in 0..10 {
-            assert_eq!(sim.config().rto_after(epoch), sim.config().rto);
+            assert_eq!(sim.config().rto_after(epoch), RTO);
         }
     }
 

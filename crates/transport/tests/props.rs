@@ -5,6 +5,7 @@ use stellar_sim::par::with_thread_override;
 use stellar_sim::proptest_lite::check;
 use stellar_sim::{SimDuration, SimRng, SimTime};
 use stellar_transport::conn::{ConnId, Connection, InflightPacket, InflightTable, MessageState};
+use stellar_transport::sim::RTO;
 use stellar_transport::{
     App, MsgId, PathAlgo, PathSelector, RecoveryPolicy, ScoreboardPolicy, TransportConfig,
     TransportSim,
@@ -63,8 +64,8 @@ fn segmentation_conserves_bytes() {
     });
 }
 
-/// Path selectors always return a path within range and respect the
-/// allowed predicate, for every algorithm.
+/// Path selectors always return a path within range and, with two or
+/// more paths, avoid the excluded one, for every algorithm.
 #[test]
 fn selector_respects_constraints() {
     check("selector_respects_constraints", 256, |g| {
@@ -77,15 +78,18 @@ fn selector_respects_constraints() {
             PathAlgo::MpRdma,
         ]);
         let paths = g.u32(1, 161);
-        let lo = g.u32(0, 8);
+        let exclude = g.u32(0, paths);
         let seed = g.u64(0, 100);
         let mut s = PathSelector::new(algo, paths, SimRng::from_seed(seed));
-        let lo = lo.min(paths - 1);
         for _ in 0..50 {
-            let p = s.select(None, &|p| p >= lo).expect("a path exists");
-            assert!(p < paths && p >= lo, "{algo:?}: {p}");
+            let p = s.select(Some(exclude));
+            assert!(p < paths, "{algo:?}: {p} out of range");
+            assert!(
+                paths == 1 || p != exclude,
+                "{algo:?}: picked the excluded {p}"
+            );
         }
-        // RTT feedback keeps inflight counters non-negative.
+        // Feedback and losses on a few paths are accepted.
         for p in 0..paths.min(4) {
             s.on_ack(p, SimDuration::from_micros(10), false);
             s.on_loss(p);
@@ -118,7 +122,7 @@ fn scoreboard_blacklists_and_readmits() {
         assert_eq!(s.blacklisted_count(now), 1);
         // While blacklisted, the selector routes around the victim.
         for _ in 0..50 {
-            let p = s.select_at(now, None, &|_| true).expect("a path exists");
+            let p = s.select_at(now, None);
             assert_ne!(p, victim, "blacklisted path selected");
         }
         // Penalty expiry readmits it — a restored (flapped-up) path is
@@ -232,7 +236,6 @@ fn recovery_under_faults_is_identical_across_thread_counts() {
                     recovery: Some(RecoveryPolicy::default()),
                     ..TransportConfig::default()
                 };
-                let rto = config.rto;
                 let mut sim = TransportSim::new(network, config, rng.fork("transport"));
                 let src = sim.network().topology().nic(0, 0);
                 let dst = sim.network().topology().nic(2, 0);
@@ -245,7 +248,7 @@ fn recovery_under_faults_is_identical_across_thread_counts() {
                 let others: Vec<_> = (1..4)
                     .map(|p| sim.network().topology().route(src, dst, 0, p)[1])
                     .collect();
-                let outage = rto.mul(u64::from(retry_budget) + 3);
+                let outage = RTO.mul(u64::from(retry_budget) + 3);
                 let plan = FaultPlan::new(seed)
                     .link_down(down_at, victim)
                     .link_up(down_at + outage, victim)
@@ -353,7 +356,7 @@ fn obs_covers_paths() {
         let seed = g.u64(0, 50);
         let mut s = PathSelector::new(PathAlgo::Obs, paths, SimRng::from_seed(seed));
         let used: std::collections::BTreeSet<u32> = (0..paths as usize * 20)
-            .filter_map(|_| s.select(None, &|_| true))
+            .map(|_| s.select(None))
             .collect();
         assert!(used.len() as u32 >= paths * 8 / 10);
     });

@@ -2,7 +2,7 @@
 //!
 //! Every [`PathAlgo`], with the default scoreboard and again with plane
 //! failover on, is driven through one seeded mix of `select_at` (with
-//! exclusions and `allowed` masks), `on_ack` and `on_loss_at`. Losses
+//! exclusions), `on_ack` and `on_loss_at`. Losses
 //! fall mostly on one plane's paths so the scoreboard blacklists paths
 //! and, with failover on, quarantines the plane. A hash over every
 //! choice and every `blacklisted_count` / `quarantined_planes` /
@@ -12,36 +12,28 @@
 //! choices, pins the selector bit for bit. The DWRR deficits are pinned through Dwrr's
 //! choices.
 //!
-//! A per-path-CC transport run, hashed with each connection's sends per
-//! path read from the fabric's packet trace, pins the per-path in-flight
-//! counts that gate each path's window: the windows are one or two packets wide and
-//! the RTO short enough to fire mid-transfer, so where the counts rise
-//! and fall (a send, an RTO retransmission, an ACK, a loss) decides
-//! which paths may send, and so every later byte of the run.
-//!
 //! Dwrr and BestRtt, the two algorithms that read every path's RTT
 //! EWMA, are driven again at 128 and 256 paths — the widths of the
-//! Fig. 9/10 sweeps — where `allowed` masks span four 64-bit words.
+//! Fig. 9/10 sweeps — where the blacklist filter spans four 64-bit
+//! words.
 //!
-//! The 16-path hashes were recorded before the selector's per-path state
-//! was split by field, the wide ones before BestRtt and Dwrr kept their
-//! selection state incrementally; they must never change.
+//! The hashes were recorded with this driver on the selector that still
+//! took an `allowed` mask, passing one that admits every path; they must
+//! never change.
 
-use stellar_net::{ClosConfig, ClosTopology, Fabric, Network, NetworkConfig};
 use stellar_sim::{SimDuration, SimRng, SimTime};
-use stellar_transport::{CcConfig, NoopApp, PathAlgo, PathSelector, TransportConfig, TransportSim};
+use stellar_transport::{PathAlgo, PathSelector};
 
 const PATHS: u32 = 16;
 
 /// Each algorithm with the seed its hashes were recorded at.
-const ALGOS: [(PathAlgo, u64); 7] = [
+const ALGOS: [(PathAlgo, u64); 6] = [
     (PathAlgo::SinglePath, 100),
     (PathAlgo::RoundRobin, 101),
     (PathAlgo::Obs, 102),
     (PathAlgo::Dwrr, 103),
     (PathAlgo::BestRtt, 104),
     (PathAlgo::MpRdma, 105),
-    (PathAlgo::PathAware, 107),
 ];
 
 fn fnv(h: &mut u64, x: u64) {
@@ -81,21 +73,6 @@ struct Drive {
     max_quarantined: usize,
 }
 
-/// An `allowed` mask over `paths` paths: one draw below `2^paths` up to
-/// 32 paths (the 16-path stream the original hashes were recorded
-/// with), one full word per 64 paths beyond.
-fn draw_mask(ops: &mut SimRng, paths: u32) -> [u64; 4] {
-    let mut mask = [0; 4];
-    if paths <= 32 {
-        mask[0] = ops.below(1 << paths);
-    } else {
-        for w in &mut mask[..paths.div_ceil(64) as usize] {
-            *w = ops.next_u64();
-        }
-    }
-    mask
-}
-
 fn drive(algo: PathAlgo, paths: u32, failover: bool, seed: u64) -> Drive {
     let mut s = PathSelector::new(algo, paths, SimRng::from_seed(seed));
     if failover {
@@ -115,18 +92,9 @@ fn drive(algo: PathAlgo, paths: u32, failover: bool, seed: u64) -> Drive {
         match ops.below(10) {
             0..=4 => {
                 let exclude = ops.chance(0.2).then(|| ops.below(paths as u64) as u32);
-                let mask = if ops.chance(0.3) {
-                    draw_mask(&mut ops, paths)
-                } else {
-                    [u64::MAX; 4]
-                };
-                let p = s.select_at(now, exclude, &|p| {
-                    mask[(p / 64) as usize] & (1 << (p % 64)) != 0
-                });
-                fnv(&mut h, p.map_or(u64::MAX, u64::from));
-                if let Some(p) = p {
-                    picks[p as usize] += 1;
-                }
+                let p = s.select_at(now, exclude);
+                fnv(&mut h, u64::from(p));
+                picks[p as usize] += 1;
             }
             5..=7 => {
                 // Plane 1 (odd ids) rarely ACKs, so its losses pile up.
@@ -187,21 +155,19 @@ fn every_algorithm_selects_as_recorded() {
             hashes.push(d.hash);
         }
     }
-    let expect: [u64; 14] = [
-        2_013_674_303_868_878_545,
-        9_032_699_536_209_340_888,
-        8_799_634_084_379_299_787,
-        9_872_768_801_433_360_397,
-        213_198_992_660_547_087,
-        17_832_490_892_854_389_948,
-        2_467_360_265_973_609_939,
-        11_513_942_319_660_975_787,
-        15_320_265_862_607_254_451,
-        3_957_195_737_653_833_729,
-        11_151_819_241_782_914_046,
-        3_375_347_924_465_329_126,
-        405_369_992_556_588_842,
-        1_160_496_518_987_189_126,
+    let expect: [u64; 12] = [
+        4_860_068_759_977_117_107,
+        11_207_199_601_246_401_783,
+        2_360_693_485_480_111_130,
+        1_616_710_598_010_371_102,
+        16_909_588_073_543_885_437,
+        6_022_600_700_351_464_063,
+        16_024_796_520_851_073_655,
+        4_405_079_916_010_606_191,
+        8_902_232_763_397_679_739,
+        8_119_511_928_318_567_017,
+        15_521_417_548_077_015_315,
+        329_407_042_888_684_510,
     ];
     assert_eq!(hashes, expect, "selector hashes, (algo, failover) in order");
 }
@@ -227,105 +193,17 @@ fn wide_rtt_selectors_select_as_recorded() {
         }
     }
     let expect: [u64; 8] = [
-        5_977_905_549_568_301_269,
-        16_516_264_436_439_980_944,
-        9_592_205_387_074_691_589,
-        6_291_812_904_391_021_577,
-        12_079_897_270_530_789_130,
-        17_768_355_332_992_377_213,
-        596_172_270_884_674_043,
-        17_584_428_794_582_712_547,
+        8_351_917_130_861_388_476,
+        11_684_870_581_617_151_398,
+        18_257_310_823_108_800_432,
+        13_341_021_239_648_254_013,
+        2_184_737_619_919_319_514,
+        8_640_253_612_381_137_458,
+        14_832_167_478_801_660_425,
+        11_049_137_927_859_304_917,
     ];
     assert_eq!(
         hashes, expect,
         "selector hashes, (paths, algo, failover) in order"
-    );
-}
-
-/// A per-path-CC incast over a lossy uplink: ACKs and RTOs both
-/// release per-path in-flight counts, and per-path windows of one or
-/// two packets gate every send.
-fn per_path_cc_run(algo: PathAlgo) -> u64 {
-    let topo = ClosTopology::build(ClosConfig {
-        segments: 2,
-        hosts_per_segment: 4,
-        rails: 1,
-        planes: 2,
-        aggs_per_plane: 4,
-    });
-    let rng = SimRng::from_seed(31);
-    let network = Network::new(topo, NetworkConfig::default(), rng.fork("net"));
-    let mut sim = TransportSim::new(
-        network,
-        TransportConfig {
-            algo,
-            num_paths: 8,
-            per_path_cc: true,
-            rto: SimDuration::from_micros(15),
-            cc: CcConfig {
-                init_window: 4096,
-                min_window: 4096,
-                max_window: 2 * 4096,
-            },
-            ..TransportConfig::default()
-        },
-        rng.fork("transport"),
-    );
-    let dst = sim.network().topology().nic(4, 0);
-    let lossy = {
-        let src = sim.network().topology().nic(0, 0);
-        sim.network().topology().route(src, dst, 0, 0)[1]
-    };
-    sim.network_mut().set_loss(lossy, 0.03);
-    sim.network_mut().enable_trace(1 << 16);
-    let conns: Vec<_> = (0..3)
-        .map(|h| {
-            let src = sim.network().topology().nic(h, 0);
-            sim.add_connection(src, dst)
-        })
-        .collect();
-    for (k, &c) in conns.iter().enumerate() {
-        sim.post_message(c, 1024 * 1024 + k as u64 * 4096);
-    }
-    sim.run(&mut NoopApp, SimTime::from_nanos(u64::MAX / 2));
-    assert!(sim.all_idle());
-    let st = sim.total_stats();
-    assert!(
-        st.retransmits > 0,
-        "{algo:?}: the lossy uplink must cost an RTO"
-    );
-    // The hashes were recorded while `ConnStats` also printed an
-    // `rnr_naks` counter, always 0 here: the text is hashed as it read.
-    let text = format!("{st:?}").replace(", recoveries:", ", rnr_naks: 0, recoveries:");
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in text.bytes() {
-        fnv(&mut h, u64::from(b));
-    }
-    fnv(&mut h, sim.now().as_nanos());
-    fnv(&mut h, sim.events_scheduled());
-    let trace = sim.network_mut().take_trace();
-    for &c in &conns {
-        let mut sends = [0u64; 8];
-        for r in trace.iter().filter(|r| r.flow == c.0 as u64) {
-            sends[r.path_id as usize] += 1;
-        }
-        for n in sends {
-            fnv(&mut h, n);
-        }
-    }
-    h
-}
-
-#[test]
-fn per_path_cc_transfer_runs_as_recorded() {
-    let got = [PathAlgo::Obs, PathAlgo::RoundRobin, PathAlgo::MpRdma].map(per_path_cc_run);
-    assert_eq!(
-        got,
-        [
-            13_474_522_539_152_411_221,
-            18_189_913_648_242_366_737,
-            5_899_330_601_769_211_874,
-        ],
-        "per-path-CC run hashes: Obs, RoundRobin, MpRdma"
     );
 }

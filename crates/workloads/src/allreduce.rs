@@ -504,7 +504,7 @@ mod tests {
                 mtu: 256 * 1024,
                 ..TransportConfig::default()
             };
-            assert!(config.mtu > config.cc.init_window);
+            assert!(config.mtu > stellar_transport::cc::INIT_WINDOW);
             let mut s = TransportSim::new(net, config, SimRng::from_seed(3).fork("t"));
             let nics = (0..16).map(|h| s.network().topology().nic(h, 0)).collect();
             let job = AllReduceJob {

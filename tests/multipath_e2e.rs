@@ -188,44 +188,3 @@ fn whole_experiment_is_deterministic() {
     };
     assert_eq!(run(), run());
 }
-
-#[test]
-fn per_path_cc_ablation_uses_fewer_paths_but_completes() {
-    // §9: per-path CCCs force a much lower fan-out (4 paths) than the
-    // shared-CCC design (128). Both must complete; the shared/128 design
-    // finishes no later under uncongested conditions.
-    let run = |per_path: bool, paths: u32| {
-        let topo = ClosTopology::build(ClosConfig {
-            segments: 2,
-            hosts_per_segment: 2,
-            rails: 1,
-            planes: 2,
-            aggs_per_plane: 8,
-        });
-        let rng = SimRng::from_seed(5);
-        let network = Network::new(topo, NetworkConfig::default(), rng.fork("net"));
-        let mut sim = TransportSim::new(
-            network,
-            TransportConfig {
-                algo: PathAlgo::Obs,
-                num_paths: paths,
-                per_path_cc: per_path,
-                ..TransportConfig::default()
-            },
-            rng.fork("t"),
-        );
-        let src = sim.network().topology().nic(0, 0);
-        let dst = sim.network().topology().nic(2, 0);
-        let conn = sim.add_connection(src, dst);
-        let msg = sim.post_message(conn, 16 * MB);
-        let mut log = CompletionLog::new();
-        sim.run(&mut log, FOREVER);
-        log.completed_at(conn, msg).unwrap()
-    };
-    let shared = run(false, 128);
-    let per_path = run(true, 4);
-    assert!(
-        shared <= per_path + SimDuration::from_millis(2),
-        "shared {shared} vs per-path {per_path}"
-    );
-}
